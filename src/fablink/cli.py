@@ -2,7 +2,8 @@
 profiles, and list the built-in profiles and traffic catalog.
 
 Exit codes: 0 success (and, for `check`, no assessed Fail verdict);
-1 a checked dimension failed; 2 bad input (config, unknown profile, I/O).
+1 a checked dimension failed; 2 bad input (config, unknown profile, I/O,
+or a link curve, rate or e-stop endpoint the run cannot resolve).
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from .compliance import (
     builtin_profiles,
     profile_by_name,
 )
+from .radio_link import RateUnavailable, UnknownCurve
+from .safety import UnknownEndpoint
 from .scenario import (
     ConfigInvalid,
     Scenario,
@@ -100,7 +103,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         scenario.seed = args.seed
     if args.horizon is not None:
         scenario.horizon_s = args.horizon
-    result = Simulation(scenario).run()
+    try:
+        result = Simulation(scenario).run()
+    except (UnknownCurve, RateUnavailable, UnknownEndpoint) as exc:
+        print(f"run error: {exc.args[0]}", file=sys.stderr)
+        return 2
     try:
         artifacts = write_artifacts(result, args.out)
     except OSError as exc:

@@ -111,7 +111,6 @@ class ModuleState(Enum):
     IDLE = "idle"
     BUSY = "busy"
     FAULT = "fault"
-    OUT_OF_SERVICE = "out_of_service"
 
 
 class GateState(Enum):
@@ -130,6 +129,11 @@ class StationModule:
     upstream_gate: GateState = GateState.CLOSED
     downstream_gate: GateState = GateState.CLOSED
     carrier: str | None = None  # product id physically on the module
+
+    @property
+    def free(self) -> bool:
+        """Idle and empty: routing may send a product here."""
+        return self.state is ModuleState.IDLE and self.carrier is None
 
 
 class DockOccupancy(Enum):
@@ -185,15 +189,8 @@ class Robot:
     home_island: str = ""
 
 
-@dataclass
-class DockResult:
-    island_id: str
-    loop_id: str
-    affiliation_color: str
-
-
 def dock(robot: Robot, station: DockingStation, island: Island, safety_mgr,
-         now: SimTime) -> DockResult:
+         now: SimTime) -> None:
     """Dock the robot: it joins the island's safety loop and signals its
     affiliation with the island's color."""
     from .safety import LoopState
@@ -208,7 +205,6 @@ def dock(robot: Robot, station: DockingStation, island: Island, safety_mgr,
     robot.safety_membership = island.safety_loop_id
     robot.affiliation_color = island.color or island.id
     safety_mgr.join(island.safety_loop_id, now)
-    return DockResult(island.id, island.safety_loop_id, robot.affiliation_color)
 
 
 def undock(robot: Robot, station: DockingStation, safety_mgr, now: SimTime) -> None:
@@ -247,9 +243,6 @@ class StateRegistry:
 
     def get(self, endpoint: str) -> RegistryEntry:
         return self._entries[endpoint]
-
-    def endpoints(self) -> list[str]:
-        return list(self._entries)
 
     def is_stale(self, endpoint: str, now: SimTime) -> bool:
         return now - self._entries[endpoint].updated_at > self.staleness_bound_ns
@@ -312,22 +305,11 @@ def handshake_grant(
 # -- routing -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RouteLeg:
-    kind: str  # "conveyor" | "dock_pickup" | "transit" | "dock_drop"
-    origin: str
-    destination: str
-
-
 @dataclass
 class RoutePlan:
     target: str  # module id or MANUAL_STATION
     target_island: str  # island id or MANUAL_STATION
-    legs: list[RouteLeg]
-
-    @property
-    def needs_robot(self) -> bool:
-        return any(leg.kind == "transit" for leg in self.legs)
+    needs_robot: bool  # a dock, transit, dock leg precedes the target
 
 
 def plan_route(
@@ -348,35 +330,22 @@ def plan_route(
     if nxt is None and not product.needs_rework:
         raise ValueError(f"product {product.id} has no uncompleted step")
 
-    def robot_legs(dest: str) -> list[RouteLeg]:
-        return [
-            RouteLeg("dock_pickup", current_island, current_island),
-            RouteLeg("transit", current_island, dest),
-            RouteLeg("dock_drop", dest, dest),
-        ]
-
+    to_manual = RoutePlan(
+        MANUAL_STATION, MANUAL_STATION, current_island != MANUAL_STATION
+    )
     if product.needs_rework:
         if not manual_available:
             raise NoRouteAvailable(
                 f"product {product.id} needs rework but no manual station exists"
             )
-        if current_island == MANUAL_STATION:
-            return RoutePlan(MANUAL_STATION, MANUAL_STATION, [])
-        return RoutePlan(MANUAL_STATION, MANUAL_STATION, robot_legs(MANUAL_STATION))
+        return to_manual
 
     assert nxt is not None
     _, step = nxt
     candidates: list[tuple[float, str, str]] = []
     for island in islands:
         module = next(
-            (
-                m
-                for m in island.modules
-                if m.capability == step
-                and m.state is ModuleState.IDLE
-                and m.carrier is None
-            ),
-            None,
+            (m for m in island.modules if m.capability == step and m.free), None
         )
         if module is None:
             continue
@@ -388,22 +357,12 @@ def plan_route(
 
     if candidates:
         cost, island_id, module_id = min(candidates)
-        if island_id == current_island:
-            return RoutePlan(
-                module_id,
-                island_id,
-                [RouteLeg("conveyor", current_island, module_id)],
-            )
-        legs = robot_legs(island_id)
-        legs.append(RouteLeg("conveyor", island_id, module_id))
-        return RoutePlan(module_id, island_id, legs)
+        return RoutePlan(module_id, island_id, island_id != current_island)
 
     # No idle capable module anywhere: divert to the manual workstation,
     # which can substitute for any module.
     if manual_available:
-        if current_island == MANUAL_STATION:
-            return RoutePlan(MANUAL_STATION, MANUAL_STATION, [])
-        return RoutePlan(MANUAL_STATION, MANUAL_STATION, robot_legs(MANUAL_STATION))
+        return to_manual
     raise NoRouteAvailable(
         f"no module can perform {step!r} and no manual station is configured"
     )

@@ -186,7 +186,8 @@ class PlantRuntime:
     """Event-driven production flow around a periodic controller tick.
 
     Each tick the controller republishes the state registry, routes waiting
-    products through handshake grants, and dispatches the transport robot.
+    products through handshake grants (skipping those already queued for the
+    robot that no local module can take), and dispatches the transport robot.
     Work in progress is held in pausable timers so safe stops and local
     safety events suspend it without losing progress.
     """
@@ -201,6 +202,7 @@ class PlantRuntime:
         )
         self.islands: dict[str, Island] = {}
         self.modules: dict[str, StationModule] = {}
+        self.capable: dict[tuple[str, str], list[StationModule]] = {}
         self.docks: dict[str, DockingStation] = {}
         loops = []
         for spec in self.cfg.islands:
@@ -223,6 +225,7 @@ class PlantRuntime:
             self.docks[dock_station.id] = dock_station
             for m in modules:
                 self.modules[m.id] = m
+                self.capable.setdefault((spec.id, m.capability), []).append(m)
             loops.append(
                 SafetyLoop(
                     id=loop_id,
@@ -235,7 +238,7 @@ class PlantRuntime:
         self.local_safety = LocalSafety(robot_id=self.robot.id)
         self.manual_queue: deque[_ProductRun] = deque()
         self.manual_busy = False
-        self.products: list[_ProductRun] = []
+        self.unfinished: list[_ProductRun] = []  # release order, pruned each tick
         self.jobs: deque[_RobotJob] = deque()
         self.robot_busy = False
         self.hover_island: str | None = None
@@ -277,7 +280,7 @@ class PlantRuntime:
     def _release(self, product_id: str, island: str) -> None:
         product = Product(id=product_id, order_config=list(self.cfg.recipe))
         run = _ProductRun(product, island, self.engine.now)
-        self.products.append(run)
+        self.unfinished.append(run)
         self.stats["released"] += 1
         self._log(run, "released", island)
         self._advance(run)
@@ -291,7 +294,8 @@ class PlantRuntime:
 
     def _tick(self) -> None:
         self._refresh_registry()
-        for run in self.products:
+        self.unfinished = [r for r in self.unfinished if r.state != "done"]
+        for run in self.unfinished:
             if run.state == "waiting":
                 self._advance(run)
         self._dispatch_robot()
@@ -347,7 +351,9 @@ class PlantRuntime:
         if run.state != "waiting":
             return
         product = run.product
-        if product.next_step() is None and not product.needs_rework:
+        nxt = product.next_step()
+        rework = product.needs_rework
+        if nxt is None and not rework:
             run.state = "done"
             run.completed_at = self.engine.now
             self.stats["completed"] += 1
@@ -358,6 +364,21 @@ class PlantRuntime:
             loop = self.sim.safety_mgr.loops[island.safety_loop_id]
             if loop.state is LoopState.SAFE_STOP:
                 return  # island halted; wait for reset
+            # Its robot job is queued and any plan would need the robot again
+            # (a rework is due, or no module on its island is free for the
+            # next step): skip re-planning. Without a manual station a failed
+            # plan logs `no_route`, so it still plans every tick.
+            if (
+                run.pending_robot
+                and self.cfg.manual_station
+                and (
+                    rework
+                    or not any(
+                        m.free for m in self.capable.get((island.id, nxt[1]), ())
+                    )
+                )
+            ):
+                return
         try:
             plan = plan_route(
                 product,
@@ -493,8 +514,8 @@ class PlantRuntime:
             if (
                 self.cfg.robot_return_home
                 and self.robot.carrier is None
-                and self.products
-                and all(r.state == "done" for r in self.products)
+                and self.stats["released"]
+                and all(r.state == "done" for r in self.unfinished)
             ):
                 pose = self.robot.pose
                 at_home = (

@@ -206,19 +206,17 @@ def test_route_on_current_island_has_no_robot_legs():
     islands = make_islands()
     plan = plan_route(make_product(), islands, Robot(), TRANSIT, "island1")
     assert plan.target == "island1.engrave"
+    assert plan.target_island == "island1"
     assert not plan.needs_robot
-    assert [leg.kind for leg in plan.legs] == ["conveyor"]
 
 
 def test_route_to_other_island_uses_dock_transit_dock():
     islands = make_islands()
     product = make_product(completed=4)  # next: optical_inspect on island3
     plan = plan_route(product, islands, Robot(), TRANSIT, "island1")
+    assert plan.needs_robot
+    assert plan.target == "island3.optical_inspect"
     assert plan.target_island == "island3"
-    assert [leg.kind for leg in plan.legs] == [
-        "dock_pickup", "transit", "dock_drop", "conveyor",
-    ]
-    assert plan.legs[1].origin == "island1" and plan.legs[1].destination == "island3"
 
 
 def test_route_picks_nearest_capable_island_exhaustively():
@@ -292,10 +290,10 @@ def test_dock_joins_loop_and_signals_affiliation():
     islands = make_islands()
     mgr = make_safety(islands)
     robot = Robot(pose=InTransit("island1", "island2"))
-    result = dock(robot, islands[1].docking_station, islands[1], mgr, 100)
+    dock(robot, islands[1].docking_station, islands[1], mgr, 100)
     assert robot.pose == AtDock("island2")
     assert robot.safety_membership == "island2.loop"
-    assert result.affiliation_color == "island2"
+    assert robot.affiliation_color == "island2"
     assert islands[1].docking_station.occupancy is DockOccupancy.ROBOT_DOCKED
     assert "robot" in mgr.loops["island2.loop"].members
 

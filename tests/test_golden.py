@@ -1,0 +1,114 @@
+"""Golden artifact digests: the six artifacts of each case must keep their
+exact bytes across commits, not only between two runs of one process.
+
+The matrix covers the factory routing paths:
+
+* `plant`: the benchmark's plant scenario at 120 s, releases above line
+  capacity with defects and an estop/reset/link script;
+* `shared_capability`: a capability on two islands, so a product with a
+  robot job queued for another island can later take a freed local module;
+* `no_manual_station`: products with no idle capable module log `no_route`
+  on every tick;
+* `all_defective`: every inspected product fails and is reworked by hand.
+
+A digest may change only in a commit that says which bytes changed and why.
+To print the current digests after such a change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from fablink.artifacts import write_artifacts
+from fablink.scenario import scenario_from_dict
+from fablink.simulation import Simulation
+
+GOLDEN = Path(__file__).parent / "golden" / "digests.json"
+
+_FACTORY_ONLY = {"traffic": {"catalog": []}, "safety": {"enabled": False}}
+
+CASES: dict[str, dict] = {
+    "plant": {
+        **_FACTORY_ONLY,
+        "seed": 42,
+        "horizon_s": 120.0,
+        "factory": {
+            "defect_probability": 0.3,
+            "releases": {"count": 200, "interval_s": 1.5},
+        },
+        "script": [
+            {"at_s": 40.0, "action": "estop", "endpoint": "island2.mount_cover"},
+            {"at_s": 70.0, "action": "reset", "loop": "island2.loop"},
+            {"at_s": 90.0, "action": "link_down"},
+            {"at_s": 110.0, "action": "link_up"},
+        ],
+    },
+    "shared_capability": {
+        **_FACTORY_ONLY,
+        "seed": 42,
+        "horizon_s": 200.0,
+        "factory": {
+            "recipe": ["a", "b", "c"],
+            "islands": [
+                {"id": "island1", "capabilities": ["a", "b"]},
+                {"id": "island2", "capabilities": ["b", "c"]},
+                {"id": "island3", "capabilities": ["c"]},
+            ],
+            "defect_probability": 0.3,
+            "releases": {"count": 60, "interval_s": 3.0},
+        },
+    },
+    "no_manual_station": {
+        **_FACTORY_ONLY,
+        "seed": 42,
+        "horizon_s": 200.0,
+        "factory": {
+            "manual_station": False,
+            "releases": {"count": 60, "interval_s": 3.0},
+        },
+    },
+    "all_defective": {
+        **_FACTORY_ONLY,
+        "seed": 42,
+        "horizon_s": 200.0,
+        "factory": {
+            "defect_probability": 1,
+            "releases": {"count": 20, "interval_s": 5.0},
+        },
+    },
+}
+
+
+def artifact_digests(case: str, out_dir: Path) -> dict[str, str]:
+    """Run `case` and return the SHA-256 of each artifact, by file name."""
+    result = Simulation(scenario_from_dict(CASES[case])).run()
+    artifacts = write_artifacts(result, out_dir)
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in artifacts.paths()
+    }
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_artifacts_match_golden_digests(case, tmp_path):
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))[case]
+    assert artifact_digests(case, tmp_path) == expected
+
+
+def test_golden_file_covers_every_case():
+    assert sorted(json.loads(GOLDEN.read_text(encoding="utf-8"))) == sorted(CASES)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = {case: artifact_digests(case, Path(tmp) / case) for case in CASES}
+    json.dump(digests, sys.stdout, indent=2, sort_keys=True)
+    sys.stdout.write("\n")

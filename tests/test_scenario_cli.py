@@ -171,6 +171,16 @@ def test_cli_run_and_check_flow(tmp_path, capsys):
     assert "service_data_rate" in capsys.readouterr().out
 
 
+def test_cli_run_unknown_channel_exits_2_without_traceback(tmp_path, capsys):
+    config = tmp_path / "scenario.yaml"
+    config.write_text("horizon_s: 1\nradio:\n  channel: MARS9\n", encoding="utf-8")
+    code = _run_cli("run", "--config", str(config), "--out", str(tmp_path / "out"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "MARS9" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_cli_check_unknown_profile(tmp_path, capsys):
     metrics = tmp_path / "metrics.json"
     metrics.write_text("{}", encoding="utf-8")
