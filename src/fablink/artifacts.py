@@ -10,6 +10,7 @@ Frozen formats:
   safety_log.csv  time_ns,loop,transition,cause,consecutive_missed
   products.csv    product,event,time_ns,detail
   metrics.json    per-stream and aggregate StreamMetrics plus run counters
+                  (and availability_sample_floor when the config overrides it)
   compliance.json / compliance.txt   verdict rows per (stream, profile)
 """
 
@@ -110,11 +111,12 @@ def metrics_from_dict(data: dict) -> StreamMetrics:
 
 
 def build_metrics_document(result: RunResult) -> dict:
-    return {
+    comp = result.scenario.compliance
+    doc = {
         "seed": result.scenario.seed,
         "horizon_ns": result.scenario.horizon_ns,
-        "service_area_m": list(result.scenario.compliance.service_area_m),
-        "jitter_definition": result.scenario.compliance.jitter_definition,
+        "service_area_m": list(comp.service_area_m),
+        "jitter_definition": comp.jitter_definition,
         "streams": {
             name: metrics_to_dict(result.stream_metrics[name])
             for name in result.stream_order
@@ -123,6 +125,10 @@ def build_metrics_document(result: RunResult) -> dict:
         "events_processed": result.summary.events_processed,
         "factory": result.factory_stats,
     }
+    # only when overridden, so runs on the default floor keep their bytes
+    if comp.availability_sample_floor is not None:
+        doc["availability_sample_floor"] = comp.availability_sample_floor
+    return doc
 
 
 def write_artifacts(result: RunResult, out_dir: str | Path) -> RunArtifacts:

@@ -2,8 +2,8 @@
 profiles, and list the built-in profiles and traffic catalog.
 
 Exit codes: 0 success (and, for `check`, no assessed Fail verdict);
-1 a checked dimension failed; 2 bad input (config, unknown profile, I/O,
-or a link curve, rate or e-stop endpoint the run cannot resolve).
+1 a checked dimension failed; 2 bad input (a config or `--seed`/`--horizon`
+value the scenario schema rejects, an unknown profile, or I/O).
 """
 
 from __future__ import annotations
@@ -20,14 +20,14 @@ from .compliance import (
     builtin_profiles,
     profile_by_name,
 )
-from .radio_link import RateUnavailable, UnknownCurve
-from .safety import UnknownEndpoint
 from .scenario import (
     ConfigInvalid,
     Scenario,
     default_scenario,
     dump_scenario,
     load_scenario,
+    scenario_from_dict,
+    scenario_to_dict,
 )
 from .simulation import Simulation
 from .traffic import StreamClass
@@ -94,20 +94,17 @@ def _load(config_path: str | None) -> Scenario:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    overrides = {"seed": args.seed, "horizon_s": args.horizon}
     try:
-        scenario = _load(args.config)
+        # overrides are checked like the config keys they replace
+        scenario = scenario_from_dict({
+            **scenario_to_dict(_load(args.config)),
+            **{k: v for k, v in overrides.items() if v is not None},
+        })
     except (ConfigInvalid, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        scenario.seed = args.seed
-    if args.horizon is not None:
-        scenario.horizon_s = args.horizon
-    try:
-        result = Simulation(scenario).run()
-    except (UnknownCurve, RateUnavailable, UnknownEndpoint) as exc:
-        print(f"run error: {exc.args[0]}", file=sys.stderr)
-        return 2
+    result = Simulation(scenario).run()
     try:
         artifacts = write_artifacts(result, args.out)
     except OSError as exc:
@@ -166,8 +163,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 metrics_list.append(m)
     if selection in ("aggregate", "all"):
         metrics_list.append(metrics_from_dict(doc["aggregate"]))
+    floor = doc.get("availability_sample_floor")
     for m in metrics_list:
-        report.add(m, profile)
+        report.add(m, profile, sample_floor=floor)
 
     print(report.render_table())
     print(

@@ -184,7 +184,6 @@ class Robot:
     id: str = "robot"
     pose: RobotPose = InTransit("depot", "depot")
     carrier: Product | None = None
-    safety_membership: str | None = None
     affiliation_color: str = ""
     home_island: str = ""
 
@@ -202,7 +201,6 @@ def dock(robot: Robot, station: DockingStation, island: Island, safety_mgr,
         raise DockRefused(f"island {island.id} is in safe stop")
     station.occupancy = DockOccupancy.ROBOT_DOCKED
     robot.pose = AtDock(island.id)
-    robot.safety_membership = island.safety_loop_id
     robot.affiliation_color = island.color or island.id
     safety_mgr.join(island.safety_loop_id, now)
 
@@ -211,7 +209,6 @@ def undock(robot: Robot, station: DockingStation, safety_mgr, now: SimTime) -> N
     """Undock: membership is cleared, the robot's safety behaviour is
     isolated from the island again."""
     station.occupancy = DockOccupancy.FREE
-    robot.safety_membership = None
     robot.affiliation_color = ""
     safety_mgr.leave(now)
 

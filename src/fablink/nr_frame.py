@@ -1,5 +1,5 @@
-"""NR timing model: numerology, frame/slot/mini-slot structure, slot formats,
-bandwidth parts and transmission-opportunity alignment.
+"""NR timing model: numerology, frame/slot/symbol durations and
+transmission-opportunity alignment to the configured TTI.
 
 Durations that are not integral in nanoseconds (the 1/14 symbol split) are
 kept as exact rationals; rendering to integer nanoseconds happens once, at
@@ -9,7 +9,6 @@ the caller's choice of rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from .sim_core import NS_PER_MS, SimTime
@@ -17,12 +16,8 @@ from .sim_core import NS_PER_MS, SimTime
 SYMBOLS_PER_SLOT = 14
 SUBFRAMES_PER_FRAME = 10
 FRAME_DURATION_NS = 10 * NS_PER_MS
-SUBFRAME_DURATION_NS = NS_PER_MS
 
 SUPPORTED_TTI_US = (125, 250, 500, 1000)
-MINI_SLOT_SYMBOL_COUNTS = (7, 4, 2)
-SUPPORTED_CARRIER_FREQ_MHZ = (800, 2600, 3500)
-SUPPORTED_BANDWIDTH_MHZ = (5, 10, 20)
 
 
 @dataclass(frozen=True)
@@ -61,139 +56,6 @@ def symbol_duration(numerology: Numerology) -> Fraction:
 def to_ns(duration: Fraction) -> int:
     """Render a rational nanosecond duration to an integer, rounding half up."""
     return int((duration * 2 + 1) // 2)
-
-
-class SymbolUse(Enum):
-    DOWNLINK = "D"
-    FLEXIBLE = "X"
-    UPLINK = "U"
-
-
-@dataclass(frozen=True)
-class SlotFormat:
-    """Per-symbol link direction pattern for one 14-symbol slot."""
-
-    symbols: tuple[SymbolUse, ...]
-
-    def __post_init__(self):
-        if len(self.symbols) != SYMBOLS_PER_SLOT:
-            raise ValueError(
-                f"slot format needs exactly {SYMBOLS_PER_SLOT} symbols, "
-                f"got {len(self.symbols)}"
-            )
-
-    @classmethod
-    def from_string(cls, pattern: str) -> "SlotFormat":
-        return cls(tuple(SymbolUse(ch) for ch in pattern))
-
-    def as_string(self) -> str:
-        return "".join(s.value for s in self.symbols)
-
-
-# Built-in formats: all-downlink, all-uplink and one mixed D/X/U pattern.
-# Scenario config may register additional indices.
-BUILTIN_SLOT_FORMATS: dict[int, SlotFormat] = {
-    0: SlotFormat.from_string("DDDDDDDDDDDDDD"),
-    1: SlotFormat.from_string("UUUUUUUUUUUUUU"),
-    2: SlotFormat.from_string("DDDDDDDDDDDDXU"),
-}
-
-
-def slot_format_table(extensions: dict[int, str] | None = None) -> dict[int, SlotFormat]:
-    """Built-in slot formats merged with config-supplied pattern strings."""
-    table = dict(BUILTIN_SLOT_FORMATS)
-    for index, pattern in (extensions or {}).items():
-        table[int(index)] = SlotFormat.from_string(pattern)
-    return table
-
-
-@dataclass(frozen=True)
-class MiniSlot:
-    """Sub-slot transmission unit of 7, 4 or 2 symbols."""
-
-    symbol_count: int
-    start_symbol: int = 0
-
-    def __post_init__(self):
-        if self.symbol_count not in MINI_SLOT_SYMBOL_COUNTS:
-            raise ValueError(
-                f"mini-slot length must be one of {MINI_SLOT_SYMBOL_COUNTS}"
-            )
-        if not 0 <= self.start_symbol < SYMBOLS_PER_SLOT:
-            raise ValueError(f"start symbol {self.start_symbol} out of range")
-        if self.start_symbol + self.symbol_count > SYMBOLS_PER_SLOT:
-            raise ValueError("mini-slot does not fit inside the slot")
-
-
-class CyclicPrefix(Enum):
-    NORMAL = "normal"
-    EXTENDED = "extended"
-
-
-@dataclass(frozen=True)
-class BandwidthPart:
-    """Contiguous PRB range with its own numerology/CP/CORESET configuration."""
-
-    scs_khz: int
-    cp: CyclicPrefix
-    start_prb: int
-    size_prb: int
-    coreset_id: int = 0
-    frequency_location_khz: int = 0
-
-    def __post_init__(self):
-        if self.size_prb <= 0:
-            raise ValueError("size_prb must be > 0")
-        if self.start_prb < 0:
-            raise ValueError("start_prb must be >= 0")
-
-    @property
-    def prb_range(self) -> tuple[int, int]:
-        return (self.start_prb, self.start_prb + self.size_prb)
-
-
-@dataclass
-class BwpValidationReport:
-    """Overlap and range problems found in a carrier's BWP layout."""
-
-    overlaps: list[tuple[int, int, tuple[int, int]]]
-    out_of_range: list[int]
-
-    @property
-    def valid(self) -> bool:
-        return not self.overlaps and not self.out_of_range
-
-    def describe(self) -> str:
-        parts = []
-        for i, j, (lo, hi) in self.overlaps:
-            parts.append(f"parts {i} and {j} overlap on PRBs [{lo}, {hi})")
-        for i in self.out_of_range:
-            parts.append(f"part {i} exceeds the carrier bandwidth")
-        return "; ".join(parts) if parts else "valid"
-
-
-def validate_bwp_partition(
-    carrier_bw_prb: int, parts: list[BandwidthPart]
-) -> BwpValidationReport:
-    """Check that BWPs fit the carrier and do not overlap in PRBs.
-
-    Mixed subcarrier spacings on one carrier are allowed; only the PRB
-    ranges must be disjoint. Problems are reported, not raised.
-    """
-    if carrier_bw_prb <= 0:
-        raise ValueError("carrier_bw_prb must be > 0")
-    report = BwpValidationReport(overlaps=[], out_of_range=[])
-    for i, part in enumerate(parts):
-        if part.start_prb + part.size_prb > carrier_bw_prb:
-            report.out_of_range.append(i)
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            a0, a1 = parts[i].prb_range
-            b0, b1 = parts[j].prb_range
-            lo, hi = max(a0, b0), min(a1, b1)
-            if lo < hi:
-                report.overlaps.append((i, j, (lo, hi)))
-    return report
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .nr_frame import (
-    SUPPORTED_BANDWIDTH_MHZ,
-    SUPPORTED_CARRIER_FREQ_MHZ,
-    TtiConfig,
-    next_tx_opportunity,
-)
+from .nr_frame import TtiConfig, next_tx_opportunity
 from .sim_core import NS_PER_S, RngStream, SimTime
 
 
@@ -190,20 +185,10 @@ class LinkConfig:
     waveform: Waveform = Waveform.P_OFDM
     channel: str = EVA70
     snr_db: float = 15.0
-    carrier_freq_mhz: int = 3500
-    bandwidth_mhz: int = 10
     tti: TtiConfig = TtiConfig(125)
     processing_delay_ns: int = 100_000  # per direction
 
     def __post_init__(self):
-        if self.carrier_freq_mhz not in SUPPORTED_CARRIER_FREQ_MHZ:
-            raise ValueError(
-                f"carrier must be one of {SUPPORTED_CARRIER_FREQ_MHZ} MHz"
-            )
-        if self.bandwidth_mhz not in SUPPORTED_BANDWIDTH_MHZ:
-            raise ValueError(
-                f"bandwidth must be one of {SUPPORTED_BANDWIDTH_MHZ} MHz"
-            )
         if self.processing_delay_ns < 0:
             raise ValueError("processing delay must be >= 0")
 

@@ -1,40 +1,32 @@
 """Scenario configuration: schema, defaults, YAML load/dump and validation.
 
-One human-editable YAML format. Unknown keys are rejected so typos cannot
-silently fall back to defaults, and a dumped config re-parses to an
-equivalent scenario.
+The section dataclasses are the one description of the YAML format: one
+walker reads their type hints and per-field bounds to parse, check and dump
+it. Unknown keys are rejected, a bool is never a number, every error names
+its field (e.g. `factory.islands[1].capabilities[0]`), checks that span
+fields run at load time, and a dumped config re-parses to an equal scenario.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+import math
+import operator
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import cache
+from types import UnionType
+from typing import Any, get_args, get_origin, get_type_hints
 
 import yaml
 
-from .nr_frame import (
-    BandwidthPart,
-    CyclicPrefix,
-    TtiConfig,
-    slot_format_table,
-    validate_bwp_partition,
-)
+from .nr_frame import SUPPORTED_TTI_US, TtiConfig
 from .radio_link import (
-    BlerCurve,
-    LinkConfig,
-    LinkModel,
-    ThroughputCurve,
-    Waveform,
-    default_link_model,
+    BlerCurve, LinkConfig, LinkModel, ThroughputCurve, Waveform, default_link_model,
 )
+from .safety import SensorKind
 from .sim_core import NS_PER_MS, NS_PER_S, NS_PER_US
 from .traffic import (
-    DEFAULT_CAMERA_PACKET_BYTES,
-    MEASURED_TOTAL_RATE_BPS,
-    Pattern,
-    StreamClass,
-    TrafficProfile,
-    measured_catalog,
+    DEFAULT_CAMERA_PACKET_BYTES, DEFAULT_CAMERA_SHARES, MEASURED_TOTAL_RATE_BPS,
+    Pattern, StreamClass, TrafficProfile, measured_catalog,
 )
 
 
@@ -42,282 +34,183 @@ class ConfigInvalid(ValueError):
     """Scenario config failed validation; the message names the field."""
 
 
-def _require_mapping(value: Any, path: str) -> dict:
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigInvalid(f"{path}: expected a mapping, got {type(value).__name__}")
-    return value
+def _f(default=MISSING, *, factory=MISSING, key=None, **bounds):
+    """A field with bounds (`ge`/`gt`/`le`, `choices`, `min_len`/`unique`) that
+    hold for every value inside it, and its config key if not the attribute name."""
+    meta = dict(bounds, key=key) if key else bounds
+    return field(default=default, default_factory=factory, metadata=meta)
 
 
-def _check_keys(mapping: dict, allowed: set[str], path: str) -> None:
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ConfigInvalid(f"{path}: unknown key(s) {sorted(unknown)}")
-
-
-def _get_number(mapping: dict, key: str, default, path: str, minimum=None):
-    value = mapping.get(key, default)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigInvalid(f"{path}.{key}: expected a number")
-    if minimum is not None and value < minimum:
-        raise ConfigInvalid(f"{path}.{key}: must be >= {minimum}")
-    return value
-
-
-def _get_str(mapping: dict, key: str, default, path: str) -> str:
-    value = mapping.get(key, default)
-    if not isinstance(value, str):
-        raise ConfigInvalid(f"{path}.{key}: expected a string")
-    return value
-
-
-def _get_bool(mapping: dict, key: str, default, path: str) -> bool:
-    value = mapping.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigInvalid(f"{path}.{key}: expected a boolean")
-    return value
-
-
-# -- sections -------------------------------------------------------------------
+@dataclass
+class BlerSpec:
+    anchors: list[tuple[float, float]] = _f(min_len=2)  # [[snr_db, bler], ...]
+    floor: float = _f(0.0, ge=0, le=1)
+    tail_slope: float | None = None  # decades per dB beyond the anchors
 
 
 @dataclass
 class RadioSection:
-    waveform: str = "P-OFDM"
+    waveform: str = _f("P-OFDM", choices=[w.value for w in Waveform])
     channel: str = "EVA70"
     snr_db: float = 15.0
-    carrier_freq_mhz: int = 3500
-    bandwidth_mhz: int = 10
-    tti_us: int = 125  # active scheduling granularity; set explicitly, never inferred
-    processing_delay_us: float = 100.0
-    wired_latency_us: float = 200.0
-    jitter_us: float = 0.0
-    bler_anchors: dict | None = None  # {waveform: {channel: {anchors, floor, tail_slope}}}
-    throughput_anchors: dict | None = None  # {waveform: [[snr, mbps], ...]}
+    tti_us: int = _f(125, choices=SUPPORTED_TTI_US)  # the one TTI setting
+    processing_delay_us: float = _f(100.0, ge=0)
+    wired_latency_us: float = _f(200.0, ge=0)
+    jitter_us: float = _f(0.0, ge=0)
+    # overrides by waveform (and channel): a BLER spec, or [[snr_db, Mbit/s], ...]
+    bler_anchors: dict[str, dict[str, BlerSpec]] | None = None
+    throughput_anchors: dict[str, list[tuple[float, float]]] | None = None
 
     def link_config(self) -> LinkConfig:
         return LinkConfig(
-            waveform=Waveform(self.waveform),
-            channel=self.channel,
-            snr_db=float(self.snr_db),
-            carrier_freq_mhz=int(self.carrier_freq_mhz),
-            bandwidth_mhz=int(self.bandwidth_mhz),
-            tti=TtiConfig(int(self.tti_us)),
-            processing_delay_ns=round(self.processing_delay_us * NS_PER_US),
-        )
+            Waveform(self.waveform), self.channel, self.snr_db, TtiConfig(self.tti_us),
+            processing_delay_ns=round(self.processing_delay_us * NS_PER_US))
 
     def link_model(self) -> LinkModel:
-        model = default_link_model()
-        if self.bler_anchors:
-            curves = dict(model.bler_curves)
-            for wf_name, channels in self.bler_anchors.items():
-                for channel, spec in channels.items():
-                    anchors = tuple(
-                        (float(s), float(b)) for s, b in spec["anchors"]
-                    )
-                    if len(anchors) < 2:
-                        raise ConfigInvalid(
-                            f"radio.bler_anchors.{wf_name}.{channel}: "
-                            "a channel needs at least 2 anchors"
-                        )
-                    curves[(Waveform(wf_name), channel)] = BlerCurve(
-                        anchors,
-                        floor_bler=float(spec.get("floor", 0.0)),
-                        tail_slope_decades_per_db=spec.get("tail_slope"),
-                    )
-            model = LinkModel(curves, model.throughput_curves)
-        if self.throughput_anchors:
-            tcurves = dict(model.throughput_curves)
-            for wf_name, anchors in self.throughput_anchors.items():
-                tcurves[Waveform(wf_name)] = ThroughputCurve(
-                    tuple((float(s), float(m) * 1e6) for s, m in anchors)
-                )
-            model = LinkModel(model.bler_curves, tcurves)
+        model = default_link_model()  # a fresh copy, so overrides go in place
+        for wf, channels in (self.bler_anchors or {}).items():
+            for channel, spec in channels.items():
+                path = f"radio.bler_anchors.{wf}.{channel}"
+                model.bler_curves[_built(path, Waveform, wf), channel] = _built(
+                    path, BlerCurve, tuple(spec.anchors), spec.floor, spec.tail_slope)
+        for wf, anchors in (self.throughput_anchors or {}).items():
+            path = f"radio.throughput_anchors.{wf}"
+            model.throughput_curves[_built(path, Waveform, wf)] = _built(
+                path, ThroughputCurve, tuple((s, m * 1e6) for s, m in anchors))
         return model
 
 
 @dataclass
-class NrSection:
-    numerology_mu: int = 0
-    slot_format_extensions: dict[int, str] = field(default_factory=dict)
-    bwp_carrier_prb: int | None = None
-    bwp_parts: list[dict] = field(default_factory=list)
+class StreamSpec:
+    """One row of an explicit traffic catalog."""
+
+    name: str
+    source: str = "src"
+    destination: str = "dst"
+    protocol: str = "UDP"
+    stream_class: str = _f("non-safety", key="class",
+                           choices=[c.value for c in StreamClass])
+    payload_bytes: int = _f(100, ge=1)
+    rate_hz: float = _f(1.0, gt=0, le=NS_PER_S)  # a period of at least 1 ns
+    pattern: str = _f("periodic", choices=[p.value for p in Pattern])
+    phase_us: float = _f(0.0, ge=0)
+    wireless: bool = True
+
+    def profile(self) -> TrafficProfile:
+        return TrafficProfile(
+            self.name, self.source, self.destination, self.protocol,
+            StreamClass(self.stream_class), self.payload_bytes, self.rate_hz,
+            Pattern(self.pattern), round(self.phase_us * NS_PER_US), self.wireless)
 
 
 @dataclass
 class TrafficSection:
-    catalog: str | list[dict] = "measured"
-    total_rate_mbps: float = MEASURED_TOTAL_RATE_BPS / 1e6
-    camera_shares: dict[str, float] = field(
-        default_factory=lambda: {"forward": 0.25, "threesixty": 0.60, "product": 0.15}
-    )
-    camera_packet_bytes: int = DEFAULT_CAMERA_PACKET_BYTES
+    catalog: str | list[StreamSpec] = _f("measured", choices=["measured"],
+                                         unique="name")
+    total_rate_mbps: float = _f(MEASURED_TOTAL_RATE_BPS / 1e6, ge=0)
+    camera_shares: dict[str, float] = _f(factory=DEFAULT_CAMERA_SHARES.copy, ge=0)
+    camera_packet_bytes: int = _f(DEFAULT_CAMERA_PACKET_BYTES, ge=1)
 
     def profiles(self) -> list[TrafficProfile]:
         if self.catalog == "measured":
-            return measured_catalog(
-                total_rate_bps=self.total_rate_mbps * 1e6,
-                camera_shares=self.camera_shares,
-                camera_packet_bytes=self.camera_packet_bytes,
-            )
-        profiles = []
-        for i, row in enumerate(self.catalog):
-            path = f"traffic.catalog[{i}]"
-            row = _require_mapping(row, path)
-            _check_keys(
-                row,
-                {
-                    "name", "source", "destination", "protocol", "class",
-                    "payload_bytes", "rate_hz", "pattern", "phase_us", "wireless",
-                },
-                path,
-            )
-            try:
-                profiles.append(
-                    TrafficProfile(
-                        name=_get_str(row, "name", f"stream{i}", path),
-                        source=_get_str(row, "source", "src", path),
-                        destination=_get_str(row, "destination", "dst", path),
-                        protocol_label=_get_str(row, "protocol", "UDP", path),
-                        stream_class=StreamClass(
-                            _get_str(row, "class", "non-safety", path)
-                        ),
-                        payload_bytes=int(
-                            _get_number(row, "payload_bytes", 100, path, 1)
-                        ),
-                        rate_hz=float(_get_number(row, "rate_hz", 1.0, path)),
-                        pattern=Pattern(
-                            _get_str(row, "pattern", "periodic", path)
-                        ),
-                        phase_ns=round(
-                            _get_number(row, "phase_us", 0.0, path, 0) * NS_PER_US
-                        ),
-                        wireless=_get_bool(row, "wireless", True, path),
-                    )
-                )
-            except ValueError as exc:
-                raise ConfigInvalid(f"{path}: {exc}") from None
-        return profiles
+            return measured_catalog(self.total_rate_mbps * 1e6, self.camera_shares,
+                                    self.camera_packet_bytes)
+        return [row.profile() for row in self.catalog]
 
 
 @dataclass
 class IslandSpec:
     id: str
-    capabilities: list[str]
+    capabilities: list[str] = _f(factory=list)
 
 
 @dataclass
 class ReleaseSpec:
-    count: int = 3
-    interval_s: float = 20.0
+    count: int = _f(3, ge=0)
+    interval_s: float = _f(20.0, ge=0)
     island: str = "island1"
-    start_s: float = 0.0
+    start_s: float = _f(0.0, ge=0)
 
 
 @dataclass
 class FactorySection:
     enabled: bool = True
-    recipe: list[str] = field(
-        default_factory=lambda: [
-            "engrave", "insert_spring", "mount_cover", "weigh", "optical_inspect",
-        ]
-    )
-    islands: list[IslandSpec] = field(
-        default_factory=lambda: [
-            IslandSpec("island1", ["engrave", "insert_spring"]),
-            IslandSpec("island2", ["mount_cover", "weigh"]),
-            IslandSpec("island3", ["optical_inspect"]),
-        ]
-    )
-    transit_s: dict[str, dict[str, float]] = field(default_factory=dict)
-    service_s: float = 2.0
-    service_overrides: dict[str, float] = field(default_factory=dict)
-    conveyor_s: float = 0.5
-    dock_s: float = 0.5
-    load_s: float = 0.5
-    tick_ms: float = 100.0
-    registry_staleness_ticks: int = 3
-    defect_probability: float = 0.0
-    image_bytes: int = 2_000_000
-    inference_ms: float = 200.0
-    manual_service_s: float = 4.0
-    manual_rework_s: float = 4.0
+    recipe: list[str] = _f(factory=lambda: ["engrave", "insert_spring", "mount_cover",
+                                            "weigh", "optical_inspect"])
+    islands: list[IslandSpec] = _f(min_len=1, unique="id", factory=lambda: [
+        IslandSpec("island1", ["engrave", "insert_spring"]),
+        IslandSpec("island2", ["mount_cover", "weigh"]),
+        IslandSpec("island3", ["optical_inspect"]),
+    ])
+    transit_s: dict[str, dict[str, float]] = _f(factory=dict, ge=0)
+    service_s: float = _f(2.0, ge=0)
+    service_overrides: dict[str, float] = _f(factory=dict, ge=0)
+    conveyor_s: float = _f(0.5, ge=0)
+    dock_s: float = _f(0.5, ge=0)
+    load_s: float = _f(0.5, ge=0)
+    tick_ms: float = _f(100.0, ge=1e-3)
+    registry_staleness_ticks: int = _f(3, ge=1)
+    defect_probability: float = _f(0.0, ge=0, le=1)
+    image_bytes: int = _f(2_000_000, ge=1)
+    inference_ms: float = _f(200.0, ge=0)
+    manual_service_s: float = _f(4.0, ge=0)
+    manual_rework_s: float = _f(4.0, ge=0)
     manual_station: bool = True
     robot_home: str = "island1"
     robot_return_home: bool = True
-    releases: ReleaseSpec = field(default_factory=ReleaseSpec)
+    releases: ReleaseSpec = _f(factory=ReleaseSpec)
 
     def __post_init__(self):
+        # Default: adjacent islands 6 s apart, 3 s more per island skipped, manual 8 s.
         if not self.transit_s:
-            self.transit_s = _default_transit(
-                [i.id for i in self.islands], manual=self.manual_station
-            )
+            ids = [i.id for i in self.islands]
+            self.transit_s = {a: {b: 0.0 if a == b else 6.0 + 3.0 * (abs(i - j) - 1)
+                                  for j, b in enumerate(ids)}
+                              for i, a in enumerate(ids)}
+            if self.manual_station:
+                for a in ids:
+                    self.transit_s[a]["manual"] = 8.0
+                self.transit_s["manual"] = {**dict.fromkeys(ids, 8.0), "manual": 0.0}
 
     def service_time_s(self, capability: str) -> float:
         return self.service_overrides.get(capability, self.service_s)
 
 
-def _default_transit(island_ids: list[str], manual: bool) -> dict[str, dict[str, float]]:
-    """Symmetric seconds-scale defaults for a hall of a few tens of meters:
-    adjacent islands 6 s apart, 3 s extra per island skipped, manual 8 s."""
-    nodes = list(island_ids)
-    if manual:
-        nodes.append("manual")
-    matrix: dict[str, dict[str, float]] = {n: {} for n in nodes}
-    for i, a in enumerate(island_ids):
-        for j, b in enumerate(island_ids):
-            if a == b:
-                matrix[a][b] = 0.0
-            else:
-                matrix[a][b] = 6.0 + 3.0 * (abs(i - j) - 1)
-    if manual:
-        for a in island_ids:
-            matrix[a]["manual"] = 8.0
-            matrix["manual"][a] = 8.0
-        matrix["manual"]["manual"] = 0.0
-    return matrix
-
-
 @dataclass
 class SafetySection:
     enabled: bool = True
-    cycle_hz: float = 246.19
-    watchdog_ms: float = 12.0
+    cycle_hz: float = _f(246.19, ge=1e-6, le=NS_PER_S)
+    watchdog_ms: float = _f(12.0, ge=0)
     retry_at_tti: bool = True
-    pdu_bytes_up: int = 60
-    pdu_bytes_down: int = 64
+    pdu_bytes_up: int = _f(60, ge=1)
+    pdu_bytes_down: int = _f(64, ge=1)
 
 
 @dataclass
 class ComplianceSection:
-    service_area_m: tuple[float, float] = (20.0, 20.0)
-    jitter_definition: str = "p99_minus_min"
-    survival_time_ms: float = 12.0
-    availability_sample_floor: int | None = None
+    service_area_m: tuple[float, float] = _f((20.0, 20.0), ge=0)
+    jitter_definition: str = _f("p99_minus_min",
+                                choices=["p99_minus_min", "max_minus_min"])
+    survival_time_ms: float = _f(12.0, ge=1e-6)
+    availability_sample_floor: int | None = _f(None, ge=1)
 
 
 @dataclass
 class ScriptAction:
-    at_s: float
-    action: str
+    at_s: float = _f(0.0, ge=0)
+    action: str = _f("", choices=[
+        "estop", "reset", "obstacle", "clear", "reset_local",
+        "link_down", "link_up", "module_fault", "module_clear"])
     endpoint: str | None = None
     loop: str | None = None
-    sensor: str | None = None
-
-
-_SCRIPT_ACTIONS = {
-    "estop", "reset", "obstacle", "clear", "reset_local",
-    "link_down", "link_up", "module_fault", "module_clear",
-}
+    sensor: str | None = _f(None, choices=[s.value for s in SensorKind])
 
 
 @dataclass
 class Scenario:
-    seed: int = 42
-    horizon_s: float = 60.0
+    seed: int = _f(42, ge=0)
+    horizon_s: float = _f(60.0, ge=0)
     radio: RadioSection = field(default_factory=RadioSection)
-    nr: NrSection = field(default_factory=NrSection)
     traffic: TrafficSection = field(default_factory=TrafficSection)
     factory: FactorySection = field(default_factory=FactorySection)
     safety: SafetySection = field(default_factory=SafetySection)
@@ -329,459 +222,168 @@ class Scenario:
         return round(self.horizon_s * NS_PER_S)
 
 
-def default_scenario() -> Scenario:
-    return Scenario()
+default_scenario = Scenario  # what an empty config file loads
 
 
-# -- parsing ---------------------------------------------------------------------
+# -- the schema walker ------------------------------------------------------------
+
+_KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+_BOUNDS = {"ge": (operator.ge, ">="), "gt": (operator.gt, ">"),
+           "le": (operator.le, "<=")}
+
+
+def _fail(path: str, problem: str):
+    raise ConfigInvalid(f"{path}: {problem}")
+
+
+def _built(path: str, make, *args):
+    """`make(*args)`, with a ValueError turned into ConfigInvalid at `path`."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        _fail(path, str(exc))
+
+
+@cache
+def _schema(cls) -> list[tuple[str, Any, Any]]:
+    """(config key, field, resolved type) of each field, resolved once per class."""
+    hints = get_type_hints(cls)
+    return [(f.metadata.get("key", f.name), f, hints[f.name]) for f in fields(cls)]
+
+
+def _parse(tp, value, path: str, meta) -> Any:
+    if is_dataclass(tp):
+        return _parse_section(tp, value, path)
+    origin, args = get_origin(tp), get_args(tp)
+    got = type(value).__name__
+    if origin is UnionType:
+        arms = [a for a in args if a is not type(None)]
+        if value is None and len(arms) < len(args):
+            return None
+        for arm in arms:
+            if len(arms) == 1 or isinstance(value, get_origin(arm) or arm):
+                return _parse(arm, value, path, meta)
+        _fail(path, f"expected {' or '.join(_KINDS.get(a, 'a list') for a in arms)}, "
+                    f"got {got}")
+    if origin is list:
+        if not isinstance(value, list):
+            _fail(path, f"expected a list, got {got}")
+        if len(value) < meta.get("min_len", 0):
+            _fail(path, f"needs at least {meta['min_len']} entries")
+        items = [_parse(args[0], v, f"{path}[{i}]", meta) for i, v in enumerate(value)]
+        keys = [getattr(x, meta["unique"]) for x in items] if "unique" in meta else []
+        for i, k in enumerate(keys):
+            if k in keys[:i]:
+                _fail(f"{path}[{i}].{meta['unique']}", f"duplicate {k!r}")
+        return items
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)) or len(value) != len(args):
+            _fail(path, f"expected a list of {len(args)} entries")
+        return tuple(_parse(a, v, f"{path}[{i}]", meta)
+                     for i, (a, v) in enumerate(zip(args, value)))
+    if origin is dict:
+        if not isinstance(value, dict):
+            _fail(path, f"expected a mapping, got {got}")
+        return {_parse(args[0], k, f"{path} key", {}):
+                _parse(args[1], v, f"{path}.{k}", meta) for k, v in value.items()}
+    if tp is float and type(value) is int:  # accepted, stored as a float
+        value = float(value) if abs(value) <= 1e308 else math.inf
+    if type(value) is not tp:
+        _fail(path, f"expected {_KINDS[tp]}, got {got}")
+    if tp is float and not math.isfinite(value):
+        _fail(path, f"must be finite, got {value}")
+    if "choices" in meta and value not in meta["choices"]:
+        _fail(path, f"{value!r} is not one of {list(meta['choices'])}")
+    for bound, (holds, op) in _BOUNDS.items():
+        if bound in meta and not holds(value, meta[bound]):
+            _fail(path, f"must be {op} {meta[bound]}, got {value}")
+    return value
+
+
+def _parse_section(cls, value, path: str):
+    if not isinstance(value, dict):
+        _fail(path or "scenario", f"expected a mapping, got {type(value).__name__}")
+    schema = _schema(cls)
+    unknown = set(value) - {key for key, _, _ in schema}
+    if unknown:
+        _fail(path or "scenario", f"unknown key(s) {sorted(map(str, unknown))}")
+    kwargs = {}
+    for key, f, tp in schema:
+        sub = f"{path}.{key}" if path else key
+        if key in value:
+            kwargs[f.name] = _parse(tp, value[key], sub, f.metadata)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            _fail(sub, "required key is missing")
+    return cls(**kwargs)
+
+
+def scenario_to_dict(value) -> Any:
+    """Canonical mapping form of a scenario (or of any value inside one), with
+    unset optional fields left out; it round-trips through scenario_from_dict."""
+    if is_dataclass(value):
+        return {key: scenario_to_dict(getattr(value, f.name))
+                for key, f, _ in _schema(type(value))
+                if getattr(value, f.name) is not None}
+    if isinstance(value, (list, tuple)):
+        return [scenario_to_dict(v) for v in value]
+    if isinstance(value, dict):
+        return {k: scenario_to_dict(v) for k, v in value.items()}
+    return value
+
+
+def _validate(scn: Scenario) -> None:
+    r, t, s, f = scn.radio, scn.traffic, scn.safety, scn.factory
+    model, link = r.link_model(), r.link_config()
+    if (link.waveform, r.channel) not in model.bler_curves:
+        _fail("radio.channel",
+              f"no BLER anchors for {r.channel!r} with radio.waveform {r.waveform!r}")
+    if link.waveform not in model.throughput_curves:
+        _fail("radio.waveform", f"no throughput anchors for {r.waveform!r}")
+    if model.throughput(link) <= 0:
+        _fail("radio.snr_db", f"throughput is zero at {r.snr_db:g} dB")
+    if t.catalog == "measured":
+        if abs(sum(t.camera_shares.values()) - 1.0) > 1e-9:
+            _fail("traffic.camera_shares", "shares must sum to 1")
+        _built("traffic.total_rate_mbps", t.profiles)
+    if s.watchdog_ms * NS_PER_MS < NS_PER_S / s.cycle_hz:
+        _fail("safety.watchdog_ms",
+              f"shorter than one cycle at safety.cycle_hz {s.cycle_hz:g}")
+    ids = [i.id for i in f.islands]
+    for path, island_id in (("factory.robot_home", f.robot_home),
+                            ("factory.releases.island", f.releases.island)):
+        if island_id not in ids:
+            _fail(path, f"{island_id!r} is not an id in factory.islands")
+    caps = {c for island in f.islands for c in island.capabilities}
+    missing = [step for step in f.recipe if step not in caps]
+    if missing and not f.manual_station:
+        _fail("factory.recipe", f"steps {missing} have no capable module in "
+                                "factory.islands and no manual station is configured")
+    nodes = ids + (["manual"] if f.manual_station else [])
+    gaps = [f"{a} -> {b}" for a in nodes for b in nodes
+            if a != b and b not in f.transit_s.get(a, {})]
+    if gaps:
+        _fail("factory.transit_s", f"missing {', '.join(gaps)} (one entry per pair "
+                                   "of factory.islands and the manual station)")
+    islands = f.islands if f.enabled else []
+    modules = {f"{i.id}.{c}" for i in islands for c in i.capabilities}
+    loops = {f"{i.id}.loop" for i in islands}
+    endpoints = {"estop": modules | {"robot"} | ({"safety_plc"} if islands else set()),
+                 "module_fault": modules, "module_clear": modules}
+    for i, a in enumerate(scn.script):
+        if a.action in endpoints and a.endpoint not in endpoints[a.action]:
+            _fail(f"script[{i}].endpoint", f"{a.endpoint!r} is no {a.action} target "
+                                           "of enabled factory.islands")
+        if a.action == "reset" and a.loop is not None and a.loop not in loops:
+            _fail(f"script[{i}].loop",
+                  f"{a.loop!r} is no loop of enabled factory.islands")
+        if a.action in ("obstacle", "clear") and a.sensor is None:
+            _fail(f"script[{i}].sensor", f"{a.action} needs a sensor")
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    data = _require_mapping(data, "scenario")
-    _check_keys(
-        data,
-        {"seed", "horizon_s", "radio", "nr", "traffic", "factory", "safety",
-         "compliance", "script"},
-        "scenario",
-    )
-    scn = Scenario()
-    scn.seed = int(_get_number(data, "seed", scn.seed, "scenario", 0))
-    scn.horizon_s = float(_get_number(data, "horizon_s", scn.horizon_s, "scenario", 0))
-
-    radio = _require_mapping(data.get("radio"), "radio")
-    _check_keys(
-        radio,
-        {"waveform", "channel", "snr_db", "carrier_freq_mhz", "bandwidth_mhz",
-         "tti_us", "processing_delay_us", "wired_latency_us", "jitter_us",
-         "bler_anchors", "throughput_anchors"},
-        "radio",
-    )
-    r = scn.radio
-    r.waveform = _get_str(radio, "waveform", r.waveform, "radio")
-    r.channel = _get_str(radio, "channel", r.channel, "radio")
-    r.snr_db = float(_get_number(radio, "snr_db", r.snr_db, "radio"))
-    r.carrier_freq_mhz = int(
-        _get_number(radio, "carrier_freq_mhz", r.carrier_freq_mhz, "radio")
-    )
-    r.bandwidth_mhz = int(
-        _get_number(radio, "bandwidth_mhz", r.bandwidth_mhz, "radio")
-    )
-    r.tti_us = int(_get_number(radio, "tti_us", r.tti_us, "radio"))
-    r.processing_delay_us = float(
-        _get_number(radio, "processing_delay_us", r.processing_delay_us, "radio", 0)
-    )
-    r.wired_latency_us = float(
-        _get_number(radio, "wired_latency_us", r.wired_latency_us, "radio", 0)
-    )
-    r.jitter_us = float(_get_number(radio, "jitter_us", r.jitter_us, "radio", 0))
-    r.bler_anchors = radio.get("bler_anchors")
-    r.throughput_anchors = radio.get("throughput_anchors")
-    try:
-        r.link_config()
-        r.link_model()
-    except ConfigInvalid:
-        raise
-    except (ValueError, KeyError) as exc:
-        raise ConfigInvalid(f"radio: {exc}") from None
-
-    nr = _require_mapping(data.get("nr"), "nr")
-    _check_keys(
-        nr,
-        {"numerology_mu", "slot_format_extensions", "bwp_carrier_prb", "bwp_parts"},
-        "nr",
-    )
-    scn.nr.numerology_mu = int(_get_number(nr, "numerology_mu", 0, "nr", 0))
-    extensions = _require_mapping(nr.get("slot_format_extensions"), "nr.slot_format_extensions")
-    try:
-        scn.nr.slot_format_extensions = {int(k): str(v) for k, v in extensions.items()}
-        slot_format_table(scn.nr.slot_format_extensions)
-    except ValueError as exc:
-        raise ConfigInvalid(f"nr.slot_format_extensions: {exc}") from None
-    if nr.get("bwp_carrier_prb") is not None:
-        scn.nr.bwp_carrier_prb = int(
-            _get_number(nr, "bwp_carrier_prb", 0, "nr", 1)
-        )
-    scn.nr.bwp_parts = list(nr.get("bwp_parts") or [])
-    _validate_bwp_section(scn.nr)
-
-    traffic = data.get("traffic")
-    if traffic is not None:
-        traffic = _require_mapping(traffic, "traffic")
-        _check_keys(
-            traffic,
-            {"catalog", "total_rate_mbps", "camera_shares", "camera_packet_bytes"},
-            "traffic",
-        )
-        t = scn.traffic
-        catalog = traffic.get("catalog", t.catalog)
-        if not (catalog == "measured" or isinstance(catalog, list)):
-            raise ConfigInvalid(
-                "traffic.catalog: expected 'measured' or a list of streams"
-            )
-        t.catalog = catalog
-        t.total_rate_mbps = float(
-            _get_number(traffic, "total_rate_mbps", t.total_rate_mbps, "traffic", 0)
-        )
-        shares = traffic.get("camera_shares")
-        if shares is not None:
-            t.camera_shares = {
-                str(k): float(v)
-                for k, v in _require_mapping(shares, "traffic.camera_shares").items()
-            }
-        t.camera_packet_bytes = int(
-            _get_number(
-                traffic, "camera_packet_bytes", t.camera_packet_bytes, "traffic", 1
-            )
-        )
-        try:
-            t.profiles()
-        except ConfigInvalid:
-            raise
-        except ValueError as exc:
-            raise ConfigInvalid(f"traffic: {exc}") from None
-
-    factory = data.get("factory")
-    if factory is not None:
-        factory = _require_mapping(factory, "factory")
-        _check_keys(
-            factory,
-            {"enabled", "recipe", "islands", "transit_s", "service_s",
-             "service_overrides", "conveyor_s", "dock_s", "load_s", "tick_ms",
-             "registry_staleness_ticks", "defect_probability", "image_bytes",
-             "inference_ms", "manual_service_s", "manual_rework_s",
-             "manual_station", "robot_home", "robot_return_home", "releases"},
-            "factory",
-        )
-        f = FactorySection(
-            enabled=_get_bool(factory, "enabled", True, "factory"),
-            recipe=[str(s) for s in factory.get("recipe", scn.factory.recipe)],
-            islands=[
-                IslandSpec(
-                    id=_get_str(spec, "id", f"island{i + 1}", f"factory.islands[{i}]"),
-                    capabilities=[
-                        str(c) for c in spec.get("capabilities", [])
-                    ],
-                )
-                for i, spec in enumerate(
-                    factory.get("islands")
-                    or [
-                        {"id": s.id, "capabilities": s.capabilities}
-                        for s in scn.factory.islands
-                    ]
-                )
-            ],
-            transit_s={
-                str(a): {str(b): float(v) for b, v in row.items()}
-                for a, row in _require_mapping(
-                    factory.get("transit_s"), "factory.transit_s"
-                ).items()
-            },
-            service_s=float(_get_number(factory, "service_s", 2.0, "factory", 0)),
-            service_overrides={
-                str(k): float(v)
-                for k, v in _require_mapping(
-                    factory.get("service_overrides"), "factory.service_overrides"
-                ).items()
-            },
-            conveyor_s=float(_get_number(factory, "conveyor_s", 0.5, "factory", 0)),
-            dock_s=float(_get_number(factory, "dock_s", 0.5, "factory", 0)),
-            load_s=float(_get_number(factory, "load_s", 0.5, "factory", 0)),
-            tick_ms=float(_get_number(factory, "tick_ms", 100.0, "factory", 1e-3)),
-            registry_staleness_ticks=int(
-                _get_number(factory, "registry_staleness_ticks", 3, "factory", 1)
-            ),
-            defect_probability=float(
-                _get_number(factory, "defect_probability", 0.0, "factory", 0)
-            ),
-            image_bytes=int(
-                _get_number(factory, "image_bytes", 2_000_000, "factory", 1)
-            ),
-            inference_ms=float(
-                _get_number(factory, "inference_ms", 200.0, "factory", 0)
-            ),
-            manual_service_s=float(
-                _get_number(factory, "manual_service_s", 4.0, "factory", 0)
-            ),
-            manual_rework_s=float(
-                _get_number(factory, "manual_rework_s", 4.0, "factory", 0)
-            ),
-            manual_station=_get_bool(factory, "manual_station", True, "factory"),
-            robot_home=_get_str(factory, "robot_home", "island1", "factory"),
-            robot_return_home=_get_bool(factory, "robot_return_home", True, "factory"),
-        )
-        releases = factory.get("releases")
-        if releases is not None:
-            releases = _require_mapping(releases, "factory.releases")
-            _check_keys(releases, {"count", "interval_s", "island", "start_s"},
-                        "factory.releases")
-            f.releases = ReleaseSpec(
-                count=int(_get_number(releases, "count", 3, "factory.releases", 0)),
-                interval_s=float(
-                    _get_number(releases, "interval_s", 20.0, "factory.releases", 0)
-                ),
-                island=_get_str(releases, "island", "island1", "factory.releases"),
-                start_s=float(
-                    _get_number(releases, "start_s", 0.0, "factory.releases", 0)
-                ),
-            )
-        if f.defect_probability > 1:
-            raise ConfigInvalid("factory.defect_probability: must be within [0, 1]")
-        _validate_factory(f)
-        scn.factory = f
-
-    safety = data.get("safety")
-    if safety is not None:
-        safety = _require_mapping(safety, "safety")
-        _check_keys(
-            safety,
-            {"enabled", "cycle_hz", "watchdog_ms", "retry_at_tti",
-             "pdu_bytes_up", "pdu_bytes_down"},
-            "safety",
-        )
-        s = scn.safety
-        s.enabled = _get_bool(safety, "enabled", s.enabled, "safety")
-        s.cycle_hz = float(_get_number(safety, "cycle_hz", s.cycle_hz, "safety", 1e-6))
-        s.watchdog_ms = float(
-            _get_number(safety, "watchdog_ms", s.watchdog_ms, "safety", 0)
-        )
-        s.retry_at_tti = _get_bool(safety, "retry_at_tti", s.retry_at_tti, "safety")
-        s.pdu_bytes_up = int(
-            _get_number(safety, "pdu_bytes_up", s.pdu_bytes_up, "safety", 1)
-        )
-        s.pdu_bytes_down = int(
-            _get_number(safety, "pdu_bytes_down", s.pdu_bytes_down, "safety", 1)
-        )
-        if s.watchdog_ms * NS_PER_MS < NS_PER_S / s.cycle_hz:
-            raise ConfigInvalid("safety.watchdog_ms: must cover at least one cycle")
-
-    comp = data.get("compliance")
-    if comp is not None:
-        comp = _require_mapping(comp, "compliance")
-        _check_keys(
-            comp,
-            {"service_area_m", "jitter_definition", "survival_time_ms",
-             "availability_sample_floor"},
-            "compliance",
-        )
-        c = scn.compliance
-        area = comp.get("service_area_m")
-        if area is not None:
-            if not (isinstance(area, list) and len(area) == 2):
-                raise ConfigInvalid(
-                    "compliance.service_area_m: expected [width, depth]"
-                )
-            c.service_area_m = (float(area[0]), float(area[1]))
-        c.jitter_definition = _get_str(
-            comp, "jitter_definition", c.jitter_definition, "compliance"
-        )
-        if c.jitter_definition not in ("p99_minus_min", "max_minus_min"):
-            raise ConfigInvalid(
-                "compliance.jitter_definition: expected "
-                "'p99_minus_min' or 'max_minus_min'"
-            )
-        c.survival_time_ms = float(
-            _get_number(comp, "survival_time_ms", c.survival_time_ms,
-                        "compliance", 1e-6)
-        )
-        if comp.get("availability_sample_floor") is not None:
-            c.availability_sample_floor = int(
-                _get_number(comp, "availability_sample_floor", 0, "compliance", 1)
-            )
-
-    script = data.get("script") or []
-    if not isinstance(script, list):
-        raise ConfigInvalid("script: expected a list of actions")
-    for i, raw in enumerate(script):
-        path = f"script[{i}]"
-        raw = _require_mapping(raw, path)
-        _check_keys(raw, {"at_s", "action", "endpoint", "loop", "sensor"}, path)
-        action = _get_str(raw, "action", "", path)
-        if action not in _SCRIPT_ACTIONS:
-            raise ConfigInvalid(
-                f"{path}.action: {action!r} not one of {sorted(_SCRIPT_ACTIONS)}"
-            )
-        scn.script.append(
-            ScriptAction(
-                at_s=float(_get_number(raw, "at_s", 0.0, path, 0)),
-                action=action,
-                endpoint=raw.get("endpoint"),
-                loop=raw.get("loop"),
-                sensor=raw.get("sensor"),
-            )
-        )
+    scn = _parse_section(Scenario, data, "")
+    _validate(scn)
     return scn
-
-
-def _validate_factory(f: FactorySection) -> None:
-    island_ids = [i.id for i in f.islands]
-    if len(set(island_ids)) != len(island_ids):
-        raise ConfigInvalid("factory.islands: duplicate island ids")
-    caps = {c for island in f.islands for c in island.capabilities}
-    if not f.manual_station:
-        missing = [s for s in f.recipe if s not in caps]
-        if missing:
-            raise ConfigInvalid(
-                f"factory.recipe: steps {missing} have no capable module and "
-                "no manual station is configured"
-            )
-    nodes = island_ids + (["manual"] if f.manual_station else [])
-    for a in nodes:
-        for b in nodes:
-            if a == b:
-                continue
-            if f.transit_s.get(a, {}).get(b) is None:
-                raise ConfigInvalid(f"factory.transit_s: missing entry {a} -> {b}")
-    if f.robot_home not in island_ids:
-        raise ConfigInvalid(f"factory.robot_home: unknown island {f.robot_home!r}")
-    if f.releases.island not in island_ids:
-        raise ConfigInvalid(
-            f"factory.releases.island: unknown island {f.releases.island!r}"
-        )
-
-
-def _validate_bwp_section(nr: NrSection) -> None:
-    if not nr.bwp_parts:
-        return
-    if nr.bwp_carrier_prb is None:
-        raise ConfigInvalid("nr.bwp_carrier_prb: required when bwp_parts are given")
-    parts = []
-    for i, raw in enumerate(nr.bwp_parts):
-        path = f"nr.bwp_parts[{i}]"
-        raw = _require_mapping(raw, path)
-        _check_keys(
-            raw,
-            {"scs_khz", "cp", "start_prb", "size_prb", "coreset_id",
-             "frequency_location_khz"},
-            path,
-        )
-        try:
-            parts.append(
-                BandwidthPart(
-                    scs_khz=int(_get_number(raw, "scs_khz", 15, path, 15)),
-                    cp=CyclicPrefix(_get_str(raw, "cp", "normal", path)),
-                    start_prb=int(_get_number(raw, "start_prb", 0, path, 0)),
-                    size_prb=int(_get_number(raw, "size_prb", 1, path, 1)),
-                    coreset_id=int(_get_number(raw, "coreset_id", 0, path, 0)),
-                    frequency_location_khz=int(
-                        _get_number(raw, "frequency_location_khz", 0, path)
-                    ),
-                )
-            )
-        except ValueError as exc:
-            raise ConfigInvalid(f"{path}: {exc}") from None
-    report = validate_bwp_partition(nr.bwp_carrier_prb, parts)
-    if not report.valid:
-        raise ConfigInvalid(f"nr.bwp_parts: {report.describe()}")
-
-
-# -- dumping ---------------------------------------------------------------------
-
-
-def scenario_to_dict(scn: Scenario) -> dict:
-    """Canonical mapping form; round-trips through scenario_from_dict."""
-    return {
-        "seed": scn.seed,
-        "horizon_s": scn.horizon_s,
-        "radio": {
-            "waveform": scn.radio.waveform,
-            "channel": scn.radio.channel,
-            "snr_db": scn.radio.snr_db,
-            "carrier_freq_mhz": scn.radio.carrier_freq_mhz,
-            "bandwidth_mhz": scn.radio.bandwidth_mhz,
-            "tti_us": scn.radio.tti_us,
-            "processing_delay_us": scn.radio.processing_delay_us,
-            "wired_latency_us": scn.radio.wired_latency_us,
-            "jitter_us": scn.radio.jitter_us,
-            **(
-                {"bler_anchors": scn.radio.bler_anchors}
-                if scn.radio.bler_anchors
-                else {}
-            ),
-            **(
-                {"throughput_anchors": scn.radio.throughput_anchors}
-                if scn.radio.throughput_anchors
-                else {}
-            ),
-        },
-        "nr": {
-            "numerology_mu": scn.nr.numerology_mu,
-            **(
-                {"slot_format_extensions": scn.nr.slot_format_extensions}
-                if scn.nr.slot_format_extensions
-                else {}
-            ),
-            **(
-                {"bwp_carrier_prb": scn.nr.bwp_carrier_prb,
-                 "bwp_parts": scn.nr.bwp_parts}
-                if scn.nr.bwp_parts
-                else {}
-            ),
-        },
-        "traffic": {
-            "catalog": scn.traffic.catalog,
-            "total_rate_mbps": scn.traffic.total_rate_mbps,
-            "camera_shares": scn.traffic.camera_shares,
-            "camera_packet_bytes": scn.traffic.camera_packet_bytes,
-        },
-        "factory": {
-            "enabled": scn.factory.enabled,
-            "recipe": scn.factory.recipe,
-            "islands": [
-                {"id": i.id, "capabilities": i.capabilities}
-                for i in scn.factory.islands
-            ],
-            "transit_s": scn.factory.transit_s,
-            "service_s": scn.factory.service_s,
-            "service_overrides": scn.factory.service_overrides,
-            "conveyor_s": scn.factory.conveyor_s,
-            "dock_s": scn.factory.dock_s,
-            "load_s": scn.factory.load_s,
-            "tick_ms": scn.factory.tick_ms,
-            "registry_staleness_ticks": scn.factory.registry_staleness_ticks,
-            "defect_probability": scn.factory.defect_probability,
-            "image_bytes": scn.factory.image_bytes,
-            "inference_ms": scn.factory.inference_ms,
-            "manual_service_s": scn.factory.manual_service_s,
-            "manual_rework_s": scn.factory.manual_rework_s,
-            "manual_station": scn.factory.manual_station,
-            "robot_home": scn.factory.robot_home,
-            "robot_return_home": scn.factory.robot_return_home,
-            "releases": {
-                "count": scn.factory.releases.count,
-                "interval_s": scn.factory.releases.interval_s,
-                "island": scn.factory.releases.island,
-                "start_s": scn.factory.releases.start_s,
-            },
-        },
-        "safety": {
-            "enabled": scn.safety.enabled,
-            "cycle_hz": scn.safety.cycle_hz,
-            "watchdog_ms": scn.safety.watchdog_ms,
-            "retry_at_tti": scn.safety.retry_at_tti,
-            "pdu_bytes_up": scn.safety.pdu_bytes_up,
-            "pdu_bytes_down": scn.safety.pdu_bytes_down,
-        },
-        "compliance": {
-            "service_area_m": list(scn.compliance.service_area_m),
-            "jitter_definition": scn.compliance.jitter_definition,
-            "survival_time_ms": scn.compliance.survival_time_ms,
-            **(
-                {"availability_sample_floor": scn.compliance.availability_sample_floor}
-                if scn.compliance.availability_sample_floor is not None
-                else {}
-            ),
-        },
-        "script": [
-            {
-                "at_s": a.at_s,
-                "action": a.action,
-                **({"endpoint": a.endpoint} if a.endpoint else {}),
-                **({"loop": a.loop} if a.loop else {}),
-                **({"sensor": a.sensor} if a.sensor else {}),
-            }
-            for a in scn.script
-        ],
-    }
 
 
 def dump_scenario(scn: Scenario) -> str:
@@ -794,8 +396,4 @@ def load_scenario(path: str) -> Scenario:
             data = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ConfigInvalid(f"{path}: {exc}") from None
-    if data is None:
-        return default_scenario()
-    if not isinstance(data, dict):
-        raise ConfigInvalid(f"{path}: top level must be a mapping")
-    return scenario_from_dict(data)
+    return default_scenario() if data is None else scenario_from_dict(data)

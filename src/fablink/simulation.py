@@ -246,7 +246,6 @@ class PlantRuntime:
             i: set() for i in self.islands
         }
         self._robot_timers: set[PausableTimer] = set()
-        self._manual_timers: set[PausableTimer] = set()
         self.stats = {
             "released": 0,
             "completed": 0,
@@ -263,7 +262,6 @@ class PlantRuntime:
         home = self.islands[self.robot.home_island]
         home.docking_station.occupancy = DockOccupancy.ROBOT_DOCKED
         self.robot.pose = AtDock(home.id)
-        self.robot.safety_membership = home.safety_loop_id
         self.sim.safety_mgr.join(home.safety_loop_id, 0)
         rel = self.cfg.releases
         for k in range(rel.count):
@@ -457,6 +455,7 @@ class PlantRuntime:
         )
 
     # -- manual workstation ------------------------------------------------------
+    # The workstation belongs to no safety loop, so its work is never paused.
 
     def _serve_manual(self) -> None:
         if self.manual_busy or not self.manual_queue:
@@ -478,8 +477,8 @@ class PlantRuntime:
                 run.state = "waiting"
                 self._advance(run)
 
-            self._manual_timer(
-                round(self.cfg.manual_rework_s * NS_PER_S), reworked
+            self.engine.schedule_after(
+                round(self.cfg.manual_rework_s * NS_PER_S), reworked, "factory"
             )
             return
         nxt = product.next_step()
@@ -499,7 +498,9 @@ class PlantRuntime:
             run.state = "waiting"
             self._advance(run)
 
-        self._manual_timer(round(self.cfg.manual_service_s * NS_PER_S), served)
+        self.engine.schedule_after(
+            round(self.cfg.manual_service_s * NS_PER_S), served, "factory"
+        )
 
     # -- robot -------------------------------------------------------------------
 
@@ -550,14 +551,13 @@ class PlantRuntime:
             return
         self._start_goto(src)
 
+    def _island_stopped(self, island_id: str) -> bool:
+        loop_id = self.islands[island_id].safety_loop_id
+        return self.sim.safety_mgr.loops[loop_id].state is LoopState.SAFE_STOP
+
     def _docked_island_stopped(self) -> bool:
-        if not isinstance(self.robot.pose, AtDock):
-            return False
-        island = self.islands[self.robot.pose.island_id]
-        return (
-            self.sim.safety_mgr.loops[island.safety_loop_id].state
-            is LoopState.SAFE_STOP
-        )
+        pose = self.robot.pose
+        return isinstance(pose, AtDock) and self._island_stopped(pose.island_id)
 
     def _current_node(self) -> str:
         pose = self.robot.pose
@@ -815,49 +815,29 @@ class PlantRuntime:
 
     # -- timers and safety coupling ------------------------------------------------
 
-    def _island_timer(self, island_id: str, delay: SimTime, action) -> PausableTimer:
-        timers = self._island_timers[island_id]
-        timer_ref: list[PausableTimer] = []
+    def _timer(
+        self, timers: set[PausableTimer], delay: SimTime, action, paused: bool
+    ) -> None:
+        """Start a factory timer held in `timers` (so a safe stop or a local
+        safety event can pause the set) until it fires."""
 
         def fire() -> None:
-            timers.discard(timer_ref[0])
+            timers.discard(timer)
             action()
 
         timer = PausableTimer(self.engine, delay, fire, module="factory")
-        timer_ref.append(timer)
         timers.add(timer)
-        if (
-            self.sim.safety_mgr.loops[self.islands[island_id].safety_loop_id].state
-            is LoopState.SAFE_STOP
-        ):
+        if paused:
             timer.pause()
-        return timer
 
-    def _robot_timer(self, delay: SimTime, action) -> PausableTimer:
-        timer_ref: list[PausableTimer] = []
+    def _island_timer(self, island_id: str, delay: SimTime, action) -> None:
+        self._timer(
+            self._island_timers[island_id], delay, action,
+            self._island_stopped(island_id),
+        )
 
-        def fire() -> None:
-            self._robot_timers.discard(timer_ref[0])
-            action()
-
-        timer = PausableTimer(self.engine, delay, fire, module="factory")
-        timer_ref.append(timer)
-        self._robot_timers.add(timer)
-        if self._robot_should_pause():
-            timer.pause()
-        return timer
-
-    def _manual_timer(self, delay: SimTime, action) -> PausableTimer:
-        timer_ref: list[PausableTimer] = []
-
-        def fire() -> None:
-            self._manual_timers.discard(timer_ref[0])
-            action()
-
-        timer = PausableTimer(self.engine, delay, fire, module="factory")
-        timer_ref.append(timer)
-        self._manual_timers.add(timer)
-        return timer
+    def _robot_timer(self, delay: SimTime, action) -> None:
+        self._timer(self._robot_timers, delay, action, self._robot_should_pause())
 
     def _robot_should_pause(self) -> bool:
         if self.local_safety.state is not LocalSafetyState.CLEAR:

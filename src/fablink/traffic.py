@@ -48,8 +48,8 @@ class TrafficProfile:
     def __post_init__(self):
         if self.payload_bytes <= 0:
             raise ValueError("payload_bytes must be > 0")
-        if self.rate_hz <= 0:
-            raise ValueError("rate_hz must be > 0")
+        if not 0 < self.rate_hz <= NS_PER_S:  # a period of at least 1 ns
+            raise ValueError(f"{self.name}: rate_hz must be within (0, 1e9]")
 
     @property
     def bitrate_bps(self) -> float:

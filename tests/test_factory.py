@@ -292,13 +292,13 @@ def test_dock_joins_loop_and_signals_affiliation():
     robot = Robot(pose=InTransit("island1", "island2"))
     dock(robot, islands[1].docking_station, islands[1], mgr, 100)
     assert robot.pose == AtDock("island2")
-    assert robot.safety_membership == "island2.loop"
+    assert mgr.robot_membership == "island2.loop"
     assert robot.affiliation_color == "island2"
     assert islands[1].docking_station.occupancy is DockOccupancy.ROBOT_DOCKED
     assert "robot" in mgr.loops["island2.loop"].members
 
     undock(robot, islands[1].docking_station, mgr, 200)
-    assert robot.safety_membership is None
+    assert mgr.robot_membership is None
     assert islands[1].docking_station.occupancy is DockOccupancy.FREE
     assert "robot" not in mgr.loops["island2.loop"].members
 

@@ -1,7 +1,15 @@
 """Golden artifact digests: the six artifacts of each case must keep their
 exact bytes across commits, not only between two runs of one process.
 
-The matrix covers the factory routing paths:
+The matrix covers the radio and safety paths:
+
+* `default`: the default scenario at 10 s;
+* `jitter`: the same with `radio.jitter_us: 50`;
+* `lossy`: the same at 13 dB SNR, so safety PDUs are lost and retried;
+* `fault_script`: the default scenario at 60 s with a module fault and
+  clear, a laser obstacle and clear, and a bumper latch with its local reset;
+
+and the factory routing paths:
 
 * `plant`: the benchmark's plant scenario at 120 s, releases above line
   capacity with defects and an estop/reset/link script;
@@ -36,6 +44,20 @@ GOLDEN = Path(__file__).parent / "golden" / "digests.json"
 _FACTORY_ONLY = {"traffic": {"catalog": []}, "safety": {"enabled": False}}
 
 CASES: dict[str, dict] = {
+    "default": {"horizon_s": 10.0},
+    "jitter": {"horizon_s": 10.0, "radio": {"jitter_us": 50.0}},
+    "lossy": {"horizon_s": 10.0, "radio": {"snr_db": 13.0}},
+    "fault_script": {
+        "horizon_s": 60.0,
+        "script": [
+            {"at_s": 15.0, "action": "module_fault", "endpoint": "island1.engrave"},
+            {"at_s": 22.0, "action": "obstacle", "sensor": "laser"},
+            {"at_s": 24.0, "action": "clear", "sensor": "laser"},
+            {"at_s": 35.0, "action": "module_clear", "endpoint": "island1.engrave"},
+            {"at_s": 41.0, "action": "obstacle", "sensor": "bumper"},
+            {"at_s": 46.0, "action": "reset_local"},
+        ],
+    },
     "plant": {
         **_FACTORY_ONLY,
         "seed": 42,

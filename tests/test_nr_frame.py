@@ -6,20 +6,13 @@ from fractions import Fraction
 import pytest
 
 from fablink.nr_frame import (
-    BandwidthPart,
-    CyclicPrefix,
     FRAME_DURATION_NS,
-    MiniSlot,
     Numerology,
-    SlotFormat,
-    SymbolUse,
     TtiConfig,
     next_tx_opportunity,
     slot_duration,
-    slot_format_table,
     symbol_duration,
     to_ns,
-    validate_bwp_partition,
 )
 from fablink.sim_core import NS_PER_MS, NS_PER_US
 
@@ -81,70 +74,3 @@ def test_next_tx_opportunity_idempotent_over_random_instants():
 def test_tti_restricted_to_supported_set():
     with pytest.raises(ValueError):
         TtiConfig(200)
-
-
-def test_slot_format_requires_fourteen_symbols():
-    with pytest.raises(ValueError):
-        SlotFormat.from_string("DDDD")
-    fmt = SlotFormat.from_string("DDDDDDDDDDDDXU")
-    assert len(fmt.symbols) == 14
-    assert fmt.symbols[12] is SymbolUse.FLEXIBLE
-    assert fmt.symbols[13] is SymbolUse.UPLINK
-
-
-def test_builtin_slot_format_table_and_extensions():
-    table = slot_format_table()
-    assert set(table) == {0, 1, 2}
-    for fmt in table.values():
-        assert len(fmt.symbols) == 14
-    extended = slot_format_table({7: "DDDDDDDXXUUUUU"})
-    assert extended[7].as_string() == "DDDDDDDXXUUUUU"
-    assert set(extended) == {0, 1, 2, 7}
-
-
-def test_mini_slot_lengths_and_fit():
-    for count in (7, 4, 2):
-        MiniSlot(symbol_count=count, start_symbol=0)
-    assert MiniSlot(2, 12).start_symbol == 12
-    with pytest.raises(ValueError):
-        MiniSlot(3, 0)
-    with pytest.raises(ValueError):
-        MiniSlot(7, 8)  # 8 + 7 > 14
-    with pytest.raises(ValueError):
-        MiniSlot(2, 14)
-
-
-def _bwp(start: int, size: int, scs: int = 15) -> BandwidthPart:
-    return BandwidthPart(
-        scs_khz=scs, cp=CyclicPrefix.NORMAL, start_prb=start, size_prb=size
-    )
-
-
-def test_bwp_disjoint_cover_is_valid():
-    report = validate_bwp_partition(100, [_bwp(0, 50), _bwp(50, 50)])
-    assert report.valid
-    assert report.describe() == "valid"
-
-
-def test_bwp_overlap_reported_with_range():
-    report = validate_bwp_partition(100, [_bwp(0, 60), _bwp(50, 50)])
-    assert not report.valid
-    assert report.overlaps == [(0, 1, (50, 60))]
-    assert "overlap" in report.describe()
-
-
-def test_bwp_mixed_numerology_on_one_carrier_is_valid():
-    embb = _bwp(0, 60, scs=15)
-    urllc = _bwp(60, 40, scs=30)
-    assert validate_bwp_partition(100, [embb, urllc]).valid
-
-
-def test_bwp_out_of_range_reported():
-    report = validate_bwp_partition(100, [_bwp(80, 30)])
-    assert report.out_of_range == [0]
-    assert not report.valid
-
-
-def test_bwp_size_must_be_positive():
-    with pytest.raises(ValueError):
-        _bwp(0, 0)

@@ -288,6 +288,6 @@ def test_rate_unavailable_when_throughput_zero():
 
 def test_link_config_validates_supported_sets():
     with pytest.raises(ValueError):
-        cfg(carrier_freq_mhz=1800)
+        cfg(tti=TtiConfig(200))
     with pytest.raises(ValueError):
-        cfg(bandwidth_mhz=40)
+        cfg(processing_delay_ns=-1)
