@@ -2,9 +2,9 @@
 
 BLER-vs-SNR behaviour is anchored at measured points per (waveform, channel)
 pair and interpolated log-linearly (linear in log10 BLER over dB). Throughput
-uses monotone piecewise-linear interpolation over SNR anchors. Transmission
-outcomes are Bernoulli draws against the interpolated BLER; one-way latency
-composes TTI alignment, air time and processing delay.
+uses monotone piecewise-linear interpolation over SNR anchors. One-way
+latency composes TTI alignment, air time and processing delay; a run sends
+every wireless packet through one `LinkRuntime`.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Callable
 
 from .nr_frame import TtiConfig, next_tx_opportunity
 from .sim_core import NS_PER_S, RngStream, SimTime
@@ -173,11 +174,6 @@ class ThroughputCurve:
         return r0 + t * (r1 - r0)
 
 
-class TransmissionOutcome(Enum):
-    DELIVERED = "delivered"
-    LOST = "lost"
-
-
 @dataclass(frozen=True)
 class LinkConfig:
     """Operating point of the radio link."""
@@ -231,15 +227,6 @@ class LinkModel:
     def bler(self, config: LinkConfig) -> float:
         return self.bler_curve(config.waveform, config.channel).bler(config.snr_db)
 
-    def sample_transmission(
-        self, config: LinkConfig, rng: RngStream
-    ) -> TransmissionOutcome:
-        """One Bernoulli draw per call: Delivered with probability 1 - bler."""
-        p_loss = self.bler(config)
-        if rng.random() < p_loss:
-            return TransmissionOutcome.LOST
-        return TransmissionOutcome.DELIVERED
-
     def throughput(self, config: LinkConfig) -> float:
         """Sustained rate in bit/s at the configured SNR."""
         try:
@@ -272,6 +259,48 @@ class LinkModel:
         return (start - now) + self.air_time_ns(config, payload_bytes) + (
             config.processing_delay_ns
         )
+
+
+class LinkRuntime:
+    """The link a run sends every wireless packet through, traffic and safety
+    PDUs alike: the scripted up/down state, the BLER at the operating point,
+    air time plus processing delay per payload size, and a jitter sub-stream
+    `jitter.<stream>` per stream, so adding a stream shifts no other jitter."""
+
+    def __init__(
+        self,
+        model: LinkModel,
+        config: LinkConfig,
+        jitter_ns: int,
+        streams: Callable[[str], RngStream],
+    ):
+        self.model = model
+        self.config = config
+        self.jitter_ns = jitter_ns
+        self.up = True  # switched by the script's link_down / link_up
+        self.bler = model.bler(config)
+        self._streams = streams
+        self._air_proc_ns: dict[int, int] = {}
+
+    def send(
+        self, now: SimTime, size: int, rng: RngStream, stream: str
+    ) -> tuple[SimTime, SimTime | None]:
+        """One transmission attempt at `now`: (sent at the next TTI boundary,
+        delivered at, or None when lost). A down link or a BLER of zero makes
+        no draw; otherwise the packet is lost iff `rng.random() < bler`."""
+        sent_at = next_tx_opportunity(now, self.config.tti)
+        if not self.up or (self.bler > 0.0 and rng.random() < self.bler):
+            return sent_at, None
+        air_proc = self._air_proc_ns.get(size)
+        if air_proc is None:
+            air_proc = self._air_proc_ns[size] = self.model.air_time_ns(
+                self.config, size
+            ) + self.config.processing_delay_ns
+        delivered = sent_at + air_proc
+        if self.jitter_ns > 0:
+            jitter = self._streams(f"jitter.{stream}")
+            delivered += round(jitter.uniform(0, self.jitter_ns))
+        return sent_at, delivered
 
 
 def _shift(anchors: tuple[tuple[float, float], ...], db: float):

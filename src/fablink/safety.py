@@ -12,21 +12,22 @@ per-cycle miss counter is kept alongside for diagnostics and logging.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterator
 
-from .nr_frame import next_tx_opportunity
-from .radio_link import LinkConfig, LinkModel, TransmissionOutcome
+from .radio_link import LinkRuntime
 from .sim_core import (
     LANE_NORMAL,
     LANE_SAFETY,
+    NS_PER_MS,
     NS_PER_S,
     Engine,
     RngStream,
     SimTime,
 )
-from .traffic import PacketRecord, StreamClass
+from .traffic import PacketRecord, StreamClass, emission_times
 
 
 class LoopState(Enum):
@@ -214,75 +215,61 @@ class SafetyChannelConfig:
     stream_down: str = "pnio_plc_to_coupler"
 
     def __post_init__(self):
-        cycle_ns = NS_PER_S / self.cycle_hz
-        if self.watchdog_ns < cycle_ns:
-            raise ValueError("watchdog must be at least one cycle")
-
-    @property
-    def cycle_ns(self) -> SimTime:
-        return round(NS_PER_S / self.cycle_hz)
+        if self.watchdog_ns < NS_PER_S / self.cycle_hz:
+            raise ValueError(
+                f"watchdog {self.watchdog_ns / NS_PER_MS:g} ms is shorter than one "
+                f"cycle ({1e3 / self.cycle_hz:.4g} ms at {self.cycle_hz:g} Hz)"
+            )
 
 
 class SafetyChannel:
     """Runs the cyclic PDU exchange on the engine and supervises receipt.
 
-    Both directions traverse the radio link (the coupler end is wireless).
-    A lost transmission is retried at subsequent TTI boundaries until the
-    next cycle's PDU supersedes it. The exchange itself keeps running after
-    a watchdog trip; only supervision pauses until `rearm` is called.
+    Both directions traverse the radio link (the coupler end is wireless)
+    and are sent through the same `LinkRuntime` as the traffic streams.
+    Cycles start at the `emission_times` of the cycle rate. A lost
+    transmission is retried at subsequent TTI boundaries until the next
+    cycle's PDU supersedes it. The exchange itself keeps running after a
+    watchdog trip; only supervision pauses until `rearm` is called.
     """
 
     def __init__(
         self,
         engine: Engine,
-        link_model: LinkModel,
-        link_config: LinkConfig,
+        link: LinkRuntime,
         config: SafetyChannelConfig,
         rng: RngStream,
         records: list[PacketRecord],
         on_trip: Callable[[SimTime, int], None],
-        transmit_ok: Callable[[RngStream], bool] | None = None,
     ):
         self.engine = engine
-        self.link_model = link_model
-        self.link_config = link_config
+        self.link = link
         self.config = config
         self.rng = rng
         self.records = records
         self.on_trip = on_trip
-        # Test/script hook: overrides the Bernoulli draw (e.g. forced outage).
-        self._transmit_ok = transmit_ok or (
-            lambda rng: self.link_model.sample_transmission(
-                self.link_config, rng
-            )
-            is TransmissionOutcome.DELIVERED
-        )
         self.consecutive_missed = 0
         self.last_delivery: SimTime = 0
         self.supervising = True
         self._horizon: SimTime = 0
         self._seq = {config.stream_up: 0, config.stream_down: 0}
-        self._cycle_index = 0
+        self._cycles: Iterator[SimTime] = iter(())
 
     def start(self, horizon: SimTime) -> None:
         self._horizon = horizon
         self.last_delivery = self.engine.now
-        self._schedule_cycle()
+        self._cycles = emission_times(self.config.cycle_hz, horizon)
+        first = next(self._cycles, None)
+        if first is not None:
+            self.engine.schedule_at(first, self._run_cycle, module="safety")
         self._arm_watchdog()
 
     # -- cyclic exchange ---------------------------------------------------
 
-    def _emission_time(self, k: int) -> SimTime:
-        return round(k * NS_PER_S / self.config.cycle_hz)
-
-    def _schedule_cycle(self) -> None:
-        t = self._emission_time(self._cycle_index)
-        if t > self._horizon:
-            return
-        self.engine.schedule_at(t, self._run_cycle, module="safety")
-
     def _run_cycle(self) -> None:
-        cycle_end = self._emission_time(self._cycle_index + 1)
+        nxt = next(self._cycles, None)
+        # without a next cycle in the horizon, retries stop at the horizon
+        cycle_end = math.inf if nxt is None else nxt
         cfg = self.config
         up_lost = self._exchange(cfg.stream_up, cfg.pdu_bytes_up, cycle_end)
         down_lost = self._exchange(cfg.stream_down, cfg.pdu_bytes_down, cycle_end)
@@ -290,41 +277,39 @@ class SafetyChannel:
             # cycle currently unanswered in both directions; any delivery,
             # including one from a retry, resets the counter
             self.consecutive_missed += 1
-        self._cycle_index += 1
-        self._schedule_cycle()
+        if nxt is not None:
+            self.engine.schedule_at(nxt, self._run_cycle, module="safety")
 
-    def _exchange(self, stream: str, size: int, cycle_end: SimTime) -> bool:
+    def _exchange(self, stream: str, size: int, cycle_end: float) -> bool:
         """Run one direction's PDU; True when the initial attempt was lost."""
-        now = self.engine.now
         record = PacketRecord(
             stream=stream,
             seq=self._seq[stream],
-            created_at=now,
+            created_at=self.engine.now,
             size_bytes=size,
             stream_class=StreamClass.SAFETY_RELEVANT,
         )
         self._seq[stream] += 1
         self.records.append(record)
-        return self._attempt(record, now, cycle_end)
+        return self._attempt(record, cycle_end)
 
-    def _attempt(self, record: PacketRecord, at: SimTime, cycle_end: SimTime) -> bool:
-        tx_start = next_tx_opportunity(at, self.link_config.tti)
-        record.sent_at = tx_start
-        if self._transmit_ok(self.rng):
-            delivered = at + self.link_model.one_way_latency(
-                self.link_config, at, record.size_bytes
-            )
+    def _attempt(self, record: PacketRecord, cycle_end: float) -> bool:
+        sent_at, delivered = self.link.send(
+            self.engine.now, record.size_bytes, self.rng, record.stream
+        )
+        record.sent_at = sent_at
+        if delivered is not None:
             record.delivered_at = delivered
             self.engine.schedule_at(
                 delivered, self._on_delivered, module="safety", lane=LANE_NORMAL
             )
             return False
         if self.config.retry_at_tti:
-            retry_at = tx_start + self.link_config.tti.duration_ns
+            retry_at = sent_at + self.link.config.tti.duration_ns
             if retry_at < cycle_end and retry_at <= self._horizon:
                 self.engine.schedule_at(
                     retry_at,
-                    lambda: self._attempt(record, self.engine.now, cycle_end),
+                    lambda: self._attempt(record, cycle_end),
                     module="safety",
                 )
         return True

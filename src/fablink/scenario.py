@@ -22,7 +22,7 @@ from .nr_frame import SUPPORTED_TTI_US, TtiConfig
 from .radio_link import (
     BlerCurve, LinkConfig, LinkModel, ThroughputCurve, Waveform, default_link_model,
 )
-from .safety import SensorKind
+from .safety import SafetyChannelConfig, SensorKind
 from .sim_core import NS_PER_MS, NS_PER_S, NS_PER_US
 from .traffic import (
     DEFAULT_CAMERA_PACKET_BYTES, DEFAULT_CAMERA_SHARES, MEASURED_TOTAL_RATE_BPS,
@@ -185,6 +185,18 @@ class SafetySection:
     pdu_bytes_up: int = _f(60, ge=1)
     pdu_bytes_down: int = _f(64, ge=1)
 
+    def channel_config(self, profiles: list[TrafficProfile]) -> SafetyChannelConfig:
+        """The channel the run uses: rate and PDU sizes of the catalog's two
+        PNIO rows when both exist, otherwise `cycle_hz` and `pdu_bytes_*`."""
+        rows = {p.name: p for p in profiles}
+        up = rows.get(SafetyChannelConfig.stream_up)
+        down = rows.get(SafetyChannelConfig.stream_down)
+        rate, size_up, size_down = (
+            (up.rate_hz, up.payload_bytes, down.payload_bytes) if up and down
+            else (self.cycle_hz, self.pdu_bytes_up, self.pdu_bytes_down))
+        return SafetyChannelConfig(rate, round(self.watchdog_ms * NS_PER_MS),
+                                   size_up, size_down, self.retry_at_tti)
+
 
 @dataclass
 class ComplianceSection:
@@ -341,13 +353,10 @@ def _validate(scn: Scenario) -> None:
         _fail("radio.waveform", f"no throughput anchors for {r.waveform!r}")
     if model.throughput(link) <= 0:
         _fail("radio.snr_db", f"throughput is zero at {r.snr_db:g} dB")
-    if t.catalog == "measured":
-        if abs(sum(t.camera_shares.values()) - 1.0) > 1e-9:
-            _fail("traffic.camera_shares", "shares must sum to 1")
-        _built("traffic.total_rate_mbps", t.profiles)
-    if s.watchdog_ms * NS_PER_MS < NS_PER_S / s.cycle_hz:
-        _fail("safety.watchdog_ms",
-              f"shorter than one cycle at safety.cycle_hz {s.cycle_hz:g}")
+    if t.catalog == "measured" and abs(sum(t.camera_shares.values()) - 1.0) > 1e-9:
+        _fail("traffic.camera_shares", "shares must sum to 1")
+    profiles = _built("traffic.total_rate_mbps", t.profiles)
+    _built("safety.watchdog_ms", s.channel_config, profiles)
     ids = [i.id for i in f.islands]
     for path, island_id in (("factory.robot_home", f.robot_home),
                             ("factory.releases.island", f.releases.island)):

@@ -27,6 +27,10 @@ class SchedulingInPast(ValueError):
     """An event was scheduled before the current virtual clock."""
 
 
+class HandlerError(RuntimeError):
+    """An event's action raised; says when (ns), in which module and where."""
+
+
 @dataclass
 class Event:
     """A queued callback. `module` only tags the summary counters."""
@@ -154,18 +158,26 @@ class Engine:
         return self.schedule_at(self.now + delay, action, module, lane)
 
     def run_until(self, deadline: SimTime) -> SimSummary:
-        """Process every event with fire_at <= deadline, leave clock at deadline."""
+        """Process every event with fire_at <= deadline, leave clock at deadline.
+        An exception from an event's action is re-raised as `HandlerError`."""
         heap = self._heap
-        while heap and heap[0][0] <= deadline:
-            fire_at, _lane, _seq, handle = heapq.heappop(heap)
-            if handle.cancelled:
-                continue
-            assert fire_at >= self.now, "event queue ordering violated"
-            self.now = fire_at
-            handle._fired = True
-            ev = handle.event
-            self._counts[ev.module] = self._counts.get(ev.module, 0) + 1
-            ev.action()
+        try:
+            while heap and heap[0][0] <= deadline:
+                fire_at, _lane, _seq, handle = heapq.heappop(heap)
+                if handle.cancelled:
+                    continue
+                ev = handle.event
+                assert fire_at >= self.now, "event queue ordering violated"
+                self.now = fire_at
+                handle._fired = True
+                self._counts[ev.module] = self._counts.get(ev.module, 0) + 1
+                ev.action()
+        except Exception as exc:
+            action = getattr(ev.action, "__qualname__", repr(ev.action))
+            raise HandlerError(
+                f"at {self.now} ns, {ev.module} event {action}: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
         if deadline > self.now:
             self.now = deadline
         return SimSummary(end_time=self.now, events_processed=dict(self._counts))

@@ -38,13 +38,12 @@ from .factory import (
     plan_route,
     undock,
 )
-from .nr_frame import next_tx_opportunity
+from .radio_link import LinkRuntime
 from .safety import (
     LocalSafety,
     LocalSafetyState,
     LoopState,
     SafetyChannel,
-    SafetyChannelConfig,
     SafetyLoop,
     SafetyManager,
     SensorKind,
@@ -63,13 +62,7 @@ from .sim_core import (
     SimSummary,
     SimTime,
 )
-from .traffic import (
-    PacketRecord,
-    Pattern,
-    StreamClass,
-    TrafficProfile,
-    periodic_emission_time,
-)
+from .traffic import PacketRecord, StreamClass, TrafficProfile, emission_times
 
 
 @dataclass
@@ -98,67 +91,50 @@ class RunResult:
 
 
 class _StreamRuntime:
-    """Schedules one stream's emissions and resolves each packet inline."""
+    """Emits one stream's packets at its `emission_times` and resolves each
+    one inline, through the radio link or over the wire."""
 
     def __init__(self, sim: "Simulation", profile: TrafficProfile):
         self.sim = sim
         self.profile = profile
         self.rng = sim.engine.stream(f"traffic.{profile.name}")
         self.seq = 0
-        if profile.wireless:
-            self._air_proc_ns = sim.link_model.air_time_ns(
-                sim.link_config, profile.payload_bytes
-            ) + sim.link_config.processing_delay_ns
+        # pulled one instant per packet, so a Poisson gap is drawn after the
+        # previous packet's delivery draw
+        self._times = emission_times(
+            profile.rate_hz, sim.horizon_ns, profile.pattern, profile.phase_ns, self.rng
+        )
 
     def start(self) -> None:
-        if self.profile.pattern is Pattern.PERIODIC:
-            t = self.profile.phase_ns
-            if t <= self.sim.horizon_ns:
-                self.sim.engine.schedule_at(t, self._emit_periodic, module="traffic")
-        else:
-            self._schedule_poisson(float(self.profile.phase_ns))
+        self._schedule_next()
 
-    def _schedule_poisson(self, t_prev: float) -> None:
-        t = t_prev + self.rng.expovariate(self.profile.rate_hz) * NS_PER_S
-        ti = round(t)
-        if ti <= self.sim.horizon_ns:
-            self.sim.engine.schedule_at(
-                ti, lambda: self._emit_once(t), module="traffic"
-            )
+    def _schedule_next(self) -> None:
+        t = next(self._times, None)
+        if t is not None:
+            self.sim.engine.schedule_at(t, self._emit, module="traffic")
 
-    def _emit_once(self, t_float: float) -> None:
-        self._resolve_packet()
-        self._schedule_poisson(t_float)
-
-    def _emit_periodic(self) -> None:
-        self._resolve_packet()
-        t = periodic_emission_time(self.profile, self.seq)
-        if t <= self.sim.horizon_ns:
-            self.sim.engine.schedule_at(t, self._emit_periodic, module="traffic")
-
-    def _resolve_packet(self) -> None:
+    def _emit(self) -> None:
         sim = self.sim
         now = sim.engine.now
+        profile = self.profile
         record = PacketRecord(
-            stream=self.profile.name,
+            stream=profile.name,
             seq=self.seq,
             created_at=now,
-            size_bytes=self.profile.payload_bytes,
-            stream_class=self.profile.stream_class,
+            size_bytes=profile.payload_bytes,
+            stream_class=profile.stream_class,
         )
         self.seq += 1
         sim.records.append(record)
-        if self.profile.wireless:
-            record.sent_at = next_tx_opportunity(now, sim.link_config.tti)
-            if sim.transmit_ok(self.rng):
-                delivered = record.sent_at + self._air_proc_ns
-                if sim.jitter_ns > 0:
-                    delivered += round(sim.jitter_rng.uniform(0, sim.jitter_ns))
-                record.delivered_at = delivered
+        if profile.wireless:
             # lost packets of non-safety streams are not retried
+            record.sent_at, record.delivered_at = sim.link.send(
+                now, profile.payload_bytes, self.rng, profile.name
+            )
         else:
             record.sent_at = now
             record.delivered_at = now + sim.wired_latency_ns
+        self._schedule_next()
 
 
 # -- plant runtime -------------------------------------------------------------
@@ -443,7 +419,8 @@ class PlantRuntime:
             run.product.memory.record_completion(
                 step_index, step, module.id, self.engine.now
             )
-            module.state = ModuleState.IDLE
+            if module.state is ModuleState.BUSY:  # a fault outlasts the service
+                module.state = ModuleState.IDLE
             run.state = "waiting"
             self._log(run, "step_done", f"{step}@{module.id}")
             self._advance(run)
@@ -903,10 +880,10 @@ class Simulation:
         self.link_model = scenario.radio.link_model()
         self.link_config = scenario.radio.link_config()
         self.wired_latency_ns = round(scenario.radio.wired_latency_us * NS_PER_US)
-        self.jitter_ns = round(scenario.radio.jitter_us * NS_PER_US)
-        self.jitter_rng = self.engine.stream("jitter")
-        self.link_up = True
-        self._bler = None
+        jitter_ns = round(scenario.radio.jitter_us * NS_PER_US)
+        self.link = LinkRuntime(
+            self.link_model, self.link_config, jitter_ns, self.engine.stream
+        )
         self.records: list[PacketRecord] = []
         self.product_log: list[ProductEvent] = []
         self.profiles = scenario.traffic.profiles()
@@ -932,60 +909,23 @@ class Simulation:
         self.channel: SafetyChannel | None = None
         channel_streams: set[str] = set()
         if scenario.safety.enabled:
-            cfg = self._channel_config()
+            # bound to the catalog's PNIO rows when they exist, so the channel
+            # replaces those streams
+            cfg = scenario.safety.channel_config(self.profiles)
             channel_streams = {cfg.stream_up, cfg.stream_down}
             self.channel = SafetyChannel(
                 engine=self.engine,
-                link_model=self.link_model,
-                link_config=self.link_config,
+                link=self.link,
                 config=cfg,
                 rng=self.engine.stream("link.safety"),
                 records=self.records,
                 on_trip=self._on_watchdog_trip,
-                transmit_ok=self.transmit_ok,
             )
         self.streams = [
             _StreamRuntime(self, p)
             for p in self.profiles
             if p.name not in channel_streams
         ]
-
-    def _channel_config(self) -> SafetyChannelConfig:
-        s = self.scenario.safety
-        cfg = SafetyChannelConfig(
-            cycle_hz=s.cycle_hz,
-            watchdog_ns=round(s.watchdog_ms * NS_PER_MS),
-            pdu_bytes_up=s.pdu_bytes_up,
-            pdu_bytes_down=s.pdu_bytes_down,
-            retry_at_tti=s.retry_at_tti,
-        )
-        # Bind to the catalog's cyclic safety streams when they exist so PDU
-        # sizes, rate and stream names stay single-sourced.
-        by_name = {p.name: p for p in self.profiles}
-        up = by_name.get(cfg.stream_up)
-        down = by_name.get(cfg.stream_down)
-        if up and down:
-            cfg = SafetyChannelConfig(
-                cycle_hz=up.rate_hz,
-                watchdog_ns=cfg.watchdog_ns,
-                pdu_bytes_up=up.payload_bytes,
-                pdu_bytes_down=down.payload_bytes,
-                retry_at_tti=cfg.retry_at_tti,
-                stream_up=up.name,
-                stream_down=down.name,
-            )
-        return cfg
-
-    def transmit_ok(self, rng) -> bool:
-        """Bernoulli delivery draw against the configured BLER, overridden by
-        a scripted full outage."""
-        if not self.link_up:
-            return False
-        if self._bler is None:
-            self._bler = self.link_model.bler(self.link_config)
-        if self._bler <= 0.0:
-            return True
-        return rng.random() >= self._bler
 
     def _on_watchdog_trip(self, now: SimTime, missed: int) -> None:
         loop = None
@@ -1025,9 +965,9 @@ class Simulation:
             if self.plant:
                 self.plant.reset_local_safety()
         elif action.action == "link_down":
-            self.link_up = False
+            self.link.up = False
         elif action.action == "link_up":
-            self.link_up = True
+            self.link.up = True
         elif action.action == "module_fault":
             if self.plant and action.endpoint in self.plant.modules:
                 self.plant.modules[action.endpoint].state = ModuleState.FAULT

@@ -1,4 +1,4 @@
-"""Traffic stream generators and rate accounting.
+"""Traffic streams: profiles, the measured catalog and emission instants.
 
 The built-in catalog reproduces the packet mix measured on the running
 plant: two cyclic safety PDU streams (60/64 bytes at 246.19 Hz), four
@@ -140,20 +140,23 @@ def measured_catalog(
     return profiles
 
 
-def periodic_emission_time(profile: TrafficProfile, k: int) -> SimTime:
-    """k-th emission instant of a periodic stream, computed directly from k
-    so no floating-point drift accumulates across a run."""
-    return profile.phase_ns + round(k * NS_PER_S / profile.rate_hz)
-
-
 def emission_times(
-    profile: TrafficProfile, horizon: SimTime, rng: RngStream | None = None
+    rate_hz: float,
+    horizon: SimTime,
+    pattern: Pattern = Pattern.PERIODIC,
+    phase_ns: SimTime = 0,
+    rng: RngStream | None = None,
 ) -> Iterator[SimTime]:
-    """Emission instants within [0, horizon] (inclusive)."""
-    if profile.pattern is Pattern.PERIODIC:
+    """Emission instants within [0, horizon] (inclusive), drawn lazily.
+
+    The k-th periodic instant is computed directly from k, so no
+    floating-point drift accumulates across a run; Poisson gaps are drawn
+    from `rng` one per instant pulled.
+    """
+    if pattern is Pattern.PERIODIC:
         k = 0
         while True:
-            t = periodic_emission_time(profile, k)
+            t = phase_ns + round(k * NS_PER_S / rate_hz)
             if t > horizon:
                 return
             yield t
@@ -161,38 +164,10 @@ def emission_times(
     else:
         if rng is None:
             raise ValueError("Poisson streams need an RngStream")
-        t = float(profile.phase_ns)
+        t = float(phase_ns)
         while True:
-            t += rng.expovariate(profile.rate_hz) * NS_PER_S
+            t += rng.expovariate(rate_hz) * NS_PER_S
             ti = round(t)
             if ti > horizon:
                 return
             yield ti
-
-
-def generate(
-    profile: TrafficProfile, horizon: SimTime, rng: RngStream | None = None
-) -> list[PacketRecord]:
-    """Materialize the packet creations of one stream over the horizon."""
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    return [
-        PacketRecord(
-            stream=profile.name,
-            seq=seq,
-            created_at=t,
-            size_bytes=profile.payload_bytes,
-            stream_class=profile.stream_class,
-        )
-        for seq, t in enumerate(emission_times(profile, horizon, rng))
-    ]
-
-
-def aggregate_rate(records: list[PacketRecord], window: SimTime) -> float:
-    """Bit rate over [0, window]: total bits created in the window / window."""
-    if window <= 0:
-        raise ValueError("window must be > 0")
-    bits = sum(
-        r.size_bytes * 8 for r in records if 0 <= r.created_at <= window
-    )
-    return bits * NS_PER_S / window

@@ -19,8 +19,8 @@ from fablink.radio_link import (
     BlerCurve,
     LinkConfig,
     LinkModel,
+    LinkRuntime,
     ThroughputCurve,
-    TransmissionOutcome,
     Waveform,
     availability,
     default_link_model,
@@ -33,7 +33,7 @@ from fablink.safety import (
 )
 from fablink.scenario import default_scenario, scenario_from_dict
 from fablink.simulation import Simulation
-from fablink.sim_core import NS_PER_MS, NS_PER_S, Engine, RngStream
+from fablink.sim_core import LANE_SAFETY, NS_PER_MS, NS_PER_S, Engine, RngStream
 from fablink.traffic import StreamClass
 
 TABLE_RATES_HZ = {
@@ -109,10 +109,9 @@ def test_criterion_3_sampling_and_availability():
         {Waveform.P_OFDM: ThroughputCurve(((0.0, 10e6),))},
     )
     rng = RngStream(42, "acceptance.sampling")
-    config = LinkConfig()
+    link = LinkRuntime(model, LinkConfig(), 0, Engine().stream)
     delivered = sum(
-        model.sample_transmission(config, rng) is TransmissionOutcome.DELIVERED
-        for _ in range(1_000_000)
+        link.send(0, 60, rng, "sampling")[1] is not None for _ in range(1_000_000)
     )
     assert abs(delivered / 1_000_000 - 0.5) <= 0.002
     # independence formula to full precision; the often-quoted seven-nines
@@ -139,20 +138,29 @@ def test_criterion_4_timing_math():
 
 
 def _random_outage_channel(engine, outages, watchdog_ns):
+    """Channel over a lossless link whose `up` switch the outage windows turn
+    off, the same switch the script's link_down / link_up use."""
     records, trips = [], []
+    model = default_link_model()
+    config = LinkConfig(snr_db=15.0, tti=TtiConfig(125))
+    model.bler_curves[config.waveform, config.channel] = BlerCurve.constant(0.0)
+    link = LinkRuntime(model, config, 0, engine.stream)
+    down = [0]
 
-    def transmit_ok(rng):
-        return not any(s <= engine.now < e for s, e in outages)
+    def toggle(step):
+        down[0] += step
+        link.up = down[0] == 0
 
+    for start, end in outages:
+        engine.schedule_at(start, lambda: toggle(1), lane=LANE_SAFETY)
+        engine.schedule_at(end, lambda: toggle(-1), lane=LANE_SAFETY)
     channel = SafetyChannel(
         engine=engine,
-        link_model=default_link_model(),
-        link_config=LinkConfig(snr_db=15.0, tti=TtiConfig(125)),
+        link=link,
         config=SafetyChannelConfig(watchdog_ns=watchdog_ns),
         rng=engine.stream("link.safety"),
         records=records,
         on_trip=lambda now, missed: trips.append(now),
-        transmit_ok=transmit_ok,
     )
     return channel, records, trips
 

@@ -6,6 +6,9 @@ The matrix covers the radio and safety paths:
 * `default`: the default scenario at 10 s;
 * `jitter`: the same with `radio.jitter_us: 50`;
 * `lossy`: the same at 13 dB SNR, so safety PDUs are lost and retried;
+* `link_outage`: the default scenario at 10 s with a 50 ms `link_down`
+  window that traffic and safety PDUs both lose packets to, a watchdog
+  safe stop of `island1.loop` and its reset;
 * `fault_script`: the default scenario at 60 s with a module fault and
   clear, a laser obstacle and clear, and a bumper latch with its local reset;
 
@@ -47,6 +50,14 @@ CASES: dict[str, dict] = {
     "default": {"horizon_s": 10.0},
     "jitter": {"horizon_s": 10.0, "radio": {"jitter_us": 50.0}},
     "lossy": {"horizon_s": 10.0, "radio": {"snr_db": 13.0}},
+    "link_outage": {
+        "horizon_s": 10.0,
+        "script": [
+            {"at_s": 2.0, "action": "link_down"},
+            {"at_s": 2.05, "action": "link_up"},
+            {"at_s": 3.0, "action": "reset", "loop": "island1.loop"},
+        ],
+    },
     "fault_script": {
         "horizon_s": 60.0,
         "script": [

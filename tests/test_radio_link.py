@@ -5,23 +5,23 @@ import random
 
 import pytest
 
-from fablink.nr_frame import TtiConfig
+from fablink.nr_frame import TtiConfig, next_tx_opportunity
 from fablink.radio_link import (
     EVA70,
     V2V_URBAN_NLOS,
     BlerCurve,
     LinkConfig,
     LinkModel,
+    LinkRuntime,
     RateUnavailable,
     ThroughputCurve,
-    TransmissionOutcome,
     UnknownCurve,
     WAVEFORM_GAP_DB,
     Waveform,
     availability,
     default_link_model,
 )
-from fablink.sim_core import NS_PER_US, RngStream
+from fablink.sim_core import NS_PER_US, Engine, RngStream
 
 
 def cfg(**kwargs) -> LinkConfig:
@@ -119,49 +119,67 @@ def test_unknown_curve_raises():
         model.throughput(cfg(waveform=Waveform.W_OFDM))
 
 
-# -- sampling ------------------------------------------------------------------
+# -- sampling through the link runtime --------------------------------------
 
 
-def _model_with_constant_bler(p: float) -> LinkModel:
-    return LinkModel(
+def _link_with_constant_bler(p: float) -> LinkRuntime:
+    model = LinkModel(
         {(Waveform.P_OFDM, EVA70): BlerCurve.constant(p)},
         {Waveform.P_OFDM: ThroughputCurve(((0.0, 10e6),))},
     )
+    return LinkRuntime(model, cfg(), 0, Engine(seed=1).stream)
 
 
-def test_sample_transmission_forced_outcomes():
+def _delivered(link: LinkRuntime, rng: RngStream) -> bool:
+    return link.send(0, 60, rng, "s")[1] is not None
+
+
+def test_send_forced_outcomes():
     rng = RngStream(1, "loss")
-    always = _model_with_constant_bler(0.0)
-    never = _model_with_constant_bler(1.0)
+    always = _link_with_constant_bler(0.0)
+    never = _link_with_constant_bler(1.0)
     for _ in range(1000):
-        assert always.sample_transmission(cfg(), rng) is TransmissionOutcome.DELIVERED
+        assert _delivered(always, rng)
     for _ in range(1000):
-        assert never.sample_transmission(cfg(), rng) is TransmissionOutcome.LOST
+        assert not _delivered(never, rng)
 
 
-def test_sample_transmission_matches_bler_within_binomial_3_sigma():
+def test_send_matches_bler_within_binomial_3_sigma():
     # 1e6 Bernoulli draws at p = 0.5: 3 sigma is 0.0015, allow 0.002
-    model = _model_with_constant_bler(0.5)
+    link = _link_with_constant_bler(0.5)
     rng = RngStream(42, "loss")
-    config = cfg()
-    delivered = sum(
-        model.sample_transmission(config, rng) is TransmissionOutcome.DELIVERED
-        for _ in range(1_000_000)
-    )
+    delivered = sum(_delivered(link, rng) for _ in range(1_000_000))
     assert abs(delivered / 1_000_000 - 0.5) <= 0.002
 
 
 def test_empirical_loss_rate_at_configured_bler():
-    model = _model_with_constant_bler(0.1)
+    link = _link_with_constant_bler(0.1)
     rng = RngStream(7, "loss")
-    config = cfg()
     n = 100_000
-    lost = sum(
-        model.sample_transmission(config, rng) is TransmissionOutcome.LOST
-        for _ in range(n)
-    )
+    lost = sum(not _delivered(link, rng) for _ in range(n))
     sigma = math.sqrt(0.1 * 0.9 / n)
     assert abs(lost / n - 0.1) <= 3 * sigma
+
+
+def test_send_latency_matches_one_way_latency():
+    link = _link_with_constant_bler(0.0)
+    rng = RngStream(1, "loss")
+    for now in (0, 1, 124_999, 125_000, 3_000_017):
+        for size in (60, 1400, 20_000):
+            sent_at, delivered = link.send(now, size, rng, "s")
+            assert sent_at == next_tx_opportunity(now, link.config.tti)
+            assert delivered - now == link.model.one_way_latency(
+                link.config, now, size
+            )
+
+
+def test_send_makes_no_draw_when_down_or_lossless():
+    rng = RngStream(3, "loss")
+    down = _link_with_constant_bler(0.5)
+    down.up = False
+    assert down.send(0, 60, rng, "s") == (0, None)
+    assert _delivered(_link_with_constant_bler(0.0), rng)
+    assert rng.random() == RngStream(3, "loss").random()  # still the first draw
 
 
 # -- availability ----------------------------------------------------------------

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from fablink.nr_frame import TtiConfig
-from fablink.radio_link import LinkConfig, default_link_model
+from fablink.radio_link import BlerCurve, LinkConfig, LinkRuntime, default_link_model
 from fablink.safety import (
     LocalSafety,
     LocalSafetyState,
@@ -21,7 +21,7 @@ from fablink.safety import (
     reset_local,
     watchdog_trip,
 )
-from fablink.sim_core import NS_PER_MS, NS_PER_S, Engine
+from fablink.sim_core import LANE_SAFETY, NS_PER_MS, NS_PER_S, Engine
 from fablink.traffic import StreamClass
 
 CYCLE_HZ = 246.19
@@ -152,32 +152,36 @@ def make_channel(
     retry_at_tti: bool = True,
     processing_delay_ns: int = 100_000,
 ):
-    """Channel over an ideal link except inside scripted outage windows."""
+    """Channel over an ideal link (BLER 0, so no draws) whose `up` switch is
+    off inside each scripted outage window, the switch the script's
+    link_down / link_up turn; overlapping windows keep it down until the
+    last one ends."""
     model = default_link_model()
     config = LinkConfig(
         snr_db=15.0, tti=TtiConfig(125), processing_delay_ns=processing_delay_ns
     )
+    model.bler_curves[config.waveform, config.channel] = BlerCurve.constant(0.0)
+    link = LinkRuntime(model, config, 0, engine.stream)
+    down = [0]
+
+    def toggle(step: int) -> None:
+        down[0] += step
+        link.up = down[0] == 0
+
+    for start, end in outages or []:
+        engine.schedule_at(start, lambda: toggle(1), lane=LANE_SAFETY)
+        engine.schedule_at(end, lambda: toggle(-1), lane=LANE_SAFETY)
     records = []
     trips = []
-
-    def transmit_ok(rng) -> bool:
-        now = engine.now
-        for start, end in outages or []:
-            if start <= now < end:
-                return False
-        return True
-
     channel = SafetyChannel(
         engine=engine,
-        link_model=model,
-        link_config=config,
+        link=link,
         config=SafetyChannelConfig(
             cycle_hz=CYCLE_HZ, watchdog_ns=watchdog_ns, retry_at_tti=retry_at_tti
         ),
         rng=engine.stream("link.safety"),
         records=records,
         on_trip=lambda now, missed: trips.append((now, missed)),
-        transmit_ok=transmit_ok,
     )
     return channel, records, trips
 

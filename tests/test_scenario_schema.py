@@ -23,6 +23,7 @@ from fablink.scenario import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from fablink.sim_core import NS_PER_MS
 from fablink.simulation import Simulation
 
 POOL = [None, True, -1, 0, 1.5, "x", [], {}, math.inf, math.nan]
@@ -173,6 +174,14 @@ DEFECTS = {
     "obstacle_without_sensor": (
         {"script": [{"at_s": 1, "action": "obstacle"}]}, "script[0].sensor",
     ),
+    "watchdog_below_catalog_cycle": (
+        # the measured catalog's PNIO rows set the rate: 246.19 Hz, not 1 kHz
+        {"safety": {"cycle_hz": 1000, "watchdog_ms": 2}}, "safety.watchdog_ms",
+    ),
+    "watchdog_below_section_cycle": (
+        {"traffic": {"catalog": []}, "safety": {"cycle_hz": 100, "watchdog_ms": 5}},
+        "safety.watchdog_ms",
+    ),
     "script_null": ({"script": None}, "script"),
     "section_null": ({"radio": None}, "radio"),
     "non_string_key": ({"factory": {"service_overrides": {1: 2.0}}},
@@ -186,6 +195,16 @@ def test_defect_is_config_invalid_naming_its_field(case):
     with pytest.raises(ConfigInvalid) as err:
         scenario_from_dict(data)
     assert str(err.value).startswith(f"{path}:"), str(err.value)
+
+
+def test_watchdog_is_checked_against_the_rate_the_channel_runs_at():
+    # 5 ms covers the 4.06 ms cycle of the catalog's 246.19 Hz PNIO rows,
+    # which the channel uses instead of the section's 100 Hz
+    scenario = scenario_from_dict(
+        {"horizon_s": 0.1, "safety": {"cycle_hz": 100, "watchdog_ms": 5}})
+    channel = Simulation(scenario).channel
+    assert channel.config.cycle_hz == 246.19
+    assert channel.config.watchdog_ns == 5 * NS_PER_MS
 
 
 def test_int_is_stored_as_float_and_bounds_hold_inside_containers():

@@ -7,6 +7,7 @@ from fablink.sim_core import (
     NS_PER_S,
     Engine,
     Event,
+    HandlerError,
     PausableTimer,
     RngStream,
     SchedulingInPast,
@@ -30,6 +31,22 @@ def test_schedule_in_past_raises():
     engine.run_until(100)
     with pytest.raises(SchedulingInPast):
         engine.schedule_at(50, lambda: None)
+
+
+def test_handler_error_names_time_module_and_callback():
+    engine = Engine()
+
+    def explode():
+        raise KeyError("robot")
+
+    engine.schedule_at(10, lambda: None, module="traffic")
+    engine.schedule_at(2_500, explode, module="factory")
+    with pytest.raises(HandlerError) as err:
+        engine.run_until(10_000)
+    message = str(err.value)
+    assert message.startswith("at 2500 ns, factory event ")
+    assert explode.__qualname__ in message and "KeyError" in message
+    assert isinstance(err.value.__cause__, KeyError)
 
 
 def test_zero_delay_event_fires_in_same_processing_step():

@@ -3,6 +3,7 @@ from __future__ import annotations
 from fablink.scenario import default_scenario, scenario_from_dict
 from fablink.simulation import Simulation
 from fablink.sim_core import NS_PER_S
+from fablink.traffic import StreamClass
 
 
 def run_scenario(data: dict):
@@ -316,3 +317,76 @@ def test_watchdog_trip_during_link_outage_stops_docked_island_only():
     assert stops[0].loop == "island1.loop"
     assert stops[0].cause == "watchdog"
     assert 2 * NS_PER_S < stops[0].at < 2 * NS_PER_S + 20_000_000
+
+
+def test_module_fault_during_service_outlasts_the_service():
+    # island1.engrave serves product1 from 0.5 s to 2.5 s; the fault at 1.0 s
+    # is never cleared, so product2's engrave step goes elsewhere
+    result = run_scenario({
+        "horizon_s": 60.0,
+        "traffic": {"catalog": []},
+        "script": [{"at_s": 1.0, "action": "module_fault",
+                    "endpoint": "island1.engrave"}],
+    })
+    engraved = {
+        e.product: e.detail for e in result.product_log
+        if e.event == "step_done" and e.detail.startswith("engrave@")
+    }
+    assert engraved["product1"] == "engrave@island1.engrave"
+    assert engraved["product2"] != "engrave@island1.engrave"
+
+
+# -- one radio send path ----------------------------------------------------------
+
+
+def _run_with_jitter(catalog, horizon_s: float = 1.0):
+    return run_scenario({
+        "horizon_s": horizon_s,
+        "radio": {"jitter_us": 50.0},
+        "traffic": {"catalog": catalog},
+    })
+
+
+def test_jitter_applies_to_safety_pdus():
+    result = _run_with_jitter("measured")
+    latencies = {
+        r.delivered_at - r.sent_at for r in result.records
+        if r.stream_class is StreamClass.SAFETY_RELEVANT and r.delivered_at
+    }
+    assert len(latencies) > 1
+
+
+def test_adding_a_stream_leaves_another_streams_jitter_unchanged():
+    a = {"name": "a", "payload_bytes": 200, "rate_hz": 100.0}
+    b = {"name": "b", "payload_bytes": 1400, "rate_hz": 300.0, "pattern": "poisson"}
+
+    def delivered(catalog):
+        return [r.delivered_at for r in _run_with_jitter(catalog).records
+                if r.stream == "a"]
+
+    alone = delivered([a])
+    assert alone and delivered([b, a]) == alone
+
+
+def test_link_down_drops_traffic_and_safety_attempts_alike():
+    down, up = NS_PER_S, 3 * NS_PER_S // 2
+    sim = Simulation(scenario_from_dict({
+        "horizon_s": 3.0,
+        "script": [{"at_s": 1.0, "action": "link_down"},
+                   {"at_s": 1.5, "action": "link_up"}],
+    }))
+    assert sim.channel.link is sim.link  # the one switch the script turns
+    result = sim.run()
+    tti = sim.link_config.tti.duration_ns
+    wireless = {p.name for p in sim.profiles if p.wireless}
+    lost_in_window = set()
+    for r in result.records:
+        if r.stream not in wireless:
+            assert r.delivered_at is not None  # the wire is not the radio
+        elif down + tti <= r.sent_at < up:
+            # attempted while the link was down
+            assert r.delivered_at is None, r
+            lost_in_window.add(r.stream_class)
+    assert {StreamClass.SAFETY_RELEVANT, StreamClass.NON_SAFETY_RELEVANT} <= (
+        lost_in_window
+    )

@@ -8,12 +8,10 @@ import pytest
 from fablink.sim_core import NS_PER_S, RngStream
 from fablink.traffic import (
     MEASURED_TOTAL_RATE_BPS,
-    PacketRecord,
     Pattern,
     StreamClass,
     TrafficProfile,
-    aggregate_rate,
-    generate,
+    emission_times,
     measured_catalog,
 )
 
@@ -90,7 +88,7 @@ def test_camera_shares_must_sum_to_one():
         measured_catalog(camera_shares={"forward": 0.5, "threesixty": 0.2})
 
 
-def _profile(rate_hz: float, pattern=Pattern.PERIODIC, phase_ns=0) -> TrafficProfile:
+def _profile(rate_hz: float) -> TrafficProfile:
     return TrafficProfile(
         name="s",
         source="a",
@@ -99,28 +97,24 @@ def _profile(rate_hz: float, pattern=Pattern.PERIODIC, phase_ns=0) -> TrafficPro
         stream_class=StreamClass.NON_SAFETY_RELEVANT,
         payload_bytes=60,
         rate_hz=rate_hz,
-        pattern=pattern,
-        phase_ns=phase_ns,
     )
 
 
 def test_periodic_count_246_19_hz_over_one_second():
     # k / 246.19 <= 1 s holds for k = 0..246: 247 creations
-    records = generate(_profile(246.19), NS_PER_S)
-    assert len(records) == 247
-    assert records[0].created_at == 0
-    assert [r.seq for r in records] == list(range(247))
+    times = list(emission_times(246.19, NS_PER_S))
+    assert len(times) == 247
+    assert times[0] == 0
 
 
 def test_periodic_count_slow_stream_over_ten_seconds():
     # 0.17 Hz over 10 s: k / 0.17 <= 10 for k = 0, 1
-    records = generate(_profile(0.17), 10 * NS_PER_S)
-    assert len(records) == 2
+    assert len(list(emission_times(0.17, 10 * NS_PER_S))) == 2
 
 
 def test_horizon_zero_boundary():
-    assert len(generate(_profile(1.0), 0)) == 1  # creation at t = 0
-    assert len(generate(_profile(1.0, phase_ns=5), 0)) == 0
+    assert len(list(emission_times(1.0, 0))) == 1  # creation at t = 0
+    assert len(list(emission_times(1.0, 0, phase_ns=5))) == 0
 
 
 def test_periodic_count_within_one_of_rate_times_horizon():
@@ -128,13 +122,12 @@ def test_periodic_count_within_one_of_rate_times_horizon():
     for _ in range(300):
         rate = rng.uniform(0.05, 500.0)
         horizon = rng.randrange(1, 20 * NS_PER_S)
-        n = len(generate(_profile(rate), horizon))
+        n = len(list(emission_times(rate, horizon)))
         assert abs(n - rate * horizon / NS_PER_S) <= 1
 
 
 def test_periodic_creations_strictly_increasing_with_exact_multiples():
-    records = generate(_profile(246.19), NS_PER_S)
-    times = [r.created_at for r in records]
+    times = list(emission_times(246.19, NS_PER_S))
     assert times == sorted(set(times))
     for k, t in enumerate(times):
         assert t == round(k * NS_PER_S / 246.19)
@@ -143,45 +136,24 @@ def test_periodic_creations_strictly_increasing_with_exact_multiples():
 def test_poisson_count_mean_and_spread():
     rate, horizon_s = 50.0, 20
     rng = RngStream(3, "poisson")
-    n = len(generate(_profile(rate, Pattern.POISSON), horizon_s * NS_PER_S, rng))
+    n = len(list(emission_times(rate, horizon_s * NS_PER_S, Pattern.POISSON, 0, rng)))
     mean = rate * horizon_s
     assert abs(n - mean) <= 4 * math.sqrt(mean)
 
 
 def test_poisson_requires_rng():
     with pytest.raises(ValueError):
-        generate(_profile(1.0, Pattern.POISSON), NS_PER_S)
-
-
-def test_aggregate_rate_single_packet():
-    records = [
-        PacketRecord("s", 0, 0, 60, StreamClass.NON_SAFETY_RELEVANT)
-    ]
-    assert aggregate_rate(records, NS_PER_S) == 480.0
-
-
-def test_aggregate_rate_empty():
-    assert aggregate_rate([], NS_PER_S) == 0.0
-
-
-def test_aggregate_rate_requires_positive_window():
-    with pytest.raises(ValueError):
-        aggregate_rate([], 0)
+        list(emission_times(1.0, NS_PER_S, Pattern.POISSON))
 
 
 def test_catalog_aggregate_rate_over_sixty_seconds():
-    rng = RngStream(1, "unused")
     horizon = 60 * NS_PER_S
-    records = []
-    for profile in measured_catalog():
-        records.extend(generate(profile, horizon, rng))
-    rate = aggregate_rate(records, horizon)
-    assert abs(rate - 5.97e6) / 5.97e6 <= 0.02
-    # class partition is total: per-class sums equal the whole
     per_class = {cls: 0 for cls in StreamClass}
-    for r in records:
-        per_class[r.stream_class] += r.size_bytes * 8
-    assert sum(per_class.values()) == sum(r.size_bytes * 8 for r in records)
+    for profile in measured_catalog():
+        n = len(list(emission_times(profile.rate_hz, horizon)))
+        per_class[profile.stream_class] += n * profile.payload_bytes * 8
+    rate = sum(per_class.values()) * NS_PER_S / horizon
+    assert abs(rate - 5.97e6) / 5.97e6 <= 0.02
 
 
 def test_profile_validation():
