@@ -225,6 +225,24 @@ def _ms(ns: SimTime | None) -> str:
     return "n/a" if ns is None else f"{ns / NS_PER_MS:.3f} ms"
 
 
+def _row(
+    dimension: str,
+    required: str,
+    observed: str | None,
+    ok: bool,
+    missing_note: str,
+) -> VerdictRow:
+    """Pass or Fail by `ok`, or NotAssessed with `missing_note` when nothing
+    was observed (`observed` is None, and `ok` is then ignored)."""
+    if observed is None:
+        return VerdictRow(
+            dimension, required, "n/a", ComplianceVerdict.NOT_ASSESSED,
+            note=missing_note,
+        )
+    verdict = ComplianceVerdict.PASS if ok else ComplianceVerdict.FAIL
+    return VerdictRow(dimension, required, observed, verdict)
+
+
 def evaluate(
     metrics: StreamMetrics,
     profile: RequirementProfile,
@@ -232,158 +250,106 @@ def evaluate(
     sample_floor: int | None = None,
 ) -> list[VerdictRow]:
     """Score one stream against one profile, one row per present dimension."""
-    rows: list[VerdictRow] = []
     floor = sample_floor if sample_floor is not None else availability_sample_floor(
         profile
     )
 
-    req_avail = f">= {profile.availability_min:.6%}"
-    if metrics.availability is None or metrics.sample_count < floor:
-        rows.append(
+    availability = metrics.availability
+    required = f">= {profile.availability_min:.6%}"
+    if availability is None or metrics.sample_count < floor:
+        # too few samples to support the claim, even when a value was measured
+        rows = [
             VerdictRow(
                 "availability",
-                req_avail,
-                "n/a" if metrics.availability is None
-                else f"{metrics.availability:.6%}",
+                required,
+                "n/a" if availability is None else f"{availability:.6%}",
                 ComplianceVerdict.NOT_ASSESSED,
                 note=(
                     f"sample count {metrics.sample_count} below the "
                     f"{floor} needed to support a claim at this scale"
                 ),
             )
-        )
+        ]
     else:
-        ok = metrics.availability >= profile.availability_min
-        rows.append(
-            VerdictRow(
-                "availability",
-                req_avail,
-                f"{metrics.availability:.6%}",
-                ComplianceVerdict.PASS if ok else ComplianceVerdict.FAIL,
-            )
-        )
+        ok = availability >= profile.availability_min
+        rows = [_row("availability", required, f"{availability:.6%}", ok, "")]
 
     if profile.latency_target_ns is not None:
-        if metrics.latency is None:
-            rows.append(
-                VerdictRow(
-                    "latency", f"p99.9 < {_ms(profile.latency_target_ns)}", "n/a",
-                    ComplianceVerdict.NOT_ASSESSED, note="no delivered samples",
-                )
+        target = profile.latency_target_ns
+        latency = metrics.latency
+        rows.append(
+            _row(
+                "latency",
+                f"p99.9 < {_ms(target)}",
+                None if latency is None else _ms(latency.p999_ns),
+                latency is not None and latency.p999_ns < target,
+                "no delivered samples",
             )
-        else:
-            ok = metrics.latency.p999_ns < profile.latency_target_ns
-            rows.append(
-                VerdictRow(
-                    "latency",
-                    f"p99.9 < {_ms(profile.latency_target_ns)}",
-                    _ms(metrics.latency.p999_ns),
-                    ComplianceVerdict.PASS if ok else ComplianceVerdict.FAIL,
-                )
-            )
+        )
 
     if profile.jitter_max_ns is not None:
-        if metrics.jitter_ns is None:
-            rows.append(
-                VerdictRow(
-                    "jitter", f"< {_ms(profile.jitter_max_ns)}", "n/a",
-                    ComplianceVerdict.NOT_ASSESSED, note="no delivered samples",
-                )
+        jitter = metrics.jitter_ns
+        rows.append(
+            _row(
+                "jitter",
+                f"< {_ms(profile.jitter_max_ns)}",
+                None if jitter is None else _ms(jitter),
+                jitter is not None and jitter < profile.jitter_max_ns,
+                "no delivered samples",
             )
-        else:
-            ok = metrics.jitter_ns < profile.jitter_max_ns
-            rows.append(
-                VerdictRow(
-                    "jitter",
-                    f"< {_ms(profile.jitter_max_ns)}",
-                    _ms(metrics.jitter_ns),
-                    ComplianceVerdict.PASS if ok else ComplianceVerdict.FAIL,
-                )
-            )
+        )
 
     if profile.service_data_rate_min_bps is not None:
-        if metrics.sample_count == 0:
-            rows.append(
-                VerdictRow(
-                    "service_data_rate",
-                    f"> {profile.service_data_rate_min_bps / 1e6:.2f} Mbit/s",
-                    "n/a", ComplianceVerdict.NOT_ASSESSED, note="no samples",
-                )
+        rate = metrics.observed_rate_bps
+        sampled = metrics.sample_count > 0
+        rows.append(
+            _row(
+                "service_data_rate",
+                f"> {profile.service_data_rate_min_bps / 1e6:.2f} Mbit/s",
+                f"{rate / 1e6:.3f} Mbit/s" if sampled else None,
+                rate > profile.service_data_rate_min_bps,
+                "no samples",
             )
-        else:
-            ok = metrics.observed_rate_bps > profile.service_data_rate_min_bps
-            rows.append(
-                VerdictRow(
-                    "service_data_rate",
-                    f"> {profile.service_data_rate_min_bps / 1e6:.2f} Mbit/s",
-                    f"{metrics.observed_rate_bps / 1e6:.3f} Mbit/s",
-                    ComplianceVerdict.PASS if ok else ComplianceVerdict.FAIL,
-                )
-            )
+        )
 
     if profile.message_size_range is not None:
         lo, hi = profile.message_size_range
-        if metrics.size_min is None:
-            rows.append(
-                VerdictRow(
-                    "message_size", f"[{lo}, {hi}] B", "n/a",
-                    ComplianceVerdict.NOT_ASSESSED, note="no samples",
-                )
+        size_min, size_max = metrics.size_min, metrics.size_max
+        sampled = size_min is not None
+        rows.append(
+            _row(
+                "message_size",
+                f"[{lo}, {hi}] B",
+                f"[{size_min}, {size_max}] B" if sampled else None,
+                sampled and size_min >= lo and size_max <= hi,
+                "no samples",
             )
-        else:
-            ok = metrics.size_min >= lo and metrics.size_max <= hi
-            rows.append(
-                VerdictRow(
-                    "message_size",
-                    f"[{lo}, {hi}] B",
-                    f"[{metrics.size_min}, {metrics.size_max}] B",
-                    ComplianceVerdict.PASS if ok else ComplianceVerdict.FAIL,
-                )
-            )
+        )
 
     if profile.transfer_interval_max_ns is not None:
-        if metrics.max_transfer_interval_ns is None:
-            rows.append(
-                VerdictRow(
-                    "transfer_interval",
-                    f"<= {_ms(profile.transfer_interval_max_ns)}", "n/a",
-                    ComplianceVerdict.NOT_ASSESSED, note="fewer than two samples",
-                )
+        interval = metrics.max_transfer_interval_ns
+        rows.append(
+            _row(
+                "transfer_interval",
+                f"<= {_ms(profile.transfer_interval_max_ns)}",
+                None if interval is None else _ms(interval),
+                interval is not None and interval <= profile.transfer_interval_max_ns,
+                "fewer than two samples",
             )
-        else:
-            ok = (
-                metrics.max_transfer_interval_ns
-                <= profile.transfer_interval_max_ns
-            )
-            rows.append(
-                VerdictRow(
-                    "transfer_interval",
-                    f"<= {_ms(profile.transfer_interval_max_ns)}",
-                    _ms(metrics.max_transfer_interval_ns),
-                    ComplianceVerdict.PASS if ok else ComplianceVerdict.FAIL,
-                )
-            )
+        )
 
     if profile.service_area_m is not None:
         w_max, d_max = profile.service_area_m
-        if service_area_m is None:
-            rows.append(
-                VerdictRow(
-                    "service_area", f"max {w_max:.0f} m x {d_max:.0f} m", "n/a",
-                    ComplianceVerdict.NOT_ASSESSED, note="no area configured",
-                )
+        area = service_area_m
+        rows.append(
+            _row(
+                "service_area",
+                f"max {w_max:.0f} m x {d_max:.0f} m",
+                None if area is None else f"{area[0]:.0f} m x {area[1]:.0f} m",
+                area is not None and area[0] <= w_max and area[1] <= d_max,
+                "no area configured",
             )
-        else:
-            w, d = service_area_m
-            ok = w <= w_max and d <= d_max
-            rows.append(
-                VerdictRow(
-                    "service_area",
-                    f"max {w_max:.0f} m x {d_max:.0f} m",
-                    f"{w:.0f} m x {d:.0f} m",
-                    ComplianceVerdict.PASS if ok else ComplianceVerdict.FAIL,
-                )
-            )
+        )
 
     return rows
 
@@ -406,32 +372,25 @@ class ComplianceReport:
         self.entries.append((metrics.stream, profile.name, rows))
         return rows
 
-    @property
-    def fail_count(self) -> int:
+    def _count(self, verdict: ComplianceVerdict) -> int:
         return sum(
             1
             for _, _, rows in self.entries
             for row in rows
-            if row.verdict is ComplianceVerdict.FAIL
+            if row.verdict is verdict
         )
+
+    @property
+    def fail_count(self) -> int:
+        return self._count(ComplianceVerdict.FAIL)
 
     @property
     def pass_count(self) -> int:
-        return sum(
-            1
-            for _, _, rows in self.entries
-            for row in rows
-            if row.verdict is ComplianceVerdict.PASS
-        )
+        return self._count(ComplianceVerdict.PASS)
 
     @property
     def not_assessed_count(self) -> int:
-        return sum(
-            1
-            for _, _, rows in self.entries
-            for row in rows
-            if row.verdict is ComplianceVerdict.NOT_ASSESSED
-        )
+        return self._count(ComplianceVerdict.NOT_ASSESSED)
 
     @property
     def passed(self) -> bool:

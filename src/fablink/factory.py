@@ -218,7 +218,6 @@ def undock(robot: Robot, station: DockingStation, safety_mgr, now: SimTime) -> N
 
 @dataclass
 class RegistryEntry:
-    endpoint: str
     kind: str  # "module" | "dock" | "manual"
     data: dict
     updated_at: SimTime
@@ -236,7 +235,7 @@ class StateRegistry:
         self._entries: dict[str, RegistryEntry] = {}
 
     def publish(self, endpoint: str, kind: str, data: dict, now: SimTime) -> None:
-        self._entries[endpoint] = RegistryEntry(endpoint, kind, dict(data), now)
+        self._entries[endpoint] = RegistryEntry(kind, dict(data), now)
 
     def get(self, endpoint: str) -> RegistryEntry:
         return self._entries[endpoint]

@@ -11,7 +11,7 @@ import hashlib
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 SimTime = int  # nanoseconds since simulation start
 
@@ -85,12 +85,6 @@ class RngStream:
 
     def expovariate(self, rate: float) -> float:
         return self._rng.expovariate(rate)
-
-    def randrange(self, *args: int) -> int:
-        return self._rng.randrange(*args)
-
-    def choice(self, seq: Sequence):
-        return self._rng.choice(seq)
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id!r})"
@@ -231,11 +225,3 @@ class PausableTimer:
             self._handle.cancel()
             self._handle = None
         self._done = True
-
-    @property
-    def paused(self) -> bool:
-        return self._remaining is not None and not self._done
-
-    @property
-    def done(self) -> bool:
-        return self._done

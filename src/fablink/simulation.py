@@ -141,14 +141,13 @@ class _StreamRuntime:
 
 
 class _ProductRun:
-    def __init__(self, product: Product, island: str, released_at: SimTime):
+    def __init__(self, product: Product, island: str):
         self.product = product
         self.island = island  # current island id or MANUAL_STATION
         self.location = f"{island}:staging"
         self.state = "waiting"  # waiting | moving | in_service | on_robot | manual | done
         self.pending_robot = False
-        self.released_at = released_at
-        self.completed_at: SimTime | None = None
+        self.unroutable = False  # `no_route` logged since the last plan
 
 
 class _RobotJob:
@@ -253,7 +252,7 @@ class PlantRuntime:
 
     def _release(self, product_id: str, island: str) -> None:
         product = Product(id=product_id, order_config=list(self.cfg.recipe))
-        run = _ProductRun(product, island, self.engine.now)
+        run = _ProductRun(product, island)
         self.unfinished.append(run)
         self.stats["released"] += 1
         self._log(run, "released", island)
@@ -329,7 +328,6 @@ class PlantRuntime:
         rework = product.needs_rework
         if nxt is None and not rework:
             run.state = "done"
-            run.completed_at = self.engine.now
             self.stats["completed"] += 1
             self._log(run, "completed", run.island)
             return
@@ -363,8 +361,11 @@ class PlantRuntime:
                 manual_available=self.cfg.manual_station,
             )
         except factory_mod.NoRouteAvailable:
-            self._log(run, "no_route", "")
+            if not run.unroutable:
+                run.unroutable = True
+                self._log(run, "no_route", "")
             return
+        run.unroutable = False
         if plan.needs_robot:
             if not run.pending_robot:
                 run.pending_robot = True
@@ -384,29 +385,33 @@ class PlantRuntime:
         )
         if isinstance(grant, Denied):
             return  # retry next tick
-        self._begin_conveyor(run, module)
-
-    def _begin_conveyor(self, run: _ProductRun, module: StationModule) -> None:
         assert module.carrier is None, "single-occupancy violated"
-        origin = run.location
-        if origin in self.modules:
-            self.modules[origin].carrier = None
-            self.modules[origin].downstream_gate = GateState.OPEN
         module.upstream_gate = GateState.OPEN
-        module.carrier = run.product.id
-        run.state = "moving"
-        self._log(run, "transfer_start", f"{origin}->{module.id}")
+        module.carrier = product.id
 
-        def arrive() -> None:
-            if origin in self.modules:
-                self.modules[origin].downstream_gate = GateState.CLOSED
+        def arrived() -> None:
             module.upstream_gate = GateState.CLOSED
-            run.location = module.id
             self._begin_service(run, module)
 
-        self._island_timer(
-            module.island_id, round(self.cfg.conveyor_s * NS_PER_S), arrive
-        )
+        self._convey(run, module.id, module.island_id, arrived)
+
+    def _convey(self, run: _ProductRun, target: str, island_id: str, arrived) -> None:
+        """Move `run` on `island_id`'s conveyor from its location to `target`
+        (a module or the dock), then run `arrived`."""
+        origin = self.modules.get(run.location)
+        if origin is not None:
+            origin.carrier = None
+            origin.downstream_gate = GateState.OPEN
+        run.state = "moving"
+        self._log(run, "transfer_start", f"{run.location}->{target}")
+
+        def done() -> None:
+            if origin is not None:
+                origin.downstream_gate = GateState.CLOSED
+            run.location = target
+            arrived()
+
+        self._island_timer(island_id, round(self.cfg.conveyor_s * NS_PER_S), done)
 
     def _begin_service(self, run: _ProductRun, module: StationModule) -> None:
         module.state = ModuleState.BUSY
@@ -450,9 +455,7 @@ class PlantRuntime:
                     )
                 )
                 self._log(run, "rework_done", flag.step or "")
-                self.manual_busy = False
-                run.state = "waiting"
-                self._advance(run)
+                self._operator_done(run)
 
             self.engine.schedule_after(
                 round(self.cfg.manual_rework_s * NS_PER_S), reworked, "factory"
@@ -460,9 +463,7 @@ class PlantRuntime:
             return
         nxt = product.next_step()
         if nxt is None:
-            self.manual_busy = False
-            run.state = "waiting"
-            self._advance(run)
+            self._operator_done(run)
             return
         step_index, step = nxt
 
@@ -471,13 +472,16 @@ class PlantRuntime:
                 step_index, step, MANUAL_STATION, self.engine.now
             )
             self._log(run, "step_done", f"{step}@{MANUAL_STATION}")
-            self.manual_busy = False
-            run.state = "waiting"
-            self._advance(run)
+            self._operator_done(run)
 
         self.engine.schedule_after(
             round(self.cfg.manual_service_s * NS_PER_S), served, "factory"
         )
+
+    def _operator_done(self, run: _ProductRun) -> None:
+        self.manual_busy = False
+        run.state = "waiting"
+        self._advance(run)
 
     # -- robot -------------------------------------------------------------------
 
@@ -504,7 +508,7 @@ class PlantRuntime:
                     if self.hover_island == self.robot.home_island:
                         self._try_dock(self.robot.home_island)
                     else:
-                        self._start_goto(self.robot.home_island)
+                        self._goto(self.robot.home_island)
             return
         job = self.jobs[0]
         if job.phase == "deliver":
@@ -512,21 +516,24 @@ class PlantRuntime:
             if self.hover_island == job.destination:
                 self._try_dock(job.destination, then=lambda: self._unload(job))
             return
-        src = job.product_run.island
+        run = job.product_run
+        src = run.island
         if src == MANUAL_STATION:
-            if isinstance(self.robot.pose, AtManualStation):
-                self._load_at_manual(job)
-            else:
-                self._start_goto(MANUAL_STATION)
+            if not isinstance(self.robot.pose, AtManualStation):
+                self._goto(MANUAL_STATION)
+            elif run.state == "waiting":
+                self.robot_busy = True
+                run.state = "moving"
+                self._load(job)
             return
         if isinstance(self.robot.pose, AtDock) and self.robot.pose.island_id == src:
-            if job.product_run.state == "waiting":
-                self._start_load(job)
+            if run.state == "waiting":
+                self._load_from_island(job)
             return
         if self.hover_island == src:
             self._try_dock(src)
             return
-        self._start_goto(src)
+        self._goto(src)
 
     def _island_stopped(self, island_id: str) -> bool:
         loop_id = self.islands[island_id].safety_loop_id
@@ -546,7 +553,11 @@ class PlantRuntime:
             return self.hover_island
         return self.robot.home_island
 
-    def _start_goto(self, dest: str) -> None:
+    def _leg(self, dest: str, start) -> None:
+        """Drive the robot from where it is to `dest`, undocking first when
+        docked. At departure `start(origin, duration)` returns the action to
+        run on arrival, after the robot is at the manual station or hovers
+        at the island `dest`."""
         self.robot_busy = True
         origin = self._current_node()
 
@@ -554,28 +565,112 @@ class PlantRuntime:
             self.robot.pose = InTransit(origin, dest)
             self.hover_island = None
             duration = round(self.cfg.transit_s[origin][dest] * NS_PER_S)
+            arrived = start(origin, duration)
 
             def arrive() -> None:
                 if dest == MANUAL_STATION:
                     self.robot.pose = AtManualStation()
-                    self.robot_busy = False
                 else:
                     self.hover_island = dest
-                    self._try_dock(dest)
+                arrived()
 
             self._robot_timer(duration, arrive)
 
         if isinstance(self.robot.pose, AtDock):
             station = self.islands[self.robot.pose.island_id].docking_station
-            self._robot_timer(
-                round(self.cfg.dock_s * NS_PER_S),
-                lambda: (
-                    undock(self.robot, station, self.sim.safety_mgr, self.engine.now),
-                    depart(),
-                ),
-            )
+
+            def undock_and_depart() -> None:
+                undock(self.robot, station, self.sim.safety_mgr, self.engine.now)
+                depart()
+
+            self._robot_timer(round(self.cfg.dock_s * NS_PER_S), undock_and_depart)
         else:
             depart()
+
+    def _goto(self, dest: str) -> None:
+        """An empty leg: dock at an island, or stand idle at the manual station."""
+
+        def arrived() -> None:
+            if dest == MANUAL_STATION:
+                self.robot_busy = False
+            else:
+                self._try_dock(dest)
+
+        self._leg(dest, lambda origin, duration: arrived)
+
+    def _carry(self, job: _RobotJob) -> None:
+        """A leg with the carrier aboard. A leg to an island inspects the
+        product at departure; a Fail verdict known on arrival diverts it to
+        the manual station instead of unloading."""
+        run = job.product_run
+        dest = job.destination
+
+        def start(origin: str, duration: SimTime):
+            self._log(run, "leg_start", f"{origin}->{dest}")
+            timed_out_verdict = None
+            if dest != MANUAL_STATION and self.cfg.image_bytes > 0:
+                timed_out_verdict = self._inspect(run, duration)
+
+            def arrived() -> None:
+                if timed_out_verdict is not None:
+                    timed_out_verdict()
+                self._log(run, "leg_end", dest)
+                if dest == MANUAL_STATION:
+                    self._unload(job)
+                elif run.product.needs_rework:
+                    job.destination = MANUAL_STATION
+                    self._carry(job)
+                else:
+                    job.phase = "deliver"
+                    self._try_dock(dest, then=lambda: self._unload(job))
+
+            return arrived
+
+        self._leg(dest, start)
+
+    def _inspect(self, run: _ProductRun, duration: SimTime):
+        """Photograph the carried product at departure and schedule its
+        verdict after the cloud round trip. A round trip longer than the leg
+        passes by default: the returned action records that verdict on
+        arrival (None otherwise)."""
+        product = run.product
+        outcome = inspect_in_transit(
+            self.robot,
+            product,
+            self.sim.link_model,
+            self.sim.link_config,
+            self.rng_inspect,
+            self.engine.now,
+            duration,
+            self.cfg.image_bytes,
+            round(self.cfg.inference_ms * NS_PER_MS),
+            self.cfg.defect_probability,
+        )
+        self.stats["inspections"] += 1
+        if outcome.timed_out:
+            self.stats["inspection_timeouts"] += 1
+        elif outcome.verdict is Verdict.FAIL:
+            self.stats["inspection_failures"] += 1
+        nxt = product.next_step()
+        index = (nxt[0] - 1) if nxt else len(product.order_config) - 1
+
+        def record() -> None:
+            product.memory.record_quality(
+                QualityFlag(
+                    index if index >= 0 else None,
+                    product.order_config[index] if index >= 0 else None,
+                    outcome.verdict,
+                    self.engine.now,
+                    timed_out=outcome.timed_out,
+                )
+            )
+            detail = "pass(timeout)" if outcome.timed_out else outcome.verdict.value
+            self._log(run, "verdict", detail)
+
+        if outcome.timed_out:
+            return record
+        self.engine.schedule_after(outcome.cloud_rtt_ns, record, module="factory")
+        return None
 
     def _try_dock(self, island_id: str, then=None) -> None:
         self.robot_busy = True
@@ -601,192 +696,49 @@ class PlantRuntime:
 
         self._robot_timer(round(self.cfg.dock_s * NS_PER_S), attempt)
 
-    def _start_load(self, job: _RobotJob) -> None:
+    def _load_from_island(self, job: _RobotJob) -> None:
         run = job.product_run
-        island = self.islands[run.island]
-        dock_id = island.docking_station.id
+        dock_id = self.islands[run.island].docking_station.id
         grant = handshake_grant(
             self.registry, run.product, run.location, dock_id, self.engine.now
         )
         if isinstance(grant, Denied):
             return  # retry next tick
         self.robot_busy = True
-        origin = run.location
-        if origin in self.modules:
-            self.modules[origin].carrier = None
-            self.modules[origin].downstream_gate = GateState.OPEN
-        run.state = "moving"
-        self._log(run, "transfer_start", f"{origin}->{dock_id}")
+        self._convey(run, dock_id, run.island, lambda: self._load(job))
 
-        def at_dock() -> None:
-            if origin in self.modules:
-                self.modules[origin].downstream_gate = GateState.CLOSED
-            run.location = dock_id
-
-            def loaded() -> None:
-                self.robot.carrier = run.product
-                run.location = "robot"
-                run.state = "on_robot"
-                self._depart_with_carrier(job)
-
-            self._robot_timer(round(self.cfg.load_s * NS_PER_S), loaded)
-
-        self._island_timer(
-            island.id, round(self.cfg.conveyor_s * NS_PER_S), at_dock
-        )
-
-    def _load_at_manual(self, job: _RobotJob) -> None:
+    def _load(self, job: _RobotJob) -> None:
         run = job.product_run
-        if run.state != "waiting":
-            return
-        self.robot_busy = True
-        run.state = "moving"
 
         def loaded() -> None:
             self.robot.carrier = run.product
             run.location = "robot"
             run.state = "on_robot"
-            self._depart_with_carrier(job)
+            self._carry(job)
 
         self._robot_timer(round(self.cfg.load_s * NS_PER_S), loaded)
-
-    def _depart_with_carrier(self, job: _RobotJob) -> None:
-        origin = self._current_node()
-
-        def depart() -> None:
-            self._begin_transit(job, origin, job.destination, inspect=True)
-
-        if isinstance(self.robot.pose, AtDock):
-            station = self.islands[self.robot.pose.island_id].docking_station
-            self._robot_timer(
-                round(self.cfg.dock_s * NS_PER_S),
-                lambda: (
-                    undock(self.robot, station, self.sim.safety_mgr, self.engine.now),
-                    depart(),
-                ),
-            )
-        else:
-            depart()
-
-    def _begin_transit(
-        self, job: _RobotJob, origin: str, dest: str, inspect: bool
-    ) -> None:
-        run = job.product_run
-        self.robot.pose = InTransit(origin, dest)
-        self.hover_island = None
-        duration = round(self.cfg.transit_s[origin][dest] * NS_PER_S)
-        self._log(run, "leg_start", f"{origin}->{dest}")
-
-        # The carried product is photographed at departure; legs that already
-        # divert to the manual station are not re-inspected.
-        verdict_on_arrival = None
-        if inspect and dest != MANUAL_STATION and self.cfg.image_bytes > 0:
-            outcome = inspect_in_transit(
-                self.robot,
-                run.product,
-                self.sim.link_model,
-                self.sim.link_config,
-                self.rng_inspect,
-                self.engine.now,
-                duration,
-                self.cfg.image_bytes,
-                round(self.cfg.inference_ms * NS_PER_MS),
-                self.cfg.defect_probability,
-            )
-            self.stats["inspections"] += 1
-            nxt = run.product.next_step()
-            inspected_index = (nxt[0] - 1) if nxt else len(run.product.order_config) - 1
-            inspected_step = (
-                run.product.order_config[inspected_index]
-                if inspected_index >= 0
-                else None
-            )
-            if outcome.timed_out:
-                self.stats["inspection_timeouts"] += 1
-
-                def record_timeout() -> None:
-                    run.product.memory.record_quality(
-                        QualityFlag(
-                            inspected_index if inspected_index >= 0 else None,
-                            inspected_step,
-                            Verdict.PASS,
-                            self.engine.now,
-                            timed_out=True,
-                        )
-                    )
-                    self._log(run, "verdict", "pass(timeout)")
-
-                verdict_on_arrival = record_timeout
-            else:
-                if outcome.verdict is Verdict.FAIL:
-                    self.stats["inspection_failures"] += 1
-
-                def record_verdict(v=outcome.verdict) -> None:
-                    run.product.memory.record_quality(
-                        QualityFlag(
-                            inspected_index if inspected_index >= 0 else None,
-                            inspected_step,
-                            v,
-                            self.engine.now,
-                        )
-                    )
-                    self._log(run, "verdict", v.value)
-
-                self.engine.schedule_after(
-                    outcome.cloud_rtt_ns, record_verdict, module="factory"
-                )
-
-        def arrive() -> None:
-            if verdict_on_arrival is not None:
-                verdict_on_arrival()
-            self._log(run, "leg_end", dest)
-            if dest != MANUAL_STATION and run.product.needs_rework:
-                # late-breaking Fail verdict: divert instead of unloading
-                self._begin_transit(job, dest, MANUAL_STATION, inspect=False)
-                job.destination = MANUAL_STATION
-                return
-            if dest == MANUAL_STATION:
-                self.robot.pose = AtManualStation()
-                self._unload_at_manual(job)
-            else:
-                self.hover_island = dest
-                job.phase = "deliver"
-                self._try_dock(dest, then=lambda: self._unload(job))
-
-        self._robot_timer(duration, arrive)
 
     def _unload(self, job: _RobotJob) -> None:
         run = job.product_run
         dest = job.destination
-        dock_id = self.islands[dest].docking_station.id
 
         def unloaded() -> None:
             self.robot.carrier = None
-            run.location = dock_id
             run.island = dest
-            run.state = "waiting"
             run.pending_robot = False
             self.jobs.popleft()
             self.robot_busy = False
-            self._advance(run)
-
-        self._robot_timer(round(self.cfg.load_s * NS_PER_S), unloaded)
-
-    def _unload_at_manual(self, job: _RobotJob) -> None:
-        run = job.product_run
-
-        def unloaded() -> None:
-            self.robot.carrier = None
-            run.location = MANUAL_STATION
-            run.island = MANUAL_STATION
-            run.state = "manual"
-            run.pending_robot = False
-            self.manual_queue.append(run)
-            self.stats["manual_visits"] += 1
-            self._log(run, "manual_arrival", "")
-            self.jobs.popleft()
-            self.robot_busy = False
-            self._serve_manual()
+            if dest == MANUAL_STATION:
+                run.location = MANUAL_STATION
+                run.state = "manual"
+                self.manual_queue.append(run)
+                self.stats["manual_visits"] += 1
+                self._log(run, "manual_arrival", "")
+                self._serve_manual()
+            else:
+                run.location = self.islands[dest].docking_station.id
+                run.state = "waiting"
+                self._advance(run)
 
         self._robot_timer(round(self.cfg.load_s * NS_PER_S), unloaded)
 
@@ -891,20 +843,15 @@ class Simulation:
 
         self.plant: PlantRuntime | None = None
         if scenario.factory.enabled:
-            self.plant = PlantRuntime(self)
-
-        self.safety_mgr = SafetyManager(
-            loops=self.plant.loops if self.plant else [],
-            on_safe_stop=(
-                (lambda loop: self.plant.halt_island(loop)) if self.plant else None
-            ),
-            on_resume=(
-                (lambda loop: self.plant.resume_island(loop)) if self.plant else None
-            ),
-            on_robot_stop=(
-                (lambda: self.plant.force_robot_stop()) if self.plant else None
-            ),
-        )
+            self.plant = plant = PlantRuntime(self)
+            self.safety_mgr = SafetyManager(
+                loops=plant.loops,
+                on_safe_stop=plant.halt_island,
+                on_resume=plant.resume_island,
+                on_robot_stop=plant.force_robot_stop,
+            )
+        else:
+            self.safety_mgr = SafetyManager(loops=[])
 
         self.channel: SafetyChannel | None = None
         channel_streams: set[str] = set()

@@ -68,10 +68,6 @@ class PacketRecord:
     sent_at: SimTime | None = None
     delivered_at: SimTime | None = None
 
-    @property
-    def lost(self) -> bool:
-        return self.delivered_at is None
-
 
 MEASURED_TOTAL_RATE_BPS = 5.97e6
 

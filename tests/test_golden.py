@@ -18,9 +18,11 @@ and the factory routing paths:
   capacity with defects and an estop/reset/link script;
 * `shared_capability`: a capability on two islands, so a product with a
   robot job queued for another island can later take a freed local module;
-* `no_manual_station`: products with no idle capable module log `no_route`
-  on every tick;
-* `all_defective`: every inspected product fails and is reworked by hand.
+* `no_manual_station`: a product with no idle capable module logs
+  `no_route` once each time it loses its route;
+* `all_defective`: every inspected product fails and is reworked by hand;
+* `short_transit`: 1 s robot legs, shorter than the cloud round trip, so
+  verdicts time out, and a drained line sends the robot home.
 
 A digest may change only in a commit that says which bytes changed and why.
 To print the current digests after such a change:
@@ -45,6 +47,7 @@ from fablink.simulation import Simulation
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
 
 _FACTORY_ONLY = {"traffic": {"catalog": []}, "safety": {"enabled": False}}
+_NODES = ["island1", "island2", "island3", "manual"]
 
 CASES: dict[str, dict] = {
     "default": {"horizon_s": 10.0},
@@ -106,6 +109,16 @@ CASES: dict[str, dict] = {
         "factory": {
             "manual_station": False,
             "releases": {"count": 60, "interval_s": 3.0},
+        },
+    },
+    "short_transit": {
+        **_FACTORY_ONLY,
+        "seed": 42,
+        "horizon_s": 150.0,
+        "factory": {
+            "transit_s": {a: dict.fromkeys(_NODES, 1.0) for a in _NODES},
+            "defect_probability": 0.5,
+            "releases": {"count": 3, "interval_s": 20.0},
         },
     },
     "all_defective": {

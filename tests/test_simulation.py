@@ -336,6 +336,22 @@ def test_module_fault_during_service_outlasts_the_service():
     assert engraved["product2"] != "engrave@island1.engrave"
 
 
+def test_no_route_is_logged_once_when_a_product_loses_its_route():
+    # without a manual station product2 has no route while product1 holds
+    # island1.engrave (0.5-2.5 s): one row, not one per 100 ms tick
+    result = run_scenario(fast_plant(
+        10.0, manual_station=False, releases={"count": 2, "interval_s": 0.0},
+    ))
+    events = [
+        (e.event, e.at) for e in result.product_log if e.product == "product2"
+    ]
+    assert events[:3] == [
+        ("released", 0),
+        ("no_route", 0),
+        ("transfer_start", round(2.5 * NS_PER_S)),
+    ]
+
+
 # -- one radio send path ----------------------------------------------------------
 
 
