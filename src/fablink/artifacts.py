@@ -83,30 +83,54 @@ def metrics_to_dict(m: StreamMetrics) -> dict:
     }
 
 
-def metrics_from_dict(data: dict) -> StreamMetrics:
-    latency = None
-    if data.get("latency_ns"):
-        lat = data["latency_ns"]
-        latency = LatencyStats(
-            min_ns=lat["min"], p50_ns=lat["p50"], p99_ns=lat["p99"],
-            p999_ns=lat["p999"], max_ns=lat["max"],
-        )
+_REQUIRED = object()
+_NUMBER = (int, float)
+# `metrics_to_dict` keys read back under their own name: the required ones
+# with their JSON types, and the optional numbers, which may be null
+_REQUIRED_KEYS = {
+    "stream": str, "sample_count": int, "delivered_count": int,
+    "lost_count": int, "in_flight_count": int, "observed_rate_bps": _NUMBER,
+}
+_OPTIONAL_KEYS = (
+    "size_min", "size_max", "jitter_ns", "max_transfer_interval_ns",
+    "availability", "survival_time_ns",
+)
+
+
+def json_field(data, key: str, types, at: str = "", default=_REQUIRED):
+    """`data[key]` if it is one of `types` (never a bool), `default` if the
+    key is absent. A missing required key, a mistyped value or a `data` that
+    is not an object raises a ValueError naming `at + key`."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{at.rstrip('.') or 'metrics'}: not a JSON object")
+    if key not in data:
+        if default is _REQUIRED:
+            raise ValueError(f"{at}{key}: missing")
+        return default
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"{at}{key}: unexpected {type(value).__name__} {value!r}")
+    return value
+
+
+def metrics_from_dict(data: dict, at: str = "") -> StreamMetrics:
+    """Read back one `metrics_to_dict` entry found at `at` (a key prefix such
+    as "aggregate."); a missing or mistyped key raises a ValueError naming it."""
+    stream_class = json_field(data, "class", str, at)
+    if stream_class not in {c.value for c in StreamClass}:
+        raise ValueError(f"{at}class: unknown stream class {stream_class!r}")
+    fields = {k: json_field(data, k, t, at) for k, t in _REQUIRED_KEYS.items()}
+    for k in _OPTIONAL_KEYS:
+        fields[k] = json_field(data, k, (*_NUMBER, type(None)), at, None)
+    lat = json_field(data, "latency_ns", (dict, type(None)), at, None)
     return StreamMetrics(
-        stream=data["stream"],
-        stream_class=StreamClass(data["class"]),
-        sample_count=data["sample_count"],
-        delivered_count=data["delivered_count"],
-        lost_count=data["lost_count"],
-        in_flight_count=data["in_flight_count"],
-        observed_rate_bps=data["observed_rate_bps"],
-        size_min=data.get("size_min"),
-        size_max=data.get("size_max"),
-        latency=latency,
-        jitter_ns=data.get("jitter_ns"),
-        max_transfer_interval_ns=data.get("max_transfer_interval_ns"),
-        availability=data.get("availability"),
-        availability_windows=data.get("availability_windows", 0),
-        survival_time_ns=data.get("survival_time_ns"),
+        stream_class=StreamClass(stream_class),
+        latency=LatencyStats(*(
+            json_field(lat, k, _NUMBER, f"{at}latency_ns.")
+            for k in ("min", "p50", "p99", "p999", "max")
+        )) if lat else None,
+        availability_windows=json_field(data, "availability_windows", int, at, 0),
+        **fields,
     )
 
 

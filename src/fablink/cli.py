@@ -3,7 +3,8 @@ profiles, and list the built-in profiles and traffic catalog.
 
 Exit codes: 0 success (and, for `check`, no assessed Fail verdict);
 1 a checked dimension failed; 2 bad input (a config or `--seed`/`--horizon`
-value the scenario schema rejects, an unknown profile, or I/O).
+value the scenario schema rejects, an unknown profile, a malformed
+metrics file, or I/O).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import sys
 
 from . import __version__
-from .artifacts import metrics_from_dict, write_artifacts
+from .artifacts import json_field, metrics_from_dict, write_artifacts
 from .compliance import (
     ComplianceReport,
     UnknownProfile,
@@ -150,20 +151,29 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if selection is None:
         selection = "safety" if profile.name == "aspect1" else "aggregate"
 
-    area = tuple(doc["service_area_m"]) if doc.get("service_area_m") else None
+    try:
+        area = json_field(doc, "service_area_m", (list, type(None)), "", None)
+        if area and [type(x) in (int, float) for x in area] != [True, True]:
+            raise ValueError(f"service_area_m: not [width, depth]: {area!r}")
+        jitter = json_field(doc, "jitter_definition", str, "", "p99_minus_min")
+        metrics_list = []
+        if selection in ("safety", "all"):
+            streams = json_field(doc, "streams", dict, "", {})
+            for name in sorted(streams):
+                m = metrics_from_dict(streams[name], f"streams.{name}.")
+                if selection == "all" or m.stream_class is StreamClass.SAFETY_RELEVANT:
+                    metrics_list.append(m)
+        if selection in ("aggregate", "all"):
+            aggregate = json_field(doc, "aggregate", dict)
+            metrics_list.append(metrics_from_dict(aggregate, "aggregate."))
+        floor = json_field(doc, "availability_sample_floor", (int, type(None)),
+                           "", None)
+    except ValueError as exc:
+        print(f"invalid metrics {args.metrics}: {exc}", file=sys.stderr)
+        return 2
     report = ComplianceReport(
-        jitter_definition=doc.get("jitter_definition", "p99_minus_min"),
-        service_area_m=area,
+        jitter_definition=jitter, service_area_m=tuple(area) if area else None
     )
-    metrics_list = []
-    if selection in ("safety", "all"):
-        for name in sorted(doc.get("streams", {})):
-            m = metrics_from_dict(doc["streams"][name])
-            if selection == "all" or m.stream_class is StreamClass.SAFETY_RELEVANT:
-                metrics_list.append(m)
-    if selection in ("aggregate", "all"):
-        metrics_list.append(metrics_from_dict(doc["aggregate"]))
-    floor = doc.get("availability_sample_floor")
     for m in metrics_list:
         report.add(m, profile, sample_floor=floor)
 

@@ -1,9 +1,9 @@
 """Production-flow domain model.
 
-Islands of single-task modules with gated conveyors, docking stations, the
-transport robot, the product digital twin carried on its RFID tag, the
-central handshake controller reading an exported state registry, dynamic
-routing with manual-workstation diversion, and in-transit quality
+Islands of single-task modules on conveyors, docking stations, the transport
+robot, the product digital twin carried on its RFID tag, the readiness
+snapshot the central controller takes each tick and grants transfers from,
+dynamic routing with manual-workstation diversion, and in-transit quality
 inspection with a cloud round trip over the radio link.
 
 The event-driven plant runtime lives in `simulation`; this module holds the
@@ -12,6 +12,7 @@ state types and the decision functions they operate on.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -113,11 +114,6 @@ class ModuleState(Enum):
     FAULT = "fault"
 
 
-class GateState(Enum):
-    OPEN = "open"
-    CLOSED = "closed"
-
-
 @dataclass
 class StationModule:
     """Single-task assembly module on an island conveyor."""
@@ -126,8 +122,6 @@ class StationModule:
     island_id: str
     capability: str
     state: ModuleState = ModuleState.IDLE
-    upstream_gate: GateState = GateState.CLOSED
-    downstream_gate: GateState = GateState.CLOSED
     carrier: str | None = None  # product id physically on the module
 
     @property
@@ -213,89 +207,19 @@ def undock(robot: Robot, station: DockingStation, safety_mgr, now: SimTime) -> N
     safety_mgr.leave(now)
 
 
-# -- state registry and handshake ----------------------------------------------
+# -- readiness snapshot -----------------------------------------------------------
 
 
-@dataclass
-class RegistryEntry:
-    kind: str  # "module" | "dock" | "manual"
-    data: dict
-    updated_at: SimTime
-
-
-class StateRegistry:
-    """Exported state of all modules, docks and the manual station.
-
-    Handshake decisions read only this registry; entries older than the
-    staleness bound are rejected rather than trusted.
-    """
-
-    def __init__(self, staleness_bound_ns: SimTime):
-        self.staleness_bound_ns = staleness_bound_ns
-        self._entries: dict[str, RegistryEntry] = {}
-
-    def publish(self, endpoint: str, kind: str, data: dict, now: SimTime) -> None:
-        self._entries[endpoint] = RegistryEntry(kind, dict(data), now)
-
-    def get(self, endpoint: str) -> RegistryEntry:
-        return self._entries[endpoint]
-
-    def is_stale(self, endpoint: str, now: SimTime) -> bool:
-        return now - self._entries[endpoint].updated_at > self.staleness_bound_ns
-
-
-class DenialReason(Enum):
-    NOT_IDLE = "not_idle"
-    NO_CAPABILITY = "no_capability"
-    STALE = "stale"
-
-
-@dataclass(frozen=True)
-class Granted:
-    to: str
-
-
-@dataclass(frozen=True)
-class Denied:
-    reason: DenialReason
-
-
-def handshake_grant(
-    registry: StateRegistry,
-    product: Product,
-    frm: str,
-    to: str,
-    now: SimTime,
-) -> Granted | Denied:
-    """Central handshake decision for moving `product` from `frm` to `to`.
-
-    Module targets must be idle, empty, and capable of the product's next
-    step. A dock target is the robot leg of a route: it needs the robot
-    docked there with a free carrier tray. The manual workstation can take
-    any product while idle.
-    """
-    entry = registry.get(to)
-    if registry.is_stale(to, now):
-        return Denied(DenialReason.STALE)
-    if entry.kind == "module":
-        if entry.data["state"] != ModuleState.IDLE.value or entry.data.get("carrier"):
-            return Denied(DenialReason.NOT_IDLE)
-        nxt = product.next_step()
-        if nxt is None or entry.data["capability"] != nxt[1]:
-            return Denied(DenialReason.NO_CAPABILITY)
-        return Granted(to)
-    if entry.kind == "dock":
-        if (
-            entry.data["occupancy"] != DockOccupancy.ROBOT_DOCKED.value
-            or entry.data.get("robot_carrier")
-        ):
-            return Denied(DenialReason.NOT_IDLE)
-        return Granted(to)
-    if entry.kind == "manual":
-        if entry.data["state"] != "idle":
-            return Denied(DenialReason.NOT_IDLE)
-        return Granted(to)
-    raise KeyError(f"unknown endpoint kind {entry.kind!r} for {to}")
+def readiness(
+    modules: Iterable[StationModule], docks: Iterable[DockingStation], robot: Robot
+) -> dict[str, bool]:
+    """The plant state that transfer grants read until the next controller
+    tick: each module is free, and each dock has the robot docked there with
+    an empty carrier tray."""
+    return {m.id: m.free for m in modules} | {
+        d.id: d.occupancy is DockOccupancy.ROBOT_DOCKED and robot.carrier is None
+        for d in docks
+    }
 
 
 # -- routing -------------------------------------------------------------------
@@ -311,7 +235,6 @@ class RoutePlan:
 def plan_route(
     product: Product,
     islands: list[Island],
-    robot: Robot,
     transit_s: dict[str, dict[str, float]],
     current_island: str,
     manual_available: bool = True,

@@ -149,7 +149,6 @@ class FactorySection:
     dock_s: float = _f(0.5, ge=0)
     load_s: float = _f(0.5, ge=0)
     tick_ms: float = _f(100.0, ge=1e-3)
-    registry_staleness_ticks: int = _f(3, ge=1)
     defect_probability: float = _f(0.0, ge=0, le=1)
     image_bytes: int = _f(2_000_000, ge=1)
     inference_ms: float = _f(200.0, ge=0)
@@ -403,6 +402,6 @@ def load_scenario(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
+        except (UnicodeDecodeError, yaml.YAMLError) as exc:
             raise ConfigInvalid(f"{path}: {exc}") from None
     return default_scenario() if data is None else scenario_from_dict(data)

@@ -17,11 +17,9 @@ from .compliance import ComplianceReport, StreamMetrics
 from .factory import (
     AtDock,
     AtManualStation,
-    Denied,
     DockOccupancy,
     DockingStation,
     DockRefused,
-    GateState,
     InTransit,
     Island,
     MANUAL_STATION,
@@ -29,13 +27,12 @@ from .factory import (
     Product,
     QualityFlag,
     Robot,
-    StateRegistry,
     StationModule,
     Verdict,
     dock,
-    handshake_grant,
     inspect_in_transit,
     plan_route,
+    readiness,
     undock,
 )
 from .radio_link import LinkRuntime
@@ -160,9 +157,10 @@ class _RobotJob:
 class PlantRuntime:
     """Event-driven production flow around a periodic controller tick.
 
-    Each tick the controller republishes the state registry, routes waiting
-    products through handshake grants (skipping those already queued for the
-    robot that no local module can take), and dispatches the transport robot.
+    Each tick the controller re-takes the readiness snapshot, routes waiting
+    products through grants that read it (skipping those already queued for
+    the robot that no local module can take), and dispatches the transport
+    robot.
     Work in progress is held in pausable timers so safe stops and local
     safety events suspend it without losing progress.
     """
@@ -172,9 +170,7 @@ class PlantRuntime:
         self.engine = sim.engine
         self.cfg = sim.scenario.factory
         self.tick_ns = round(self.cfg.tick_ms * NS_PER_MS)
-        self.registry = StateRegistry(
-            staleness_bound_ns=self.cfg.registry_staleness_ticks * self.tick_ns
-        )
+        self.ready: dict[str, bool] = {}  # module/dock id -> readiness at last tick
         self.islands: dict[str, Island] = {}
         self.modules: dict[str, StationModule] = {}
         self.capable: dict[tuple[str, str], list[StationModule]] = {}
@@ -247,7 +243,7 @@ class PlantRuntime:
                 at, lambda k=k: self._release(f"product{k + 1}", rel.island),
                 module="factory",
             )
-        self._refresh_registry()
+        self.ready = readiness(self.modules.values(), self.docks.values(), self.robot)
         self.engine.schedule_at(self.tick_ns, self._tick, module="factory")
 
     def _release(self, product_id: str, island: str) -> None:
@@ -266,7 +262,7 @@ class PlantRuntime:
     # -- controller tick -----------------------------------------------------
 
     def _tick(self) -> None:
-        self._refresh_registry()
+        self.ready = readiness(self.modules.values(), self.docks.values(), self.robot)
         self.unfinished = [r for r in self.unfinished if r.state != "done"]
         for run in self.unfinished:
             if run.state == "waiting":
@@ -276,47 +272,6 @@ class PlantRuntime:
         nxt = self.engine.now + self.tick_ns
         if nxt <= self.sim.horizon_ns:
             self.engine.schedule_at(nxt, self._tick, module="factory")
-
-    def _refresh_registry(self) -> None:
-        now = self.engine.now
-        for m in self.modules.values():
-            self.registry.publish(
-                m.id,
-                "module",
-                {
-                    "state": m.state.value,
-                    "capability": m.capability,
-                    "carrier": m.carrier,
-                    "island": m.island_id,
-                    "upstream_gate": m.upstream_gate.value,
-                    "downstream_gate": m.downstream_gate.value,
-                },
-                now,
-            )
-        for d in self.docks.values():
-            self.registry.publish(
-                d.id,
-                "dock",
-                {
-                    "occupancy": d.occupancy.value,
-                    "island": d.island_id,
-                    "robot_carrier": (
-                        self.robot.carrier.id
-                        if self.robot.carrier
-                        and isinstance(self.robot.pose, AtDock)
-                        and self.robot.pose.island_id == d.island_id
-                        else None
-                    ),
-                },
-                now,
-            )
-        if self.cfg.manual_station:
-            self.registry.publish(
-                MANUAL_STATION,
-                "manual",
-                {"state": "busy" if self.manual_busy else "idle"},
-                now,
-            )
 
     # -- product advancement ---------------------------------------------------
 
@@ -355,7 +310,6 @@ class PlantRuntime:
             plan = plan_route(
                 product,
                 list(self.islands.values()),
-                self.robot,
                 self.cfg.transit_s,
                 run.island,
                 manual_available=self.cfg.manual_station,
@@ -379,21 +333,14 @@ class PlantRuntime:
                 self.manual_queue.append(run)
                 self._serve_manual()
             return
-        module = self.modules[plan.target]
-        grant = handshake_grant(
-            self.registry, product, run.location, module.id, self.engine.now
-        )
-        if isinstance(grant, Denied):
+        if not self.ready[plan.target]:
             return  # retry next tick
+        module = self.modules[plan.target]
         assert module.carrier is None, "single-occupancy violated"
-        module.upstream_gate = GateState.OPEN
         module.carrier = product.id
-
-        def arrived() -> None:
-            module.upstream_gate = GateState.CLOSED
-            self._begin_service(run, module)
-
-        self._convey(run, module.id, module.island_id, arrived)
+        self._convey(
+            run, module.id, module.island_id, lambda: self._begin_service(run, module)
+        )
 
     def _convey(self, run: _ProductRun, target: str, island_id: str, arrived) -> None:
         """Move `run` on `island_id`'s conveyor from its location to `target`
@@ -401,13 +348,10 @@ class PlantRuntime:
         origin = self.modules.get(run.location)
         if origin is not None:
             origin.carrier = None
-            origin.downstream_gate = GateState.OPEN
         run.state = "moving"
         self._log(run, "transfer_start", f"{run.location}->{target}")
 
         def done() -> None:
-            if origin is not None:
-                origin.downstream_gate = GateState.CLOSED
             run.location = target
             arrived()
 
@@ -608,7 +552,7 @@ class PlantRuntime:
         def start(origin: str, duration: SimTime):
             self._log(run, "leg_start", f"{origin}->{dest}")
             timed_out_verdict = None
-            if dest != MANUAL_STATION and self.cfg.image_bytes > 0:
+            if dest != MANUAL_STATION:
                 timed_out_verdict = self._inspect(run, duration)
 
             def arrived() -> None:
@@ -699,10 +643,7 @@ class PlantRuntime:
     def _load_from_island(self, job: _RobotJob) -> None:
         run = job.product_run
         dock_id = self.islands[run.island].docking_station.id
-        grant = handshake_grant(
-            self.registry, run.product, run.location, dock_id, self.engine.now
-        )
-        if isinstance(grant, Denied):
+        if not self.ready[dock_id]:
             return  # retry next tick
         self.robot_busy = True
         self._convey(run, dock_id, run.island, lambda: self._load(job))

@@ -4,12 +4,9 @@ import pytest
 
 from fablink.factory import (
     AtDock,
-    Denied,
-    DenialReason,
     DockOccupancy,
     DockRefused,
     DockingStation,
-    Granted,
     InTransit,
     Island,
     MANUAL_STATION,
@@ -20,19 +17,20 @@ from fablink.factory import (
     ProductMemory,
     QualityFlag,
     Robot,
-    StateRegistry,
     StationModule,
     Verdict,
     dock,
-    handshake_grant,
     inspect_in_transit,
     plan_route,
+    readiness,
     undock,
 )
 from fablink.nr_frame import TtiConfig
 from fablink.radio_link import LinkConfig, default_link_model
 from fablink.safety import LoopState, SafetyLoop, SafetyManager
+from fablink.scenario import scenario_from_dict
 from fablink.sim_core import RngStream
+from fablink.simulation import Simulation
 
 RECIPE = ["engrave", "insert_spring", "mount_cover", "weigh", "optical_inspect"]
 
@@ -103,100 +101,66 @@ def test_fail_flag_sets_rework():
 
 
 # -- handshake ---------------------------------------------------------------------
+# Grants read the readiness snapshot: a module must be free, a dock must have
+# the robot docked there with an empty tray.
 
 
-def make_registry(now=0, staleness=300_000_000) -> StateRegistry:
-    registry = StateRegistry(staleness_bound_ns=staleness)
-    registry.publish(
-        "island1.engrave",
-        "module",
-        {"state": "idle", "capability": "engrave", "carrier": None},
-        now,
+def snapshot(islands, robot=None) -> dict[str, bool]:
+    return readiness(
+        [m for island in islands for m in island.modules],
+        [island.docking_station for island in islands],
+        robot or Robot(),
     )
-    registry.publish(
-        "island1.dock",
-        "dock",
-        {"occupancy": "robot_docked", "robot_carrier": None},
-        now,
-    )
-    registry.publish(MANUAL_STATION, "manual", {"state": "idle"}, now)
-    return registry
 
 
 def test_handshake_grants_idle_capable_module():
-    registry = make_registry()
-    grant = handshake_grant(registry, make_product(), "staging", "island1.engrave", 0)
-    assert isinstance(grant, Granted)
+    assert snapshot(make_islands())["island1.engrave"] is True
 
 
 def test_handshake_denies_busy_module():
-    registry = make_registry()
-    registry.publish(
-        "island1.engrave",
-        "module",
-        {"state": "busy", "capability": "engrave", "carrier": None},
-        0,
-    )
-    grant = handshake_grant(registry, make_product(), "staging", "island1.engrave", 0)
-    assert grant == Denied(DenialReason.NOT_IDLE)
+    islands = make_islands()
+    islands[0].modules[0].state = ModuleState.BUSY
+    assert snapshot(islands)["island1.engrave"] is False
+    islands[0].modules[0].state = ModuleState.FAULT
+    assert snapshot(islands)["island1.engrave"] is False
 
 
 def test_handshake_denies_occupied_module():
-    registry = make_registry()
-    registry.publish(
-        "island1.engrave",
-        "module",
-        {"state": "idle", "capability": "engrave", "carrier": "p9"},
-        0,
-    )
-    grant = handshake_grant(registry, make_product(), "staging", "island1.engrave", 0)
-    assert grant == Denied(DenialReason.NOT_IDLE)
-
-
-def test_handshake_denies_wrong_capability():
-    registry = make_registry()
-    product = make_product(completed=1)  # next step: insert_spring
-    grant = handshake_grant(registry, product, "staging", "island1.engrave", 0)
-    assert grant == Denied(DenialReason.NO_CAPABILITY)
-
-
-def test_handshake_denies_stale_entry():
-    registry = make_registry(now=0, staleness=100)
-    grant = handshake_grant(registry, make_product(), "staging", "island1.engrave", 500)
-    assert grant == Denied(DenialReason.STALE)
+    islands = make_islands()
+    islands[0].modules[0].carrier = "p9"
+    assert snapshot(islands)["island1.engrave"] is False
 
 
 def test_handshake_dock_needs_docked_robot_with_free_tray():
-    registry = make_registry()
-    assert isinstance(
-        handshake_grant(registry, make_product(), "m", "island1.dock", 0), Granted
-    )
-    registry.publish(
-        "island1.dock", "dock", {"occupancy": "free", "robot_carrier": None}, 0
-    )
-    assert handshake_grant(
-        registry, make_product(), "m", "island1.dock", 0
-    ) == Denied(DenialReason.NOT_IDLE)
-    registry.publish(
-        "island1.dock",
-        "dock",
-        {"occupancy": "robot_docked", "robot_carrier": "p2"},
-        0,
-    )
-    assert handshake_grant(
-        registry, make_product(), "m", "island1.dock", 0
-    ) == Denied(DenialReason.NOT_IDLE)
+    islands = make_islands()
+    robot = Robot()
+    assert snapshot(islands, robot)["island1.dock"] is False  # no robot docked
+    islands[0].docking_station.occupancy = DockOccupancy.ROBOT_DOCKED
+    robot.pose = AtDock("island1")
+    ready = snapshot(islands, robot)
+    assert ready["island1.dock"] is True and ready["island2.dock"] is False
+    robot.carrier = make_product()
+    assert snapshot(islands, robot)["island1.dock"] is False
 
 
-def test_handshake_manual_station():
-    registry = make_registry()
-    assert isinstance(
-        handshake_grant(registry, make_product(), "m", MANUAL_STATION, 0), Granted
-    )
-    registry.publish(MANUAL_STATION, "manual", {"state": "busy"}, 0)
-    assert handshake_grant(
-        registry, make_product(), "m", MANUAL_STATION, 0
-    ) == Denied(DenialReason.NOT_IDLE)
+def test_handshake_waits_for_the_tick_after_a_module_is_freed():
+    # island1.engrave faults at 0 s, so the 0.1 s tick snapshots it busy; it
+    # clears at 0.15 s and product1 arrives at 0.16 s. The routing plan reads
+    # the live plant and targets the module, but the grant reads the
+    # snapshot: the transfer starts at the 0.2 s tick, not on arrival.
+    result = Simulation(scenario_from_dict({
+        "horizon_s": 1.0,
+        "traffic": {"catalog": []},
+        "safety": {"enabled": False},
+        "factory": {"releases": {"count": 1, "start_s": 0.16}},
+        "script": [
+            {"at_s": 0.0, "action": "module_fault", "endpoint": "island1.engrave"},
+            {"at_s": 0.15, "action": "module_clear", "endpoint": "island1.engrave"},
+        ],
+    })).run()
+    transfer = next(e for e in result.product_log if e.event == "transfer_start")
+    assert transfer.detail.endswith("->island1.engrave")
+    assert transfer.at == 200_000_000
 
 
 # -- routing -----------------------------------------------------------------------
@@ -204,7 +168,7 @@ def test_handshake_manual_station():
 
 def test_route_on_current_island_has_no_robot_legs():
     islands = make_islands()
-    plan = plan_route(make_product(), islands, Robot(), TRANSIT, "island1")
+    plan = plan_route(make_product(), islands, TRANSIT, "island1")
     assert plan.target == "island1.engrave"
     assert plan.target_island == "island1"
     assert not plan.needs_robot
@@ -213,7 +177,7 @@ def test_route_on_current_island_has_no_robot_legs():
 def test_route_to_other_island_uses_dock_transit_dock():
     islands = make_islands()
     product = make_product(completed=4)  # next: optical_inspect on island3
-    plan = plan_route(product, islands, Robot(), TRANSIT, "island1")
+    plan = plan_route(product, islands, TRANSIT, "island1")
     assert plan.needs_robot
     assert plan.target == "island3.optical_inspect"
     assert plan.target_island == "island3"
@@ -227,7 +191,7 @@ def test_route_picks_nearest_capable_island_exhaustively():
     islands[2].modules.append(extra)
     product = make_product(completed=2)  # next: mount_cover (islands 2 and 3)
     for start in ("island1", "island2", "island3"):
-        plan = plan_route(product, islands, Robot(), TRANSIT, start)
+        plan = plan_route(product, islands, TRANSIT, start)
         candidates = {
             island.id: (0.0 if island.id == start else TRANSIT[start][island.id])
             for island in islands
@@ -244,7 +208,7 @@ def test_route_diverts_to_manual_on_fail_flag():
     islands = make_islands()
     product = make_product(completed=2)
     product.memory.record_quality(QualityFlag(1, "insert_spring", Verdict.FAIL, 5))
-    plan = plan_route(product, islands, Robot(), TRANSIT, "island2")
+    plan = plan_route(product, islands, TRANSIT, "island2")
     assert plan.target == MANUAL_STATION
     assert plan.needs_robot
 
@@ -254,7 +218,7 @@ def test_route_diverts_to_manual_when_everything_busy():
     for island in islands:
         for module in island.modules:
             module.state = ModuleState.BUSY
-    plan = plan_route(make_product(), islands, Robot(), TRANSIT, "island1")
+    plan = plan_route(make_product(), islands, TRANSIT, "island1")
     assert plan.target == MANUAL_STATION
 
 
@@ -262,7 +226,7 @@ def test_route_raises_without_capability_or_manual():
     islands = make_islands()
     product = Product(id="p", order_config=["polish"])
     with pytest.raises(NoRouteAvailable):
-        plan_route(product, islands, Robot(), TRANSIT, "island1",
+        plan_route(product, islands, TRANSIT, "island1",
                    manual_available=False)
 
 
@@ -271,7 +235,7 @@ def test_route_to_manual_requires_manual_station():
     product = make_product(completed=2)
     product.memory.record_quality(QualityFlag(1, "insert_spring", Verdict.FAIL, 5))
     with pytest.raises(NoRouteAvailable):
-        plan_route(product, islands, Robot(), TRANSIT, "island2",
+        plan_route(product, islands, TRANSIT, "island2",
                    manual_available=False)
 
 

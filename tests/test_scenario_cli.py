@@ -44,11 +44,13 @@ def test_unknown_nested_key_rejected():
         ({"nr": {"bwp_carrier_prb": 100, "bwp_parts": []}}, "nr"),
         ({"radio": {"carrier_freq_mhz": 3500}}, "carrier_freq_mhz"),
         ({"radio": {"bandwidth_mhz": 10}}, "bandwidth_mhz"),
+        ({"factory": {"registry_staleness_ticks": 3}}, "registry_staleness_ticks"),
     ],
-    ids=["nr", "carrier_freq_mhz", "bandwidth_mhz"],
+    ids=["nr", "carrier_freq_mhz", "bandwidth_mhz", "registry_staleness_ticks"],
 )
 def test_removed_nr_and_radio_keys_are_unknown(data, key):
-    # the simulation never read them; radio.tti_us is the one TTI setting
+    # the simulation never read them (radio.tti_us is the one TTI setting),
+    # and a snapshot retaken every tick is never stale
     with pytest.raises(ConfigInvalid) as err:
         scenario_from_dict(data)
     assert "unknown key" in str(err.value) and key in str(err.value)
@@ -164,6 +166,42 @@ def test_cli_run_unknown_channel_exits_2_without_traceback(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "MARS9" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["run", "config dump"])
+def test_cli_non_utf8_config_exits_2_naming_the_file(tmp_path, capsys, command):
+    config = tmp_path / "latin1.yaml"
+    config.write_bytes("seed: 1\n# caf\u00e9\n".encode("latin-1"))
+    with pytest.raises(ConfigInvalid, match="latin1.yaml"):
+        load_scenario(str(config))
+    out = ["--out", str(tmp_path / "out")] if command == "run" else []
+    assert _run_cli(*command.split(), "--config", str(config), *out) == 2
+    err = capsys.readouterr().err
+    assert "latin1.yaml" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "doc, profile, key",
+    [
+        ({}, "aspect2", "aggregate"),
+        ([], "aspect1", "not a JSON object"),
+        ({"streams": {"pnio": {"stream": "pnio"}}}, "aspect1", "streams.pnio.class"),
+        ({"aggregate": {"class": "safety", "stream": "a", "sample_count": "many"}},
+         "aspect2", "aggregate.sample_count"),
+        ({"service_area_m": [200]}, "aspect1", "service_area_m"),
+    ],
+    ids=["empty_object", "list", "stream_without_class", "mistyped_count",
+         "short_area"],
+)
+def test_cli_check_malformed_metrics_exits_2(tmp_path, capsys, doc, profile, key):
+    # exit 1 means a checked dimension failed; a broken file is bad input
+    metrics = tmp_path / "metrics.json"
+    metrics.write_text(json.dumps(doc), encoding="utf-8")
+    assert _run_cli("check", str(metrics), "--profile", profile) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
 
 

@@ -184,6 +184,9 @@ DEFECTS = {
     ),
     "script_null": ({"script": None}, "script"),
     "section_null": ({"radio": None}, "radio"),
+    "removed_staleness_knob": (
+        {"factory": {"registry_staleness_ticks": 3}}, "factory",
+    ),
     "non_string_key": ({"factory": {"service_overrides": {1: 2.0}}},
                        "factory.service_overrides key"),
 }
