@@ -1,10 +1,11 @@
 """Command-line driver: run scenarios, check metrics against requirement
 profiles, and list the built-in profiles and traffic catalog.
 
-Exit codes: 0 success (and, for `check`, no assessed Fail verdict);
-1 a checked dimension failed; 2 bad input (a config or `--seed`/`--horizon`
-value the scenario schema rejects, an unknown profile, a malformed
-metrics file, or I/O).
+Exit codes: 0 success (and, for `check`, at least one assessed verdict and
+no Fail); 1 a checked dimension failed; 2 bad input (a config or
+`--seed`/`--horizon` value the scenario schema rejects, an unknown profile,
+a malformed metrics file, a metrics file in which `check` assesses nothing,
+or I/O).
 """
 
 from __future__ import annotations
@@ -176,6 +177,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     )
     for m in metrics_list:
         report.add(m, profile, sample_floor=floor)
+    if report.pass_count + report.fail_count == 0:
+        print(f"nothing assessed: no {profile.name} verdict for the {selection} "
+              f"streams of {args.metrics}", file=sys.stderr)
+        return 2
 
     print(report.render_table())
     print(

@@ -1,10 +1,16 @@
 """Production-flow domain model.
 
-Islands of single-task modules on conveyors, docking stations, the transport
-robot, the product digital twin carried on its RFID tag, the readiness
-snapshot the central controller takes each tick and grants transfers from,
-dynamic routing with manual-workstation diversion, and in-transit quality
-inspection with a cloud round trip over the radio link.
+Islands of single-task modules on conveyors, each with a docking station,
+the transport robot, the product digital twin carried on its RFID tag, the
+readiness snapshot the central controller takes each tick and grants
+transfers from, dynamic routing with manual-workstation diversion, and
+in-transit quality inspection with a cloud round trip over the radio link.
+
+The robot's pose is the one record of where it is: docked at an island,
+hovering at one (arrived, not docked), in transit, or at the manual
+workstation. A dock is ready exactly when the robot is docked there with an
+empty tray. Its safety-loop membership and its local guard belong to
+`safety.SafetyManager`.
 
 The event-driven plant runtime lives in `simulation`; this module holds the
 state types and the decision functions they operate on.
@@ -12,7 +18,7 @@ state types and the decision functions they operate on.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -31,7 +37,7 @@ class NoRouteAvailable(RuntimeError):
 
 
 class DockRefused(RuntimeError):
-    """Docking attempt at an occupied station or a safe-stopped island."""
+    """Docking attempt at a safe-stopped island."""
 
 
 # -- product digital twin ----------------------------------------------------
@@ -130,25 +136,15 @@ class StationModule:
         return self.state is ModuleState.IDLE and self.carrier is None
 
 
-class DockOccupancy(Enum):
-    FREE = "free"
-    ROBOT_DOCKED = "robot_docked"
-
-
-@dataclass
-class DockingStation:
-    id: str
-    island_id: str
-    occupancy: DockOccupancy = DockOccupancy.FREE
-
-
 @dataclass
 class Island:
     id: str
     modules: list[StationModule]
-    docking_station: DockingStation
     safety_loop_id: str
-    color: str = ""
+
+    @property
+    def dock_id(self) -> str:
+        return f"{self.id}.dock"
 
 
 # -- robot --------------------------------------------------------------------
@@ -156,6 +152,13 @@ class Island:
 
 @dataclass(frozen=True)
 class AtDock:
+    island_id: str
+
+
+@dataclass(frozen=True)
+class Hovering:
+    """Arrived at the island, not docked."""
+
     island_id: str
 
 
@@ -170,55 +173,36 @@ class AtManualStation:
     pass
 
 
-RobotPose = AtDock | InTransit | AtManualStation
+RobotPose = AtDock | Hovering | InTransit | AtManualStation
 
 
 @dataclass
 class Robot:
-    id: str = "robot"
     pose: RobotPose = InTransit("depot", "depot")
     carrier: Product | None = None
-    affiliation_color: str = ""
     home_island: str = ""
 
 
-def dock(robot: Robot, station: DockingStation, island: Island, safety_mgr,
-         now: SimTime) -> None:
-    """Dock the robot: it joins the island's safety loop and signals its
-    affiliation with the island's color."""
+def dock(robot: Robot, island: Island, safety_mgr, now: SimTime) -> None:
+    """Dock the robot: it joins the island's safety loop. Undocking is
+    `safety_mgr.leave`; the pose changes when the robot departs."""
     from .safety import LoopState
 
-    if station.occupancy is DockOccupancy.ROBOT_DOCKED:
-        raise DockRefused(f"station {station.id} is occupied")
-    loop = safety_mgr.loops[island.safety_loop_id]
-    if loop.state is LoopState.SAFE_STOP:
+    if safety_mgr.loops[island.safety_loop_id].state is LoopState.SAFE_STOP:
         raise DockRefused(f"island {island.id} is in safe stop")
-    station.occupancy = DockOccupancy.ROBOT_DOCKED
     robot.pose = AtDock(island.id)
-    robot.affiliation_color = island.color or island.id
     safety_mgr.join(island.safety_loop_id, now)
-
-
-def undock(robot: Robot, station: DockingStation, safety_mgr, now: SimTime) -> None:
-    """Undock: membership is cleared, the robot's safety behaviour is
-    isolated from the island again."""
-    station.occupancy = DockOccupancy.FREE
-    robot.affiliation_color = ""
-    safety_mgr.leave(now)
 
 
 # -- readiness snapshot -----------------------------------------------------------
 
 
-def readiness(
-    modules: Iterable[StationModule], docks: Iterable[DockingStation], robot: Robot
-) -> dict[str, bool]:
+def readiness(islands: Collection[Island], robot: Robot) -> dict[str, bool]:
     """The plant state that transfer grants read until the next controller
     tick: each module is free, and each dock has the robot docked there with
     an empty carrier tray."""
-    return {m.id: m.free for m in modules} | {
-        d.id: d.occupancy is DockOccupancy.ROBOT_DOCKED and robot.carrier is None
-        for d in docks
+    return {m.id: m.free for i in islands for m in i.modules} | {
+        i.dock_id: robot.pose == AtDock(i.id) and robot.carrier is None for i in islands
     }
 
 

@@ -5,6 +5,10 @@ channel between the robot's bus coupler and the central safety PLC riding
 the radio link, watchdog supervision of PDU receipt, and robot-local guard
 sensors that work regardless of network state.
 
+`SafetyManager` is the one owner of the robot's safety state: the loop it
+belongs to while docked (`robot_membership`) and its local guard (`local`).
+Every change of either goes through the manager, which logs it.
+
 The watchdog is a timer reset by every PDU delivery on the channel: it trips
 exactly when a delivery-free window of the watchdog length completes. The
 per-cycle miss counter is kept alongside for diagnostics and logging.
@@ -55,7 +59,7 @@ class UnknownEndpoint(KeyError):
 class SafetyLoop:
     id: str
     island_id: str
-    members: set[str] = field(default_factory=set)
+    members: set[str] = field(default_factory=set)  # the island's endpoints
     state: LoopState = LoopState.RUNNING
 
 
@@ -70,60 +74,21 @@ class LoopTransition:
     consecutive_missed: int = 0
 
 
-@dataclass
-class LocalSafety:
-    """Robot-local guard state; active in every pose, independent of the link."""
-
-    robot_id: str
-    state: LocalSafetyState = LocalSafetyState.CLEAR
-    latched: bool = False
-
-
-def local_guard(
-    local: LocalSafety, sensor: SensorKind, detected: bool
-) -> LocalSafetyState:
-    """Apply one sensor reading.
-
-    Laser/infrared detections pause motion (Obstructed) and clear again when
-    the reading clears; a bumper contact latches EmergencyStop until an
-    explicit reset. Link state never enters into these transitions.
-    """
-    if sensor is SensorKind.BUMPER:
-        if detected:
-            local.state = LocalSafetyState.EMERGENCY_STOP
-            local.latched = True
-        return local.state
-    if local.latched:
-        return local.state
-    if detected:
-        local.state = LocalSafetyState.OBSTRUCTED
-    elif local.state is LocalSafetyState.OBSTRUCTED:
-        local.state = LocalSafetyState.CLEAR
-    return local.state
-
-
-def reset_local(local: LocalSafety) -> LocalSafetyState:
-    local.latched = False
-    local.state = LocalSafetyState.CLEAR
-    return local.state
-
-
 class SafetyManager:
-    """Owns the island loops, the robot's loop membership, and the safety
-    event log. Halt/resume side effects are injected as callbacks so the
-    plant runtime stays decoupled."""
+    """Owns the island loops, the robot's loop membership and local guard,
+    and the safety event log. Halt/resume side effects are injected as
+    callbacks so the plant runtime stays decoupled."""
 
     def __init__(
         self,
         loops: list[SafetyLoop],
-        robot_id: str = "robot",
         on_safe_stop: Callable[[SafetyLoop], None] | None = None,
         on_resume: Callable[[SafetyLoop], None] | None = None,
-        on_robot_stop: Callable[[], None] | None = None,
+        on_local: Callable[[], None] | None = None,
     ):
         self.loops = {loop.id: loop for loop in loops}
-        self.robot_id = robot_id
         self.robot_membership: str | None = None
+        self.local = LocalSafetyState.CLEAR
         self.log: list[LoopTransition] = []
         self._endpoint_loop: dict[str, str] = {}
         for loop in loops:
@@ -131,28 +96,14 @@ class SafetyManager:
                 self._endpoint_loop[member] = loop.id
         self._on_safe_stop = on_safe_stop or (lambda loop: None)
         self._on_resume = on_resume or (lambda loop: None)
-        self._on_robot_stop = on_robot_stop or (lambda: None)
+        self._on_local = on_local or (lambda: None)
 
-    def loop_of(self, endpoint: str) -> SafetyLoop | None:
-        if endpoint == self.robot_id:
-            if self.robot_membership is None:
-                return None
-            return self.loops[self.robot_membership]
-        loop_id = self._endpoint_loop.get(endpoint)
-        return self.loops[loop_id] if loop_id else None
-
-    def join(self, island_loop_id: str, now: SimTime) -> SafetyLoop:
+    def join(self, island_loop_id: str, now: SimTime) -> None:
         """Insert the robot into an island's loop (on docking)."""
-        loop = self.loops[island_loop_id]
-        loop.members.add(self.robot_id)
         self.robot_membership = island_loop_id
-        return loop
 
     def leave(self, now: SimTime) -> None:
         """Isolate the robot's safety behaviour again (on undocking)."""
-        if self.robot_membership is None:
-            return
-        self.loops[self.robot_membership].members.discard(self.robot_id)
         self.robot_membership = None
 
     def safe_stop(
@@ -169,28 +120,22 @@ class SafetyManager:
     def estop(self, source: str, now: SimTime) -> list[LoopTransition]:
         """Emergency stop from `source`: confined to the source's own loop.
 
-        An undocked robot stops only locally; a docked robot stops the loop
-        it is currently a member of (and itself).
+        The robot's e-stop (source "robot") latches its local guard, logged
+        even when already latched; a docked robot also stops its loop.
         """
-        transitions: list[LoopTransition] = []
-        if source == self.robot_id:
-            entry = LoopTransition(
-                now, "robot_local", LocalSafetyState.EMERGENCY_STOP.value, source
-            )
-            self.log.append(entry)
-            transitions.append(entry)
-            self._on_robot_stop()
-            if self.robot_membership is not None:
-                t = self.safe_stop(self.loops[self.robot_membership], source, now)
-                if t:
-                    transitions.append(t)
-            return transitions
-        loop = self.loop_of(source)
-        if loop is None:
-            raise UnknownEndpoint(f"{source} belongs to no safety loop")
-        t = self.safe_stop(loop, source, now)
-        if t:
-            transitions.append(t)
+        if source == "robot":
+            transitions = [self._set_local(LocalSafetyState.EMERGENCY_STOP,
+                                           source, now, log_unchanged=True)]
+            loop_id = self.robot_membership
+        else:
+            transitions = []
+            loop_id = self._endpoint_loop.get(source)
+            if loop_id is None:
+                raise UnknownEndpoint(f"{source} belongs to no safety loop")
+        if loop_id is not None:
+            t = self.safe_stop(self.loops[loop_id], source, now)
+            if t:
+                transitions.append(t)
         return transitions
 
     def reset(self, loop_id: str, now: SimTime) -> LoopTransition:
@@ -199,6 +144,61 @@ class SafetyManager:
         entry = LoopTransition(now, loop.id, "running", "manual_reset")
         self.log.append(entry)
         self._on_resume(loop)
+        return entry
+
+    def watchdog_trip(self, now: SimTime, missed: int) -> LoopTransition | None:
+        """Apply the consequence of a watchdog expiry.
+
+        Docked robot: the island loop it is a member of safe-stops. Undocked,
+        the robot's safety behaviour is isolated: the expiry is logged but
+        the local guard never reacts to link state.
+        """
+        if self.robot_membership is not None:
+            return self.safe_stop(
+                self.loops[self.robot_membership], "watchdog", now, missed
+            )
+        entry = LoopTransition(
+            now, "robot_isolated", "watchdog_trip", "watchdog", missed
+        )
+        self.log.append(entry)
+        return entry
+
+    # -- robot-local guard: active in every pose, independent of the link ----
+
+    def sense(self, sensor: SensorKind, detected: bool, now: SimTime) -> None:
+        """Apply one guard sensor reading.
+
+        Laser/infrared detections pause motion (Obstructed) and clear again
+        when the reading clears; a bumper contact latches EmergencyStop until
+        `reset_local`. Link state never enters into these transitions.
+        """
+        state = self.local
+        if state is not LocalSafetyState.EMERGENCY_STOP:
+            if sensor is SensorKind.BUMPER:
+                if detected:
+                    state = LocalSafetyState.EMERGENCY_STOP
+            elif detected:
+                state = LocalSafetyState.OBSTRUCTED
+            elif state is LocalSafetyState.OBSTRUCTED:
+                state = LocalSafetyState.CLEAR
+        self._set_local(state, sensor.value, now)
+
+    def reset_local(self, now: SimTime) -> None:
+        """Clear the local guard, a latched EmergencyStop included."""
+        self._set_local(LocalSafetyState.CLEAR, "manual_reset", now)
+
+    def _set_local(
+        self, state: LocalSafetyState, cause: str, now: SimTime,
+        log_unchanged: bool = False,
+    ) -> LoopTransition | None:
+        """Set the local guard, log a `robot_local` row when it changes (or
+        always, with `log_unchanged`), then tell the plant."""
+        entry = None
+        if state is not self.local or log_unchanged:
+            self.local = state
+            entry = LoopTransition(now, "robot_local", state.value, cause)
+            self.log.append(entry)
+        self._on_local()
         return entry
 
 
@@ -210,7 +210,6 @@ class SafetyChannelConfig:
     watchdog_ns: SimTime = 12_000_000
     pdu_bytes_up: int = 60  # coupler -> PLC
     pdu_bytes_down: int = 64  # PLC -> coupler
-    retry_at_tti: bool = True
     stream_up: str = "pnio_coupler_to_plc"
     stream_down: str = "pnio_plc_to_coupler"
 
@@ -304,14 +303,11 @@ class SafetyChannel:
                 delivered, self._on_delivered, module="safety", lane=LANE_NORMAL
             )
             return False
-        if self.config.retry_at_tti:
-            retry_at = sent_at + self.link.config.tti.duration_ns
-            if retry_at < cycle_end and retry_at <= self._horizon:
-                self.engine.schedule_at(
-                    retry_at,
-                    lambda: self._attempt(record, cycle_end),
-                    module="safety",
-                )
+        retry_at = sent_at + self.link.config.tti.duration_ns
+        if retry_at < cycle_end and retry_at <= self._horizon:
+            self.engine.schedule_at(
+                retry_at, lambda: self._attempt(record, cycle_end), module="safety"
+            )
         return True
 
     def _on_delivered(self) -> None:
@@ -345,22 +341,3 @@ class SafetyChannel:
             self.supervising = True
             self._arm_watchdog()
 
-
-def watchdog_trip(
-    manager: SafetyManager,
-    loop: SafetyLoop | None,
-    cause: str,
-    now: SimTime,
-    missed: int,
-) -> LoopTransition | None:
-    """Apply the consequence of a watchdog expiry.
-
-    Docked robot: the island loop it is a member of safe-stops. Undocked,
-    the robot's safety behaviour is isolated: the expiry is logged but local
-    safety never reacts to link state.
-    """
-    if loop is not None:
-        return manager.safe_stop(loop, cause, now, missed)
-    entry = LoopTransition(now, "robot_isolated", "watchdog_trip", cause, missed)
-    manager.log.append(entry)
-    return entry

@@ -2,9 +2,10 @@
 
 The section dataclasses are the one description of the YAML format: one
 walker reads their type hints and per-field bounds to parse, check and dump
-it. Unknown keys are rejected, a bool is never a number, every error names
-its field (e.g. `factory.islands[1].capabilities[0]`), checks that span
-fields run at load time, and a dumped config re-parses to an equal scenario.
+it. Unknown and duplicated keys are rejected, a bool is never a number,
+every error names its field (e.g. `factory.islands[1].capabilities[0]`),
+checks that span fields run at load time, and a dumped config re-parses to
+an equal scenario.
 """
 
 from __future__ import annotations
@@ -156,7 +157,6 @@ class FactorySection:
     manual_rework_s: float = _f(4.0, ge=0)
     manual_station: bool = True
     robot_home: str = "island1"
-    robot_return_home: bool = True
     releases: ReleaseSpec = _f(factory=ReleaseSpec)
 
     def __post_init__(self):
@@ -180,7 +180,6 @@ class SafetySection:
     enabled: bool = True
     cycle_hz: float = _f(246.19, ge=1e-6, le=NS_PER_S)
     watchdog_ms: float = _f(12.0, ge=0)
-    retry_at_tti: bool = True
     pdu_bytes_up: int = _f(60, ge=1)
     pdu_bytes_down: int = _f(64, ge=1)
 
@@ -194,7 +193,7 @@ class SafetySection:
             (up.rate_hz, up.payload_bytes, down.payload_bytes) if up and down
             else (self.cycle_hz, self.pdu_bytes_up, self.pdu_bytes_down))
         return SafetyChannelConfig(rate, round(self.watchdog_ms * NS_PER_MS),
-                                   size_up, size_down, self.retry_at_tti)
+                                   size_up, size_down)
 
 
 @dataclass
@@ -398,9 +397,27 @@ def dump_scenario(scn: Scenario) -> str:
     return yaml.safe_dump(scenario_to_dict(scn), sort_keys=False)
 
 
+def _check_unique_keys(node, path: str) -> None:
+    """Reject a mapping that repeats a key, which YAML loading would
+    otherwise resolve silently to the last value."""
+    if isinstance(node, yaml.MappingNode):
+        seen = set()
+        for key_node, value_node in node.value:
+            sub = f"{path}.{key_node.value}" if path else str(key_node.value)
+            if sub in seen:
+                _fail(sub, f"duplicate key (line {key_node.start_mark.line + 1})")
+            seen.add(sub)
+            _check_unique_keys(value_node, sub)
+    elif isinstance(node, yaml.SequenceNode):
+        for i, item in enumerate(node.value):
+            _check_unique_keys(item, f"{path}[{i}]")
+
+
 def load_scenario(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         try:
+            _check_unique_keys(yaml.compose(fh, Loader=yaml.SafeLoader), "")
+            fh.seek(0)
             data = yaml.safe_load(fh)
         except (UnicodeDecodeError, yaml.YAMLError) as exc:
             raise ConfigInvalid(f"{path}: {exc}") from None

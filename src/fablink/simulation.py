@@ -17,9 +17,8 @@ from .compliance import ComplianceReport, StreamMetrics
 from .factory import (
     AtDock,
     AtManualStation,
-    DockOccupancy,
-    DockingStation,
     DockRefused,
+    Hovering,
     InTransit,
     Island,
     MANUAL_STATION,
@@ -33,20 +32,15 @@ from .factory import (
     inspect_in_transit,
     plan_route,
     readiness,
-    undock,
 )
 from .radio_link import LinkRuntime
 from .safety import (
-    LocalSafety,
     LocalSafetyState,
     LoopState,
     SafetyChannel,
     SafetyLoop,
     SafetyManager,
     SensorKind,
-    local_guard,
-    reset_local,
-    watchdog_trip,
 )
 from .scenario import Scenario
 from .sim_core import (
@@ -174,7 +168,6 @@ class PlantRuntime:
         self.islands: dict[str, Island] = {}
         self.modules: dict[str, StationModule] = {}
         self.capable: dict[tuple[str, str], list[StationModule]] = {}
-        self.docks: dict[str, DockingStation] = {}
         loops = []
         for spec in self.cfg.islands:
             loop_id = f"{spec.id}.loop"
@@ -184,16 +177,9 @@ class PlantRuntime:
                 )
                 for cap in spec.capabilities
             ]
-            dock_station = DockingStation(id=f"{spec.id}.dock", island_id=spec.id)
-            island = Island(
-                id=spec.id,
-                modules=modules,
-                docking_station=dock_station,
-                safety_loop_id=loop_id,
-                color=spec.id,
+            self.islands[spec.id] = Island(
+                id=spec.id, modules=modules, safety_loop_id=loop_id
             )
-            self.islands[spec.id] = island
-            self.docks[dock_station.id] = dock_station
             for m in modules:
                 self.modules[m.id] = m
                 self.capable.setdefault((spec.id, m.capability), []).append(m)
@@ -206,13 +192,11 @@ class PlantRuntime:
             )
         self.loops = loops
         self.robot = Robot(home_island=self.cfg.robot_home)
-        self.local_safety = LocalSafety(robot_id=self.robot.id)
         self.manual_queue: deque[_ProductRun] = deque()
         self.manual_busy = False
         self.unfinished: list[_ProductRun] = []  # release order, pruned each tick
         self.jobs: deque[_RobotJob] = deque()
         self.robot_busy = False
-        self.hover_island: str | None = None
         self._island_timers: dict[str, set[PausableTimer]] = {
             i: set() for i in self.islands
         }
@@ -230,10 +214,7 @@ class PlantRuntime:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
-        home = self.islands[self.robot.home_island]
-        home.docking_station.occupancy = DockOccupancy.ROBOT_DOCKED
-        self.robot.pose = AtDock(home.id)
-        self.sim.safety_mgr.join(home.safety_loop_id, 0)
+        dock(self.robot, self.islands[self.robot.home_island], self.sim.safety_mgr, 0)
         rel = self.cfg.releases
         for k in range(rel.count):
             at = round((rel.start_s + k * rel.interval_s) * NS_PER_S)
@@ -243,7 +224,7 @@ class PlantRuntime:
                 at, lambda k=k: self._release(f"product{k + 1}", rel.island),
                 module="factory",
             )
-        self.ready = readiness(self.modules.values(), self.docks.values(), self.robot)
+        self.ready = readiness(self.islands.values(), self.robot)
         self.engine.schedule_at(self.tick_ns, self._tick, module="factory")
 
     def _release(self, product_id: str, island: str) -> None:
@@ -262,7 +243,7 @@ class PlantRuntime:
     # -- controller tick -----------------------------------------------------
 
     def _tick(self) -> None:
-        self.ready = readiness(self.modules.values(), self.docks.values(), self.robot)
+        self.ready = readiness(self.islands.values(), self.robot)
         self.unfinished = [r for r in self.unfinished if r.state != "done"]
         for run in self.unfinished:
             if run.state == "waiting":
@@ -430,7 +411,7 @@ class PlantRuntime:
     # -- robot -------------------------------------------------------------------
 
     def _dispatch_robot(self) -> None:
-        if self.robot_busy or self.local_safety.state is not LocalSafetyState.CLEAR:
+        if self.robot_busy or self.sim.safety_mgr.local is not LocalSafetyState.CLEAR:
             return
         if self._docked_island_stopped():
             return
@@ -438,26 +419,20 @@ class PlantRuntime:
             # Reposition to the home dock only once the line has drained, so
             # the robot stays with an in-progress product's island otherwise.
             if (
-                self.cfg.robot_return_home
-                and self.robot.carrier is None
+                self.robot.carrier is None
                 and self.stats["released"]
                 and all(r.state == "done" for r in self.unfinished)
             ):
-                pose = self.robot.pose
-                at_home = (
-                    isinstance(pose, AtDock)
-                    and pose.island_id == self.robot.home_island
-                )
-                if not at_home:
-                    if self.hover_island == self.robot.home_island:
-                        self._try_dock(self.robot.home_island)
-                    else:
-                        self._goto(self.robot.home_island)
+                home = self.robot.home_island
+                if self.robot.pose == Hovering(home):
+                    self._try_dock(home)
+                elif self.robot.pose != AtDock(home):
+                    self._goto(home)
             return
         job = self.jobs[0]
         if job.phase == "deliver":
             # carrier aboard; docking at the destination was refused earlier
-            if self.hover_island == job.destination:
+            if self.robot.pose == Hovering(job.destination):
                 self._try_dock(job.destination, then=lambda: self._unload(job))
             return
         run = job.product_run
@@ -470,11 +445,11 @@ class PlantRuntime:
                 run.state = "moving"
                 self._load(job)
             return
-        if isinstance(self.robot.pose, AtDock) and self.robot.pose.island_id == src:
+        if self.robot.pose == AtDock(src):
             if run.state == "waiting":
                 self._load_from_island(job)
             return
-        if self.hover_island == src:
+        if self.robot.pose == Hovering(src):
             self._try_dock(src)
             return
         self._goto(src)
@@ -488,14 +463,11 @@ class PlantRuntime:
         return isinstance(pose, AtDock) and self._island_stopped(pose.island_id)
 
     def _current_node(self) -> str:
+        """Where a leg starts: the robot never starts one in transit."""
         pose = self.robot.pose
-        if isinstance(pose, AtDock):
-            return pose.island_id
         if isinstance(pose, AtManualStation):
             return MANUAL_STATION
-        if self.hover_island is not None:
-            return self.hover_island
-        return self.robot.home_island
+        return pose.island_id
 
     def _leg(self, dest: str, start) -> None:
         """Drive the robot from where it is to `dest`, undocking first when
@@ -507,24 +479,20 @@ class PlantRuntime:
 
         def depart() -> None:
             self.robot.pose = InTransit(origin, dest)
-            self.hover_island = None
             duration = round(self.cfg.transit_s[origin][dest] * NS_PER_S)
             arrived = start(origin, duration)
 
             def arrive() -> None:
-                if dest == MANUAL_STATION:
-                    self.robot.pose = AtManualStation()
-                else:
-                    self.hover_island = dest
+                self.robot.pose = (
+                    AtManualStation() if dest == MANUAL_STATION else Hovering(dest)
+                )
                 arrived()
 
             self._robot_timer(duration, arrive)
 
         if isinstance(self.robot.pose, AtDock):
-            station = self.islands[self.robot.pose.island_id].docking_station
-
             def undock_and_depart() -> None:
-                undock(self.robot, station, self.sim.safety_mgr, self.engine.now)
+                self.sim.safety_mgr.leave(self.engine.now)
                 depart()
 
             self._robot_timer(round(self.cfg.dock_s * NS_PER_S), undock_and_depart)
@@ -620,19 +588,12 @@ class PlantRuntime:
         self.robot_busy = True
 
         def attempt() -> None:
-            island = self.islands[island_id]
             try:
-                dock(
-                    self.robot,
-                    island.docking_station,
-                    island,
-                    self.sim.safety_mgr,
-                    self.engine.now,
-                )
+                dock(self.robot, self.islands[island_id], self.sim.safety_mgr,
+                     self.engine.now)
             except DockRefused:
                 self.robot_busy = False  # retry on a later tick
                 return
-            self.hover_island = None
             if then is not None:
                 then()
             else:
@@ -642,7 +603,7 @@ class PlantRuntime:
 
     def _load_from_island(self, job: _RobotJob) -> None:
         run = job.product_run
-        dock_id = self.islands[run.island].docking_station.id
+        dock_id = self.islands[run.island].dock_id
         if not self.ready[dock_id]:
             return  # retry next tick
         self.robot_busy = True
@@ -677,7 +638,7 @@ class PlantRuntime:
                 self._log(run, "manual_arrival", "")
                 self._serve_manual()
             else:
-                run.location = self.islands[dest].docking_station.id
+                run.location = self.islands[dest].dock_id
                 run.state = "waiting"
                 self._advance(run)
 
@@ -710,11 +671,12 @@ class PlantRuntime:
         self._timer(self._robot_timers, delay, action, self._robot_should_pause())
 
     def _robot_should_pause(self) -> bool:
-        if self.local_safety.state is not LocalSafetyState.CLEAR:
+        if self.sim.safety_mgr.local is not LocalSafetyState.CLEAR:
             return True
         return self._docked_island_stopped()
 
     def update_robot_pause(self) -> None:
+        """Pause or resume the robot's timers to match its guard and dock."""
         if self._robot_should_pause():
             for t in self._robot_timers:
                 t.pause()
@@ -730,33 +692,6 @@ class PlantRuntime:
     def resume_island(self, loop: SafetyLoop) -> None:
         for t in self._island_timers[loop.island_id]:
             t.resume()
-        self.update_robot_pause()
-
-    def apply_sensor(self, sensor: SensorKind, detected: bool) -> None:
-        before = self.local_safety.state
-        after = local_guard(self.local_safety, sensor, detected)
-        if after is not before:
-            self.sim.safety_mgr.log.append(
-                safety_mod.LoopTransition(
-                    self.engine.now, "robot_local", after.value, sensor.value
-                )
-            )
-        self.update_robot_pause()
-
-    def reset_local_safety(self) -> None:
-        before = self.local_safety.state
-        after = reset_local(self.local_safety)
-        if after is not before:
-            self.sim.safety_mgr.log.append(
-                safety_mod.LoopTransition(
-                    self.engine.now, "robot_local", after.value, "manual_reset"
-                )
-            )
-        self.update_robot_pause()
-
-    def force_robot_stop(self) -> None:
-        self.local_safety.state = LocalSafetyState.EMERGENCY_STOP
-        self.local_safety.latched = True
         self.update_robot_pause()
 
 
@@ -789,7 +724,7 @@ class Simulation:
                 loops=plant.loops,
                 on_safe_stop=plant.halt_island,
                 on_resume=plant.resume_island,
-                on_robot_stop=plant.force_robot_stop,
+                on_local=plant.update_robot_pause,
             )
         else:
             self.safety_mgr = SafetyManager(loops=[])
@@ -807,19 +742,13 @@ class Simulation:
                 config=cfg,
                 rng=self.engine.stream("link.safety"),
                 records=self.records,
-                on_trip=self._on_watchdog_trip,
+                on_trip=self.safety_mgr.watchdog_trip,
             )
         self.streams = [
             _StreamRuntime(self, p)
             for p in self.profiles
             if p.name not in channel_streams
         ]
-
-    def _on_watchdog_trip(self, now: SimTime, missed: int) -> None:
-        loop = None
-        if self.safety_mgr.robot_membership is not None:
-            loop = self.safety_mgr.loops[self.safety_mgr.robot_membership]
-        watchdog_trip(self.safety_mgr, loop, "watchdog", now, missed)
 
     # -- scenario script -----------------------------------------------------------
 
@@ -843,15 +772,14 @@ class Simulation:
                 self.safety_mgr.reset(loop_id, now)
             if self.channel:
                 self.channel.rearm(now)
-        elif action.action == "obstacle":
+        elif action.action in ("obstacle", "clear"):
             if self.plant:
-                self.plant.apply_sensor(SensorKind(action.sensor), True)
-        elif action.action == "clear":
-            if self.plant:
-                self.plant.apply_sensor(SensorKind(action.sensor), False)
+                self.safety_mgr.sense(
+                    SensorKind(action.sensor), action.action == "obstacle", now
+                )
         elif action.action == "reset_local":
             if self.plant:
-                self.plant.reset_local_safety()
+                self.safety_mgr.reset_local(now)
         elif action.action == "link_down":
             self.link.up = False
         elif action.action == "link_up":

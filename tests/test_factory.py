@@ -4,9 +4,9 @@ import pytest
 
 from fablink.factory import (
     AtDock,
-    DockOccupancy,
+    AtManualStation,
     DockRefused,
-    DockingStation,
+    Hovering,
     InTransit,
     Island,
     MANUAL_STATION,
@@ -23,7 +23,6 @@ from fablink.factory import (
     inspect_in_transit,
     plan_route,
     readiness,
-    undock,
 )
 from fablink.nr_frame import TtiConfig
 from fablink.radio_link import LinkConfig, default_link_model
@@ -31,6 +30,7 @@ from fablink.safety import LoopState, SafetyLoop, SafetyManager
 from fablink.scenario import scenario_from_dict
 from fablink.sim_core import RngStream
 from fablink.simulation import Simulation
+from test_golden import CASES
 
 RECIPE = ["engrave", "insert_spring", "mount_cover", "weigh", "optical_inspect"]
 
@@ -53,14 +53,7 @@ def make_islands() -> list[Island]:
         modules = [
             StationModule(f"{island_id}.{c}", island_id, c) for c in caps
         ]
-        islands.append(
-            Island(
-                id=island_id,
-                modules=modules,
-                docking_station=DockingStation(f"{island_id}.dock", island_id),
-                safety_loop_id=f"{island_id}.loop",
-            )
-        )
+        islands.append(Island(island_id, modules, f"{island_id}.loop"))
     return islands
 
 
@@ -106,11 +99,7 @@ def test_fail_flag_sets_rework():
 
 
 def snapshot(islands, robot=None) -> dict[str, bool]:
-    return readiness(
-        [m for island in islands for m in island.modules],
-        [island.docking_station for island in islands],
-        robot or Robot(),
-    )
+    return readiness(islands, robot or Robot())
 
 
 def test_handshake_grants_idle_capable_module():
@@ -135,7 +124,8 @@ def test_handshake_dock_needs_docked_robot_with_free_tray():
     islands = make_islands()
     robot = Robot()
     assert snapshot(islands, robot)["island1.dock"] is False  # no robot docked
-    islands[0].docking_station.occupancy = DockOccupancy.ROBOT_DOCKED
+    robot.pose = Hovering("island1")
+    assert snapshot(islands, robot)["island1.dock"] is False  # arrived, not docked
     robot.pose = AtDock("island1")
     ready = snapshot(islands, robot)
     assert ready["island1.dock"] is True and ready["island2.dock"] is False
@@ -250,30 +240,21 @@ def make_safety(islands) -> SafetyManager:
     return SafetyManager(loops)
 
 
-def test_dock_joins_loop_and_signals_affiliation():
+def test_dock_joins_loop_and_leave_isolates_the_robot():
     islands = make_islands()
     mgr = make_safety(islands)
-    robot = Robot(pose=InTransit("island1", "island2"))
-    dock(robot, islands[1].docking_station, islands[1], mgr, 100)
+    robot = Robot(pose=Hovering("island2"))
+    dock(robot, islands[1], mgr, 100)
     assert robot.pose == AtDock("island2")
     assert mgr.robot_membership == "island2.loop"
-    assert robot.affiliation_color == "island2"
-    assert islands[1].docking_station.occupancy is DockOccupancy.ROBOT_DOCKED
-    assert "robot" in mgr.loops["island2.loop"].members
+    assert snapshot(islands, robot)["island2.dock"] is True
 
-    undock(robot, islands[1].docking_station, mgr, 200)
+    mgr.leave(200)
     assert mgr.robot_membership is None
-    assert islands[1].docking_station.occupancy is DockOccupancy.FREE
-    assert "robot" not in mgr.loops["island2.loop"].members
-
-
-def test_dock_refused_when_station_occupied():
-    islands = make_islands()
-    mgr = make_safety(islands)
-    islands[0].docking_station.occupancy = DockOccupancy.ROBOT_DOCKED
-    with pytest.raises(DockRefused):
-        dock(Robot(pose=InTransit("x", "island1")), islands[0].docking_station,
-             islands[0], mgr, 0)
+    robot.pose = InTransit("island2", "island3")  # departure follows undocking
+    assert snapshot(islands, robot)["island2.dock"] is False
+    # membership is the manager's record; no loop lists the robot
+    assert all("robot" not in loop.members for loop in mgr.loops.values())
 
 
 def test_dock_refused_when_island_safe_stopped():
@@ -281,9 +262,39 @@ def test_dock_refused_when_island_safe_stopped():
     mgr = make_safety(islands)
     mgr.estop("island1.engrave", 50)
     assert mgr.loops["island1.loop"].state is LoopState.SAFE_STOP
+    robot = Robot(pose=Hovering("island1"))
     with pytest.raises(DockRefused):
-        dock(Robot(pose=InTransit("x", "island1")), islands[0].docking_station,
-             islands[0], mgr, 60)
+        dock(robot, islands[0], mgr, 60)
+    assert robot.pose == Hovering("island1")
+    assert mgr.robot_membership is None
+
+
+@pytest.mark.parametrize("case", ["plant", "fault_script", "short_transit"])
+def test_membership_and_dock_readiness_follow_the_pose_at_every_tick(case):
+    # the pose is the record of where the robot is: the safety manager's
+    # membership and the tick's dock readiness must agree with it
+    sim = Simulation(scenario_from_dict(CASES[case]))
+    plant, mgr = sim.plant, sim.safety_mgr
+    tick = plant._tick
+    poses: set[type] = set()
+    ready_docks = 0
+
+    def checked_tick() -> None:
+        nonlocal ready_docks
+        tick()
+        pose = plant.robot.pose
+        poses.add(type(pose))
+        for island_id in plant.islands:
+            docked = pose == AtDock(island_id)
+            assert (mgr.robot_membership == f"{island_id}.loop") == docked, pose
+            if plant.ready[f"{island_id}.dock"]:
+                assert docked, (sim.engine.now, pose)
+                ready_docks += 1
+
+    plant._tick = checked_tick
+    sim.run()
+    assert ready_docks
+    assert poses == {AtDock, Hovering, InTransit, AtManualStation}
 
 
 # -- in-transit inspection ------------------------------------------------------------
@@ -348,3 +359,4 @@ def test_inspection_requires_transit_with_carrier():
             Robot(pose=AtDock("island1"), carrier=product), product, model,
             config, RngStream(1, "i"), 0, 10**9, 100, 0, 0.0,
         )
+

@@ -8,7 +8,6 @@ import pytest
 from fablink.nr_frame import TtiConfig
 from fablink.radio_link import BlerCurve, LinkConfig, LinkRuntime, default_link_model
 from fablink.safety import (
-    LocalSafety,
     LocalSafetyState,
     LoopState,
     SafetyChannel,
@@ -17,9 +16,6 @@ from fablink.safety import (
     SafetyManager,
     SensorKind,
     UnknownEndpoint,
-    local_guard,
-    reset_local,
-    watchdog_trip,
 )
 from fablink.sim_core import LANE_SAFETY, NS_PER_MS, NS_PER_S, Engine
 from fablink.traffic import StreamClass
@@ -29,13 +25,13 @@ CYCLE_NS = round(NS_PER_S / CYCLE_HZ)
 WATCHDOG_NS = 12 * NS_PER_MS
 
 
-def make_manager(robot_member: str | None = None) -> SafetyManager:
+def make_manager(robot_member: str | None = None, on_local=None) -> SafetyManager:
     loops = [
         SafetyLoop(f"island{i}.loop", f"island{i}",
                    {f"island{i}.m1", f"island{i}.m2", "safety_plc"})
         for i in (1, 2, 3)
     ]
-    mgr = SafetyManager(loops)
+    mgr = SafetyManager(loops, on_local=on_local)
     if robot_member:
         mgr.join(robot_member, 0)
     return mgr
@@ -44,25 +40,48 @@ def make_manager(robot_member: str | None = None) -> SafetyManager:
 # -- local guard -----------------------------------------------------------------
 
 
+def local_rows(mgr: SafetyManager) -> list[tuple[int, str, str]]:
+    return [(t.at, t.transition, t.cause) for t in mgr.log if t.loop == "robot_local"]
+
+
+def check_obstruction_pauses_and_clears(sensor: SensorKind) -> None:
+    calls = []
+    mgr = make_manager(on_local=lambda: calls.append(mgr.local))
+    mgr.sense(sensor, True, 10)
+    assert mgr.local is LocalSafetyState.OBSTRUCTED
+    mgr.sense(sensor, True, 15)  # no change, no row
+    mgr.sense(sensor, False, 20)
+    assert mgr.local is LocalSafetyState.CLEAR
+    assert local_rows(mgr) == [
+        (10, "obstructed", sensor.value), (20, "clear", sensor.value)
+    ]
+    # the plant hears of every reading, and the manager has set the state first
+    assert calls == [LocalSafetyState.OBSTRUCTED] * 2 + [LocalSafetyState.CLEAR]
+
+
 def test_laser_obstruction_pauses_and_clears():
-    local = LocalSafety("robot")
-    assert local_guard(local, SensorKind.LASER_RANGE, True) is LocalSafetyState.OBSTRUCTED
-    assert local_guard(local, SensorKind.LASER_RANGE, False) is LocalSafetyState.CLEAR
+    check_obstruction_pauses_and_clears(SensorKind.LASER_RANGE)
 
 
 def test_infrared_ring_behaves_like_laser():
-    local = LocalSafety("robot")
-    assert local_guard(local, SensorKind.INFRARED_RING, True) is LocalSafetyState.OBSTRUCTED
-    assert local_guard(local, SensorKind.INFRARED_RING, False) is LocalSafetyState.CLEAR
+    check_obstruction_pauses_and_clears(SensorKind.INFRARED_RING)
 
 
 def test_bumper_latches_until_reset():
-    local = LocalSafety("robot")
-    assert local_guard(local, SensorKind.BUMPER, True) is LocalSafetyState.EMERGENCY_STOP
-    # neither a bumper release nor a clear laser reading unlatches
-    assert local_guard(local, SensorKind.BUMPER, False) is LocalSafetyState.EMERGENCY_STOP
-    assert local_guard(local, SensorKind.LASER_RANGE, False) is LocalSafetyState.EMERGENCY_STOP
-    assert reset_local(local) is LocalSafetyState.CLEAR
+    mgr = make_manager()
+    mgr.sense(SensorKind.BUMPER, True, 10)
+    assert mgr.local is LocalSafetyState.EMERGENCY_STOP
+    # neither a bumper release nor a laser reading changes a latched stop
+    mgr.sense(SensorKind.BUMPER, False, 20)
+    mgr.sense(SensorKind.LASER_RANGE, True, 25)
+    mgr.sense(SensorKind.LASER_RANGE, False, 30)
+    assert mgr.local is LocalSafetyState.EMERGENCY_STOP
+    mgr.reset_local(40)
+    assert mgr.local is LocalSafetyState.CLEAR
+    mgr.reset_local(50)  # already clear: no row
+    assert local_rows(mgr) == [
+        (10, "emergency_stop", "bumper"), (40, "clear", "manual_reset")
+    ]
 
 
 # -- e-stop confinement -------------------------------------------------------------
@@ -81,7 +100,8 @@ def test_docked_robot_estop_stops_its_island():
     transitions = mgr.estop("robot", 100)
     assert mgr.loops["island1.loop"].state is LoopState.SAFE_STOP
     assert mgr.loops["island2.loop"].state is LoopState.RUNNING
-    assert any(t.loop == "island1.loop" for t in transitions)
+    assert [t.loop for t in transitions] == ["robot_local", "island1.loop"]
+    assert mgr.local is LocalSafetyState.EMERGENCY_STOP
 
 
 def test_undocked_robot_estop_is_local_only():
@@ -89,6 +109,14 @@ def test_undocked_robot_estop_is_local_only():
     transitions = mgr.estop("robot", 100)
     assert all(loop.state is LoopState.RUNNING for loop in mgr.loops.values())
     assert transitions[0].loop == "robot_local"
+    assert mgr.local is LocalSafetyState.EMERGENCY_STOP
+    # a repeated robot e-stop is logged again although the guard is latched
+    mgr.estop("robot", 200)
+    assert local_rows(mgr) == [
+        (100, "emergency_stop", "robot"), (200, "emergency_stop", "robot")
+    ]
+    mgr.reset_local(300)
+    assert mgr.local is LocalSafetyState.CLEAR
 
 
 def test_estop_unknown_endpoint():
@@ -149,7 +177,6 @@ def make_channel(
     engine: Engine,
     outages: list[tuple[int, int]] | None = None,
     watchdog_ns: int = WATCHDOG_NS,
-    retry_at_tti: bool = True,
     processing_delay_ns: int = 100_000,
 ):
     """Channel over an ideal link (BLER 0, so no draws) whose `up` switch is
@@ -176,9 +203,7 @@ def make_channel(
     channel = SafetyChannel(
         engine=engine,
         link=link,
-        config=SafetyChannelConfig(
-            cycle_hz=CYCLE_HZ, watchdog_ns=watchdog_ns, retry_at_tti=retry_at_tti
-        ),
+        config=SafetyChannelConfig(cycle_hz=CYCLE_HZ, watchdog_ns=watchdog_ns),
         rng=engine.stream("link.safety"),
         records=records,
         on_trip=lambda now, missed: trips.append((now, missed)),
@@ -250,20 +275,6 @@ def test_retry_at_next_tti_recovers_within_the_cycle():
     assert all(r.sent_at > r.created_at for r in hit)
 
 
-def test_no_retry_mode_loses_the_whole_cycle():
-    engine = Engine(seed=1)
-    cycle_start = round(5 * NS_PER_S / CYCLE_HZ)
-    channel, records, trips = make_channel(
-        engine,
-        outages=[(cycle_start, cycle_start + 125_000)],
-        retry_at_tti=False,
-    )
-    channel.start(100 * NS_PER_MS)
-    engine.run_until(100 * NS_PER_MS)
-    hit = [r for r in records if r.created_at == cycle_start]
-    assert hit and all(r.delivered_at is None for r in hit)
-
-
 def test_watchdog_rearms_after_reset():
     engine = Engine(seed=1)
     channel, records, trips = make_channel(
@@ -329,15 +340,19 @@ def test_watchdog_must_cover_a_cycle():
 
 def test_watchdog_trip_consequence_by_membership():
     mgr = make_manager(robot_member="island2.loop")
-    watchdog_trip(mgr, mgr.loops["island2.loop"], "watchdog", 500, 3)
+    entry = mgr.watchdog_trip(500, 3)
     assert mgr.loops["island2.loop"].state is LoopState.SAFE_STOP
     assert mgr.loops["island1.loop"].state is LoopState.RUNNING
+    assert (entry.loop, entry.cause, entry.consecutive_missed) == (
+        "island2.loop", "watchdog", 3
+    )
 
     isolated = make_manager()
-    entry = watchdog_trip(isolated, None, "watchdog", 500, 3)
+    entry = isolated.watchdog_trip(500, 3)
     # isolated robot: logged only, no loop stop and no local reaction
     assert entry.loop == "robot_isolated"
     assert all(loop.state is LoopState.RUNNING for loop in isolated.loops.values())
+    assert isolated.local is LocalSafetyState.CLEAR
 
 
 def test_channel_records_are_safety_class():

@@ -45,12 +45,16 @@ def test_unknown_nested_key_rejected():
         ({"radio": {"carrier_freq_mhz": 3500}}, "carrier_freq_mhz"),
         ({"radio": {"bandwidth_mhz": 10}}, "bandwidth_mhz"),
         ({"factory": {"registry_staleness_ticks": 3}}, "registry_staleness_ticks"),
+        ({"factory": {"robot_return_home": True}}, "robot_return_home"),
+        ({"safety": {"retry_at_tti": True}}, "retry_at_tti"),
     ],
-    ids=["nr", "carrier_freq_mhz", "bandwidth_mhz", "registry_staleness_ticks"],
+    ids=["nr", "carrier_freq_mhz", "bandwidth_mhz", "registry_staleness_ticks",
+         "robot_return_home", "retry_at_tti"],
 )
 def test_removed_nr_and_radio_keys_are_unknown(data, key):
     # the simulation never read them (radio.tti_us is the one TTI setting),
-    # and a snapshot retaken every tick is never stale
+    # a snapshot retaken every tick is never stale, and the robot always
+    # returns home and a lost safety PDU is always retried
     with pytest.raises(ConfigInvalid) as err:
         scenario_from_dict(data)
     assert "unknown key" in str(err.value) and key in str(err.value)
@@ -182,6 +186,29 @@ def test_cli_non_utf8_config_exits_2_naming_the_file(tmp_path, capsys, command):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["run", "config dump"])
+@pytest.mark.parametrize(
+    "text, key",
+    [("seed: 1\nseed: 7\n", "seed"),
+     ("factory:\n  releases:\n    count: 1\n    count: 2\n",
+      "factory.releases.count")],
+    ids=["top_level", "nested"],
+)
+def test_cli_duplicate_key_exits_2_naming_it(tmp_path, capsys, command, text, key):
+    # YAML loading alone would keep the last value silently
+    config = tmp_path / "scenario.yaml"
+    config.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigInvalid) as err:
+        load_scenario(str(config))
+    assert str(err.value).startswith(f"{key}: duplicate key")
+    out = ["--out", str(tmp_path / "out")] if command == "run" else []
+    assert _run_cli(*command.split(), "--config", str(config), *out) == 2
+    captured = capsys.readouterr()
+    assert f"{key}: duplicate key" in captured.err and "Traceback" not in captured.err
+    assert len(captured.err.strip().splitlines()) == 1 and not captured.out
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "doc, profile, key",
     [
@@ -203,6 +230,25 @@ def test_cli_check_malformed_metrics_exits_2(tmp_path, capsys, doc, profile, key
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_cli_check_with_nothing_to_assess_exits_2(tmp_path, capsys):
+    # a check that assesses no stream says nothing about compliance
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"streams": {}}', encoding="utf-8")
+    config = tmp_path / "scenario.yaml"
+    config.write_text(
+        "horizon_s: 1\ntraffic: {catalog: []}\nsafety: {enabled: false}\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert _run_cli("run", "--config", str(config), "--out", str(out)) == 0
+    for metrics in (empty, out / "metrics.json"):
+        capsys.readouterr()
+        assert _run_cli("check", str(metrics), "--profile", "aspect1") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("nothing assessed: ") and str(metrics) in err
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_cli_check_unknown_profile(tmp_path, capsys):
