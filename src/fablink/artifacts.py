@@ -9,7 +9,8 @@ Frozen formats:
                   (delivered_ns column holds LOST for undelivered packets)
   safety_log.csv  time_ns,loop,transition,cause,consecutive_missed
   products.csv    product,event,time_ns,detail
-  metrics.json    per-stream and aggregate StreamMetrics plus run counters
+  metrics.json    `MetricsDocument`: per-stream and aggregate StreamMetrics
+                  entries (null where nothing was observed) plus run counters
                   (and availability_sample_floor when the config overrides it)
   compliance.json / compliance.txt   verdict rows per (stream, profile)
 """
@@ -18,12 +19,12 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from .compliance import LatencyStats, StreamMetrics
+from .compliance import JITTER_DEFINITION, StreamMetrics
+from .scenario import schema_to_dict
 from .simulation import RunResult
-from .traffic import StreamClass
 
 PACKET_COLUMNS = [
     "stream", "seq", "class", "size_bytes", "created_ns", "sent_ns", "delivered_ns",
@@ -53,106 +54,38 @@ class RunArtifacts:
         ]
 
 
-def metrics_to_dict(m: StreamMetrics) -> dict:
-    return {
-        "stream": m.stream,
-        "class": m.stream_class.value,
-        "sample_count": m.sample_count,
-        "delivered_count": m.delivered_count,
-        "lost_count": m.lost_count,
-        "in_flight_count": m.in_flight_count,
-        "observed_rate_bps": m.observed_rate_bps,
-        "size_min": m.size_min,
-        "size_max": m.size_max,
-        "latency_ns": (
-            {
-                "min": m.latency.min_ns,
-                "p50": m.latency.p50_ns,
-                "p99": m.latency.p99_ns,
-                "p999": m.latency.p999_ns,
-                "max": m.latency.max_ns,
-            }
-            if m.latency
-            else None
-        ),
-        "jitter_ns": m.jitter_ns,
-        "max_transfer_interval_ns": m.max_transfer_interval_ns,
-        "availability": m.availability,
-        "availability_windows": m.availability_windows,
-        "survival_time_ns": m.survival_time_ns,
-    }
+@dataclass
+class MetricsDocument:
+    """The schema of `metrics.json`, read and written by the scenario walker.
+    A run writes every key; `fablink check` needs none but the entries it
+    scores, so the others default to None and only an unknown key is an error."""
 
-
-_REQUIRED = object()
-_NUMBER = (int, float)
-# `metrics_to_dict` keys read back under their own name: the required ones
-# with their JSON types, and the optional numbers, which may be null
-_REQUIRED_KEYS = {
-    "stream": str, "sample_count": int, "delivered_count": int,
-    "lost_count": int, "in_flight_count": int, "observed_rate_bps": _NUMBER,
-}
-_OPTIONAL_KEYS = (
-    "size_min", "size_max", "jitter_ns", "max_transfer_interval_ns",
-    "availability", "survival_time_ns",
-)
-
-
-def json_field(data, key: str, types, at: str = "", default=_REQUIRED):
-    """`data[key]` if it is one of `types` (never a bool), `default` if the
-    key is absent. A missing required key, a mistyped value or a `data` that
-    is not an object raises a ValueError naming `at + key`."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{at.rstrip('.') or 'metrics'}: not a JSON object")
-    if key not in data:
-        if default is _REQUIRED:
-            raise ValueError(f"{at}{key}: missing")
-        return default
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise ValueError(f"{at}{key}: unexpected {type(value).__name__} {value!r}")
-    return value
-
-
-def metrics_from_dict(data: dict, at: str = "") -> StreamMetrics:
-    """Read back one `metrics_to_dict` entry found at `at` (a key prefix such
-    as "aggregate."); a missing or mistyped key raises a ValueError naming it."""
-    stream_class = json_field(data, "class", str, at)
-    if stream_class not in {c.value for c in StreamClass}:
-        raise ValueError(f"{at}class: unknown stream class {stream_class!r}")
-    fields = {k: json_field(data, k, t, at) for k, t in _REQUIRED_KEYS.items()}
-    for k in _OPTIONAL_KEYS:
-        fields[k] = json_field(data, k, (*_NUMBER, type(None)), at, None)
-    lat = json_field(data, "latency_ns", (dict, type(None)), at, None)
-    return StreamMetrics(
-        stream_class=StreamClass(stream_class),
-        latency=LatencyStats(*(
-            json_field(lat, k, _NUMBER, f"{at}latency_ns.")
-            for k in ("min", "p50", "p99", "p999", "max")
-        )) if lat else None,
-        availability_windows=json_field(data, "availability_windows", int, at, 0),
-        **fields,
-    )
+    seed: int | None = None
+    horizon_ns: int | None = None
+    service_area_m: tuple[float, float] | None = None
+    jitter_definition: str | None = field(
+        default=None, metadata={"choices": [JITTER_DEFINITION]})
+    streams: dict[str, StreamMetrics] = field(default_factory=dict)
+    aggregate: StreamMetrics | None = None
+    events_processed: dict[str, int] | None = None
+    factory: dict[str, int] | None = None
+    # written only when the config overrides it, so default runs keep their bytes
+    availability_sample_floor: int | None = field(default=None, metadata={"ge": 1})
 
 
 def build_metrics_document(result: RunResult) -> dict:
     comp = result.scenario.compliance
-    doc = {
-        "seed": result.scenario.seed,
-        "horizon_ns": result.scenario.horizon_ns,
-        "service_area_m": list(comp.service_area_m),
-        "jitter_definition": comp.jitter_definition,
-        "streams": {
-            name: metrics_to_dict(result.stream_metrics[name])
-            for name in result.stream_order
-        },
-        "aggregate": metrics_to_dict(result.aggregate),
-        "events_processed": result.summary.events_processed,
-        "factory": result.factory_stats,
-    }
-    # only when overridden, so runs on the default floor keep their bytes
-    if comp.availability_sample_floor is not None:
-        doc["availability_sample_floor"] = comp.availability_sample_floor
-    return doc
+    return schema_to_dict(MetricsDocument(
+        seed=result.scenario.seed,
+        horizon_ns=result.scenario.horizon_ns,
+        service_area_m=comp.service_area_m,
+        jitter_definition=JITTER_DEFINITION,
+        streams={name: result.stream_metrics[name] for name in result.stream_order},
+        aggregate=result.aggregate,
+        events_processed=result.summary.events_processed,
+        factory=result.factory_stats,
+        availability_sample_floor=comp.availability_sample_floor,
+    ))
 
 
 def write_artifacts(result: RunResult, out_dir: str | Path) -> RunArtifacts:

@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import __version__
-from .artifacts import json_field, metrics_from_dict, write_artifacts
+from .artifacts import MetricsDocument, write_artifacts
 from .compliance import (
     ComplianceReport,
     UnknownProfile,
@@ -29,7 +29,8 @@ from .scenario import (
     dump_scenario,
     load_scenario,
     scenario_from_dict,
-    scenario_to_dict,
+    schema_from_dict,
+    schema_to_dict,
 )
 from .simulation import Simulation
 from .traffic import StreamClass
@@ -100,7 +101,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         # overrides are checked like the config keys they replace
         scenario = scenario_from_dict({
-            **scenario_to_dict(_load(args.config)),
+            **schema_to_dict(_load(args.config)),
             **{k: v for k, v in overrides.items() if v is not None},
         })
     except (ConfigInvalid, OSError) as exc:
@@ -153,30 +154,22 @@ def _cmd_check(args: argparse.Namespace) -> int:
         selection = "safety" if profile.name == "aspect1" else "aggregate"
 
     try:
-        area = json_field(doc, "service_area_m", (list, type(None)), "", None)
-        if area and [type(x) in (int, float) for x in area] != [True, True]:
-            raise ValueError(f"service_area_m: not [width, depth]: {area!r}")
-        jitter = json_field(doc, "jitter_definition", str, "", "p99_minus_min")
-        metrics_list = []
-        if selection in ("safety", "all"):
-            streams = json_field(doc, "streams", dict, "", {})
-            for name in sorted(streams):
-                m = metrics_from_dict(streams[name], f"streams.{name}.")
-                if selection == "all" or m.stream_class is StreamClass.SAFETY_RELEVANT:
-                    metrics_list.append(m)
-        if selection in ("aggregate", "all"):
-            aggregate = json_field(doc, "aggregate", dict)
-            metrics_list.append(metrics_from_dict(aggregate, "aggregate."))
-        floor = json_field(doc, "availability_sample_floor", (int, type(None)),
-                           "", None)
-    except ValueError as exc:
+        if not isinstance(doc, dict):
+            raise ConfigInvalid("not a JSON object")
+        metrics = schema_from_dict(MetricsDocument, doc)
+        with_aggregate = selection in ("aggregate", "all")
+        if with_aggregate and metrics.aggregate is None:
+            raise ConfigInvalid("aggregate: required key is missing")
+    except ConfigInvalid as exc:
         print(f"invalid metrics {args.metrics}: {exc}", file=sys.stderr)
         return 2
-    report = ComplianceReport(
-        jitter_definition=jitter, service_area_m=tuple(area) if area else None
-    )
-    for m in metrics_list:
-        report.add(m, profile, sample_floor=floor)
+    scored = [m for _, m in sorted(metrics.streams.items()) if selection == "all" or (
+        selection == "safety" and m.stream_class is StreamClass.SAFETY_RELEVANT)]
+    if with_aggregate:
+        scored.append(metrics.aggregate)
+    report = ComplianceReport(service_area_m=metrics.service_area_m)
+    for m in scored:
+        report.add(m, profile, sample_floor=metrics.availability_sample_floor)
     if report.pass_count + report.fail_count == 0:
         print(f"nothing assessed: no {profile.name} verdict for the {selection} "
               f"streams of {args.metrics}", file=sys.stderr)

@@ -1,12 +1,11 @@
 """Compliance scoring of per-stream metrics against Rel-16 factory use-case
 requirement profiles (aspects 1 and 2 of the mobile-control-panel use case).
 
-Jitter is scored as (p99 - min) latency by default, switchable to
-(max - min); latency uses p99.9 so one outlier cannot dominate the verdict.
-Availability is the fraction of survival-time windows containing at least
-one delivery, and is reported NotAssessed unless the sample count can
-statistically support the claimed scale (at least 10 / (1 - availability_min)
-packets).
+Jitter is scored as (p99 - min) latency; latency uses p99.9 so one outlier
+cannot dominate the verdict. Availability is the fraction of survival-time
+windows (aspect 1's 12 ms) containing at least one delivery, and is reported
+NotAssessed unless the sample count can statistically support the claimed
+scale (at least 10 / (1 - availability_min) packets).
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import pairwise
 
 from .sim_core import NS_PER_MS, SimTime
 from .traffic import PacketRecord, StreamClass
@@ -78,33 +78,42 @@ def profile_by_name(name: str) -> RequirementProfile:
 
 # -- stream metrics -----------------------------------------------------------
 
+# Scoring conventions: jitter is p99 minus min latency, and availability is
+# counted in windows of aspect 1's survival time.
+JITTER_DEFINITION = "p99_minus_min"
+SURVIVAL_TIME_NS = ASPECT1.survival_time_ns
+
 
 @dataclass
 class LatencyStats:
-    min_ns: SimTime
-    p50_ns: SimTime
-    p99_ns: SimTime
-    p999_ns: SimTime
-    max_ns: SimTime
+    min_ns: SimTime = field(metadata={"key": "min"})
+    p50_ns: SimTime = field(metadata={"key": "p50"})
+    p99_ns: SimTime = field(metadata={"key": "p99"})
+    p999_ns: SimTime = field(metadata={"key": "p999"})
+    max_ns: SimTime = field(metadata={"key": "max"})
 
 
 @dataclass
 class StreamMetrics:
+    """One stream's scoring metrics, and the schema of its `metrics.json`
+    entry: the scenario walker reads and writes it under the metadata keys,
+    with a None written as null."""
+
     stream: str
-    stream_class: StreamClass
+    stream_class: StreamClass = field(metadata={"key": "class"})
     sample_count: int
     delivered_count: int
     lost_count: int
     in_flight_count: int
     observed_rate_bps: float
-    size_min: int | None = None
-    size_max: int | None = None
-    latency: LatencyStats | None = None
-    jitter_ns: SimTime | None = None
-    max_transfer_interval_ns: SimTime | None = None
-    availability: float | None = None
+    size_min: int | None
+    size_max: int | None
+    latency: LatencyStats | None = field(metadata={"key": "latency_ns"})
+    jitter_ns: SimTime | None
+    max_transfer_interval_ns: SimTime | None
+    availability: float | None
+    survival_time_ns: SimTime
     availability_windows: int = 0
-    survival_time_ns: SimTime | None = None
 
 
 def percentile(sorted_values: list[int], pct: float) -> int:
@@ -116,11 +125,7 @@ def percentile(sorted_values: list[int], pct: float) -> int:
 
 
 def collect_stream_metrics(
-    stream: str,
-    records: list[PacketRecord],
-    horizon_ns: SimTime,
-    survival_time_ns: SimTime,
-    jitter_definition: str = "p99_minus_min",
+    stream: str, records: list[PacketRecord], horizon_ns: SimTime
 ) -> StreamMetrics:
     """Fold one stream's packet records into scoring metrics.
 
@@ -133,67 +138,44 @@ def collect_stream_metrics(
         r for r in records
         if r.delivered_at is not None and r.delivered_at <= horizon_ns
     ]
-    lost = [r for r in records if r.delivered_at is None]
-    in_flight = len(records) - len(delivered) - len(lost)
-    cls = records[0].stream_class if records else StreamClass.NON_SAFETY_RELEVANT
-
+    lost = sum(r.delivered_at is None for r in records)
     bits = sum(r.size_bytes * 8 for r in records)
-    rate = bits * 1e9 / horizon_ns if horizon_ns > 0 else 0.0
-
-    metrics = StreamMetrics(
+    latencies = sorted(r.delivered_at - r.created_at for r in delivered)
+    latency = LatencyStats(
+        min_ns=latencies[0],
+        p50_ns=percentile(latencies, 50.0),
+        p99_ns=percentile(latencies, 99.0),
+        p999_ns=percentile(latencies, 99.9),
+        max_ns=latencies[-1],
+    ) if latencies else None
+    windows = horizon_ns // SURVIVAL_TIME_NS
+    hit = {w for r in delivered if (w := r.delivered_at // SURVIVAL_TIME_NS) < windows}
+    return StreamMetrics(
         stream=stream,
-        stream_class=cls,
+        stream_class=(records[0].stream_class if records
+                      else StreamClass.NON_SAFETY_RELEVANT),
         sample_count=len(records),
         delivered_count=len(delivered),
-        lost_count=len(lost),
-        in_flight_count=in_flight,
-        observed_rate_bps=rate,
-        survival_time_ns=survival_time_ns,
+        lost_count=lost,
+        in_flight_count=len(records) - len(delivered) - lost,
+        observed_rate_bps=bits * 1e9 / horizon_ns if horizon_ns > 0 else 0.0,
+        size_min=min((r.size_bytes for r in records), default=None),
+        size_max=max((r.size_bytes for r in records), default=None),
+        latency=latency,
+        jitter_ns=None if latency is None else latency.p99_ns - latency.min_ns,
+        max_transfer_interval_ns=max(
+            (b.created_at - a.created_at for a, b in pairwise(records)), default=None),
+        availability=len(hit) / windows if windows else None,
+        survival_time_ns=SURVIVAL_TIME_NS,
+        availability_windows=windows,
     )
-    if records:
-        metrics.size_min = min(r.size_bytes for r in records)
-        metrics.size_max = max(r.size_bytes for r in records)
-        creations = [r.created_at for r in records]
-        if len(creations) >= 2:
-            metrics.max_transfer_interval_ns = max(
-                b - a for a, b in zip(creations, creations[1:])
-            )
-    if delivered:
-        latencies = sorted(r.delivered_at - r.created_at for r in delivered)
-        stats = LatencyStats(
-            min_ns=latencies[0],
-            p50_ns=percentile(latencies, 50.0),
-            p99_ns=percentile(latencies, 99.0),
-            p999_ns=percentile(latencies, 99.9),
-            max_ns=latencies[-1],
-        )
-        metrics.latency = stats
-        if jitter_definition == "max_minus_min":
-            metrics.jitter_ns = stats.max_ns - stats.min_ns
-        else:
-            metrics.jitter_ns = stats.p99_ns - stats.min_ns
-    if survival_time_ns > 0 and horizon_ns >= survival_time_ns:
-        windows = horizon_ns // survival_time_ns
-        hit = set()
-        for r in delivered:
-            w = r.delivered_at // survival_time_ns
-            if w < windows:
-                hit.add(w)
-        metrics.availability = len(hit) / windows
-        metrics.availability_windows = int(windows)
-    return metrics
 
 
 def aggregate_metrics(
-    records: list[PacketRecord],
-    horizon_ns: SimTime,
-    survival_time_ns: SimTime,
-    jitter_definition: str = "p99_minus_min",
+    records: list[PacketRecord], horizon_ns: SimTime
 ) -> StreamMetrics:
     """All streams folded into one pseudo-stream for aggregate assessments."""
-    m = collect_stream_metrics(
-        "aggregate", records, horizon_ns, survival_time_ns, jitter_definition
-    )
+    m = collect_stream_metrics("aggregate", records, horizon_ns)
     m.stream_class = StreamClass.NON_SAFETY_RELEVANT
     return m
 
@@ -358,7 +340,6 @@ def evaluate(
 class ComplianceReport:
     """Verdict rows per (stream, profile), plus the scoring conventions used."""
 
-    jitter_definition: str
     service_area_m: tuple[float, float] | None
     entries: list[tuple[str, str, list[VerdictRow]]] = field(default_factory=list)
 
@@ -398,7 +379,7 @@ class ComplianceReport:
 
     def to_dict(self) -> dict:
         return {
-            "jitter_definition": self.jitter_definition,
+            "jitter_definition": JITTER_DEFINITION,
             "service_area_m": list(self.service_area_m)
             if self.service_area_m
             else None,
@@ -428,7 +409,7 @@ class ComplianceReport:
 
     def render_table(self) -> str:
         lines = [
-            f"jitter definition: {self.jitter_definition}",
+            f"jitter definition: {JITTER_DEFINITION}",
             f"service area: "
             + (
                 f"{self.service_area_m[0]:.0f} m x {self.service_area_m[1]:.0f} m"

@@ -149,16 +149,18 @@ class SafetyManager:
     def watchdog_trip(self, now: SimTime, missed: int) -> LoopTransition | None:
         """Apply the consequence of a watchdog expiry.
 
-        Docked robot: the island loop it is a member of safe-stops. Undocked,
-        the robot's safety behaviour is isolated: the expiry is logged but
-        the local guard never reacts to link state.
+        Docked robot: the island loop it is a member of safe-stops, or logs a
+        `watchdog_trip` when it already is in safe stop. Undocked, the robot's
+        safety behaviour is isolated: the expiry is logged but the local guard
+        never reacts to link state.
         """
-        if self.robot_membership is not None:
-            return self.safe_stop(
-                self.loops[self.robot_membership], "watchdog", now, missed
-            )
+        loop_id = self.robot_membership
+        if loop_id is not None:
+            entry = self.safe_stop(self.loops[loop_id], "watchdog", now, missed)
+            if entry:
+                return entry
         entry = LoopTransition(
-            now, "robot_isolated", "watchdog_trip", "watchdog", missed
+            now, loop_id or "robot_isolated", "watchdog_trip", "watchdog", missed
         )
         self.log.append(entry)
         return entry

@@ -2,10 +2,11 @@
 
 The section dataclasses are the one description of the YAML format: one
 walker reads their type hints and per-field bounds to parse, check and dump
-it. Unknown and duplicated keys are rejected, a bool is never a number,
-every error names its field (e.g. `factory.islands[1].capabilities[0]`),
-checks that span fields run at load time, and a dumped config re-parses to
-an equal scenario.
+it (and `metrics.json`, from `artifacts.MetricsDocument`). Unknown
+and duplicated keys are rejected, a bool is never a number, an enum is read
+and written by value, every error names its field (e.g.
+`factory.islands[1].capabilities[0]`), checks that span fields run at load
+time, and a dumped config re-parses to an equal scenario.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from enum import Enum, EnumMeta
 from functools import cache
 from types import UnionType
 from typing import Any, get_args, get_origin, get_type_hints
@@ -36,8 +38,9 @@ class ConfigInvalid(ValueError):
 
 
 def _f(default=MISSING, *, factory=MISSING, key=None, **bounds):
-    """A field with bounds (`ge`/`gt`/`le`, `choices`, `min_len`/`unique`) that
-    hold for every value inside it, and its config key if not the attribute name."""
+    """A field with bounds (`ge`/`gt`/`le`, `choices`, `min_len`, `unique`: an
+    item attribute, or True for the items themselves) that hold for every value
+    inside it, and its config key if not the attribute name."""
     meta = dict(bounds, key=key) if key else bounds
     return field(default=default, default_factory=factory, metadata=meta)
 
@@ -51,7 +54,7 @@ class BlerSpec:
 
 @dataclass
 class RadioSection:
-    waveform: str = _f("P-OFDM", choices=[w.value for w in Waveform])
+    waveform: Waveform = Waveform.P_OFDM
     channel: str = "EVA70"
     snr_db: float = 15.0
     tti_us: int = _f(125, choices=SUPPORTED_TTI_US)  # the one TTI setting
@@ -59,25 +62,25 @@ class RadioSection:
     wired_latency_us: float = _f(200.0, ge=0)
     jitter_us: float = _f(0.0, ge=0)
     # overrides by waveform (and channel): a BLER spec, or [[snr_db, Mbit/s], ...]
-    bler_anchors: dict[str, dict[str, BlerSpec]] | None = None
-    throughput_anchors: dict[str, list[tuple[float, float]]] | None = None
+    bler_anchors: dict[Waveform, dict[str, BlerSpec]] | None = None
+    throughput_anchors: dict[Waveform, list[tuple[float, float]]] | None = None
 
     def link_config(self) -> LinkConfig:
         return LinkConfig(
-            Waveform(self.waveform), self.channel, self.snr_db, TtiConfig(self.tti_us),
+            self.waveform, self.channel, self.snr_db, TtiConfig(self.tti_us),
             processing_delay_ns=round(self.processing_delay_us * NS_PER_US))
 
     def link_model(self) -> LinkModel:
         model = default_link_model()  # a fresh copy, so overrides go in place
         for wf, channels in (self.bler_anchors or {}).items():
             for channel, spec in channels.items():
-                path = f"radio.bler_anchors.{wf}.{channel}"
-                model.bler_curves[_built(path, Waveform, wf), channel] = _built(
-                    path, BlerCurve, tuple(spec.anchors), spec.floor, spec.tail_slope)
+                model.bler_curves[wf, channel] = _built(
+                    f"radio.bler_anchors.{wf.value}.{channel}", BlerCurve,
+                    tuple(spec.anchors), spec.floor, spec.tail_slope)
         for wf, anchors in (self.throughput_anchors or {}).items():
-            path = f"radio.throughput_anchors.{wf}"
-            model.throughput_curves[_built(path, Waveform, wf)] = _built(
-                path, ThroughputCurve, tuple((s, m * 1e6) for s, m in anchors))
+            model.throughput_curves[wf] = _built(
+                f"radio.throughput_anchors.{wf.value}", ThroughputCurve,
+                tuple((s, m * 1e6) for s, m in anchors))
         return model
 
 
@@ -89,19 +92,18 @@ class StreamSpec:
     source: str = "src"
     destination: str = "dst"
     protocol: str = "UDP"
-    stream_class: str = _f("non-safety", key="class",
-                           choices=[c.value for c in StreamClass])
+    stream_class: StreamClass = _f(StreamClass.NON_SAFETY_RELEVANT, key="class")
     payload_bytes: int = _f(100, ge=1)
     rate_hz: float = _f(1.0, gt=0, le=NS_PER_S)  # a period of at least 1 ns
-    pattern: str = _f("periodic", choices=[p.value for p in Pattern])
+    pattern: Pattern = Pattern.PERIODIC
     phase_us: float = _f(0.0, ge=0)
     wireless: bool = True
 
     def profile(self) -> TrafficProfile:
         return TrafficProfile(
             self.name, self.source, self.destination, self.protocol,
-            StreamClass(self.stream_class), self.payload_bytes, self.rate_hz,
-            Pattern(self.pattern), round(self.phase_us * NS_PER_US), self.wireless)
+            self.stream_class, self.payload_bytes, self.rate_hz,
+            self.pattern, round(self.phase_us * NS_PER_US), self.wireless)
 
 
 @dataclass
@@ -122,7 +124,7 @@ class TrafficSection:
 @dataclass
 class IslandSpec:
     id: str
-    capabilities: list[str] = _f(factory=list)
+    capabilities: list[str] = _f(factory=list, unique=True)
 
 
 @dataclass
@@ -178,30 +180,24 @@ class FactorySection:
 @dataclass
 class SafetySection:
     enabled: bool = True
-    cycle_hz: float = _f(246.19, ge=1e-6, le=NS_PER_S)
     watchdog_ms: float = _f(12.0, ge=0)
-    pdu_bytes_up: int = _f(60, ge=1)
-    pdu_bytes_down: int = _f(64, ge=1)
 
     def channel_config(self, profiles: list[TrafficProfile]) -> SafetyChannelConfig:
         """The channel the run uses: rate and PDU sizes of the catalog's two
-        PNIO rows when both exist, otherwise `cycle_hz` and `pdu_bytes_*`."""
+        PNIO rows when both exist, otherwise the measured 246.19 Hz, 60/64 B."""
         rows = {p.name: p for p in profiles}
         up = rows.get(SafetyChannelConfig.stream_up)
         down = rows.get(SafetyChannelConfig.stream_down)
-        rate, size_up, size_down = (
-            (up.rate_hz, up.payload_bytes, down.payload_bytes) if up and down
-            else (self.cycle_hz, self.pdu_bytes_up, self.pdu_bytes_down))
-        return SafetyChannelConfig(rate, round(self.watchdog_ms * NS_PER_MS),
-                                   size_up, size_down)
+        watchdog_ns = round(self.watchdog_ms * NS_PER_MS)
+        if up and down:
+            return SafetyChannelConfig(up.rate_hz, watchdog_ns,
+                                       up.payload_bytes, down.payload_bytes)
+        return SafetyChannelConfig(watchdog_ns=watchdog_ns)
 
 
 @dataclass
 class ComplianceSection:
     service_area_m: tuple[float, float] = _f((20.0, 20.0), ge=0)
-    jitter_definition: str = _f("p99_minus_min",
-                                choices=["p99_minus_min", "max_minus_min"])
-    survival_time_ms: float = _f(12.0, ge=1e-6)
     availability_sample_floor: int | None = _f(None, ge=1)
 
 
@@ -213,7 +209,7 @@ class ScriptAction:
         "link_down", "link_up", "module_fault", "module_clear"])
     endpoint: str | None = None
     loop: str | None = None
-    sensor: str | None = _f(None, choices=[s.value for s in SensorKind])
+    sensor: SensorKind | None = None
 
 
 @dataclass
@@ -240,6 +236,9 @@ default_scenario = Scenario  # what an empty config file loads
 _KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 _BOUNDS = {"ge": (operator.ge, ">="), "gt": (operator.gt, ">"),
            "le": (operator.le, "<=")}
+# Every number's magnitude limit, so that seconds scaled to integer
+# nanoseconds stay finite.
+_MAX_NUMBER = 1e12
 
 
 def _fail(path: str, problem: str):
@@ -263,7 +262,12 @@ def _schema(cls) -> list[tuple[str, Any, Any]]:
 
 def _parse(tp, value, path: str, meta) -> Any:
     if is_dataclass(tp):
-        return _parse_section(tp, value, path)
+        return schema_from_dict(tp, value, path)
+    if isinstance(tp, EnumMeta):
+        for member in tp:
+            if type(value) is type(member.value) and value == member.value:
+                return member
+        _fail(path, f"{value!r} is not one of {[m.value for m in tp]}")
     origin, args = get_origin(tp), get_args(tp)
     got = type(value).__name__
     if origin is UnionType:
@@ -281,10 +285,13 @@ def _parse(tp, value, path: str, meta) -> Any:
         if len(value) < meta.get("min_len", 0):
             _fail(path, f"needs at least {meta['min_len']} entries")
         items = [_parse(args[0], v, f"{path}[{i}]", meta) for i, v in enumerate(value)]
-        keys = [getattr(x, meta["unique"]) for x in items] if "unique" in meta else []
-        for i, k in enumerate(keys):
-            if k in keys[:i]:
-                _fail(f"{path}[{i}].{meta['unique']}", f"duplicate {k!r}")
+        unique = meta.get("unique")
+        if unique:
+            keys = items if unique is True else [getattr(x, unique) for x in items]
+            for i, k in enumerate(keys):
+                if k in keys[:i]:
+                    attr = "" if unique is True else f".{unique}"
+                    _fail(f"{path}[{i}]{attr}", f"duplicate {k!r}")
         return items
     if origin is tuple:
         if not isinstance(value, (list, tuple)) or len(value) != len(args):
@@ -300,8 +307,9 @@ def _parse(tp, value, path: str, meta) -> Any:
         value = float(value) if abs(value) <= 1e308 else math.inf
     if type(value) is not tp:
         _fail(path, f"expected {_KINDS[tp]}, got {got}")
-    if tp is float and not math.isfinite(value):
-        _fail(path, f"must be finite, got {value}")
+    if tp is float and not abs(value) <= _MAX_NUMBER:  # nan fails too
+        _fail(path, f"must be finite and at most {_MAX_NUMBER:g} in magnitude, "
+                    f"got {value}")
     if "choices" in meta and value not in meta["choices"]:
         _fail(path, f"{value!r} is not one of {list(meta['choices'])}")
     for bound, (holds, op) in _BOUNDS.items():
@@ -310,7 +318,8 @@ def _parse(tp, value, path: str, meta) -> Any:
     return value
 
 
-def _parse_section(cls, value, path: str):
+def schema_from_dict(cls, value, path: str = ""):
+    """Parse a mapping into schema dataclass `cls`; errors name `path` + key."""
     if not isinstance(value, dict):
         _fail(path or "scenario", f"expected a mapping, got {type(value).__name__}")
     schema = _schema(cls)
@@ -327,35 +336,40 @@ def _parse_section(cls, value, path: str):
     return cls(**kwargs)
 
 
-def scenario_to_dict(value) -> Any:
-    """Canonical mapping form of a scenario (or of any value inside one), with
-    unset optional fields left out; it round-trips through scenario_from_dict."""
+def schema_to_dict(value) -> Any:
+    """Canonical mapping form of a schema dataclass (or of any value inside
+    one): enums by value, and a None left out only where the field defaults
+    to None. It round-trips through `schema_from_dict`."""
     if is_dataclass(value):
-        return {key: scenario_to_dict(getattr(value, f.name))
-                for key, f, _ in _schema(type(value))
-                if getattr(value, f.name) is not None}
+        return {key: schema_to_dict(v) for key, f, _ in _schema(type(value))
+                if (v := getattr(value, f.name)) is not None or f.default is not None}
+    if isinstance(value, Enum):
+        return value.value
     if isinstance(value, (list, tuple)):
-        return [scenario_to_dict(v) for v in value]
+        return [schema_to_dict(v) for v in value]
     if isinstance(value, dict):
-        return {k: scenario_to_dict(v) for k, v in value.items()}
+        return {schema_to_dict(k): schema_to_dict(v) for k, v in value.items()}
     return value
 
 
 def _validate(scn: Scenario) -> None:
     r, t, s, f = scn.radio, scn.traffic, scn.safety, scn.factory
-    model, link = r.link_model(), r.link_config()
-    if (link.waveform, r.channel) not in model.bler_curves:
+    model, wf = r.link_model(), r.waveform.value
+    if (r.waveform, r.channel) not in model.bler_curves:
         _fail("radio.channel",
-              f"no BLER anchors for {r.channel!r} with radio.waveform {r.waveform!r}")
-    if link.waveform not in model.throughput_curves:
-        _fail("radio.waveform", f"no throughput anchors for {r.waveform!r}")
-    if model.throughput(link) <= 0:
+              f"no BLER anchors for {r.channel!r} with radio.waveform {wf!r}")
+    if r.waveform not in model.throughput_curves:
+        _fail("radio.waveform", f"no throughput anchors for {wf!r}")
+    if model.throughput(r.link_config()) <= 0:
         _fail("radio.snr_db", f"throughput is zero at {r.snr_db:g} dB")
     if t.catalog == "measured" and abs(sum(t.camera_shares.values()) - 1.0) > 1e-9:
         _fail("traffic.camera_shares", "shares must sum to 1")
     profiles = _built("traffic.total_rate_mbps", t.profiles)
     _built("safety.watchdog_ms", s.channel_config, profiles)
     ids = [i.id for i in f.islands]
+    if "manual" in ids:
+        _fail(f"factory.islands[{ids.index('manual')}].id",
+              "'manual' is reserved for the manual workstation")
     for path, island_id in (("factory.robot_home", f.robot_home),
                             ("factory.releases.island", f.releases.island)):
         if island_id not in ids:
@@ -388,13 +402,13 @@ def _validate(scn: Scenario) -> None:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    scn = _parse_section(Scenario, data, "")
+    scn = schema_from_dict(Scenario, data)
     _validate(scn)
     return scn
 
 
 def dump_scenario(scn: Scenario) -> str:
-    return yaml.safe_dump(scenario_to_dict(scn), sort_keys=False)
+    return yaml.safe_dump(schema_to_dict(scn), sort_keys=False)
 
 
 def _check_unique_keys(node, path: str) -> None:

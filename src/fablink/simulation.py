@@ -40,7 +40,6 @@ from .safety import (
     SafetyChannel,
     SafetyLoop,
     SafetyManager,
-    SensorKind,
 )
 from .scenario import Scenario
 from .sim_core import (
@@ -774,9 +773,7 @@ class Simulation:
                 self.channel.rearm(now)
         elif action.action in ("obstacle", "clear"):
             if self.plant:
-                self.safety_mgr.sense(
-                    SensorKind(action.sensor), action.action == "obstacle", now
-                )
+                self.safety_mgr.sense(action.sensor, action.action == "obstacle", now)
         elif action.action == "reset_local":
             if self.plant:
                 self.safety_mgr.reset_local(now)
@@ -806,7 +803,6 @@ class Simulation:
 
     def _collect(self, summary: SimSummary) -> RunResult:
         comp = self.scenario.compliance
-        survival_ns = round(comp.survival_time_ms * NS_PER_MS)
         by_stream: dict[str, list[PacketRecord]] = {
             name: [] for name in self.stream_order
         }
@@ -816,18 +812,11 @@ class Simulation:
         # order of first record
         self.stream_order = list(by_stream)
         stream_metrics = {
-            name: compliance_mod.collect_stream_metrics(
-                name, recs, self.horizon_ns, survival_ns, comp.jitter_definition
-            )
+            name: compliance_mod.collect_stream_metrics(name, recs, self.horizon_ns)
             for name, recs in by_stream.items()
         }
-        aggregate = compliance_mod.aggregate_metrics(
-            self.records, self.horizon_ns, survival_ns, comp.jitter_definition
-        )
-        report = ComplianceReport(
-            jitter_definition=comp.jitter_definition,
-            service_area_m=comp.service_area_m,
-        )
+        aggregate = compliance_mod.aggregate_metrics(self.records, self.horizon_ns)
+        report = ComplianceReport(service_area_m=comp.service_area_m)
         floor = comp.availability_sample_floor
         for name in self.stream_order:
             metrics = stream_metrics[name]

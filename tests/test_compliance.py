@@ -161,6 +161,13 @@ def test_empty_metrics_yield_not_assessed_rows():
         lost_count=0,
         in_flight_count=0,
         observed_rate_bps=0.0,
+        size_min=None,
+        size_max=None,
+        latency=None,
+        jitter_ns=None,
+        max_transfer_interval_ns=None,
+        availability=None,
+        survival_time_ns=12 * NS_PER_MS,
     )
     rows = evaluate(empty, ASPECT1, service_area_m=None)
     assert all(
@@ -224,7 +231,7 @@ def test_collect_stream_metrics_basics():
             (99 * NS_PER_MS, 101 * NS_PER_MS, 60),  # delivers past the horizon
         ]
     )
-    m = collect_stream_metrics("s", records, horizon, 12 * NS_PER_MS)
+    m = collect_stream_metrics("s", records, horizon)
     assert m.sample_count == 5
     assert m.delivered_count == 3
     assert m.lost_count == 1
@@ -239,16 +246,14 @@ def test_collect_stream_metrics_basics():
 
 def test_aggregate_metrics_fold_all_streams():
     records = _records([(0, NS_PER_MS, 60), (NS_PER_MS, 2 * NS_PER_MS, 1400)])
-    m = aggregate_metrics(records, 10 * NS_PER_MS, 12 * NS_PER_MS)
+    m = aggregate_metrics(records, 10 * NS_PER_MS)
     assert m.stream == "aggregate"
     assert m.sample_count == 2
     assert m.size_max == 1400
 
 
 def test_report_counts_and_exit_condition():
-    report = ComplianceReport(
-        jitter_definition="p99_minus_min", service_area_m=(20.0, 20.0)
-    )
+    report = ComplianceReport(service_area_m=(20.0, 20.0))
     report.add(_metrics(), ASPECT1)
     assert report.fail_count == 0
     assert report.passed

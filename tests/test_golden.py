@@ -24,6 +24,9 @@ and the factory routing paths:
 * `short_transit`: 1 s robot legs, shorter than the cloud round trip, so
   verdicts time out, and a drained line sends the robot home.
 
+Each case's `metrics.json` entries also round-trip through the schema
+walker, and `fablink check` re-scores them to the run's own verdict rows.
+
 A digest may change only in a commit that says which bytes changed and why.
 To print the current digests after such a change:
 
@@ -40,8 +43,10 @@ from pathlib import Path
 
 import pytest
 
-from fablink.artifacts import write_artifacts
-from fablink.scenario import scenario_from_dict
+from fablink.artifacts import RunArtifacts, write_artifacts
+from fablink.cli import main
+from fablink.compliance import StreamMetrics
+from fablink.scenario import scenario_from_dict, schema_from_dict, schema_to_dict
 from fablink.simulation import Simulation
 
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
@@ -133,20 +138,57 @@ CASES: dict[str, dict] = {
 }
 
 
-def artifact_digests(case: str, out_dir: Path) -> dict[str, str]:
-    """Run `case` and return the SHA-256 of each artifact, by file name."""
-    result = Simulation(scenario_from_dict(CASES[case])).run()
-    artifacts = write_artifacts(result, out_dir)
+def run_case(case: str, out_dir: Path) -> RunArtifacts:
+    return write_artifacts(Simulation(scenario_from_dict(CASES[case])).run(), out_dir)
+
+
+def artifact_digests(artifacts: RunArtifacts) -> dict[str, str]:
+    """The SHA-256 of each artifact, by file name."""
     return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in artifacts.paths()
     }
 
 
+@pytest.fixture(scope="module")
+def case_artifacts(tmp_path_factory):
+    """The artifacts of each case, run once for every test of this module."""
+    runs: dict[str, RunArtifacts] = {}
+
+    def get(case: str) -> RunArtifacts:
+        if case not in runs:
+            runs[case] = run_case(case, tmp_path_factory.mktemp(case))
+        return runs[case]
+    return get
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_artifacts_match_golden_digests(case, tmp_path):
+def test_artifacts_match_golden_digests(case, case_artifacts):
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))[case]
-    assert artifact_digests(case, tmp_path) == expected
+    assert artifact_digests(case_artifacts(case)) == expected
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_metrics_round_trip_and_check_rescores_the_run(case, case_artifacts, capsys):
+    artifacts = case_artifacts(case)
+    doc = json.loads(artifacts.metrics_json.read_text(encoding="utf-8"))
+    entries = {f"streams.{name}": entry for name, entry in doc["streams"].items()}
+    entries["aggregate"] = doc["aggregate"]
+    for path, entry in entries.items():
+        assert schema_to_dict(schema_from_dict(StreamMetrics, entry, path)) == entry
+    run_table = artifacts.compliance_txt.read_text(encoding="utf-8").splitlines()
+    for profile in ("aspect1", "aspect2"):
+        rows = [line for line in run_table if line.split()[1:2] == [profile]]
+        capsys.readouterr()
+        code = main(["check", str(artifacts.metrics_json), "--profile", profile])
+        out, err = capsys.readouterr()
+        if code == 2:  # nothing assessed, as in the run
+            assert err.startswith("nothing assessed: ")
+            assert all("NotAssessed" in row for row in rows), profile
+        else:
+            check_rows = [line for line in out.splitlines()
+                          if line.split()[1:2] == [profile]]
+            assert check_rows == rows, profile
 
 
 def test_golden_file_covers_every_case():
@@ -155,6 +197,7 @@ def test_golden_file_covers_every_case():
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        digests = {case: artifact_digests(case, Path(tmp) / case) for case in CASES}
+        digests = {case: artifact_digests(run_case(case, Path(tmp) / case))
+                   for case in CASES}
     json.dump(digests, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")

@@ -13,7 +13,7 @@ from fablink.scenario import (
     dump_scenario,
     load_scenario,
     scenario_from_dict,
-    scenario_to_dict,
+    schema_to_dict,
 )
 
 
@@ -23,7 +23,7 @@ def test_default_config_round_trips_through_dump_and_load(tmp_path):
     path = tmp_path / "scenario.yaml"
     path.write_text(text, encoding="utf-8")
     reloaded = load_scenario(str(path))
-    assert scenario_to_dict(reloaded) == scenario_to_dict(scenario)
+    assert schema_to_dict(reloaded) == schema_to_dict(scenario)
 
 
 def test_unknown_top_level_key_rejected():
@@ -47,14 +47,22 @@ def test_unknown_nested_key_rejected():
         ({"factory": {"registry_staleness_ticks": 3}}, "registry_staleness_ticks"),
         ({"factory": {"robot_return_home": True}}, "robot_return_home"),
         ({"safety": {"retry_at_tti": True}}, "retry_at_tti"),
+        ({"safety": {"cycle_hz": 246.19}}, "cycle_hz"),
+        ({"safety": {"pdu_bytes_up": 60}}, "pdu_bytes_up"),
+        ({"safety": {"pdu_bytes_down": 64}}, "pdu_bytes_down"),
+        ({"compliance": {"jitter_definition": "p99_minus_min"}}, "jitter_definition"),
+        ({"compliance": {"survival_time_ms": 12.0}}, "survival_time_ms"),
     ],
     ids=["nr", "carrier_freq_mhz", "bandwidth_mhz", "registry_staleness_ticks",
-         "robot_return_home", "retry_at_tti"],
+         "robot_return_home", "retry_at_tti", "cycle_hz", "pdu_bytes_up",
+         "pdu_bytes_down", "jitter_definition", "survival_time_ms"],
 )
 def test_removed_nr_and_radio_keys_are_unknown(data, key):
     # the simulation never read them (radio.tti_us is the one TTI setting),
-    # a snapshot retaken every tick is never stale, and the robot always
-    # returns home and a lost safety PDU is always retried
+    # a snapshot retaken every tick is never stale, the robot always returns
+    # home, a lost safety PDU is always retried, the catalog's PNIO rows (or
+    # their measured values) set the safety channel, and the scoring
+    # conventions are fixed
     with pytest.raises(ConfigInvalid) as err:
         scenario_from_dict(data)
     assert "unknown key" in str(err.value) and key in str(err.value)

@@ -21,19 +21,19 @@ from fablink.scenario import (
     default_scenario,
     dump_scenario,
     scenario_from_dict,
-    scenario_to_dict,
+    schema_to_dict,
 )
 from fablink.sim_core import NS_PER_MS
 from fablink.simulation import Simulation
 
-POOL = [None, True, -1, 0, 1.5, "x", [], {}, math.inf, math.nan]
+POOL = [None, True, -1, 0, 1.5, "x", [], {}, math.inf, math.nan, 1e300]
 SECTIONS = ["radio", "traffic", "factory", "safety", "compliance", "script"]
 
 
 def _base() -> dict:
     scenario = default_scenario()
     scenario.horizon_s = 0.1
-    return scenario_to_dict(scenario)
+    return schema_to_dict(scenario)
 
 
 def _leaves(node, path=()):
@@ -92,6 +92,21 @@ def test_fuzz_covers_every_leaf_of_the_default_dump():
             "script"} <= dotted
     assert len(FUZZ_PATHS) > 70
 
+
+# Defects that ended in a traceback from `fablink run`, not a config error.
+NEW_DEFECTS = {
+    "duplicate_capability": (
+        {"factory": {
+            "islands": [{"id": "island1", "capabilities": ["engrave", "engrave"]}],
+            "releases": {"count": 4, "interval_s": 0}}},
+        "factory.islands[0].capabilities[1]",
+    ),
+    "island_named_manual": (
+        {"factory": {"islands": [{"id": "island1"}, {"id": "manual"}]}},
+        "factory.islands[1].id",
+    ),
+    "service_s_overflows": ({"factory": {"service_s": 1e300}}, "factory.service_s"),
+}
 
 # One case per defect the hand-written loader let through.
 DEFECTS = {
@@ -175,11 +190,12 @@ DEFECTS = {
         {"script": [{"at_s": 1, "action": "obstacle"}]}, "script[0].sensor",
     ),
     "watchdog_below_catalog_cycle": (
-        # the measured catalog's PNIO rows set the rate: 246.19 Hz, not 1 kHz
-        {"safety": {"cycle_hz": 1000, "watchdog_ms": 2}}, "safety.watchdog_ms",
+        # the measured catalog's PNIO rows set the rate: 246.19 Hz
+        {"safety": {"watchdog_ms": 2}}, "safety.watchdog_ms",
     ),
     "watchdog_below_section_cycle": (
-        {"traffic": {"catalog": []}, "safety": {"cycle_hz": 100, "watchdog_ms": 5}},
+        # without PNIO rows the channel runs at the measured 246.19 Hz
+        {"traffic": {"catalog": []}, "safety": {"watchdog_ms": 2}},
         "safety.watchdog_ms",
     ),
     "script_null": ({"script": None}, "script"),
@@ -189,6 +205,7 @@ DEFECTS = {
     ),
     "non_string_key": ({"factory": {"service_overrides": {1: 2.0}}},
                        "factory.service_overrides key"),
+    **NEW_DEFECTS,
 }
 
 
@@ -201,10 +218,9 @@ def test_defect_is_config_invalid_naming_its_field(case):
 
 
 def test_watchdog_is_checked_against_the_rate_the_channel_runs_at():
-    # 5 ms covers the 4.06 ms cycle of the catalog's 246.19 Hz PNIO rows,
-    # which the channel uses instead of the section's 100 Hz
+    # 5 ms covers the 4.06 ms cycle of the catalog's 246.19 Hz PNIO rows
     scenario = scenario_from_dict(
-        {"horizon_s": 0.1, "safety": {"cycle_hz": 100, "watchdog_ms": 5}})
+        {"horizon_s": 0.1, "safety": {"watchdog_ms": 5}})
     channel = Simulation(scenario).channel
     assert channel.config.cycle_hz == 246.19
     assert channel.config.watchdog_ns == 5 * NS_PER_MS
@@ -238,7 +254,8 @@ def test_dump_with_every_optional_part_reparses_to_an_equal_scenario():
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--horizon", "inf"), ("--horizon", "nan"), ("--horizon", "-1"), ("--seed", "-1")],
+    [("--horizon", "inf"), ("--horizon", "nan"), ("--horizon", "-1"), ("--seed", "-1"),
+     ("--horizon", "1e300")],
 )
 def test_cli_overrides_go_through_the_schema(tmp_path, capsys, flag, value):
     code = main(["run", flag, value, "--out", str(tmp_path / "out")])
@@ -246,6 +263,17 @@ def test_cli_overrides_go_through_the_schema(tmp_path, capsys, flag, value):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", sorted(NEW_DEFECTS))
+def test_cli_run_defect_exits_2_with_one_line(tmp_path, capsys, case):
+    data, path = NEW_DEFECTS[case]
+    config = tmp_path / "scenario.yaml"
+    config.write_text(yaml.safe_dump(data), encoding="utf-8")
+    code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}:") and len(err.splitlines()) == 1
 
 
 def test_check_honours_the_sample_floor_the_run_used(tmp_path, capsys):

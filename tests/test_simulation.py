@@ -319,6 +319,25 @@ def test_watchdog_trip_during_link_outage_stops_docked_island_only():
     assert 2 * NS_PER_S < stops[0].at < 2 * NS_PER_S + 20_000_000
 
 
+def test_watchdog_trip_on_a_stopped_docked_loop_is_logged():
+    # island1.loop is already in safe stop when the outage trips the watchdog
+    result = run_scenario({
+        "horizon_s": 4.0,
+        "factory": {"releases": {"count": 0}},
+        "script": [
+            {"at_s": 1.0, "action": "estop", "endpoint": "island1.engrave"},
+            {"at_s": 2.0, "action": "link_down"},
+            {"at_s": 2.5, "action": "link_up"},
+        ],
+    })
+    trips = [t for t in result.safety_log if t.transition == "watchdog_trip"]
+    assert len(trips) == 1
+    assert (trips[0].loop, trips[0].cause) == ("island1.loop", "watchdog")
+    assert trips[0].consecutive_missed > 0
+    assert 2 * NS_PER_S < trips[0].at < 2 * NS_PER_S + 20_000_000
+    assert result.factory_stats["safety_trips"] == 2
+
+
 def test_module_fault_during_service_outlasts_the_service():
     # island1.engrave serves product1 from 0.5 s to 2.5 s; the fault at 1.0 s
     # is never cleared, so product2's engrave step goes elsewhere
