@@ -57,7 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default="fablink-out", help="artifact directory")
 
     check = sub.add_parser(
-        "check", help="score a metrics.json file against a requirement profile"
+        "check",
+        help="score a metrics.json file against a requirement profile, "
+        "stream by stream in name order",
     )
     check.add_argument("metrics", help="metrics.json from a previous run")
     check.add_argument(

@@ -58,7 +58,6 @@ class UnknownEndpoint(KeyError):
 @dataclass
 class SafetyLoop:
     id: str
-    island_id: str
     members: set[str] = field(default_factory=set)  # the island's endpoints
     state: LoopState = LoopState.RUNNING
 
@@ -76,15 +75,17 @@ class LoopTransition:
 
 class SafetyManager:
     """Owns the island loops, the robot's loop membership and local guard,
-    and the safety event log. Halt/resume side effects are injected as
-    callbacks so the plant runtime stays decoupled."""
+    and the safety event log.
+
+    `on_change()` runs after every loop transition (safe stop, reset) and
+    every local-guard reading or reset, so the plant runtime can re-derive
+    which of its work is paused from the state it reads here.
+    """
 
     def __init__(
         self,
         loops: list[SafetyLoop],
-        on_safe_stop: Callable[[SafetyLoop], None] | None = None,
-        on_resume: Callable[[SafetyLoop], None] | None = None,
-        on_local: Callable[[], None] | None = None,
+        on_change: Callable[[], None] | None = None,
     ):
         self.loops = {loop.id: loop for loop in loops}
         self.robot_membership: str | None = None
@@ -94,9 +95,7 @@ class SafetyManager:
         for loop in loops:
             for member in loop.members:
                 self._endpoint_loop[member] = loop.id
-        self._on_safe_stop = on_safe_stop or (lambda loop: None)
-        self._on_resume = on_resume or (lambda loop: None)
-        self._on_local = on_local or (lambda: None)
+        self._on_change = on_change or (lambda: None)
 
     def join(self, island_loop_id: str, now: SimTime) -> None:
         """Insert the robot into an island's loop (on docking)."""
@@ -114,7 +113,7 @@ class SafetyManager:
         loop.state = LoopState.SAFE_STOP
         entry = LoopTransition(now, loop.id, "safe_stop", cause, missed)
         self.log.append(entry)
-        self._on_safe_stop(loop)
+        self._on_change()
         return entry
 
     def estop(self, source: str, now: SimTime) -> list[LoopTransition]:
@@ -143,7 +142,7 @@ class SafetyManager:
         loop.state = LoopState.RUNNING
         entry = LoopTransition(now, loop.id, "running", "manual_reset")
         self.log.append(entry)
-        self._on_resume(loop)
+        self._on_change()
         return entry
 
     def watchdog_trip(self, now: SimTime, missed: int) -> LoopTransition | None:
@@ -200,7 +199,7 @@ class SafetyManager:
             self.local = state
             entry = LoopTransition(now, "robot_local", state.value, cause)
             self.log.append(entry)
-        self._on_local()
+        self._on_change()
         return entry
 
 

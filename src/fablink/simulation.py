@@ -130,6 +130,9 @@ class _StreamRuntime:
 # -- plant runtime -------------------------------------------------------------
 
 
+_ROBOT = None  # the robot's timer gate; every other gate is an island id
+
+
 class _ProductRun:
     def __init__(self, product: Product, island: str):
         self.product = product
@@ -154,8 +157,9 @@ class PlantRuntime:
     products through grants that read it (skipping those already queued for
     the robot that no local module can take), and dispatches the transport
     robot.
-    Work in progress is held in pausable timers so safe stops and local
-    safety events suspend it without losing progress.
+    Work in progress is held in pausable timers, each on one gate (an
+    island, or the robot), so safe stops and local safety events suspend it
+    without losing progress.
     """
 
     def __init__(self, sim: "Simulation"):
@@ -185,7 +189,6 @@ class PlantRuntime:
             loops.append(
                 SafetyLoop(
                     id=loop_id,
-                    island_id=spec.id,
                     members={m.id for m in modules} | {"safety_plc"},
                 )
             )
@@ -196,10 +199,11 @@ class PlantRuntime:
         self.unfinished: list[_ProductRun] = []  # release order, pruned each tick
         self.jobs: deque[_RobotJob] = deque()
         self.robot_busy = False
-        self._island_timers: dict[str, set[PausableTimer]] = {
-            i: set() for i in self.islands
-        }
-        self._robot_timers: set[PausableTimer] = set()
+        # running and paused timers per gate, in start order; the robot's
+        # gate comes last, so a change resumes island work before motion
+        self._timers: dict[str | None, dict[PausableTimer, None]] = {
+            i: {} for i in self.islands
+        } | {_ROBOT: {}}
         self.stats = {
             "released": 0,
             "completed": 0,
@@ -308,10 +312,9 @@ class PlantRuntime:
         if plan.target == MANUAL_STATION:
             # already at the station and nothing else can take the next
             # step: the operator substitutes for the missing module
-            if run not in self.manual_queue:
-                run.state = "manual"
-                self.manual_queue.append(run)
-                self._serve_manual()
+            run.state = "manual"
+            self.manual_queue.append(run)
+            self._serve_manual()
             return
         if not self.ready[plan.target]:
             return  # retry next tick
@@ -335,7 +338,7 @@ class PlantRuntime:
             run.location = target
             arrived()
 
-        self._island_timer(island_id, round(self.cfg.conveyor_s * NS_PER_S), done)
+        self._timer(island_id, round(self.cfg.conveyor_s * NS_PER_S), done)
 
     def _begin_service(self, run: _ProductRun, module: StationModule) -> None:
         module.state = ModuleState.BUSY
@@ -354,7 +357,7 @@ class PlantRuntime:
             self._log(run, "step_done", f"{step}@{module.id}")
             self._advance(run)
 
-        self._island_timer(
+        self._timer(
             module.island_id,
             round(self.cfg.service_time_s(module.capability) * NS_PER_S),
             done,
@@ -410,10 +413,12 @@ class PlantRuntime:
     # -- robot -------------------------------------------------------------------
 
     def _dispatch_robot(self) -> None:
-        if self.robot_busy or self.sim.safety_mgr.local is not LocalSafetyState.CLEAR:
+        if self.robot_busy or self._stopped(_ROBOT):
             return
-        if self._docked_island_stopped():
-            return
+        # a product completed since its job was queued (at the manual
+        # station) no longer waits for the robot
+        while self.jobs and self.jobs[0].product_run.state == "done":
+            self.jobs.popleft()
         if not self.jobs:
             # Reposition to the home dock only once the line has drained, so
             # the robot stays with an in-progress product's island otherwise.
@@ -453,14 +458,6 @@ class PlantRuntime:
             return
         self._goto(src)
 
-    def _island_stopped(self, island_id: str) -> bool:
-        loop_id = self.islands[island_id].safety_loop_id
-        return self.sim.safety_mgr.loops[loop_id].state is LoopState.SAFE_STOP
-
-    def _docked_island_stopped(self) -> bool:
-        pose = self.robot.pose
-        return isinstance(pose, AtDock) and self._island_stopped(pose.island_id)
-
     def _current_node(self) -> str:
         """Where a leg starts: the robot never starts one in transit."""
         pose = self.robot.pose
@@ -487,14 +484,14 @@ class PlantRuntime:
                 )
                 arrived()
 
-            self._robot_timer(duration, arrive)
+            self._timer(_ROBOT, duration, arrive)
 
         if isinstance(self.robot.pose, AtDock):
             def undock_and_depart() -> None:
                 self.sim.safety_mgr.leave(self.engine.now)
                 depart()
 
-            self._robot_timer(round(self.cfg.dock_s * NS_PER_S), undock_and_depart)
+            self._timer(_ROBOT, round(self.cfg.dock_s * NS_PER_S), undock_and_depart)
         else:
             depart()
 
@@ -598,7 +595,7 @@ class PlantRuntime:
             else:
                 self.robot_busy = False
 
-        self._robot_timer(round(self.cfg.dock_s * NS_PER_S), attempt)
+        self._timer(_ROBOT, round(self.cfg.dock_s * NS_PER_S), attempt)
 
     def _load_from_island(self, job: _RobotJob) -> None:
         run = job.product_run
@@ -617,7 +614,7 @@ class PlantRuntime:
             run.state = "on_robot"
             self._carry(job)
 
-        self._robot_timer(round(self.cfg.load_s * NS_PER_S), loaded)
+        self._timer(_ROBOT, round(self.cfg.load_s * NS_PER_S), loaded)
 
     def _unload(self, job: _RobotJob) -> None:
         run = job.product_run
@@ -641,57 +638,46 @@ class PlantRuntime:
                 run.state = "waiting"
                 self._advance(run)
 
-        self._robot_timer(round(self.cfg.load_s * NS_PER_S), unloaded)
+        self._timer(_ROBOT, round(self.cfg.load_s * NS_PER_S), unloaded)
 
     # -- timers and safety coupling ------------------------------------------------
 
-    def _timer(
-        self, timers: set[PausableTimer], delay: SimTime, action, paused: bool
-    ) -> None:
-        """Start a factory timer held in `timers` (so a safe stop or a local
-        safety event can pause the set) until it fires."""
+    def _stopped(self, gate: str | None) -> bool:
+        """An island is stopped while its loop is in safe stop; the robot
+        while its local guard is not clear or the island it is docked at is
+        stopped. The manual workstation belongs to no gate."""
+        if gate is _ROBOT:
+            pose = self.robot.pose
+            return self.sim.safety_mgr.local is not LocalSafetyState.CLEAR or (
+                isinstance(pose, AtDock) and self._stopped(pose.island_id)
+            )
+        loop_id = self.islands[gate].safety_loop_id
+        return self.sim.safety_mgr.loops[loop_id].state is LoopState.SAFE_STOP
+
+    def _timer(self, gate: str | None, delay: SimTime, action) -> None:
+        """Start a factory timer on `gate` (an island id, or `_ROBOT`), held
+        there until it fires and started paused while the gate is stopped."""
+        timers = self._timers[gate]
 
         def fire() -> None:
-            timers.discard(timer)
+            del timers[timer]
             action()
 
         timer = PausableTimer(self.engine, delay, fire, module="factory")
-        timers.add(timer)
-        if paused:
+        timers[timer] = None
+        if self._stopped(gate):
             timer.pause()
 
-    def _island_timer(self, island_id: str, delay: SimTime, action) -> None:
-        self._timer(
-            self._island_timers[island_id], delay, action,
-            self._island_stopped(island_id),
-        )
-
-    def _robot_timer(self, delay: SimTime, action) -> None:
-        self._timer(self._robot_timers, delay, action, self._robot_should_pause())
-
-    def _robot_should_pause(self) -> bool:
-        if self.sim.safety_mgr.local is not LocalSafetyState.CLEAR:
-            return True
-        return self._docked_island_stopped()
-
-    def update_robot_pause(self) -> None:
-        """Pause or resume the robot's timers to match its guard and dock."""
-        if self._robot_should_pause():
-            for t in self._robot_timers:
-                t.pause()
-        else:
-            for t in self._robot_timers:
-                t.resume()
-
-    def halt_island(self, loop: SafetyLoop) -> None:
-        for t in self._island_timers[loop.island_id]:
-            t.pause()
-        self.update_robot_pause()
-
-    def resume_island(self, loop: SafetyLoop) -> None:
-        for t in self._island_timers[loop.island_id]:
-            t.resume()
-        self.update_robot_pause()
+    def sync(self) -> None:
+        """Pause every timer whose gate is stopped and resume the rest; the
+        safety manager's change callback."""
+        for gate, timers in self._timers.items():
+            if self._stopped(gate):
+                for timer in timers:
+                    timer.pause()
+            else:
+                for timer in timers:
+                    timer.resume()
 
 
 # -- simulation assembly ---------------------------------------------------------
@@ -720,10 +706,7 @@ class Simulation:
         if scenario.factory.enabled:
             self.plant = plant = PlantRuntime(self)
             self.safety_mgr = SafetyManager(
-                loops=plant.loops,
-                on_safe_stop=plant.halt_island,
-                on_resume=plant.resume_island,
-                on_local=plant.update_robot_pause,
+                loops=plant.loops, on_change=plant.sync
             )
         else:
             self.safety_mgr = SafetyManager(loops=[])
@@ -818,7 +801,8 @@ class Simulation:
         aggregate = compliance_mod.aggregate_metrics(self.records, self.horizon_ns)
         report = ComplianceReport(service_area_m=comp.service_area_m)
         floor = comp.availability_sample_floor
-        for name in self.stream_order:
+        # in name order, the order `fablink check` reads them from metrics.json
+        for name in sorted(stream_metrics):
             metrics = stream_metrics[name]
             if metrics.stream_class is StreamClass.SAFETY_RELEVANT:
                 report.add(metrics, compliance_mod.ASPECT1, sample_floor=floor)

@@ -183,7 +183,7 @@ def test_criterion_5_safety_properties():
     island_ids = ["island1", "island2", "island3"]
     for _ in range(1000):
         loops = [
-            SafetyLoop(f"{i}.loop", i, {f"{i}.m1", f"{i}.m2", "safety_plc"})
+            SafetyLoop(f"{i}.loop", {f"{i}.m1", f"{i}.m2", "safety_plc"})
             for i in island_ids
         ]
         mgr = SafetyManager(loops)

@@ -234,7 +234,7 @@ def test_route_to_manual_requires_manual_station():
 
 def make_safety(islands) -> SafetyManager:
     loops = [
-        SafetyLoop(island.safety_loop_id, island.id, {m.id for m in island.modules})
+        SafetyLoop(island.safety_loop_id, {m.id for m in island.modules})
         for island in islands
     ]
     return SafetyManager(loops)

@@ -25,13 +25,12 @@ CYCLE_NS = round(NS_PER_S / CYCLE_HZ)
 WATCHDOG_NS = 12 * NS_PER_MS
 
 
-def make_manager(robot_member: str | None = None, on_local=None) -> SafetyManager:
+def make_manager(robot_member: str | None = None, on_change=None) -> SafetyManager:
     loops = [
-        SafetyLoop(f"island{i}.loop", f"island{i}",
-                   {f"island{i}.m1", f"island{i}.m2", "safety_plc"})
+        SafetyLoop(f"island{i}.loop", {f"island{i}.m1", f"island{i}.m2", "safety_plc"})
         for i in (1, 2, 3)
     ]
-    mgr = SafetyManager(loops, on_local=on_local)
+    mgr = SafetyManager(loops, on_change=on_change)
     if robot_member:
         mgr.join(robot_member, 0)
     return mgr
@@ -46,7 +45,7 @@ def local_rows(mgr: SafetyManager) -> list[tuple[int, str, str]]:
 
 def check_obstruction_pauses_and_clears(sensor: SensorKind) -> None:
     calls = []
-    mgr = make_manager(on_local=lambda: calls.append(mgr.local))
+    mgr = make_manager(on_change=lambda: calls.append(mgr.local))
     mgr.sense(sensor, True, 10)
     assert mgr.local is LocalSafetyState.OBSTRUCTED
     mgr.sense(sensor, True, 15)  # no change, no row

@@ -171,6 +171,30 @@ def test_cli_run_and_check_flow(tmp_path, capsys):
     assert "service_data_rate" in capsys.readouterr().out
 
 
+def test_run_and_check_score_safety_streams_in_name_order(tmp_path, capsys):
+    catalog = [{"name": name, "class": "safety", "rate_hz": 100.0}
+               for name in ("zeta", "alpha")]
+    config = tmp_path / "scenario.yaml"
+    config.write_text(yaml.safe_dump({
+        "horizon_s": 1.0,
+        "traffic": {"catalog": catalog},
+        "safety": {"enabled": False},
+        "factory": {"enabled": False},
+    }), encoding="utf-8")
+    out = tmp_path / "out"
+    assert _run_cli("run", "--config", str(config), "--out", str(out)) == 0
+
+    def aspect1_rows(table: str) -> list[str]:
+        return [line for line in table.splitlines()
+                if line.split()[1:2] == ["aspect1"]]
+
+    run_rows = aspect1_rows((out / "compliance.txt").read_text(encoding="utf-8"))
+    assert list(dict.fromkeys(row.split()[0] for row in run_rows)) == ["alpha", "zeta"]
+    capsys.readouterr()
+    _run_cli("check", str(out / "metrics.json"), "--profile", "aspect1")
+    assert aspect1_rows(capsys.readouterr().out) == run_rows
+
+
 def test_cli_run_unknown_channel_exits_2_without_traceback(tmp_path, capsys):
     config = tmp_path / "scenario.yaml"
     config.write_text("horizon_s: 1\nradio:\n  channel: MARS9\n", encoding="utf-8")

@@ -355,6 +355,48 @@ def test_module_fault_during_service_outlasts_the_service():
     assert engraved["product2"] != "engrave@island1.engrave"
 
 
+def test_a_product_completed_at_the_manual_station_drops_its_robot_job():
+    # product1's job to island3 is still queued when the operator completes
+    # it; a job left at the head of the queue would block every later one
+    sim = Simulation(scenario_from_dict({
+        "seed": 42,
+        "horizon_s": 600.0,
+        "traffic": {"catalog": []},
+        "safety": {"enabled": False},
+        "factory": {"defect_probability": 0.3,
+                    "releases": {"count": 10, "interval_s": 20.0}},
+    }))
+    sim.run()
+    assert sim.plant.stats["completed"] == 10
+    assert not sim.plant.jobs
+
+
+def test_same_instant_resumes_fire_in_start_order():
+    # both products convey from 2.5 s; the estop pauses both transfers and
+    # the reset resumes them together, so both services end at 5.8 s. The
+    # ballast moves where the timers are allocated.
+    scenario = {
+        "horizon_s": 12.0,
+        "traffic": {"catalog": []},
+        "safety": {"enabled": False},
+        "factory": {"islands": [{"id": "island1", "capabilities": ["a", "b"]}],
+                    "recipe": ["a", "b"],
+                    "releases": {"count": 2, "interval_s": 2.45}},
+        "script": [{"at_s": 2.7, "action": "estop", "endpoint": "island1.a"},
+                   {"at_s": 3.5, "action": "reset", "loop": "island1.loop"}],
+    }
+    logs = []
+    for padding in range(16):
+        ballast = [object() for _ in range(padding)]
+        logs.append(run_scenario(scenario).product_log)
+        del ballast
+    assert all(log == logs[0] for log in logs)
+    at = round(5.8 * NS_PER_S)
+    assert [e.product for e in logs[0] if e.event == "step_done" and e.at == at] == [
+        "product1", "product2"
+    ]
+
+
 def test_no_route_is_logged_once_when_a_product_loses_its_route():
     # without a manual station product2 has no route while product1 holds
     # island1.engrave (0.5-2.5 s): one row, not one per 100 ms tick
