@@ -18,13 +18,16 @@ Frozen formats:
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from .compliance import JITTER_DEFINITION, StreamMetrics
 from .scenario import schema_to_dict
 from .simulation import RunResult
+from .traffic import PacketRecord, StreamClass
 
 PACKET_COLUMNS = [
     "stream", "seq", "class", "size_bytes", "created_ns", "sent_ns", "delivered_ns",
@@ -88,6 +91,29 @@ def build_metrics_document(result: RunResult) -> dict:
     ))
 
 
+def _csv_field(value: str) -> str:
+    """`value` as `csv.writer` writes it as one field of a row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow([value, ""])
+    return buf.getvalue()[:-1]
+
+
+def _packet_rows(records: list[PacketRecord]) -> Iterator[str]:
+    """`packets.csv` data rows, each as `csv.writer` writes it: a stream's
+    name and class are quoted once, and the integers formatted directly."""
+    quoted: dict[str, tuple[StreamClass, str, str]] = {}
+    for r in records:
+        fields = quoted.get(r.stream)
+        if fields is None or fields[0] is not r.stream_class:
+            fields = quoted[r.stream] = (
+                r.stream_class, _csv_field(r.stream), _csv_field(r.stream_class.value))
+        _, stream, cls = fields
+        sent = "" if r.sent_at is None else r.sent_at
+        delivered = "LOST" if r.delivered_at is None else r.delivered_at
+        yield (f"{stream},{r.seq},{cls},{r.size_bytes},{r.created_at},"
+               f"{sent},{delivered}\r\n")
+
+
 def write_artifacts(result: RunResult, out_dir: str | Path) -> RunArtifacts:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -106,20 +132,8 @@ def write_artifacts(result: RunResult, out_dir: str | Path) -> RunArtifacts:
         fh.write("\n")
 
     with artifacts.packets_csv.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PACKET_COLUMNS)
-        for r in result.records:
-            writer.writerow(
-                [
-                    r.stream,
-                    r.seq,
-                    r.stream_class.value,
-                    r.size_bytes,
-                    r.created_at,
-                    r.sent_at if r.sent_at is not None else "",
-                    r.delivered_at if r.delivered_at is not None else "LOST",
-                ]
-            )
+        csv.writer(fh).writerow(PACKET_COLUMNS)
+        fh.writelines(_packet_rows(result.records))
 
     with artifacts.safety_log_csv.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import pairwise
+from itertools import chain
+from operator import sub
+from typing import Iterable
 
 from .sim_core import NS_PER_MS, SimTime
 from .traffic import PacketRecord, StreamClass
@@ -114,6 +116,9 @@ class StreamMetrics:
     availability: float | None
     survival_time_ns: SimTime
     availability_windows: int = 0
+    # the one-pass partial results `aggregate_metrics` merges; not written
+    fold: StreamFold | None = field(
+        default=None, repr=False, compare=False, metadata={"key": None})
 
 
 def percentile(sorted_values: list[int], pct: float) -> int:
@@ -124,23 +129,61 @@ def percentile(sorted_values: list[int], pct: float) -> int:
     return sorted_values[rank - 1]
 
 
-def collect_stream_metrics(
-    stream: str, records: list[PacketRecord], horizon_ns: SimTime
-) -> StreamMetrics:
-    """Fold one stream's packet records into scoring metrics.
+@dataclass(slots=True)
+class StreamFold:
+    """One stream's records reduced in one pass: what its metrics need, and
+    what `aggregate_metrics` merges instead of re-reading the records. Only
+    records created within the horizon count."""
 
-    A packet whose delivery falls beyond the horizon counts as in flight:
-    neither delivered nor lost at the deadline. The transfer interval is the
-    sender-side gap between consecutive creations.
-    """
-    records = [r for r in records if r.created_at <= horizon_ns]
-    delivered = [
-        r for r in records
-        if r.delivered_at is not None and r.delivered_at <= horizon_ns
-    ]
-    lost = sum(r.delivered_at is None for r in records)
-    bits = sum(r.size_bytes * 8 for r in records)
-    latencies = sorted(r.delivered_at - r.created_at for r in delivered)
+    stream_class: StreamClass
+    created: list[SimTime]  # creation instants, in record order
+    lost_count: int
+    bits: int
+    size_min: int | None
+    size_max: int | None
+    latencies: list[SimTime]  # of deliveries within the horizon, sorted
+    hit: bytearray  # 1 per whole survival-time window holding a delivery
+
+
+def _fold(records: list[PacketRecord], horizon_ns: SimTime) -> StreamFold:
+    created: list[SimTime] = []
+    sizes: list[int] = []
+    latencies: list[SimTime] = []
+    lost = 0
+    hit = bytearray(horizon_ns // SURVIVAL_TIME_NS)
+    # deliveries in the last, partial window count for no window
+    windows_end = len(hit) * SURVIVAL_TIME_NS
+    for r in records:
+        c = r.created_at
+        if c > horizon_ns:
+            continue
+        created.append(c)
+        sizes.append(r.size_bytes)
+        d = r.delivered_at
+        if d is None:
+            lost += 1
+        elif d <= horizon_ns:
+            latencies.append(d - c)
+            if d < windows_end:
+                hit[d // SURVIVAL_TIME_NS] = 1
+    latencies.sort()
+    return StreamFold(
+        stream_class=next(
+            (r.stream_class for r in records if r.created_at <= horizon_ns),
+            StreamClass.NON_SAFETY_RELEVANT,
+        ),
+        created=created,
+        lost_count=lost,
+        bits=sum(sizes) * 8,
+        size_min=min(sizes, default=None),
+        size_max=max(sizes, default=None),
+        latencies=latencies,
+        hit=hit,
+    )
+
+
+def _metrics(stream: str, fold: StreamFold, horizon_ns: SimTime) -> StreamMetrics:
+    created, latencies = fold.created, fold.latencies
     latency = LatencyStats(
         min_ns=latencies[0],
         p50_ns=percentile(latencies, 50.0),
@@ -149,35 +192,64 @@ def collect_stream_metrics(
         max_ns=latencies[-1],
     ) if latencies else None
     windows = horizon_ns // SURVIVAL_TIME_NS
-    hit = {w for r in delivered if (w := r.delivered_at // SURVIVAL_TIME_NS) < windows}
     return StreamMetrics(
         stream=stream,
-        stream_class=(records[0].stream_class if records
-                      else StreamClass.NON_SAFETY_RELEVANT),
-        sample_count=len(records),
-        delivered_count=len(delivered),
-        lost_count=lost,
-        in_flight_count=len(records) - len(delivered) - lost,
-        observed_rate_bps=bits * 1e9 / horizon_ns if horizon_ns > 0 else 0.0,
-        size_min=min((r.size_bytes for r in records), default=None),
-        size_max=max((r.size_bytes for r in records), default=None),
+        stream_class=fold.stream_class,
+        sample_count=len(created),
+        delivered_count=len(latencies),
+        lost_count=fold.lost_count,
+        in_flight_count=len(created) - len(latencies) - fold.lost_count,
+        observed_rate_bps=fold.bits * 1e9 / horizon_ns if horizon_ns > 0 else 0.0,
+        size_min=fold.size_min,
+        size_max=fold.size_max,
         latency=latency,
         jitter_ns=None if latency is None else latency.p99_ns - latency.min_ns,
-        max_transfer_interval_ns=max(
-            (b.created_at - a.created_at for a, b in pairwise(records)), default=None),
-        availability=len(hit) / windows if windows else None,
+        max_transfer_interval_ns=max(map(sub, created[1:], created), default=None),
+        availability=fold.hit.count(1) / windows if windows else None,
         survival_time_ns=SURVIVAL_TIME_NS,
         availability_windows=windows,
     )
 
 
-def aggregate_metrics(
-    records: list[PacketRecord], horizon_ns: SimTime
+def collect_stream_metrics(
+    stream: str, records: list[PacketRecord], horizon_ns: SimTime
 ) -> StreamMetrics:
-    """All streams folded into one pseudo-stream for aggregate assessments."""
-    m = collect_stream_metrics("aggregate", records, horizon_ns)
-    m.stream_class = StreamClass.NON_SAFETY_RELEVANT
-    return m
+    """Fold one stream's packet records, in creation order, into scoring
+    metrics.
+
+    A packet whose delivery falls beyond the horizon counts as in flight:
+    neither delivered nor lost at the deadline. The transfer interval is the
+    sender-side gap between consecutive creations.
+    """
+    fold = _fold(records, horizon_ns)
+    metrics = _metrics(stream, fold, horizon_ns)
+    metrics.fold = fold
+    return metrics
+
+
+def aggregate_metrics(
+    streams: Iterable[StreamMetrics], horizon_ns: SimTime
+) -> StreamMetrics:
+    """All streams merged into one pseudo-stream for aggregate assessments,
+    from the folds that `collect_stream_metrics` left on each stream's
+    metrics. The transfer interval is the largest gap between consecutive
+    creations across all streams."""
+    folds = [m.fold for m in streams]
+    sampled = [f for f in folds if f.created]
+    hit = 0  # the streams' 0/1 window bytes, OR-ed as one integer
+    for f in folds:
+        hit |= int.from_bytes(f.hit, "little")
+    merged = StreamFold(
+        stream_class=StreamClass.NON_SAFETY_RELEVANT,
+        created=sorted(chain.from_iterable(f.created for f in folds)),
+        lost_count=sum(f.lost_count for f in folds),
+        bits=sum(f.bits for f in folds),
+        size_min=min((f.size_min for f in sampled), default=None),
+        size_max=max((f.size_max for f in sampled), default=None),
+        latencies=sorted(chain.from_iterable(f.latencies for f in folds)),
+        hit=bytearray(hit.to_bytes(horizon_ns // SURVIVAL_TIME_NS, "little")),
+    )
+    return _metrics("aggregate", merged, horizon_ns)
 
 
 # -- evaluation ----------------------------------------------------------------

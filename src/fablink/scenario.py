@@ -255,9 +255,11 @@ def _built(path: str, make, *args):
 
 @cache
 def _schema(cls) -> list[tuple[str, Any, Any]]:
-    """(config key, field, resolved type) of each field, resolved once per class."""
+    """(config key, field, resolved type) of each field, resolved once per class;
+    a field whose key is None is not part of the schema."""
     hints = get_type_hints(cls)
-    return [(f.metadata.get("key", f.name), f, hints[f.name]) for f in fields(cls)]
+    return [(key, f, hints[f.name]) for f in fields(cls)
+            if (key := f.metadata.get("key", f.name)) is not None]
 
 
 def _parse(tp, value, path: str, meta) -> Any:

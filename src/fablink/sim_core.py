@@ -3,6 +3,11 @@
 Integer-nanosecond virtual clock, a cancellable event queue with a safety
 lane (safety events run before normal events at the same instant), named RNG
 sub-streams, and per-module event counters for the run summary.
+
+A queued event is one list, `[fire_at, lane, seq, action, module]`, ordered
+by `(fire_at, lane, seq)`. `schedule_at` returns that list as the event's
+handle: `Engine.cancel(entry)` clears its action, and the loop skips such an
+entry when it pops it.
 """
 
 from __future__ import annotations
@@ -33,7 +38,8 @@ class HandlerError(RuntimeError):
 
 @dataclass
 class Event:
-    """A queued callback. `module` only tags the summary counters."""
+    """A callback to queue through `Engine.schedule`. `module` only tags the
+    summary counters."""
 
     fire_at: SimTime
     action: Callable[[], None]
@@ -41,26 +47,9 @@ class Event:
     lane: int = LANE_NORMAL
 
 
-class EventHandle:
-    """Allows cancelling a scheduled event before it fires."""
-
-    __slots__ = ("event", "_cancelled", "_fired")
-
-    def __init__(self, event: Event):
-        self.event = event
-        self._cancelled = False
-        self._fired = False
-
-    def cancel(self) -> None:
-        self._cancelled = True
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-    @property
-    def pending(self) -> bool:
-        return not self._cancelled and not self._fired
+# [fire_at, lane, seq, action, module]; `seq` is unique, so heap comparisons
+# never reach the action, which is None once the entry is cancelled
+QueueEntry = list
 
 
 class RngStream:
@@ -75,16 +64,11 @@ class RngStream:
         self.seed = seed
         self.stream_id = stream_id
         digest = hashlib.sha256(f"{seed}/{stream_id}".encode("utf-8")).digest()
-        self._rng = random.Random(int.from_bytes(digest[:16], "big"))
-
-    def random(self) -> float:
-        return self._rng.random()
-
-    def uniform(self, a: float, b: float) -> float:
-        return self._rng.uniform(a, b)
-
-    def expovariate(self, rate: float) -> float:
-        return self._rng.expovariate(rate)
+        rng = random.Random(int.from_bytes(digest[:16], "big"))
+        # the generator's own bound methods, so a draw makes no wrapper call
+        self.random: Callable[[], float] = rng.random
+        self.uniform: Callable[[float, float], float] = rng.uniform
+        self.expovariate: Callable[[float], float] = rng.expovariate
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id!r})"
@@ -104,14 +88,14 @@ class Engine:
     """Single-threaded event loop over an integer-nanosecond clock.
 
     Events with equal fire time are ordered by lane (safety first), then by
-    scheduling order (FIFO). Cancellation is lazy: cancelled entries are
-    skipped when popped.
+    scheduling order (FIFO). Cancellation is lazy: a cancelled entry stays
+    queued and is skipped when popped.
     """
 
     def __init__(self, seed: int = 0):
         self.now: SimTime = 0
         self.seed = seed
-        self._heap: list[tuple[SimTime, int, int, EventHandle]] = []
+        self._heap: list[QueueEntry] = []
         self._seq = 0
         self._streams: dict[str, RngStream] = {}
         self._counts: dict[str, int] = {}
@@ -123,15 +107,9 @@ class Engine:
             st = self._streams[stream_id] = RngStream(self.seed, stream_id)
         return st
 
-    def schedule(self, event: Event) -> EventHandle:
-        if event.fire_at < self.now:
-            raise SchedulingInPast(
-                f"fire_at {event.fire_at} is before current clock {self.now}"
-            )
-        handle = EventHandle(event)
-        heapq.heappush(self._heap, (event.fire_at, event.lane, self._seq, handle))
-        self._seq += 1
-        return handle
+    def schedule(self, event: Event) -> QueueEntry:
+        """Queue an `Event`; the same queue and order as `schedule_at`."""
+        return self.schedule_at(event.fire_at, event.action, event.module, event.lane)
 
     def schedule_at(
         self,
@@ -139,8 +117,16 @@ class Engine:
         action: Callable[[], None],
         module: str = "misc",
         lane: int = LANE_NORMAL,
-    ) -> EventHandle:
-        return self.schedule(Event(fire_at, action, module, lane))
+    ) -> QueueEntry:
+        """Queue `action` at `fire_at`; the returned entry is its handle."""
+        if fire_at < self.now:
+            raise SchedulingInPast(
+                f"fire_at {fire_at} is before current clock {self.now}"
+            )
+        entry = [fire_at, lane, self._seq, action, module]
+        self._seq += 1
+        heapq.heappush(self._heap, entry)
+        return entry
 
     def schedule_after(
         self,
@@ -148,33 +134,38 @@ class Engine:
         action: Callable[[], None],
         module: str = "misc",
         lane: int = LANE_NORMAL,
-    ) -> EventHandle:
+    ) -> QueueEntry:
         return self.schedule_at(self.now + delay, action, module, lane)
+
+    @staticmethod
+    def cancel(entry: QueueEntry) -> None:
+        """Keep a queued entry from firing; a no-op once it has fired."""
+        entry[3] = None
 
     def run_until(self, deadline: SimTime) -> SimSummary:
         """Process every event with fire_at <= deadline, leave clock at deadline.
         An exception from an event's action is re-raised as `HandlerError`."""
         heap = self._heap
+        counts = self._counts
+        pop = heapq.heappop
         try:
             while heap and heap[0][0] <= deadline:
-                fire_at, _lane, _seq, handle = heapq.heappop(heap)
-                if handle.cancelled:
+                fire_at, _lane, _seq, action, module = pop(heap)
+                if action is None:
                     continue
-                ev = handle.event
                 assert fire_at >= self.now, "event queue ordering violated"
                 self.now = fire_at
-                handle._fired = True
-                self._counts[ev.module] = self._counts.get(ev.module, 0) + 1
-                ev.action()
+                counts[module] = counts.get(module, 0) + 1
+                action()
         except Exception as exc:
-            action = getattr(ev.action, "__qualname__", repr(ev.action))
+            name = getattr(action, "__qualname__", repr(action))
             raise HandlerError(
-                f"at {self.now} ns, {ev.module} event {action}: "
+                f"at {self.now} ns, {module} event {name}: "
                 f"{type(exc).__name__}: {exc}"
             ) from exc
         if deadline > self.now:
             self.now = deadline
-        return SimSummary(end_time=self.now, events_processed=dict(self._counts))
+        return SimSummary(end_time=self.now, events_processed=dict(counts))
 
 
 class PausableTimer:
@@ -196,32 +187,26 @@ class PausableTimer:
         self._action = action
         self._module = module
         self._lane = lane
-        self._remaining: SimTime | None = None
-        self._done = False
-        self._handle = engine.schedule_after(delay, self._fire, module, lane)
+        self._remaining: SimTime | None = None  # set while paused
+        self._entry: QueueEntry | None = engine.schedule_after(
+            delay, self._fire, module, lane
+        )
 
     def _fire(self) -> None:
-        self._done = True
-        self._handle = None
+        self._entry = None
         self._action()
 
     def pause(self) -> None:
-        if self._done or self._handle is None:
+        if self._entry is None:  # fired or already paused
             return
-        self._remaining = self._handle.event.fire_at - self._engine.now
-        self._handle.cancel()
-        self._handle = None
+        self._remaining = self._entry[0] - self._engine.now
+        self._engine.cancel(self._entry)
+        self._entry = None
 
     def resume(self) -> None:
-        if self._done or self._remaining is None:
+        if self._remaining is None:  # running or fired
             return
-        self._handle = self._engine.schedule_after(
+        self._entry = self._engine.schedule_after(
             self._remaining, self._fire, self._module, self._lane
         )
         self._remaining = None
-
-    def cancel(self) -> None:
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
-        self._done = True

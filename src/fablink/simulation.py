@@ -7,7 +7,7 @@ report.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 
 from . import compliance as compliance_mod
@@ -786,11 +786,11 @@ class Simulation:
 
     def _collect(self, summary: SimSummary) -> RunResult:
         comp = self.scenario.compliance
-        by_stream: dict[str, list[PacketRecord]] = {
-            name: [] for name in self.stream_order
-        }
+        by_stream: defaultdict[str, list[PacketRecord]] = defaultdict(
+            list, {name: [] for name in self.stream_order}
+        )
         for record in self.records:
-            by_stream.setdefault(record.stream, []).append(record)
+            by_stream[record.stream].append(record)
         # channel-driven streams outside the catalog appear here too, in
         # order of first record
         self.stream_order = list(by_stream)
@@ -798,7 +798,8 @@ class Simulation:
             name: compliance_mod.collect_stream_metrics(name, recs, self.horizon_ns)
             for name, recs in by_stream.items()
         }
-        aggregate = compliance_mod.aggregate_metrics(self.records, self.horizon_ns)
+        aggregate = compliance_mod.aggregate_metrics(
+            stream_metrics.values(), self.horizon_ns)
         report = ComplianceReport(service_area_m=comp.service_area_m)
         floor = comp.availability_sample_floor
         # in name order, the order `fablink check` reads them from metrics.json

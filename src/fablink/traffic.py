@@ -56,7 +56,7 @@ class TrafficProfile:
         return self.rate_hz * self.payload_bytes * 8
 
 
-@dataclass
+@dataclass(slots=True)
 class PacketRecord:
     """Per-packet timeline entry; delivered_at stays None when lost."""
 

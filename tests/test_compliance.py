@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import random
+from dataclasses import fields
+from itertools import pairwise
+
+import pytest
 
 from fablink.compliance import (
     ASPECT1,
@@ -8,6 +12,7 @@ from fablink.compliance import (
     ComplianceReport,
     ComplianceVerdict,
     LatencyStats,
+    SURVIVAL_TIME_NS,
     StreamMetrics,
     aggregate_metrics,
     availability_sample_floor,
@@ -245,11 +250,17 @@ def test_collect_stream_metrics_basics():
 
 
 def test_aggregate_metrics_fold_all_streams():
-    records = _records([(0, NS_PER_MS, 60), (NS_PER_MS, 2 * NS_PER_MS, 1400)])
-    m = aggregate_metrics(records, 10 * NS_PER_MS)
+    horizon = 10 * NS_PER_MS
+    streams = [
+        collect_stream_metrics(name, _records([row]), horizon)
+        for name, row in (("a", (0, NS_PER_MS, 60)),
+                          ("b", (NS_PER_MS, 2 * NS_PER_MS, 1400)))
+    ]
+    m = aggregate_metrics(streams, horizon)
     assert m.stream == "aggregate"
     assert m.sample_count == 2
     assert m.size_max == 1400
+    assert m.max_transfer_interval_ns == NS_PER_MS
 
 
 def test_report_counts_and_exit_condition():
@@ -264,3 +275,130 @@ def test_report_counts_and_exit_condition():
     assert doc["verdict_counts"]["fail"] == 1
     table = report.render_table()
     assert "service_data_rate" in table and "Fail" in table
+
+
+# -- one-pass fold against the multi-pass reference ----------------------------
+
+
+def _reference_stream_metrics(stream, records, horizon_ns):
+    """The multi-pass fold the one-pass `collect_stream_metrics` replaced, kept
+    as the reference: about ten passes over the records of one stream."""
+    window = SURVIVAL_TIME_NS
+    records = [r for r in records if r.created_at <= horizon_ns]
+    delivered = [
+        r for r in records
+        if r.delivered_at is not None and r.delivered_at <= horizon_ns
+    ]
+    lost = sum(r.delivered_at is None for r in records)
+    bits = sum(r.size_bytes * 8 for r in records)
+    latencies = sorted(r.delivered_at - r.created_at for r in delivered)
+    latency = LatencyStats(
+        min_ns=latencies[0],
+        p50_ns=percentile(latencies, 50.0),
+        p99_ns=percentile(latencies, 99.0),
+        p999_ns=percentile(latencies, 99.9),
+        max_ns=latencies[-1],
+    ) if latencies else None
+    windows = horizon_ns // window
+    hit = {w for r in delivered if (w := r.delivered_at // window) < windows}
+    return StreamMetrics(
+        stream=stream,
+        stream_class=(records[0].stream_class if records
+                      else StreamClass.NON_SAFETY_RELEVANT),
+        sample_count=len(records),
+        delivered_count=len(delivered),
+        lost_count=lost,
+        in_flight_count=len(records) - len(delivered) - lost,
+        observed_rate_bps=bits * 1e9 / horizon_ns if horizon_ns > 0 else 0.0,
+        size_min=min((r.size_bytes for r in records), default=None),
+        size_max=max((r.size_bytes for r in records), default=None),
+        latency=latency,
+        jitter_ns=None if latency is None else latency.p99_ns - latency.min_ns,
+        max_transfer_interval_ns=max(
+            (b.created_at - a.created_at for a, b in pairwise(records)), default=None),
+        availability=len(hit) / windows if windows else None,
+        survival_time_ns=window,
+        availability_windows=windows,
+    )
+
+
+def _reference_aggregate(records, horizon_ns):
+    """The reference aggregate: every record, in creation order, re-read."""
+    m = _reference_stream_metrics("aggregate", records, horizon_ns)
+    m.stream_class = StreamClass.NON_SAFETY_RELEVANT
+    return m
+
+
+def _random_run(rng, n_records, n_streams):
+    """Records of interleaved streams in creation order, as a run appends
+    them: some lost, some delivered late, and creation instants that collide
+    across streams. Horizons inside the run leave some records created or
+    delivered after them."""
+    classes = list(StreamClass)
+    streams = [(f"s{i}", rng.choice(classes), rng.choice([40, 60, 64, 1400]))
+               for i in range(n_streams)]
+    seqs = [0] * n_streams
+    records = []
+    t = 0
+    for _ in range(n_records):
+        t += rng.choice([0, 0, 1, 250_000, 3 * NS_PER_MS, 20 * NS_PER_MS])
+        i = rng.randrange(n_streams)
+        name, cls, size = streams[i]
+        roll = rng.random()
+        if roll < 0.15:
+            delivered = None
+        elif roll < 0.25:
+            delivered = t + rng.randrange(30 * NS_PER_MS)  # may pass the horizon
+        else:
+            delivered = t + rng.randrange(1, 2 * NS_PER_MS)
+        size += rng.choice([0, 0, 8])
+        records.append(PacketRecord(name, seqs[i], t, size, cls, t, delivered))
+        seqs[i] += 1
+    return records
+
+
+def _assert_same_metrics(got, want):
+    for f in fields(StreamMetrics):
+        if f.compare:  # every field but the fold
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+
+def _by_stream(records):
+    groups = {}
+    for r in records:
+        groups.setdefault(r.stream, []).append(r)
+    return groups
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_one_pass_fold_equals_multi_pass_reference(seed):
+    rng = random.Random(seed)
+    n_records = rng.choice([0, 1, 2, 5, 50, 400])
+    records = _random_run(rng, n_records, rng.randint(1, 5))
+    last = records[-1].created_at if records else 0
+    # horizons before, inside and after the run, and shorter than one window
+    horizon_ns = rng.choice([
+        0, 5 * NS_PER_MS, last // 2, last, last + 7 * NS_PER_MS,
+        rng.randrange(last + 1),
+    ])
+    streams = _by_stream(records)
+    got = {name: collect_stream_metrics(name, recs, horizon_ns)
+           for name, recs in streams.items()}
+    for name, recs in streams.items():
+        _assert_same_metrics(got[name], _reference_stream_metrics(name, recs, horizon_ns))
+    _assert_same_metrics(aggregate_metrics(got.values(), horizon_ns),
+                         _reference_aggregate(records, horizon_ns))
+
+
+def test_fold_of_no_records_and_of_one():
+    horizon = 100 * NS_PER_MS
+    _assert_same_metrics(collect_stream_metrics("s", [], horizon),
+                         _reference_stream_metrics("s", [], horizon))
+    _assert_same_metrics(aggregate_metrics([], horizon),
+                         _reference_aggregate([], horizon))
+    for delivered in (None, 2 * NS_PER_MS, 200 * NS_PER_MS):
+        one = _records([(NS_PER_MS, delivered, 60)])
+        m = collect_stream_metrics("s", one, horizon)
+        _assert_same_metrics(m, _reference_stream_metrics("s", one, horizon))
+        _assert_same_metrics(aggregate_metrics([m], horizon),
+                             _reference_aggregate(one, horizon))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from fablink.sim_core import (
+    LANE_NORMAL,
     LANE_SAFETY,
     NS_PER_S,
     Engine,
@@ -17,12 +18,28 @@ from fablink.sim_core import (
 def test_schedule_accepts_event_objects():
     engine = Engine()
     fired = []
-    handle = engine.schedule(Event(fire_at=7, action=lambda: fired.append(1),
-                                   module="demo"))
-    assert handle.pending
-    engine.run_until(10)
+
+    def action():
+        fired.append(1)
+
+    entry = engine.schedule(Event(fire_at=7, action=action, module="demo"))
+    assert entry == [7, LANE_NORMAL, 0, action, "demo"]
+    summary = engine.run_until(10)
     assert fired == [1]
-    assert not handle.pending
+    assert summary.events_processed == {"demo": 1}
+
+
+def test_event_objects_share_the_queue_and_its_order():
+    engine = Engine()
+    order = []
+    engine.schedule_at(5, lambda: order.append("at"))
+    engine.schedule(Event(5, lambda: order.append("event")))
+    engine.schedule(Event(5, lambda: order.append("safety"), lane=LANE_SAFETY))
+    engine.schedule_at(3, lambda: order.append("early"))
+    engine.run_until(5)
+    assert order == ["early", "safety", "at", "event"]
+    with pytest.raises(SchedulingInPast):
+        engine.schedule(Event(4, lambda: None))
 
 
 def test_schedule_in_past_raises():
@@ -83,11 +100,21 @@ def test_safety_lane_preempts_normal_events_at_same_instant():
 def test_cancelled_event_never_fires():
     engine = Engine()
     fired = []
-    handle = engine.schedule_at(100, lambda: fired.append(1))
-    handle.cancel()
+    entry = engine.schedule_at(100, lambda: fired.append(1))
+    engine.cancel(entry)
+    assert entry[3] is None
     engine.run_until(200)
     assert fired == []
-    assert not handle.pending
+
+
+def test_cancelled_entry_is_not_counted():
+    engine = Engine()
+    engine.schedule_at(1, lambda: None, module="a")
+    engine.cancel(engine.schedule_at(2, lambda: None, module="a"))
+    engine.cancel(engine.schedule_at(3, lambda: None, module="b"))
+    summary = engine.run_until(10)
+    assert summary.events_processed == {"a": 1}
+    assert engine.now == 10
 
 
 def test_run_until_empty_queue_advances_clock():
@@ -184,12 +211,3 @@ def test_pausable_timer_keeps_remaining_time():
     timer.resume()
     engine.run_until(600)
     assert fired == [560]  # 40 elapsed + 60 remaining after resume at 500
-
-
-def test_pausable_timer_cancel():
-    engine = Engine()
-    fired = []
-    timer = PausableTimer(engine, 100, lambda: fired.append(1))
-    timer.cancel()
-    engine.run_until(1000)
-    assert fired == []
