@@ -191,7 +191,7 @@ def dock(robot: Robot, island: Island, safety_mgr, now: SimTime) -> None:
     if safety_mgr.loops[island.safety_loop_id].state is LoopState.SAFE_STOP:
         raise DockRefused(f"island {island.id} is in safe stop")
     robot.pose = AtDock(island.id)
-    safety_mgr.join(island.safety_loop_id, now)
+    safety_mgr.join(island.safety_loop_id)
 
 
 # -- readiness snapshot -----------------------------------------------------------

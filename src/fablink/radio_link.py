@@ -10,11 +10,13 @@ every wireless packet through one `LinkRuntime`.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable
+from operator import itemgetter
+from typing import Callable, Iterable
 
 from .nr_frame import TtiConfig, next_tx_opportunity
 from .sim_core import NS_PER_S, RngStream, SimTime
@@ -261,11 +263,15 @@ class LinkModel:
         )
 
 
+Sender = Callable[[SimTime], tuple[SimTime, SimTime | None]]
+
+
 class LinkRuntime:
     """The link a run sends every wireless packet through, traffic and safety
-    PDUs alike: the scripted up/down state, the BLER at the operating point,
-    air time plus processing delay per payload size, and a jitter sub-stream
-    `jitter.<stream>` per stream, so adding a stream shifts no other jitter."""
+    PDUs alike. Its timeline is the script's link actions, `(at, up)` sorted
+    by time (script order within an instant): `up_at(t)` is the state the
+    last one at or before `t` left, up before the first. Each stream sends
+    through its own `sender`, and draws jitter from `jitter.<stream>`."""
 
     def __init__(
         self,
@@ -273,34 +279,47 @@ class LinkRuntime:
         config: LinkConfig,
         jitter_ns: int,
         streams: Callable[[str], RngStream],
+        timeline: Iterable[tuple[SimTime, bool]] = (),
     ):
         self.model = model
         self.config = config
         self.jitter_ns = jitter_ns
-        self.up = True  # switched by the script's link_down / link_up
         self.bler = model.bler(config)
+        # sorted is stable, so script order holds within an instant
+        self.timeline = sorted(timeline, key=itemgetter(0))
         self._streams = streams
-        self._air_proc_ns: dict[int, int] = {}
+        # air time plus processing per payload size, on its first delivery
+        self._air_proc_ns = functools.cache(
+            lambda size: model.air_time_ns(config, size) + config.processing_delay_ns)
 
-    def send(
-        self, now: SimTime, size: int, rng: RngStream, stream: str
-    ) -> tuple[SimTime, SimTime | None]:
-        """One transmission attempt at `now`: (sent at the next TTI boundary,
-        delivered at, or None when lost). A down link or a BLER of zero makes
-        no draw; otherwise the packet is lost iff `rng.random() < bler`."""
-        sent_at = next_tx_opportunity(now, self.config.tti)
-        if not self.up or (self.bler > 0.0 and rng.random() < self.bler):
-            return sent_at, None
-        air_proc = self._air_proc_ns.get(size)
-        if air_proc is None:
-            air_proc = self._air_proc_ns[size] = self.model.air_time_ns(
-                self.config, size
-            ) + self.config.processing_delay_ns
-        delivered = sent_at + air_proc
-        if self.jitter_ns > 0:
-            jitter = self._streams(f"jitter.{stream}")
-            delivered += round(jitter.uniform(0, self.jitter_ns))
-        return sent_at, delivered
+    def up_at(self, t: SimTime) -> bool:
+        i = bisect.bisect_right(self.timeline, t, key=itemgetter(0))
+        return i == 0 or self.timeline[i - 1][1]
+
+    def sender(self, stream: str, size: int, rng: RngStream) -> Sender:
+        """`send(now)`: one attempt at `now` for `stream`'s `size`-byte packets,
+        sent at the next TTI boundary, with the TTI, BLER, air time plus
+        processing (one link-model call per distinct size) and jitter stream
+        resolved once. A down link or a BLER of zero makes no draw; otherwise
+        the packet is lost iff `rng.random() < bler`."""
+        tti, bler, draw = self.config.tti, self.bler, rng.random
+        up_at, jitter_ns = self.up_at if self.timeline else None, self.jitter_ns
+        jitter = self._streams(f"jitter.{stream}").uniform if jitter_ns > 0 else None
+        air_proc = None
+
+        def send(now: SimTime) -> tuple[SimTime, SimTime | None]:
+            nonlocal air_proc
+            sent_at = next_tx_opportunity(now, tti)
+            if (up_at and not up_at(now)) or (bler > 0.0 and draw() < bler):
+                return sent_at, None
+            if air_proc is None:
+                air_proc = self._air_proc_ns(size)
+            delivered = sent_at + air_proc
+            if jitter:
+                delivered += round(jitter(0, jitter_ns))
+            return sent_at, delivered
+
+        return send
 
 
 def _shift(anchors: tuple[tuple[float, float], ...], db: float):

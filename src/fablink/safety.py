@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterator
 
-from .radio_link import LinkRuntime
+from .radio_link import LinkRuntime, Sender
 from .sim_core import (
     LANE_NORMAL,
     LANE_SAFETY,
@@ -97,11 +97,11 @@ class SafetyManager:
                 self._endpoint_loop[member] = loop.id
         self._on_change = on_change or (lambda: None)
 
-    def join(self, island_loop_id: str, now: SimTime) -> None:
+    def join(self, island_loop_id: str) -> None:
         """Insert the robot into an island's loop (on docking)."""
         self.robot_membership = island_loop_id
 
-    def leave(self, now: SimTime) -> None:
+    def leave(self) -> None:
         """Isolate the robot's safety behaviour again (on undocking)."""
         self.robot_membership = None
 
@@ -226,7 +226,8 @@ class SafetyChannel:
     """Runs the cyclic PDU exchange on the engine and supervises receipt.
 
     Both directions traverse the radio link (the coupler end is wireless)
-    and are sent through the same `LinkRuntime` as the traffic streams.
+    and are sent through the same `LinkRuntime.sender` path as the traffic
+    streams, one sender per direction.
     Cycles start at the `emission_times` of the cycle rate. A lost
     transmission is retried at subsequent TTI boundaries until the next
     cycle's PDU supersedes it. The exchange itself keeps running after a
@@ -245,14 +246,19 @@ class SafetyChannel:
         self.engine = engine
         self.link = link
         self.config = config
-        self.rng = rng
         self.records = records
         self.on_trip = on_trip
         self.consecutive_missed = 0
         self.last_delivery: SimTime = 0
         self.supervising = True
         self._horizon: SimTime = 0
-        self._seq = {config.stream_up: 0, config.stream_down: 0}
+        self._cycle = 0  # the seq of the next cycle's records, both ways
+        # (stream, PDU size, its sender) per direction, up first
+        self._directions = [
+            (name, size, link.sender(name, size, rng))
+            for name, size in ((config.stream_up, config.pdu_bytes_up),
+                               (config.stream_down, config.pdu_bytes_down))
+        ]
         self._cycles: Iterator[SimTime] = iter(())
 
     def start(self, horizon: SimTime) -> None:
@@ -270,33 +276,22 @@ class SafetyChannel:
         nxt = next(self._cycles, None)
         # without a next cycle in the horizon, retries stop at the horizon
         cycle_end = math.inf if nxt is None else nxt
-        cfg = self.config
-        up_lost = self._exchange(cfg.stream_up, cfg.pdu_bytes_up, cycle_end)
-        down_lost = self._exchange(cfg.stream_down, cfg.pdu_bytes_down, cycle_end)
-        if up_lost and down_lost:
+        lost = []
+        for stream, size, send in self._directions:
+            record = PacketRecord(stream, self._cycle, self.engine.now, size,
+                                  StreamClass.SAFETY_RELEVANT)
+            self.records.append(record)
+            lost.append(self._attempt(record, send, cycle_end))
+        self._cycle += 1
+        if all(lost):
             # cycle currently unanswered in both directions; any delivery,
             # including one from a retry, resets the counter
             self.consecutive_missed += 1
         if nxt is not None:
             self.engine.schedule_at(nxt, self._run_cycle, module="safety")
 
-    def _exchange(self, stream: str, size: int, cycle_end: float) -> bool:
-        """Run one direction's PDU; True when the initial attempt was lost."""
-        record = PacketRecord(
-            stream=stream,
-            seq=self._seq[stream],
-            created_at=self.engine.now,
-            size_bytes=size,
-            stream_class=StreamClass.SAFETY_RELEVANT,
-        )
-        self._seq[stream] += 1
-        self.records.append(record)
-        return self._attempt(record, cycle_end)
-
-    def _attempt(self, record: PacketRecord, cycle_end: float) -> bool:
-        sent_at, delivered = self.link.send(
-            self.engine.now, record.size_bytes, self.rng, record.stream
-        )
+    def _attempt(self, record: PacketRecord, send: Sender, cycle_end: float) -> bool:
+        sent_at, delivered = send(self.engine.now)
         record.sent_at = sent_at
         if delivered is not None:
             record.delivered_at = delivered
@@ -307,7 +302,8 @@ class SafetyChannel:
         retry_at = sent_at + self.link.config.tti.duration_ns
         if retry_at < cycle_end and retry_at <= self._horizon:
             self.engine.schedule_at(
-                retry_at, lambda: self._attempt(record, cycle_end), module="safety"
+                retry_at, lambda: self._attempt(record, send, cycle_end),
+                module="safety",
             )
         return True
 

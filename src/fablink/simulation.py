@@ -1,13 +1,13 @@
-"""Run orchestration: wires the traffic generators, the production-flow
-runtime (islands, robot, handshake controller, manual workstation), the
-safety loops and PDU channel, and scenario script actions onto one
-deterministic event loop, then folds the run into metrics and a compliance
-report.
+"""Run orchestration: wires the production-flow runtime (islands, robot,
+handshake controller, manual workstation), the safety loops and PDU channel
+and the scenario script onto one deterministic event loop, computes each
+traffic stream off that loop, merges all records into engine order, and folds
+the run into metrics and a compliance report.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 
 from . import compliance as compliance_mod
@@ -52,7 +52,7 @@ from .sim_core import (
     SimSummary,
     SimTime,
 )
-from .traffic import PacketRecord, StreamClass, TrafficProfile, emission_times
+from .traffic import PacketRecord, StreamClass, merge_records, stream_records
 
 
 @dataclass
@@ -75,56 +75,6 @@ class RunResult:
     aggregate: StreamMetrics
     compliance: ComplianceReport
     factory_stats: dict
-
-
-# -- traffic stream runtime ---------------------------------------------------
-
-
-class _StreamRuntime:
-    """Emits one stream's packets at its `emission_times` and resolves each
-    one inline, through the radio link or over the wire."""
-
-    def __init__(self, sim: "Simulation", profile: TrafficProfile):
-        self.sim = sim
-        self.profile = profile
-        self.rng = sim.engine.stream(f"traffic.{profile.name}")
-        self.seq = 0
-        # pulled one instant per packet, so a Poisson gap is drawn after the
-        # previous packet's delivery draw
-        self._times = emission_times(
-            profile.rate_hz, sim.horizon_ns, profile.pattern, profile.phase_ns, self.rng
-        )
-
-    def start(self) -> None:
-        self._schedule_next()
-
-    def _schedule_next(self) -> None:
-        t = next(self._times, None)
-        if t is not None:
-            self.sim.engine.schedule_at(t, self._emit, module="traffic")
-
-    def _emit(self) -> None:
-        sim = self.sim
-        now = sim.engine.now
-        profile = self.profile
-        record = PacketRecord(
-            stream=profile.name,
-            seq=self.seq,
-            created_at=now,
-            size_bytes=profile.payload_bytes,
-            stream_class=profile.stream_class,
-        )
-        self.seq += 1
-        sim.records.append(record)
-        if profile.wireless:
-            # lost packets of non-safety streams are not retried
-            record.sent_at, record.delivered_at = sim.link.send(
-                now, profile.payload_bytes, self.rng, profile.name
-            )
-        else:
-            record.sent_at = now
-            record.delivered_at = now + sim.wired_latency_ns
-        self._schedule_next()
 
 
 # -- plant runtime -------------------------------------------------------------
@@ -488,7 +438,7 @@ class PlantRuntime:
 
         if isinstance(self.robot.pose, AtDock):
             def undock_and_depart() -> None:
-                self.sim.safety_mgr.leave(self.engine.now)
+                self.sim.safety_mgr.leave()
                 depart()
 
             self._timer(_ROBOT, round(self.cfg.dock_s * NS_PER_S), undock_and_depart)
@@ -694,10 +644,11 @@ class Simulation:
         self.link_config = scenario.radio.link_config()
         self.wired_latency_ns = round(scenario.radio.wired_latency_us * NS_PER_US)
         jitter_ns = round(scenario.radio.jitter_us * NS_PER_US)
-        self.link = LinkRuntime(
-            self.link_model, self.link_config, jitter_ns, self.engine.stream
-        )
-        self.records: list[PacketRecord] = []
+        timeline = [(round(a.at_s * NS_PER_S), a.action == "link_up")
+                    for a in scenario.script if a.action in ("link_down", "link_up")]
+        self.link = LinkRuntime(self.link_model, self.link_config, jitter_ns,
+                                self.engine.stream, timeline)
+        self.channel_records: list[PacketRecord] = []
         self.product_log: list[ProductEvent] = []
         self.profiles = scenario.traffic.profiles()
         self.stream_order = [p.name for p in self.profiles]
@@ -723,14 +674,10 @@ class Simulation:
                 link=self.link,
                 config=cfg,
                 rng=self.engine.stream("link.safety"),
-                records=self.records,
+                records=self.channel_records,
                 on_trip=self.safety_mgr.watchdog_trip,
             )
-        self.streams = [
-            _StreamRuntime(self, p)
-            for p in self.profiles
-            if p.name not in channel_streams
-        ]
+        self.traffic = [p for p in self.profiles if p.name not in channel_streams]
 
     # -- scenario script -----------------------------------------------------------
 
@@ -760,10 +707,7 @@ class Simulation:
         elif action.action == "reset_local":
             if self.plant:
                 self.safety_mgr.reset_local(now)
-        elif action.action == "link_down":
-            self.link.up = False
-        elif action.action == "link_up":
-            self.link.up = True
+        # link_down / link_up already act through the link's timeline
         elif action.action == "module_fault":
             if self.plant and action.endpoint in self.plant.modules:
                 self.plant.modules[action.endpoint].state = ModuleState.FAULT
@@ -774,25 +718,34 @@ class Simulation:
     # -- run --------------------------------------------------------------------------
 
     def run(self) -> RunResult:
+        """Compute each traffic stream's records, run the engine to the
+        horizon, then merge the records back into engine order."""
+        traffic = {
+            p.name: stream_records(p, self.engine.stream(f"traffic.{p.name}"),
+                                   self.link, self.horizon_ns, self.wired_latency_ns)
+            for p in self.traffic
+        }
         if self.plant:
             self.plant.start()
         if self.channel:
             self.channel.start(self.horizon_ns)
-        for stream in self.streams:
-            stream.start()
         self._schedule_script()
         summary = self.engine.run_until(self.horizon_ns)
-        return self._collect(summary)
+        # one traffic event per emission, as if each had been queued
+        emissions = sum(map(len, traffic.values()))
+        if emissions:
+            summary.events_processed["traffic"] = emissions
+        return self._collect(summary, traffic)
 
-    def _collect(self, summary: SimSummary) -> RunResult:
+    def _collect(self, summary: SimSummary, traffic: dict[str, list]) -> RunResult:
         comp = self.scenario.compliance
-        by_stream: defaultdict[str, list[PacketRecord]] = defaultdict(
-            list, {name: [] for name in self.stream_order}
-        )
-        for record in self.records:
-            by_stream[record.stream].append(record)
-        # channel-driven streams outside the catalog appear here too, in
-        # order of first record
+        records = merge_records(self.channel_records, list(traffic.values()))
+        by_stream = {name: [] for name in self.stream_order} | traffic
+        if self.channel_records:
+            # channel streams outside the catalog follow it, up first
+            cfg = self.channel.config
+            by_stream[cfg.stream_up] = self.channel_records[0::2]
+            by_stream[cfg.stream_down] = self.channel_records[1::2]
         self.stream_order = list(by_stream)
         stream_metrics = {
             name: compliance_mod.collect_stream_metrics(name, recs, self.horizon_ns)
@@ -818,7 +771,7 @@ class Simulation:
         return RunResult(
             scenario=self.scenario,
             summary=summary,
-            records=self.records,
+            records=records,
             stream_order=self.stream_order,
             safety_log=self.safety_mgr.log,
             product_log=self.product_log,

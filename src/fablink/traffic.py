@@ -1,4 +1,6 @@
-"""Traffic streams: profiles, the measured catalog and emission instants.
+"""Traffic streams: profiles, the measured catalog, emission instants, and
+each stream's records computed off the event queue, then merged into the
+order the engine would have created them.
 
 The built-in catalog reproduces the packet mix measured on the running
 plant: two cyclic safety PDU streams (60/64 bytes at 246.19 Hz), four
@@ -8,11 +10,14 @@ whole catalog sums to the measured 5.97 Mbit/s aggregate.
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
-from .sim_core import NS_PER_S, RngStream, SimTime
+from .radio_link import LinkRuntime
+from .sim_core import NS_PER_S, HandlerError, RngStream, SimTime
 
 
 class StreamClass(Enum):
@@ -167,3 +172,62 @@ def emission_times(
             if ti > horizon:
                 return
             yield ti
+
+
+# -- records, off the event queue -----------------------------------------------
+
+
+def stream_records(profile: TrafficProfile, rng: RngStream, link: LinkRuntime,
+                   horizon_ns: SimTime, wired_latency_ns: SimTime) -> list:
+    """One stream's records: a packet at each of its `emission_times`, sent
+    through `link` or over the wire; lost packets are not retried."""
+    name, size, cls = profile.name, profile.payload_bytes, profile.stream_class
+    # pulled one instant per packet, so a Poisson gap is drawn after the
+    # previous packet's loss draw
+    times = emission_times(
+        profile.rate_hz, horizon_ns, profile.pattern, profile.phase_ns, rng)
+    send = link.sender(name, size, rng) if profile.wireless else (
+        lambda now: (now, now + wired_latency_ns))
+    records: list[PacketRecord] = []
+    append = records.append
+    t = 0
+    try:
+        for seq, t in enumerate(times):
+            append(PacketRecord(name, seq, t, size, cls, *send(t)))
+    except Exception as exc:
+        raise HandlerError(f"at {t} ns, traffic stream {name}: "
+                           f"{type(exc).__name__}: {exc}") from exc
+    return records
+
+
+def merge_records(channel: list[PacketRecord], streams: list[list]) -> list:
+    """All records in engine order, as if each emission had been an event: by
+    creation instant, then by the merge position of the source's previous
+    emission, the order the engine would have queued them in. Sources start
+    in run order: the safety channel, whose up/down pairs stay one unit,
+    then the streams in catalog order."""
+    sources = [(channel, 2)] if channel else []
+    sources += [(recs, 1) for recs in streams if recs]
+    # (created_at, merge position of the previous emission, source, index)
+    heap = [(recs[0].created_at, k - len(sources), k, 0)
+            for k, (recs, _) in enumerate(sources)]
+    heapq.heapify(heap)
+    merged: list[PacketRecord] = []
+    append = merged.append
+    while heap:
+        _, _, k, i = heapq.heappop(heap)
+        recs, unit = sources[k]
+        end = len(recs)
+        # a source keeps the lead while its next emission is strictly
+        # earlier than every other source's: at a tie the other was first
+        bound = heap[0][0] if heap else math.inf
+        while True:
+            append(recs[i])
+            if unit == 2:
+                append(recs[i + 1])
+            i += unit
+            if i == end or recs[i].created_at >= bound:
+                break
+        if i < end:
+            heapq.heappush(heap, (recs[i].created_at, len(merged), k, i))
+    return merged

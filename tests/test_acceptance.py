@@ -33,7 +33,7 @@ from fablink.safety import (
 )
 from fablink.scenario import default_scenario, scenario_from_dict
 from fablink.simulation import Simulation
-from fablink.sim_core import LANE_SAFETY, NS_PER_MS, NS_PER_S, Engine, RngStream
+from fablink.sim_core import NS_PER_MS, NS_PER_S, Engine, RngStream
 from fablink.traffic import StreamClass
 
 TABLE_RATES_HZ = {
@@ -110,9 +110,8 @@ def test_criterion_3_sampling_and_availability():
     )
     rng = RngStream(42, "acceptance.sampling")
     link = LinkRuntime(model, LinkConfig(), 0, Engine().stream)
-    delivered = sum(
-        link.send(0, 60, rng, "sampling")[1] is not None for _ in range(1_000_000)
-    )
+    send = link.sender("sampling", 60, rng)
+    delivered = sum(send(0)[1] is not None for _ in range(1_000_000))
     assert abs(delivered / 1_000_000 - 0.5) <= 0.002
     # independence formula to full precision; the often-quoted seven-nines
     # equivalence for a two-slot survival time does not follow from it and
@@ -137,23 +136,28 @@ def test_criterion_4_timing_math():
     assert leg1 + leg2 <= NS_PER_MS
 
 
+def _outage_timeline(outages):
+    """The link timeline of outage windows: at each window edge, up iff no
+    window is open after every edge at that instant."""
+    open_delta = {}
+    for start, end in outages:
+        open_delta[start] = open_delta.get(start, 0) + 1
+        open_delta[end] = open_delta.get(end, 0) - 1
+    timeline, open_windows = [], 0
+    for at in sorted(open_delta):
+        open_windows += open_delta[at]
+        timeline.append((at, open_windows == 0))
+    return timeline
+
+
 def _random_outage_channel(engine, outages, watchdog_ns):
-    """Channel over a lossless link whose `up` switch the outage windows turn
-    off, the same switch the script's link_down / link_up use."""
+    """Channel over a lossless link whose timeline the outage windows take
+    down, the timeline the script's link_down / link_up make."""
     records, trips = [], []
     model = default_link_model()
     config = LinkConfig(snr_db=15.0, tti=TtiConfig(125))
     model.bler_curves[config.waveform, config.channel] = BlerCurve.constant(0.0)
-    link = LinkRuntime(model, config, 0, engine.stream)
-    down = [0]
-
-    def toggle(step):
-        down[0] += step
-        link.up = down[0] == 0
-
-    for start, end in outages:
-        engine.schedule_at(start, lambda: toggle(1), lane=LANE_SAFETY)
-        engine.schedule_at(end, lambda: toggle(-1), lane=LANE_SAFETY)
+    link = LinkRuntime(model, config, 0, engine.stream, _outage_timeline(outages))
     channel = SafetyChannel(
         engine=engine,
         link=link,
@@ -196,9 +200,9 @@ def test_criterion_5_safety_properties():
                 mgr.estop(f"{island}.m{rng.randrange(1, 3)}", now)
             elif roll < 0.6 and docked is None:
                 docked = rng.choice(island_ids)
-                mgr.join(f"{docked}.loop", now)
+                mgr.join(f"{docked}.loop")
             elif roll < 0.7 and docked is not None:
-                mgr.leave(now)
+                mgr.leave()
                 docked = None
             elif roll < 0.85:
                 mgr.estop("robot", now)

@@ -249,7 +249,7 @@ def test_dock_joins_loop_and_leave_isolates_the_robot():
     assert mgr.robot_membership == "island2.loop"
     assert snapshot(islands, robot)["island2.dock"] is True
 
-    mgr.leave(200)
+    mgr.leave()
     assert mgr.robot_membership is None
     robot.pose = InTransit("island2", "island3")  # departure follows undocking
     assert snapshot(islands, robot)["island2.dock"] is False

@@ -122,16 +122,16 @@ def test_unknown_curve_raises():
 # -- sampling through the link runtime --------------------------------------
 
 
-def _link_with_constant_bler(p: float) -> LinkRuntime:
+def _link_with_constant_bler(p: float, timeline=()) -> LinkRuntime:
     model = LinkModel(
         {(Waveform.P_OFDM, EVA70): BlerCurve.constant(p)},
         {Waveform.P_OFDM: ThroughputCurve(((0.0, 10e6),))},
     )
-    return LinkRuntime(model, cfg(), 0, Engine(seed=1).stream)
+    return LinkRuntime(model, cfg(), 0, Engine(seed=1).stream, timeline)
 
 
 def _delivered(link: LinkRuntime, rng: RngStream) -> bool:
-    return link.send(0, 60, rng, "s")[1] is not None
+    return link.sender("s", 60, rng)(0)[1] is not None
 
 
 def test_send_forced_outcomes():
@@ -166,7 +166,7 @@ def test_send_latency_matches_one_way_latency():
     rng = RngStream(1, "loss")
     for now in (0, 1, 124_999, 125_000, 3_000_017):
         for size in (60, 1400, 20_000):
-            sent_at, delivered = link.send(now, size, rng, "s")
+            sent_at, delivered = link.sender("s", size, rng)(now)
             assert sent_at == next_tx_opportunity(now, link.config.tti)
             assert delivered - now == link.model.one_way_latency(
                 link.config, now, size
@@ -175,9 +175,8 @@ def test_send_latency_matches_one_way_latency():
 
 def test_send_makes_no_draw_when_down_or_lossless():
     rng = RngStream(3, "loss")
-    down = _link_with_constant_bler(0.5)
-    down.up = False
-    assert down.send(0, 60, rng, "s") == (0, None)
+    down = _link_with_constant_bler(0.5, timeline=[(0, False)])
+    assert down.sender("s", 60, rng)(0) == (0, None)
     assert _delivered(_link_with_constant_bler(0.0), rng)
     assert rng.random() == RngStream(3, "loss").random()  # still the first draw
 

@@ -17,7 +17,7 @@ from fablink.safety import (
     SensorKind,
     UnknownEndpoint,
 )
-from fablink.sim_core import LANE_SAFETY, NS_PER_MS, NS_PER_S, Engine
+from fablink.sim_core import NS_PER_MS, NS_PER_S, Engine
 from fablink.traffic import StreamClass
 
 CYCLE_HZ = 246.19
@@ -32,7 +32,7 @@ def make_manager(robot_member: str | None = None, on_change=None) -> SafetyManag
     ]
     mgr = SafetyManager(loops, on_change=on_change)
     if robot_member:
-        mgr.join(robot_member, 0)
+        mgr.join(robot_member)
     return mgr
 
 
@@ -148,9 +148,9 @@ def test_estop_confinement_randomized_schedules():
                 mgr.estop(f"{island}.m{rng.randrange(1, 3)}", now)
             elif roll < 0.55 and docked_at is None:
                 docked_at = rng.choice(island_ids)
-                mgr.join(f"{docked_at}.loop", now)
+                mgr.join(f"{docked_at}.loop")
             elif roll < 0.65 and docked_at is not None:
-                mgr.leave(now)
+                mgr.leave()
                 docked_at = None
             elif roll < 0.8:
                 mgr.estop("robot", now)
@@ -172,31 +172,35 @@ def test_estop_confinement_randomized_schedules():
 # -- PDU channel and watchdog ----------------------------------------------------------
 
 
+def outage_timeline(outages: list[tuple[int, int]]) -> list[tuple[int, bool]]:
+    """The link timeline of outage windows: at each window edge, up iff no
+    window is open after every edge at that instant."""
+    open_delta: dict[int, int] = {}
+    for start, end in outages:
+        open_delta[start] = open_delta.get(start, 0) + 1
+        open_delta[end] = open_delta.get(end, 0) - 1
+    timeline, open_windows = [], 0
+    for at in sorted(open_delta):
+        open_windows += open_delta[at]
+        timeline.append((at, open_windows == 0))
+    return timeline
+
+
 def make_channel(
     engine: Engine,
     outages: list[tuple[int, int]] | None = None,
     watchdog_ns: int = WATCHDOG_NS,
     processing_delay_ns: int = 100_000,
 ):
-    """Channel over an ideal link (BLER 0, so no draws) whose `up` switch is
-    off inside each scripted outage window, the switch the script's
-    link_down / link_up turn; overlapping windows keep it down until the
-    last one ends."""
+    """Channel over an ideal link (BLER 0, so no draws) whose timeline takes
+    it down inside each scripted outage window, as the script's link_down /
+    link_up do; overlapping windows keep it down until the last one ends."""
     model = default_link_model()
     config = LinkConfig(
         snr_db=15.0, tti=TtiConfig(125), processing_delay_ns=processing_delay_ns
     )
     model.bler_curves[config.waveform, config.channel] = BlerCurve.constant(0.0)
-    link = LinkRuntime(model, config, 0, engine.stream)
-    down = [0]
-
-    def toggle(step: int) -> None:
-        down[0] += step
-        link.up = down[0] == 0
-
-    for start, end in outages or []:
-        engine.schedule_at(start, lambda: toggle(1), lane=LANE_SAFETY)
-        engine.schedule_at(end, lambda: toggle(-1), lane=LANE_SAFETY)
+    link = LinkRuntime(model, config, 0, engine.stream, outage_timeline(outages or []))
     records = []
     trips = []
     channel = SafetyChannel(
