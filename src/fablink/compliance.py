@@ -145,7 +145,8 @@ class StreamFold:
     hit: bytearray  # 1 per whole survival-time window holding a delivery
 
 
-def _fold(records: list[PacketRecord], horizon_ns: SimTime) -> StreamFold:
+def _fold(stream_class: StreamClass, records: list[PacketRecord],
+          horizon_ns: SimTime) -> StreamFold:
     created: list[SimTime] = []
     sizes: list[int] = []
     latencies: list[SimTime] = []
@@ -168,10 +169,7 @@ def _fold(records: list[PacketRecord], horizon_ns: SimTime) -> StreamFold:
                 hit[d // SURVIVAL_TIME_NS] = 1
     latencies.sort()
     return StreamFold(
-        stream_class=next(
-            (r.stream_class for r in records if r.created_at <= horizon_ns),
-            StreamClass.NON_SAFETY_RELEVANT,
-        ),
+        stream_class=stream_class,
         created=created,
         lost_count=lost,
         bits=sum(sizes) * 8,
@@ -212,16 +210,17 @@ def _metrics(stream: str, fold: StreamFold, horizon_ns: SimTime) -> StreamMetric
 
 
 def collect_stream_metrics(
-    stream: str, records: list[PacketRecord], horizon_ns: SimTime
+    stream: str, stream_class: StreamClass, records: list[PacketRecord],
+    horizon_ns: SimTime,
 ) -> StreamMetrics:
     """Fold one stream's packet records, in creation order, into scoring
-    metrics.
+    metrics. The class is the stream's, so it holds with no record too.
 
     A packet whose delivery falls beyond the horizon counts as in flight:
     neither delivered nor lost at the deadline. The transfer interval is the
     sender-side gap between consecutive creations.
     """
-    fold = _fold(records, horizon_ns)
+    fold = _fold(stream_class, records, horizon_ns)
     metrics = _metrics(stream, fold, horizon_ns)
     metrics.fold = fold
     return metrics

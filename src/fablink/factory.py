@@ -183,7 +183,7 @@ class Robot:
     home_island: str = ""
 
 
-def dock(robot: Robot, island: Island, safety_mgr, now: SimTime) -> None:
+def dock(robot: Robot, island: Island, safety_mgr) -> None:
     """Dock the robot: it joins the island's safety loop. Undocking is
     `safety_mgr.leave`; the pose changes when the robot departs."""
     from .safety import LoopState

@@ -9,25 +9,26 @@ sensors that work regardless of network state.
 belongs to while docked (`robot_membership`) and its local guard (`local`).
 Every change of either goes through the manager, which logs it.
 
-The watchdog is a timer reset by every PDU delivery on the channel: it trips
-exactly when a delivery-free window of the watchdog length completes. The
-per-cycle miss counter is kept alongside for diagnostics and logging.
+The channel's PDUs are resolved before the run; only its watchdog runs on
+the engine, as checks that read the sorted delivery instants. It trips
+exactly when a delivery-free window of the watchdog length completes, and
+logs the cycles missed both ways since the last delivery.
 """
 
 from __future__ import annotations
 
-import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterator
+from typing import Callable
 
-from .radio_link import LinkRuntime, Sender
+from .radio_link import LinkRuntime
 from .sim_core import (
-    LANE_NORMAL,
     LANE_SAFETY,
     NS_PER_MS,
     NS_PER_S,
     Engine,
+    HandlerError,
     RngStream,
     SimTime,
 )
@@ -223,15 +224,17 @@ class SafetyChannelConfig:
 
 
 class SafetyChannel:
-    """Runs the cyclic PDU exchange on the engine and supervises receipt.
+    """The cyclic PDU exchange, resolved before the run, and the watchdog
+    that supervises its receipt on the engine.
 
-    Both directions traverse the radio link (the coupler end is wireless)
-    and are sent through the same `LinkRuntime.sender` path as the traffic
-    streams, one sender per direction.
-    Cycles start at the `emission_times` of the cycle rate. A lost
-    transmission is retried at subsequent TTI boundaries until the next
-    cycle's PDU supersedes it. The exchange itself keeps running after a
-    watchdog trip; only supervision pauses until `rearm` is called.
+    Nothing in a run feeds back into the exchange: the link's timeline is
+    fixed and only the channel draws from its RNG. So `start` resolves every
+    cycle in one loop, like a traffic stream, into the `up` and `down`
+    records. Both directions traverse the radio link (the coupler end is
+    wireless) through one `LinkRuntime.sender` each. Cycles start at the
+    `emission_times` of the cycle rate; a lost PDU is retried at following
+    TTI boundaries, up before down, until the next cycle's PDU supersedes it.
+    A watchdog trip pauses only supervision, until `rearm`.
     """
 
     def __init__(
@@ -240,101 +243,94 @@ class SafetyChannel:
         link: LinkRuntime,
         config: SafetyChannelConfig,
         rng: RngStream,
-        records: list[PacketRecord],
         on_trip: Callable[[SimTime, int], None],
     ):
         self.engine = engine
         self.link = link
         self.config = config
-        self.records = records
         self.on_trip = on_trip
-        self.consecutive_missed = 0
-        self.last_delivery: SimTime = 0
         self.supervising = True
+        self.up: list[PacketRecord] = []
+        self.down: list[PacketRecord] = []
+        self.missed: list[SimTime] = []  # cycle starts both first attempts lost
+        self.events = 0  # cycles, retries and deliveries, as if each were queued
+        self._delivered: list[SimTime] = []  # sorted, within the horizon
+        self._floor: SimTime = 0  # the start or the last rearm
         self._horizon: SimTime = 0
-        self._cycle = 0  # the seq of the next cycle's records, both ways
-        # (stream, PDU size, its sender) per direction, up first
+        # (stream, PDU size, its sender, its records) per direction, up first
         self._directions = [
-            (name, size, link.sender(name, size, rng))
-            for name, size in ((config.stream_up, config.pdu_bytes_up),
-                               (config.stream_down, config.pdu_bytes_down))
+            (name, size, link.sender(name, size, rng), records)
+            for name, size, records in (
+                (config.stream_up, config.pdu_bytes_up, self.up),
+                (config.stream_down, config.pdu_bytes_down, self.down))
         ]
-        self._cycles: Iterator[SimTime] = iter(())
 
     def start(self, horizon: SimTime) -> None:
+        """Resolve every cycle up to `horizon`, then arm the watchdog. A retried
+        PDU delivered exactly at the next cycle's start is the one delivery
+        that comes after that cycle began, so that cycle's miss never counts."""
         self._horizon = horizon
-        self.last_delivery = self.engine.now
-        self._cycles = emission_times(self.config.cycle_hz, horizon)
-        first = next(self._cycles, None)
-        if first is not None:
-            self.engine.schedule_at(first, self._run_cycle, module="safety")
-        self._arm_watchdog()
-
-    # -- cyclic exchange ---------------------------------------------------
-
-    def _run_cycle(self) -> None:
-        nxt = next(self._cycles, None)
-        # without a next cycle in the horizon, retries stop at the horizon
-        cycle_end = math.inf if nxt is None else nxt
-        lost = []
-        for stream, size, send in self._directions:
-            record = PacketRecord(stream, self._cycle, self.engine.now, size,
-                                  StreamClass.SAFETY_RELEVANT)
-            self.records.append(record)
-            lost.append(self._attempt(record, send, cycle_end))
-        self._cycle += 1
-        if all(lost):
-            # cycle currently unanswered in both directions; any delivery,
-            # including one from a retry, resets the counter
-            self.consecutive_missed += 1
-        if nxt is not None:
-            self.engine.schedule_at(nxt, self._run_cycle, module="safety")
-
-    def _attempt(self, record: PacketRecord, send: Sender, cycle_end: float) -> bool:
-        sent_at, delivered = send(self.engine.now)
-        record.sent_at = sent_at
-        if delivered is not None:
-            record.delivered_at = delivered
-            self.engine.schedule_at(
-                delivered, self._on_delivered, module="safety", lane=LANE_NORMAL
-            )
-            return False
-        retry_at = sent_at + self.link.config.tti.duration_ns
-        if retry_at < cycle_end and retry_at <= self._horizon:
-            self.engine.schedule_at(
-                retry_at, lambda: self._attempt(record, send, cycle_end),
-                module="safety",
-            )
-        return True
-
-    def _on_delivered(self) -> None:
-        self.last_delivery = self.engine.now
-        self.consecutive_missed = 0
+        self._floor = self.engine.now
+        tti = self.link.config.tti.duration_ns
+        delivered, missed = [], self.missed
+        starts = list(emission_times(self.config.cycle_hz, horizon))
+        at, stream, retried_to, retries = 0, "", None, 0
+        try:
+            # retries end at the next cycle, or for the last one at the horizon
+            for seq, (at, end) in enumerate(zip(starts, starts[1:] + [horizon + 1])):
+                pending = []
+                for stream, size, send, records in self._directions:
+                    record = PacketRecord(stream, seq, at, size,
+                                          StreamClass.SAFETY_RELEVANT, *send(at))
+                    records.append(record)
+                    if record.delivered_at is None:
+                        pending.append((record, send))
+                    else:
+                        delivered.append(record.delivered_at)
+                if len(pending) == 2 and at != retried_to:
+                    missed.append(at)
+                while pending and (at := pending[0][0].sent_at + tti) < end:
+                    retries += len(pending)
+                    for record, send in pending:
+                        stream = record.stream
+                        record.sent_at, record.delivered_at = send(at)
+                        if record.delivered_at is not None:
+                            delivered.append(record.delivered_at)
+                            if record.delivered_at == end:
+                                retried_to = end
+                    pending = [p for p in pending if p[0].delivered_at is None]
+        except Exception as exc:
+            raise HandlerError(f"at {at} ns, safety channel {stream}: "
+                               f"{type(exc).__name__}: {exc}") from exc
+        self._delivered = sorted(d for d in delivered if d <= horizon)
+        self.events = len(starts) + retries + len(self._delivered)
+        self._arm(self._floor)
 
     # -- watchdog supervision ----------------------------------------------
 
-    def _arm_watchdog(self) -> None:
-        check_at = self.last_delivery + self.config.watchdog_ns
-        if check_at > self._horizon:
-            return
-        self.engine.schedule_at(
-            check_at, self._check_watchdog, module="safety", lane=LANE_SAFETY
-        )
+    def _arm(self, last_delivery: SimTime) -> None:
+        check_at = last_delivery + self.config.watchdog_ns
+        if check_at <= self._horizon:
+            self.engine.schedule_at(
+                check_at, self._check, module="safety", lane=LANE_SAFETY)
 
-    def _check_watchdog(self) -> None:
-        if not self.supervising:
+    def _check(self) -> None:
+        """Trip once `watchdog_ns` has passed since the last delivery strictly
+        before now (a check runs before its instant's deliveries) or the last
+        rearm, whichever is later; count the cycles missed since then."""
+        now = self.engine.now
+        i = bisect_left(self._delivered, now)
+        last = max(self._floor, self._delivered[i - 1]) if i else self._floor
+        if now - last < self.config.watchdog_ns:
+            self._arm(last)
             return
-        if self.engine.now - self.last_delivery >= self.config.watchdog_ns:
-            self.supervising = False
-            self.on_trip(self.engine.now, self.consecutive_missed)
-            return
-        self._arm_watchdog()
+        self.supervising = False
+        missed = bisect_left(self.missed, now) - bisect_left(self.missed, last)
+        self.on_trip(now, missed)
 
     def rearm(self, now: SimTime) -> None:
         """Resume supervision after a manual reset."""
-        self.last_delivery = now
-        self.consecutive_missed = 0
+        self._floor = now
         if not self.supervising:
             self.supervising = True
-            self._arm_watchdog()
-
+            self._arm(now)

@@ -167,7 +167,7 @@ class PlantRuntime:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
-        dock(self.robot, self.islands[self.robot.home_island], self.sim.safety_mgr, 0)
+        dock(self.robot, self.islands[self.robot.home_island], self.sim.safety_mgr)
         rel = self.cfg.releases
         for k in range(rel.count):
             at = round((rel.start_s + k * rel.interval_s) * NS_PER_S)
@@ -535,8 +535,7 @@ class PlantRuntime:
 
         def attempt() -> None:
             try:
-                dock(self.robot, self.islands[island_id], self.sim.safety_mgr,
-                     self.engine.now)
+                dock(self.robot, self.islands[island_id], self.sim.safety_mgr)
             except DockRefused:
                 self.robot_busy = False  # retry on a later tick
                 return
@@ -648,7 +647,6 @@ class Simulation:
                     for a in scenario.script if a.action in ("link_down", "link_up")]
         self.link = LinkRuntime(self.link_model, self.link_config, jitter_ns,
                                 self.engine.stream, timeline)
-        self.channel_records: list[PacketRecord] = []
         self.product_log: list[ProductEvent] = []
         self.profiles = scenario.traffic.profiles()
         self.stream_order = [p.name for p in self.profiles]
@@ -674,7 +672,6 @@ class Simulation:
                 link=self.link,
                 config=cfg,
                 rng=self.engine.stream("link.safety"),
-                records=self.channel_records,
                 on_trip=self.safety_mgr.watchdog_trip,
             )
         self.traffic = [p for p in self.profiles if p.name not in channel_streams]
@@ -718,8 +715,9 @@ class Simulation:
     # -- run --------------------------------------------------------------------------
 
     def run(self) -> RunResult:
-        """Compute each traffic stream's records, run the engine to the
-        horizon, then merge the records back into engine order."""
+        """Compute each traffic stream's records and the safety channel's,
+        run the engine to the horizon, then merge the records back into
+        engine order."""
         traffic = {
             p.name: stream_records(p, self.engine.stream(f"traffic.{p.name}"),
                                    self.link, self.horizon_ns, self.wired_latency_ns)
@@ -731,24 +729,31 @@ class Simulation:
             self.channel.start(self.horizon_ns)
         self._schedule_script()
         summary = self.engine.run_until(self.horizon_ns)
-        # one traffic event per emission, as if each had been queued
+        # as if each emission, retry and delivery had been queued
+        counts = summary.events_processed
+        if self.channel:
+            counts["safety"] = counts.get("safety", 0) + self.channel.events
         emissions = sum(map(len, traffic.values()))
         if emissions:
-            summary.events_processed["traffic"] = emissions
+            counts["traffic"] = emissions
         return self._collect(summary, traffic)
 
     def _collect(self, summary: SimSummary, traffic: dict[str, list]) -> RunResult:
         comp = self.scenario.compliance
-        records = merge_records(self.channel_records, list(traffic.values()))
         by_stream = {name: [] for name in self.stream_order} | traffic
-        if self.channel_records:
+        classes = {p.name: p.stream_class for p in self.profiles}
+        channel = []
+        if self.channel:
             # channel streams outside the catalog follow it, up first
-            cfg = self.channel.config
-            by_stream[cfg.stream_up] = self.channel_records[0::2]
-            by_stream[cfg.stream_down] = self.channel_records[1::2]
+            cfg, channel = self.channel.config, [self.channel.up, self.channel.down]
+            for name, recs in zip((cfg.stream_up, cfg.stream_down), channel):
+                by_stream[name] = recs
+                classes[name] = StreamClass.SAFETY_RELEVANT
+        records = merge_records(channel + list(traffic.values()))
         self.stream_order = list(by_stream)
         stream_metrics = {
-            name: compliance_mod.collect_stream_metrics(name, recs, self.horizon_ns)
+            name: compliance_mod.collect_stream_metrics(
+                name, classes[name], recs, self.horizon_ns)
             for name, recs in by_stream.items()
         }
         aggregate = compliance_mod.aggregate_metrics(

@@ -200,32 +200,29 @@ def stream_records(profile: TrafficProfile, rng: RngStream, link: LinkRuntime,
     return records
 
 
-def merge_records(channel: list[PacketRecord], streams: list[list]) -> list:
+def merge_records(sources: list[list]) -> list:
     """All records in engine order, as if each emission had been an event: by
     creation instant, then by the merge position of the source's previous
     emission, the order the engine would have queued them in. Sources start
-    in run order: the safety channel, whose up/down pairs stay one unit,
-    then the streams in catalog order."""
-    sources = [(channel, 2)] if channel else []
-    sources += [(recs, 1) for recs in streams if recs]
+    in the order given, which is run order: the safety channel's up and down
+    records, then the streams in catalog order."""
+    sources = [recs for recs in sources if recs]
     # (created_at, merge position of the previous emission, source, index)
     heap = [(recs[0].created_at, k - len(sources), k, 0)
-            for k, (recs, _) in enumerate(sources)]
+            for k, recs in enumerate(sources)]
     heapq.heapify(heap)
     merged: list[PacketRecord] = []
     append = merged.append
     while heap:
         _, _, k, i = heapq.heappop(heap)
-        recs, unit = sources[k]
+        recs = sources[k]
         end = len(recs)
         # a source keeps the lead while its next emission is strictly
         # earlier than every other source's: at a tie the other was first
         bound = heap[0][0] if heap else math.inf
         while True:
             append(recs[i])
-            if unit == 2:
-                append(recs[i + 1])
-            i += unit
+            i += 1
             if i == end or recs[i].created_at >= bound:
                 break
         if i < end:

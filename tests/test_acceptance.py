@@ -153,7 +153,7 @@ def _outage_timeline(outages):
 def _random_outage_channel(engine, outages, watchdog_ns):
     """Channel over a lossless link whose timeline the outage windows take
     down, the timeline the script's link_down / link_up make."""
-    records, trips = [], []
+    trips = []
     model = default_link_model()
     config = LinkConfig(snr_db=15.0, tti=TtiConfig(125))
     model.bler_curves[config.waveform, config.channel] = BlerCurve.constant(0.0)
@@ -163,10 +163,9 @@ def _random_outage_channel(engine, outages, watchdog_ns):
         link=link,
         config=SafetyChannelConfig(watchdog_ns=watchdog_ns),
         rng=engine.stream("link.safety"),
-        records=records,
         on_trip=lambda now, missed: trips.append(now),
     )
-    return channel, records, trips
+    return channel, trips
 
 
 def _first_window_completion(deliveries, watchdog, horizon):
@@ -227,10 +226,11 @@ def test_criterion_5_safety_properties():
         for _ in range(rng.randrange(0, 3)):
             start = rng.randrange(0, horizon)
             outages.append((start, start + rng.randrange(1, 40) * NS_PER_MS))
-        channel, records, trips = _random_outage_channel(engine, outages, watchdog)
+        channel, trips = _random_outage_channel(engine, outages, watchdog)
         channel.start(horizon)
         engine.run_until(horizon)
-        deliveries = [r.delivered_at for r in records if r.delivered_at is not None]
+        deliveries = [r.delivered_at for r in channel.up + channel.down
+                      if r.delivered_at is not None]
         expected = _first_window_completion(deliveries, watchdog, horizon)
         actual = trips[0] if trips else None
         assert expected == actual, (i, outages, expected, actual)

@@ -236,7 +236,7 @@ def test_collect_stream_metrics_basics():
             (99 * NS_PER_MS, 101 * NS_PER_MS, 60),  # delivers past the horizon
         ]
     )
-    m = collect_stream_metrics("s", records, horizon)
+    m = collect_stream_metrics("s", StreamClass.SAFETY_RELEVANT, records, horizon)
     assert m.sample_count == 5
     assert m.delivered_count == 3
     assert m.lost_count == 1
@@ -252,7 +252,8 @@ def test_collect_stream_metrics_basics():
 def test_aggregate_metrics_fold_all_streams():
     horizon = 10 * NS_PER_MS
     streams = [
-        collect_stream_metrics(name, _records([row]), horizon)
+        collect_stream_metrics(name, StreamClass.SAFETY_RELEVANT, _records([row]),
+                               horizon)
         for name, row in (("a", (0, NS_PER_MS, 60)),
                           ("b", (NS_PER_MS, 2 * NS_PER_MS, 1400)))
     ]
@@ -280,7 +281,7 @@ def test_report_counts_and_exit_condition():
 # -- one-pass fold against the multi-pass reference ----------------------------
 
 
-def _reference_stream_metrics(stream, records, horizon_ns):
+def _reference_stream_metrics(stream, stream_class, records, horizon_ns):
     """The multi-pass fold the one-pass `collect_stream_metrics` replaced, kept
     as the reference: about ten passes over the records of one stream."""
     window = SURVIVAL_TIME_NS
@@ -303,8 +304,7 @@ def _reference_stream_metrics(stream, records, horizon_ns):
     hit = {w for r in delivered if (w := r.delivered_at // window) < windows}
     return StreamMetrics(
         stream=stream,
-        stream_class=(records[0].stream_class if records
-                      else StreamClass.NON_SAFETY_RELEVANT),
+        stream_class=stream_class,
         sample_count=len(records),
         delivered_count=len(delivered),
         lost_count=lost,
@@ -324,9 +324,8 @@ def _reference_stream_metrics(stream, records, horizon_ns):
 
 def _reference_aggregate(records, horizon_ns):
     """The reference aggregate: every record, in creation order, re-read."""
-    m = _reference_stream_metrics("aggregate", records, horizon_ns)
-    m.stream_class = StreamClass.NON_SAFETY_RELEVANT
-    return m
+    return _reference_stream_metrics(
+        "aggregate", StreamClass.NON_SAFETY_RELEVANT, records, horizon_ns)
 
 
 def _random_run(rng, n_records, n_streams):
@@ -382,23 +381,26 @@ def test_one_pass_fold_equals_multi_pass_reference(seed):
         rng.randrange(last + 1),
     ])
     streams = _by_stream(records)
-    got = {name: collect_stream_metrics(name, recs, horizon_ns)
+    # a stream's class is its first record's, created within the horizon or not
+    got = {name: collect_stream_metrics(name, recs[0].stream_class, recs, horizon_ns)
            for name, recs in streams.items()}
     for name, recs in streams.items():
-        _assert_same_metrics(got[name], _reference_stream_metrics(name, recs, horizon_ns))
+        _assert_same_metrics(got[name], _reference_stream_metrics(
+            name, recs[0].stream_class, recs, horizon_ns))
     _assert_same_metrics(aggregate_metrics(got.values(), horizon_ns),
                          _reference_aggregate(records, horizon_ns))
 
 
 def test_fold_of_no_records_and_of_one():
     horizon = 100 * NS_PER_MS
-    _assert_same_metrics(collect_stream_metrics("s", [], horizon),
-                         _reference_stream_metrics("s", [], horizon))
+    safety = StreamClass.SAFETY_RELEVANT
+    _assert_same_metrics(collect_stream_metrics("s", safety, [], horizon),
+                         _reference_stream_metrics("s", safety, [], horizon))
     _assert_same_metrics(aggregate_metrics([], horizon),
                          _reference_aggregate([], horizon))
     for delivered in (None, 2 * NS_PER_MS, 200 * NS_PER_MS):
         one = _records([(NS_PER_MS, delivered, 60)])
-        m = collect_stream_metrics("s", one, horizon)
-        _assert_same_metrics(m, _reference_stream_metrics("s", one, horizon))
+        m = collect_stream_metrics("s", safety, one, horizon)
+        _assert_same_metrics(m, _reference_stream_metrics("s", safety, one, horizon))
         _assert_same_metrics(aggregate_metrics([m], horizon),
                              _reference_aggregate(one, horizon))

@@ -244,7 +244,7 @@ def test_dock_joins_loop_and_leave_isolates_the_robot():
     islands = make_islands()
     mgr = make_safety(islands)
     robot = Robot(pose=Hovering("island2"))
-    dock(robot, islands[1], mgr, 100)
+    dock(robot, islands[1], mgr)
     assert robot.pose == AtDock("island2")
     assert mgr.robot_membership == "island2.loop"
     assert snapshot(islands, robot)["island2.dock"] is True
@@ -264,7 +264,7 @@ def test_dock_refused_when_island_safe_stopped():
     assert mgr.loops["island1.loop"].state is LoopState.SAFE_STOP
     robot = Robot(pose=Hovering("island1"))
     with pytest.raises(DockRefused):
-        dock(robot, islands[0], mgr, 60)
+        dock(robot, islands[0], mgr)
     assert robot.pose == Hovering("island1")
     assert mgr.robot_membership is None
 

@@ -201,38 +201,41 @@ def make_channel(
     )
     model.bler_curves[config.waveform, config.channel] = BlerCurve.constant(0.0)
     link = LinkRuntime(model, config, 0, engine.stream, outage_timeline(outages or []))
-    records = []
     trips = []
     channel = SafetyChannel(
         engine=engine,
         link=link,
         config=SafetyChannelConfig(cycle_hz=CYCLE_HZ, watchdog_ns=watchdog_ns),
         rng=engine.stream("link.safety"),
-        records=records,
         on_trip=lambda now, missed: trips.append((now, missed)),
     )
-    return channel, records, trips
+    return channel, trips
+
+
+def records(channel: SafetyChannel) -> list:
+    """Both directions' records, once the channel has started."""
+    return channel.up + channel.down
 
 
 def test_clean_link_delivers_every_cycle_and_never_trips():
     engine = Engine(seed=1)
-    channel, records, trips = make_channel(engine)
+    channel, trips = make_channel(engine)
     horizon = NS_PER_S
     channel.start(horizon)
     engine.run_until(horizon)
     assert trips == []
-    assert channel.consecutive_missed == 0
-    created = [r for r in records if r.stream == "pnio_coupler_to_plc"]
+    assert channel.missed == []
+    created = [r for r in records(channel) if r.stream == "pnio_coupler_to_plc"]
     assert len(created) == 247  # 246.19 Hz inclusive of t=0
-    assert all(r.delivered_at is not None for r in records)
-    sizes = {r.stream: r.size_bytes for r in records}
+    assert all(r.delivered_at is not None for r in records(channel))
+    sizes = {r.stream: r.size_bytes for r in records(channel)}
     assert sizes == {"pnio_coupler_to_plc": 60, "pnio_plc_to_coupler": 64}
 
 
 def test_watchdog_trips_at_watchdog_after_last_delivery():
     engine = Engine(seed=1)
     outage_start = 100 * NS_PER_MS
-    channel, records, trips = make_channel(
+    channel, trips = make_channel(
         engine, outages=[(outage_start, 10 * NS_PER_S)]
     )
     channel.start(NS_PER_S)
@@ -240,7 +243,7 @@ def test_watchdog_trips_at_watchdog_after_last_delivery():
     assert len(trips) == 1
     trip_at, missed = trips[0]
     last_delivery = max(
-        r.delivered_at for r in records if r.delivered_at is not None
+        r.delivered_at for r in records(channel) if r.delivered_at is not None
         and r.delivered_at <= trip_at
     )
     assert trip_at == last_delivery + WATCHDOG_NS
@@ -250,29 +253,32 @@ def test_watchdog_trips_at_watchdog_after_last_delivery():
 
 def test_delivery_resets_the_miss_counter():
     engine = Engine(seed=1)
-    # one cycle swallowed, then the link recovers: no trip
+    # one cycle swallowed, then the link recovers: no trip until a long
+    # outage from 100 ms, whose trip counts only the cycles it swallowed
     start = round(1 * CYCLE_NS) - 100_000
-    channel, records, trips = make_channel(
-        engine, outages=[(start, start + CYCLE_NS)]
+    channel, trips = make_channel(
+        engine, outages=[(start, start + CYCLE_NS), (100 * NS_PER_MS, NS_PER_S)]
     )
     channel.start(200 * NS_PER_MS)
     engine.run_until(200 * NS_PER_MS)
-    assert trips == []
-    assert channel.consecutive_missed == 0
-    assert any(r.delivered_at is None for r in records)  # the swallowed cycle
+    assert len(trips) == 1
+    trip_at, missed = trips[0]
+    before_trip = [c for c in channel.missed if c < trip_at]
+    assert before_trip[0] == round(CYCLE_NS)  # the swallowed cycle
+    assert len(before_trip) == 4 and missed == 3
 
 
 def test_retry_at_next_tti_recovers_within_the_cycle():
     engine = Engine(seed=1)
     # outage covers only the first transmission slot of cycle 5
     cycle_start = round(5 * NS_PER_S / CYCLE_HZ)
-    channel, records, trips = make_channel(
+    channel, trips = make_channel(
         engine, outages=[(cycle_start, cycle_start + 125_000)]
     )
     channel.start(100 * NS_PER_MS)
     engine.run_until(100 * NS_PER_MS)
     assert trips == []
-    hit = [r for r in records if r.created_at == cycle_start]
+    hit = [r for r in records(channel) if r.created_at == cycle_start]
     assert hit and all(r.delivered_at is not None for r in hit)
     # the delivery used a later slot than the first-attempt slot
     assert all(r.sent_at > r.created_at for r in hit)
@@ -280,7 +286,7 @@ def test_retry_at_next_tti_recovers_within_the_cycle():
 
 def test_watchdog_rearms_after_reset():
     engine = Engine(seed=1)
-    channel, records, trips = make_channel(
+    channel, trips = make_channel(
         engine, outages=[(50 * NS_PER_MS, 80 * NS_PER_MS)]
     )
     channel.start(NS_PER_S)
@@ -321,13 +327,13 @@ def test_watchdog_trips_iff_delivery_free_window_exists():
         for _ in range(rng.randrange(0, 3)):
             start = rng.randrange(0, horizon)
             outages.append((start, start + rng.randrange(1, 40) * NS_PER_MS))
-        channel, records, trips = make_channel(
+        channel, trips = make_channel(
             engine, outages=outages, watchdog_ns=watchdog
         )
         channel.start(horizon)
         engine.run_until(horizon)
         deliveries = [
-            r.delivered_at for r in records if r.delivered_at is not None
+            r.delivered_at for r in records(channel) if r.delivered_at is not None
         ]
         expected = brute_force_first_trip(deliveries, watchdog, horizon)
         actual = trips[0][0] if trips else None
@@ -360,8 +366,8 @@ def test_watchdog_trip_consequence_by_membership():
 
 def test_channel_records_are_safety_class():
     engine = Engine(seed=1)
-    channel, records, _ = make_channel(engine)
+    channel, _ = make_channel(engine)
     channel.start(50 * NS_PER_MS)
     engine.run_until(50 * NS_PER_MS)
-    assert records
-    assert all(r.stream_class is StreamClass.SAFETY_RELEVANT for r in records)
+    assert records(channel)
+    assert all(r.stream_class is StreamClass.SAFETY_RELEVANT for r in records(channel))

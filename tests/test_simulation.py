@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from fablink.artifacts import build_metrics_document
 from fablink.scenario import default_scenario, scenario_from_dict
 from fablink.simulation import Simulation
 from fablink.sim_core import NS_PER_S
@@ -467,3 +468,22 @@ def test_link_down_drops_traffic_and_safety_attempts_alike():
     assert {StreamClass.SAFETY_RELEVANT, StreamClass.NON_SAFETY_RELEVANT} <= (
         lost_in_window
     )
+
+
+def test_a_stream_without_packets_in_the_horizon_is_scored_by_its_class():
+    # the safety row's first packet is due at 2 s, after the 1 s horizon
+    result = run_scenario({
+        "horizon_s": 1.0,
+        "safety": {"enabled": False},
+        "traffic": {"catalog": [
+            {"name": "late", "payload_bytes": 60, "rate_hz": 100.0,
+             "class": "safety", "phase_us": 2e6},
+            {"name": "a", "payload_bytes": 200, "rate_hz": 100.0},
+        ]},
+    })
+    late = result.stream_metrics["late"]
+    assert (late.stream_class, late.sample_count) == (StreamClass.SAFETY_RELEVANT, 0)
+    assert build_metrics_document(result)["streams"]["late"]["class"] == "safety"
+    entries = result.compliance.to_dict()["entries"]
+    assert [(e["stream"], e["profile"]) for e in entries] == [
+        ("late", "aspect1"), ("aggregate", "aspect2")]

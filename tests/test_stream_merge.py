@@ -1,19 +1,26 @@
-"""Traffic streams run off the event queue, one loop per stream, and their
-records are merged back into engine order. These tests hold `Simulation.run`
-to an engine-driven reference: the traffic stream as an event per emission,
-each scheduling the next, which is how fablink ran traffic before.
+"""Traffic streams and the safety channel's PDUs are resolved off the event
+queue, one loop per source, and their records are merged back into engine
+order. These tests hold `Simulation.run` and `SafetyChannel` to an
+engine-driven reference kept here: a traffic stream as an event per emission,
+and the safety channel as an event per cycle, retry and delivery, which is
+how fablink ran both before.
 """
 
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 
-from fablink.nr_frame import next_tx_opportunity
-from fablink.radio_link import LinkRuntime
+from fablink.nr_frame import TtiConfig, next_tx_opportunity
+from fablink.radio_link import BlerCurve, LinkConfig, LinkRuntime, default_link_model
+from fablink.safety import SafetyChannel, SafetyChannelConfig
 from fablink.scenario import scenario_from_dict
-from fablink.sim_core import HandlerError, NS_PER_MS
+from fablink.sim_core import (
+    LANE_NORMAL, LANE_SAFETY, NS_PER_MS, NS_PER_S, Engine, HandlerError)
 from fablink.simulation import Simulation
-from fablink.traffic import PacketRecord, emission_times
+from fablink.traffic import PacketRecord, StreamClass, emission_times
 
 # a and b share one schedule; c, d and the safety channel tie with them at
 # phase 0; p is Poisson and w is wired
@@ -39,6 +46,39 @@ LINK_SCRIPT = [
     {"at_s": 1.6, "action": "link_up"},
 ]
 
+# two watchdog trips, each reset, a reset while supervising and one at the
+# instant the link returns
+TRIP_SCRIPT = [
+    {"at_s": 0.3, "action": "reset", "loop": "island1.loop"},
+    {"at_s": 0.5, "action": "link_down"},
+    {"at_s": 0.55, "action": "link_up"},
+    {"at_s": 0.8, "action": "reset", "loop": "island1.loop"},
+    {"at_s": 1.2, "action": "link_down"},
+    {"at_s": 1.25, "action": "link_up"},
+    {"at_s": 1.25, "action": "reset", "loop": "island1.loop"},
+    {"at_s": 1.6, "action": "reset", "loop": "island1.loop"},
+]
+
+# The catalog's PNIO rows at 1000 Hz bind the channel to cycles on TTI
+# boundaries; with a 125 us processing delay a 60/64 B PDU arrives 2 TTIs
+# after it is sent. The link returns 750 us into the cycle at 0.9 s, so that
+# cycle's retry arrives exactly at the next cycle's start, whose first
+# attempts the link, down again, loses; the trip 12 ms after that delivery
+# counts the cycles missed since, that one not among them.
+PNIO_1000 = [
+    {"name": "pnio_coupler_to_plc", "payload_bytes": 60, "rate_hz": 1000.0,
+     "class": "safety"},
+    {"name": "pnio_plc_to_coupler", "payload_bytes": 64, "rate_hz": 1000.0,
+     "class": "safety"},
+]
+TIE_SCRIPT = [
+    {"at_s": 0.9, "action": "link_down"},
+    {"at_s": 0.90075, "action": "link_up"},
+    {"at_s": 0.901, "action": "link_down"},
+    {"at_s": 0.95, "action": "link_up"},
+    {"at_s": 1.0, "action": "reset", "loop": "island1.loop"},
+]
+
 CASES = {
     "catalog": {"traffic": {"catalog": CATALOG}, "safety": {"enabled": False}},
     "catalog_safety": {"traffic": {"catalog": CATALOG}},
@@ -53,6 +93,22 @@ CASES = {
     "measured": {},
     "measured_bulk": {"traffic": {"total_rate_mbps": 60.0},
                       "safety": {"enabled": False}, "script": LINK_SCRIPT},
+    "trips_and_resets": {"traffic": {"catalog": CATALOG}, "script": TRIP_SCRIPT},
+    "trips_and_resets_lossy_jitter": {
+        "traffic": {"catalog": CATALOG},
+        "radio": {"snr_db": 11.0, "jitter_us": 50.0},
+        "script": TRIP_SCRIPT,
+    },
+    "pnio_1000hz_ties": {
+        "traffic": {"catalog": PNIO_1000 + CATALOG},
+        "radio": {"processing_delay_us": 125.0},
+        "script": TIE_SCRIPT + TRIP_SCRIPT,
+    },
+    "pnio_1000hz_lossy": {
+        "traffic": {"catalog": PNIO_1000 + CATALOG},
+        "radio": {"processing_delay_us": 125.0, "snr_db": 10.5},
+        "script": TRIP_SCRIPT,
+    },
 }
 
 
@@ -97,11 +153,103 @@ class _EngineStream:
         self.schedule_next()
 
 
-def engine_reference(data: dict) -> tuple[list[PacketRecord], dict[str, int]]:
-    """The records and event counts of a run whose traffic streams are engine
-    events, started in the order fablink starts its sources: plant, safety
-    channel, streams in catalog order, script. A scripted link action flips
-    the streams' up switch when its event fires."""
+class _EngineChannel:
+    """The safety channel as engine events: each cycle is a `safety` event
+    that makes both first attempts and queues the next cycle, each lost
+    attempt queues its retry at the next TTI boundary, each delivery is an
+    event that resets the watchdog timer and the miss counter, and the
+    watchdog is a safety-lane check re-armed from the last delivery."""
+
+    def __init__(self, engine, link, config, rng, records, on_trip):
+        self.engine = engine
+        self.link = link
+        self.config = config
+        self.records = records
+        self.on_trip = on_trip
+        self.consecutive_missed = 0
+        self.last_delivery = 0
+        self.supervising = True
+        self._horizon = 0
+        self._cycle = 0
+        self._directions = [
+            (name, size, link.sender(name, size, rng))
+            for name, size in ((config.stream_up, config.pdu_bytes_up),
+                               (config.stream_down, config.pdu_bytes_down))
+        ]
+        self._cycles = iter(())
+
+    def start(self, horizon: int) -> None:
+        self._horizon = horizon
+        self.last_delivery = self.engine.now
+        self._cycles = emission_times(self.config.cycle_hz, horizon)
+        first = next(self._cycles, None)
+        if first is not None:
+            self.engine.schedule_at(first, self._run_cycle, module="safety")
+        self._arm_watchdog()
+
+    def _run_cycle(self) -> None:
+        nxt = next(self._cycles, None)
+        cycle_end = math.inf if nxt is None else nxt
+        lost = []
+        for stream, size, send in self._directions:
+            record = PacketRecord(stream, self._cycle, self.engine.now, size,
+                                  StreamClass.SAFETY_RELEVANT)
+            self.records.append(record)
+            lost.append(self._attempt(record, send, cycle_end))
+        self._cycle += 1
+        if all(lost):
+            self.consecutive_missed += 1
+        if nxt is not None:
+            self.engine.schedule_at(nxt, self._run_cycle, module="safety")
+
+    def _attempt(self, record, send, cycle_end) -> bool:
+        sent_at, delivered = send(self.engine.now)
+        record.sent_at = sent_at
+        if delivered is not None:
+            record.delivered_at = delivered
+            self.engine.schedule_at(
+                delivered, self._on_delivered, module="safety", lane=LANE_NORMAL)
+            return False
+        retry_at = sent_at + self.link.config.tti.duration_ns
+        if retry_at < cycle_end and retry_at <= self._horizon:
+            self.engine.schedule_at(
+                retry_at, lambda: self._attempt(record, send, cycle_end),
+                module="safety")
+        return True
+
+    def _on_delivered(self) -> None:
+        self.last_delivery = self.engine.now
+        self.consecutive_missed = 0
+
+    def _arm_watchdog(self) -> None:
+        check_at = self.last_delivery + self.config.watchdog_ns
+        if check_at <= self._horizon:
+            self.engine.schedule_at(
+                check_at, self._check_watchdog, module="safety", lane=LANE_SAFETY)
+
+    def _check_watchdog(self) -> None:
+        if not self.supervising:
+            return
+        if self.engine.now - self.last_delivery >= self.config.watchdog_ns:
+            self.supervising = False
+            self.on_trip(self.engine.now, self.consecutive_missed)
+            return
+        self._arm_watchdog()
+
+    def rearm(self, now: int) -> None:
+        self.last_delivery = now
+        self.consecutive_missed = 0
+        if not self.supervising:
+            self.supervising = True
+            self._arm_watchdog()
+
+
+def engine_reference(data: dict) -> tuple[list[PacketRecord], dict[str, int], list]:
+    """The records, event counts and safety log of a run whose traffic
+    streams and safety channel are engine events, started in the order
+    fablink starts its sources: plant, safety channel, streams in catalog
+    order, script. A scripted link action flips the streams' up switch when
+    its event fires."""
     sim = Simulation(scenario_from_dict(data))
     records: list[PacketRecord] = []
     link_up = [True]
@@ -116,34 +264,42 @@ def engine_reference(data: dict) -> tuple[list[PacketRecord], dict[str, int]]:
     if sim.plant:
         sim.plant.start()
     if sim.channel:
-        sim.channel.records = records
+        channel = sim.channel
+        sim.channel = _EngineChannel(sim.engine, sim.link, channel.config,
+                                     sim.engine.stream("link.safety"), records,
+                                     channel.on_trip)
         sim.channel.start(sim.horizon_ns)
     for profile in sim.traffic:
         _EngineStream(sim, profile, records, link_up).schedule_next()
     sim._schedule_script()
     summary = sim.engine.run_until(sim.horizon_ns)
-    return records, summary.events_processed
+    return records, summary.events_processed, sim.safety_mgr.log
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_merged_records_equal_the_engine_driven_reference(case, seed):
     data = {"seed": seed, "horizon_s": 2.0, **CASES[case]}
-    expected, expected_events = engine_reference(data)
+    expected, expected_events, expected_log = engine_reference(data)
 
     sim = Simulation(scenario_from_dict(data))
-    queued_modules = set()
+    queued = []
     schedule_at = sim.engine.schedule_at
 
     def recording_schedule_at(fire_at, action, module="misc", lane=1):
-        queued_modules.add(module)
+        queued.append((module, action, lane))
         return schedule_at(fire_at, action, module, lane)
 
     sim.engine.schedule_at = recording_schedule_at
     result = sim.run()
 
+    queued_modules = {module for module, _, _ in queued}
     assert "traffic" not in queued_modules
+    # the safety channel queues only its watchdog checks
+    assert all((action, lane) == (sim.channel._check, LANE_SAFETY)
+               for module, action, lane in queued if module == "safety")
     assert result.summary.events_processed == expected_events
+    assert result.safety_log == expected_log
     assert expected_events["traffic"] > 0
     assert len(result.records) == len(expected)
     for got, want in zip(result.records, expected):
@@ -165,17 +321,25 @@ def test_no_traffic_leaves_no_traffic_count():
     assert result.summary.events_processed["safety"] > 0
 
 
-def test_a_raising_send_ends_the_run_naming_time_module_and_stream(monkeypatch):
+@pytest.mark.parametrize("stream, failing_at, source", [
+    # c's third emission, at 2 periods of 2.5 ms
+    ("c", 5 * NS_PER_MS, "traffic stream c"),
+    # the third cycle's downlink PDU, on a link that loses none
+    ("pnio_plc_to_coupler", round(2 * NS_PER_S / 246.19),
+     "safety channel pnio_plc_to_coupler"),
+], ids=["traffic", "safety"])
+def test_a_raising_send_ends_the_run_naming_time_module_and_stream(
+        monkeypatch, stream, failing_at, source):
     sender = LinkRuntime.sender
     boom = ValueError("boom")
 
-    def failing_sender(self, stream, size, rng):
-        send = sender(self, stream, size, rng)
+    def failing_sender(self, name, size, rng):
+        send = sender(self, name, size, rng)
         calls = [0]
 
         def send_or_raise(now):
             calls[0] += 1
-            if stream == "c" and calls[0] == 3:
+            if name == stream and calls[0] == 3:
                 raise boom
             return send(now)
 
@@ -186,7 +350,78 @@ def test_a_raising_send_ends_the_run_naming_time_module_and_stream(monkeypatch):
         {"horizon_s": 1.0, "traffic": {"catalog": CATALOG}}))
     with pytest.raises(HandlerError) as err:
         sim.run()
-    # c's third emission, at 2 periods of 2.5 ms
-    assert str(err.value).startswith(
-        f"at {5 * NS_PER_MS} ns, traffic stream c: ValueError: boom")
+    assert str(err.value).startswith(f"at {failing_at} ns, {source}: ValueError: boom")
     assert err.value.__cause__ is boom
+
+
+# -- the resolved channel against the engine-driven one --------------------------
+
+
+def _channel_run(channel_type, seed, config, bler, timeline, tti_delay_ns,
+                 rearms, horizon):
+    """One channel over a link of constant `bler` and the given timeline,
+    rearmed on the safety lane at each of `rearms` as the script does: its
+    up and down records, its trips and the engine's event counts."""
+    engine = Engine(seed=seed)
+    model = default_link_model()
+    link_config = LinkConfig(snr_db=15.0, tti=TtiConfig(125),
+                             processing_delay_ns=tti_delay_ns)
+    model.bler_curves[link_config.waveform, link_config.channel] = (
+        BlerCurve.constant(bler))
+    link = LinkRuntime(model, link_config, 0, engine.stream, timeline)
+    trips, records = [], []
+    args = (engine, link, config, engine.stream("link.safety"))
+    on_trip = lambda now, missed: trips.append((now, missed))  # noqa: E731
+    if channel_type is _EngineChannel:
+        channel = _EngineChannel(*args, records, on_trip)
+    else:
+        channel = SafetyChannel(*args, on_trip)
+    channel.start(horizon)
+    for at in rearms:
+        engine.schedule_at(at, lambda: channel.rearm(engine.now),
+                           module="script", lane=LANE_SAFETY)
+    counts = engine.run_until(horizon).events_processed
+    if channel_type is _EngineChannel:
+        return records[0::2], records[1::2], trips, counts
+    counts["safety"] = counts.get("safety", 0) + channel.events
+    return channel.up, channel.down, trips, counts
+
+
+def _retry_ties(up, down):
+    """Retried PDUs delivered exactly at the start of the next cycle, whose
+    first attempts were both lost: the one delivery that comes after the
+    cycle starting at its instant."""
+    tti = TtiConfig(125)
+
+    def retried(r: PacketRecord) -> bool:
+        return r.sent_at > next_tx_opportunity(r.created_at, tti)
+
+    first_lost = {a.created_at for a, b in zip(up, down)
+                  if all(r.delivered_at is None or retried(r) for r in (a, b))}
+    next_start = {a.created_at: b.created_at for a, b in zip(up, up[1:])}
+    return sum(r.delivered_at in first_lost and retried(r)
+               and r.delivered_at == next_start.get(r.created_at) for r in up + down)
+
+
+def test_resolved_channel_equals_the_engine_driven_channel():
+    rng = random.Random(12_012)
+    mismatches, ties = [], 0
+    for i in range(300):
+        cycle_hz = rng.choice([246.19, 500.0, 1000.0, 2000.0])
+        cycle_ns = NS_PER_S / cycle_hz
+        horizon = rng.randrange(40, 160) * NS_PER_MS
+        config = SafetyChannelConfig(
+            cycle_hz=cycle_hz, watchdog_ns=math.ceil(cycle_ns * rng.uniform(1, 5)))
+        bler = rng.choice([0.0, 0.3, 0.7])
+        timeline = sorted(
+            (rng.randrange(horizon), rng.random() < 0.5)
+            for _ in range(rng.randrange(0, 8)))
+        rearms = sorted(rng.randrange(horizon) for _ in range(rng.randrange(0, 4)))
+        delay = 125_000 * rng.randrange(0, 9)
+        runs = [_channel_run(kind, i, config, bler, timeline, delay, rearms, horizon)
+                for kind in (_EngineChannel, SafetyChannel)]
+        if runs[0] != runs[1]:
+            mismatches.append((i, cycle_hz, bler, timeline, rearms, delay))
+        ties += _retry_ties(*runs[0][:2])
+    assert not mismatches, mismatches[:3]
+    assert ties > 0
