@@ -1,10 +1,13 @@
 """Link-level reliability and throughput model.
 
-BLER-vs-SNR behaviour is anchored at measured points per (waveform, channel)
-pair and interpolated log-linearly (linear in log10 BLER over dB). Throughput
-uses monotone piecewise-linear interpolation over SNR anchors. One-way
-latency composes TTI alignment, air time and processing delay; a run sends
-every wireless packet through one `LinkRuntime`.
+A packet waits for the next TTI boundary (`next_tx_opportunity`): the
+configured TTI is the scheduling granularity, and its boundaries are whole
+multiples of its duration from t = 0. BLER-vs-SNR behaviour is anchored at
+measured points per (waveform, channel) pair and interpolated log-linearly
+(linear in log10 BLER over dB). Throughput uses monotone piecewise-linear
+interpolation over SNR anchors. One-way latency composes TTI alignment, air
+time and processing delay; a run sends every wireless packet through one
+`LinkRuntime`.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Iterable
 
-from .nr_frame import TtiConfig, next_tx_opportunity
 from .sim_core import NS_PER_S, RngStream, SimTime
 
 
@@ -37,6 +39,31 @@ V2V_URBAN_NLOS = "V2V-Urban-NLOS"
 WAVEFORM_GAP_DB = 1.7
 
 DEFAULT_TAIL_SLOPE_DECADES_PER_DB = 1.0
+
+SUPPORTED_TTI_US = (125, 250, 500, 1000)
+
+
+@dataclass(frozen=True)
+class TtiConfig:
+    """Scheduling granularity of the radio interface."""
+
+    tti_us: int = 125
+
+    def __post_init__(self):
+        if self.tti_us not in SUPPORTED_TTI_US:
+            raise ValueError(
+                f"TTI must be one of {SUPPORTED_TTI_US} us, got {self.tti_us}"
+            )
+
+    @property
+    def duration_ns(self) -> int:
+        return self.tti_us * 1_000
+
+
+def next_tx_opportunity(now: SimTime, tti: TtiConfig) -> SimTime:
+    """Smallest TTI boundary t >= now. Idempotent on its own output."""
+    d = tti.duration_ns
+    return ((now + d - 1) // d) * d
 
 
 class UnknownCurve(KeyError):
@@ -115,29 +142,6 @@ class BlerCurve:
         t = (snr_db - s0) / (s1 - s0)
         log_b = math.log10(b0) + t * (math.log10(b1) - math.log10(b0))
         return self._clamp(10.0**log_b)
-
-    def snr_for_bler(self, target: float) -> float:
-        """Inverse lookup: the SNR at which the curve crosses `target` BLER."""
-        if not self.anchors:
-            raise UnknownCurve("constant curve has no SNR dependence")
-        if not self.floor_bler < target <= 1.0:
-            raise ValueError(f"target {target} unreachable for this curve")
-        for snr, b in self.anchors:
-            if b == target:
-                return snr
-        s0, b0 = self.anchors[0]
-        if target > b0:
-            return s0 - (math.log10(target) - math.log10(b0)) / self._edge_slope(False)
-        s1, b1 = self.anchors[-1]
-        if target < b1:
-            return s1 + (math.log10(b1) - math.log10(target)) / self._edge_slope(True)
-        for (s0, b0), (s1, b1) in zip(self.anchors, self.anchors[1:]):
-            if b0 > target > b1:
-                t = (math.log10(b0) - math.log10(target)) / (
-                    math.log10(b0) - math.log10(b1)
-                )
-                return s0 + t * (s1 - s0)
-        raise AssertionError("unreachable: anchors are strictly decreasing")
 
 
 @dataclass(frozen=True)

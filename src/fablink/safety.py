@@ -92,10 +92,10 @@ class SafetyManager:
         self.robot_membership: str | None = None
         self.local = LocalSafetyState.CLEAR
         self.log: list[LoopTransition] = []
-        self._endpoint_loop: dict[str, str] = {}
+        self._endpoint_loops: dict[str, list[SafetyLoop]] = {}
         for loop in loops:
             for member in loop.members:
-                self._endpoint_loop[member] = loop.id
+                self._endpoint_loops.setdefault(member, []).append(loop)
         self._on_change = on_change or (lambda: None)
 
     def join(self, island_loop_id: str) -> None:
@@ -118,7 +118,8 @@ class SafetyManager:
         return entry
 
     def estop(self, source: str, now: SimTime) -> list[LoopTransition]:
-        """Emergency stop from `source`: confined to the source's own loop.
+        """Emergency stop from `source`: confined to the loops the source is
+        a member of, in loop order. The safety PLC is a member of every loop.
 
         The robot's e-stop (source "robot") latches its local guard, logged
         even when already latched; a docked robot also stops its loop.
@@ -126,14 +127,15 @@ class SafetyManager:
         if source == "robot":
             transitions = [self._set_local(LocalSafetyState.EMERGENCY_STOP,
                                            source, now, log_unchanged=True)]
-            loop_id = self.robot_membership
+            membership = self.robot_membership
+            loops = [self.loops[membership]] if membership is not None else []
         else:
             transitions = []
-            loop_id = self._endpoint_loop.get(source)
-            if loop_id is None:
+            loops = self._endpoint_loops.get(source)
+            if loops is None:
                 raise UnknownEndpoint(f"{source} belongs to no safety loop")
-        if loop_id is not None:
-            t = self.safe_stop(self.loops[loop_id], source, now)
+        for loop in loops:
+            t = self.safe_stop(loop, source, now)
             if t:
                 transitions.append(t)
         return transitions

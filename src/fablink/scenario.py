@@ -1,8 +1,9 @@
 """Scenario configuration: schema, defaults, YAML load/dump and validation.
 
-The section dataclasses are the one description of the YAML format: one
-walker reads their type hints and per-field bounds to parse, check and dump
-it (and `metrics.json`, from `artifacts.MetricsDocument`). Unknown
+The section dataclasses, with `traffic.TrafficProfile` for a catalog row,
+are the one description of the YAML format: one walker reads their type
+hints and per-field bounds to parse, check and dump it (and `metrics.json`,
+from `artifacts.MetricsDocument`). Unknown
 and duplicated keys are rejected, a bool is never a number, an enum is read
 and written by value, every error names its field (e.g.
 `factory.islands[1].capabilities[0]`), checks that span fields run at load
@@ -21,15 +22,15 @@ from typing import Any, get_args, get_origin, get_type_hints
 
 import yaml
 
-from .nr_frame import SUPPORTED_TTI_US, TtiConfig
 from .radio_link import (
-    BlerCurve, LinkConfig, LinkModel, ThroughputCurve, Waveform, default_link_model,
+    SUPPORTED_TTI_US, BlerCurve, LinkConfig, LinkModel, ThroughputCurve, TtiConfig,
+    Waveform, default_link_model,
 )
 from .safety import SafetyChannelConfig, SensorKind
 from .sim_core import NS_PER_MS, NS_PER_S, NS_PER_US
 from .traffic import (
     DEFAULT_CAMERA_PACKET_BYTES, DEFAULT_CAMERA_SHARES, MEASURED_TOTAL_RATE_BPS,
-    Pattern, StreamClass, TrafficProfile, measured_catalog,
+    TrafficProfile, measured_catalog,
 )
 
 
@@ -85,31 +86,9 @@ class RadioSection:
 
 
 @dataclass
-class StreamSpec:
-    """One row of an explicit traffic catalog."""
-
-    name: str
-    source: str = "src"
-    destination: str = "dst"
-    protocol: str = "UDP"
-    stream_class: StreamClass = _f(StreamClass.NON_SAFETY_RELEVANT, key="class")
-    payload_bytes: int = _f(100, ge=1)
-    rate_hz: float = _f(1.0, gt=0, le=NS_PER_S)  # a period of at least 1 ns
-    pattern: Pattern = Pattern.PERIODIC
-    phase_us: float = _f(0.0, ge=0)
-    wireless: bool = True
-
-    def profile(self) -> TrafficProfile:
-        return TrafficProfile(
-            self.name, self.source, self.destination, self.protocol,
-            self.stream_class, self.payload_bytes, self.rate_hz,
-            self.pattern, round(self.phase_us * NS_PER_US), self.wireless)
-
-
-@dataclass
 class TrafficSection:
-    catalog: str | list[StreamSpec] = _f("measured", choices=["measured"],
-                                         unique="name")
+    catalog: str | list[TrafficProfile] = _f("measured", choices=["measured"],
+                                             unique="name")
     total_rate_mbps: float = _f(MEASURED_TOTAL_RATE_BPS / 1e6, ge=0)
     camera_shares: dict[str, float] = _f(factory=DEFAULT_CAMERA_SHARES.copy, ge=0)
     camera_packet_bytes: int = _f(DEFAULT_CAMERA_PACKET_BYTES, ge=1)
@@ -118,7 +97,7 @@ class TrafficSection:
         if self.catalog == "measured":
             return measured_catalog(self.total_rate_mbps * 1e6, self.camera_shares,
                                     self.camera_packet_bytes)
-        return [row.profile() for row in self.catalog]
+        return list(self.catalog)
 
 
 @dataclass
@@ -354,6 +333,11 @@ def schema_to_dict(value) -> Any:
     return value
 
 
+# the actions that read each optional field of a script action
+_SCRIPT_FIELD_READERS = {"endpoint": ("estop", "module_fault", "module_clear"),
+                         "loop": ("reset",), "sensor": ("obstacle", "clear")}
+
+
 def _validate(scn: Scenario) -> None:
     r, t, s, f = scn.radio, scn.traffic, scn.safety, scn.factory
     model, wf = r.link_model(), r.waveform.value
@@ -377,6 +361,15 @@ def _validate(scn: Scenario) -> None:
         if island_id not in ids:
             _fail(path, f"{island_id!r} is not an id in factory.islands")
     caps = {c for island in f.islands for c in island.capabilities}
+    for cap in f.service_overrides:
+        if cap not in caps:
+            _fail(f"factory.service_overrides.{cap}",
+                  f"{cap!r} is no capability in factory.islands")
+    for a, row in f.transit_s.items():
+        for path, node in [(a, a)] + [(f"{a}.{b}", b) for b in row]:
+            if node not in ids and node != "manual":
+                _fail(f"factory.transit_s.{path}",
+                      f"{node!r} is neither an id in factory.islands nor 'manual'")
     missing = [step for step in f.recipe if step not in caps]
     if missing and not f.manual_station:
         _fail("factory.recipe", f"steps {missing} have no capable module in "
@@ -393,6 +386,9 @@ def _validate(scn: Scenario) -> None:
     endpoints = {"estop": modules | {"robot"} | ({"safety_plc"} if islands else set()),
                  "module_fault": modules, "module_clear": modules}
     for i, a in enumerate(scn.script):
+        for name, readers in _SCRIPT_FIELD_READERS.items():
+            if getattr(a, name) is not None and a.action not in readers:
+                _fail(f"script[{i}].{name}", f"{a.action} does not read it")
         if a.action in endpoints and a.endpoint not in endpoints[a.action]:
             _fail(f"script[{i}].endpoint", f"{a.endpoint!r} is no {a.action} target "
                                            "of enabled factory.islands")

@@ -81,10 +81,6 @@ class SimSummary:
     end_time: SimTime
     events_processed: dict[str, int] = field(default_factory=dict)
 
-    @property
-    def total_events(self) -> int:
-        return sum(self.events_processed.values())
-
 
 class Engine:
     """Single-threaded event loop over an integer-nanosecond clock.

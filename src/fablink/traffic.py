@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator
 
 from .radio_link import LinkRuntime
-from .sim_core import NS_PER_S, HandlerError, RngStream, SimTime
+from .sim_core import NS_PER_S, NS_PER_US, HandlerError, RngStream, SimTime
 
 
 class StreamClass(Enum):
@@ -33,27 +33,33 @@ class Pattern(Enum):
 
 @dataclass(frozen=True)
 class TrafficProfile:
-    """One packet stream: endpoints, class, size and emission pattern.
+    """One packet stream: endpoints, class, size and emission pattern. It is
+    also the schema of a row of an explicit traffic catalog: its fields, in
+    this order, with their defaults, config keys and bounds.
 
-    Periodic streams emit at exact multiples of 1/rate_hz from `phase_ns`;
+    Periodic streams emit at exact multiples of 1/rate_hz from `phase_us`;
     Poisson streams draw exponential gaps with mean 1/rate_hz.
     """
 
     name: str
-    source: str
-    destination: str
-    protocol_label: str
-    stream_class: StreamClass
-    payload_bytes: int
-    rate_hz: float
+    source: str = "src"
+    destination: str = "dst"
+    protocol_label: str = field(default="UDP", metadata={"key": "protocol"})
+    stream_class: StreamClass = field(
+        default=StreamClass.NON_SAFETY_RELEVANT, metadata={"key": "class"})
+    payload_bytes: int = field(default=100, metadata={"ge": 1})
+    # a period of at least 1 ns
+    rate_hz: float = field(default=1.0, metadata={"gt": 0, "le": NS_PER_S})
     pattern: Pattern = Pattern.PERIODIC
-    phase_ns: SimTime = 0
+    phase_us: float = field(default=0.0, metadata={"ge": 0})
     wireless: bool = True
 
     def __post_init__(self):
+        # the schema's bounds hold for a catalog row; these guard the rows
+        # measured_catalog derives, such as a camera above 1 GHz
         if self.payload_bytes <= 0:
             raise ValueError("payload_bytes must be > 0")
-        if not 0 < self.rate_hz <= NS_PER_S:  # a period of at least 1 ns
+        if not 0 < self.rate_hz <= NS_PER_S:
             raise ValueError(f"{self.name}: rate_hz must be within (0, 1e9]")
 
     @property
@@ -184,8 +190,8 @@ def stream_records(profile: TrafficProfile, rng: RngStream, link: LinkRuntime,
     name, size, cls = profile.name, profile.payload_bytes, profile.stream_class
     # pulled one instant per packet, so a Poisson gap is drawn after the
     # previous packet's loss draw
-    times = emission_times(
-        profile.rate_hz, horizon_ns, profile.pattern, profile.phase_ns, rng)
+    times = emission_times(profile.rate_hz, horizon_ns, profile.pattern,
+                           round(profile.phase_us * NS_PER_US), rng)
     send = link.sender(name, size, rng) if profile.wireless else (
         lambda now: (now, now + wired_latency_ns))
     records: list[PacketRecord] = []

@@ -12,7 +12,6 @@ import pytest
 
 from fablink.compliance import ComplianceVerdict
 from fablink.artifacts import write_artifacts
-from fablink.nr_frame import Numerology, TtiConfig, next_tx_opportunity, slot_duration
 from fablink.radio_link import (
     EVA70,
     V2V_URBAN_NLOS,
@@ -21,9 +20,12 @@ from fablink.radio_link import (
     LinkModel,
     LinkRuntime,
     ThroughputCurve,
+    TtiConfig,
+    WAVEFORM_GAP_DB,
     Waveform,
     availability,
     default_link_model,
+    next_tx_opportunity,
 )
 from fablink.safety import (
     SafetyChannel,
@@ -94,11 +96,15 @@ def test_criterion_2_link_anchors():
     model = default_link_model()
     assert model.bler(LinkConfig(snr_db=15.0)) == 1e-5
     assert model.bler(LinkConfig(channel=V2V_URBAN_NLOS, snr_db=19.0)) == 1e-5
-    for channel in (EVA70, V2V_URBAN_NLOS):
-        gap = model.bler_curve(Waveform.CP_OFDM, channel).snr_for_bler(
-            1e-5
-        ) - model.bler_curve(Waveform.P_OFDM, channel).snr_for_bler(1e-5)
-        assert abs(gap - 1.7) <= 0.01, (channel, gap)
+    # the waveform gap: CP-OFDM needs 1.7 dB more SNR than P-OFDM for 1e-5,
+    # and for every BLER of the sweep
+    assert WAVEFORM_GAP_DB == 1.7
+    for channel, s_1e5 in ((EVA70, 15.0), (V2V_URBAN_NLOS, 19.0)):
+        p = model.bler_curve(Waveform.P_OFDM, channel)
+        cp = model.bler_curve(Waveform.CP_OFDM, channel)
+        assert cp.bler(s_1e5 + WAVEFORM_GAP_DB) == 1e-5, channel
+        for s in (s_1e5 + x / 2 for x in range(-12, 9)):
+            assert cp.bler(s + 1.7) == pytest.approx(p.bler(s)), (channel, s)
     assert model.throughput(LinkConfig(snr_db=11.0)) == 10e6
 
 
@@ -122,8 +128,9 @@ def test_criterion_3_sampling_and_availability():
 
 @criterion(4, "slot timing, alignment idempotence, sub-ms round trip")
 def test_criterion_4_timing_math():
-    assert slot_duration(Numerology(0)) * 1 == 1 * NS_PER_MS
-    assert slot_duration(Numerology(1)) == NS_PER_MS / 2
+    # the slot durations a run schedules at
+    assert [TtiConfig(us).duration_ns for us in (1000, 500, 250, 125)] == [
+        NS_PER_MS, NS_PER_MS // 2, NS_PER_MS // 4, NS_PER_MS // 8]
     rng = random.Random(4)
     for _ in range(10_000):
         tti = TtiConfig(rng.choice((125, 250, 500, 1000)))

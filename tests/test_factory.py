@@ -24,8 +24,7 @@ from fablink.factory import (
     plan_route,
     readiness,
 )
-from fablink.nr_frame import TtiConfig
-from fablink.radio_link import LinkConfig, default_link_model
+from fablink.radio_link import LinkConfig, TtiConfig, default_link_model
 from fablink.safety import LoopState, SafetyLoop, SafetyManager
 from fablink.scenario import scenario_from_dict
 from fablink.sim_core import RngStream

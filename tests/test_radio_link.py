@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from fablink.nr_frame import TtiConfig, next_tx_opportunity
 from fablink.radio_link import (
     EVA70,
     V2V_URBAN_NLOS,
@@ -15,11 +14,13 @@ from fablink.radio_link import (
     LinkRuntime,
     RateUnavailable,
     ThroughputCurve,
+    TtiConfig,
     UnknownCurve,
     WAVEFORM_GAP_DB,
     Waveform,
     availability,
     default_link_model,
+    next_tx_opportunity,
 )
 from fablink.sim_core import NS_PER_US, Engine, RngStream
 
@@ -42,12 +43,16 @@ def test_cp_ofdm_anchor_shifted_by_waveform_gap():
     assert model.bler(cfg(waveform=Waveform.CP_OFDM, snr_db=16.7)) == 1e-5
 
 
-def test_waveform_gap_at_1e5_on_both_channels():
+def test_waveform_gap_holds_along_both_curves():
+    # CP-OFDM reads P-OFDM's BLER WAVEFORM_GAP_DB later: in the waterfall,
+    # in both tails and on both channels
     model = default_link_model()
     for channel in (EVA70, V2V_URBAN_NLOS):
-        p = model.bler_curve(Waveform.P_OFDM, channel).snr_for_bler(1e-5)
-        c = model.bler_curve(Waveform.CP_OFDM, channel).snr_for_bler(1e-5)
-        assert abs((c - p) - WAVEFORM_GAP_DB) <= 0.01
+        p = model.bler_curve(Waveform.P_OFDM, channel)
+        c = model.bler_curve(Waveform.CP_OFDM, channel)
+        for snr in (x / 4 for x in range(20, 100)):
+            assert c.bler(snr + WAVEFORM_GAP_DB) == pytest.approx(p.bler(snr),
+                                                                  rel=1e-9)
 
 
 def test_log_linear_interpolation_matches_hand_computation():
@@ -238,6 +243,33 @@ def test_throughput_linear_blend_between_anchors():
 def test_throughput_monotone_validation():
     with pytest.raises(ValueError):
         ThroughputCurve(((0.0, 5e6), (5.0, 1e6)))
+
+
+# -- TTI alignment ---------------------------------------------------------------
+
+
+def test_next_tx_opportunity_examples():
+    tti = TtiConfig(125)
+    assert next_tx_opportunity(130 * NS_PER_US, tti) == 250 * NS_PER_US
+    assert next_tx_opportunity(0, tti) == 0
+    assert next_tx_opportunity(999 * NS_PER_US, TtiConfig(1000)) == 1000 * NS_PER_US
+
+
+def test_next_tx_opportunity_idempotent_over_random_instants():
+    rng = random.Random(1234)
+    ttis = [TtiConfig(us) for us in (125, 250, 500, 1000)]
+    for _ in range(10_000):
+        now = rng.randrange(0, 10**10)
+        tti = rng.choice(ttis)
+        boundary = next_tx_opportunity(now, tti)
+        assert boundary >= now
+        assert boundary % tti.duration_ns == 0
+        assert next_tx_opportunity(boundary, tti) == boundary
+
+
+def test_tti_restricted_to_supported_set():
+    with pytest.raises(ValueError):
+        TtiConfig(200)
 
 
 # -- one-way latency -----------------------------------------------------------------

@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from fablink.nr_frame import TtiConfig
-from fablink.radio_link import BlerCurve, LinkConfig, LinkRuntime, default_link_model
+from fablink.radio_link import (
+    BlerCurve, LinkConfig, LinkRuntime, TtiConfig, default_link_model,
+)
 from fablink.safety import (
     LocalSafetyState,
     LoopState,
@@ -92,6 +93,16 @@ def test_estop_confined_to_source_island():
     assert mgr.loops["island2.loop"].state is LoopState.SAFE_STOP
     assert mgr.loops["island1.loop"].state is LoopState.RUNNING
     assert mgr.loops["island3.loop"].state is LoopState.RUNNING
+
+
+def test_estop_of_a_shared_endpoint_stops_every_loop_it_is_in():
+    # the safety PLC is a member of every island loop
+    mgr = make_manager()
+    transitions = mgr.estop("safety_plc", 100)
+    assert [t.loop for t in transitions] == [
+        "island1.loop", "island2.loop", "island3.loop"]
+    assert all(t.cause == "safety_plc" for t in transitions)
+    assert all(loop.state is LoopState.SAFE_STOP for loop in mgr.loops.values())
 
 
 def test_docked_robot_estop_stops_its_island():

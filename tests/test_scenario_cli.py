@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 import yaml
@@ -323,6 +324,22 @@ def test_cli_config_dump_is_loadable(tmp_path, capsys):
     assert _run_cli("config", "dump") == 0
     text = capsys.readouterr().out
     assert scenario_from_dict(yaml.safe_load(text)) == default_scenario()
+
+
+# sha256 of `fablink config dump --config tests/outage_scenario.yaml`: its
+# catalog rows show every stream field, so a change of their key order, a
+# default or the phase's rendering changes these bytes
+OUTAGE_DUMP_SHA256 = "5f36e1d970c1f0bc6195cf0c927665895ea89eaaec37f2223262181758e7ca62"
+
+
+def test_cli_config_dump_of_outage_scenario_keeps_its_bytes(capsys):
+    config = Path(__file__).with_name("outage_scenario.yaml")
+    assert _run_cli("config", "dump", "--config", str(config)) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == OUTAGE_DUMP_SHA256
+    assert list(yaml.safe_load(text)["traffic"]["catalog"][0]) == [
+        "name", "source", "destination", "protocol", "class", "payload_bytes",
+        "rate_hz", "pattern", "phase_us", "wireless"]
 
 
 def test_cli_run_bad_config(tmp_path, capsys):

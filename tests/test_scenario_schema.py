@@ -108,6 +108,46 @@ NEW_DEFECTS = {
     "service_s_overflows": ({"factory": {"service_s": 1e300}}, "factory.service_s"),
 }
 
+# Keys and script fields that named nothing the run reads, and loaded.
+IGNORED_FIELDS = {
+    "service_override_of_no_capability": (
+        {"factory": {"service_overrides": {"engrve": 5.0}}},
+        "factory.service_overrides.engrve",
+    ),
+    "transit_row_of_no_island": (
+        {"factory": {"transit_s": {
+            a: {b: 6.0 for b in ("island1", "island2", "island3", "manual")}
+            for a in ("island1", "island2", "island3", "manual", "island9")}}},
+        "factory.transit_s.island9",
+    ),
+    "transit_column_of_no_island": (
+        {"factory": {"transit_s": {"island1": {"island9": 6.0}}}},
+        "factory.transit_s.island1.island9",
+    ),
+    "reset_with_endpoint": (
+        {"script": [{"at_s": 1, "action": "reset", "endpoint": "island1.loop"}]},
+        "script[0].endpoint",
+    ),
+    "link_down_with_endpoint": (
+        {"script": [{"at_s": 1, "action": "link_down", "endpoint": "robot"}]},
+        "script[0].endpoint",
+    ),
+    "estop_with_loop": (
+        {"script": [{"at_s": 1, "action": "estop", "endpoint": "robot",
+                     "loop": "island1.loop"}]},
+        "script[0].loop",
+    ),
+    "reset_local_with_sensor": (
+        {"script": [{"at_s": 1, "action": "reset_local", "sensor": "bumper"}]},
+        "script[0].sensor",
+    ),
+    "module_fault_with_sensor": (
+        {"script": [{"at_s": 1, "action": "module_fault",
+                     "endpoint": "island1.engrave", "sensor": "laser"}]},
+        "script[0].sensor",
+    ),
+}
+
 # One case per defect the hand-written loader let through.
 DEFECTS = {
     "recipe_string": ({"factory": {"recipe": "abc"}}, "factory.recipe"),
@@ -206,6 +246,7 @@ DEFECTS = {
     "non_string_key": ({"factory": {"service_overrides": {1: 2.0}}},
                        "factory.service_overrides key"),
     **NEW_DEFECTS,
+    **IGNORED_FIELDS,
 }
 
 
@@ -265,9 +306,9 @@ def test_cli_overrides_go_through_the_schema(tmp_path, capsys, flag, value):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("case", sorted(NEW_DEFECTS))
+@pytest.mark.parametrize("case", sorted(NEW_DEFECTS | IGNORED_FIELDS))
 def test_cli_run_defect_exits_2_with_one_line(tmp_path, capsys, case):
-    data, path = NEW_DEFECTS[case]
+    data, path = DEFECTS[case]
     config = tmp_path / "scenario.yaml"
     config.write_text(yaml.safe_dump(data), encoding="utf-8")
     code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])

@@ -121,7 +121,7 @@ def test_run_until_empty_queue_advances_clock():
     engine = Engine()
     summary = engine.run_until(NS_PER_S)
     assert engine.now == NS_PER_S
-    assert summary.total_events == 0
+    assert summary.events_processed == {}
 
 
 def test_module_counts_in_summary():

@@ -204,6 +204,15 @@ def test_estop_confinement_in_full_run():
     assert {t.loop for t in stops} == {"island3.loop"}
 
 
+def test_safety_plc_estop_stops_every_island_in_full_run():
+    data = fast_plant(3.0, releases={"count": 1})
+    data["script"] = [{"at_s": 1.0, "action": "estop", "endpoint": "safety_plc"}]
+    result = run_scenario(data)
+    stops = [(t.at, t.loop, t.cause) for t in result.safety_log
+             if t.transition == "safe_stop"]
+    assert stops == [(NS_PER_S, f"island{i}.loop", "safety_plc") for i in (1, 2, 3)]
+
+
 def test_obstruction_pauses_transit_and_extends_arrival():
     base = fast_plant(90.0, releases={"count": 1})
     plain = run_scenario(base)

@@ -13,12 +13,13 @@ import random
 
 import pytest
 
-from fablink.nr_frame import TtiConfig, next_tx_opportunity
-from fablink.radio_link import BlerCurve, LinkConfig, LinkRuntime, default_link_model
+from fablink.radio_link import (
+    BlerCurve, LinkConfig, LinkRuntime, TtiConfig, default_link_model, next_tx_opportunity,
+)
 from fablink.safety import SafetyChannel, SafetyChannelConfig
 from fablink.scenario import scenario_from_dict
 from fablink.sim_core import (
-    LANE_NORMAL, LANE_SAFETY, NS_PER_MS, NS_PER_S, Engine, HandlerError)
+    LANE_NORMAL, LANE_SAFETY, NS_PER_MS, NS_PER_S, NS_PER_US, Engine, HandlerError)
 from fablink.simulation import Simulation
 from fablink.traffic import PacketRecord, StreamClass, emission_times
 
@@ -123,8 +124,8 @@ class _EngineStream:
         self.link_up = link_up
         self.rng = sim.engine.stream(f"traffic.{profile.name}")
         self.seq = 0
-        self.times = emission_times(profile.rate_hz, sim.horizon_ns,
-                                    profile.pattern, profile.phase_ns, self.rng)
+        self.times = emission_times(profile.rate_hz, sim.horizon_ns, profile.pattern,
+                                    round(profile.phase_us * NS_PER_US), self.rng)
 
     def schedule_next(self) -> None:
         t = next(self.times, None)
