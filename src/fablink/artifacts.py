@@ -27,7 +27,7 @@ from typing import Iterator
 from .compliance import JITTER_DEFINITION, StreamMetrics
 from .scenario import schema_to_dict
 from .simulation import RunResult
-from .traffic import PacketRecord, StreamClass
+from .traffic import PacketRecord
 
 PACKET_COLUMNS = [
     "stream", "seq", "class", "size_bytes", "created_ns", "sent_ns", "delivered_ns",
@@ -83,7 +83,7 @@ def build_metrics_document(result: RunResult) -> dict:
         horizon_ns=result.scenario.horizon_ns,
         service_area_m=comp.service_area_m,
         jitter_definition=JITTER_DEFINITION,
-        streams={name: result.stream_metrics[name] for name in result.stream_order},
+        streams=result.stream_metrics,
         aggregate=result.aggregate,
         events_processed=result.summary.events_processed,
         factory=result.factory_stats,
@@ -98,16 +98,14 @@ def _csv_field(value: str) -> str:
     return buf.getvalue()[:-1]
 
 
-def _packet_rows(records: list[PacketRecord]) -> Iterator[str]:
-    """`packets.csv` data rows, each as `csv.writer` writes it: a stream's
+def _packet_rows(records: list[PacketRecord],
+                 stream_metrics: dict[str, StreamMetrics]) -> Iterator[str]:
+    """`packets.csv` data rows, each as `csv.writer` writes it: each stream's
     name and class are quoted once, and the integers formatted directly."""
-    quoted: dict[str, tuple[StreamClass, str, str]] = {}
+    quoted = {name: (_csv_field(name), _csv_field(m.stream_class.value))
+              for name, m in stream_metrics.items()}
     for r in records:
-        fields = quoted.get(r.stream)
-        if fields is None or fields[0] is not r.stream_class:
-            fields = quoted[r.stream] = (
-                r.stream_class, _csv_field(r.stream), _csv_field(r.stream_class.value))
-        _, stream, cls = fields
+        stream, cls = quoted[r.stream]
         sent = "" if r.sent_at is None else r.sent_at
         delivered = "LOST" if r.delivered_at is None else r.delivered_at
         yield (f"{stream},{r.seq},{cls},{r.size_bytes},{r.created_at},"
@@ -133,7 +131,7 @@ def write_artifacts(result: RunResult, out_dir: str | Path) -> RunArtifacts:
 
     with artifacts.packets_csv.open("w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(PACKET_COLUMNS)
-        fh.writelines(_packet_rows(result.records))
+        fh.writelines(_packet_rows(result.records, result.stream_metrics))
 
     with artifacts.safety_log_csv.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

@@ -135,7 +135,6 @@ class StreamFold:
     what `aggregate_metrics` merges instead of re-reading the records. Only
     records created within the horizon count."""
 
-    stream_class: StreamClass
     created: list[SimTime]  # creation instants, in record order
     lost_count: int
     bits: int
@@ -145,8 +144,7 @@ class StreamFold:
     hit: bytearray  # 1 per whole survival-time window holding a delivery
 
 
-def _fold(stream_class: StreamClass, records: list[PacketRecord],
-          horizon_ns: SimTime) -> StreamFold:
+def _fold(records: list[PacketRecord], horizon_ns: SimTime) -> StreamFold:
     created: list[SimTime] = []
     sizes: list[int] = []
     latencies: list[SimTime] = []
@@ -169,7 +167,6 @@ def _fold(stream_class: StreamClass, records: list[PacketRecord],
                 hit[d // SURVIVAL_TIME_NS] = 1
     latencies.sort()
     return StreamFold(
-        stream_class=stream_class,
         created=created,
         lost_count=lost,
         bits=sum(sizes) * 8,
@@ -180,7 +177,8 @@ def _fold(stream_class: StreamClass, records: list[PacketRecord],
     )
 
 
-def _metrics(stream: str, fold: StreamFold, horizon_ns: SimTime) -> StreamMetrics:
+def _metrics(stream: str, stream_class: StreamClass, fold: StreamFold,
+             horizon_ns: SimTime) -> StreamMetrics:
     created, latencies = fold.created, fold.latencies
     latency = LatencyStats(
         min_ns=latencies[0],
@@ -192,7 +190,7 @@ def _metrics(stream: str, fold: StreamFold, horizon_ns: SimTime) -> StreamMetric
     windows = horizon_ns // SURVIVAL_TIME_NS
     return StreamMetrics(
         stream=stream,
-        stream_class=fold.stream_class,
+        stream_class=stream_class,
         sample_count=len(created),
         delivered_count=len(latencies),
         lost_count=fold.lost_count,
@@ -220,8 +218,8 @@ def collect_stream_metrics(
     neither delivered nor lost at the deadline. The transfer interval is the
     sender-side gap between consecutive creations.
     """
-    fold = _fold(stream_class, records, horizon_ns)
-    metrics = _metrics(stream, fold, horizon_ns)
+    fold = _fold(records, horizon_ns)
+    metrics = _metrics(stream, stream_class, fold, horizon_ns)
     metrics.fold = fold
     return metrics
 
@@ -239,7 +237,6 @@ def aggregate_metrics(
     for f in folds:
         hit |= int.from_bytes(f.hit, "little")
     merged = StreamFold(
-        stream_class=StreamClass.NON_SAFETY_RELEVANT,
         created=sorted(chain.from_iterable(f.created for f in folds)),
         lost_count=sum(f.lost_count for f in folds),
         bits=sum(f.bits for f in folds),
@@ -248,7 +245,7 @@ def aggregate_metrics(
         latencies=sorted(chain.from_iterable(f.latencies for f in folds)),
         hit=bytearray(hit.to_bytes(horizon_ns // SURVIVAL_TIME_NS, "little")),
     )
-    return _metrics("aggregate", merged, horizon_ns)
+    return _metrics("aggregate", StreamClass.NON_SAFETY_RELEVANT, merged, horizon_ns)
 
 
 # -- evaluation ----------------------------------------------------------------

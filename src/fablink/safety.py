@@ -9,7 +9,11 @@ sensors that work regardless of network state.
 belongs to while docked (`robot_membership`) and its local guard (`local`).
 Every change of either goes through the manager, which logs it.
 
-The channel's PDUs are resolved before the run; only its watchdog runs on
+The channel runs on two traffic profiles, the catalog's PNIO rows or else
+the measured pair (see `SafetySection.channel_streams` in `scenario`). It
+reads their names and PDU sizes and the up row's rate; a scenario that sets
+another field of those rows away from what the channel does is rejected at
+load. Its PDUs are resolved before the run; only its watchdog runs on
 the engine, as checks that read the sorted delivery instants. It trips
 exactly when a delivery-free window of the watchdog length completes, and
 logs the cycles missed both ways since the last delivery.
@@ -25,14 +29,12 @@ from typing import Callable
 from .radio_link import LinkRuntime
 from .sim_core import (
     LANE_SAFETY,
-    NS_PER_MS,
-    NS_PER_S,
     Engine,
     HandlerError,
     RngStream,
     SimTime,
 )
-from .traffic import PacketRecord, StreamClass, emission_times
+from .traffic import PacketRecord, TrafficProfile, emission_times
 
 
 class LoopState(Enum):
@@ -206,50 +208,35 @@ class SafetyManager:
         return entry
 
 
-@dataclass
-class SafetyChannelConfig:
-    """Cyclic PDU exchange parameters for the coupler <-> PLC channel."""
-
-    cycle_hz: float = 246.19
-    watchdog_ns: SimTime = 12_000_000
-    pdu_bytes_up: int = 60  # coupler -> PLC
-    pdu_bytes_down: int = 64  # PLC -> coupler
-    stream_up: str = "pnio_coupler_to_plc"
-    stream_down: str = "pnio_plc_to_coupler"
-
-    def __post_init__(self):
-        if self.watchdog_ns < NS_PER_S / self.cycle_hz:
-            raise ValueError(
-                f"watchdog {self.watchdog_ns / NS_PER_MS:g} ms is shorter than one "
-                f"cycle ({1e3 / self.cycle_hz:.4g} ms at {self.cycle_hz:g} Hz)"
-            )
-
-
 class SafetyChannel:
     """The cyclic PDU exchange, resolved before the run, and the watchdog
     that supervises its receipt on the engine.
 
-    Nothing in a run feeds back into the exchange: the link's timeline is
-    fixed and only the channel draws from its RNG. So `start` resolves every
-    cycle in one loop, like a traffic stream, into the `up` and `down`
-    records. Both directions traverse the radio link (the coupler end is
-    wireless) through one `LinkRuntime.sender` each. Cycles start at the
-    `emission_times` of the cycle rate; a lost PDU is retried at following
-    TTI boundaries, up before down, until the next cycle's PDU supersedes it.
-    A watchdog trip pauses only supervision, until `rearm`.
+    `streams` are the exchange's two catalog rows, coupler -> PLC (`up`)
+    then PLC -> coupler (`down`): their names and PDU sizes, and the cycle
+    rate of `up`. Nothing in a run feeds back into the exchange: the link's
+    timeline is fixed and only the channel draws from its RNG. So `start`
+    resolves every cycle in one loop, like a traffic stream, into the `up`
+    and `down` records. Both directions traverse the radio link (the coupler
+    end is wireless) through one `LinkRuntime.sender` each. Cycles start at
+    the `emission_times` of the cycle rate; a lost PDU is retried at
+    following TTI boundaries, up before down, until the next cycle's PDU
+    supersedes it. A watchdog trip pauses only supervision, until `rearm`.
     """
 
     def __init__(
         self,
         engine: Engine,
         link: LinkRuntime,
-        config: SafetyChannelConfig,
+        streams: tuple[TrafficProfile, TrafficProfile],
+        watchdog_ns: SimTime,
         rng: RngStream,
         on_trip: Callable[[SimTime, int], None],
     ):
         self.engine = engine
         self.link = link
-        self.config = config
+        self.streams = streams
+        self.watchdog_ns = watchdog_ns
         self.on_trip = on_trip
         self.supervising = True
         self.up: list[PacketRecord] = []
@@ -261,10 +248,9 @@ class SafetyChannel:
         self._horizon: SimTime = 0
         # (stream, PDU size, its sender, its records) per direction, up first
         self._directions = [
-            (name, size, link.sender(name, size, rng), records)
-            for name, size, records in (
-                (config.stream_up, config.pdu_bytes_up, self.up),
-                (config.stream_down, config.pdu_bytes_down, self.down))
+            (p.name, p.payload_bytes, link.sender(p.name, p.payload_bytes, rng),
+             records)
+            for p, records in zip(streams, (self.up, self.down))
         ]
 
     def start(self, horizon: SimTime) -> None:
@@ -275,15 +261,14 @@ class SafetyChannel:
         self._floor = self.engine.now
         tti = self.link.config.tti.duration_ns
         delivered, missed = [], self.missed
-        starts = list(emission_times(self.config.cycle_hz, horizon))
+        starts = list(emission_times(self.streams[0].rate_hz, horizon))
         at, stream, retried_to, retries = 0, "", None, 0
         try:
             # retries end at the next cycle, or for the last one at the horizon
             for seq, (at, end) in enumerate(zip(starts, starts[1:] + [horizon + 1])):
                 pending = []
                 for stream, size, send, records in self._directions:
-                    record = PacketRecord(stream, seq, at, size,
-                                          StreamClass.SAFETY_RELEVANT, *send(at))
+                    record = PacketRecord(stream, seq, at, size, *send(at))
                     records.append(record)
                     if record.delivered_at is None:
                         pending.append((record, send))
@@ -311,7 +296,7 @@ class SafetyChannel:
     # -- watchdog supervision ----------------------------------------------
 
     def _arm(self, last_delivery: SimTime) -> None:
-        check_at = last_delivery + self.config.watchdog_ns
+        check_at = last_delivery + self.watchdog_ns
         if check_at <= self._horizon:
             self.engine.schedule_at(
                 check_at, self._check, module="safety", lane=LANE_SAFETY)
@@ -323,7 +308,7 @@ class SafetyChannel:
         now = self.engine.now
         i = bisect_left(self._delivered, now)
         last = max(self._floor, self._delivered[i - 1]) if i else self._floor
-        if now - last < self.config.watchdog_ns:
+        if now - last < self.watchdog_ns:
             self._arm(last)
             return
         self.supervising = False

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from enum import Enum, EnumMeta
 from functools import cache
 from types import UnionType
@@ -26,11 +26,12 @@ from .radio_link import (
     SUPPORTED_TTI_US, BlerCurve, LinkConfig, LinkModel, ThroughputCurve, TtiConfig,
     Waveform, default_link_model,
 )
-from .safety import SafetyChannelConfig, SensorKind
+from .safety import SensorKind
 from .sim_core import NS_PER_MS, NS_PER_S, NS_PER_US
 from .traffic import (
-    DEFAULT_CAMERA_PACKET_BYTES, DEFAULT_CAMERA_SHARES, MEASURED_TOTAL_RATE_BPS,
-    TrafficProfile, measured_catalog,
+    DEFAULT_CAMERA_PACKET_BYTES, DEFAULT_CAMERA_SHARES, MEASURED_ROWS,
+    MEASURED_TOTAL_RATE_BPS, SAFETY_STREAMS, Pattern, StreamClass, TrafficProfile,
+    measured_catalog,
 )
 
 
@@ -161,17 +162,21 @@ class SafetySection:
     enabled: bool = True
     watchdog_ms: float = _f(12.0, ge=0)
 
-    def channel_config(self, profiles: list[TrafficProfile]) -> SafetyChannelConfig:
-        """The channel the run uses: rate and PDU sizes of the catalog's two
-        PNIO rows when both exist, otherwise the measured 246.19 Hz, 60/64 B."""
+    @property
+    def watchdog_ns(self) -> int:
+        return round(self.watchdog_ms * NS_PER_MS)
+
+    def channel_streams(
+        self, profiles: list[TrafficProfile]
+    ) -> tuple[TrafficProfile, TrafficProfile]:
+        """The channel's (up, down) streams, both of class safety: the
+        catalog's two PNIO rows when both exist, otherwise the measured pair
+        (246.19 Hz, 60/64 B)."""
         rows = {p.name: p for p in profiles}
-        up = rows.get(SafetyChannelConfig.stream_up)
-        down = rows.get(SafetyChannelConfig.stream_down)
-        watchdog_ns = round(self.watchdog_ms * NS_PER_MS)
-        if up and down:
-            return SafetyChannelConfig(up.rate_hz, watchdog_ns,
-                                       up.payload_bytes, down.payload_bytes)
-        return SafetyChannelConfig(watchdog_ns=watchdog_ns)
+        if not all(name in rows for name in SAFETY_STREAMS):
+            rows = {p.name: p for p in MEASURED_ROWS}
+        return tuple(replace(rows[name], stream_class=StreamClass.SAFETY_RELEVANT)
+                     for name in SAFETY_STREAMS)
 
 
 @dataclass
@@ -180,10 +185,10 @@ class ComplianceSection:
     availability_sample_floor: int | None = _f(None, ge=1)
 
 
-@dataclass
+@dataclass(kw_only=True)  # `action` is required, and still the second key
 class ScriptAction:
     at_s: float = _f(0.0, ge=0)
-    action: str = _f("", choices=[
+    action: str = _f(choices=[
         "estop", "reset", "obstacle", "clear", "reset_local",
         "link_down", "link_up", "module_fault", "module_clear"])
     endpoint: str | None = None
@@ -351,7 +356,26 @@ def _validate(scn: Scenario) -> None:
     if t.catalog == "measured" and abs(sum(t.camera_shares.values()) - 1.0) > 1e-9:
         _fail("traffic.camera_shares", "shares must sum to 1")
     profiles = _built("traffic.total_rate_mbps", t.profiles)
-    _built("safety.watchdog_ms", s.channel_config, profiles)
+    up = s.channel_streams(profiles)[0]
+    if s.watchdog_ns < NS_PER_S / up.rate_hz:
+        _fail("safety.watchdog_ms",
+              f"watchdog {s.watchdog_ns / NS_PER_MS:g} ms is shorter than one cycle "
+              f"({1e3 / up.rate_hz:.4g} ms at {up.rate_hz:g} Hz)")
+    # the channel reads its rows' names and sizes and the up row's rate; a
+    # row that sets another field away from what the channel does is an error
+    rows = [(i, p) for i, p in enumerate(profiles) if p.name in SAFETY_STREAMS]
+    if s.enabled and len(rows) == 2:
+        for i, p in rows:
+            path = f"traffic.catalog[{i}]"
+            if p.rate_hz != up.rate_hz:
+                _fail(f"{path}.rate_hz", f"the safety channel runs both PNIO rows "
+                                         f"at {up.name}'s {up.rate_hz:g} Hz")
+            if p.pattern is not Pattern.PERIODIC:
+                _fail(f"{path}.pattern", "the safety channel's cycles are periodic")
+            if p.phase_us != 0:
+                _fail(f"{path}.phase_us", "the safety channel's cycles start at 0")
+            if not p.wireless:
+                _fail(f"{path}.wireless", "the safety channel rides the radio link")
     ids = [i.id for i in f.islands]
     if "manual" in ids:
         _fail(f"factory.islands[{ids.index('manual')}].id",
@@ -383,12 +407,16 @@ def _validate(scn: Scenario) -> None:
     islands = f.islands if f.enabled else []
     modules = {f"{i.id}.{c}" for i in islands for c in i.capabilities}
     loops = {f"{i.id}.loop" for i in islands}
-    endpoints = {"estop": modules | {"robot"} | ({"safety_plc"} if islands else set()),
+    # the robot and the safety PLC exist only with the factory
+    endpoints = {"estop": modules | ({"robot", "safety_plc"} if islands else set()),
                  "module_fault": modules, "module_clear": modules}
     for i, a in enumerate(scn.script):
         for name, readers in _SCRIPT_FIELD_READERS.items():
             if getattr(a, name) is not None and a.action not in readers:
                 _fail(f"script[{i}].{name}", f"{a.action} does not read it")
+        if a.action in ("obstacle", "clear", "reset_local") and not islands:
+            _fail(f"script[{i}].action", f"{a.action} acts on the robot, which only "
+                                         "an enabled factory has")
         if a.action in endpoints and a.endpoint not in endpoints[a.action]:
             _fail(f"script[{i}].endpoint", f"{a.endpoint!r} is no {a.action} target "
                                            "of enabled factory.islands")
@@ -426,11 +454,13 @@ def _check_unique_keys(node, path: str) -> None:
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            _check_unique_keys(yaml.compose(fh, Loader=yaml.SafeLoader), "")
-            fh.seek(0)
-            data = yaml.safe_load(fh)
-        except (UnicodeDecodeError, yaml.YAMLError) as exc:
-            raise ConfigInvalid(f"{path}: {exc}") from None
+    """Load a config file, read once, so that a pipe such as `/dev/stdin`
+    works too."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        _check_unique_keys(yaml.compose(text, Loader=yaml.SafeLoader), "")
+        data = yaml.safe_load(text)
+    except (UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ConfigInvalid(f"{path}: {exc}") from None
     return default_scenario() if data is None else scenario_from_dict(data)

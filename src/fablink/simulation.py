@@ -68,7 +68,6 @@ class RunResult:
     scenario: Scenario
     summary: SimSummary
     records: list[PacketRecord]
-    stream_order: list[str]
     safety_log: list[safety_mod.LoopTransition]
     product_log: list[ProductEvent]
     stream_metrics: dict[str, StreamMetrics]
@@ -97,7 +96,6 @@ class _RobotJob:
     def __init__(self, product_run: _ProductRun, destination: str):
         self.product_run = product_run
         self.destination = destination
-        self.phase = "pickup"  # pickup | deliver
 
 
 class PlantRuntime:
@@ -148,7 +146,6 @@ class PlantRuntime:
         self.manual_busy = False
         self.unfinished: list[_ProductRun] = []  # release order, pruned each tick
         self.jobs: deque[_RobotJob] = deque()
-        self.robot_busy = False
         # running and paused timers per gate, in start order; the robot's
         # gate comes last, so a change resumes island work before motion
         self._timers: dict[str | None, dict[PausableTimer, None]] = {
@@ -363,7 +360,8 @@ class PlantRuntime:
     # -- robot -------------------------------------------------------------------
 
     def _dispatch_robot(self) -> None:
-        if self.robot_busy or self._stopped(_ROBOT):
+        # the robot is busy while it holds a timer, running or paused
+        if self._timers[_ROBOT] or self._stopped(_ROBOT):
             return
         # a product completed since its job was queued (at the manual
         # station) no longer waits for the robot
@@ -384,8 +382,8 @@ class PlantRuntime:
                     self._goto(home)
             return
         job = self.jobs[0]
-        if job.phase == "deliver":
-            # carrier aboard; docking at the destination was refused earlier
+        if self.robot.carrier is not None:
+            # docking at the destination was refused earlier
             if self.robot.pose == Hovering(job.destination):
                 self._try_dock(job.destination, then=lambda: self._unload(job))
             return
@@ -395,7 +393,6 @@ class PlantRuntime:
             if not isinstance(self.robot.pose, AtManualStation):
                 self._goto(MANUAL_STATION)
             elif run.state == "waiting":
-                self.robot_busy = True
                 run.state = "moving"
                 self._load(job)
             return
@@ -420,7 +417,6 @@ class PlantRuntime:
         docked. At departure `start(origin, duration)` returns the action to
         run on arrival, after the robot is at the manual station or hovers
         at the island `dest`."""
-        self.robot_busy = True
         origin = self._current_node()
 
         def depart() -> None:
@@ -449,9 +445,7 @@ class PlantRuntime:
         """An empty leg: dock at an island, or stand idle at the manual station."""
 
         def arrived() -> None:
-            if dest == MANUAL_STATION:
-                self.robot_busy = False
-            else:
+            if dest != MANUAL_STATION:
                 self._try_dock(dest)
 
         self._leg(dest, lambda origin, duration: arrived)
@@ -479,7 +473,6 @@ class PlantRuntime:
                     job.destination = MANUAL_STATION
                     self._carry(job)
                 else:
-                    job.phase = "deliver"
                     self._try_dock(dest, then=lambda: self._unload(job))
 
             return arrived
@@ -531,18 +524,13 @@ class PlantRuntime:
         return None
 
     def _try_dock(self, island_id: str, then=None) -> None:
-        self.robot_busy = True
-
         def attempt() -> None:
             try:
                 dock(self.robot, self.islands[island_id], self.sim.safety_mgr)
             except DockRefused:
-                self.robot_busy = False  # retry on a later tick
-                return
+                return  # retry on a later tick
             if then is not None:
                 then()
-            else:
-                self.robot_busy = False
 
         self._timer(_ROBOT, round(self.cfg.dock_s * NS_PER_S), attempt)
 
@@ -551,7 +539,8 @@ class PlantRuntime:
         dock_id = self.islands[run.island].dock_id
         if not self.ready[dock_id]:
             return  # retry next tick
-        self.robot_busy = True
+        # the robot waits on no timer while the product rides to the dock;
+        # dispatch then finds the product moving and leaves it alone
         self._convey(run, dock_id, run.island, lambda: self._load(job))
 
     def _load(self, job: _RobotJob) -> None:
@@ -574,7 +563,6 @@ class PlantRuntime:
             run.island = dest
             run.pending_robot = False
             self.jobs.popleft()
-            self.robot_busy = False
             if dest == MANUAL_STATION:
                 run.location = MANUAL_STATION
                 run.state = "manual"
@@ -648,8 +636,9 @@ class Simulation:
         self.link = LinkRuntime(self.link_model, self.link_config, jitter_ns,
                                 self.engine.stream, timeline)
         self.product_log: list[ProductEvent] = []
-        self.profiles = scenario.traffic.profiles()
-        self.stream_order = [p.name for p in self.profiles]
+        # the run's streams: the safety channel's pair, when it runs, leads
+        # the catalog's other rows in catalog order, the merge's source order
+        self.streams = scenario.traffic.profiles()
 
         self.plant: PlantRuntime | None = None
         if scenario.factory.enabled:
@@ -661,20 +650,19 @@ class Simulation:
             self.safety_mgr = SafetyManager(loops=[])
 
         self.channel: SafetyChannel | None = None
-        channel_streams: set[str] = set()
         if scenario.safety.enabled:
-            # bound to the catalog's PNIO rows when they exist, so the channel
-            # replaces those streams
-            cfg = scenario.safety.channel_config(self.profiles)
-            channel_streams = {cfg.stream_up, cfg.stream_down}
+            # the channel runs the catalog's PNIO rows when both exist
+            pair = scenario.safety.channel_streams(self.streams)
             self.channel = SafetyChannel(
                 engine=self.engine,
                 link=self.link,
-                config=cfg,
+                streams=pair,
+                watchdog_ns=scenario.safety.watchdog_ns,
                 rng=self.engine.stream("link.safety"),
                 on_trip=self.safety_mgr.watchdog_trip,
             )
-        self.traffic = [p for p in self.profiles if p.name not in channel_streams]
+            names = {p.name for p in pair}
+            self.streams = [*pair, *(p for p in self.streams if p.name not in names)]
 
     # -- scenario script -----------------------------------------------------------
 
@@ -693,24 +681,21 @@ class Simulation:
         if action.action == "estop":
             self.safety_mgr.estop(action.endpoint, now)
         elif action.action == "reset":
-            loop_id = action.loop
-            if loop_id in self.safety_mgr.loops:
-                self.safety_mgr.reset(loop_id, now)
+            if action.loop is not None:
+                self.safety_mgr.reset(action.loop, now)
             if self.channel:
                 self.channel.rearm(now)
+        # the scenario admits the robot-local and module actions only with
+        # the factory, and a module or loop only of its islands
         elif action.action in ("obstacle", "clear"):
-            if self.plant:
-                self.safety_mgr.sense(action.sensor, action.action == "obstacle", now)
+            self.safety_mgr.sense(action.sensor, action.action == "obstacle", now)
         elif action.action == "reset_local":
-            if self.plant:
-                self.safety_mgr.reset_local(now)
+            self.safety_mgr.reset_local(now)
         # link_down / link_up already act through the link's timeline
         elif action.action == "module_fault":
-            if self.plant and action.endpoint in self.plant.modules:
-                self.plant.modules[action.endpoint].state = ModuleState.FAULT
+            self.plant.modules[action.endpoint].state = ModuleState.FAULT
         elif action.action == "module_clear":
-            if self.plant and action.endpoint in self.plant.modules:
-                self.plant.modules[action.endpoint].state = ModuleState.IDLE
+            self.plant.modules[action.endpoint].state = ModuleState.IDLE
 
     # -- run --------------------------------------------------------------------------
 
@@ -718,11 +703,12 @@ class Simulation:
         """Compute each traffic stream's records and the safety channel's,
         run the engine to the horizon, then merge the records back into
         engine order."""
-        traffic = {
-            p.name: stream_records(p, self.engine.stream(f"traffic.{p.name}"),
-                                   self.link, self.horizon_ns, self.wired_latency_ns)
-            for p in self.traffic
-        }
+        channel = [self.channel.up, self.channel.down] if self.channel else []
+        traffic = [
+            stream_records(p, self.engine.stream(f"traffic.{p.name}"),
+                           self.link, self.horizon_ns, self.wired_latency_ns)
+            for p in self.streams[len(channel):]
+        ]
         if self.plant:
             self.plant.start()
         if self.channel:
@@ -733,28 +719,20 @@ class Simulation:
         counts = summary.events_processed
         if self.channel:
             counts["safety"] = counts.get("safety", 0) + self.channel.events
-        emissions = sum(map(len, traffic.values()))
+        emissions = sum(map(len, traffic))
         if emissions:
             counts["traffic"] = emissions
-        return self._collect(summary, traffic)
+        return self._collect(summary, channel + traffic)
 
-    def _collect(self, summary: SimSummary, traffic: dict[str, list]) -> RunResult:
+    def _collect(self, summary: SimSummary, sources: list[list]) -> RunResult:
+        """Fold the run; `sources` holds each stream's records, in the order
+        of `self.streams`."""
         comp = self.scenario.compliance
-        by_stream = {name: [] for name in self.stream_order} | traffic
-        classes = {p.name: p.stream_class for p in self.profiles}
-        channel = []
-        if self.channel:
-            # channel streams outside the catalog follow it, up first
-            cfg, channel = self.channel.config, [self.channel.up, self.channel.down]
-            for name, recs in zip((cfg.stream_up, cfg.stream_down), channel):
-                by_stream[name] = recs
-                classes[name] = StreamClass.SAFETY_RELEVANT
-        records = merge_records(channel + list(traffic.values()))
-        self.stream_order = list(by_stream)
+        records = merge_records(sources)
         stream_metrics = {
-            name: compliance_mod.collect_stream_metrics(
-                name, classes[name], recs, self.horizon_ns)
-            for name, recs in by_stream.items()
+            p.name: compliance_mod.collect_stream_metrics(
+                p.name, p.stream_class, recs, self.horizon_ns)
+            for p, recs in zip(self.streams, sources)
         }
         aggregate = compliance_mod.aggregate_metrics(
             stream_metrics.values(), self.horizon_ns)
@@ -777,7 +755,6 @@ class Simulation:
             scenario=self.scenario,
             summary=summary,
             records=records,
-            stream_order=self.stream_order,
             safety_log=self.safety_mgr.log,
             product_log=self.product_log,
             stream_metrics=stream_metrics,

@@ -75,29 +75,32 @@ class PacketRecord:
     seq: int
     created_at: SimTime
     size_bytes: int
-    stream_class: StreamClass
     sent_at: SimTime | None = None
     delivered_at: SimTime | None = None
 
 
 MEASURED_TOTAL_RATE_BPS = 5.97e6
 
-# Measured per-stream rows: (name, source, destination, protocol, bytes, Hz,
-# class, wireless). The coupler-side endpoints ride the radio link.
-_MEASURED_ROWS = (
-    ("pnio_coupler_to_plc", "Hilscher", "PhoenixC", "PNIO", 60, 246.19,
-     StreamClass.SAFETY_RELEVANT, True),
-    ("pn_dcp_coupler", "Hilscher", "PN-MC", "PN-DCP", 60, 0.51,
-     StreamClass.NETWORK_ORGANIZATION, True),
-    ("pn_dcp_plc", "PhoenixC", "PN-MC", "PN-DCP", 60, 1.36,
-     StreamClass.NETWORK_ORGANIZATION, False),
-    ("pnio_plc_to_coupler", "PhoenixC", "Hilscher", "PNIO", 64, 246.19,
-     StreamClass.SAFETY_RELEVANT, True),
-    ("lldp_plc", "PhoenixC", "LLDP MC", "LLDP", 212, 0.17,
-     StreamClass.NETWORK_ORGANIZATION, False),
-    ("pn_ptcp_plc", "PhoenixC", "LLDP MC", "PN-PTCP", 60, 4.94,
-     StreamClass.NETWORK_ORGANIZATION, False),
+# The measured stream rows. The coupler-side endpoints ride the radio link.
+MEASURED_ROWS = tuple(
+    TrafficProfile(name, src, dst, proto, cls, size, rate, wireless=wireless)
+    for name, src, dst, proto, size, rate, cls, wireless in (
+        ("pnio_coupler_to_plc", "Hilscher", "PhoenixC", "PNIO", 60, 246.19,
+         StreamClass.SAFETY_RELEVANT, True),
+        ("pn_dcp_coupler", "Hilscher", "PN-MC", "PN-DCP", 60, 0.51,
+         StreamClass.NETWORK_ORGANIZATION, True),
+        ("pn_dcp_plc", "PhoenixC", "PN-MC", "PN-DCP", 60, 1.36,
+         StreamClass.NETWORK_ORGANIZATION, False),
+        ("pnio_plc_to_coupler", "PhoenixC", "Hilscher", "PNIO", 64, 246.19,
+         StreamClass.SAFETY_RELEVANT, True),
+        ("lldp_plc", "PhoenixC", "LLDP MC", "LLDP", 212, 0.17,
+         StreamClass.NETWORK_ORGANIZATION, False),
+        ("pn_ptcp_plc", "PhoenixC", "LLDP MC", "PN-PTCP", 60, 4.94,
+         StreamClass.NETWORK_ORGANIZATION, False),
+    )
 )
+# The safety channel's streams, up (coupler -> PLC) then down
+SAFETY_STREAMS = ("pnio_coupler_to_plc", "pnio_plc_to_coupler")
 
 DEFAULT_CAMERA_SHARES = {"forward": 0.25, "threesixty": 0.60, "product": 0.15}
 DEFAULT_CAMERA_PACKET_BYTES = 1400
@@ -117,10 +120,7 @@ def measured_catalog(
     shares = camera_shares if camera_shares is not None else DEFAULT_CAMERA_SHARES
     if abs(sum(shares.values()) - 1.0) > 1e-9:
         raise ValueError("camera shares must sum to 1")
-    profiles = [
-        TrafficProfile(name, src, dst, proto, cls, size, rate, wireless=wl)
-        for name, src, dst, proto, size, rate, cls, wl in _MEASURED_ROWS
-    ]
+    profiles = list(MEASURED_ROWS)
     measured_bps = sum(p.bitrate_bps for p in profiles)
     residual = total_rate_bps - measured_bps
     if residual < 0:
@@ -187,7 +187,7 @@ def stream_records(profile: TrafficProfile, rng: RngStream, link: LinkRuntime,
                    horizon_ns: SimTime, wired_latency_ns: SimTime) -> list:
     """One stream's records: a packet at each of its `emission_times`, sent
     through `link` or over the wire; lost packets are not retried."""
-    name, size, cls = profile.name, profile.payload_bytes, profile.stream_class
+    name, size = profile.name, profile.payload_bytes
     # pulled one instant per packet, so a Poisson gap is drawn after the
     # previous packet's loss draw
     times = emission_times(profile.rate_hz, horizon_ns, profile.pattern,
@@ -199,7 +199,7 @@ def stream_records(profile: TrafficProfile, rng: RngStream, link: LinkRuntime,
     t = 0
     try:
         for seq, t in enumerate(times):
-            append(PacketRecord(name, seq, t, size, cls, *send(t)))
+            append(PacketRecord(name, seq, t, size, *send(t)))
     except Exception as exc:
         raise HandlerError(f"at {t} ns, traffic stream {name}: "
                            f"{type(exc).__name__}: {exc}") from exc

@@ -29,11 +29,10 @@ from fablink.radio_link import (
 )
 from fablink.safety import (
     SafetyChannel,
-    SafetyChannelConfig,
     SafetyLoop,
     SafetyManager,
 )
-from fablink.scenario import default_scenario, scenario_from_dict
+from fablink.scenario import SafetySection, default_scenario, scenario_from_dict
 from fablink.simulation import Simulation
 from fablink.sim_core import NS_PER_MS, NS_PER_S, Engine, RngStream
 from fablink.traffic import StreamClass
@@ -168,7 +167,8 @@ def _random_outage_channel(engine, outages, watchdog_ns):
     channel = SafetyChannel(
         engine=engine,
         link=link,
-        config=SafetyChannelConfig(watchdog_ns=watchdog_ns),
+        streams=SafetySection().channel_streams([]),  # the measured pair
+        watchdog_ns=watchdog_ns,
         rng=engine.stream("link.safety"),
         on_trip=lambda now, missed: trips.append(now),
     )
@@ -372,8 +372,8 @@ def test_criterion_7_compliance(default_run):
     }
     safety_streams = [
         name
-        for name in result.stream_order
-        if result.stream_metrics[name].stream_class is StreamClass.SAFETY_RELEVANT
+        for name, metrics in result.stream_metrics.items()
+        if metrics.stream_class is StreamClass.SAFETY_RELEVANT
     ]
     assert safety_streams
     for stream in safety_streams:

@@ -9,18 +9,18 @@ import io
 from fablink.artifacts import PACKET_COLUMNS, write_artifacts
 from fablink.scenario import scenario_from_dict
 from fablink.simulation import Simulation
-from fablink.traffic import PacketRecord, StreamClass
+from fablink.traffic import PacketRecord
 
 AWKWARD = 'cam,"a"\nb'  # a delimiter, quote characters and a line break
 
 
-def _writerow_bytes(records: list[PacketRecord]) -> bytes:
+def _writerow_bytes(records: list[PacketRecord], classes: dict[str, str]) -> bytes:
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(PACKET_COLUMNS)
     for r in records:
         writer.writerow([
-            r.stream, r.seq, r.stream_class.value, r.size_bytes, r.created_at,
+            r.stream, r.seq, classes[r.stream], r.size_bytes, r.created_at,
             r.sent_at if r.sent_at is not None else "",
             r.delivered_at if r.delivered_at is not None else "LOST",
         ])
@@ -43,10 +43,11 @@ def test_packets_csv_bytes_equal_csv_writer_rows(tmp_path):
     })
     result = Simulation(scenario).run()
     # a record never sent writes an empty sent_ns
-    result.records.append(
-        PacketRecord(AWKWARD, 10**6, 0, 1, StreamClass.SAFETY_RELEVANT))
+    result.records.append(PacketRecord(AWKWARD, 10**6, 0, 1))
     packets = write_artifacts(result, tmp_path).packets_csv.read_bytes()
-    assert packets == _writerow_bytes(result.records)
+    assert packets == _writerow_bytes(result.records, {
+        name: m.stream_class.value for name, m in result.stream_metrics.items()})
     assert b'\r\n"cam,""a""\nb",0,non-safety,100,0,0,' in packets
     assert b",LOST\r\n" in packets
-    assert b',1000000,safety,1,0,,LOST\r\n' in packets
+    assert b',1000000,non-safety,1,0,,LOST\r\n' in packets
+    assert b"\r\nplc,0,organization,100,0,0," in packets

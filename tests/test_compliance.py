@@ -216,12 +216,10 @@ def test_percentile_nearest_rank():
     assert percentile([7], 99.9) == 7
 
 
-def _records(times_and_sizes, cls=StreamClass.SAFETY_RELEVANT):
+def _records(times_and_sizes):
     records = []
     for i, (created, delivered, size) in enumerate(times_and_sizes):
-        records.append(
-            PacketRecord("s", i, created, size, cls, created, delivered)
-        )
+        records.append(PacketRecord("s", i, created, size, created, delivered))
     return records
 
 
@@ -332,7 +330,7 @@ def _random_run(rng, n_records, n_streams):
     """Records of interleaved streams in creation order, as a run appends
     them: some lost, some delivered late, and creation instants that collide
     across streams. Horizons inside the run leave some records created or
-    delivered after them."""
+    delivered after them. Returns the records and each stream's class."""
     classes = list(StreamClass)
     streams = [(f"s{i}", rng.choice(classes), rng.choice([40, 60, 64, 1400]))
                for i in range(n_streams)]
@@ -342,7 +340,7 @@ def _random_run(rng, n_records, n_streams):
     for _ in range(n_records):
         t += rng.choice([0, 0, 1, 250_000, 3 * NS_PER_MS, 20 * NS_PER_MS])
         i = rng.randrange(n_streams)
-        name, cls, size = streams[i]
+        name, _, size = streams[i]
         roll = rng.random()
         if roll < 0.15:
             delivered = None
@@ -351,9 +349,9 @@ def _random_run(rng, n_records, n_streams):
         else:
             delivered = t + rng.randrange(1, 2 * NS_PER_MS)
         size += rng.choice([0, 0, 8])
-        records.append(PacketRecord(name, seqs[i], t, size, cls, t, delivered))
+        records.append(PacketRecord(name, seqs[i], t, size, t, delivered))
         seqs[i] += 1
-    return records
+    return records, {name: cls for name, cls, _ in streams}
 
 
 def _assert_same_metrics(got, want):
@@ -373,7 +371,7 @@ def _by_stream(records):
 def test_one_pass_fold_equals_multi_pass_reference(seed):
     rng = random.Random(seed)
     n_records = rng.choice([0, 1, 2, 5, 50, 400])
-    records = _random_run(rng, n_records, rng.randint(1, 5))
+    records, classes = _random_run(rng, n_records, rng.randint(1, 5))
     last = records[-1].created_at if records else 0
     # horizons before, inside and after the run, and shorter than one window
     horizon_ns = rng.choice([
@@ -381,12 +379,11 @@ def test_one_pass_fold_equals_multi_pass_reference(seed):
         rng.randrange(last + 1),
     ])
     streams = _by_stream(records)
-    # a stream's class is its first record's, created within the horizon or not
-    got = {name: collect_stream_metrics(name, recs[0].stream_class, recs, horizon_ns)
+    got = {name: collect_stream_metrics(name, classes[name], recs, horizon_ns)
            for name, recs in streams.items()}
     for name, recs in streams.items():
         _assert_same_metrics(got[name], _reference_stream_metrics(
-            name, recs[0].stream_class, recs, horizon_ns))
+            name, classes[name], recs, horizon_ns))
     _assert_same_metrics(aggregate_metrics(got.values(), horizon_ns),
                          _reference_aggregate(records, horizon_ns))
 

@@ -12,14 +12,14 @@ from fablink.safety import (
     LocalSafetyState,
     LoopState,
     SafetyChannel,
-    SafetyChannelConfig,
     SafetyLoop,
     SafetyManager,
     SensorKind,
     UnknownEndpoint,
 )
+from fablink.scenario import SafetySection
 from fablink.sim_core import NS_PER_MS, NS_PER_S, Engine
-from fablink.traffic import StreamClass
+from fablink.traffic import StreamClass, TrafficProfile
 
 CYCLE_HZ = 246.19
 CYCLE_NS = round(NS_PER_S / CYCLE_HZ)
@@ -216,7 +216,8 @@ def make_channel(
     channel = SafetyChannel(
         engine=engine,
         link=link,
-        config=SafetyChannelConfig(cycle_hz=CYCLE_HZ, watchdog_ns=watchdog_ns),
+        streams=SafetySection().channel_streams([]),  # the measured pair
+        watchdog_ns=watchdog_ns,
         rng=engine.stream("link.safety"),
         on_trip=lambda now, missed: trips.append((now, missed)),
     )
@@ -353,11 +354,6 @@ def test_watchdog_trips_iff_delivery_free_window_exists():
     assert not mismatches, mismatches[:3]
 
 
-def test_watchdog_must_cover_a_cycle():
-    with pytest.raises(ValueError):
-        SafetyChannelConfig(cycle_hz=CYCLE_HZ, watchdog_ns=NS_PER_MS)
-
-
 def test_watchdog_trip_consequence_by_membership():
     mgr = make_manager(robot_member="island2.loop")
     entry = mgr.watchdog_trip(500, 3)
@@ -375,10 +371,16 @@ def test_watchdog_trip_consequence_by_membership():
     assert isolated.local is LocalSafetyState.CLEAR
 
 
-def test_channel_records_are_safety_class():
-    engine = Engine(seed=1)
-    channel, _ = make_channel(engine)
-    channel.start(50 * NS_PER_MS)
-    engine.run_until(50 * NS_PER_MS)
-    assert records(channel)
-    assert all(r.stream_class is StreamClass.SAFETY_RELEVANT for r in records(channel))
+def test_channel_streams_are_the_pnio_rows_as_safety_class():
+    rows = [TrafficProfile("pnio_coupler_to_plc", payload_bytes=40, rate_hz=500.0),
+            TrafficProfile("pnio_plc_to_coupler", payload_bytes=44, rate_hz=500.0)]
+    up, down = SafetySection().channel_streams(rows)
+    assert [(p.name, p.payload_bytes, p.rate_hz) for p in (up, down)] == [
+        ("pnio_coupler_to_plc", 40, 500.0), ("pnio_plc_to_coupler", 44, 500.0)]
+    assert up.stream_class is down.stream_class is StreamClass.SAFETY_RELEVANT
+    # one row alone binds nothing: the measured pair runs
+    measured = SafetySection().channel_streams([])
+    assert SafetySection().channel_streams(rows[:1]) == measured
+    assert [(p.payload_bytes, p.rate_hz, p.stream_class) for p in measured] == [
+        (60, 246.19, StreamClass.SAFETY_RELEVANT),
+        (64, 246.19, StreamClass.SAFETY_RELEVANT)]

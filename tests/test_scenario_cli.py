@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
+import fablink
 from fablink.cli import main
 from fablink.scenario import (
     ConfigInvalid,
@@ -148,6 +152,21 @@ def test_recipe_without_capability_needs_manual_station():
 
 def _run_cli(*argv) -> int:
     return main(list(argv))
+
+
+def test_config_dump_reads_a_config_from_a_pipe():
+    # fablink config dump --config x.yaml | fablink config dump --config /dev/stdin
+    config = Path(__file__).parent / "outage_scenario.yaml"
+    dump = dump_scenario(load_scenario(str(config)))
+    src = str(Path(fablink.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    piped = subprocess.run(
+        [sys.executable, "-c", "import sys; from fablink.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "config", "dump", "--config", "/dev/stdin"],
+        input=dump, capture_output=True, text=True, env=env, timeout=60)
+    assert (piped.returncode, piped.stderr) == (0, "")
+    assert piped.stdout == dump
 
 
 def test_cli_run_and_check_flow(tmp_path, capsys):

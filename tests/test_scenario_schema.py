@@ -108,7 +108,20 @@ NEW_DEFECTS = {
     "service_s_overflows": ({"factory": {"service_s": 1e300}}, "factory.service_s"),
 }
 
-# Keys and script fields that named nothing the run reads, and loaded.
+# The catalog's PNIO rows, which the safety channel runs when both exist
+PNIO_ROWS = [
+    {"name": "pnio_coupler_to_plc", "payload_bytes": 60, "rate_hz": 246.19},
+    {"name": "pnio_plc_to_coupler", "payload_bytes": 64, "rate_hz": 246.19},
+]
+
+
+def _pnio(up=None, down=None) -> dict:
+    """The PNIO rows with fields of the up and down row replaced."""
+    return {"traffic": {"catalog": [dict(PNIO_ROWS[0], **(up or {})),
+                                    dict(PNIO_ROWS[1], **(down or {}))]}}
+
+
+# Keys, row fields and script fields that named nothing the run reads, and loaded.
 IGNORED_FIELDS = {
     "service_override_of_no_capability": (
         {"factory": {"service_overrides": {"engrve": 5.0}}},
@@ -145,6 +158,38 @@ IGNORED_FIELDS = {
         {"script": [{"at_s": 1, "action": "module_fault",
                      "endpoint": "island1.engrave", "sensor": "laser"}]},
         "script[0].sensor",
+    ),
+    # the safety channel runs the PNIO rows at the up row's rate, periodic
+    # from t = 0 and over the radio, whatever else the rows say
+    "pnio_down_rate_differs": (_pnio(down={"rate_hz": 500.0}),
+                               "traffic.catalog[1].rate_hz"),
+    "pnio_down_poisson": (_pnio(down={"pattern": "poisson"}),
+                          "traffic.catalog[1].pattern"),
+    "pnio_down_phase": (_pnio(down={"phase_us": 300.0}), "traffic.catalog[1].phase_us"),
+    "pnio_down_wired": (_pnio(down={"wireless": False}), "traffic.catalog[1].wireless"),
+    "pnio_up_poisson": (_pnio(up={"pattern": "poisson"}), "traffic.catalog[0].pattern"),
+    "pnio_up_wired": (_pnio(up={"wireless": False}), "traffic.catalog[0].wireless"),
+    "script_action_missing": ({"script": [{"at_s": 1.0}]}, "script[0].action"),
+    # the robot, its guard and its e-stop exist only with the factory
+    "obstacle_without_factory": (
+        {"factory": {"enabled": False},
+         "script": [{"at_s": 1, "action": "obstacle", "sensor": "laser"}]},
+        "script[0].action",
+    ),
+    "clear_without_factory": (
+        {"factory": {"enabled": False},
+         "script": [{"at_s": 1, "action": "clear", "sensor": "laser"}]},
+        "script[0].action",
+    ),
+    "reset_local_without_factory": (
+        {"factory": {"enabled": False},
+         "script": [{"at_s": 1, "action": "reset_local"}]},
+        "script[0].action",
+    ),
+    "robot_estop_without_factory": (
+        {"factory": {"enabled": False},
+         "script": [{"at_s": 1, "action": "estop", "endpoint": "robot"}]},
+        "script[0].endpoint",
     ),
 }
 
@@ -263,8 +308,8 @@ def test_watchdog_is_checked_against_the_rate_the_channel_runs_at():
     scenario = scenario_from_dict(
         {"horizon_s": 0.1, "safety": {"watchdog_ms": 5}})
     channel = Simulation(scenario).channel
-    assert channel.config.cycle_hz == 246.19
-    assert channel.config.watchdog_ns == 5 * NS_PER_MS
+    assert channel.streams[0].rate_hz == 246.19
+    assert channel.watchdog_ns == 5 * NS_PER_MS
 
 
 def test_int_is_stored_as_float_and_bounds_hold_inside_containers():

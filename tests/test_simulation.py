@@ -436,9 +436,11 @@ def _run_with_jitter(catalog, horizon_s: float = 1.0):
 
 def test_jitter_applies_to_safety_pdus():
     result = _run_with_jitter("measured")
+    safety = {name for name, m in result.stream_metrics.items()
+              if m.stream_class is StreamClass.SAFETY_RELEVANT}
     latencies = {
         r.delivered_at - r.sent_at for r in result.records
-        if r.stream_class is StreamClass.SAFETY_RELEVANT and r.delivered_at
+        if r.stream in safety and r.delivered_at
     }
     assert len(latencies) > 1
 
@@ -465,7 +467,7 @@ def test_link_down_drops_traffic_and_safety_attempts_alike():
     assert sim.channel.link is sim.link  # the one timeline the script sets
     result = sim.run()
     tti = sim.link_config.tti.duration_ns
-    wireless = {p.name for p in sim.profiles if p.wireless}
+    wireless = {p.name for p in sim.streams if p.wireless}
     lost_in_window = set()
     for r in result.records:
         if r.stream not in wireless:
@@ -473,7 +475,7 @@ def test_link_down_drops_traffic_and_safety_attempts_alike():
         elif down + tti <= r.sent_at < up:
             # attempted while the link was down
             assert r.delivered_at is None, r
-            lost_in_window.add(r.stream_class)
+            lost_in_window.add(result.stream_metrics[r.stream].stream_class)
     assert {StreamClass.SAFETY_RELEVANT, StreamClass.NON_SAFETY_RELEVANT} <= (
         lost_in_window
     )

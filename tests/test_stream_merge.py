@@ -10,18 +10,19 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
 from fablink.radio_link import (
     BlerCurve, LinkConfig, LinkRuntime, TtiConfig, default_link_model, next_tx_opportunity,
 )
-from fablink.safety import SafetyChannel, SafetyChannelConfig
-from fablink.scenario import scenario_from_dict
+from fablink.safety import SafetyChannel
+from fablink.scenario import SafetySection, scenario_from_dict
 from fablink.sim_core import (
     LANE_NORMAL, LANE_SAFETY, NS_PER_MS, NS_PER_S, NS_PER_US, Engine, HandlerError)
 from fablink.simulation import Simulation
-from fablink.traffic import PacketRecord, StreamClass, emission_times
+from fablink.traffic import PacketRecord, emission_times
 
 # a and b share one schedule; c, d and the safety channel tie with them at
 # phase 0; p is Poisson and w is wired
@@ -135,7 +136,7 @@ class _EngineStream:
     def emit(self) -> None:
         sim, p = self.sim, self.profile
         now = sim.engine.now
-        record = PacketRecord(p.name, self.seq, now, p.payload_bytes, p.stream_class)
+        record = PacketRecord(p.name, self.seq, now, p.payload_bytes)
         self.seq += 1
         self.records.append(record)
         if not p.wireless:
@@ -161,10 +162,11 @@ class _EngineChannel:
     event that resets the watchdog timer and the miss counter, and the
     watchdog is a safety-lane check re-armed from the last delivery."""
 
-    def __init__(self, engine, link, config, rng, records, on_trip):
+    def __init__(self, engine, link, streams, watchdog_ns, rng, records, on_trip):
         self.engine = engine
         self.link = link
-        self.config = config
+        self.cycle_hz = streams[0].rate_hz
+        self.watchdog_ns = watchdog_ns
         self.records = records
         self.on_trip = on_trip
         self.consecutive_missed = 0
@@ -173,16 +175,15 @@ class _EngineChannel:
         self._horizon = 0
         self._cycle = 0
         self._directions = [
-            (name, size, link.sender(name, size, rng))
-            for name, size in ((config.stream_up, config.pdu_bytes_up),
-                               (config.stream_down, config.pdu_bytes_down))
+            (p.name, p.payload_bytes, link.sender(p.name, p.payload_bytes, rng))
+            for p in streams
         ]
         self._cycles = iter(())
 
     def start(self, horizon: int) -> None:
         self._horizon = horizon
         self.last_delivery = self.engine.now
-        self._cycles = emission_times(self.config.cycle_hz, horizon)
+        self._cycles = emission_times(self.cycle_hz, horizon)
         first = next(self._cycles, None)
         if first is not None:
             self.engine.schedule_at(first, self._run_cycle, module="safety")
@@ -193,8 +194,7 @@ class _EngineChannel:
         cycle_end = math.inf if nxt is None else nxt
         lost = []
         for stream, size, send in self._directions:
-            record = PacketRecord(stream, self._cycle, self.engine.now, size,
-                                  StreamClass.SAFETY_RELEVANT)
+            record = PacketRecord(stream, self._cycle, self.engine.now, size)
             self.records.append(record)
             lost.append(self._attempt(record, send, cycle_end))
         self._cycle += 1
@@ -223,7 +223,7 @@ class _EngineChannel:
         self.consecutive_missed = 0
 
     def _arm_watchdog(self) -> None:
-        check_at = self.last_delivery + self.config.watchdog_ns
+        check_at = self.last_delivery + self.watchdog_ns
         if check_at <= self._horizon:
             self.engine.schedule_at(
                 check_at, self._check_watchdog, module="safety", lane=LANE_SAFETY)
@@ -231,7 +231,7 @@ class _EngineChannel:
     def _check_watchdog(self) -> None:
         if not self.supervising:
             return
-        if self.engine.now - self.last_delivery >= self.config.watchdog_ns:
+        if self.engine.now - self.last_delivery >= self.watchdog_ns:
             self.supervising = False
             self.on_trip(self.engine.now, self.consecutive_missed)
             return
@@ -264,13 +264,14 @@ def engine_reference(data: dict) -> tuple[list[PacketRecord], dict[str, int], li
     sim._run_action = run_action_and_switch
     if sim.plant:
         sim.plant.start()
+    channel = sim.channel.streams if sim.channel else ()
     if sim.channel:
-        channel = sim.channel
-        sim.channel = _EngineChannel(sim.engine, sim.link, channel.config,
+        sim.channel = _EngineChannel(sim.engine, sim.link, channel,
+                                     sim.channel.watchdog_ns,
                                      sim.engine.stream("link.safety"), records,
-                                     channel.on_trip)
+                                     sim.channel.on_trip)
         sim.channel.start(sim.horizon_ns)
-    for profile in sim.traffic:
+    for profile in sim.streams[len(channel):]:  # the channel's pair leads
         _EngineStream(sim, profile, records, link_up).schedule_next()
     sim._schedule_script()
     summary = sim.engine.run_until(sim.horizon_ns)
@@ -357,9 +358,11 @@ def test_a_raising_send_ends_the_run_naming_time_module_and_stream(
 
 # -- the resolved channel against the engine-driven one --------------------------
 
+MEASURED_PAIR = SafetySection().channel_streams([])
 
-def _channel_run(channel_type, seed, config, bler, timeline, tti_delay_ns,
-                 rearms, horizon):
+
+def _channel_run(channel_type, seed, streams, watchdog_ns, bler, timeline,
+                 tti_delay_ns, rearms, horizon):
     """One channel over a link of constant `bler` and the given timeline,
     rearmed on the safety lane at each of `rearms` as the script does: its
     up and down records, its trips and the engine's event counts."""
@@ -371,7 +374,7 @@ def _channel_run(channel_type, seed, config, bler, timeline, tti_delay_ns,
         BlerCurve.constant(bler))
     link = LinkRuntime(model, link_config, 0, engine.stream, timeline)
     trips, records = [], []
-    args = (engine, link, config, engine.stream("link.safety"))
+    args = (engine, link, streams, watchdog_ns, engine.stream("link.safety"))
     on_trip = lambda now, missed: trips.append((now, missed))  # noqa: E731
     if channel_type is _EngineChannel:
         channel = _EngineChannel(*args, records, on_trip)
@@ -411,15 +414,16 @@ def test_resolved_channel_equals_the_engine_driven_channel():
         cycle_hz = rng.choice([246.19, 500.0, 1000.0, 2000.0])
         cycle_ns = NS_PER_S / cycle_hz
         horizon = rng.randrange(40, 160) * NS_PER_MS
-        config = SafetyChannelConfig(
-            cycle_hz=cycle_hz, watchdog_ns=math.ceil(cycle_ns * rng.uniform(1, 5)))
+        streams = tuple(replace(p, rate_hz=cycle_hz) for p in MEASURED_PAIR)
+        watchdog_ns = math.ceil(cycle_ns * rng.uniform(1, 5))
         bler = rng.choice([0.0, 0.3, 0.7])
         timeline = sorted(
             (rng.randrange(horizon), rng.random() < 0.5)
             for _ in range(rng.randrange(0, 8)))
         rearms = sorted(rng.randrange(horizon) for _ in range(rng.randrange(0, 4)))
         delay = 125_000 * rng.randrange(0, 9)
-        runs = [_channel_run(kind, i, config, bler, timeline, delay, rearms, horizon)
+        runs = [_channel_run(kind, i, streams, watchdog_ns, bler, timeline, delay,
+                             rearms, horizon)
                 for kind in (_EngineChannel, SafetyChannel)]
         if runs[0] != runs[1]:
             mismatches.append((i, cycle_hz, bler, timeline, rearms, delay))
