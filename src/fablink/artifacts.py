@@ -21,13 +21,14 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from itertools import count
 from pathlib import Path
 from typing import Iterator
 
 from .compliance import JITTER_DEFINITION, StreamMetrics
 from .scenario import schema_to_dict
 from .simulation import RunResult
-from .traffic import PacketRecord
+from .traffic import LOST, Records
 
 PACKET_COLUMNS = [
     "stream", "seq", "class", "size_bytes", "created_ns", "sent_ns", "delivered_ns",
@@ -98,18 +99,16 @@ def _csv_field(value: str) -> str:
     return buf.getvalue()[:-1]
 
 
-def _packet_rows(records: list[PacketRecord],
-                 stream_metrics: dict[str, StreamMetrics]) -> Iterator[str]:
+def _packet_rows(records: Records) -> Iterator[str]:
     """`packets.csv` data rows, each as `csv.writer` writes it: each stream's
     name and class are quoted once, and the integers formatted directly."""
-    quoted = {name: (_csv_field(name), _csv_field(m.stream_class.value))
-              for name, m in stream_metrics.items()}
-    for r in records:
-        stream, cls = quoted[r.stream]
-        sent = "" if r.sent_at is None else r.sent_at
-        delivered = "LOST" if r.delivered_at is None else r.delivered_at
-        yield (f"{stream},{r.seq},{cls},{r.size_bytes},{r.created_at},"
-               f"{sent},{delivered}\r\n")
+    heads = [(_csv_field(p.name), _csv_field(p.stream_class.value), p.payload_bytes)
+             for p in records.streams]
+    rows = [zip(count(), c.created, c.sent, c.delivered) for c in records.columns]
+    for k in records.order:
+        (stream, cls, size), (seq, created, sent, delivered) = heads[k], next(rows[k])
+        yield (f"{stream},{seq},{cls},{size},{created},{sent},"
+               f"{'LOST' if delivered == LOST else delivered}\r\n")
 
 
 def write_artifacts(result: RunResult, out_dir: str | Path) -> RunArtifacts:
@@ -131,7 +130,7 @@ def write_artifacts(result: RunResult, out_dir: str | Path) -> RunArtifacts:
 
     with artifacts.packets_csv.open("w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(PACKET_COLUMNS)
-        fh.writelines(_packet_rows(result.records, result.stream_metrics))
+        fh.writelines(_packet_rows(result.records))
 
     with artifacts.safety_log_csv.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

@@ -11,14 +11,16 @@ scale (at least 10 / (1 - availability_min) packets).
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
+from itertools import chain, islice
 from operator import sub
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .sim_core import NS_PER_MS, SimTime
-from .traffic import PacketRecord, StreamClass
+from .traffic import LOST, StreamClass, StreamRecords, TrafficProfile
 
 
 @dataclass(frozen=True)
@@ -135,31 +137,27 @@ class StreamFold:
     what `aggregate_metrics` merges instead of re-reading the records. Only
     records created within the horizon count."""
 
-    created: list[SimTime]  # creation instants, in record order
+    created: Sequence[SimTime]  # creation instants, in record order
     lost_count: int
     bits: int
     size_min: int | None
     size_max: int | None
-    latencies: list[SimTime]  # of deliveries within the horizon, sorted
+    latencies: Sequence[SimTime]  # of deliveries within the horizon, sorted
     hit: bytearray  # 1 per whole survival-time window holding a delivery
 
 
-def _fold(records: list[PacketRecord], horizon_ns: SimTime) -> StreamFold:
-    created: list[SimTime] = []
-    sizes: list[int] = []
+def _fold(records: StreamRecords, size: int, horizon_ns: SimTime) -> StreamFold:
+    # creation instants never decrease, so those within the horizon lead
+    created = records.created
+    n = bisect_right(created, horizon_ns)
+    created = created if n == len(created) else created[:n]
     latencies: list[SimTime] = []
     lost = 0
     hit = bytearray(horizon_ns // SURVIVAL_TIME_NS)
     # deliveries in the last, partial window count for no window
     windows_end = len(hit) * SURVIVAL_TIME_NS
-    for r in records:
-        c = r.created_at
-        if c > horizon_ns:
-            continue
-        created.append(c)
-        sizes.append(r.size_bytes)
-        d = r.delivered_at
-        if d is None:
+    for c, d in zip(created, records.delivered):
+        if d == LOST:
             lost += 1
         elif d <= horizon_ns:
             latencies.append(d - c)
@@ -169,10 +167,10 @@ def _fold(records: list[PacketRecord], horizon_ns: SimTime) -> StreamFold:
     return StreamFold(
         created=created,
         lost_count=lost,
-        bits=sum(sizes) * 8,
-        size_min=min(sizes, default=None),
-        size_max=max(sizes, default=None),
-        latencies=latencies,
+        bits=n * size * 8,
+        size_min=size if n else None,
+        size_max=size if n else None,
+        latencies=array("q", latencies),
         hit=hit,
     )
 
@@ -200,7 +198,8 @@ def _metrics(stream: str, stream_class: StreamClass, fold: StreamFold,
         size_max=fold.size_max,
         latency=latency,
         jitter_ns=None if latency is None else latency.p99_ns - latency.min_ns,
-        max_transfer_interval_ns=max(map(sub, created[1:], created), default=None),
+        max_transfer_interval_ns=max(map(sub, islice(created, 1, None), created),
+                                     default=None),
         availability=fold.hit.count(1) / windows if windows else None,
         survival_time_ns=SURVIVAL_TIME_NS,
         availability_windows=windows,
@@ -208,18 +207,17 @@ def _metrics(stream: str, stream_class: StreamClass, fold: StreamFold,
 
 
 def collect_stream_metrics(
-    stream: str, stream_class: StreamClass, records: list[PacketRecord],
-    horizon_ns: SimTime,
+    stream: TrafficProfile, records: StreamRecords, horizon_ns: SimTime,
 ) -> StreamMetrics:
-    """Fold one stream's packet records, in creation order, into scoring
-    metrics. The class is the stream's, so it holds with no record too.
+    """Fold one stream's record columns into scoring metrics. The name, class
+    and PDU size are the stream's, so they hold with no record too.
 
     A packet whose delivery falls beyond the horizon counts as in flight:
     neither delivered nor lost at the deadline. The transfer interval is the
     sender-side gap between consecutive creations.
     """
-    fold = _fold(records, horizon_ns)
-    metrics = _metrics(stream, stream_class, fold, horizon_ns)
+    fold = _fold(records, stream.payload_bytes, horizon_ns)
+    metrics = _metrics(stream.name, stream.stream_class, fold, horizon_ns)
     metrics.fold = fold
     return metrics
 

@@ -34,7 +34,7 @@ from .sim_core import (
     RngStream,
     SimTime,
 )
-from .traffic import PacketRecord, TrafficProfile, emission_times
+from .traffic import LOST, StreamRecords, TrafficProfile, emission_times
 
 
 class LoopState(Enum):
@@ -217,11 +217,12 @@ class SafetyChannel:
     rate of `up`. Nothing in a run feeds back into the exchange: the link's
     timeline is fixed and only the channel draws from its RNG. So `start`
     resolves every cycle in one loop, like a traffic stream, into the `up`
-    and `down` records. Both directions traverse the radio link (the coupler
-    end is wireless) through one `LinkRuntime.sender` each. Cycles start at
-    the `emission_times` of the cycle rate; a lost PDU is retried at
-    following TTI boundaries, up before down, until the next cycle's PDU
-    supersedes it. A watchdog trip pauses only supervision, until `rearm`.
+    and `down` record columns, where a retry rewrites its cycle's slot. Both
+    directions traverse the radio link (the coupler end is wireless) through
+    one `LinkRuntime.sender` each. Cycles start at the `emission_times` of
+    the cycle rate; a lost PDU is retried at following TTI boundaries, up
+    before down, until the next cycle's PDU supersedes it. A watchdog trip
+    pauses only supervision, until `rearm`.
     """
 
     def __init__(
@@ -239,17 +240,15 @@ class SafetyChannel:
         self.watchdog_ns = watchdog_ns
         self.on_trip = on_trip
         self.supervising = True
-        self.up: list[PacketRecord] = []
-        self.down: list[PacketRecord] = []
+        self.up, self.down = StreamRecords(), StreamRecords()
         self.missed: list[SimTime] = []  # cycle starts both first attempts lost
         self.events = 0  # cycles, retries and deliveries, as if each were queued
         self._delivered: list[SimTime] = []  # sorted, within the horizon
         self._floor: SimTime = 0  # the start or the last rearm
         self._horizon: SimTime = 0
-        # (stream, PDU size, its sender, its records) per direction, up first
+        # (stream, its sender, its records) per direction, up first
         self._directions = [
-            (p.name, p.payload_bytes, link.sender(p.name, p.payload_bytes, rng),
-             records)
+            (p.name, link.sender(p.name, p.payload_bytes, rng), records)
             for p, records in zip(streams, (self.up, self.down))
         ]
 
@@ -267,25 +266,27 @@ class SafetyChannel:
             # retries end at the next cycle, or for the last one at the horizon
             for seq, (at, end) in enumerate(zip(starts, starts[1:] + [horizon + 1])):
                 pending = []
-                for stream, size, send, records in self._directions:
-                    record = PacketRecord(stream, seq, at, size, *send(at))
-                    records.append(record)
-                    if record.delivered_at is None:
-                        pending.append((record, send))
+                for stream, send, records in self._directions:
+                    sent, d = send(at)
+                    records.created.append(at)
+                    records.sent.append(sent)
+                    records.delivered.append(LOST if d is None else d)
+                    if d is None:
+                        pending.append((stream, send, records))
                     else:
-                        delivered.append(record.delivered_at)
+                        delivered.append(d)
                 if len(pending) == 2 and at != retried_to:
                     missed.append(at)
-                while pending and (at := pending[0][0].sent_at + tti) < end:
+                while pending and (at := pending[0][2].sent[seq] + tti) < end:
                     retries += len(pending)
-                    for record, send in pending:
-                        stream = record.stream
-                        record.sent_at, record.delivered_at = send(at)
-                        if record.delivered_at is not None:
-                            delivered.append(record.delivered_at)
-                            if record.delivered_at == end:
+                    for stream, send, records in pending:
+                        records.sent[seq], d = send(at)
+                        if d is not None:
+                            records.delivered[seq] = d
+                            delivered.append(d)
+                            if d == end:
                                 retried_to = end
-                    pending = [p for p in pending if p[0].delivered_at is None]
+                    pending = [p for p in pending if p[2].delivered[seq] == LOST]
         except Exception as exc:
             raise HandlerError(f"at {at} ns, safety channel {stream}: "
                                f"{type(exc).__name__}: {exc}") from exc

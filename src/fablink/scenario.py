@@ -170,10 +170,14 @@ class SafetySection:
         self, profiles: list[TrafficProfile]
     ) -> tuple[TrafficProfile, TrafficProfile]:
         """The channel's (up, down) streams, both of class safety: the
-        catalog's two PNIO rows when both exist, otherwise the measured pair
-        (246.19 Hz, 60/64 B)."""
+        catalog's two PNIO rows, or the measured pair (246.19 Hz, 60/64 B)
+        when it has neither. A catalog with one of them is a ValueError."""
         rows = {p.name: p for p in profiles}
-        if not all(name in rows for name in SAFETY_STREAMS):
+        missing = [name for name in SAFETY_STREAMS if name not in rows]
+        if len(missing) == 1:
+            raise ValueError(f"no PNIO row {missing[0]!r}: the safety channel runs on "
+                             "both PNIO rows, or on the measured pair with neither")
+        if missing:
             rows = {p.name: p for p in MEASURED_ROWS}
         return tuple(replace(rows[name], stream_class=StreamClass.SAFETY_RELEVANT)
                      for name in SAFETY_STREAMS)
@@ -356,8 +360,9 @@ def _validate(scn: Scenario) -> None:
     if t.catalog == "measured" and abs(sum(t.camera_shares.values()) - 1.0) > 1e-9:
         _fail("traffic.camera_shares", "shares must sum to 1")
     profiles = _built("traffic.total_rate_mbps", t.profiles)
-    up = s.channel_streams(profiles)[0]
-    if s.watchdog_ns < NS_PER_S / up.rate_hz:
+    # no channel runs without safety, so nothing bounds the watchdog then
+    up = s.enabled and _built("traffic.catalog", s.channel_streams, profiles)[0]
+    if up and s.watchdog_ns < NS_PER_S / up.rate_hz:
         _fail("safety.watchdog_ms",
               f"watchdog {s.watchdog_ns / NS_PER_MS:g} ms is shorter than one cycle "
               f"({1e3 / up.rate_hz:.4g} ms at {up.rate_hz:g} Hz)")
@@ -398,6 +403,9 @@ def _validate(scn: Scenario) -> None:
     if missing and not f.manual_station:
         _fail("factory.recipe", f"steps {missing} have no capable module in "
                                 "factory.islands and no manual station is configured")
+    if f.defect_probability > 0 and not f.manual_station:
+        _fail("factory.defect_probability", "a failed inspection is reworked at the "
+                                            "manual station, and none is configured")
     nodes = ids + (["manual"] if f.manual_station else [])
     gaps = [f"{a} -> {b}" for a in nodes for b in nodes
             if a != b and b not in f.transit_s.get(a, {})]

@@ -52,7 +52,7 @@ from .sim_core import (
     SimSummary,
     SimTime,
 )
-from .traffic import PacketRecord, StreamClass, merge_records, stream_records
+from .traffic import Records, StreamClass, StreamRecords, merge_records, stream_records
 
 
 @dataclass
@@ -67,7 +67,7 @@ class ProductEvent:
 class RunResult:
     scenario: Scenario
     summary: SimSummary
-    records: list[PacketRecord]
+    records: Records
     safety_log: list[safety_mod.LoopTransition]
     product_log: list[ProductEvent]
     stream_metrics: dict[str, StreamMetrics]
@@ -719,19 +719,18 @@ class Simulation:
         counts = summary.events_processed
         if self.channel:
             counts["safety"] = counts.get("safety", 0) + self.channel.events
-        emissions = sum(map(len, traffic))
+        emissions = sum(len(records.created) for records in traffic)
         if emissions:
             counts["traffic"] = emissions
         return self._collect(summary, channel + traffic)
 
-    def _collect(self, summary: SimSummary, sources: list[list]) -> RunResult:
+    def _collect(self, summary: SimSummary, sources: list[StreamRecords]) -> RunResult:
         """Fold the run; `sources` holds each stream's records, in the order
         of `self.streams`."""
         comp = self.scenario.compliance
-        records = merge_records(sources)
+        records = Records(self.streams, sources, merge_records(sources))
         stream_metrics = {
-            p.name: compliance_mod.collect_stream_metrics(
-                p.name, p.stream_class, recs, self.horizon_ns)
+            p.name: compliance_mod.collect_stream_metrics(p, recs, self.horizon_ns)
             for p, recs in zip(self.streams, sources)
         }
         aggregate = compliance_mod.aggregate_metrics(

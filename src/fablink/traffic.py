@@ -1,6 +1,6 @@
 """Traffic streams: profiles, the measured catalog, emission instants, and
-each stream's records computed off the event queue, then merged into the
-order the engine would have created them.
+each stream's records computed off the event queue as integer columns, then
+merged into the order the engine would have created them.
 
 The built-in catalog reproduces the packet mix measured on the running
 plant: two cyclic safety PDU streams (60/64 bytes at 246.19 Hz), four
@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import count, repeat
 from typing import Iterator
 
 from .radio_link import LinkRuntime
@@ -65,18 +67,6 @@ class TrafficProfile:
     @property
     def bitrate_bps(self) -> float:
         return self.rate_hz * self.payload_bytes * 8
-
-
-@dataclass(slots=True)
-class PacketRecord:
-    """Per-packet timeline entry; delivered_at stays None when lost."""
-
-    stream: str
-    seq: int
-    created_at: SimTime
-    size_bytes: int
-    sent_at: SimTime | None = None
-    delivered_at: SimTime | None = None
 
 
 MEASURED_TOTAL_RATE_BPS = 5.97e6
@@ -182,55 +172,100 @@ def emission_times(
 
 # -- records, off the event queue -----------------------------------------------
 
+LOST = -1  # the delivered instant of a lost packet
+
+
+class StreamRecords:
+    """One stream's packet records as integer columns, in emission order: the
+    created, sent and delivered instants, delivered `LOST` for a lost packet.
+    A record's seq is its index; its stream and size are the stream's."""
+
+    def __init__(self):
+        self.created, self.sent, self.delivered = array("q"), array("q"), array("q")
+
+
+@dataclass(slots=True)
+class PacketRecord:
+    """One record as a `Records` view yields it; delivered_at is None when lost."""
+
+    stream: str
+    seq: int
+    created_at: SimTime
+    size_bytes: int
+    sent_at: SimTime | None = None
+    delivered_at: SimTime | None = None
+
+
+class Records:
+    """A run's packet records in engine order, read-only: `len()`, and iteration
+    that yields one `PacketRecord` at a time. `columns[k]` holds the records of
+    `streams[k]`, and `order` the source index of each record in engine order."""
+
+    def __init__(self, streams: list[TrafficProfile], columns: list[StreamRecords],
+                 order: array):
+        self.streams, self.columns, self.order = streams, columns, order
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def __iter__(self) -> Iterator[PacketRecord]:
+        rows = [zip(repeat(p.name), count(), c.created, repeat(p.payload_bytes),
+                    c.sent, c.delivered) for p, c in zip(self.streams, self.columns)]
+        for k in self.order:
+            *row, delivered = next(rows[k])
+            yield PacketRecord(*row, None if delivered == LOST else delivered)
+
 
 def stream_records(profile: TrafficProfile, rng: RngStream, link: LinkRuntime,
-                   horizon_ns: SimTime, wired_latency_ns: SimTime) -> list:
+                   horizon_ns: SimTime, wired_latency_ns: SimTime) -> StreamRecords:
     """One stream's records: a packet at each of its `emission_times`, sent
     through `link` or over the wire; lost packets are not retried."""
-    name, size = profile.name, profile.payload_bytes
     # pulled one instant per packet, so a Poisson gap is drawn after the
     # previous packet's loss draw
     times = emission_times(profile.rate_hz, horizon_ns, profile.pattern,
                            round(profile.phase_us * NS_PER_US), rng)
-    send = link.sender(name, size, rng) if profile.wireless else (
-        lambda now: (now, now + wired_latency_ns))
-    records: list[PacketRecord] = []
-    append = records.append
+    send = link.sender(profile.name, profile.payload_bytes, rng) if profile.wireless \
+        else (lambda now: (now, now + wired_latency_ns))
+    records = StreamRecords()
+    created, sent, delivered = (records.created.append, records.sent.append,
+                                records.delivered.append)
     t = 0
     try:
-        for seq, t in enumerate(times):
-            append(PacketRecord(name, seq, t, size, *send(t)))
+        for t in times:
+            s, d = send(t)
+            created(t)
+            sent(s)
+            delivered(LOST if d is None else d)
     except Exception as exc:
-        raise HandlerError(f"at {t} ns, traffic stream {name}: "
+        raise HandlerError(f"at {t} ns, traffic stream {profile.name}: "
                            f"{type(exc).__name__}: {exc}") from exc
     return records
 
 
-def merge_records(sources: list[list]) -> list:
-    """All records in engine order, as if each emission had been an event: by
-    creation instant, then by the merge position of the source's previous
-    emission, the order the engine would have queued them in. Sources start
-    in the order given, which is run order: the safety channel's up and down
-    records, then the streams in catalog order."""
-    sources = [recs for recs in sources if recs]
+def merge_records(sources: list[StreamRecords]) -> array:
+    """Engine order, as the index into `sources` of each record in turn, as if
+    each emission had been an event: by creation instant, then by the merge
+    position of the source's previous emission, the order the engine would
+    have queued them in. Sources start in run order: the safety channel's up
+    and down records, then the streams in catalog order."""
+    created = [recs.created for recs in sources]
     # (created_at, merge position of the previous emission, source, index)
-    heap = [(recs[0].created_at, k - len(sources), k, 0)
-            for k, recs in enumerate(sources)]
+    heap = [(c[0], k - len(created), k, 0) for k, c in enumerate(created) if c]
     heapq.heapify(heap)
-    merged: list[PacketRecord] = []
-    append = merged.append
+    order = array("I")
+    append = order.append
     while heap:
         _, _, k, i = heapq.heappop(heap)
-        recs = sources[k]
-        end = len(recs)
+        c = created[k]
+        end = len(c)
         # a source keeps the lead while its next emission is strictly
         # earlier than every other source's: at a tie the other was first
         bound = heap[0][0] if heap else math.inf
         while True:
-            append(recs[i])
+            append(k)
             i += 1
-            if i == end or recs[i].created_at >= bound:
+            if i == end or c[i] >= bound:
                 break
         if i < end:
-            heapq.heappush(heap, (recs[i].created_at, len(merged), k, i))
-    return merged
+            heapq.heappush(heap, (c[i], len(order), k, i))
+    return order

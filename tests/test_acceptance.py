@@ -36,6 +36,7 @@ from fablink.scenario import SafetySection, default_scenario, scenario_from_dict
 from fablink.simulation import Simulation
 from fablink.sim_core import NS_PER_MS, NS_PER_S, Engine, RngStream
 from fablink.traffic import StreamClass
+from record_rows import channel_rows
 
 TABLE_RATES_HZ = {
     "pnio_coupler_to_plc": 246.19,
@@ -236,7 +237,7 @@ def test_criterion_5_safety_properties():
         channel, trips = _random_outage_channel(engine, outages, watchdog)
         channel.start(horizon)
         engine.run_until(horizon)
-        deliveries = [r.delivered_at for r in channel.up + channel.down
+        deliveries = [r.delivered_at for r in channel_rows(channel)
                       if r.delivered_at is not None]
         expected = _first_window_completion(deliveries, watchdog, horizon)
         actual = trips[0] if trips else None

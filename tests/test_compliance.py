@@ -23,7 +23,8 @@ from fablink.compliance import (
     profile_by_name,
 )
 from fablink.sim_core import NS_PER_MS
-from fablink.traffic import PacketRecord, StreamClass
+from fablink.traffic import PacketRecord, StreamClass, TrafficProfile
+from record_rows import columns, packet_rows
 
 
 def test_builtin_profiles_are_the_two_aspects():
@@ -216,31 +217,33 @@ def test_percentile_nearest_rank():
     assert percentile([7], 99.9) == 7
 
 
-def _records(times_and_sizes):
-    records = []
-    for i, (created, delivered, size) in enumerate(times_and_sizes):
-        records.append(PacketRecord("s", i, created, size, created, delivered))
-    return records
+def _stream(created_and_delivered, size=60, name="s",
+            stream_class=StreamClass.SAFETY_RELEVANT):
+    """A stream of `size`-byte packets, each sent when created, and its
+    record columns."""
+    profile = TrafficProfile(name, stream_class=stream_class, payload_bytes=size)
+    return profile, columns((c, c, d) for c, d in created_and_delivered)
 
 
 def test_collect_stream_metrics_basics():
     horizon = 100 * NS_PER_MS
-    records = _records(
+    stream, records = _stream(
         [
-            (0, 1 * NS_PER_MS, 60),
-            (10 * NS_PER_MS, 11 * NS_PER_MS, 60),
-            (20 * NS_PER_MS, None, 64),  # lost
-            (30 * NS_PER_MS, 31 * NS_PER_MS, 64),
-            (99 * NS_PER_MS, 101 * NS_PER_MS, 60),  # delivers past the horizon
+            (0, 1 * NS_PER_MS),
+            (10 * NS_PER_MS, 11 * NS_PER_MS),
+            (20 * NS_PER_MS, None),  # lost
+            (30 * NS_PER_MS, 31 * NS_PER_MS),
+            (99 * NS_PER_MS, 101 * NS_PER_MS),  # delivers past the horizon
         ]
     )
-    m = collect_stream_metrics("s", StreamClass.SAFETY_RELEVANT, records, horizon)
+    m = collect_stream_metrics(stream, records, horizon)
     assert m.sample_count == 5
     assert m.delivered_count == 3
     assert m.lost_count == 1
     assert m.in_flight_count == 1
     assert m.sample_count == m.delivered_count + m.lost_count + m.in_flight_count
-    assert m.size_min == 60 and m.size_max == 64
+    # a stream's records all have its PDU size
+    assert m.size_min == m.size_max == 60
     assert m.max_transfer_interval_ns == 69 * NS_PER_MS
     assert m.latency.min_ns == 1 * NS_PER_MS
     assert 0.0 < m.availability < 1.0
@@ -250,15 +253,14 @@ def test_collect_stream_metrics_basics():
 def test_aggregate_metrics_fold_all_streams():
     horizon = 10 * NS_PER_MS
     streams = [
-        collect_stream_metrics(name, StreamClass.SAFETY_RELEVANT, _records([row]),
-                               horizon)
-        for name, row in (("a", (0, NS_PER_MS, 60)),
-                          ("b", (NS_PER_MS, 2 * NS_PER_MS, 1400)))
+        collect_stream_metrics(*_stream([row], size, name), horizon)
+        for name, row, size in (("a", (0, NS_PER_MS), 60),
+                                ("b", (NS_PER_MS, 2 * NS_PER_MS), 1400))
     ]
     m = aggregate_metrics(streams, horizon)
     assert m.stream == "aggregate"
     assert m.sample_count == 2
-    assert m.size_max == 1400
+    assert m.size_min == 60 and m.size_max == 1400
     assert m.max_transfer_interval_ns == NS_PER_MS
 
 
@@ -330,9 +332,11 @@ def _random_run(rng, n_records, n_streams):
     """Records of interleaved streams in creation order, as a run appends
     them: some lost, some delivered late, and creation instants that collide
     across streams. Horizons inside the run leave some records created or
-    delivered after them. Returns the records and each stream's class."""
+    delivered after them. Returns the records and each stream's profile."""
     classes = list(StreamClass)
-    streams = [(f"s{i}", rng.choice(classes), rng.choice([40, 60, 64, 1400]))
+    streams = [TrafficProfile(f"s{i}", stream_class=rng.choice(classes),
+                              payload_bytes=rng.choice([40, 60, 64, 1400])
+                              + rng.choice([0, 0, 8]))
                for i in range(n_streams)]
     seqs = [0] * n_streams
     records = []
@@ -340,7 +344,7 @@ def _random_run(rng, n_records, n_streams):
     for _ in range(n_records):
         t += rng.choice([0, 0, 1, 250_000, 3 * NS_PER_MS, 20 * NS_PER_MS])
         i = rng.randrange(n_streams)
-        name, _, size = streams[i]
+        stream = streams[i]
         roll = rng.random()
         if roll < 0.15:
             delivered = None
@@ -348,10 +352,10 @@ def _random_run(rng, n_records, n_streams):
             delivered = t + rng.randrange(30 * NS_PER_MS)  # may pass the horizon
         else:
             delivered = t + rng.randrange(1, 2 * NS_PER_MS)
-        size += rng.choice([0, 0, 8])
-        records.append(PacketRecord(name, seqs[i], t, size, t, delivered))
+        records.append(PacketRecord(stream.name, seqs[i], t, stream.payload_bytes, t,
+                                    delivered))
         seqs[i] += 1
-    return records, {name: cls for name, cls, _ in streams}
+    return records, {p.name: p for p in streams}
 
 
 def _assert_same_metrics(got, want):
@@ -367,23 +371,27 @@ def _by_stream(records):
     return groups
 
 
+def _columns(records):
+    return columns((r.created_at, r.sent_at, r.delivered_at) for r in records)
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_one_pass_fold_equals_multi_pass_reference(seed):
     rng = random.Random(seed)
     n_records = rng.choice([0, 1, 2, 5, 50, 400])
-    records, classes = _random_run(rng, n_records, rng.randint(1, 5))
+    records, streams = _random_run(rng, n_records, rng.randint(1, 5))
     last = records[-1].created_at if records else 0
     # horizons before, inside and after the run, and shorter than one window
     horizon_ns = rng.choice([
         0, 5 * NS_PER_MS, last // 2, last, last + 7 * NS_PER_MS,
         rng.randrange(last + 1),
     ])
-    streams = _by_stream(records)
-    got = {name: collect_stream_metrics(name, classes[name], recs, horizon_ns)
-           for name, recs in streams.items()}
-    for name, recs in streams.items():
+    groups = _by_stream(records)
+    got = {name: collect_stream_metrics(streams[name], _columns(recs), horizon_ns)
+           for name, recs in groups.items()}
+    for name, recs in groups.items():
         _assert_same_metrics(got[name], _reference_stream_metrics(
-            name, classes[name], recs, horizon_ns))
+            name, streams[name].stream_class, recs, horizon_ns))
     _assert_same_metrics(aggregate_metrics(got.values(), horizon_ns),
                          _reference_aggregate(records, horizon_ns))
 
@@ -391,13 +399,14 @@ def test_one_pass_fold_equals_multi_pass_reference(seed):
 def test_fold_of_no_records_and_of_one():
     horizon = 100 * NS_PER_MS
     safety = StreamClass.SAFETY_RELEVANT
-    _assert_same_metrics(collect_stream_metrics("s", safety, [], horizon),
+    _assert_same_metrics(collect_stream_metrics(*_stream([]), horizon),
                          _reference_stream_metrics("s", safety, [], horizon))
     _assert_same_metrics(aggregate_metrics([], horizon),
                          _reference_aggregate([], horizon))
     for delivered in (None, 2 * NS_PER_MS, 200 * NS_PER_MS):
-        one = _records([(NS_PER_MS, delivered, 60)])
-        m = collect_stream_metrics("s", safety, one, horizon)
+        stream, records = _stream([(NS_PER_MS, delivered)])
+        one = packet_rows(stream, records)
+        m = collect_stream_metrics(stream, records, horizon)
         _assert_same_metrics(m, _reference_stream_metrics("s", safety, one, horizon))
         _assert_same_metrics(aggregate_metrics([m], horizon),
                              _reference_aggregate(one, horizon))

@@ -20,6 +20,7 @@ from fablink.safety import (
 from fablink.scenario import SafetySection
 from fablink.sim_core import NS_PER_MS, NS_PER_S, Engine
 from fablink.traffic import StreamClass, TrafficProfile
+from record_rows import channel_rows
 
 CYCLE_HZ = 246.19
 CYCLE_NS = round(NS_PER_S / CYCLE_HZ)
@@ -224,11 +225,6 @@ def make_channel(
     return channel, trips
 
 
-def records(channel: SafetyChannel) -> list:
-    """Both directions' records, once the channel has started."""
-    return channel.up + channel.down
-
-
 def test_clean_link_delivers_every_cycle_and_never_trips():
     engine = Engine(seed=1)
     channel, trips = make_channel(engine)
@@ -237,10 +233,10 @@ def test_clean_link_delivers_every_cycle_and_never_trips():
     engine.run_until(horizon)
     assert trips == []
     assert channel.missed == []
-    created = [r for r in records(channel) if r.stream == "pnio_coupler_to_plc"]
+    created = [r for r in channel_rows(channel) if r.stream == "pnio_coupler_to_plc"]
     assert len(created) == 247  # 246.19 Hz inclusive of t=0
-    assert all(r.delivered_at is not None for r in records(channel))
-    sizes = {r.stream: r.size_bytes for r in records(channel)}
+    assert all(r.delivered_at is not None for r in channel_rows(channel))
+    sizes = {r.stream: r.size_bytes for r in channel_rows(channel)}
     assert sizes == {"pnio_coupler_to_plc": 60, "pnio_plc_to_coupler": 64}
 
 
@@ -255,7 +251,7 @@ def test_watchdog_trips_at_watchdog_after_last_delivery():
     assert len(trips) == 1
     trip_at, missed = trips[0]
     last_delivery = max(
-        r.delivered_at for r in records(channel) if r.delivered_at is not None
+        r.delivered_at for r in channel_rows(channel) if r.delivered_at is not None
         and r.delivered_at <= trip_at
     )
     assert trip_at == last_delivery + WATCHDOG_NS
@@ -290,7 +286,7 @@ def test_retry_at_next_tti_recovers_within_the_cycle():
     channel.start(100 * NS_PER_MS)
     engine.run_until(100 * NS_PER_MS)
     assert trips == []
-    hit = [r for r in records(channel) if r.created_at == cycle_start]
+    hit = [r for r in channel_rows(channel) if r.created_at == cycle_start]
     assert hit and all(r.delivered_at is not None for r in hit)
     # the delivery used a later slot than the first-attempt slot
     assert all(r.sent_at > r.created_at for r in hit)
@@ -345,7 +341,7 @@ def test_watchdog_trips_iff_delivery_free_window_exists():
         channel.start(horizon)
         engine.run_until(horizon)
         deliveries = [
-            r.delivered_at for r in records(channel) if r.delivered_at is not None
+            r.delivered_at for r in channel_rows(channel) if r.delivered_at is not None
         ]
         expected = brute_force_first_trip(deliveries, watchdog, horizon)
         actual = trips[0][0] if trips else None
@@ -378,9 +374,13 @@ def test_channel_streams_are_the_pnio_rows_as_safety_class():
     assert [(p.name, p.payload_bytes, p.rate_hz) for p in (up, down)] == [
         ("pnio_coupler_to_plc", 40, 500.0), ("pnio_plc_to_coupler", 44, 500.0)]
     assert up.stream_class is down.stream_class is StreamClass.SAFETY_RELEVANT
-    # one row alone binds nothing: the measured pair runs
+    # one row alone is an error naming its partner; with neither the
+    # measured pair runs
+    for alone, partner in ((rows[:1], "pnio_plc_to_coupler"),
+                           (rows[1:], "pnio_coupler_to_plc")):
+        with pytest.raises(ValueError, match=partner):
+            SafetySection().channel_streams(alone)
     measured = SafetySection().channel_streams([])
-    assert SafetySection().channel_streams(rows[:1]) == measured
     assert [(p.payload_bytes, p.rate_hz, p.stream_class) for p in measured] == [
         (60, 246.19, StreamClass.SAFETY_RELEVANT),
         (64, 246.19, StreamClass.SAFETY_RELEVANT)]

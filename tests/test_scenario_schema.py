@@ -169,6 +169,12 @@ IGNORED_FIELDS = {
     "pnio_down_wired": (_pnio(down={"wireless": False}), "traffic.catalog[1].wireless"),
     "pnio_up_poisson": (_pnio(up={"pattern": "poisson"}), "traffic.catalog[0].pattern"),
     "pnio_up_wired": (_pnio(up={"wireless": False}), "traffic.catalog[0].wireless"),
+    # one PNIO row alone was replaced by the measured pair
+    "pnio_row_without_partner": (
+        {"traffic": {"catalog": [
+            {"name": "pnio_coupler_to_plc", "payload_bytes": 40, "rate_hz": 500}]}},
+        "traffic.catalog",
+    ),
     "script_action_missing": ({"script": [{"at_s": 1.0}]}, "script[0].action"),
     # the robot, its guard and its e-stop exist only with the factory
     "obstacle_without_factory": (
@@ -190,6 +196,12 @@ IGNORED_FIELDS = {
         {"factory": {"enabled": False},
          "script": [{"at_s": 1, "action": "estop", "endpoint": "robot"}]},
         "script[0].endpoint",
+    ),
+    # rework happens only at the manual station
+    "failed_inspection_without_manual_station": (
+        {"factory": {"manual_station": False, "defect_probability": 0.5,
+                     "releases": {"count": 10, "interval_s": 2.0}}},
+        "factory.defect_probability",
     ),
 }
 
@@ -310,6 +322,15 @@ def test_watchdog_is_checked_against_the_rate_the_channel_runs_at():
     channel = Simulation(scenario).channel
     assert channel.streams[0].rate_hz == 246.19
     assert channel.watchdog_ns == 5 * NS_PER_MS
+
+
+def test_watchdog_is_not_checked_without_the_channel():
+    # no channel runs, so no cycle bounds the watchdog
+    scenario = scenario_from_dict(
+        {"horizon_s": 0.1, "safety": {"enabled": False, "watchdog_ms": 2}})
+    sim = Simulation(scenario)
+    assert sim.channel is None
+    assert "safety" not in sim.run().summary.events_processed
 
 
 def test_int_is_stored_as_float_and_bounds_hold_inside_containers():

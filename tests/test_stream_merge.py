@@ -23,6 +23,7 @@ from fablink.sim_core import (
     LANE_NORMAL, LANE_SAFETY, NS_PER_MS, NS_PER_S, NS_PER_US, Engine, HandlerError)
 from fablink.simulation import Simulation
 from fablink.traffic import PacketRecord, emission_times
+from record_rows import packet_rows
 
 # a and b share one schedule; c, d and the safety channel tie with them at
 # phase 0; p is Poisson and w is wired
@@ -388,7 +389,8 @@ def _channel_run(channel_type, seed, streams, watchdog_ns, bler, timeline,
     if channel_type is _EngineChannel:
         return records[0::2], records[1::2], trips, counts
     counts["safety"] = counts.get("safety", 0) + channel.events
-    return channel.up, channel.down, trips, counts
+    return (packet_rows(streams[0], channel.up), packet_rows(streams[1], channel.down),
+            trips, counts)
 
 
 def _retry_ties(up, down):
