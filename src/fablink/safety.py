@@ -13,27 +13,22 @@ The channel runs on two traffic profiles, the catalog's PNIO rows or else
 the measured pair (see `SafetySection.channel_streams` in `scenario`). It
 reads their names and PDU sizes and the up row's rate; a scenario that sets
 another field of those rows away from what the channel does is rejected at
-load. Its PDUs are resolved before the run; only its watchdog runs on
-the engine, as checks that read the sorted delivery instants. It trips
+load. Its PDUs (`resolve_channel`) and its watchdog's trips
+(`watchdog_trips`) are both resolved before the run, since nothing in a run
+feeds back into either; the engine queues only the trips. The watchdog trips
 exactly when a delivery-free window of the watchdog length completes, and
 logs the cycles missed both ways since the last delivery.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
 from .radio_link import LinkRuntime
-from .sim_core import (
-    LANE_SAFETY,
-    Engine,
-    HandlerError,
-    RngStream,
-    SimTime,
-)
+from .sim_core import HandlerError, RngStream, SimTime
 from .traffic import LOST, StreamRecords, TrafficProfile, emission_times
 
 
@@ -208,117 +203,100 @@ class SafetyManager:
         return entry
 
 
-class SafetyChannel:
-    """The cyclic PDU exchange, resolved before the run, and the watchdog
-    that supervises its receipt on the engine.
+def resolve_channel(
+    link: LinkRuntime,
+    streams: tuple[TrafficProfile, TrafficProfile],
+    rng: RngStream,
+    horizon: SimTime,
+) -> tuple[StreamRecords, StreamRecords, list[SimTime], list[SimTime], int]:
+    """The cyclic PDU exchange up to `horizon`, in one loop like a traffic
+    stream. `streams` are its two catalog rows, coupler -> PLC (`up`) then
+    PLC -> coupler (`down`): their names and PDU sizes, and the cycle rate of
+    `up`. Both directions traverse the radio link (the coupler end is
+    wireless) through one `LinkRuntime.sender` each. Cycles start at the
+    `emission_times` of the cycle rate; a lost PDU is retried at following
+    TTI boundaries, up before down, until the next cycle's PDU supersedes it.
 
-    `streams` are the exchange's two catalog rows, coupler -> PLC (`up`)
-    then PLC -> coupler (`down`): their names and PDU sizes, and the cycle
-    rate of `up`. Nothing in a run feeds back into the exchange: the link's
-    timeline is fixed and only the channel draws from its RNG. So `start`
-    resolves every cycle in one loop, like a traffic stream, into the `up`
-    and `down` record columns, where a retry rewrites its cycle's slot. Both
-    directions traverse the radio link (the coupler end is wireless) through
-    one `LinkRuntime.sender` each. Cycles start at the `emission_times` of
-    the cycle rate; a lost PDU is retried at following TTI boundaries, up
-    before down, until the next cycle's PDU supersedes it. A watchdog trip
-    pauses only supervision, until `rearm`.
+    Returns the `up` and `down` columns, where a retry rewrites its cycle's
+    slot; the sorted deliveries within the horizon; `missed`, the cycle
+    starts where both first attempts were lost, but not one at which a
+    retried PDU of the previous cycle is delivered (that delivery comes after
+    the cycle began); and the count of cycles, retries and deliveries, as if
+    each were queued.
     """
-
-    def __init__(
-        self,
-        engine: Engine,
-        link: LinkRuntime,
-        streams: tuple[TrafficProfile, TrafficProfile],
-        watchdog_ns: SimTime,
-        rng: RngStream,
-        on_trip: Callable[[SimTime, int], None],
-    ):
-        self.engine = engine
-        self.link = link
-        self.streams = streams
-        self.watchdog_ns = watchdog_ns
-        self.on_trip = on_trip
-        self.supervising = True
-        self.up, self.down = StreamRecords(), StreamRecords()
-        self.missed: list[SimTime] = []  # cycle starts both first attempts lost
-        self.events = 0  # cycles, retries and deliveries, as if each were queued
-        self._delivered: list[SimTime] = []  # sorted, within the horizon
-        self._floor: SimTime = 0  # the start or the last rearm
-        self._horizon: SimTime = 0
-        # (stream, its sender, its records) per direction, up first
-        self._directions = [
-            (p.name, link.sender(p.name, p.payload_bytes, rng), records)
-            for p, records in zip(streams, (self.up, self.down))
-        ]
-
-    def start(self, horizon: SimTime) -> None:
-        """Resolve every cycle up to `horizon`, then arm the watchdog. A retried
-        PDU delivered exactly at the next cycle's start is the one delivery
-        that comes after that cycle began, so that cycle's miss never counts."""
-        self._horizon = horizon
-        self._floor = self.engine.now
-        tti = self.link.config.tti.duration_ns
-        delivered, missed = [], self.missed
-        starts = list(emission_times(self.streams[0].rate_hz, horizon))
-        at, stream, retried_to, retries = 0, "", None, 0
-        try:
-            # retries end at the next cycle, or for the last one at the horizon
-            for seq, (at, end) in enumerate(zip(starts, starts[1:] + [horizon + 1])):
-                pending = []
-                for stream, send, records in self._directions:
-                    sent, d = send(at)
-                    records.created.append(at)
-                    records.sent.append(sent)
-                    records.delivered.append(LOST if d is None else d)
-                    if d is None:
-                        pending.append((stream, send, records))
-                    else:
+    up, down = StreamRecords(), StreamRecords()
+    # (stream, its sender, its records) per direction, up first
+    directions = [(p.name, link.sender(p.name, p.payload_bytes, rng), records)
+                  for p, records in zip(streams, (up, down))]
+    tti = link.config.tti.duration_ns
+    delivered, missed = [], []
+    starts = list(emission_times(streams[0].rate_hz, horizon))
+    at, stream, retried_to, retries = 0, "", None, 0
+    try:
+        # retries end at the next cycle, or for the last one at the horizon
+        for seq, (at, end) in enumerate(zip(starts, starts[1:] + [horizon + 1])):
+            pending = []
+            for stream, send, records in directions:
+                sent, d = send(at)
+                records.created.append(at)
+                records.sent.append(sent)
+                records.delivered.append(LOST if d is None else d)
+                if d is None:
+                    pending.append((stream, send, records))
+                else:
+                    delivered.append(d)
+            if len(pending) == 2 and at != retried_to:
+                missed.append(at)
+            while pending and (at := pending[0][2].sent[seq] + tti) < end:
+                retries += len(pending)
+                for stream, send, records in pending:
+                    records.sent[seq], d = send(at)
+                    if d is not None:
+                        records.delivered[seq] = d
                         delivered.append(d)
-                if len(pending) == 2 and at != retried_to:
-                    missed.append(at)
-                while pending and (at := pending[0][2].sent[seq] + tti) < end:
-                    retries += len(pending)
-                    for stream, send, records in pending:
-                        records.sent[seq], d = send(at)
-                        if d is not None:
-                            records.delivered[seq] = d
-                            delivered.append(d)
-                            if d == end:
-                                retried_to = end
-                    pending = [p for p in pending if p[2].delivered[seq] == LOST]
-        except Exception as exc:
-            raise HandlerError(f"at {at} ns, safety channel {stream}: "
-                               f"{type(exc).__name__}: {exc}") from exc
-        self._delivered = sorted(d for d in delivered if d <= horizon)
-        self.events = len(starts) + retries + len(self._delivered)
-        self._arm(self._floor)
+                        if d == end:
+                            retried_to = end
+                pending = [p for p in pending if p[2].delivered[seq] == LOST]
+    except Exception as exc:
+        raise HandlerError(f"at {at} ns, safety channel {stream}: "
+                           f"{type(exc).__name__}: {exc}") from exc
+    delivered = sorted(d for d in delivered if d <= horizon)
+    return up, down, delivered, missed, len(starts) + retries + len(delivered)
 
-    # -- watchdog supervision ----------------------------------------------
 
-    def _arm(self, last_delivery: SimTime) -> None:
-        check_at = last_delivery + self.watchdog_ns
-        if check_at <= self._horizon:
-            self.engine.schedule_at(
-                check_at, self._check, module="safety", lane=LANE_SAFETY)
+def watchdog_trips(
+    delivered: list[SimTime],
+    missed: list[SimTime],
+    resets: list[SimTime],
+    watchdog_ns: SimTime,
+    horizon: SimTime,
+) -> tuple[list[tuple[SimTime, int]], int]:
+    """The watchdog's trips up to `horizon`, each `(at, consecutive_missed)`,
+    and the number of checks it makes, from the sorted delivery instants,
+    `missed` cycle starts and `reset` instants.
 
-    def _check(self) -> None:
-        """Trip once `watchdog_ns` has passed since the last delivery strictly
-        before now (a check runs before its instant's deliveries) or the last
-        rearm, whichever is later; count the cycles missed since then."""
-        now = self.engine.now
-        i = bisect_left(self._delivered, now)
-        last = max(self._floor, self._delivered[i - 1]) if i else self._floor
-        if now - last < self.watchdog_ns:
-            self._arm(last)
-            return
-        self.supervising = False
-        missed = bisect_left(self.missed, now) - bisect_left(self.missed, last)
-        self.on_trip(now, missed)
-
-    def rearm(self, now: SimTime) -> None:
-        """Resume supervision after a manual reset."""
-        self._floor = now
-        if not self.supervising:
-            self.supervising = True
-            self._arm(now)
+    The first check is at `watchdog_ns`. A check trips once `watchdog_ns` has
+    passed since the last delivery strictly before it (a check runs before
+    its instant's deliveries) or the last reset, whichever is later, and
+    counts the cycles missed since; otherwise the next check comes
+    `watchdog_ns` after that instant. After a trip the next reset starts the
+    window again. A reset at a check's instant runs before the check, except
+    at the first check, which runs first.
+    """
+    trips: list[tuple[SimTime, int]] = []
+    checks, at = 0, watchdog_ns
+    while at <= horizon:
+        # the resets that run before this check: those at its instant too,
+        # except at the first check
+        r = (bisect_left if checks == 0 else bisect_right)(resets, at)
+        checks += 1
+        i = bisect_left(delivered, at)
+        last = max(resets[r - 1] if r else 0, delivered[i - 1] if i else 0)
+        if at - last < watchdog_ns:
+            at = last + watchdog_ns
+            continue
+        trips.append((at, bisect_left(missed, at) - bisect_left(missed, last)))
+        if r == len(resets):
+            break
+        at = resets[r] + watchdog_ns
+    return trips, checks

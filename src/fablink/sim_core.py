@@ -3,8 +3,9 @@
 Integer-nanosecond virtual clock, a cancellable event queue with a safety
 lane (safety events run before normal events at the same instant), named RNG
 sub-streams, and per-module event counters for the run summary. Traffic
-streams and the safety channel's PDUs never enter the queue, only its
-watchdog checks do; `traffic.merge_records` puts their records in its order.
+streams and the safety channel's PDUs never enter the queue, and of its
+watchdog only the trips do; `traffic.merge_records` puts their records in
+its order.
 
 A queued event is one list, `[fire_at, lane, seq, action, module]`, ordered
 by `(fire_at, lane, seq)`. `schedule_at` returns that list as the event's

@@ -1,8 +1,9 @@
 """Run orchestration: wires the production-flow runtime (islands, robot,
-handshake controller, manual workstation), the safety loops and PDU channel
-and the scenario script onto one deterministic event loop, computes each
-traffic stream off that loop, merges all records into engine order, and folds
-the run into metrics and a compliance report.
+handshake controller, manual workstation), the safety loops and the scenario
+script onto one deterministic event loop, computes each traffic stream and
+the safety PDU channel off that loop, queues the channel's watchdog trips on
+it, merges all records into engine order, and folds the run into metrics and
+a compliance report.
 """
 
 from __future__ import annotations
@@ -37,9 +38,10 @@ from .radio_link import LinkRuntime
 from .safety import (
     LocalSafetyState,
     LoopState,
-    SafetyChannel,
     SafetyLoop,
     SafetyManager,
+    resolve_channel,
+    watchdog_trips,
 )
 from .scenario import Scenario
 from .sim_core import (
@@ -52,7 +54,8 @@ from .sim_core import (
     SimSummary,
     SimTime,
 )
-from .traffic import Records, StreamClass, StreamRecords, merge_records, stream_records
+from .traffic import Records, StreamClass, StreamRecords, TrafficProfile
+from .traffic import merge_records, stream_records
 
 
 @dataclass
@@ -649,18 +652,11 @@ class Simulation:
         else:
             self.safety_mgr = SafetyManager(loops=[])
 
-        self.channel: SafetyChannel | None = None
+        # the safety channel's up and down rows, when it runs
+        self.channel: tuple[TrafficProfile, TrafficProfile] | None = None
         if scenario.safety.enabled:
             # the channel runs the catalog's PNIO rows when both exist
-            pair = scenario.safety.channel_streams(self.streams)
-            self.channel = SafetyChannel(
-                engine=self.engine,
-                link=self.link,
-                streams=pair,
-                watchdog_ns=scenario.safety.watchdog_ns,
-                rng=self.engine.stream("link.safety"),
-                on_trip=self.safety_mgr.watchdog_trip,
-            )
+            self.channel = pair = scenario.safety.channel_streams(self.streams)
             names = {p.name for p in pair}
             self.streams = [*pair, *(p for p in self.streams if p.name not in names)]
 
@@ -683,8 +679,6 @@ class Simulation:
         elif action.action == "reset":
             if action.loop is not None:
                 self.safety_mgr.reset(action.loop, now)
-            if self.channel:
-                self.channel.rearm(now)
         # the scenario admits the robot-local and module actions only with
         # the factory, and a module or loop only of its islands
         elif action.action in ("obstacle", "clear"):
@@ -700,29 +694,52 @@ class Simulation:
     # -- run --------------------------------------------------------------------------
 
     def run(self) -> RunResult:
-        """Compute each traffic stream's records and the safety channel's,
-        run the engine to the horizon, then merge the records back into
-        engine order."""
-        channel = [self.channel.up, self.channel.down] if self.channel else []
+        """Compute each traffic stream's records, the safety channel's and its
+        watchdog's trips, run the engine to the horizon with one safety-lane
+        event per trip, then merge the records back into engine order."""
         traffic = [
             stream_records(p, self.engine.stream(f"traffic.{p.name}"),
                            self.link, self.horizon_ns, self.wired_latency_ns)
-            for p in self.streams[len(channel):]
+            for p in self.streams[2 if self.channel else 0:]
         ]
         if self.plant:
             self.plant.start()
+        channel, trips, checks = [], [], 0
+        watchdog_ns = self.scenario.safety.watchdog_ns
         if self.channel:
-            self.channel.start(self.horizon_ns)
+            up, down, delivered, missed, events = resolve_channel(
+                self.link, self.channel, self.engine.stream("link.safety"),
+                self.horizon_ns)
+            channel = [up, down]
+            resets = sorted(round(a.at_s * NS_PER_S)
+                            for a in self.scenario.script if a.action == "reset")
+            trips, checks = watchdog_trips(delivered, missed, resets, watchdog_ns,
+                                           self.horizon_ns)
+        # a trip at the first check's instant comes before the script's
+        # actions there, every other trip after them
+        first = 1 if trips and trips[0][0] == watchdog_ns else 0
+        self._queue_trips(trips[:first])
         self._schedule_script()
+        self._queue_trips(trips[first:])
         summary = self.engine.run_until(self.horizon_ns)
-        # as if each emission, retry and delivery had been queued
+        # as if each emission, cycle, retry, delivery and check had been
+        # queued; a check that trips is its trip's event
         counts = summary.events_processed
         if self.channel:
-            counts["safety"] = counts.get("safety", 0) + self.channel.events
+            counts["safety"] = counts.get("safety", 0) + events + checks - len(trips)
         emissions = sum(len(records.created) for records in traffic)
         if emissions:
             counts["traffic"] = emissions
         return self._collect(summary, channel + traffic)
+
+    def _queue_trips(self, trips: list[tuple[SimTime, int]]) -> None:
+        """One safety-lane event per trip, whose action is named for the
+        handler it calls, so an error names it."""
+        for at, missed in trips:
+            def watchdog_trip(missed: int = missed) -> None:
+                self.safety_mgr.watchdog_trip(self.engine.now, missed)
+
+            self.engine.schedule_at(at, watchdog_trip, module="safety", lane=LANE_SAFETY)
 
     def _collect(self, summary: SimSummary, sources: list[StreamRecords]) -> RunResult:
         """Fold the run; `sources` holds each stream's records, in the order

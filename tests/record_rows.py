@@ -23,7 +23,7 @@ def packet_rows(stream: TrafficProfile, records: StreamRecords) -> list[PacketRe
     return list(Records([stream], [records], array("I", [0]) * len(records.created)))
 
 
-def channel_rows(channel) -> list[PacketRecord]:
-    """A started safety channel's up records, then its down records, as rows."""
-    up, down = channel.streams
-    return packet_rows(up, channel.up) + packet_rows(down, channel.down)
+def channel_rows(streams, up: StreamRecords, down: StreamRecords) -> list[PacketRecord]:
+    """A resolved safety channel's up records, then its down records, as rows
+    of its two `streams`."""
+    return packet_rows(streams[0], up) + packet_rows(streams[1], down)

@@ -28,9 +28,10 @@ from fablink.radio_link import (
     next_tx_opportunity,
 )
 from fablink.safety import (
-    SafetyChannel,
     SafetyLoop,
     SafetyManager,
+    resolve_channel,
+    watchdog_trips,
 )
 from fablink.scenario import SafetySection, default_scenario, scenario_from_dict
 from fablink.simulation import Simulation
@@ -157,23 +158,20 @@ def _outage_timeline(outages):
     return timeline
 
 
-def _random_outage_channel(engine, outages, watchdog_ns):
-    """Channel over a lossless link whose timeline the outage windows take
-    down, the timeline the script's link_down / link_up make."""
-    trips = []
+def _random_outage_trips(seed, outages, watchdog_ns, horizon):
+    """The measured pair's channel over a lossless link whose timeline the
+    outage windows take down, the timeline the script's link_down / link_up
+    make: its records as rows, and its watchdog's trip instants."""
     model = default_link_model()
     config = LinkConfig(snr_db=15.0, tti=TtiConfig(125))
     model.bler_curves[config.waveform, config.channel] = BlerCurve.constant(0.0)
-    link = LinkRuntime(model, config, 0, engine.stream, _outage_timeline(outages))
-    channel = SafetyChannel(
-        engine=engine,
-        link=link,
-        streams=SafetySection().channel_streams([]),  # the measured pair
-        watchdog_ns=watchdog_ns,
-        rng=engine.stream("link.safety"),
-        on_trip=lambda now, missed: trips.append(now),
-    )
-    return channel, trips
+    link = LinkRuntime(model, config, 0, lambda name: RngStream(seed, name),
+                       _outage_timeline(outages))
+    pair = SafetySection().channel_streams([])
+    up, down, delivered, missed, _ = resolve_channel(
+        link, pair, RngStream(seed, "link.safety"), horizon)
+    trips, _ = watchdog_trips(delivered, missed, [], watchdog_ns, horizon)
+    return channel_rows(pair, up, down), [at for at, _ in trips]
 
 
 def _first_window_completion(deliveries, watchdog, horizon):
@@ -228,17 +226,13 @@ def test_criterion_5_safety_properties():
     rng = random.Random(50_002)
     horizon = 300 * NS_PER_MS
     for i in range(1000):
-        engine = Engine(seed=i)
         watchdog = rng.randrange(9, 25) * NS_PER_MS
         outages = []
         for _ in range(rng.randrange(0, 3)):
             start = rng.randrange(0, horizon)
             outages.append((start, start + rng.randrange(1, 40) * NS_PER_MS))
-        channel, trips = _random_outage_channel(engine, outages, watchdog)
-        channel.start(horizon)
-        engine.run_until(horizon)
-        deliveries = [r.delivered_at for r in channel_rows(channel)
-                      if r.delivered_at is not None]
+        rows, trips = _random_outage_trips(i, outages, watchdog, horizon)
+        deliveries = [r.delivered_at for r in rows if r.delivered_at is not None]
         expected = _first_window_completion(deliveries, watchdog, horizon)
         actual = trips[0] if trips else None
         assert expected == actual, (i, outages, expected, actual)

@@ -11,14 +11,16 @@ from fablink.radio_link import (
 from fablink.safety import (
     LocalSafetyState,
     LoopState,
-    SafetyChannel,
     SafetyLoop,
     SafetyManager,
     SensorKind,
     UnknownEndpoint,
+    resolve_channel,
+    watchdog_trips,
 )
-from fablink.scenario import SafetySection
-from fablink.sim_core import NS_PER_MS, NS_PER_S, Engine
+from fablink.scenario import SafetySection, scenario_from_dict
+from fablink.simulation import Simulation
+from fablink.sim_core import NS_PER_MS, NS_PER_S, RngStream
 from fablink.traffic import StreamClass, TrafficProfile
 from record_rows import channel_rows
 
@@ -183,6 +185,8 @@ def test_estop_confinement_randomized_schedules():
 
 # -- PDU channel and watchdog ----------------------------------------------------------
 
+MEASURED_PAIR = SafetySection().channel_streams([])
+
 
 def outage_timeline(outages: list[tuple[int, int]]) -> list[tuple[int, bool]]:
     """The link timeline of outage windows: at each window edge, up iff no
@@ -198,60 +202,50 @@ def outage_timeline(outages: list[tuple[int, int]]) -> list[tuple[int, bool]]:
     return timeline
 
 
-def make_channel(
-    engine: Engine,
+def resolve(
+    horizon: int,
     outages: list[tuple[int, int]] | None = None,
-    watchdog_ns: int = WATCHDOG_NS,
+    seed: int = 1,
     processing_delay_ns: int = 100_000,
 ):
-    """Channel over an ideal link (BLER 0, so no draws) whose timeline takes
-    it down inside each scripted outage window, as the script's link_down /
-    link_up do; overlapping windows keep it down until the last one ends."""
+    """The measured pair's channel up to `horizon` over an ideal link (BLER 0,
+    so no draws) whose timeline takes it down inside each scripted outage
+    window, as the script's link_down / link_up do; overlapping windows keep
+    it down until the last one ends. Returns its records as rows, its sorted
+    deliveries and its missed cycle starts."""
     model = default_link_model()
     config = LinkConfig(
         snr_db=15.0, tti=TtiConfig(125), processing_delay_ns=processing_delay_ns
     )
     model.bler_curves[config.waveform, config.channel] = BlerCurve.constant(0.0)
-    link = LinkRuntime(model, config, 0, engine.stream, outage_timeline(outages or []))
-    trips = []
-    channel = SafetyChannel(
-        engine=engine,
-        link=link,
-        streams=SafetySection().channel_streams([]),  # the measured pair
-        watchdog_ns=watchdog_ns,
-        rng=engine.stream("link.safety"),
-        on_trip=lambda now, missed: trips.append((now, missed)),
-    )
-    return channel, trips
+    link = LinkRuntime(model, config, 0, lambda name: RngStream(seed, name),
+                       outage_timeline(outages or []))
+    up, down, delivered, missed, _ = resolve_channel(
+        link, MEASURED_PAIR, RngStream(seed, "link.safety"), horizon)
+    return channel_rows(MEASURED_PAIR, up, down), delivered, missed
 
 
 def test_clean_link_delivers_every_cycle_and_never_trips():
-    engine = Engine(seed=1)
-    channel, trips = make_channel(engine)
     horizon = NS_PER_S
-    channel.start(horizon)
-    engine.run_until(horizon)
-    assert trips == []
-    assert channel.missed == []
-    created = [r for r in channel_rows(channel) if r.stream == "pnio_coupler_to_plc"]
+    rows, delivered, missed = resolve(horizon)
+    trips, checks = watchdog_trips(delivered, missed, [], WATCHDOG_NS, horizon)
+    assert trips == [] and checks > 0
+    assert missed == []
+    created = [r for r in rows if r.stream == "pnio_coupler_to_plc"]
     assert len(created) == 247  # 246.19 Hz inclusive of t=0
-    assert all(r.delivered_at is not None for r in channel_rows(channel))
-    sizes = {r.stream: r.size_bytes for r in channel_rows(channel)}
+    assert all(r.delivered_at is not None for r in rows)
+    sizes = {r.stream: r.size_bytes for r in rows}
     assert sizes == {"pnio_coupler_to_plc": 60, "pnio_plc_to_coupler": 64}
 
 
 def test_watchdog_trips_at_watchdog_after_last_delivery():
-    engine = Engine(seed=1)
     outage_start = 100 * NS_PER_MS
-    channel, trips = make_channel(
-        engine, outages=[(outage_start, 10 * NS_PER_S)]
-    )
-    channel.start(NS_PER_S)
-    engine.run_until(NS_PER_S)
+    rows, delivered, missed = resolve(NS_PER_S, outages=[(outage_start, 10 * NS_PER_S)])
+    trips, _ = watchdog_trips(delivered, missed, [], WATCHDOG_NS, NS_PER_S)
     assert len(trips) == 1
     trip_at, missed = trips[0]
     last_delivery = max(
-        r.delivered_at for r in channel_rows(channel) if r.delivered_at is not None
+        r.delivered_at for r in rows if r.delivered_at is not None
         and r.delivered_at <= trip_at
     )
     assert trip_at == last_delivery + WATCHDOG_NS
@@ -260,52 +254,63 @@ def test_watchdog_trips_at_watchdog_after_last_delivery():
 
 
 def test_delivery_resets_the_miss_counter():
-    engine = Engine(seed=1)
     # one cycle swallowed, then the link recovers: no trip until a long
     # outage from 100 ms, whose trip counts only the cycles it swallowed
     start = round(1 * CYCLE_NS) - 100_000
-    channel, trips = make_channel(
-        engine, outages=[(start, start + CYCLE_NS), (100 * NS_PER_MS, NS_PER_S)]
+    horizon = 200 * NS_PER_MS
+    _, delivered, missed = resolve(
+        horizon, outages=[(start, start + CYCLE_NS), (100 * NS_PER_MS, NS_PER_S)]
     )
-    channel.start(200 * NS_PER_MS)
-    engine.run_until(200 * NS_PER_MS)
+    trips, _ = watchdog_trips(delivered, missed, [], WATCHDOG_NS, horizon)
     assert len(trips) == 1
-    trip_at, missed = trips[0]
-    before_trip = [c for c in channel.missed if c < trip_at]
+    trip_at, missed_at_trip = trips[0]
+    before_trip = [c for c in missed if c < trip_at]
     assert before_trip[0] == round(CYCLE_NS)  # the swallowed cycle
-    assert len(before_trip) == 4 and missed == 3
+    assert len(before_trip) == 4 and missed_at_trip == 3
 
 
 def test_retry_at_next_tti_recovers_within_the_cycle():
-    engine = Engine(seed=1)
     # outage covers only the first transmission slot of cycle 5
     cycle_start = round(5 * NS_PER_S / CYCLE_HZ)
-    channel, trips = make_channel(
-        engine, outages=[(cycle_start, cycle_start + 125_000)]
+    horizon = 100 * NS_PER_MS
+    rows, delivered, missed = resolve(
+        horizon, outages=[(cycle_start, cycle_start + 125_000)]
     )
-    channel.start(100 * NS_PER_MS)
-    engine.run_until(100 * NS_PER_MS)
-    assert trips == []
-    hit = [r for r in channel_rows(channel) if r.created_at == cycle_start]
+    assert watchdog_trips(delivered, missed, [], WATCHDOG_NS, horizon)[0] == []
+    hit = [r for r in rows if r.created_at == cycle_start]
     assert hit and all(r.delivered_at is not None for r in hit)
     # the delivery used a later slot than the first-attempt slot
     assert all(r.sent_at > r.created_at for r in hit)
 
 
 def test_watchdog_rearms_after_reset():
-    engine = Engine(seed=1)
-    channel, trips = make_channel(
-        engine, outages=[(50 * NS_PER_MS, 80 * NS_PER_MS)]
+    # a trip in the first outage; after the reset at 90 ms the recovered link
+    # trips nothing, and a second outage from 300 ms trips again
+    _, delivered, missed = resolve(
+        NS_PER_S, outages=[(50 * NS_PER_MS, 80 * NS_PER_MS), (300 * NS_PER_MS, NS_PER_S)]
     )
-    channel.start(NS_PER_S)
+    trips, _ = watchdog_trips(delivered, missed, [90 * NS_PER_MS], WATCHDOG_NS, NS_PER_S)
+    assert len(trips) == 2
+    assert trips[0][0] < 80 * NS_PER_MS
+    last_delivery = max(d for d in delivered if d <= 300 * NS_PER_MS)
+    assert trips[1] == (last_delivery + WATCHDOG_NS, 3)
+    # without the reset, supervision never resumes after the first trip
+    assert watchdog_trips(delivered, missed, [], WATCHDOG_NS, NS_PER_S)[0] == trips[:1]
 
-    def reset():
-        channel.rearm(engine.now)
 
-    engine.schedule_at(90 * NS_PER_MS, reset)
-    engine.run_until(NS_PER_S)
-    assert len(trips) == 1  # recovered link after the reset, no second trip
-    assert channel.supervising
+def test_a_watchdog_longer_than_the_horizon_makes_no_check():
+    horizon = 10 * NS_PER_MS
+    _, delivered, missed = resolve(horizon, outages=[(0, NS_PER_S)])
+    assert delivered == [] and missed
+    assert watchdog_trips(delivered, missed, [0], WATCHDOG_NS, horizon) == ([], 0)
+    # a whole run counts only the channel's own events as safety events
+    sim = Simulation(scenario_from_dict(
+        {"horizon_s": 0.01, "script": [{"at_s": 0.0, "action": "link_down"}]}))
+    result = sim.run()
+    *_, events = resolve_channel(sim.link, sim.channel, RngStream(sim.scenario.seed,
+                                 "link.safety"), sim.horizon_ns)
+    assert result.summary.events_processed["safety"] == events
+    assert not [t for t in result.safety_log if t.cause == "watchdog"]
 
 
 def brute_force_first_trip(
@@ -329,20 +334,14 @@ def test_watchdog_trips_iff_delivery_free_window_exists():
     horizon = 300 * NS_PER_MS
     mismatches = []
     for i in range(1000):
-        engine = Engine(seed=i)
         watchdog = rng.randrange(9, 25) * NS_PER_MS
         outages = []
         for _ in range(rng.randrange(0, 3)):
             start = rng.randrange(0, horizon)
             outages.append((start, start + rng.randrange(1, 40) * NS_PER_MS))
-        channel, trips = make_channel(
-            engine, outages=outages, watchdog_ns=watchdog
-        )
-        channel.start(horizon)
-        engine.run_until(horizon)
-        deliveries = [
-            r.delivered_at for r in channel_rows(channel) if r.delivered_at is not None
-        ]
+        rows, delivered, missed = resolve(horizon, outages=outages, seed=i)
+        trips, _ = watchdog_trips(delivered, missed, [], watchdog, horizon)
+        deliveries = [r.delivered_at for r in rows if r.delivered_at is not None]
         expected = brute_force_first_trip(deliveries, watchdog, horizon)
         actual = trips[0][0] if trips else None
         if expected != actual:

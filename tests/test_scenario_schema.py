@@ -319,9 +319,9 @@ def test_watchdog_is_checked_against_the_rate_the_channel_runs_at():
     # 5 ms covers the 4.06 ms cycle of the catalog's 246.19 Hz PNIO rows
     scenario = scenario_from_dict(
         {"horizon_s": 0.1, "safety": {"watchdog_ms": 5}})
-    channel = Simulation(scenario).channel
-    assert channel.streams[0].rate_hz == 246.19
-    assert channel.watchdog_ns == 5 * NS_PER_MS
+    up, _ = Simulation(scenario).channel
+    assert up.rate_hz == 246.19
+    assert scenario.safety.watchdog_ns == 5 * NS_PER_MS
 
 
 def test_watchdog_is_not_checked_without_the_channel():

@@ -494,7 +494,6 @@ def test_link_down_drops_traffic_and_safety_attempts_alike():
         "script": [{"at_s": 1.0, "action": "link_down"},
                    {"at_s": 1.5, "action": "link_up"}],
     }))
-    assert sim.channel.link is sim.link  # the one timeline the script sets
     result = sim.run()
     tti = sim.link_config.tti.duration_ns
     wireless = {p.name for p in sim.streams if p.wireless}

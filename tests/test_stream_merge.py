@@ -1,9 +1,10 @@
-"""Traffic streams and the safety channel's PDUs are resolved off the event
-queue, one loop per source, and their records are merged back into engine
-order. These tests hold `Simulation.run` and `SafetyChannel` to an
-engine-driven reference kept here: a traffic stream as an event per emission,
-and the safety channel as an event per cycle, retry and delivery, which is
-how fablink ran both before.
+"""Traffic streams, the safety channel's PDUs and its watchdog's trips are
+resolved off the event queue, and their records are merged back into engine
+order. These tests hold `Simulation.run`, `safety.resolve_channel` and
+`safety.watchdog_trips` to an engine-driven reference kept here: a traffic
+stream as an event per emission, and the safety channel as an event per
+cycle, retry and delivery with its watchdog as a chain of checks, which is
+how fablink ran them before.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ import pytest
 from fablink.radio_link import (
     BlerCurve, LinkConfig, LinkRuntime, TtiConfig, default_link_model, next_tx_opportunity,
 )
-from fablink.safety import SafetyChannel
+from fablink.safety import SafetyManager, resolve_channel, watchdog_trips
 from fablink.scenario import SafetySection, scenario_from_dict
 from fablink.sim_core import (
-    LANE_NORMAL, LANE_SAFETY, NS_PER_MS, NS_PER_S, NS_PER_US, Engine, HandlerError)
+    LANE_NORMAL, LANE_SAFETY, NS_PER_MS, NS_PER_S, NS_PER_US, Engine, HandlerError,
+    RngStream)
 from fablink.simulation import Simulation
 from fablink.traffic import PacketRecord, emission_times
 from record_rows import packet_rows
@@ -82,6 +84,23 @@ TIE_SCRIPT = [
     {"at_s": 1.0, "action": "reset", "loop": "island1.loop"},
 ]
 
+# Ties of script actions with watchdog checks, at the measured pair's trip
+# instants of TRIP_SCRIPT: a reset at the first check's instant (12 ms), which
+# runs after that check's trip; an estop of safety_plc and a reset at the
+# instant the first outage trips (0.51185 s), which run before that check, so
+# the reset moves the window's start and the trip comes 12 ms later; and an
+# estop at the instant the second outage trips (1.2106 s), which runs before
+# the trip, so the trip logs a `watchdog_trip` row of a stopped loop.
+TIE_TRIP_SCRIPT = [
+    {"at_s": 0.0, "action": "link_down"},
+    {"at_s": 0.012, "action": "reset", "loop": "island1.loop"},
+    {"at_s": 0.03, "action": "link_up"},
+    *TRIP_SCRIPT,
+    {"at_s": 0.51185, "action": "estop", "endpoint": "safety_plc"},
+    {"at_s": 0.51185, "action": "reset", "loop": "island1.loop"},
+    {"at_s": 1.2106, "action": "estop", "endpoint": "safety_plc"},
+]
+
 CASES = {
     "catalog": {"traffic": {"catalog": CATALOG}, "safety": {"enabled": False}},
     "catalog_safety": {"traffic": {"catalog": CATALOG}},
@@ -112,6 +131,7 @@ CASES = {
         "radio": {"processing_delay_us": 125.0, "snr_db": 10.5},
         "script": TRIP_SCRIPT,
     },
+    "trip_instant_ties": {"traffic": {"catalog": CATALOG}, "script": TIE_TRIP_SCRIPT},
 }
 
 
@@ -161,7 +181,8 @@ class _EngineChannel:
     that makes both first attempts and queues the next cycle, each lost
     attempt queues its retry at the next TTI boundary, each delivery is an
     event that resets the watchdog timer and the miss counter, and the
-    watchdog is a safety-lane check re-armed from the last delivery."""
+    watchdog is a safety-lane check re-armed from the last delivery. `checks`
+    holds the instants of its checks."""
 
     def __init__(self, engine, link, streams, watchdog_ns, rng, records, on_trip):
         self.engine = engine
@@ -173,6 +194,7 @@ class _EngineChannel:
         self.consecutive_missed = 0
         self.last_delivery = 0
         self.supervising = True
+        self.checks = []
         self._horizon = 0
         self._cycle = 0
         self._directions = [
@@ -232,6 +254,7 @@ class _EngineChannel:
     def _check_watchdog(self) -> None:
         if not self.supervising:
             return
+        self.checks.append(self.engine.now)
         if self.engine.now - self.last_delivery >= self.watchdog_ns:
             self.supervising = False
             self.on_trip(self.engine.now, self.consecutive_missed)
@@ -251,32 +274,50 @@ def engine_reference(data: dict) -> tuple[list[PacketRecord], dict[str, int], li
     streams and safety channel are engine events, started in the order
     fablink starts its sources: plant, safety channel, streams in catalog
     order, script. A scripted link action flips the streams' up switch when
-    its event fires."""
+    its event fires, and a `reset` rearms the channel's watchdog after it
+    has run."""
     sim = Simulation(scenario_from_dict(data))
     records: list[PacketRecord] = []
     link_up = [True]
     run_action = sim._run_action
+    channel = None
 
     def run_action_and_switch(action) -> None:
         if action.action in ("link_down", "link_up"):
             link_up[0] = action.action == "link_up"
         run_action(action)
+        if action.action == "reset" and channel:
+            channel.rearm(sim.engine.now)
 
     sim._run_action = run_action_and_switch
     if sim.plant:
         sim.plant.start()
-    channel = sim.channel.streams if sim.channel else ()
     if sim.channel:
-        sim.channel = _EngineChannel(sim.engine, sim.link, channel,
-                                     sim.channel.watchdog_ns,
-                                     sim.engine.stream("link.safety"), records,
-                                     sim.channel.on_trip)
-        sim.channel.start(sim.horizon_ns)
-    for profile in sim.streams[len(channel):]:  # the channel's pair leads
+        channel = _EngineChannel(sim.engine, sim.link, sim.channel,
+                                 sim.scenario.safety.watchdog_ns,
+                                 sim.engine.stream("link.safety"), records,
+                                 sim.safety_mgr.watchdog_trip)
+        channel.start(sim.horizon_ns)
+    for profile in sim.streams[len(sim.channel or ()):]:  # the channel's pair leads
         _EngineStream(sim, profile, records, link_up).schedule_next()
     sim._schedule_script()
     summary = sim.engine.run_until(sim.horizon_ns)
     return records, summary.events_processed, sim.safety_mgr.log
+
+
+def _run_recording_queue(data: dict):
+    """`Simulation.run` of `data`, and every event it queued as (module,
+    fire_at, action, lane), in queueing order."""
+    sim = Simulation(scenario_from_dict(data))
+    queued = []
+    schedule_at = sim.engine.schedule_at
+
+    def recording_schedule_at(fire_at, action, module="misc", lane=1):
+        queued.append((module, fire_at, action, lane))
+        return schedule_at(fire_at, action, module, lane)
+
+    sim.engine.schedule_at = recording_schedule_at
+    return sim.run(), queued
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -285,22 +326,13 @@ def test_merged_records_equal_the_engine_driven_reference(case, seed):
     data = {"seed": seed, "horizon_s": 2.0, **CASES[case]}
     expected, expected_events, expected_log = engine_reference(data)
 
-    sim = Simulation(scenario_from_dict(data))
-    queued = []
-    schedule_at = sim.engine.schedule_at
+    result, queued = _run_recording_queue(data)
 
-    def recording_schedule_at(fire_at, action, module="misc", lane=1):
-        queued.append((module, action, lane))
-        return schedule_at(fire_at, action, module, lane)
-
-    sim.engine.schedule_at = recording_schedule_at
-    result = sim.run()
-
-    queued_modules = {module for module, _, _ in queued}
-    assert "traffic" not in queued_modules
-    # the safety channel queues only its watchdog checks
-    assert all((action, lane) == (sim.channel._check, LANE_SAFETY)
-               for module, action, lane in queued if module == "safety")
+    assert "traffic" not in {module for module, *_ in queued}
+    # the safety channel queues one event per watchdog trip, and nothing else
+    trips = [t.at for t in result.safety_log if t.cause == "watchdog"]
+    assert [(at, action.__name__, lane) for module, at, action, lane in queued
+            if module == "safety"] == [(at, "watchdog_trip", LANE_SAFETY) for at in trips]
     assert result.summary.events_processed == expected_events
     assert result.safety_log == expected_log
     assert expected_events["traffic"] > 0
@@ -322,6 +354,31 @@ def test_no_traffic_leaves_no_traffic_count():
     result = Simulation(scenario_from_dict(data)).run()
     assert "traffic" not in result.summary.events_processed
     assert result.summary.events_processed["safety"] > 0
+
+
+def test_a_clean_link_default_run_queues_no_safety_event():
+    result, queued = _run_recording_queue({"horizon_s": 2.0})
+    assert "safety" not in {module for module, *_ in queued}
+    assert not [t for t in result.safety_log if t.cause == "watchdog"]
+    assert result.summary.events_processed["safety"] > 0
+
+
+def test_a_raising_watchdog_trip_ends_the_run_naming_the_trip(monkeypatch):
+    data = {"horizon_s": 1.0, "script": [{"at_s": 0.5, "action": "link_down"}]}
+    trip_at = next(t.at for t in Simulation(scenario_from_dict(data)).run().safety_log
+                   if t.cause == "watchdog")
+    boom = ValueError("boom")
+
+    def raising_trip(self, now, missed):
+        raise boom
+
+    monkeypatch.setattr(SafetyManager, "watchdog_trip", raising_trip)
+    with pytest.raises(HandlerError) as err:
+        Simulation(scenario_from_dict(data)).run()
+    message = str(err.value)
+    assert message.startswith(f"at {trip_at} ns, safety event ")
+    assert "watchdog_trip: ValueError: boom" in message and "<lambda>" not in message
+    assert err.value.__cause__ is boom
 
 
 @pytest.mark.parametrize("stream, failing_at, source", [
@@ -362,35 +419,44 @@ def test_a_raising_send_ends_the_run_naming_time_module_and_stream(
 MEASURED_PAIR = SafetySection().channel_streams([])
 
 
-def _channel_run(channel_type, seed, streams, watchdog_ns, bler, timeline,
-                 tti_delay_ns, rearms, horizon):
-    """One channel over a link of constant `bler` and the given timeline,
-    rearmed on the safety lane at each of `rearms` as the script does: its
-    up and down records, its trips and the engine's event counts."""
-    engine = Engine(seed=seed)
+def _channel_link(seed, bler, timeline, tti_delay_ns):
+    """A link of constant `bler` over the given timeline, drawing jitter from
+    the seed's named streams, as `Engine(seed).stream` does."""
     model = default_link_model()
     link_config = LinkConfig(snr_db=15.0, tti=TtiConfig(125),
                              processing_delay_ns=tti_delay_ns)
     model.bler_curves[link_config.waveform, link_config.channel] = (
         BlerCurve.constant(bler))
-    link = LinkRuntime(model, link_config, 0, engine.stream, timeline)
+    return LinkRuntime(model, link_config, 0, lambda name: RngStream(seed, name),
+                       timeline)
+
+
+def _engine_channel_run(seed, streams, watchdog_ns, link_args, rearms, horizon):
+    """The engine-driven channel, rearmed on the safety lane at each of
+    `rearms` as the script does: its up and down records, its trips and its
+    safety event count, and the instants of its checks."""
+    engine = Engine(seed=seed)
     trips, records = [], []
-    args = (engine, link, streams, watchdog_ns, engine.stream("link.safety"))
-    on_trip = lambda now, missed: trips.append((now, missed))  # noqa: E731
-    if channel_type is _EngineChannel:
-        channel = _EngineChannel(*args, records, on_trip)
-    else:
-        channel = SafetyChannel(*args, on_trip)
+    channel = _EngineChannel(engine, _channel_link(seed, *link_args), streams,
+                             watchdog_ns, engine.stream("link.safety"), records,
+                             lambda now, missed: trips.append((now, missed)))
     channel.start(horizon)
     for at in rearms:
         engine.schedule_at(at, lambda: channel.rearm(engine.now),
                            module="script", lane=LANE_SAFETY)
     counts = engine.run_until(horizon).events_processed
-    if channel_type is _EngineChannel:
-        return records[0::2], records[1::2], trips, counts
-    counts["safety"] = counts.get("safety", 0) + channel.events
-    return (packet_rows(streams[0], channel.up), packet_rows(streams[1], channel.down),
-            trips, counts)
+    return (records[0::2], records[1::2], trips, counts["safety"]), channel.checks
+
+
+def _resolved_channel_run(seed, streams, watchdog_ns, link_args, rearms, horizon):
+    """The same channel through `resolve_channel` and `watchdog_trips`, with
+    no engine: the same four results."""
+    up, down, delivered, missed, events = resolve_channel(
+        _channel_link(seed, *link_args), streams, RngStream(seed, "link.safety"),
+        horizon)
+    trips, checks = watchdog_trips(delivered, missed, rearms, watchdog_ns, horizon)
+    return (packet_rows(streams[0], up), packet_rows(streams[1], down), trips,
+            events + checks)
 
 
 def _retry_ties(up, down):
@@ -410,8 +476,11 @@ def _retry_ties(up, down):
 
 
 def test_resolved_channel_equals_the_engine_driven_channel():
-    rng = random.Random(12_012)
-    mismatches, ties = [], 0
+    # each schedule runs the reference once more with resets added at the
+    # first check's instant and at instants of its own checks, drawn from a
+    # second RNG so the schedules themselves stay as they were
+    rng, tie_rng = random.Random(12_012), random.Random(12_013)
+    mismatches, ties, first_check_ties, check_ties = [], 0, 0, 0
     for i in range(300):
         cycle_hz = rng.choice([246.19, 500.0, 1000.0, 2000.0])
         cycle_ns = NS_PER_S / cycle_hz
@@ -423,12 +492,18 @@ def test_resolved_channel_equals_the_engine_driven_channel():
             (rng.randrange(horizon), rng.random() < 0.5)
             for _ in range(rng.randrange(0, 8)))
         rearms = sorted(rng.randrange(horizon) for _ in range(rng.randrange(0, 4)))
-        delay = 125_000 * rng.randrange(0, 9)
-        runs = [_channel_run(kind, i, streams, watchdog_ns, bler, timeline, delay,
-                             rearms, horizon)
-                for kind in (_EngineChannel, SafetyChannel)]
-        if runs[0] != runs[1]:
-            mismatches.append((i, cycle_hz, bler, timeline, rearms, delay))
-        ties += _retry_ties(*runs[0][:2])
+        link_args = (bler, timeline, 125_000 * rng.randrange(0, 9))
+        args = (i, streams, watchdog_ns, link_args)
+        _, checks = _engine_channel_run(*args, rearms, horizon)
+        tied = tie_rng.sample(checks, min(len(checks), tie_rng.randrange(0, 3)))
+        if tie_rng.random() < 0.3:
+            tied.append(watchdog_ns)
+        rearms = sorted(rearms + tied)
+        expected, checks = _engine_channel_run(*args, rearms, horizon)
+        if expected != _resolved_channel_run(*args, rearms, horizon):
+            mismatches.append((i, cycle_hz, link_args, rearms))
+        ties += _retry_ties(*expected[:2])
+        first_check_ties += watchdog_ns in rearms and watchdog_ns <= horizon
+        check_ties += len(set(checks[1:]) & set(rearms))
     assert not mismatches, mismatches[:3]
-    assert ties > 0
+    assert ties > 0 and first_check_ties > 0 and check_ties > 0
