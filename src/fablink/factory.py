@@ -12,6 +12,10 @@ workstation. A dock is ready exactly when the robot is docked there with an
 empty tray. Its safety-loop membership and its local guard belong to
 `safety.SafetyManager`.
 
+The product is the one record of a product: its recipe and memory, where it
+is, its `ProductState`, and the destination of its robot job. A robot job is
+a product with a destination.
+
 The event-driven plant runtime lives in `simulation`; this module holds the
 state types and the decision functions they operate on.
 """
@@ -91,6 +95,24 @@ class ProductMemory:
         return self.quality_flags[-1] if self.quality_flags else None
 
 
+class ProductState(Enum):
+    """A product's place in the flow, as `simulation.PlantRuntime` moves it.
+
+    WAITING: the controller tick plans it (`_advance`). Set at release, when
+    a module or the operator finishes its step, and when the robot unloads it
+    at an island.
+    BUSY: on a conveyor, in service, on the robot or at the manual station;
+    the robot loads it once it waits. Set when a conveyor transfer starts
+    (`_convey`), when the robot starts loading it (`_load`), and when it
+    queues at the station where it stands (`_advance`).
+    DONE: its recipe is complete with no rework due; set by `_advance`, final.
+    """
+
+    WAITING = "waiting"
+    BUSY = "busy"
+    DONE = "done"
+
+
 @dataclass
 class Product:
     """Product instance; `order_config` is its individual recipe."""
@@ -98,6 +120,11 @@ class Product:
     id: str
     order_config: list[str]
     memory: ProductMemory = field(default_factory=ProductMemory)
+    island: str = ""  # island id or MANUAL_STATION
+    location: str = ""  # staging area, module, dock, "robot" or MANUAL_STATION
+    state: ProductState = ProductState.WAITING
+    destination: str | None = None  # its robot job's target, None without a job
+    unroutable: bool = False  # `no_route` logged since its last plan
 
     def next_step(self) -> tuple[int, str] | None:
         index = len(self.memory.completed_steps)
@@ -170,7 +197,7 @@ class InTransit:
 
 @dataclass(frozen=True)
 class AtManualStation:
-    pass
+    island_id: str = MANUAL_STATION
 
 
 RobotPose = AtDock | Hovering | InTransit | AtManualStation

@@ -4,6 +4,10 @@ script onto one deterministic event loop, computes each traffic stream and
 the safety PDU channel off that loop, queues the channel's watchdog trips on
 it, merges all records into engine order, and folds the run into metrics and
 a compliance report.
+
+The plant runtime holds no record of its own for a product or the robot: it
+moves `factory.Product` (place, `ProductState`, robot destination) and
+`factory.Robot` (pose). A robot job is a product with a destination.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .factory import (
     MANUAL_STATION,
     ModuleState,
     Product,
+    ProductState,
     QualityFlag,
     Robot,
     StationModule,
@@ -85,22 +90,6 @@ class RunResult:
 _ROBOT = None  # the robot's timer gate; every other gate is an island id
 
 
-class _ProductRun:
-    def __init__(self, product: Product, island: str):
-        self.product = product
-        self.island = island  # current island id or MANUAL_STATION
-        self.location = f"{island}:staging"
-        self.state = "waiting"  # waiting | moving | in_service | on_robot | manual | done
-        self.pending_robot = False
-        self.unroutable = False  # `no_route` logged since the last plan
-
-
-class _RobotJob:
-    def __init__(self, product_run: _ProductRun, destination: str):
-        self.product_run = product_run
-        self.destination = destination
-
-
 class PlantRuntime:
     """Event-driven production flow around a periodic controller tick.
 
@@ -145,10 +134,10 @@ class PlantRuntime:
             )
         self.loops = loops
         self.robot = Robot(home_island=self.cfg.robot_home)
-        self.manual_queue: deque[_ProductRun] = deque()
+        self.manual_queue: deque[Product] = deque()
         self.manual_busy = False
-        self.unfinished: list[_ProductRun] = []  # release order, pruned each tick
-        self.jobs: deque[_RobotJob] = deque()
+        self.unfinished: list[Product] = []  # release order, pruned each tick
+        self.jobs: deque[Product] = deque()  # robot jobs: products with a destination
         # running and paused timers per gate, in start order; the robot's
         # gate comes last, so a change resumes island work before motion
         self._timers: dict[str | None, dict[PausableTimer, None]] = {
@@ -181,26 +170,28 @@ class PlantRuntime:
         self.engine.schedule_at(self.tick_ns, self._tick, module="factory")
 
     def _release(self, product_id: str, island: str) -> None:
-        product = Product(id=product_id, order_config=list(self.cfg.recipe))
-        run = _ProductRun(product, island)
-        self.unfinished.append(run)
+        product = Product(id=product_id, order_config=list(self.cfg.recipe),
+                          island=island, location=f"{island}:staging")
+        self.unfinished.append(product)
         self.stats["released"] += 1
-        self._log(run, "released", island)
-        self._advance(run)
+        self._log(product, "released", island)
+        self._advance(product)
 
-    def _log(self, run: _ProductRun, event: str, detail: str = "") -> None:
+    def _log(self, product: Product, event: str, detail: str = "") -> None:
         self.sim.product_log.append(
-            ProductEvent(run.product.id, event, self.engine.now, detail)
+            ProductEvent(product.id, event, self.engine.now, detail)
         )
 
     # -- controller tick -----------------------------------------------------
 
     def _tick(self) -> None:
         self.ready = readiness(self.islands.values(), self.robot)
-        self.unfinished = [r for r in self.unfinished if r.state != "done"]
-        for run in self.unfinished:
-            if run.state == "waiting":
-                self._advance(run)
+        # bound once: an Enum member lookup costs more than the loop's body
+        done, waiting = ProductState.DONE, ProductState.WAITING
+        self.unfinished = [p for p in self.unfinished if p.state is not done]
+        for product in self.unfinished:
+            if product.state is waiting:
+                self._advance(product)
         self._dispatch_robot()
         self._serve_manual()
         nxt = self.engine.now + self.tick_ns
@@ -209,18 +200,16 @@ class PlantRuntime:
 
     # -- product advancement ---------------------------------------------------
 
-    def _advance(self, run: _ProductRun) -> None:
-        if run.state != "waiting":
-            return
-        product = run.product
+    def _advance(self, product: Product) -> None:
+        """Plan a waiting product's next move."""
         nxt = product.next_step()
         rework = product.needs_rework
         if nxt is None and not rework:
-            run.state = "done"
+            product.state = ProductState.DONE
             self.stats["completed"] += 1
-            self._log(run, "completed", run.island)
+            self._log(product, "completed", product.island)
             return
-        island = self.islands.get(run.island)
+        island = self.islands.get(product.island)
         if island is not None:
             loop = self.sim.safety_mgr.loops[island.safety_loop_id]
             if loop.state is LoopState.SAFE_STOP:
@@ -230,7 +219,7 @@ class PlantRuntime:
             # next step): skip re-planning. Without a manual station a failed
             # plan logs `no_route`, so it still plans every tick.
             if (
-                run.pending_robot
+                product.destination is not None
                 and self.cfg.manual_station
                 and (
                     rework
@@ -245,25 +234,25 @@ class PlantRuntime:
                 product,
                 list(self.islands.values()),
                 self.cfg.transit_s,
-                run.island,
+                product.island,
                 manual_available=self.cfg.manual_station,
             )
         except factory_mod.NoRouteAvailable:
-            if not run.unroutable:
-                run.unroutable = True
-                self._log(run, "no_route", "")
+            if not product.unroutable:
+                product.unroutable = True
+                self._log(product, "no_route", "")
             return
-        run.unroutable = False
+        product.unroutable = False
         if plan.needs_robot:
-            if not run.pending_robot:
-                run.pending_robot = True
-                self.jobs.append(_RobotJob(run, plan.target_island))
+            if product.destination is None:
+                product.destination = plan.target_island
+                self.jobs.append(product)
             return
         if plan.target == MANUAL_STATION:
             # already at the station and nothing else can take the next
             # step: the operator substitutes for the missing module
-            run.state = "manual"
-            self.manual_queue.append(run)
+            product.state = ProductState.BUSY
+            self.manual_queue.append(product)
             self._serve_manual()
             return
         if not self.ready[plan.target]:
@@ -272,40 +261,40 @@ class PlantRuntime:
         assert module.carrier is None, "single-occupancy violated"
         module.carrier = product.id
         self._convey(
-            run, module.id, module.island_id, lambda: self._begin_service(run, module)
+            product, module.id, module.island_id,
+            lambda: self._begin_service(product, module),
         )
 
-    def _convey(self, run: _ProductRun, target: str, island_id: str, arrived) -> None:
-        """Move `run` on `island_id`'s conveyor from its location to `target`
-        (a module or the dock), then run `arrived`."""
-        origin = self.modules.get(run.location)
+    def _convey(self, product: Product, target: str, island_id: str, arrived) -> None:
+        """Move `product` on `island_id`'s conveyor from its location to
+        `target` (a module or the dock), then run `arrived`."""
+        origin = self.modules.get(product.location)
         if origin is not None:
             origin.carrier = None
-        run.state = "moving"
-        self._log(run, "transfer_start", f"{run.location}->{target}")
+        product.state = ProductState.BUSY
+        self._log(product, "transfer_start", f"{product.location}->{target}")
 
         def done() -> None:
-            run.location = target
+            product.location = target
             arrived()
 
         self._timer(island_id, round(self.cfg.conveyor_s * NS_PER_S), done)
 
-    def _begin_service(self, run: _ProductRun, module: StationModule) -> None:
+    def _begin_service(self, product: Product, module: StationModule) -> None:
         module.state = ModuleState.BUSY
-        run.state = "in_service"
-        nxt = run.product.next_step()
+        nxt = product.next_step()
         assert nxt is not None
         step_index, step = nxt
 
         def done() -> None:
-            run.product.memory.record_completion(
+            product.memory.record_completion(
                 step_index, step, module.id, self.engine.now
             )
             if module.state is ModuleState.BUSY:  # a fault outlasts the service
                 module.state = ModuleState.IDLE
-            run.state = "waiting"
-            self._log(run, "step_done", f"{step}@{module.id}")
-            self._advance(run)
+            product.state = ProductState.WAITING
+            self._log(product, "step_done", f"{step}@{module.id}")
+            self._advance(product)
 
         self._timer(
             module.island_id,
@@ -319,9 +308,8 @@ class PlantRuntime:
     def _serve_manual(self) -> None:
         if self.manual_busy or not self.manual_queue:
             return
-        run = self.manual_queue.popleft()
+        product = self.manual_queue.popleft()
         self.manual_busy = True
-        product = run.product
         if product.needs_rework:
             flag = product.memory.latest_flag()
 
@@ -331,8 +319,8 @@ class PlantRuntime:
                         flag.step_index, flag.step, Verdict.PASS, self.engine.now
                     )
                 )
-                self._log(run, "rework_done", flag.step or "")
-                self._operator_done(run)
+                self._log(product, "rework_done", flag.step or "")
+                self._operator_done(product)
 
             self.engine.schedule_after(
                 round(self.cfg.manual_rework_s * NS_PER_S), reworked, "factory"
@@ -340,7 +328,7 @@ class PlantRuntime:
             return
         nxt = product.next_step()
         if nxt is None:
-            self._operator_done(run)
+            self._operator_done(product)
             return
         step_index, step = nxt
 
@@ -348,17 +336,17 @@ class PlantRuntime:
             product.memory.record_completion(
                 step_index, step, MANUAL_STATION, self.engine.now
             )
-            self._log(run, "step_done", f"{step}@{MANUAL_STATION}")
-            self._operator_done(run)
+            self._log(product, "step_done", f"{step}@{MANUAL_STATION}")
+            self._operator_done(product)
 
         self.engine.schedule_after(
             round(self.cfg.manual_service_s * NS_PER_S), served, "factory"
         )
 
-    def _operator_done(self, run: _ProductRun) -> None:
+    def _operator_done(self, product: Product) -> None:
         self.manual_busy = False
-        run.state = "waiting"
-        self._advance(run)
+        product.state = ProductState.WAITING
+        self._advance(product)
 
     # -- robot -------------------------------------------------------------------
 
@@ -368,7 +356,7 @@ class PlantRuntime:
             return
         # a product completed since its job was queued (at the manual
         # station) no longer waits for the robot
-        while self.jobs and self.jobs[0].product_run.state == "done":
+        while self.jobs and self.jobs[0].state is ProductState.DONE:
             self.jobs.popleft()
         if not self.jobs:
             # Reposition to the home dock only once the line has drained, so
@@ -376,7 +364,7 @@ class PlantRuntime:
             if (
                 self.robot.carrier is None
                 and self.stats["released"]
-                and all(r.state == "done" for r in self.unfinished)
+                and all(p.state is ProductState.DONE for p in self.unfinished)
             ):
                 home = self.robot.home_island
                 if self.robot.pose == Hovering(home):
@@ -384,43 +372,30 @@ class PlantRuntime:
                 elif self.robot.pose != AtDock(home):
                     self._goto(home)
             return
-        job = self.jobs[0]
+        product = self.jobs[0]
         if self.robot.carrier is not None:
             # docking at the destination was refused earlier
-            if self.robot.pose == Hovering(job.destination):
-                self._try_dock(job.destination, then=lambda: self._unload(job))
+            if self.robot.pose == Hovering(product.destination):
+                self._try_dock(product.destination, then=lambda: self._unload(product))
             return
-        run = job.product_run
-        src = run.island
-        if src == MANUAL_STATION:
-            if not isinstance(self.robot.pose, AtManualStation):
-                self._goto(MANUAL_STATION)
-            elif run.state == "waiting":
-                run.state = "moving"
-                self._load(job)
-            return
-        if self.robot.pose == AtDock(src):
-            if run.state == "waiting":
-                self._load_from_island(job)
-            return
-        if self.robot.pose == Hovering(src):
+        src, pose = product.island, self.robot.pose
+        if pose == Hovering(src):
             self._try_dock(src)
-            return
-        self._goto(src)
-
-    def _current_node(self) -> str:
-        """Where a leg starts: the robot never starts one in transit."""
-        pose = self.robot.pose
-        if isinstance(pose, AtManualStation):
-            return MANUAL_STATION
-        return pose.island_id
+        elif pose != (AtManualStation() if src == MANUAL_STATION else AtDock(src)):
+            self._goto(src)
+        elif product.state is ProductState.BUSY:
+            pass  # on a conveyor or with the operator: loaded once it waits
+        elif src == MANUAL_STATION:
+            self._load(product)
+        else:
+            self._load_from_island(product)
 
     def _leg(self, dest: str, start) -> None:
         """Drive the robot from where it is to `dest`, undocking first when
         docked. At departure `start(origin, duration)` returns the action to
         run on arrival, after the robot is at the manual station or hovers
         at the island `dest`."""
-        origin = self._current_node()
+        origin = self.robot.pose.island_id  # a leg never starts in transit
 
         def depart() -> None:
             self.robot.pose = InTransit(origin, dest)
@@ -453,41 +428,39 @@ class PlantRuntime:
 
         self._leg(dest, lambda origin, duration: arrived)
 
-    def _carry(self, job: _RobotJob) -> None:
-        """A leg with the carrier aboard. A leg to an island inspects the
-        product at departure; a Fail verdict known on arrival diverts it to
-        the manual station instead of unloading."""
-        run = job.product_run
-        dest = job.destination
+    def _carry(self, product: Product) -> None:
+        """A leg with the carrier aboard to its destination. A leg to an
+        island inspects the product at departure; a Fail verdict known on
+        arrival diverts it to the manual station instead of unloading."""
+        dest = product.destination
 
         def start(origin: str, duration: SimTime):
-            self._log(run, "leg_start", f"{origin}->{dest}")
+            self._log(product, "leg_start", f"{origin}->{dest}")
             timed_out_verdict = None
             if dest != MANUAL_STATION:
-                timed_out_verdict = self._inspect(run, duration)
+                timed_out_verdict = self._inspect(product, duration)
 
             def arrived() -> None:
                 if timed_out_verdict is not None:
                     timed_out_verdict()
-                self._log(run, "leg_end", dest)
+                self._log(product, "leg_end", dest)
                 if dest == MANUAL_STATION:
-                    self._unload(job)
-                elif run.product.needs_rework:
-                    job.destination = MANUAL_STATION
-                    self._carry(job)
+                    self._unload(product)
+                elif product.needs_rework:
+                    product.destination = MANUAL_STATION
+                    self._carry(product)
                 else:
-                    self._try_dock(dest, then=lambda: self._unload(job))
+                    self._try_dock(dest, then=lambda: self._unload(product))
 
             return arrived
 
         self._leg(dest, start)
 
-    def _inspect(self, run: _ProductRun, duration: SimTime):
+    def _inspect(self, product: Product, duration: SimTime):
         """Photograph the carried product at departure and schedule its
         verdict after the cloud round trip. A round trip longer than the leg
         passes by default: the returned action records that verdict on
         arrival (None otherwise)."""
-        product = run.product
         outcome = inspect_in_transit(
             self.robot,
             product,
@@ -519,7 +492,7 @@ class PlantRuntime:
                 )
             )
             detail = "pass(timeout)" if outcome.timed_out else outcome.verdict.value
-            self._log(run, "verdict", detail)
+            self._log(product, "verdict", detail)
 
         if outcome.timed_out:
             return record
@@ -537,46 +510,41 @@ class PlantRuntime:
 
         self._timer(_ROBOT, round(self.cfg.dock_s * NS_PER_S), attempt)
 
-    def _load_from_island(self, job: _RobotJob) -> None:
-        run = job.product_run
-        dock_id = self.islands[run.island].dock_id
+    def _load_from_island(self, product: Product) -> None:
+        dock_id = self.islands[product.island].dock_id
         if not self.ready[dock_id]:
             return  # retry next tick
         # the robot waits on no timer while the product rides to the dock;
-        # dispatch then finds the product moving and leaves it alone
-        self._convey(run, dock_id, run.island, lambda: self._load(job))
+        # dispatch then finds the product busy and leaves it alone
+        self._convey(product, dock_id, product.island, lambda: self._load(product))
 
-    def _load(self, job: _RobotJob) -> None:
-        run = job.product_run
+    def _load(self, product: Product) -> None:
+        product.state = ProductState.BUSY
 
         def loaded() -> None:
-            self.robot.carrier = run.product
-            run.location = "robot"
-            run.state = "on_robot"
-            self._carry(job)
+            self.robot.carrier = product
+            product.location = "robot"
+            self._carry(product)
 
         self._timer(_ROBOT, round(self.cfg.load_s * NS_PER_S), loaded)
 
-    def _unload(self, job: _RobotJob) -> None:
-        run = job.product_run
-        dest = job.destination
-
+    def _unload(self, product: Product) -> None:
         def unloaded() -> None:
+            dest = product.destination
             self.robot.carrier = None
-            run.island = dest
-            run.pending_robot = False
+            product.island = dest
+            product.destination = None
             self.jobs.popleft()
             if dest == MANUAL_STATION:
-                run.location = MANUAL_STATION
-                run.state = "manual"
-                self.manual_queue.append(run)
+                product.location = MANUAL_STATION
+                self.manual_queue.append(product)
                 self.stats["manual_visits"] += 1
-                self._log(run, "manual_arrival", "")
+                self._log(product, "manual_arrival", "")
                 self._serve_manual()
             else:
-                run.location = self.islands[dest].dock_id
-                run.state = "waiting"
-                self._advance(run)
+                product.location = self.islands[dest].dock_id
+                product.state = ProductState.WAITING
+                self._advance(product)
 
         self._timer(_ROBOT, round(self.cfg.load_s * NS_PER_S), unloaded)
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from fablink.factory import (
@@ -15,6 +17,7 @@ from fablink.factory import (
     PrefixOrderViolation,
     Product,
     ProductMemory,
+    ProductState,
     QualityFlag,
     Robot,
     StationModule,
@@ -294,6 +297,45 @@ def test_membership_and_dock_readiness_follow_the_pose_at_every_tick(case):
     sim.run()
     assert ready_docks
     assert poses == {AtDock, Hovering, InTransit, AtManualStation}
+
+
+@pytest.mark.parametrize("case", ["plant", "fault_script", "short_transit",
+                                  "all_defective"])
+def test_a_products_job_place_and_state_agree_at_every_tick(case):
+    # the product is the one record of a product: a robot job is a product
+    # with a destination, the robot carries exactly the product whose place
+    # is the robot, and a product is done exactly when its completion is logged
+    sim = Simulation(scenario_from_dict(CASES[case]))
+    plant = sim.plant
+    tick = plant._tick
+    products: dict[str, Product] = {}
+    completed: Counter[str] = Counter()
+    logged = 0
+    states: set[ProductState] = set()
+
+    def checked_tick() -> None:
+        nonlocal logged
+        tick()
+        products.update((p.id, p) for p in plant.unfinished)
+        completed.update(e.product for e in sim.product_log[logged:]
+                         if e.event == "completed")
+        logged = len(sim.product_log)
+        queued = {id(p) for p in plant.jobs}
+        assert len(queued) == len(plant.jobs)  # one job per product
+        for product in products.values():
+            states.add(product.state)
+            done = product.state is ProductState.DONE
+            assert completed[product.id] == done, (sim.engine.now, product.id)
+            if done:
+                continue
+            assert (id(product) in queued) == (product.destination is not None)
+            on_robot = product.location == "robot"
+            assert (plant.robot.carrier is product) == on_robot, product.id
+
+    plant._tick = checked_tick
+    sim.run()
+    assert products and {ProductState.WAITING, ProductState.BUSY} <= states
+    assert (ProductState.DONE in states) == (plant.stats["completed"] > 0)
 
 
 # -- in-transit inspection ------------------------------------------------------------
