@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, islice
+from itertools import islice, tee
 from operator import sub
 from typing import Iterable, Sequence
 
 from .sim_core import NS_PER_MS, SimTime
-from .traffic import LOST, StreamClass, StreamRecords, TrafficProfile
+from .traffic import LOST, Records, StreamClass, StreamRecords, TrafficProfile
 
 
 @dataclass(frozen=True)
@@ -118,45 +118,94 @@ class StreamMetrics:
     availability: float | None
     survival_time_ns: SimTime
     availability_windows: int = 0
-    # the one-pass partial results `aggregate_metrics` merges; not written
-    fold: StreamFold | None = field(
-        default=None, repr=False, compare=False, metadata={"key": None})
 
 
-def percentile(sorted_values: list[int], pct: float) -> int:
-    """Nearest-rank percentile over a pre-sorted list."""
-    if not sorted_values:
+def percentile(columns: Sequence[Sequence[int]], pct: float) -> int:
+    """Nearest-rank percentile over sorted integer columns taken together: the
+    least value with `rank` values at or below it, found by bisecting values."""
+    sampled = [c for c in columns if c]
+    if not sampled:
         raise ValueError("no samples")
-    rank = max(1, math.ceil(pct / 100.0 * len(sorted_values)))
-    return sorted_values[rank - 1]
+    rank = max(1, math.ceil(pct / 100.0 * sum(map(len, sampled))))
+    values = range(min(c[0] for c in sampled), max(c[-1] for c in sampled) + 1)
+    return values[bisect_left(values, rank, key=lambda v: sum(
+        bisect_right(c, v) for c in sampled))]
+
+
+def _largest_gap(created: Iterable[SimTime]) -> SimTime | None:
+    """The largest gap between consecutive creation instants, if two exist."""
+    earlier, later = tee(created)
+    next(later, None)
+    return max(map(sub, later, earlier), default=None)
+
+
+def _metrics(stream: str, stream_class: StreamClass, sampled: list[tuple[int, int]],
+             lost_count: int, latencies: list[Sequence[SimTime]],
+             max_gap: SimTime | None, hit: bytearray,
+             horizon_ns: SimTime) -> StreamMetrics:
+    """Metrics of the records created within the horizon, given as (count, PDU
+    size) per stream that holds any, from the sorted latency columns of their
+    deliveries within it and the whole windows those deliveries hit."""
+    sample_count = sum(k for k, _ in sampled)
+    delivered = sum(map(len, latencies))
+    latency = LatencyStats(
+        min_ns=percentile(latencies, 0.0),
+        p50_ns=percentile(latencies, 50.0),
+        p99_ns=percentile(latencies, 99.0),
+        p999_ns=percentile(latencies, 99.9),
+        max_ns=percentile(latencies, 100.0),
+    ) if delivered else None
+    windows = horizon_ns // SURVIVAL_TIME_NS
+    bits = sum(k * size * 8 for k, size in sampled)
+    return StreamMetrics(
+        stream=stream,
+        stream_class=stream_class,
+        sample_count=sample_count,
+        delivered_count=delivered,
+        lost_count=lost_count,
+        in_flight_count=sample_count - delivered - lost_count,
+        observed_rate_bps=bits * 1e9 / horizon_ns if horizon_ns > 0 else 0.0,
+        size_min=min((size for _, size in sampled), default=None),
+        size_max=max((size for _, size in sampled), default=None),
+        latency=latency,
+        jitter_ns=None if latency is None else latency.p99_ns - latency.min_ns,
+        max_transfer_interval_ns=max_gap,
+        availability=hit.count(1) / windows if windows else None,
+        survival_time_ns=SURVIVAL_TIME_NS,
+        availability_windows=windows,
+    )
 
 
 @dataclass(slots=True)
 class StreamFold:
-    """One stream's records reduced in one pass: what its metrics need, and
-    what `aggregate_metrics` merges instead of re-reading the records. Only
-    records created within the horizon count."""
+    """One stream's records reduced in one pass: its metrics, and what
+    `aggregate_metrics` merges instead of re-reading the records."""
 
-    created: Sequence[SimTime]  # creation instants, in record order
-    lost_count: int
-    bits: int
-    size_min: int | None
-    size_max: int | None
-    latencies: Sequence[SimTime]  # of deliveries within the horizon, sorted
+    metrics: StreamMetrics
+    latencies: array  # of deliveries within the horizon, sorted
     hit: bytearray  # 1 per whole survival-time window holding a delivery
 
 
-def _fold(records: StreamRecords, size: int, horizon_ns: SimTime) -> StreamFold:
+def collect_stream_metrics(
+    stream: TrafficProfile, records: StreamRecords, horizon_ns: SimTime,
+) -> StreamFold:
+    """Fold one stream's record columns into its metrics and latency column.
+    The name, class and PDU size are the stream's, so they hold with no record
+    too. Only records created within the horizon count.
+
+    A packet whose delivery falls beyond the horizon counts as in flight:
+    neither delivered nor lost at the deadline. The transfer interval is the
+    sender-side gap between consecutive creations.
+    """
     # creation instants never decrease, so those within the horizon lead
     created = records.created
     n = bisect_right(created, horizon_ns)
-    created = created if n == len(created) else created[:n]
     latencies: list[SimTime] = []
     lost = 0
     hit = bytearray(horizon_ns // SURVIVAL_TIME_NS)
     # deliveries in the last, partial window count for no window
     windows_end = len(hit) * SURVIVAL_TIME_NS
-    for c, d in zip(created, records.delivered):
+    for c, d in zip(islice(created, n), records.delivered):
         if d == LOST:
             lost += 1
         elif d <= horizon_ns:
@@ -164,86 +213,36 @@ def _fold(records: StreamRecords, size: int, horizon_ns: SimTime) -> StreamFold:
             if d < windows_end:
                 hit[d // SURVIVAL_TIME_NS] = 1
     latencies.sort()
-    return StreamFold(
-        created=created,
-        lost_count=lost,
-        bits=n * size * 8,
-        size_min=size if n else None,
-        size_max=size if n else None,
-        latencies=array("q", latencies),
-        hit=hit,
-    )
-
-
-def _metrics(stream: str, stream_class: StreamClass, fold: StreamFold,
-             horizon_ns: SimTime) -> StreamMetrics:
-    created, latencies = fold.created, fold.latencies
-    latency = LatencyStats(
-        min_ns=latencies[0],
-        p50_ns=percentile(latencies, 50.0),
-        p99_ns=percentile(latencies, 99.0),
-        p999_ns=percentile(latencies, 99.9),
-        max_ns=latencies[-1],
-    ) if latencies else None
-    windows = horizon_ns // SURVIVAL_TIME_NS
-    return StreamMetrics(
-        stream=stream,
-        stream_class=stream_class,
-        sample_count=len(created),
-        delivered_count=len(latencies),
-        lost_count=fold.lost_count,
-        in_flight_count=len(created) - len(latencies) - fold.lost_count,
-        observed_rate_bps=fold.bits * 1e9 / horizon_ns if horizon_ns > 0 else 0.0,
-        size_min=fold.size_min,
-        size_max=fold.size_max,
-        latency=latency,
-        jitter_ns=None if latency is None else latency.p99_ns - latency.min_ns,
-        max_transfer_interval_ns=max(map(sub, islice(created, 1, None), created),
-                                     default=None),
-        availability=fold.hit.count(1) / windows if windows else None,
-        survival_time_ns=SURVIVAL_TIME_NS,
-        availability_windows=windows,
-    )
-
-
-def collect_stream_metrics(
-    stream: TrafficProfile, records: StreamRecords, horizon_ns: SimTime,
-) -> StreamMetrics:
-    """Fold one stream's record columns into scoring metrics. The name, class
-    and PDU size are the stream's, so they hold with no record too.
-
-    A packet whose delivery falls beyond the horizon counts as in flight:
-    neither delivered nor lost at the deadline. The transfer interval is the
-    sender-side gap between consecutive creations.
-    """
-    fold = _fold(records, stream.payload_bytes, horizon_ns)
-    metrics = _metrics(stream.name, stream.stream_class, fold, horizon_ns)
-    metrics.fold = fold
-    return metrics
+    column = array("q", latencies)
+    metrics = _metrics(stream.name, stream.stream_class,
+                       [(n, stream.payload_bytes)] if n else [], lost, [column],
+                       _largest_gap(islice(created, n)), hit, horizon_ns)
+    return StreamFold(metrics, column, hit)
 
 
 def aggregate_metrics(
-    streams: Iterable[StreamMetrics], horizon_ns: SimTime
+    folds: Sequence[StreamFold], records: Records, horizon_ns: SimTime
 ) -> StreamMetrics:
     """All streams merged into one pseudo-stream for aggregate assessments,
-    from the folds that `collect_stream_metrics` left on each stream's
-    metrics. The transfer interval is the largest gap between consecutive
-    creations across all streams."""
-    folds = [m.fold for m in streams]
-    sampled = [f for f in folds if f.created]
+    from the folds of `records.columns`, in that order: counts summed,
+    latency columns taken together and window hits OR-ed. The transfer
+    interval is the largest gap between consecutive creations across all
+    streams, read along the records' engine order, which puts every record
+    created within the horizon first."""
+    metrics = [f.metrics for f in folds]
+    n = sum(m.sample_count for m in metrics)
+    cursors = [iter(c.created) for c in records.columns]
+    created = map(next, map(cursors.__getitem__, islice(records.order, n)))
     hit = 0  # the streams' 0/1 window bytes, OR-ed as one integer
     for f in folds:
         hit |= int.from_bytes(f.hit, "little")
-    merged = StreamFold(
-        created=sorted(chain.from_iterable(f.created for f in folds)),
-        lost_count=sum(f.lost_count for f in folds),
-        bits=sum(f.bits for f in folds),
-        size_min=min((f.size_min for f in sampled), default=None),
-        size_max=max((f.size_max for f in sampled), default=None),
-        latencies=sorted(chain.from_iterable(f.latencies for f in folds)),
-        hit=bytearray(hit.to_bytes(horizon_ns // SURVIVAL_TIME_NS, "little")),
-    )
-    return _metrics("aggregate", StreamClass.NON_SAFETY_RELEVANT, merged, horizon_ns)
+    return _metrics(
+        "aggregate", StreamClass.NON_SAFETY_RELEVANT,
+        [(m.sample_count, p.payload_bytes)
+         for m, p in zip(metrics, records.streams) if m.sample_count],
+        sum(m.lost_count for m in metrics), [f.latencies for f in folds],
+        _largest_gap(created),
+        bytearray(hit.to_bytes(horizon_ns // SURVIVAL_TIME_NS, "little")), horizon_ns)
 
 
 # -- evaluation ----------------------------------------------------------------

@@ -243,11 +243,9 @@ def _built(path: str, make, *args):
 
 @cache
 def _schema(cls) -> list[tuple[str, Any, Any]]:
-    """(config key, field, resolved type) of each field, resolved once per class;
-    a field whose key is None is not part of the schema."""
+    """(config key, field, resolved type) of each field, resolved once per class."""
     hints = get_type_hints(cls)
-    return [(key, f, hints[f.name]) for f in fields(cls)
-            if (key := f.metadata.get("key", f.name)) is not None]
+    return [(f.metadata.get("key", f.name), f, hints[f.name]) for f in fields(cls)]
 
 
 def _parse(tp, value, path: str, meta) -> Any:
@@ -349,6 +347,8 @@ _SCRIPT_FIELD_READERS = {"endpoint": ("estop", "module_fault", "module_clear"),
 
 def _validate(scn: Scenario) -> None:
     r, t, s, f = scn.radio, scn.traffic, scn.safety, scn.factory
+    if scn.horizon_ns == 0:
+        _fail("horizon_s", f"must round to at least 1 ns, got {scn.horizon_s:g} s")
     model, wf = r.link_model(), r.waveform.value
     if (r.waveform, r.channel) not in model.bler_curves:
         _fail("radio.channel",

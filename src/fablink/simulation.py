@@ -714,12 +714,10 @@ class Simulation:
         of `self.streams`."""
         comp = self.scenario.compliance
         records = Records(self.streams, sources, merge_records(sources))
-        stream_metrics = {
-            p.name: compliance_mod.collect_stream_metrics(p, recs, self.horizon_ns)
-            for p, recs in zip(self.streams, sources)
-        }
-        aggregate = compliance_mod.aggregate_metrics(
-            stream_metrics.values(), self.horizon_ns)
+        folds = [compliance_mod.collect_stream_metrics(p, recs, self.horizon_ns)
+                 for p, recs in zip(self.streams, sources)]
+        aggregate = compliance_mod.aggregate_metrics(folds, records, self.horizon_ns)
+        stream_metrics = {f.metrics.stream: f.metrics for f in folds}
         report = ComplianceReport(service_area_m=comp.service_area_m)
         floor = comp.availability_sample_floor
         # in name order, the order `fablink check` reads them from metrics.json

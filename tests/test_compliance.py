@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import math
 import random
+from array import array
 from dataclasses import fields
-from itertools import pairwise
+from itertools import chain, pairwise
 
 import pytest
 
@@ -23,7 +25,7 @@ from fablink.compliance import (
     profile_by_name,
 )
 from fablink.sim_core import NS_PER_MS
-from fablink.traffic import PacketRecord, StreamClass, TrafficProfile
+from fablink.traffic import PacketRecord, Records, StreamClass, TrafficProfile
 from record_rows import columns, packet_rows
 
 
@@ -211,10 +213,29 @@ def test_improving_metrics_never_flips_pass_to_fail():
 
 def test_percentile_nearest_rank():
     values = list(range(1, 101))
-    assert percentile(values, 50.0) == 50
-    assert percentile(values, 99.0) == 99
-    assert percentile(values, 99.9) == 100
-    assert percentile([7], 99.9) == 7
+    assert percentile([values], 50.0) == 50
+    assert percentile([values], 99.0) == 99
+    assert percentile([values], 99.9) == 100
+    assert percentile([[7]], 99.9) == 7
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_percentile_over_sorted_columns_is_nearest_rank_on_their_union(seed):
+    rng = random.Random(seed)
+    # narrow value ranges repeat values within and across columns
+    columns = [sorted(rng.choices(range(-3, rng.choice([-2, 4, 1000, 10**9])),
+                                  k=rng.choice([0, 0, 1, 2, 7, 300])))
+               for _ in range(rng.randint(1, 6))]
+    columns = [array("q", c) if rng.random() < 0.5 else c for c in columns]
+    union = sorted(chain.from_iterable(columns))
+    if not union:
+        with pytest.raises(ValueError):
+            percentile(columns, 50.0)
+        return
+    for pct in (0.0, 0.1, 1.0, 50.0, 99.0, 99.9, 100.0, rng.uniform(0, 100)):
+        want = union[max(1, math.ceil(pct / 100.0 * len(union))) - 1]
+        assert percentile(columns, pct) == want, pct
+        assert percentile([union], pct) == want, pct
 
 
 def _stream(created_and_delivered, size=60, name="s",
@@ -236,7 +257,7 @@ def test_collect_stream_metrics_basics():
             (99 * NS_PER_MS, 101 * NS_PER_MS),  # delivers past the horizon
         ]
     )
-    m = collect_stream_metrics(stream, records, horizon)
+    m = collect_stream_metrics(stream, records, horizon).metrics
     assert m.sample_count == 5
     assert m.delivered_count == 3
     assert m.lost_count == 1
@@ -252,12 +273,13 @@ def test_collect_stream_metrics_basics():
 
 def test_aggregate_metrics_fold_all_streams():
     horizon = 10 * NS_PER_MS
-    streams = [
-        collect_stream_metrics(*_stream([row], size, name), horizon)
-        for name, row, size in (("a", (0, NS_PER_MS), 60),
-                                ("b", (NS_PER_MS, 2 * NS_PER_MS), 1400))
-    ]
-    m = aggregate_metrics(streams, horizon)
+    streams = [_stream([row], size, name)
+               for name, row, size in (("a", (0, NS_PER_MS), 60),
+                                       ("b", (NS_PER_MS, 2 * NS_PER_MS), 1400))]
+    folds = [collect_stream_metrics(p, recs, horizon) for p, recs in streams]
+    records = Records([p for p, _ in streams], [recs for _, recs in streams],
+                      array("I", [0, 1]))
+    m = aggregate_metrics(folds, records, horizon)
     assert m.stream == "aggregate"
     assert m.sample_count == 2
     assert m.size_min == 60 and m.size_max == 1400
@@ -293,11 +315,15 @@ def _reference_stream_metrics(stream, stream_class, records, horizon_ns):
     lost = sum(r.delivered_at is None for r in records)
     bits = sum(r.size_bytes * 8 for r in records)
     latencies = sorted(r.delivered_at - r.created_at for r in delivered)
+
+    def nearest_rank(pct):
+        return latencies[max(1, math.ceil(pct / 100.0 * len(latencies))) - 1]
+
     latency = LatencyStats(
         min_ns=latencies[0],
-        p50_ns=percentile(latencies, 50.0),
-        p99_ns=percentile(latencies, 99.0),
-        p999_ns=percentile(latencies, 99.9),
+        p50_ns=nearest_rank(50.0),
+        p99_ns=nearest_rank(99.0),
+        p999_ns=nearest_rank(99.9),
         max_ns=latencies[-1],
     ) if latencies else None
     windows = horizon_ns // window
@@ -360,8 +386,7 @@ def _random_run(rng, n_records, n_streams):
 
 def _assert_same_metrics(got, want):
     for f in fields(StreamMetrics):
-        if f.compare:  # every field but the fold
-            assert getattr(got, f.name) == getattr(want, f.name), f.name
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
 
 
 def _by_stream(records):
@@ -375,6 +400,18 @@ def _columns(records):
     return columns((r.created_at, r.sent_at, r.delivered_at) for r in records)
 
 
+def _folds_and_view(records, streams, horizon_ns):
+    """Each stream's fold, and a `Records` view of `records` whose engine
+    order is the list's own order."""
+    cols = {name: _columns(recs) for name, recs in _by_stream(records).items()}
+    folds = {name: collect_stream_metrics(streams[name], c, horizon_ns)
+             for name, c in cols.items()}
+    source = {name: k for k, name in enumerate(cols)}
+    view = Records([streams[name] for name in cols], list(cols.values()),
+                   array("I", (source[r.stream] for r in records)))
+    return folds, view
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_one_pass_fold_equals_multi_pass_reference(seed):
     rng = random.Random(seed)
@@ -386,27 +423,27 @@ def test_one_pass_fold_equals_multi_pass_reference(seed):
         0, 5 * NS_PER_MS, last // 2, last, last + 7 * NS_PER_MS,
         rng.randrange(last + 1),
     ])
-    groups = _by_stream(records)
-    got = {name: collect_stream_metrics(streams[name], _columns(recs), horizon_ns)
-           for name, recs in groups.items()}
-    for name, recs in groups.items():
-        _assert_same_metrics(got[name], _reference_stream_metrics(
+    folds, view = _folds_and_view(records, streams, horizon_ns)
+    for name, recs in _by_stream(records).items():
+        _assert_same_metrics(folds[name].metrics, _reference_stream_metrics(
             name, streams[name].stream_class, recs, horizon_ns))
-    _assert_same_metrics(aggregate_metrics(got.values(), horizon_ns),
+    _assert_same_metrics(aggregate_metrics(list(folds.values()), view, horizon_ns),
                          _reference_aggregate(records, horizon_ns))
 
 
 def test_fold_of_no_records_and_of_one():
     horizon = 100 * NS_PER_MS
     safety = StreamClass.SAFETY_RELEVANT
-    _assert_same_metrics(collect_stream_metrics(*_stream([]), horizon),
+    _assert_same_metrics(collect_stream_metrics(*_stream([]), horizon).metrics,
                          _reference_stream_metrics("s", safety, [], horizon))
-    _assert_same_metrics(aggregate_metrics([], horizon),
+    _assert_same_metrics(aggregate_metrics([], Records([], [], array("I")), horizon),
                          _reference_aggregate([], horizon))
     for delivered in (None, 2 * NS_PER_MS, 200 * NS_PER_MS):
         stream, records = _stream([(NS_PER_MS, delivered)])
         one = packet_rows(stream, records)
-        m = collect_stream_metrics(stream, records, horizon)
-        _assert_same_metrics(m, _reference_stream_metrics("s", safety, one, horizon))
-        _assert_same_metrics(aggregate_metrics([m], horizon),
+        fold = collect_stream_metrics(stream, records, horizon)
+        _assert_same_metrics(fold.metrics,
+                             _reference_stream_metrics("s", safety, one, horizon))
+        view = Records([stream], [records], array("I", [0]))
+        _assert_same_metrics(aggregate_metrics([fold], view, horizon),
                              _reference_aggregate(one, horizon))

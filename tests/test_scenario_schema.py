@@ -243,6 +243,8 @@ DEFECTS = {
     ),
     "horizon_inf": ({"horizon_s": math.inf}, "horizon_s"),
     "horizon_nan": ({"horizon_s": math.nan}, "horizon_s"),
+    "horizon_zero": ({"horizon_s": 0}, "horizon_s"),
+    "horizon_rounds_to_0_ns": ({"horizon_s": 4e-10}, "horizon_s"),
     "total_rate_inf": (
         {"traffic": {"total_rate_mbps": math.inf}}, "traffic.total_rate_mbps",
     ),
@@ -362,7 +364,7 @@ def test_dump_with_every_optional_part_reparses_to_an_equal_scenario():
 @pytest.mark.parametrize(
     "flag, value",
     [("--horizon", "inf"), ("--horizon", "nan"), ("--horizon", "-1"), ("--seed", "-1"),
-     ("--horizon", "1e300")],
+     ("--horizon", "1e300"), ("--horizon", "0")],
 )
 def test_cli_overrides_go_through_the_schema(tmp_path, capsys, flag, value):
     code = main(["run", flag, value, "--out", str(tmp_path / "out")])
