@@ -6,6 +6,9 @@ The matrix covers the radio and safety paths:
 * `default`: the default scenario at 10 s;
 * `jitter`: the same with `radio.jitter_us: 50`;
 * `lossy`: the same at 13 dB SNR, so safety PDUs are lost and retried;
+* `radio_overrides`: 30 s off every radio default: CP-OFDM on the V2V
+  channel at a 500 us TTI, other processing and wired delays, and BLER and
+  throughput anchors of its own, so about 0.7 % of wireless packets are lost;
 * `link_outage`: the default scenario at 10 s with a 50 ms `link_down`
   window that traffic and safety PDUs both lose packets to, a watchdog
   safe stop of `island1.loop` and its reset;
@@ -58,6 +61,21 @@ CASES: dict[str, dict] = {
     "default": {"horizon_s": 10.0},
     "jitter": {"horizon_s": 10.0, "radio": {"jitter_us": 50.0}},
     "lossy": {"horizon_s": 10.0, "radio": {"snr_db": 13.0}},
+    "radio_overrides": {
+        "horizon_s": 30.0,
+        "radio": {
+            "waveform": "CP-OFDM",
+            "channel": "V2V-Urban-NLOS",
+            "snr_db": 19.0,
+            "tti_us": 500,
+            "processing_delay_us": 50.0,
+            "wired_latency_us": 300.0,
+            "bler_anchors": {"CP-OFDM": {"V2V-Urban-NLOS": {
+                "anchors": [[16, 0.5], [22, 1e-4]], "floor": 1e-6, "tail_slope": 2}}},
+            "throughput_anchors": {"CP-OFDM": [[5, 0], [10, 4], [20, 8]]},
+        },
+        "factory": {"releases": {"count": 3, "interval_s": 5.0}},
+    },
     "link_outage": {
         "horizon_s": 10.0,
         "script": [
