@@ -26,7 +26,7 @@ from collections.abc import Collection
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .radio_link import LinkConfig, LinkModel
+from .radio_link import LinkRuntime
 from .sim_core import RngStream, SimTime
 
 MANUAL_STATION = "manual"
@@ -311,8 +311,7 @@ class InspectionOutcome:
 def inspect_in_transit(
     robot: Robot,
     product: Product,
-    link_model: LinkModel,
-    link_config: LinkConfig,
+    link: LinkRuntime,
     rng: RngStream,
     now: SimTime,
     transit_duration_ns: SimTime,
@@ -325,16 +324,15 @@ def inspect_in_transit(
     verdict.
 
     The round trip is image upload + inference + verdict return over the
-    link. When it exceeds the transit duration the verdict cannot influence
-    this leg: the product passes by default, flagged as timed out. The
+    link, each leg the link's lossless `latency`. When it exceeds the transit
+    duration the verdict cannot influence this leg: the product passes by
+    default, flagged as timed out. The
     defect draw is consumed either way so draw sequences stay stable.
     """
     if not isinstance(robot.pose, InTransit) or robot.carrier is not product:
         raise ValueError("inspection runs only in transit with the product aboard")
-    upload = link_model.one_way_latency(link_config, now, image_bytes)
-    verdict_return = link_model.one_way_latency(
-        link_config, now + upload + inference_ns, verdict_bytes
-    )
+    upload = link.latency(now, image_bytes)
+    verdict_return = link.latency(now + upload + inference_ns, verdict_bytes)
     cloud_rtt = upload + inference_ns + verdict_return
     failed = rng.random() < defect_probability
     if cloud_rtt > transit_duration_ns:

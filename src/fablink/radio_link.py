@@ -5,9 +5,9 @@ configured TTI is the scheduling granularity, and its boundaries are whole
 multiples of its duration from t = 0. BLER-vs-SNR behaviour is anchored at
 measured points per (waveform, channel) pair and interpolated log-linearly
 (linear in log10 BLER over dB). Throughput uses monotone piecewise-linear
-interpolation over SNR anchors. One-way latency composes TTI alignment, air
-time and processing delay; a run sends every wireless packet through one
-`LinkRuntime`.
+interpolation over SNR anchors. `RadioSection`, the config's `radio` section,
+is the one operating point; a run's one `LinkRuntime` sends every wireless
+packet at it, composing TTI alignment, air time and processing delay.
 """
 
 from __future__ import annotations
@@ -15,13 +15,13 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Iterable
 
-from .sim_core import NS_PER_S, RngStream, SimTime
+from .sim_core import NS_PER_S, NS_PER_US, RngStream, SimTime
 
 
 class Waveform(Enum):
@@ -43,27 +43,9 @@ DEFAULT_TAIL_SLOPE_DECADES_PER_DB = 1.0
 SUPPORTED_TTI_US = (125, 250, 500, 1000)
 
 
-@dataclass(frozen=True)
-class TtiConfig:
-    """Scheduling granularity of the radio interface."""
-
-    tti_us: int = 125
-
-    def __post_init__(self):
-        if self.tti_us not in SUPPORTED_TTI_US:
-            raise ValueError(
-                f"TTI must be one of {SUPPORTED_TTI_US} us, got {self.tti_us}"
-            )
-
-    @property
-    def duration_ns(self) -> int:
-        return self.tti_us * 1_000
-
-
-def next_tx_opportunity(now: SimTime, tti: TtiConfig) -> SimTime:
+def next_tx_opportunity(now: SimTime, tti_ns: int) -> SimTime:
     """Smallest TTI boundary t >= now. Idempotent on its own output."""
-    d = tti.duration_ns
-    return ((now + d - 1) // d) * d
+    return ((now + tti_ns - 1) // tti_ns) * tti_ns
 
 
 class UnknownCurve(KeyError):
@@ -180,21 +162,6 @@ class ThroughputCurve:
         return r0 + t * (r1 - r0)
 
 
-@dataclass(frozen=True)
-class LinkConfig:
-    """Operating point of the radio link."""
-
-    waveform: Waveform = Waveform.P_OFDM
-    channel: str = EVA70
-    snr_db: float = 15.0
-    tti: TtiConfig = TtiConfig(125)
-    processing_delay_ns: int = 100_000  # per direction
-
-    def __post_init__(self):
-        if self.processing_delay_ns < 0:
-            raise ValueError("processing delay must be >= 0")
-
-
 def availability(bler: float, opportunities_in_survival_time: int) -> float:
     """Probability that at least one of k consecutive transmission
     opportunities inside the survival time succeeds: 1 - bler^k.
@@ -210,9 +177,58 @@ def availability(bler: float, opportunities_in_survival_time: int) -> float:
     return 1.0 - bler**k
 
 
+@dataclass
+class BlerSpec:
+    # [[snr_db, bler], ...]
+    anchors: list[tuple[float, float]] = field(metadata={"min_len": 2})
+    floor: float = field(default=0.0, metadata={"ge": 0, "le": 1})
+    # decades per dB beyond the anchors, falling as SNR rises
+    tail_slope: float | None = field(default=None, metadata={"gt": 0})
+
+
+@dataclass
+class RadioSection:
+    """The radio link's operating point. It is also the schema of the config's
+    `radio` section: its fields, in this order, with their defaults and
+    bounds. `LinkModel` and `LinkRuntime` read it as it is."""
+
+    waveform: Waveform = Waveform.P_OFDM
+    channel: str = EVA70
+    snr_db: float = 15.0
+    tti_us: int = field(default=125, metadata={"choices": SUPPORTED_TTI_US})
+    processing_delay_us: float = field(default=100.0, metadata={"ge": 0})  # one way
+    wired_latency_us: float = field(default=200.0, metadata={"ge": 0})
+    jitter_us: float = field(default=0.0, metadata={"ge": 0})
+    # overrides by waveform (and channel): a BLER spec, or [[snr_db, Mbit/s], ...]
+    bler_anchors: dict[Waveform, dict[str, BlerSpec]] | None = None
+    throughput_anchors: dict[Waveform, list[tuple[float, float]]] | None = None
+
+    def link_model(self) -> LinkModel:
+        """The shipped curves with this section's overrides in place. A bad
+        override raises ValueError, its message led by the override's key."""
+        model = default_link_model()  # a fresh copy, so overrides go in place
+        for wf, channels in (self.bler_anchors or {}).items():
+            for channel, spec in channels.items():
+                model.bler_curves[wf, channel] = _curve(
+                    f"bler_anchors.{wf.value}.{channel}", BlerCurve,
+                    tuple(spec.anchors), spec.floor, spec.tail_slope)
+        for wf, anchors in (self.throughput_anchors or {}).items():
+            model.throughput_curves[wf] = _curve(
+                f"throughput_anchors.{wf.value}", ThroughputCurve,
+                tuple((s, m * 1e6) for s, m in anchors))
+        return model
+
+
+def _curve(key: str, make, *args):
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
 class LinkModel:
     """Holds the configured BLER and throughput anchor tables and evaluates
-    link operations against a LinkConfig."""
+    link operations at a radio section's operating point."""
 
     def __init__(
         self,
@@ -230,41 +246,32 @@ class LinkModel:
                 f"no BLER anchors for ({waveform.value}, {channel})"
             ) from None
 
-    def bler(self, config: LinkConfig) -> float:
-        return self.bler_curve(config.waveform, config.channel).bler(config.snr_db)
+    def bler(self, radio: RadioSection) -> float:
+        return self.bler_curve(radio.waveform, radio.channel).bler(radio.snr_db)
 
-    def throughput(self, config: LinkConfig) -> float:
+    def throughput(self, radio: RadioSection) -> float:
         """Sustained rate in bit/s at the configured SNR."""
         try:
-            curve = self.throughput_curves[config.waveform]
+            curve = self.throughput_curves[radio.waveform]
         except KeyError:
             raise UnknownCurve(
-                f"no throughput anchors for {config.waveform.value}"
+                f"no throughput anchors for {radio.waveform.value}"
             ) from None
-        return curve.rate_bps(config.snr_db)
+        return curve.rate_bps(radio.snr_db)
 
-    def air_time_ns(self, config: LinkConfig, payload_bytes: int) -> int:
+    def air_time_ns(self, radio: RadioSection, payload_bytes: int) -> int:
         """Transmission time: whole TTI-sized slots at the current rate."""
         if payload_bytes <= 0:
             raise ValueError("payload_bytes must be > 0")
-        rate = self.throughput(config)
+        rate = self.throughput(radio)
         if rate <= 0.0:
             raise RateUnavailable(
-                f"throughput is zero at {config.snr_db} dB SNR"
+                f"throughput is zero at {radio.snr_db} dB SNR"
             )
-        tti_ns = config.tti.duration_ns
+        tti_ns = radio.tti_us * NS_PER_US
         bits_per_slot = Fraction(rate) * Fraction(tti_ns, NS_PER_S)
         slots = math.ceil(Fraction(payload_bytes * 8) / bits_per_slot)
         return slots * tti_ns
-
-    def one_way_latency(
-        self, config: LinkConfig, now: SimTime, payload_bytes: int
-    ) -> int:
-        """Alignment wait to the next TTI boundary + air time + processing."""
-        start = next_tx_opportunity(now, config.tti)
-        return (start - now) + self.air_time_ns(config, payload_bytes) + (
-            config.processing_delay_ns
-        )
 
 
 Sender = Callable[[SimTime], tuple[SimTime, SimTime | None]]
@@ -272,33 +279,40 @@ Sender = Callable[[SimTime], tuple[SimTime, SimTime | None]]
 
 class LinkRuntime:
     """The link a run sends every wireless packet through, traffic and safety
-    PDUs alike. Its timeline is the script's link actions, `(at, up)` sorted
-    by time (script order within an instant): `up_at(t)` is the state the
-    last one at or before `t` left, up before the first. Each stream sends
-    through its own `sender`, and draws jitter from `jitter.<stream>`."""
+    PDUs alike, at `radio`'s operating point. Its timeline is the script's
+    link actions, `(at, up)` sorted by time (script order within an instant):
+    `up_at(t)` is the state the last one at or before `t` left, up before the
+    first. Each stream sends through its own `sender`, and draws jitter from
+    `jitter.<stream>`."""
 
     def __init__(
         self,
         model: LinkModel,
-        config: LinkConfig,
-        jitter_ns: int,
+        radio: RadioSection,
         streams: Callable[[str], RngStream],
         timeline: Iterable[tuple[SimTime, bool]] = (),
     ):
         self.model = model
-        self.config = config
-        self.jitter_ns = jitter_ns
-        self.bler = model.bler(config)
+        self.tti_ns = radio.tti_us * NS_PER_US
+        self.jitter_ns = round(radio.jitter_us * NS_PER_US)
+        self.bler = model.bler(radio)
         # sorted is stable, so script order holds within an instant
         self.timeline = sorted(timeline, key=itemgetter(0))
         self._streams = streams
+        processing_ns = round(radio.processing_delay_us * NS_PER_US)
         # air time plus processing per payload size, on its first delivery
         self._air_proc_ns = functools.cache(
-            lambda size: model.air_time_ns(config, size) + config.processing_delay_ns)
+            lambda size: model.air_time_ns(radio, size) + processing_ns)
 
     def up_at(self, t: SimTime) -> bool:
         i = bisect.bisect_right(self.timeline, t, key=itemgetter(0))
         return i == 0 or self.timeline[i - 1][1]
+
+    def latency(self, now: SimTime, size: int) -> SimTime:
+        """The one-way latency of a `size`-byte packet offered at `now`, as if
+        it were delivered at its first attempt without jitter: the wait for
+        the next TTI boundary, then air time plus processing."""
+        return next_tx_opportunity(now, self.tti_ns) - now + self._air_proc_ns(size)
 
     def sender(self, stream: str, size: int, rng: RngStream) -> Sender:
         """`send(now)`: one attempt at `now` for `stream`'s `size`-byte packets,
@@ -306,7 +320,7 @@ class LinkRuntime:
         processing (one link-model call per distinct size) and jitter stream
         resolved once. A down link or a BLER of zero makes no draw; otherwise
         the packet is lost iff `rng.random() < bler`."""
-        tti, bler, draw = self.config.tti, self.bler, rng.random
+        tti, bler, draw = self.tti_ns, self.bler, rng.random
         up_at, jitter_ns = self.up_at if self.timeline else None, self.jitter_ns
         jitter = self._streams(f"jitter.{stream}").uniform if jitter_ns > 0 else None
         air_proc = None

@@ -228,7 +228,7 @@ def resolve_channel(
     # (stream, its sender, its records) per direction, up first
     directions = [(p.name, link.sender(p.name, p.payload_bytes, rng), records)
                   for p, records in zip(streams, (up, down))]
-    tti = link.config.tti.duration_ns
+    tti = link.tti_ns
     delivered, missed = [], []
     starts = list(emission_times(streams[0].rate_hz, horizon))
     at, stream, retried_to, retries = 0, "", None, 0

@@ -1,13 +1,14 @@
 """Scenario configuration: schema, defaults, YAML load/dump and validation.
 
-The section dataclasses, with `traffic.TrafficProfile` for a catalog row,
-are the one description of the YAML format: one walker reads their type
-hints and per-field bounds to parse, check and dump it (and `metrics.json`,
-from `artifacts.MetricsDocument`). Unknown
-and duplicated keys are rejected, a bool is never a number, an enum is read
-and written by value, every error names its field (e.g.
-`factory.islands[1].capabilities[0]`), checks that span fields run at load
-time, and a dumped config re-parses to an equal scenario.
+The section dataclasses, with `radio_link.RadioSection` for the radio
+section and `traffic.TrafficProfile` for a catalog row, are the one
+description of the YAML format: one walker reads their type hints and
+per-field bounds to parse, check and dump it (and `metrics.json`, from
+`artifacts.MetricsDocument`). Unknown and duplicated keys are rejected, a
+bool is never a number, an enum is read and written by value, every error
+names its field (e.g. `factory.islands[1].capabilities[0]`), checks that
+span fields run at load time, and a dumped config re-parses to an equal
+scenario.
 """
 
 from __future__ import annotations
@@ -22,12 +23,9 @@ from typing import Any, get_args, get_origin, get_type_hints
 
 import yaml
 
-from .radio_link import (
-    SUPPORTED_TTI_US, BlerCurve, LinkConfig, LinkModel, ThroughputCurve, TtiConfig,
-    Waveform, default_link_model,
-)
+from .radio_link import RadioSection
 from .safety import SensorKind
-from .sim_core import NS_PER_MS, NS_PER_S, NS_PER_US
+from .sim_core import NS_PER_MS, NS_PER_S
 from .traffic import (
     DEFAULT_CAMERA_PACKET_BYTES, DEFAULT_CAMERA_SHARES, MEASURED_ROWS,
     MEASURED_TOTAL_RATE_BPS, SAFETY_STREAMS, Pattern, StreamClass, TrafficProfile,
@@ -45,45 +43,6 @@ def _f(default=MISSING, *, factory=MISSING, key=None, **bounds):
     inside it, and its config key if not the attribute name."""
     meta = dict(bounds, key=key) if key else bounds
     return field(default=default, default_factory=factory, metadata=meta)
-
-
-@dataclass
-class BlerSpec:
-    anchors: list[tuple[float, float]] = _f(min_len=2)  # [[snr_db, bler], ...]
-    floor: float = _f(0.0, ge=0, le=1)
-    tail_slope: float | None = None  # decades per dB beyond the anchors
-
-
-@dataclass
-class RadioSection:
-    waveform: Waveform = Waveform.P_OFDM
-    channel: str = "EVA70"
-    snr_db: float = 15.0
-    tti_us: int = _f(125, choices=SUPPORTED_TTI_US)  # the one TTI setting
-    processing_delay_us: float = _f(100.0, ge=0)
-    wired_latency_us: float = _f(200.0, ge=0)
-    jitter_us: float = _f(0.0, ge=0)
-    # overrides by waveform (and channel): a BLER spec, or [[snr_db, Mbit/s], ...]
-    bler_anchors: dict[Waveform, dict[str, BlerSpec]] | None = None
-    throughput_anchors: dict[Waveform, list[tuple[float, float]]] | None = None
-
-    def link_config(self) -> LinkConfig:
-        return LinkConfig(
-            self.waveform, self.channel, self.snr_db, TtiConfig(self.tti_us),
-            processing_delay_ns=round(self.processing_delay_us * NS_PER_US))
-
-    def link_model(self) -> LinkModel:
-        model = default_link_model()  # a fresh copy, so overrides go in place
-        for wf, channels in (self.bler_anchors or {}).items():
-            for channel, spec in channels.items():
-                model.bler_curves[wf, channel] = _built(
-                    f"radio.bler_anchors.{wf.value}.{channel}", BlerCurve,
-                    tuple(spec.anchors), spec.floor, spec.tail_slope)
-        for wf, anchors in (self.throughput_anchors or {}).items():
-            model.throughput_curves[wf] = _built(
-                f"radio.throughput_anchors.{wf.value}", ThroughputCurve,
-                tuple((s, m * 1e6) for s, m in anchors))
-        return model
 
 
 @dataclass
@@ -349,13 +308,17 @@ def _validate(scn: Scenario) -> None:
     r, t, s, f = scn.radio, scn.traffic, scn.safety, scn.factory
     if scn.horizon_ns == 0:
         _fail("horizon_s", f"must round to at least 1 ns, got {scn.horizon_s:g} s")
-    model, wf = r.link_model(), r.waveform.value
+    try:
+        model = r.link_model()
+    except ValueError as exc:  # led by the override's key within radio
+        raise ConfigInvalid(f"radio.{exc}") from None
+    wf = r.waveform.value
     if (r.waveform, r.channel) not in model.bler_curves:
         _fail("radio.channel",
               f"no BLER anchors for {r.channel!r} with radio.waveform {wf!r}")
     if r.waveform not in model.throughput_curves:
         _fail("radio.waveform", f"no throughput anchors for {wf!r}")
-    if model.throughput(r.link_config()) <= 0:
+    if model.throughput(r) <= 0:
         _fail("radio.snr_db", f"throughput is zero at {r.snr_db:g} dB")
     if t.catalog == "measured" and abs(sum(t.camera_shares.values()) - 1.0) > 1e-9:
         _fail("traffic.camera_shares", "shares must sum to 1")

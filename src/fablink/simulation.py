@@ -464,8 +464,7 @@ class PlantRuntime:
         outcome = inspect_in_transit(
             self.robot,
             product,
-            self.sim.link_model,
-            self.sim.link_config,
+            self.sim.link,
             self.rng_inspect,
             self.engine.now,
             duration,
@@ -599,13 +598,11 @@ class Simulation:
         self.engine = Engine(seed=scenario.seed)
         self.horizon_ns = scenario.horizon_ns
         self.link_model = scenario.radio.link_model()
-        self.link_config = scenario.radio.link_config()
         self.wired_latency_ns = round(scenario.radio.wired_latency_us * NS_PER_US)
-        jitter_ns = round(scenario.radio.jitter_us * NS_PER_US)
         timeline = [(round(a.at_s * NS_PER_S), a.action == "link_up")
                     for a in scenario.script if a.action in ("link_down", "link_up")]
-        self.link = LinkRuntime(self.link_model, self.link_config, jitter_ns,
-                                self.engine.stream, timeline)
+        self.link = LinkRuntime(self.link_model, scenario.radio, self.engine.stream,
+                                timeline)
         self.product_log: list[ProductEvent] = []
         # the run's streams: the safety channel's pair, when it runs, leads
         # the catalog's other rows in catalog order, the merge's source order

@@ -6,8 +6,9 @@ checks.
 section and every script action: 1 to 4 islands with random capabilities
 and a recipe over them, the manual station on or off, defects in
 {0, 0.3, 1}, plant times with 0 among them, releases, the safety channel on
-or off, a measured, explicit or empty traffic catalog, radio SNR, TTI and
-jitter, and scripts of every action.
+or off, a measured, explicit or empty traffic catalog, every radio setting
+(BLER and throughput curves of its own included), and scripts of every
+action.
 
 Each field is drawn to pass its own schema bound. `defect_probability` is
 drawn independently of `manual_station`, so a config may still be
@@ -61,15 +62,23 @@ def random_scenario(
 
 
 def _radio(rng: random.Random) -> dict:
-    return {
+    radio = {
         "waveform": rng.choice(["P-OFDM", "CP-OFDM"]),
-        "channel": "EVA70",
+        "channel": rng.choice(["EVA70", "EVA70", "V2V-Urban-NLOS"]),
         "snr_db": rng.choice([11.0, 13.0, 15.0, 20.0]),
         "tti_us": rng.choice(SUPPORTED_TTI_US),
         "processing_delay_us": rng.choice([0.0, 100.0]),
         "wired_latency_us": rng.choice([0.0, 200.0]),
         "jitter_us": rng.choice([0.0, 0.0, 50.0]),
     }
+    if rng.random() < 0.3:  # curves of its own at the drawn operating point
+        spec = {"anchors": [[rng.choice([8.0, 12.0]), 0.5], [18.0, 1e-4]],
+                "floor": rng.choice([0.0, 1e-6]),
+                "tail_slope": rng.choice([0.5, 2.0])}
+        radio["bler_anchors"] = {radio["waveform"]: {radio["channel"]: spec}}
+        radio["throughput_anchors"] = {
+            radio["waveform"]: [[5.0, 0.0], [10.0, rng.choice([2.0, 4.0])], [20.0, 8.0]]}
+    return radio
 
 
 def _traffic(rng: random.Random) -> dict:

@@ -16,11 +16,10 @@ from fablink.radio_link import (
     EVA70,
     V2V_URBAN_NLOS,
     BlerCurve,
-    LinkConfig,
     LinkModel,
     LinkRuntime,
+    RadioSection,
     ThroughputCurve,
-    TtiConfig,
     WAVEFORM_GAP_DB,
     Waveform,
     availability,
@@ -95,8 +94,8 @@ def test_criterion_1_traffic_reproduction(default_run):
 @criterion(2, "link anchor pass-through, waveform gap, throughput anchor")
 def test_criterion_2_link_anchors():
     model = default_link_model()
-    assert model.bler(LinkConfig(snr_db=15.0)) == 1e-5
-    assert model.bler(LinkConfig(channel=V2V_URBAN_NLOS, snr_db=19.0)) == 1e-5
+    assert model.bler(RadioSection(snr_db=15.0)) == 1e-5
+    assert model.bler(RadioSection(channel=V2V_URBAN_NLOS, snr_db=19.0)) == 1e-5
     # the waveform gap: CP-OFDM needs 1.7 dB more SNR than P-OFDM for 1e-5,
     # and for every BLER of the sweep
     assert WAVEFORM_GAP_DB == 1.7
@@ -106,7 +105,7 @@ def test_criterion_2_link_anchors():
         assert cp.bler(s_1e5 + WAVEFORM_GAP_DB) == 1e-5, channel
         for s in (s_1e5 + x / 2 for x in range(-12, 9)):
             assert cp.bler(s + 1.7) == pytest.approx(p.bler(s)), (channel, s)
-    assert model.throughput(LinkConfig(snr_db=11.0)) == 10e6
+    assert model.throughput(RadioSection(snr_db=11.0)) == 10e6
 
 
 @criterion(3, "sampling fidelity and survival-time availability formula")
@@ -116,7 +115,7 @@ def test_criterion_3_sampling_and_availability():
         {Waveform.P_OFDM: ThroughputCurve(((0.0, 10e6),))},
     )
     rng = RngStream(42, "acceptance.sampling")
-    link = LinkRuntime(model, LinkConfig(), 0, Engine().stream)
+    link = LinkRuntime(model, RadioSection(), Engine().stream)
     send = link.sender("sampling", 60, rng)
     delivered = sum(send(0)[1] is not None for _ in range(1_000_000))
     assert abs(delivered / 1_000_000 - 0.5) <= 0.002
@@ -130,17 +129,18 @@ def test_criterion_3_sampling_and_availability():
 @criterion(4, "slot timing, alignment idempotence, sub-ms round trip")
 def test_criterion_4_timing_math():
     # the slot durations a run schedules at
-    assert [TtiConfig(us).duration_ns for us in (1000, 500, 250, 125)] == [
+    links = {us: LinkRuntime(default_link_model(), RadioSection(
+        snr_db=11.0, tti_us=us, processing_delay_us=0.0), Engine().stream)
+        for us in (1000, 500, 250, 125)}
+    assert [link.tti_ns for link in links.values()] == [
         NS_PER_MS, NS_PER_MS // 2, NS_PER_MS // 4, NS_PER_MS // 8]
     rng = random.Random(4)
     for _ in range(10_000):
-        tti = TtiConfig(rng.choice((125, 250, 500, 1000)))
+        tti = rng.choice(list(links.values())).tti_ns
         t = next_tx_opportunity(rng.randrange(0, 10**10), tti)
         assert next_tx_opportunity(t, tti) == t
-    model = default_link_model()
-    config = LinkConfig(snr_db=11.0, tti=TtiConfig(125), processing_delay_ns=0)
-    leg1 = model.one_way_latency(config, 0, 60)
-    leg2 = model.one_way_latency(config, leg1, 60)
+    leg1 = links[125].latency(0, 60)
+    leg2 = links[125].latency(leg1, 60)
     assert leg1 + leg2 <= NS_PER_MS
 
 
@@ -163,9 +163,9 @@ def _random_outage_trips(seed, outages, watchdog_ns, horizon):
     outage windows take down, the timeline the script's link_down / link_up
     make: its records as rows, and its watchdog's trip instants."""
     model = default_link_model()
-    config = LinkConfig(snr_db=15.0, tti=TtiConfig(125))
-    model.bler_curves[config.waveform, config.channel] = BlerCurve.constant(0.0)
-    link = LinkRuntime(model, config, 0, lambda name: RngStream(seed, name),
+    radio = RadioSection(snr_db=15.0, tti_us=125)
+    model.bler_curves[radio.waveform, radio.channel] = BlerCurve.constant(0.0)
+    link = LinkRuntime(model, radio, lambda name: RngStream(seed, name),
                        _outage_timeline(outages))
     pair = SafetySection().channel_streams([])
     up, down, delivered, missed, _ = resolve_channel(

@@ -27,10 +27,10 @@ from fablink.factory import (
     plan_route,
     readiness,
 )
-from fablink.radio_link import LinkConfig, TtiConfig, default_link_model
+from fablink.radio_link import LinkRuntime, RadioSection, default_link_model
 from fablink.safety import LoopState, SafetyLoop, SafetyManager
 from fablink.scenario import scenario_from_dict
-from fablink.sim_core import RngStream
+from fablink.sim_core import Engine, RngStream
 from fablink.simulation import Simulation
 from test_golden import CASES
 
@@ -345,18 +345,23 @@ def _transit_robot(product) -> Robot:
     return Robot(pose=InTransit("island1", "island2"), carrier=product)
 
 
+def _link() -> LinkRuntime:
+    """10 Mbit/s at a 125 us TTI with no processing delay."""
+    radio = RadioSection(snr_db=11.0, tti_us=125, processing_delay_us=0.0)
+    return LinkRuntime(default_link_model(), radio, Engine().stream)
+
+
 def test_inspection_defect_probability_extremes():
-    model = default_link_model()
-    config = LinkConfig(snr_db=11.0, tti=TtiConfig(125), processing_delay_ns=0)
+    link = _link()
     product = make_product(completed=2)
     transit = 6_000_000_000
     passes = inspect_in_transit(
-        _transit_robot(product), product, model, config, RngStream(1, "i"),
+        _transit_robot(product), product, link, RngStream(1, "i"),
         0, transit, 2_000_000, 200_000_000, defect_probability=0.0,
     )
     assert passes.verdict is Verdict.PASS and not passes.timed_out
     fails = inspect_in_transit(
-        _transit_robot(product), product, model, config, RngStream(1, "i"),
+        _transit_robot(product), product, link, RngStream(1, "i"),
         0, transit, 2_000_000, 200_000_000, defect_probability=1.0,
     )
     assert fails.verdict is Verdict.FAIL
@@ -365,25 +370,18 @@ def test_inspection_defect_probability_extremes():
 def test_inspection_cloud_rtt_arithmetic():
     # oracle: 2 MB at 10 Mbit/s uploads in 1.6 s, plus 200 ms inference,
     # plus the one-slot verdict return
-    model = default_link_model()
-    config = LinkConfig(snr_db=11.0, tti=TtiConfig(125), processing_delay_ns=0)
     product = make_product(completed=2)
     outcome = inspect_in_transit(
-        _transit_robot(product), product, model, config, RngStream(1, "i"),
+        _transit_robot(product), product, _link(), RngStream(1, "i"),
         0, 6_000_000_000, 2_000_000, 200_000_000, defect_probability=0.0,
     )
-    upload = model.one_way_latency(config, 0, 2_000_000)
-    back = model.one_way_latency(config, upload + 200_000_000, 100)
-    assert upload == 1_600_000_000
-    assert outcome.cloud_rtt_ns == upload + 200_000_000 + back
+    assert outcome.cloud_rtt_ns == 1_600_000_000 + 200_000_000 + 125_000
 
 
 def test_inspection_timeout_passes_by_default_with_flag():
-    model = default_link_model()
-    config = LinkConfig(snr_db=11.0, tti=TtiConfig(125), processing_delay_ns=0)
     product = make_product(completed=2)
     outcome = inspect_in_transit(
-        _transit_robot(product), product, model, config, RngStream(1, "i"),
+        _transit_robot(product), product, _link(), RngStream(1, "i"),
         0, 1_000_000_000, 2_000_000, 200_000_000, defect_probability=1.0,
     )
     assert outcome.timed_out
@@ -392,12 +390,10 @@ def test_inspection_timeout_passes_by_default_with_flag():
 
 
 def test_inspection_requires_transit_with_carrier():
-    model = default_link_model()
-    config = LinkConfig(snr_db=11.0)
     product = make_product()
     with pytest.raises(ValueError):
         inspect_in_transit(
-            Robot(pose=AtDock("island1"), carrier=product), product, model,
-            config, RngStream(1, "i"), 0, 10**9, 100, 0, 0.0,
+            Robot(pose=AtDock("island1"), carrier=product), product, _link(),
+            RngStream(1, "i"), 0, 10**9, 100, 0, 0.0,
         )
 

@@ -9,12 +9,11 @@ from fablink.radio_link import (
     EVA70,
     V2V_URBAN_NLOS,
     BlerCurve,
-    LinkConfig,
     LinkModel,
     LinkRuntime,
+    RadioSection,
     RateUnavailable,
     ThroughputCurve,
-    TtiConfig,
     UnknownCurve,
     WAVEFORM_GAP_DB,
     Waveform,
@@ -25,22 +24,18 @@ from fablink.radio_link import (
 from fablink.sim_core import NS_PER_US, Engine, RngStream
 
 
-def cfg(**kwargs) -> LinkConfig:
-    return LinkConfig(**kwargs)
-
-
 # -- BLER anchors and interpolation -------------------------------------------
 
 
 def test_bler_anchor_pass_through_is_exact():
     model = default_link_model()
-    assert model.bler(cfg(snr_db=15.0)) == 1e-5
-    assert model.bler(cfg(channel=V2V_URBAN_NLOS, snr_db=19.0)) == 1e-5
+    assert model.bler(RadioSection(snr_db=15.0)) == 1e-5
+    assert model.bler(RadioSection(channel=V2V_URBAN_NLOS, snr_db=19.0)) == 1e-5
 
 
 def test_cp_ofdm_anchor_shifted_by_waveform_gap():
     model = default_link_model()
-    assert model.bler(cfg(waveform=Waveform.CP_OFDM, snr_db=16.7)) == 1e-5
+    assert model.bler(RadioSection(waveform=Waveform.CP_OFDM, snr_db=16.7)) == 1e-5
 
 
 def test_waveform_gap_holds_along_both_curves():
@@ -117,11 +112,11 @@ def test_anchor_validation():
 def test_unknown_curve_raises():
     model = default_link_model()
     with pytest.raises(UnknownCurve):
-        model.bler(cfg(waveform=Waveform.W_OFDM))
+        model.bler(RadioSection(waveform=Waveform.W_OFDM))
     with pytest.raises(UnknownCurve):
-        model.bler(cfg(channel="IndoorHall"))
+        model.bler(RadioSection(channel="IndoorHall"))
     with pytest.raises(UnknownCurve):
-        model.throughput(cfg(waveform=Waveform.W_OFDM))
+        model.throughput(RadioSection(waveform=Waveform.W_OFDM))
 
 
 # -- sampling through the link runtime --------------------------------------
@@ -132,7 +127,7 @@ def _link_with_constant_bler(p: float, timeline=()) -> LinkRuntime:
         {(Waveform.P_OFDM, EVA70): BlerCurve.constant(p)},
         {Waveform.P_OFDM: ThroughputCurve(((0.0, 10e6),))},
     )
-    return LinkRuntime(model, cfg(), 0, Engine(seed=1).stream, timeline)
+    return LinkRuntime(model, RadioSection(), Engine(seed=1).stream, timeline)
 
 
 def _delivered(link: LinkRuntime, rng: RngStream) -> bool:
@@ -166,16 +161,14 @@ def test_empirical_loss_rate_at_configured_bler():
     assert abs(lost / n - 0.1) <= 3 * sigma
 
 
-def test_send_latency_matches_one_way_latency():
+def test_send_latency_matches_latency():
     link = _link_with_constant_bler(0.0)
     rng = RngStream(1, "loss")
     for now in (0, 1, 124_999, 125_000, 3_000_017):
         for size in (60, 1400, 20_000):
             sent_at, delivered = link.sender("s", size, rng)(now)
-            assert sent_at == next_tx_opportunity(now, link.config.tti)
-            assert delivered - now == link.model.one_way_latency(
-                link.config, now, size
-            )
+            assert sent_at == next_tx_opportunity(now, link.tti_ns)
+            assert delivered - now == link.latency(now, size)
 
 
 def test_send_makes_no_draw_when_down_or_lossless():
@@ -222,13 +215,13 @@ def test_availability_validates_arguments():
 
 def test_throughput_anchor_exact():
     model = default_link_model()
-    assert model.throughput(cfg(snr_db=11.0)) == 10e6
+    assert model.throughput(RadioSection(snr_db=11.0)) == 10e6
 
 
 def test_throughput_clamps_below_lowest_anchor():
     model = default_link_model()
-    assert model.throughput(cfg(snr_db=-20.0)) == 0.0
-    assert model.throughput(cfg(snr_db=40.0)) == 12e6
+    assert model.throughput(RadioSection(snr_db=-20.0)) == 0.0
+    assert model.throughput(RadioSection(snr_db=40.0)) == 12e6
 
 
 def test_throughput_linear_blend_between_anchors():
@@ -237,7 +230,8 @@ def test_throughput_linear_blend_between_anchors():
     snr = 9.2
     t = (snr - 8.0) / (11.0 - 8.0)
     expected = 5e6 + t * (10e6 - 5e6)
-    assert math.isclose(model.throughput(cfg(snr_db=snr)), expected, rel_tol=1e-12)
+    assert math.isclose(model.throughput(RadioSection(snr_db=snr)), expected,
+                        rel_tol=1e-12)
 
 
 def test_throughput_monotone_validation():
@@ -249,94 +243,68 @@ def test_throughput_monotone_validation():
 
 
 def test_next_tx_opportunity_examples():
-    tti = TtiConfig(125)
+    tti = 125 * NS_PER_US
     assert next_tx_opportunity(130 * NS_PER_US, tti) == 250 * NS_PER_US
     assert next_tx_opportunity(0, tti) == 0
-    assert next_tx_opportunity(999 * NS_PER_US, TtiConfig(1000)) == 1000 * NS_PER_US
+    assert next_tx_opportunity(999 * NS_PER_US, 1000 * NS_PER_US) == 1000 * NS_PER_US
 
 
 def test_next_tx_opportunity_idempotent_over_random_instants():
     rng = random.Random(1234)
-    ttis = [TtiConfig(us) for us in (125, 250, 500, 1000)]
     for _ in range(10_000):
         now = rng.randrange(0, 10**10)
-        tti = rng.choice(ttis)
+        tti = rng.choice((125, 250, 500, 1000)) * NS_PER_US
         boundary = next_tx_opportunity(now, tti)
         assert boundary >= now
-        assert boundary % tti.duration_ns == 0
+        assert boundary % tti == 0
         assert next_tx_opportunity(boundary, tti) == boundary
-
-
-def test_tti_restricted_to_supported_set():
-    with pytest.raises(ValueError):
-        TtiConfig(200)
 
 
 # -- one-way latency -----------------------------------------------------------------
 
 
+def latency(now: int, payload_bytes: int, **radio) -> int:
+    """`LinkRuntime.latency` at 11 dB (10 Mbit/s), with no processing delay
+    unless `radio` sets one."""
+    section = RadioSection(**{"snr_db": 11.0, "processing_delay_us": 0.0, **radio})
+    return LinkRuntime(default_link_model(), section, Engine().stream).latency(
+        now, payload_bytes)
+
+
 def test_one_way_latency_composition_example():
     # aligned start, payload within one 125 us TTI, 100 us processing
-    model = default_link_model()
-    config = cfg(snr_db=11.0, tti=TtiConfig(125), processing_delay_ns=100_000)
     # 10 Mbit/s x 125 us = 1250 bits = 156 bytes per slot; 60 B fits one slot
-    assert model.one_way_latency(config, now=0, payload_bytes=60) == 225_000
+    assert latency(0, 60, tti_us=125, processing_delay_us=100.0) == 225_000
 
 
 def test_round_trip_latency_by_tti():
-    model = default_link_model()
     small = 60
     for tti_us, expected_rtt in ((1000, 2_000_000), (125, 250_000)):
-        config = cfg(snr_db=11.0, tti=TtiConfig(tti_us), processing_delay_ns=0)
-        leg1 = model.one_way_latency(config, 0, small)
+        leg1 = latency(0, small, tti_us=tti_us)
         # the return leg starts on a boundary because legs are whole TTIs
-        leg2 = model.one_way_latency(config, leg1, small)
+        leg2 = latency(leg1, small, tti_us=tti_us)
         assert leg1 + leg2 == expected_rtt
 
 
 def test_latency_is_pure_air_time_when_aligned_and_no_processing():
-    model = default_link_model()
-    config = cfg(snr_db=11.0, tti=TtiConfig(125), processing_delay_ns=0)
-    assert model.one_way_latency(config, 0, 60) == 125_000
+    assert latency(0, 60) == 125_000
     # 2 MB at 10 Mbit/s: ceil(16e6 / 1250) = 12800 slots of 125 us = 1.6 s
-    assert model.one_way_latency(config, 0, 2_000_000) == 12_800 * 125_000
+    assert latency(0, 2_000_000) == 12_800 * 125_000
 
 
 def test_alignment_wait_added_when_mid_slot():
-    model = default_link_model()
-    config = cfg(snr_db=11.0, tti=TtiConfig(125), processing_delay_ns=0)
-    assert model.one_way_latency(config, 130 * NS_PER_US, 60) == (
-        120 * NS_PER_US + 125_000
-    )
+    assert latency(130 * NS_PER_US, 60) == 120 * NS_PER_US + 125_000
 
 
 def test_latency_nonincreasing_as_tti_shrinks():
-    model = default_link_model()
     rng = random.Random(11)
     for _ in range(200):
         payload = rng.randrange(1, 5000)
         now = rng.randrange(0, 10**7)
-        latencies = [
-            model.one_way_latency(
-                cfg(snr_db=11.0, tti=TtiConfig(us), processing_delay_ns=0),
-                now,
-                payload,
-            )
-            for us in (1000, 500, 250, 125)
-        ]
-        assert latencies == sorted(latencies, reverse=True) or all(
-            a >= b for a, b in zip(latencies, latencies[1:])
-        )
+        latencies = [latency(now, payload, tti_us=us) for us in (1000, 500, 250, 125)]
+        assert latencies == sorted(latencies, reverse=True)
 
 
 def test_rate_unavailable_when_throughput_zero():
-    model = default_link_model()
     with pytest.raises(RateUnavailable):
-        model.one_way_latency(cfg(snr_db=5.0), 0, 100)
-
-
-def test_link_config_validates_supported_sets():
-    with pytest.raises(ValueError):
-        cfg(tti=TtiConfig(200))
-    with pytest.raises(ValueError):
-        cfg(processing_delay_ns=-1)
+        latency(0, 100, snr_db=5.0)

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
+from dataclasses import fields
 
 import pytest
 
 from fablink.artifacts import write_artifacts
+from fablink.radio_link import RadioSection
 from fablink.scenario import ConfigInvalid, scenario_from_dict
 from fablink.sim_core import NS_PER_US, RngStream
 from fablink.simulation import Simulation
@@ -56,6 +58,8 @@ def test_the_generator_reaches_every_section_and_every_action():
     assert {key for key in SECTIONS if any(key not in c for c in configs)} == (
         set(SECTIONS) - {"horizon_s", "factory", "script"})
     assert {a["action"] for c in configs for a in c["script"]} == set(ACTIONS)
+    assert {key for c in configs if "radio" in c for key in c["radio"]} == {
+        f.name for f in fields(RadioSection)}
     factories = [c["factory"] for c in configs]
     assert {(f["manual_station"], f["defect_probability"]) for f in factories} == {
         (m, d) for m in (True, False) for d in (0.0, 0.3, 1.0)}
@@ -77,7 +81,7 @@ def test_each_config_runs_or_is_invalid_at_load(runs):
 def test_records_are_causal_and_wireless_ones_go_on_a_tti_boundary(runs):
     checked = 0
     for _, sim, result in runs[0]:
-        tti = sim.link_config.tti.duration_ns
+        tti = sim.scenario.radio.tti_us * NS_PER_US
         for stream, columns in zip(result.records.streams, result.records.columns):
             for created, sent, delivered in zip(columns.created, columns.sent,
                                                 columns.delivered):

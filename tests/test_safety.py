@@ -6,7 +6,7 @@ import random
 import pytest
 
 from fablink.radio_link import (
-    BlerCurve, LinkConfig, LinkRuntime, TtiConfig, default_link_model,
+    BlerCurve, LinkRuntime, RadioSection, availability, default_link_model,
 )
 from fablink.safety import (
     LocalSafetyState,
@@ -20,8 +20,8 @@ from fablink.safety import (
 )
 from fablink.scenario import SafetySection, scenario_from_dict
 from fablink.simulation import Simulation
-from fablink.sim_core import NS_PER_MS, NS_PER_S, RngStream
-from fablink.traffic import StreamClass, TrafficProfile
+from fablink.sim_core import NS_PER_MS, NS_PER_S, NS_PER_US, RngStream
+from fablink.traffic import LOST, StreamClass, TrafficProfile, emission_times
 from record_rows import channel_rows
 
 CYCLE_HZ = 246.19
@@ -206,7 +206,6 @@ def resolve(
     horizon: int,
     outages: list[tuple[int, int]] | None = None,
     seed: int = 1,
-    processing_delay_ns: int = 100_000,
 ):
     """The measured pair's channel up to `horizon` over an ideal link (BLER 0,
     so no draws) whose timeline takes it down inside each scripted outage
@@ -214,11 +213,9 @@ def resolve(
     it down until the last one ends. Returns its records as rows, its sorted
     deliveries and its missed cycle starts."""
     model = default_link_model()
-    config = LinkConfig(
-        snr_db=15.0, tti=TtiConfig(125), processing_delay_ns=processing_delay_ns
-    )
-    model.bler_curves[config.waveform, config.channel] = BlerCurve.constant(0.0)
-    link = LinkRuntime(model, config, 0, lambda name: RngStream(seed, name),
+    radio = RadioSection(snr_db=15.0, tti_us=125, processing_delay_us=100.0)
+    model.bler_curves[radio.waveform, radio.channel] = BlerCurve.constant(0.0)
+    link = LinkRuntime(model, radio, lambda name: RngStream(seed, name),
                        outage_timeline(outages or []))
     up, down, delivered, missed, _ = resolve_channel(
         link, MEASURED_PAIR, RngStream(seed, "link.safety"), horizon)
@@ -311,6 +308,40 @@ def test_a_watchdog_longer_than_the_horizon_makes_no_check():
                                  "link.safety"), sim.horizon_ns)
     assert result.summary.events_processed["safety"] == events
     assert not [t for t in result.safety_log if t.cause == "watchdog"]
+
+
+@pytest.mark.parametrize("tti_us", [125, 1000])
+@pytest.mark.parametrize("p", [0.5, 0.8, 0.9])
+def test_constant_bler_channel_matches_the_analytic_oracle(p, tti_us):
+    # at a constant BLER p, a PDU gets one attempt per TTI boundary from its
+    # cycle's start until the next cycle starts (the horizon for the last):
+    # with K_c such boundaries, a direction loses cycle c with probability
+    # p^K_c = 1 - availability(p, K_c), and both first attempts of a cycle
+    # are lost with probability p^2; each count stays within 4 binomial sigma
+    horizon = 20 * NS_PER_S
+    tti = tti_us * NS_PER_US
+    starts = list(emission_times(CYCLE_HZ, horizon))
+    ends = starts[1:] + [horizon + 1]
+    # the first attempt is made even if no boundary precedes the horizon
+    ks = [max(1, -(-end // tti) + (start // -tti)) for start, end in zip(starts, ends)]
+    assert set(ks[:-1]) == {math.floor(CYCLE_NS / tti), math.ceil(CYCLE_NS / tti)}
+    p_lost = [1 - availability(p, k) for k in ks]
+    lost_mean = sum(p_lost)
+    lost_sigma = math.sqrt(sum(q * (1 - q) for q in p_lost))
+    missed_mean = p * p * len(starts)
+    missed_sigma = math.sqrt(missed_mean * (1 - p * p))
+    for seed in range(3):
+        model = default_link_model()
+        radio = RadioSection(tti_us=tti_us)
+        model.bler_curves[radio.waveform, radio.channel] = BlerCurve.constant(p)
+        link = LinkRuntime(model, radio, lambda name: RngStream(seed, name))
+        up, down, _, missed, _ = resolve_channel(
+            link, MEASURED_PAIR, RngStream(seed, "link.safety"), horizon)
+        for records in (up, down):
+            lost = records.delivered.count(LOST)
+            assert abs(lost - lost_mean) <= 4 * lost_sigma, (seed, lost, lost_mean)
+        assert abs(len(missed) - missed_mean) <= 4 * missed_sigma, (
+            seed, len(missed), missed_mean)
 
 
 def brute_force_first_trip(

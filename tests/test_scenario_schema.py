@@ -263,6 +263,20 @@ DEFECTS = {
             "anchors": [[1, 0.1], [2, 0.5]]}}}}},
         "radio.bler_anchors.P-OFDM.EVA70",
     ),
+    # a curve that rises past its last anchor
+    "negative_tail_slope": (
+        {"radio": {"bler_anchors": {"P-OFDM": {"EVA70": {
+            "anchors": [[10, 1.0], [15, 1e-5]], "tail_slope": -1}}}}},
+        "radio.bler_anchors.P-OFDM.EVA70.tail_slope",
+    ),
+    "falling_throughput_anchors": (
+        {"radio": {"throughput_anchors": {"P-OFDM": [[5, 4], [10, 2]]}}},
+        "radio.throughput_anchors.P-OFDM",
+    ),
+    "unsupported_tti": ({"radio": {"tti_us": 200}}, "radio.tti_us"),
+    "negative_processing_delay": (
+        {"radio": {"processing_delay_us": -1}}, "radio.processing_delay_us",
+    ),
     "estop_unknown_endpoint": (
         {"script": [{"at_s": 1, "action": "estop", "endpoint": "island9.drill"}]},
         "script[0].endpoint",

@@ -8,7 +8,7 @@ from fablink import compliance
 from fablink.artifacts import build_metrics_document
 from fablink.scenario import default_scenario, scenario_from_dict
 from fablink.simulation import Simulation
-from fablink.sim_core import NS_PER_S
+from fablink.sim_core import NS_PER_S, NS_PER_US
 from fablink.traffic import PacketRecord, StreamClass
 
 
@@ -519,7 +519,7 @@ def test_link_down_drops_traffic_and_safety_attempts_alike():
                    {"at_s": 1.5, "action": "link_up"}],
     }))
     result = sim.run()
-    tti = sim.link_config.tti.duration_ns
+    tti = sim.scenario.radio.tti_us * NS_PER_US
     wireless = {p.name for p in sim.streams if p.wireless}
     lost_in_window = set()
     for r in result.records:

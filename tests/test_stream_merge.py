@@ -16,7 +16,7 @@ from dataclasses import replace
 import pytest
 
 from fablink.radio_link import (
-    BlerCurve, LinkConfig, LinkRuntime, TtiConfig, default_link_model, next_tx_opportunity,
+    BlerCurve, LinkRuntime, RadioSection, default_link_model, next_tx_opportunity,
 )
 from fablink.safety import SafetyManager, resolve_channel, watchdog_trips
 from fablink.scenario import SafetySection, scenario_from_dict
@@ -164,12 +164,14 @@ class _EngineStream:
             record.sent_at, record.delivered_at = now, now + sim.wired_latency_ns
         else:
             link = sim.link
-            record.sent_at = next_tx_opportunity(now, link.config.tti)
+            radio = sim.scenario.radio
+            record.sent_at = next_tx_opportunity(now, radio.tti_us * NS_PER_US)
             lost = not self.link_up[0] or (
                 link.bler > 0.0 and self.rng.random() < link.bler)
             if not lost:
                 record.delivered_at = record.sent_at + link.model.air_time_ns(
-                    link.config, p.payload_bytes) + link.config.processing_delay_ns
+                    radio, p.payload_bytes) + round(
+                    radio.processing_delay_us * NS_PER_US)
                 if link.jitter_ns > 0:
                     jitter = sim.engine.stream(f"jitter.{p.name}")
                     record.delivered_at += round(jitter.uniform(0, link.jitter_ns))
@@ -234,7 +236,7 @@ class _EngineChannel:
             self.engine.schedule_at(
                 delivered, self._on_delivered, module="safety", lane=LANE_NORMAL)
             return False
-        retry_at = sent_at + self.link.config.tti.duration_ns
+        retry_at = sent_at + self.link.tti_ns
         if retry_at < cycle_end and retry_at <= self._horizon:
             self.engine.schedule_at(
                 retry_at, lambda: self._attempt(record, send, cycle_end),
@@ -419,16 +421,14 @@ def test_a_raising_send_ends_the_run_naming_time_module_and_stream(
 MEASURED_PAIR = SafetySection().channel_streams([])
 
 
-def _channel_link(seed, bler, timeline, tti_delay_ns):
+def _channel_link(seed, bler, timeline, processing_delay_us):
     """A link of constant `bler` over the given timeline, drawing jitter from
     the seed's named streams, as `Engine(seed).stream` does."""
     model = default_link_model()
-    link_config = LinkConfig(snr_db=15.0, tti=TtiConfig(125),
-                             processing_delay_ns=tti_delay_ns)
-    model.bler_curves[link_config.waveform, link_config.channel] = (
-        BlerCurve.constant(bler))
-    return LinkRuntime(model, link_config, 0, lambda name: RngStream(seed, name),
-                       timeline)
+    radio = RadioSection(snr_db=15.0, tti_us=125,
+                         processing_delay_us=processing_delay_us)
+    model.bler_curves[radio.waveform, radio.channel] = BlerCurve.constant(bler)
+    return LinkRuntime(model, radio, lambda name: RngStream(seed, name), timeline)
 
 
 def _engine_channel_run(seed, streams, watchdog_ns, link_args, rearms, horizon):
@@ -463,7 +463,7 @@ def _retry_ties(up, down):
     """Retried PDUs delivered exactly at the start of the next cycle, whose
     first attempts were both lost: the one delivery that comes after the
     cycle starting at its instant."""
-    tti = TtiConfig(125)
+    tti = 125 * NS_PER_US
 
     def retried(r: PacketRecord) -> bool:
         return r.sent_at > next_tx_opportunity(r.created_at, tti)
@@ -492,7 +492,7 @@ def test_resolved_channel_equals_the_engine_driven_channel():
             (rng.randrange(horizon), rng.random() < 0.5)
             for _ in range(rng.randrange(0, 8)))
         rearms = sorted(rng.randrange(horizon) for _ in range(rng.randrange(0, 4)))
-        link_args = (bler, timeline, 125_000 * rng.randrange(0, 9))
+        link_args = (bler, timeline, 125.0 * rng.randrange(0, 9))
         args = (i, streams, watchdog_ns, link_args)
         _, checks = _engine_channel_run(*args, rearms, horizon)
         tied = tie_rng.sample(checks, min(len(checks), tie_rng.randrange(0, 3)))
