@@ -322,8 +322,10 @@ def test_constant_bler_channel_matches_the_analytic_oracle(p, tti_us):
     tti = tti_us * NS_PER_US
     starts = list(emission_times(CYCLE_HZ, horizon))
     ends = starts[1:] + [horizon + 1]
-    # the first attempt is made even if no boundary precedes the horizon
-    ks = [max(1, -(-end // tti) + (start // -tti)) for start, end in zip(starts, ends)]
+    # the boundaries k * tti in [start, end); the first attempt is made even
+    # if none precedes the horizon
+    ks = [max(1, (end - 1) // tti - (start - 1) // tti)
+          for start, end in zip(starts, ends)]
     assert set(ks[:-1]) == {math.floor(CYCLE_NS / tti), math.ceil(CYCLE_NS / tti)}
     p_lost = [1 - availability(p, k) for k in ks]
     lost_mean = sum(p_lost)
