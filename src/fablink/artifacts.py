@@ -12,7 +12,9 @@ Frozen formats:
   metrics.json    `MetricsDocument`: per-stream and aggregate StreamMetrics
                   entries (null where nothing was observed) plus run counters
                   (and availability_sample_floor when the config overrides it)
-  compliance.json / compliance.txt   verdict rows per (stream, profile)
+  compliance.json `ComplianceReport`: verdict rows per (stream, profile) and
+                  the scoring conventions, plus its verdict_counts
+  compliance.txt  the same rows as a table
 """
 
 from __future__ import annotations
@@ -145,7 +147,9 @@ def write_artifacts(result: RunResult, out_dir: str | Path) -> RunArtifacts:
             writer.writerow([e.product, e.event, e.at, e.detail])
 
     with artifacts.compliance_json.open("w", encoding="utf-8", newline="\n") as fh:
-        json.dump(result.compliance.to_dict(), fh, indent=2, sort_keys=True)
+        report = result.compliance
+        json.dump({**schema_to_dict(report), "verdict_counts": report.verdict_counts()},
+                  fh, indent=2, sort_keys=True)
         fh.write("\n")
 
     artifacts.compliance_txt.write_text(

@@ -16,12 +16,7 @@ import sys
 
 from . import __version__
 from .artifacts import MetricsDocument, write_artifacts
-from .compliance import (
-    ComplianceReport,
-    UnknownProfile,
-    builtin_profiles,
-    profile_by_name,
-)
+from .compliance import PROFILES, ComplianceReport
 from .scenario import (
     ConfigInvalid,
     Scenario,
@@ -69,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--streams",
         choices=["safety", "aggregate", "all"],
         default=None,
-        help="streams to assess (default: safety for aspect1, aggregate otherwise)",
+        help="streams to assess (default: the profile's own)",
     )
 
     sub.add_parser("profiles", help="list the built-in requirement profiles")
@@ -129,19 +124,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"{stats['inspections']} inspections"
         )
     print(f"safety trips: {stats.get('safety_trips', 0)}")
-    report = result.compliance
-    print(
-        f"compliance: {report.pass_count} pass, {report.fail_count} fail, "
-        f"{report.not_assessed_count} not assessed"
-    )
+    print(f"compliance: {_summary(result.compliance.verdict_counts())}")
     print(f"artifacts: {artifacts.out_dir}")
     return 0
 
 
+def _summary(counts: dict[str, int]) -> str:
+    return (f"{counts['pass']} pass, {counts['fail']} fail, "
+            f"{counts['not_assessed']} not assessed")
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
-    try:
-        profile = profile_by_name(args.profile)
-    except UnknownProfile:
+    profile = PROFILES.get(args.profile)
+    if profile is None:
         print(f"unknown profile: {args.profile}", file=sys.stderr)
         return 2
     try:
@@ -151,42 +146,30 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(f"cannot read metrics: {exc}", file=sys.stderr)
         return 2
 
-    selection = args.streams
-    if selection is None:
-        selection = "safety" if profile.name == "aspect1" else "aggregate"
-
+    selection = args.streams or profile.streams
     try:
         if not isinstance(doc, dict):
             raise ConfigInvalid("not a JSON object")
         metrics = schema_from_dict(MetricsDocument, doc)
-        with_aggregate = selection in ("aggregate", "all")
-        if with_aggregate and metrics.aggregate is None:
-            raise ConfigInvalid("aggregate: required key is missing")
+        report = ComplianceReport(service_area_m=metrics.service_area_m)
+        report.score(metrics.streams, metrics.aggregate, profile, selection,
+                     metrics.availability_sample_floor)
     except ConfigInvalid as exc:
         print(f"invalid metrics {args.metrics}: {exc}", file=sys.stderr)
         return 2
-    scored = [m for _, m in sorted(metrics.streams.items()) if selection == "all" or (
-        selection == "safety" and m.stream_class is StreamClass.SAFETY_RELEVANT)]
-    if with_aggregate:
-        scored.append(metrics.aggregate)
-    report = ComplianceReport(service_area_m=metrics.service_area_m)
-    for m in scored:
-        report.add(m, profile, sample_floor=metrics.availability_sample_floor)
-    if report.pass_count + report.fail_count == 0:
+    counts = report.verdict_counts()
+    if counts["pass"] + counts["fail"] == 0:
         print(f"nothing assessed: no {profile.name} verdict for the {selection} "
               f"streams of {args.metrics}", file=sys.stderr)
         return 2
 
     print(report.render_table())
-    print(
-        f"{report.pass_count} pass, {report.fail_count} fail, "
-        f"{report.not_assessed_count} not assessed"
-    )
-    return 0 if report.passed else 1
+    print(_summary(counts))
+    return 1 if counts["fail"] else 0
 
 
 def _cmd_profiles() -> int:
-    for p in builtin_profiles():
+    for p in PROFILES.values():
         fields = [
             f"availability {p.availability_min:.4%}..{p.availability_max:.6%}",
         ]

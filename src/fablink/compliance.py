@@ -13,21 +13,25 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice, tee
 from operator import sub
 from typing import Iterable, Sequence
 
+from .scenario import ConfigInvalid
 from .sim_core import NS_PER_MS, SimTime
 from .traffic import LOST, Records, StreamClass, StreamRecords, TrafficProfile
 
 
 @dataclass(frozen=True)
 class RequirementProfile:
-    """One use-case aspect; absent fields are skipped during evaluation."""
+    """One use-case aspect; absent fields are skipped during evaluation.
+    `streams` is the selection it scores: "safety", "aggregate" or "all"."""
 
     name: str
+    streams: str
     availability_min: float
     availability_max: float
     latency_target_ns: SimTime | None = None
@@ -45,6 +49,7 @@ class RequirementProfile:
 
 ASPECT1 = RequirementProfile(
     name="aspect1",
+    streams="safety",
     availability_min=0.999999,
     availability_max=0.99999999,
     latency_target_ns=12 * NS_PER_MS,
@@ -57,6 +62,7 @@ ASPECT1 = RequirementProfile(
 
 ASPECT2 = RequirementProfile(
     name="aspect2",
+    streams="aggregate",
     availability_min=0.999999,
     availability_max=0.99999999,
     latency_target_ns=30 * NS_PER_MS,
@@ -64,20 +70,7 @@ ASPECT2 = RequirementProfile(
     service_data_rate_min_bps=5e6,
 )
 
-
-def builtin_profiles() -> list[RequirementProfile]:
-    return [ASPECT1, ASPECT2]
-
-
-class UnknownProfile(KeyError):
-    pass
-
-
-def profile_by_name(name: str) -> RequirementProfile:
-    for profile in builtin_profiles():
-        if profile.name == name:
-            return profile
-    raise UnknownProfile(name)
+PROFILES = {p.name: p for p in (ASPECT1, ASPECT2)}
 
 
 # -- stream metrics -----------------------------------------------------------
@@ -122,11 +115,13 @@ class StreamMetrics:
 
 def percentile(columns: Sequence[Sequence[int]], pct: float) -> int:
     """Nearest-rank percentile over sorted integer columns taken together: the
-    least value with `rank` values at or below it, found by bisecting values."""
+    least value with `rank` values at or below it, found by bisecting values.
+    `pct` is read to a tenth of a percent, so the rank is exact in integers."""
     sampled = [c for c in columns if c]
     if not sampled:
         raise ValueError("no samples")
-    rank = max(1, math.ceil(pct / 100.0 * sum(map(len, sampled))))
+    permille = round(pct * 10)
+    rank = max(1, -(-permille * sum(map(len, sampled)) // 1000))
     values = range(min(c[0] for c in sampled), max(c[-1] for c in sampled) + 1)
     return values[bisect_left(values, rank, key=lambda v: sum(
         bisect_right(c, v) for c in sampled))]
@@ -402,79 +397,55 @@ def evaluate(
 
 
 @dataclass
+class ReportEntry:
+    stream: str
+    profile: str
+    rows: list[VerdictRow]
+
+
+@dataclass
 class ComplianceReport:
-    """Verdict rows per (stream, profile), plus the scoring conventions used."""
+    """Verdict rows per (stream, profile), plus the scoring conventions used,
+    and the schema of `compliance.json`, written by the scenario walker."""
 
     service_area_m: tuple[float, float] | None
-    entries: list[tuple[str, str, list[VerdictRow]]] = field(default_factory=list)
+    jitter_definition: str = JITTER_DEFINITION
+    entries: list[ReportEntry] = field(default_factory=list)
 
     def add(
         self,
         metrics: StreamMetrics,
         profile: RequirementProfile,
         sample_floor: int | None = None,
-    ) -> list[VerdictRow]:
+    ) -> None:
         rows = evaluate(metrics, profile, self.service_area_m, sample_floor)
-        self.entries.append((metrics.stream, profile.name, rows))
-        return rows
+        self.entries.append(ReportEntry(metrics.stream, profile.name, rows))
 
-    def _count(self, verdict: ComplianceVerdict) -> int:
-        return sum(
-            1
-            for _, _, rows in self.entries
-            for row in rows
-            if row.verdict is verdict
-        )
+    def score(self, streams: dict[str, StreamMetrics], aggregate: StreamMetrics | None,
+              profile: RequirementProfile, selection: str,
+              sample_floor: int | None) -> None:
+        """Score the `selection` ("safety", "aggregate" or "all") of a run's
+        metrics against `profile`: each selected stream in name order, then
+        the aggregate unless only safety streams are selected."""
+        for name in sorted(streams):
+            metrics = streams[name]
+            if selection == "all" or selection == "safety" and (
+                    metrics.stream_class is StreamClass.SAFETY_RELEVANT):
+                self.add(metrics, profile, sample_floor)
+        if selection != "safety":
+            if aggregate is None:
+                raise ConfigInvalid("aggregate: required key is missing")
+            self.add(aggregate, profile, sample_floor)
 
-    @property
-    def fail_count(self) -> int:
-        return self._count(ComplianceVerdict.FAIL)
-
-    @property
-    def pass_count(self) -> int:
-        return self._count(ComplianceVerdict.PASS)
-
-    @property
-    def not_assessed_count(self) -> int:
-        return self._count(ComplianceVerdict.NOT_ASSESSED)
-
-    @property
-    def passed(self) -> bool:
-        return self.fail_count == 0
-
-    def to_dict(self) -> dict:
-        return {
-            "jitter_definition": JITTER_DEFINITION,
-            "service_area_m": list(self.service_area_m)
-            if self.service_area_m
-            else None,
-            "verdict_counts": {
-                "pass": self.pass_count,
-                "fail": self.fail_count,
-                "not_assessed": self.not_assessed_count,
-            },
-            "entries": [
-                {
-                    "stream": stream,
-                    "profile": profile,
-                    "rows": [
-                        {
-                            "dimension": row.dimension,
-                            "required": row.required,
-                            "observed": row.observed,
-                            "verdict": row.verdict.value,
-                            "note": row.note,
-                        }
-                        for row in rows
-                    ],
-                }
-                for stream, profile, rows in self.entries
-            ],
-        }
+    def verdict_counts(self) -> dict[str, int]:
+        """The number of rows of each verdict, keyed "pass", "fail" and
+        "not_assessed"."""
+        counts = Counter(row.verdict for e in self.entries for row in e.rows)
+        return {v.name.lower(): counts[v] for v in ComplianceVerdict}
 
     def render_table(self) -> str:
         lines = [
-            f"jitter definition: {JITTER_DEFINITION}",
+            f"jitter definition: {self.jitter_definition}",
             f"service area: "
             + (
                 f"{self.service_area_m[0]:.0f} m x {self.service_area_m[1]:.0f} m"
@@ -486,10 +457,10 @@ class ComplianceReport:
         header = f"{'stream':28} {'profile':8} {'dimension':18} {'required':26} {'observed':22} verdict"
         lines.append(header)
         lines.append("-" * len(header))
-        for stream, profile, rows in self.entries:
-            for row in rows:
+        for e in self.entries:
+            for row in e.rows:
                 line = (
-                    f"{stream:28} {profile:8} {row.dimension:18} "
+                    f"{e.stream:28} {e.profile:8} {row.dimension:18} "
                     f"{row.required:26} {row.observed:22} {row.verdict.value}"
                 )
                 if row.note:

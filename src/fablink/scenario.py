@@ -3,8 +3,9 @@
 The section dataclasses, with `radio_link.RadioSection` for the radio
 section and `traffic.TrafficProfile` for a catalog row, are the one
 description of the YAML format: one walker reads their type hints and
-per-field bounds to parse, check and dump it (and `metrics.json`, from
-`artifacts.MetricsDocument`). Unknown and duplicated keys are rejected, a
+per-field bounds to parse, check and dump it (and `metrics.json` and
+`compliance.json`, from `artifacts.MetricsDocument` and
+`compliance.ComplianceReport`). Unknown and duplicated keys are rejected, a
 bool is never a number, an enum is read and written by value, every error
 names its field (e.g. `factory.islands[1].capabilities[0]`), checks that
 span fields run at load time, and a dumped config re-parses to an equal
@@ -408,9 +409,13 @@ def dump_scenario(scn: Scenario) -> str:
     return yaml.safe_dump(schema_to_dict(scn), sort_keys=False)
 
 
-def _check_unique_keys(node, path: str) -> None:
+def _check_unique_keys(node, path: str, checked: set[int]) -> None:
     """Reject a mapping that repeats a key, which YAML loading would
-    otherwise resolve silently to the last value."""
+    otherwise resolve silently to the last value. A node that aliases make
+    reachable by many paths, or by a cycle, is checked once, under the first."""
+    if id(node) in checked:
+        return
+    checked.add(id(node))
     if isinstance(node, yaml.MappingNode):
         seen = set()
         for key_node, value_node in node.value:
@@ -418,10 +423,10 @@ def _check_unique_keys(node, path: str) -> None:
             if sub in seen:
                 _fail(sub, f"duplicate key (line {key_node.start_mark.line + 1})")
             seen.add(sub)
-            _check_unique_keys(value_node, sub)
+            _check_unique_keys(value_node, sub, checked)
     elif isinstance(node, yaml.SequenceNode):
         for i, item in enumerate(node.value):
-            _check_unique_keys(item, f"{path}[{i}]")
+            _check_unique_keys(item, f"{path}[{i}]", checked)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -430,7 +435,7 @@ def load_scenario(path: str) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        _check_unique_keys(yaml.compose(text, Loader=yaml.SafeLoader), "")
+        _check_unique_keys(yaml.compose(text, Loader=yaml.SafeLoader), "", set())
         data = yaml.safe_load(text)
     except (UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ConfigInvalid(f"{path}: {exc}") from None

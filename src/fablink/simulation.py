@@ -59,7 +59,7 @@ from .sim_core import (
     SimSummary,
     SimTime,
 )
-from .traffic import Records, StreamClass, StreamRecords, TrafficProfile
+from .traffic import Records, StreamRecords, TrafficProfile
 from .traffic import merge_records, stream_records
 
 
@@ -716,13 +716,9 @@ class Simulation:
         aggregate = compliance_mod.aggregate_metrics(folds, records, self.horizon_ns)
         stream_metrics = {f.metrics.stream: f.metrics for f in folds}
         report = ComplianceReport(service_area_m=comp.service_area_m)
-        floor = comp.availability_sample_floor
-        # in name order, the order `fablink check` reads them from metrics.json
-        for name in sorted(stream_metrics):
-            metrics = stream_metrics[name]
-            if metrics.stream_class is StreamClass.SAFETY_RELEVANT:
-                report.add(metrics, compliance_mod.ASPECT1, sample_floor=floor)
-        report.add(aggregate, compliance_mod.ASPECT2, sample_floor=floor)
+        for profile in compliance_mod.PROFILES.values():
+            report.score(stream_metrics, aggregate, profile, profile.streams,
+                         comp.availability_sample_floor)
 
         factory_stats = dict(self.plant.stats) if self.plant else {}
         factory_stats["safety_trips"] = sum(

@@ -362,9 +362,7 @@ def test_criterion_6_routing_properties():
 def test_criterion_7_compliance(default_run):
     result, _ = default_run
     report = result.compliance
-    rows_by_entry = {
-        (stream, profile): rows for stream, profile, rows in report.entries
-    }
+    rows_by_entry = {(e.stream, e.profile): e.rows for e in report.entries}
     safety_streams = [
         name
         for name, metrics in result.stream_metrics.items()

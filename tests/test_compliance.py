@@ -4,6 +4,7 @@ import math
 import random
 from array import array
 from dataclasses import fields
+from fractions import Fraction
 from itertools import chain, pairwise
 
 import pytest
@@ -17,21 +18,21 @@ from fablink.compliance import (
     SURVIVAL_TIME_NS,
     StreamMetrics,
     aggregate_metrics,
+    PROFILES,
     availability_sample_floor,
-    builtin_profiles,
     collect_stream_metrics,
     evaluate,
     percentile,
-    profile_by_name,
 )
+from fablink.scenario import ConfigInvalid, schema_to_dict
 from fablink.sim_core import NS_PER_MS
 from fablink.traffic import PacketRecord, Records, StreamClass, TrafficProfile
 from record_rows import columns, packet_rows
 
 
-def test_builtin_profiles_are_the_two_aspects():
-    profiles = builtin_profiles()
-    assert [p.name for p in profiles] == ["aspect1", "aspect2"]
+def test_profiles_are_the_two_aspects_each_with_its_streams():
+    assert PROFILES == {"aspect1": ASPECT1, "aspect2": ASPECT2}
+    assert (ASPECT1.streams, ASPECT2.streams) == ("safety", "aggregate")
 
 
 def test_aspect1_values():
@@ -57,15 +58,6 @@ def test_aspect2_values_and_blank_cells():
     assert p.transfer_interval_max_ns is None
     assert p.survival_time_ns is None
     assert p.service_area_m is None
-
-
-def test_profile_lookup():
-    assert profile_by_name("aspect2") is ASPECT2
-    try:
-        profile_by_name("aspect9")
-        raise AssertionError("expected KeyError")
-    except KeyError:
-        pass
 
 
 def _metrics(**overrides) -> StreamMetrics:
@@ -211,12 +203,20 @@ def test_improving_metrics_never_flips_pass_to_fail():
                     assert after[dim] is ComplianceVerdict.PASS, dim
 
 
+def _nearest_rank(pct, n):
+    """The nearest rank, ceil(pct / 100 * n), in exact decimal arithmetic."""
+    return max(1, math.ceil(Fraction(str(pct)) / 100 * n))
+
+
 def test_percentile_nearest_rank():
     values = list(range(1, 101))
     assert percentile([values], 50.0) == 50
     assert percentile([values], 99.0) == 99
     assert percentile([values], 99.9) == 100
     assert percentile([[7]], 99.9) == 7
+    # 99.9 / 100 is 0.9990000000000001 in floats, one rank high at n = 1000
+    assert percentile([range(1, 1001)], 99.9) == 999
+    assert percentile([range(1, 2001)], 99.9) == 1998
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -232,8 +232,9 @@ def test_percentile_over_sorted_columns_is_nearest_rank_on_their_union(seed):
         with pytest.raises(ValueError):
             percentile(columns, 50.0)
         return
-    for pct in (0.0, 0.1, 1.0, 50.0, 99.0, 99.9, 100.0, rng.uniform(0, 100)):
-        want = union[max(1, math.ceil(pct / 100.0 * len(union))) - 1]
+    # percentiles are read to a tenth of a percent
+    for pct in (0.0, 0.1, 1.0, 50.0, 99.0, 99.9, 100.0, rng.randrange(1001) / 10):
+        want = union[_nearest_rank(pct, len(union)) - 1]
         assert percentile(columns, pct) == want, pct
         assert percentile([union], pct) == want, pct
 
@@ -286,18 +287,41 @@ def test_aggregate_metrics_fold_all_streams():
     assert m.max_transfer_interval_ns == NS_PER_MS
 
 
-def test_report_counts_and_exit_condition():
+def test_report_counts_and_schema():
     report = ComplianceReport(service_area_m=(20.0, 20.0))
     report.add(_metrics(), ASPECT1)
-    assert report.fail_count == 0
-    assert report.passed
+    # too few samples to assess availability
+    assert report.verdict_counts() == {"pass": 5, "fail": 0, "not_assessed": 1}
     report.add(_metrics(observed_rate_bps=1.0), ASPECT2)
-    assert report.fail_count == 1
-    assert not report.passed
-    doc = report.to_dict()
-    assert doc["verdict_counts"]["fail"] == 1
+    assert report.verdict_counts() == {"pass": 7, "fail": 1, "not_assessed": 2}
+    doc = schema_to_dict(report)
+    assert doc["jitter_definition"] == "p99_minus_min"
+    assert doc["service_area_m"] == [20.0, 20.0]
+    assert [(e["stream"], e["profile"]) for e in doc["entries"]] == [
+        ("safety_stream", "aspect1"), ("safety_stream", "aspect2")]
+    assert doc["entries"][1]["rows"][3] == {
+        "dimension": "service_data_rate", "required": "> 5.00 Mbit/s",
+        "observed": "0.000 Mbit/s", "verdict": "Fail", "note": ""}
     table = report.render_table()
     assert "service_data_rate" in table and "Fail" in table
+
+
+@pytest.mark.parametrize("selection, entries", [
+    ("safety", [("a", "aspect1"), ("c", "aspect1")]),
+    ("aggregate", [("aggregate", "aspect1")]),
+    ("all", [("a", "aspect1"), ("b", "aspect1"), ("c", "aspect1"),
+             ("aggregate", "aspect1")]),
+])
+def test_score_selects_streams_in_name_order_then_the_aggregate(selection, entries):
+    safety, other = StreamClass.SAFETY_RELEVANT, StreamClass.NON_SAFETY_RELEVANT
+    streams = {name: _metrics(stream=name, stream_class=cls)
+               for name, cls in (("c", safety), ("b", other), ("a", safety))}
+    report = ComplianceReport(service_area_m=None)
+    report.score(streams, _metrics(stream="aggregate"), ASPECT1, selection, None)
+    assert [(e.stream, e.profile) for e in report.entries] == entries
+    if selection != "safety":
+        with pytest.raises(ConfigInvalid, match="^aggregate: required key"):
+            ComplianceReport(None).score(streams, None, ASPECT1, selection, None)
 
 
 # -- one-pass fold against the multi-pass reference ----------------------------
@@ -317,7 +341,7 @@ def _reference_stream_metrics(stream, stream_class, records, horizon_ns):
     latencies = sorted(r.delivered_at - r.created_at for r in delivered)
 
     def nearest_rank(pct):
-        return latencies[max(1, math.ceil(pct / 100.0 * len(latencies))) - 1]
+        return latencies[_nearest_rank(pct, len(latencies)) - 1]
 
     latency = LatencyStats(
         min_ns=latencies[0],

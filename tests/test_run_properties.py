@@ -7,15 +7,17 @@ load.
 
 from __future__ import annotations
 
+import json
 import random
 from collections import defaultdict
 from dataclasses import fields
 
 import pytest
 
-from fablink.artifacts import write_artifacts
+from fablink.artifacts import MetricsDocument, build_metrics_document, write_artifacts
+from fablink.compliance import PROFILES, ComplianceReport
 from fablink.radio_link import RadioSection
-from fablink.scenario import ConfigInvalid, scenario_from_dict
+from fablink.scenario import ConfigInvalid, scenario_from_dict, schema_from_dict
 from fablink.sim_core import NS_PER_US, RngStream
 from fablink.simulation import Simulation
 from fablink.traffic import LOST, emission_times
@@ -178,6 +180,18 @@ def test_the_safety_log_is_in_time_order(runs):
     for _, _, result in runs[0]:
         instants = [t.at for t in result.safety_log]
         assert instants == sorted(instants)
+
+
+def test_scoring_the_metrics_document_gives_the_runs_report(runs):
+    # what `fablink check` does with each profile's own streams, for every run
+    for _, _, result in runs[0]:
+        doc = json.loads(json.dumps(build_metrics_document(result)))
+        metrics = schema_from_dict(MetricsDocument, doc)
+        report = ComplianceReport(service_area_m=metrics.service_area_m)
+        for profile in PROFILES.values():
+            report.score(metrics.streams, metrics.aggregate, profile, profile.streams,
+                         metrics.availability_sample_floor)
+        assert report == result.compliance
 
 
 def test_digests_do_not_depend_on_run_order(runs, tmp_path):

@@ -3,8 +3,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+import time
+from itertools import pairwise
 from pathlib import Path
 
 import pytest
@@ -258,6 +261,37 @@ def test_cli_duplicate_key_exits_2_naming_it(tmp_path, capsys, command, text, ke
     captured = capsys.readouterr()
     assert f"{key}: duplicate key" in captured.err and "Traceback" not in captured.err
     assert len(captured.err.strip().splitlines()) == 1 and not captured.out
+    assert not (tmp_path / "out").exists()
+
+
+# seven levels of ten aliases: 10**7 scalars for a walk of every path
+ALIAS_BOMB = "a: &a [1,1,1,1,1,1,1,1,1,1]\n" + "".join(
+    f"{b}: &{b} [{','.join([f'*{a}'] * 10)}]\n" for a, b in pairwise("abcdefg"))
+
+
+@pytest.mark.parametrize("command", ["run", "config dump"])
+@pytest.mark.parametrize(
+    "text, error",
+    [("script: &x [*x]\n", "script[0]: expected a mapping, got list"),
+     ("factory: {transit_s: &t {island1: *t}}\n",
+      "factory.transit_s.island1.island1: expected a number, got dict"),
+     (ALIAS_BOMB, "scenario: unknown key(s) ['a', 'b', 'c', 'd', 'e', 'f', 'g']")],
+    ids=["recursive_list", "recursive_mapping", "alias_bomb"],
+)
+def test_cli_recursive_and_repeated_aliases_exit_2_at_once(tmp_path, capsys, command,
+                                                           text, error):
+    # the duplicate-key check visits each YAML node once, however many
+    # aliases reach it, so a cycle ends and a shared node is checked once
+    config = tmp_path / "scenario.yaml"
+    config.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigInvalid, match=re.escape(error)):
+        load_scenario(str(config))
+    out = ["--out", str(tmp_path / "out")] if command == "run" else []
+    start = time.perf_counter()
+    assert _run_cli(*command.split(), "--config", str(config), *out) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {error}\n" and not captured.out
     assert not (tmp_path / "out").exists()
 
 

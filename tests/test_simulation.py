@@ -548,6 +548,5 @@ def test_a_stream_without_packets_in_the_horizon_is_scored_by_its_class():
     late = result.stream_metrics["late"]
     assert (late.stream_class, late.sample_count) == (StreamClass.SAFETY_RELEVANT, 0)
     assert build_metrics_document(result)["streams"]["late"]["class"] == "safety"
-    entries = result.compliance.to_dict()["entries"]
-    assert [(e["stream"], e["profile"]) for e in entries] == [
+    assert [(e.stream, e.profile) for e in result.compliance.entries] == [
         ("late", "aspect1"), ("aggregate", "aspect2")]
