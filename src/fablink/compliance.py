@@ -79,6 +79,8 @@ PROFILES = {p.name: p for p in (ASPECT1, ASPECT2)}
 # counted in windows of aspect 1's survival time.
 JITTER_DEFINITION = "p99_minus_min"
 SURVIVAL_TIME_NS = ASPECT1.survival_time_ns
+# a stream's latencies are sorted in runs of this many records, one array each
+SORT_RUN = 4096
 
 
 @dataclass
@@ -177,42 +179,45 @@ class StreamFold:
     `aggregate_metrics` merges instead of re-reading the records."""
 
     metrics: StreamMetrics
-    latencies: array  # of deliveries within the horizon, sorted
+    latencies: list[array]  # of deliveries within the horizon, in sorted runs
     hit: bytearray  # 1 per whole survival-time window holding a delivery
 
 
 def collect_stream_metrics(
     stream: TrafficProfile, records: StreamRecords, horizon_ns: SimTime,
 ) -> StreamFold:
-    """Fold one stream's record columns into its metrics and latency column.
-    The name, class and PDU size are the stream's, so they hold with no record
-    too. Only records created within the horizon count.
+    """Fold one stream's record columns into its metrics and its latencies,
+    each `SORT_RUN` records' sorted into an array. The name, class and PDU
+    size are the stream's, so they hold with no record too. Only records
+    created within the horizon count.
 
     A packet whose delivery falls beyond the horizon counts as in flight:
     neither delivered nor lost at the deadline. The transfer interval is the
     sender-side gap between consecutive creations.
     """
     # creation instants never decrease, so those within the horizon lead
-    created = records.created
+    created, delivered = records.created, records.delivered
     n = bisect_right(created, horizon_ns)
-    latencies: list[SimTime] = []
+    runs: list[array] = []
     lost = 0
     hit = bytearray(horizon_ns // SURVIVAL_TIME_NS)
     # deliveries in the last, partial window count for no window
     windows_end = len(hit) * SURVIVAL_TIME_NS
-    for c, d in zip(islice(created, n), records.delivered):
-        if d == LOST:
-            lost += 1
-        elif d <= horizon_ns:
-            latencies.append(d - c)
-            if d < windows_end:
-                hit[d // SURVIVAL_TIME_NS] = 1
-    latencies.sort()
-    column = array("q", latencies)
+    for i in range(0, n, SORT_RUN):
+        latencies: list[SimTime] = []
+        for c, d in zip(created[i:min(n, i + SORT_RUN)], delivered[i:i + SORT_RUN]):
+            if d == LOST:
+                lost += 1
+            elif d <= horizon_ns:
+                latencies.append(d - c)
+                if d < windows_end:
+                    hit[d // SURVIVAL_TIME_NS] = 1
+        latencies.sort()
+        runs.append(array("q", latencies))
     metrics = _metrics(stream.name, stream.stream_class,
-                       [(n, stream.payload_bytes)] if n else [], lost, [column],
+                       [(n, stream.payload_bytes)] if n else [], lost, runs,
                        _largest_gap(islice(created, n)), hit, horizon_ns)
-    return StreamFold(metrics, column, hit)
+    return StreamFold(metrics, runs, hit)
 
 
 def aggregate_metrics(
@@ -220,7 +225,7 @@ def aggregate_metrics(
 ) -> StreamMetrics:
     """All streams merged into one pseudo-stream for aggregate assessments,
     from the folds of `records.columns`, in that order: counts summed,
-    latency columns taken together and window hits OR-ed. The transfer
+    latency runs taken together and window hits OR-ed. The transfer
     interval is the largest gap between consecutive creations across all
     streams, read along the records' engine order, which puts every record
     created within the horizon first."""
@@ -235,7 +240,8 @@ def aggregate_metrics(
         "aggregate", StreamClass.NON_SAFETY_RELEVANT,
         [(m.sample_count, p.payload_bytes)
          for m, p in zip(metrics, records.streams) if m.sample_count],
-        sum(m.lost_count for m in metrics), [f.latencies for f in folds],
+        sum(m.lost_count for m in metrics),
+        [run for f in folds for run in f.latencies],
         _largest_gap(created),
         bytearray(hit.to_bytes(horizon_ns // SURVIVAL_TIME_NS, "little")), horizon_ns)
 

@@ -22,10 +22,12 @@ logs the cycles missed both ways since the last delivery.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from array import array
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from itertools import chain, pairwise
+from typing import Callable, Sequence
 
 from .radio_link import LinkRuntime
 from .sim_core import HandlerError, RngStream, SimTime
@@ -208,7 +210,7 @@ def resolve_channel(
     streams: tuple[TrafficProfile, TrafficProfile],
     rng: RngStream,
     horizon: SimTime,
-) -> tuple[StreamRecords, StreamRecords, list[SimTime], list[SimTime], int]:
+) -> tuple[StreamRecords, StreamRecords, array, list[SimTime], int]:
     """The cyclic PDU exchange up to `horizon`, in one loop like a traffic
     stream. `streams` are its two catalog rows, coupler -> PLC (`up`) then
     PLC -> coupler (`down`): their names and PDU sizes, and the cycle rate of
@@ -218,23 +220,24 @@ def resolve_channel(
     TTI boundaries, up before down, until the next cycle's PDU supersedes it.
 
     Returns the `up` and `down` columns, where a retry rewrites its cycle's
-    slot; the sorted deliveries within the horizon; `missed`, the cycle
-    starts where both first attempts were lost, but not one at which a
-    retried PDU of the previous cycle is delivered (that delivery comes after
-    the cycle began); and the count of cycles, retries and deliveries, as if
-    each were queued.
+    slot; the deliveries within the horizon, one `array('q')` kept sorted as
+    it grows (a retry lands near its cycle, so nearly every delivery appends);
+    `missed`, the cycle starts where both first attempts were lost, but not
+    one at which a retried PDU of the previous cycle is delivered (that
+    delivery comes after the cycle began); and the count of cycles, retries
+    and deliveries, as if each were queued.
     """
     up, down = StreamRecords(), StreamRecords()
     # (stream, its sender, its records) per direction, up first
     directions = [(p.name, link.sender(p.name, p.payload_bytes, rng), records)
                   for p, records in zip(streams, (up, down))]
     tti = link.tti_ns
-    delivered, missed = [], []
-    starts = list(emission_times(streams[0].rate_hz, horizon))
-    at, stream, retried_to, retries = 0, "", None, 0
+    delivered, missed = array("q"), []  # deliveries kept sorted as they come
+    at, stream, retried_to, retries, seq = 0, "", None, 0, -1
     try:
         # retries end at the next cycle, or for the last one at the horizon
-        for seq, (at, end) in enumerate(zip(starts, starts[1:] + [horizon + 1])):
+        bounds = pairwise(chain(emission_times(streams[0].rate_hz, horizon), [horizon + 1]))
+        for seq, (at, end) in enumerate(bounds):
             pending = []
             for stream, send, records in directions:
                 sent, d = send(at)
@@ -243,6 +246,8 @@ def resolve_channel(
                 records.delivered.append(LOST if d is None else d)
                 if d is None:
                     pending.append((stream, send, records))
+                elif delivered and d < delivered[-1]:
+                    insort(delivered, d)
                 else:
                     delivered.append(d)
             if len(pending) == 2 and at != retried_to:
@@ -253,19 +258,22 @@ def resolve_channel(
                     records.sent[seq], d = send(at)
                     if d is not None:
                         records.delivered[seq] = d
-                        delivered.append(d)
+                        if delivered and d < delivered[-1]:
+                            insort(delivered, d)
+                        else:
+                            delivered.append(d)
                         if d == end:
                             retried_to = end
                 pending = [p for p in pending if p[2].delivered[seq] == LOST]
     except Exception as exc:
         raise HandlerError(f"at {at} ns, safety channel {stream}: "
                            f"{type(exc).__name__}: {exc}") from exc
-    delivered = sorted(d for d in delivered if d <= horizon)
-    return up, down, delivered, missed, len(starts) + retries + len(delivered)
+    del delivered[bisect_right(delivered, horizon):]  # those past the horizon
+    return up, down, delivered, missed, seq + 1 + retries + len(delivered)
 
 
 def watchdog_trips(
-    delivered: list[SimTime],
+    delivered: Sequence[SimTime],
     missed: list[SimTime],
     resets: list[SimTime],
     watchdog_ns: SimTime,

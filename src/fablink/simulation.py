@@ -680,6 +680,7 @@ class Simulation:
                             for a in self.scenario.script if a.action == "reset")
             trips, checks = watchdog_trips(delivered, missed, resets, watchdog_ns,
                                            self.horizon_ns)
+            del delivered  # the trips are all the run reads of it
         # a trip at the first check's instant comes before the script's
         # actions there, every other trip after them
         first = 1 if trips and trips[0][0] == watchdog_ns else 0

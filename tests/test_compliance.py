@@ -19,6 +19,7 @@ from fablink.compliance import (
     StreamMetrics,
     aggregate_metrics,
     PROFILES,
+    SORT_RUN,
     availability_sample_floor,
     collect_stream_metrics,
     evaluate,
@@ -26,7 +27,7 @@ from fablink.compliance import (
 )
 from fablink.scenario import ConfigInvalid, schema_to_dict
 from fablink.sim_core import NS_PER_MS
-from fablink.traffic import PacketRecord, Records, StreamClass, TrafficProfile
+from fablink.traffic import LOST, PacketRecord, Records, StreamClass, TrafficProfile
 from record_rows import columns, packet_rows
 
 
@@ -285,6 +286,42 @@ def test_aggregate_metrics_fold_all_streams():
     assert m.sample_count == 2
     assert m.size_min == 60 and m.size_max == 1400
     assert m.max_transfer_interval_ns == NS_PER_MS
+
+
+def _full_sort_stats(latencies):
+    """The latency stats of one sort of every latency, at their nearest ranks."""
+    ordered = sorted(latencies)
+    return LatencyStats(*(ordered[_nearest_rank(pct, len(ordered)) - 1]
+                          for pct in (0.0, 50.0, 99.0, 99.9, 100.0)))
+
+
+@pytest.mark.parametrize("n", [SORT_RUN - 1, SORT_RUN, 2 * SORT_RUN + 1])
+def test_latencies_sorted_in_runs_give_the_stats_of_one_full_sort(n):
+    # fewer deliveries than one run, exactly one run, and two runs plus one:
+    # `a` delivers every record within the horizon, while `b` loses some and
+    # delivers others past it, so its runs hold fewer latencies than records
+    rng = random.Random(n)
+    horizon = (n + 10) * NS_PER_MS
+    a = _stream([(k * NS_PER_MS, k * NS_PER_MS + rng.randrange(1, 10**7))
+                 for k in range(n)], name="a")
+    b = _stream([(k * NS_PER_MS, None if rng.random() < 0.1
+                  else k * NS_PER_MS + rng.randrange(1, 50 * NS_PER_MS))
+                 for k in range(n)], name="b")
+    folds = [collect_stream_metrics(p, recs, horizon) for p, recs in (a, b)]
+    delivered = [[d - c for c, d in zip(recs.created, recs.delivered)
+                  if d != LOST and d <= horizon] for _, recs in (a, b)]
+    assert [len(run) for run in folds[0].latencies] == (
+        [n] if n <= SORT_RUN else [SORT_RUN, SORT_RUN, 1])
+    for fold, latencies in zip(folds, delivered):
+        assert all(run.typecode == "q" and list(run) == sorted(run)
+                   for run in fold.latencies)
+        assert fold.metrics.delivered_count == len(latencies)
+        assert fold.metrics.latency == _full_sort_stats(latencies)
+    assert len(delivered[1]) < n and len(folds[1].latencies) == len(folds[0].latencies)
+    view = Records([p for p, _ in (a, b)], [recs for _, recs in (a, b)],
+                   array("I", [0, 1] * n))
+    assert aggregate_metrics(folds, view, horizon).latency == _full_sort_stats(
+        delivered[0] + delivered[1])
 
 
 def test_report_counts_and_schema():
