@@ -23,14 +23,14 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import chain, count
 from pathlib import Path
 from typing import Iterator
 
 from .compliance import JITTER_DEFINITION, StreamMetrics
 from .scenario import schema_to_dict
 from .simulation import RunResult
-from .traffic import LOST, Records
+from .traffic import LOST, Records, merge_records
 
 PACKET_COLUMNS = [
     "stream", "seq", "class", "size_bytes", "created_ns", "sent_ns", "delivered_ns",
@@ -102,14 +102,15 @@ def _csv_field(value: str) -> str:
 
 
 def _packet_rows(records: Records) -> Iterator[str]:
-    """`packets.csv` data rows, each as `csv.writer` writes it: each stream's
-    name and class are quoted once, and the integers formatted directly."""
-    heads = [(_csv_field(p.name), _csv_field(p.stream_class.value), p.payload_bytes)
-             for p in records.streams]
+    """`packets.csv` data rows in engine order, merged as they are written,
+    each as `csv.writer` writes it: each stream's name, class and size are
+    formatted once, and the integers of each row directly."""
+    heads = [(f"{_csv_field(p.name)},", f",{_csv_field(p.stream_class.value)},"
+              f"{p.payload_bytes},") for p in records.streams]
     rows = [zip(count(), c.created, c.sent, c.delivered) for c in records.columns]
-    for k in records.order:
-        (stream, cls, size), (seq, created, sent, delivered) = heads[k], next(rows[k])
-        yield (f"{stream},{seq},{cls},{size},{created},{sent},"
+    for k in chain.from_iterable(merge_records(records.columns)):
+        (stream, cls_size), (seq, created, sent, delivered) = heads[k], next(rows[k])
+        yield (f"{stream}{seq}{cls_size}{created},{sent},"
                f"{'LOST' if delivered == LOST else delivered}\r\n")
 
 

@@ -16,9 +16,9 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice, tee
+from itertools import chain, islice, tee
 from operator import sub
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .scenario import ConfigInvalid
 from .sim_core import NS_PER_MS, SimTime
@@ -220,6 +220,27 @@ def collect_stream_metrics(
     return StreamFold(metrics, runs, hit)
 
 
+def _sorted_windows(columns: Sequence[Sequence[SimTime]],
+                    counts: Sequence[int]) -> Iterator[list[SimTime]]:
+    """The first `counts[k]` instants of each sorted `columns[k]`, merged in
+    order as consecutive sorted windows. A window ends at the earliest
+    instant that `step` of one column's instants in it precede, so it holds
+    at most `step` + 1 instants of each column (more only where a column
+    repeats that instant), about `SORT_RUN` in all."""
+    step = SORT_RUN // max(len(columns), 1)
+    starts = [0] * len(columns)
+    while True:
+        bound = min((c[i + step] for c, i, n in zip(columns, starts, counts)
+                     if i + step < n), default=None)
+        ends = counts if bound is None else [
+            bisect_right(c, bound, i, n) for c, i, n in zip(columns, starts, counts)]
+        yield sorted(chain.from_iterable(
+            c[i:j] for c, i, j in zip(columns, starts, ends)))
+        if bound is None:
+            return
+        starts = ends
+
+
 def aggregate_metrics(
     folds: Sequence[StreamFold], records: Records, horizon_ns: SimTime
 ) -> StreamMetrics:
@@ -227,12 +248,12 @@ def aggregate_metrics(
     from the folds of `records.columns`, in that order: counts summed,
     latency runs taken together and window hits OR-ed. The transfer
     interval is the largest gap between consecutive creations across all
-    streams, read along the records' engine order, which puts every record
-    created within the horizon first."""
+    streams, read from the sorted union of their creation instants within
+    the horizon: the instants along engine order, whose merge key starts
+    with the creation instant."""
     metrics = [f.metrics for f in folds]
-    n = sum(m.sample_count for m in metrics)
-    cursors = [iter(c.created) for c in records.columns]
-    created = map(next, map(cursors.__getitem__, islice(records.order, n)))
+    created = chain.from_iterable(_sorted_windows(
+        [c.created for c in records.columns], [m.sample_count for m in metrics]))
     hit = 0  # the streams' 0/1 window bytes, OR-ed as one integer
     for f in folds:
         hit |= int.from_bytes(f.hit, "little")

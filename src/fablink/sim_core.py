@@ -4,8 +4,8 @@ Integer-nanosecond virtual clock, a cancellable event queue with a safety
 lane (safety events run before normal events at the same instant), named RNG
 sub-streams, and per-module event counters for the run summary. Traffic
 streams and the safety channel's PDUs never enter the queue, and of its
-watchdog only the trips do; `traffic.merge_records` puts their records in
-its order.
+watchdog only the trips do; `packets.csv` is written in its order, through
+`traffic.merge_records`.
 
 A queued event is one list, `[fire_at, lane, seq, action, module]`, ordered
 by `(fire_at, lane, seq)`. `schedule_at` returns that list as the event's
@@ -132,9 +132,8 @@ class Engine:
         delay: SimTime,
         action: Callable[[], None],
         module: str = "misc",
-        lane: int = LANE_NORMAL,
     ) -> QueueEntry:
-        return self.schedule_at(self.now + delay, action, module, lane)
+        return self.schedule_at(self.now + delay, action, module)
 
     @staticmethod
     def cancel(entry: QueueEntry) -> None:
@@ -180,15 +179,13 @@ class PausableTimer:
         delay: SimTime,
         action: Callable[[], None],
         module: str = "misc",
-        lane: int = LANE_NORMAL,
     ):
         self._engine = engine
         self._action = action
         self._module = module
-        self._lane = lane
         self._remaining: SimTime | None = None  # set while paused
         self._entry: QueueEntry | None = engine.schedule_after(
-            delay, self._fire, module, lane
+            delay, self._fire, module
         )
 
     def _fire(self) -> None:
@@ -206,6 +203,6 @@ class PausableTimer:
         if self._remaining is None:  # running or fired
             return
         self._entry = self._engine.schedule_after(
-            self._remaining, self._fire, self._module, self._lane
+            self._remaining, self._fire, self._module
         )
         self._remaining = None

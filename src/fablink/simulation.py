@@ -2,8 +2,8 @@
 handshake controller, manual workstation), the safety loops and the scenario
 script onto one deterministic event loop, computes each traffic stream and
 the safety PDU channel off that loop, queues the channel's watchdog trips on
-it, merges all records into engine order, and folds the run into metrics and
-a compliance report.
+it, and folds each stream's records into metrics and a compliance report;
+only `packets.csv` puts the records in engine order.
 
 The plant runtime holds no record of its own for a product or the robot: it
 moves `factory.Product` (place, `ProductState`, robot destination) and
@@ -59,8 +59,7 @@ from .sim_core import (
     SimSummary,
     SimTime,
 )
-from .traffic import Records, StreamRecords, TrafficProfile
-from .traffic import merge_records, stream_records
+from .traffic import Records, StreamRecords, TrafficProfile, stream_records
 
 
 @dataclass
@@ -661,7 +660,8 @@ class Simulation:
     def run(self) -> RunResult:
         """Compute each traffic stream's records, the safety channel's and its
         watchdog's trips, run the engine to the horizon with one safety-lane
-        event per trip, then merge the records back into engine order."""
+        event per trip, then fold each stream's records; only `packets.csv`
+        puts them in engine order."""
         traffic = [
             stream_records(p, self.engine.stream(f"traffic.{p.name}"),
                            self.link, self.horizon_ns, self.wired_latency_ns)
@@ -711,7 +711,7 @@ class Simulation:
         """Fold the run; `sources` holds each stream's records, in the order
         of `self.streams`."""
         comp = self.scenario.compliance
-        records = Records(self.streams, sources, merge_records(sources))
+        records = Records(self.streams, sources)
         folds = [compliance_mod.collect_stream_metrics(p, recs, self.horizon_ns)
                  for p, recs in zip(self.streams, sources)]
         aggregate = compliance_mod.aggregate_metrics(folds, records, self.horizon_ns)

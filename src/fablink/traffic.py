@@ -1,6 +1,7 @@
 """Traffic streams: profiles, the measured catalog, emission instants, and
-each stream's records computed off the event queue as integer columns, then
-merged into the order the engine would have created them.
+each stream's records computed off the event queue as integer columns, and
+the merge that puts them, for `packets.csv`, in the order the engine would
+have created them.
 
 The built-in catalog reproduces the packet mix measured on the running
 plant: two cyclic safety PDU streams (60/64 bytes at 246.19 Hz), four
@@ -11,11 +12,9 @@ whole catalog sums to the measured 5.97 Mbit/s aggregate.
 from __future__ import annotations
 
 import heapq
-import math
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import count, repeat
 from typing import Iterator
 
 from .radio_link import LinkRuntime
@@ -173,6 +172,7 @@ def emission_times(
 # -- records, off the event queue -----------------------------------------------
 
 LOST = -1  # the delivered instant of a lost packet
+MERGE_CHUNK = 4096  # records per chunk of engine order that `merge_records` yields
 
 
 class StreamRecords:
@@ -184,36 +184,16 @@ class StreamRecords:
         self.created, self.sent, self.delivered = array("q"), array("q"), array("q")
 
 
-@dataclass(slots=True)
-class PacketRecord:
-    """One record as a `Records` view yields it; delivered_at is None when lost."""
-
-    stream: str
-    seq: int
-    created_at: SimTime
-    size_bytes: int
-    sent_at: SimTime | None = None
-    delivered_at: SimTime | None = None
-
-
 class Records:
-    """A run's packet records in engine order, read-only: `len()`, and iteration
-    that yields one `PacketRecord` at a time. `columns[k]` holds the records of
-    `streams[k]`, and `order` the source index of each record in engine order."""
+    """A run's packet records, read-only: `columns[k]` holds the records of
+    `streams[k]`, and `len()` counts them all. Only `packets.csv` puts them
+    in engine order, through `merge_records`."""
 
-    def __init__(self, streams: list[TrafficProfile], columns: list[StreamRecords],
-                 order: array):
-        self.streams, self.columns, self.order = streams, columns, order
+    def __init__(self, streams: list[TrafficProfile], columns: list[StreamRecords]):
+        self.streams, self.columns = streams, columns
 
     def __len__(self) -> int:
-        return len(self.order)
-
-    def __iter__(self) -> Iterator[PacketRecord]:
-        rows = [zip(repeat(p.name), count(), c.created, repeat(p.payload_bytes),
-                    c.sent, c.delivered) for p, c in zip(self.streams, self.columns)]
-        for k in self.order:
-            *row, delivered = next(rows[k])
-            yield PacketRecord(*row, None if delivered == LOST else delivered)
+        return sum(len(c.created) for c in self.columns)
 
 
 def stream_records(profile: TrafficProfile, rng: RngStream, link: LinkRuntime,
@@ -242,30 +222,28 @@ def stream_records(profile: TrafficProfile, rng: RngStream, link: LinkRuntime,
     return records
 
 
-def merge_records(sources: list[StreamRecords]) -> array:
-    """Engine order, as the index into `sources` of each record in turn, as if
-    each emission had been an event: by creation instant, then by the merge
-    position of the source's previous emission, the order the engine would
-    have queued them in. Sources start in run order: the safety channel's up
-    and down records, then the streams in catalog order."""
+def merge_records(sources: list[StreamRecords]) -> Iterator[array]:
+    """Engine order, as the index into `sources` of each record in turn, in
+    `array('I')` chunks of `MERGE_CHUNK`, as if each emission had been an
+    event: by creation instant, then by the merge position of the source's
+    previous emission (at a tie, the source whose previous emission came
+    first), the order the engine would have queued them in. Sources start
+    in run order: the safety channel's up and down records, then the
+    streams in catalog order."""
     created = [recs.created for recs in sources]
     # (created_at, merge position of the previous emission, source, index)
     heap = [(c[0], k - len(created), k, 0) for k, c in enumerate(created) if c]
     heapq.heapify(heap)
-    order = array("I")
-    append = order.append
+    order, merged = array("I"), 0  # this chunk, and the records before it
     while heap:
-        _, _, k, i = heapq.heappop(heap)
-        c = created[k]
-        end = len(c)
-        # a source keeps the lead while its next emission is strictly
-        # earlier than every other source's: at a tie the other was first
-        bound = heap[0][0] if heap else math.inf
-        while True:
-            append(k)
-            i += 1
-            if i == end or c[i] >= bound:
-                break
-        if i < end:
-            heapq.heappush(heap, (c[i], len(order), k, i))
-    return order
+        _, _, k, i = heap[0]
+        order.append(k)
+        n = len(order)
+        if i + 1 < len(created[k]):
+            heapq.heapreplace(heap, (created[k][i + 1], merged + n, k, i + 1))
+        else:
+            heapq.heappop(heap)
+        if n == MERGE_CHUNK:
+            yield order
+            order, merged = array("I"), merged + n
+    yield order

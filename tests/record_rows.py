@@ -1,11 +1,36 @@
-"""Test-side conversions between a stream's record columns and the
-`PacketRecord` rows a `Records` view yields."""
+"""Test-side packet rows: a run's records as `PacketRecord` objects in the
+engine order `packets.csv` is written in, through the writer's merge, and
+conversions between a stream's record columns and its rows."""
 
 from __future__ import annotations
 
-from array import array
+from dataclasses import dataclass
+from itertools import chain, count, repeat
+from typing import Iterator
 
-from fablink.traffic import LOST, PacketRecord, Records, StreamRecords, TrafficProfile
+from fablink.sim_core import SimTime
+from fablink.traffic import LOST, Records, StreamRecords, TrafficProfile, merge_records
+
+
+@dataclass(slots=True)
+class PacketRecord:
+    """One packet record as a row; delivered_at is None when lost."""
+
+    stream: str
+    seq: int
+    created_at: SimTime
+    size_bytes: int
+    sent_at: SimTime | None = None
+    delivered_at: SimTime | None = None
+
+
+def engine_rows(records: Records) -> Iterator[PacketRecord]:
+    """`records` as rows, one at a time, in the engine order of `merge_records`."""
+    rows = [zip(repeat(p.name), count(), c.created, repeat(p.payload_bytes),
+                c.sent, c.delivered) for p, c in zip(records.streams, records.columns)]
+    for k in chain.from_iterable(merge_records(records.columns)):
+        *row, delivered = next(rows[k])
+        yield PacketRecord(*row, None if delivered == LOST else delivered)
 
 
 def columns(rows) -> StreamRecords:
@@ -19,8 +44,8 @@ def columns(rows) -> StreamRecords:
 
 
 def packet_rows(stream: TrafficProfile, records: StreamRecords) -> list[PacketRecord]:
-    """`stream`'s records as rows, in emission order, through a one-stream view."""
-    return list(Records([stream], [records], array("I", [0]) * len(records.created)))
+    """`stream`'s records as rows, in emission order."""
+    return list(engine_rows(Records([stream], [records])))
 
 
 def channel_rows(streams, up: StreamRecords, down: StreamRecords) -> list[PacketRecord]:

@@ -36,7 +36,7 @@ from fablink.scenario import SafetySection, default_scenario, scenario_from_dict
 from fablink.simulation import Simulation
 from fablink.sim_core import NS_PER_MS, NS_PER_S, Engine, RngStream
 from fablink.traffic import StreamClass
-from record_rows import channel_rows
+from record_rows import channel_rows, engine_rows
 
 TABLE_RATES_HZ = {
     "pnio_coupler_to_plc": 246.19,
@@ -79,7 +79,7 @@ def test_criterion_1_traffic_reproduction(default_run):
     assert elapsed < 10.0, f"60 s run took {elapsed:.1f} s"
     for stream, expected_hz in TABLE_RATES_HZ.items():
         creations = sorted(
-            r.created_at for r in result.records if r.stream == stream
+            r.created_at for r in engine_rows(result.records) if r.stream == stream
         )
         assert len(creations) >= 2, stream
         span_s = (creations[-1] - creations[0]) / NS_PER_S

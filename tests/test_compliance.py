@@ -9,6 +9,7 @@ from itertools import chain, pairwise
 
 import pytest
 
+from fablink import compliance
 from fablink.compliance import (
     ASPECT1,
     ASPECT2,
@@ -27,8 +28,8 @@ from fablink.compliance import (
 )
 from fablink.scenario import ConfigInvalid, schema_to_dict
 from fablink.sim_core import NS_PER_MS
-from fablink.traffic import LOST, PacketRecord, Records, StreamClass, TrafficProfile
-from record_rows import columns, packet_rows
+from fablink.traffic import LOST, Records, StreamClass, TrafficProfile
+from record_rows import PacketRecord, columns, packet_rows
 
 
 def test_profiles_are_the_two_aspects_each_with_its_streams():
@@ -279,8 +280,7 @@ def test_aggregate_metrics_fold_all_streams():
                for name, row, size in (("a", (0, NS_PER_MS), 60),
                                        ("b", (NS_PER_MS, 2 * NS_PER_MS), 1400))]
     folds = [collect_stream_metrics(p, recs, horizon) for p, recs in streams]
-    records = Records([p for p, _ in streams], [recs for _, recs in streams],
-                      array("I", [0, 1]))
+    records = Records([p for p, _ in streams], [recs for _, recs in streams])
     m = aggregate_metrics(folds, records, horizon)
     assert m.stream == "aggregate"
     assert m.sample_count == 2
@@ -318,8 +318,7 @@ def test_latencies_sorted_in_runs_give_the_stats_of_one_full_sort(n):
         assert fold.metrics.delivered_count == len(latencies)
         assert fold.metrics.latency == _full_sort_stats(latencies)
     assert len(delivered[1]) < n and len(folds[1].latencies) == len(folds[0].latencies)
-    view = Records([p for p, _ in (a, b)], [recs for _, recs in (a, b)],
-                   array("I", [0, 1] * n))
+    view = Records([p for p, _ in (a, b)], [recs for _, recs in (a, b)])
     assert aggregate_metrics(folds, view, horizon).latency == _full_sort_stats(
         delivered[0] + delivered[1])
 
@@ -462,15 +461,11 @@ def _columns(records):
 
 
 def _folds_and_view(records, streams, horizon_ns):
-    """Each stream's fold, and a `Records` view of `records` whose engine
-    order is the list's own order."""
+    """Each stream's fold, and a `Records` view of its columns."""
     cols = {name: _columns(recs) for name, recs in _by_stream(records).items()}
     folds = {name: collect_stream_metrics(streams[name], c, horizon_ns)
              for name, c in cols.items()}
-    source = {name: k for k, name in enumerate(cols)}
-    view = Records([streams[name] for name in cols], list(cols.values()),
-                   array("I", (source[r.stream] for r in records)))
-    return folds, view
+    return folds, Records([streams[name] for name in cols], list(cols.values()))
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -497,7 +492,7 @@ def test_fold_of_no_records_and_of_one():
     safety = StreamClass.SAFETY_RELEVANT
     _assert_same_metrics(collect_stream_metrics(*_stream([]), horizon).metrics,
                          _reference_stream_metrics("s", safety, [], horizon))
-    _assert_same_metrics(aggregate_metrics([], Records([], [], array("I")), horizon),
+    _assert_same_metrics(aggregate_metrics([], Records([], []), horizon),
                          _reference_aggregate([], horizon))
     for delivered in (None, 2 * NS_PER_MS, 200 * NS_PER_MS):
         stream, records = _stream([(NS_PER_MS, delivered)])
@@ -505,6 +500,29 @@ def test_fold_of_no_records_and_of_one():
         fold = collect_stream_metrics(stream, records, horizon)
         _assert_same_metrics(fold.metrics,
                              _reference_stream_metrics("s", safety, one, horizon))
-        view = Records([stream], [records], array("I", [0]))
+        view = Records([stream], [records])
         _assert_same_metrics(aggregate_metrics([fold], view, horizon),
                              _reference_aggregate(one, horizon))
+
+
+@pytest.mark.parametrize("sort_run", [1, 2, 9])
+def test_the_aggregate_reads_its_creation_gap_window_by_window(monkeypatch, sort_run):
+    # windows of a few instants, so a run of a few hundred records spans many;
+    # a run sorts its latencies in runs of the same size
+    monkeypatch.setattr(compliance, "SORT_RUN", sort_run)
+    for seed in range(20):
+        rng = random.Random(seed)
+        records, streams = _random_run(rng, rng.choice([2, 50, 400]), rng.randint(1, 5))
+        last = records[-1].created_at
+        horizon_ns = rng.choice([last // 2, last, last + 7 * NS_PER_MS])
+        folds, view = _folds_and_view(records, streams, horizon_ns)
+        _assert_same_metrics(aggregate_metrics(list(folds.values()), view, horizon_ns),
+                             _reference_aggregate(records, horizon_ns))
+        counts = [f.metrics.sample_count for f in folds.values()]
+        windows = list(compliance._sorted_windows(
+            [c.created for c in view.columns], counts))
+        assert list(chain.from_iterable(windows)) == sorted(
+            r.created_at for r in records if r.created_at <= horizon_ns)
+        # a window holds `step` + 1 distinct instants of each column at most
+        step = sort_run // len(counts)
+        assert all(len(set(w)) <= len(counts) * (step + 1) for w in windows)

@@ -1,17 +1,19 @@
 """Traffic streams, the safety channel's PDUs and its watchdog's trips are
-resolved off the event queue, and their records are merged back into engine
-order. These tests hold `Simulation.run`, `safety.resolve_channel` and
-`safety.watchdog_trips` to an engine-driven reference kept here: a traffic
-stream as an event per emission, and the safety channel as an event per
-cycle, retry and delivery with its watchdog as a chain of checks, which is
-how fablink ran them before.
+resolved off the event queue, and `packets.csv` merges their records back
+into engine order. These tests hold `Simulation.run`, `safety.resolve_channel`
+and `safety.watchdog_trips` to the engine-driven reference of
+`tests/reference.py`: a traffic stream as an event per emission, and the
+safety channel as an event per cycle, retry and delivery with its watchdog as
+a chain of checks, which is how fablink ran them before.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import replace
+from itertools import islice
 
 import pytest
 
@@ -19,13 +21,14 @@ from fablink.radio_link import (
     BlerCurve, LinkRuntime, RadioSection, default_link_model, next_tx_opportunity,
 )
 from fablink.safety import SafetyManager, resolve_channel, watchdog_trips
-from fablink.scenario import SafetySection, scenario_from_dict
+from fablink.scenario import ConfigInvalid, SafetySection, scenario_from_dict
 from fablink.sim_core import (
-    LANE_NORMAL, LANE_SAFETY, NS_PER_MS, NS_PER_S, NS_PER_US, Engine, HandlerError,
-    RngStream)
+    LANE_SAFETY, NS_PER_MS, NS_PER_S, NS_PER_US, Engine, HandlerError, RngStream)
 from fablink.simulation import Simulation
-from fablink.traffic import PacketRecord, emission_times
-from record_rows import packet_rows
+from fablink.traffic import emission_times
+from record_rows import PacketRecord, engine_rows, packet_rows
+from reference import EngineChannel, engine_reference
+from scenarios import random_scenario
 
 # a and b share one schedule; c, d and the safety channel tie with them at
 # phase 0; p is Poisson and w is wired
@@ -135,178 +138,6 @@ CASES = {
 }
 
 
-class _EngineStream:
-    """One traffic stream as engine events: each emission is a `traffic`
-    event that sends its packet inline and queues the next emission."""
-
-    def __init__(self, sim: Simulation, profile, records: list, link_up: list):
-        self.sim = sim
-        self.profile = profile
-        self.records = records
-        self.link_up = link_up
-        self.rng = sim.engine.stream(f"traffic.{profile.name}")
-        self.seq = 0
-        self.times = emission_times(profile.rate_hz, sim.horizon_ns, profile.pattern,
-                                    round(profile.phase_us * NS_PER_US), self.rng)
-
-    def schedule_next(self) -> None:
-        t = next(self.times, None)
-        if t is not None:
-            self.sim.engine.schedule_at(t, self.emit, module="traffic")
-
-    def emit(self) -> None:
-        sim, p = self.sim, self.profile
-        now = sim.engine.now
-        record = PacketRecord(p.name, self.seq, now, p.payload_bytes)
-        self.seq += 1
-        self.records.append(record)
-        if not p.wireless:
-            record.sent_at, record.delivered_at = now, now + sim.wired_latency_ns
-        else:
-            link = sim.link
-            radio = sim.scenario.radio
-            record.sent_at = next_tx_opportunity(now, radio.tti_us * NS_PER_US)
-            lost = not self.link_up[0] or (
-                link.bler > 0.0 and self.rng.random() < link.bler)
-            if not lost:
-                record.delivered_at = record.sent_at + link.model.air_time_ns(
-                    radio, p.payload_bytes) + round(
-                    radio.processing_delay_us * NS_PER_US)
-                if link.jitter_ns > 0:
-                    jitter = sim.engine.stream(f"jitter.{p.name}")
-                    record.delivered_at += round(jitter.uniform(0, link.jitter_ns))
-        self.schedule_next()
-
-
-class _EngineChannel:
-    """The safety channel as engine events: each cycle is a `safety` event
-    that makes both first attempts and queues the next cycle, each lost
-    attempt queues its retry at the next TTI boundary, each delivery is an
-    event that resets the watchdog timer and the miss counter, and the
-    watchdog is a safety-lane check re-armed from the last delivery. `checks`
-    holds the instants of its checks."""
-
-    def __init__(self, engine, link, streams, watchdog_ns, rng, records, on_trip):
-        self.engine = engine
-        self.link = link
-        self.cycle_hz = streams[0].rate_hz
-        self.watchdog_ns = watchdog_ns
-        self.records = records
-        self.on_trip = on_trip
-        self.consecutive_missed = 0
-        self.last_delivery = 0
-        self.supervising = True
-        self.checks = []
-        self._horizon = 0
-        self._cycle = 0
-        self._directions = [
-            (p.name, p.payload_bytes, link.sender(p.name, p.payload_bytes, rng))
-            for p in streams
-        ]
-        self._cycles = iter(())
-
-    def start(self, horizon: int) -> None:
-        self._horizon = horizon
-        self.last_delivery = self.engine.now
-        self._cycles = emission_times(self.cycle_hz, horizon)
-        first = next(self._cycles, None)
-        if first is not None:
-            self.engine.schedule_at(first, self._run_cycle, module="safety")
-        self._arm_watchdog()
-
-    def _run_cycle(self) -> None:
-        nxt = next(self._cycles, None)
-        cycle_end = math.inf if nxt is None else nxt
-        lost = []
-        for stream, size, send in self._directions:
-            record = PacketRecord(stream, self._cycle, self.engine.now, size)
-            self.records.append(record)
-            lost.append(self._attempt(record, send, cycle_end))
-        self._cycle += 1
-        if all(lost):
-            self.consecutive_missed += 1
-        if nxt is not None:
-            self.engine.schedule_at(nxt, self._run_cycle, module="safety")
-
-    def _attempt(self, record, send, cycle_end) -> bool:
-        sent_at, delivered = send(self.engine.now)
-        record.sent_at = sent_at
-        if delivered is not None:
-            record.delivered_at = delivered
-            self.engine.schedule_at(
-                delivered, self._on_delivered, module="safety", lane=LANE_NORMAL)
-            return False
-        retry_at = sent_at + self.link.tti_ns
-        if retry_at < cycle_end and retry_at <= self._horizon:
-            self.engine.schedule_at(
-                retry_at, lambda: self._attempt(record, send, cycle_end),
-                module="safety")
-        return True
-
-    def _on_delivered(self) -> None:
-        self.last_delivery = self.engine.now
-        self.consecutive_missed = 0
-
-    def _arm_watchdog(self) -> None:
-        check_at = self.last_delivery + self.watchdog_ns
-        if check_at <= self._horizon:
-            self.engine.schedule_at(
-                check_at, self._check_watchdog, module="safety", lane=LANE_SAFETY)
-
-    def _check_watchdog(self) -> None:
-        if not self.supervising:
-            return
-        self.checks.append(self.engine.now)
-        if self.engine.now - self.last_delivery >= self.watchdog_ns:
-            self.supervising = False
-            self.on_trip(self.engine.now, self.consecutive_missed)
-            return
-        self._arm_watchdog()
-
-    def rearm(self, now: int) -> None:
-        self.last_delivery = now
-        self.consecutive_missed = 0
-        if not self.supervising:
-            self.supervising = True
-            self._arm_watchdog()
-
-
-def engine_reference(data: dict) -> tuple[list[PacketRecord], dict[str, int], list]:
-    """The records, event counts and safety log of a run whose traffic
-    streams and safety channel are engine events, started in the order
-    fablink starts its sources: plant, safety channel, streams in catalog
-    order, script. A scripted link action flips the streams' up switch when
-    its event fires, and a `reset` rearms the channel's watchdog after it
-    has run."""
-    sim = Simulation(scenario_from_dict(data))
-    records: list[PacketRecord] = []
-    link_up = [True]
-    run_action = sim._run_action
-    channel = None
-
-    def run_action_and_switch(action) -> None:
-        if action.action in ("link_down", "link_up"):
-            link_up[0] = action.action == "link_up"
-        run_action(action)
-        if action.action == "reset" and channel:
-            channel.rearm(sim.engine.now)
-
-    sim._run_action = run_action_and_switch
-    if sim.plant:
-        sim.plant.start()
-    if sim.channel:
-        channel = _EngineChannel(sim.engine, sim.link, sim.channel,
-                                 sim.scenario.safety.watchdog_ns,
-                                 sim.engine.stream("link.safety"), records,
-                                 sim.safety_mgr.watchdog_trip)
-        channel.start(sim.horizon_ns)
-    for profile in sim.streams[len(sim.channel or ()):]:  # the channel's pair leads
-        _EngineStream(sim, profile, records, link_up).schedule_next()
-    sim._schedule_script()
-    summary = sim.engine.run_until(sim.horizon_ns)
-    return records, summary.events_processed, sim.safety_mgr.log
-
-
 def _run_recording_queue(data: dict):
     """`Simulation.run` of `data`, and every event it queued as (module,
     fire_at, action, lane), in queueing order."""
@@ -326,7 +157,7 @@ def _run_recording_queue(data: dict):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_merged_records_equal_the_engine_driven_reference(case, seed):
     data = {"seed": seed, "horizon_s": 2.0, **CASES[case]}
-    expected, expected_events, expected_log = engine_reference(data)
+    expected = engine_reference(data)
 
     result, queued = _run_recording_queue(data)
 
@@ -335,12 +166,76 @@ def test_merged_records_equal_the_engine_driven_reference(case, seed):
     trips = [t.at for t in result.safety_log if t.cause == "watchdog"]
     assert [(at, action.__name__, lane) for module, at, action, lane in queued
             if module == "safety"] == [(at, "watchdog_trip", LANE_SAFETY) for at in trips]
-    assert result.summary.events_processed == expected_events
-    assert result.safety_log == expected_log
-    assert expected_events["traffic"] > 0
-    assert len(result.records) == len(expected)
-    for got, want in zip(result.records, expected):
-        assert got == want
+    assert result.summary.events_processed == expected.events
+    assert result.safety_log == expected.safety_log
+    assert expected.events["traffic"] > 0
+    assert len(result.records) == len(expected.records)
+    assert list(engine_rows(result.records)) == expected.records
+
+
+def _on_the_grids(config: dict, rng: random.Random) -> tuple[dict, set[int]]:
+    """`config` with script actions added on the run's grids, and their
+    instants: a link outage from a cycle start (a TTI boundary without the
+    channel) to a TTI boundary, a reset at the first watchdog check, and a
+    reset or an estop at the first trip that run makes, so that it ties with
+    that check whatever the actions after it do."""
+    sim = Simulation(scenario_from_dict(config))
+    horizon, tti = sim.horizon_ns, sim.link.tti_ns
+    starts = emission_times(sim.channel[0].rate_hz, horizon) if sim.channel \
+        else range(0, horizon + 1, tti)
+    down = rng.choice(list(islice(starts, 20)))
+    up = min(horizon // tti * tti, down + tti * rng.randrange(1, 400))
+    islands = [i["id"] for i in config["factory"]["islands"]] \
+        if config["factory"]["enabled"] else []
+    loop = {"loop": f"{islands[0]}.loop"} if islands else {}
+    script = [*config["script"],
+              {"at_s": down / NS_PER_S, "action": "link_down"},
+              {"at_s": up / NS_PER_S, "action": "link_up"}]
+    if rng.random() < 0.5:
+        script.append({"at_s": sim.scenario.safety.watchdog_ns / NS_PER_S,
+                       "action": "reset", **loop})
+    config = {**config, "script": script}
+    trips = [t.at for t in Simulation(scenario_from_dict(config)).run().safety_log
+             if t.cause == "watchdog"]
+    if trips:
+        tie = {"action": "reset", **loop} if not islands or rng.random() < 0.5 \
+            else {"action": "estop", "endpoint": "safety_plc"}
+        config["script"] = [*script, {"at_s": trips[0] / NS_PER_S, **tie}]
+    instants = {round(a["at_s"] * NS_PER_S) for a in config["script"]}
+    return config, instants
+
+
+def test_generated_runs_equal_the_engine_driven_reference():
+    # short draws of the scenario generator, every other one with script
+    # instants on the run's grids, where same-instant ties decide the order
+    rng = random.Random(22)
+    compared, ties = 0, Counter()
+    for draw in range(120):
+        config = random_scenario(rng, horizon_s=(1.0, 3.0))
+        try:
+            if draw % 2:
+                config, instants = _on_the_grids(config, rng)
+            scenario = scenario_from_dict(config)
+        except ConfigInvalid:
+            continue
+        expected = engine_reference(config)
+        result = Simulation(scenario).run()
+        assert list(engine_rows(result.records)) == expected.records, draw
+        assert result.safety_log == expected.safety_log, draw
+        assert result.product_log == expected.product_log, draw
+        compared += 1
+        if draw % 2:
+            sim = Simulation(scenario)
+            tti = sim.link.tti_ns
+            cycles = set(emission_times(sim.channel[0].rate_hz, sim.horizon_ns)) \
+                if sim.channel else set()
+            ties["cycle"] += bool(instants & cycles)
+            ties["tti"] += any(t % tti == 0 for t in instants)
+            ties["check"] += bool(instants & set(expected.checks))
+            ties["first check"] += scenario.safety.watchdog_ns in (
+                instants & set(expected.checks[:1]))
+    assert compared > 80
+    assert min(ties[k] for k in ("cycle", "tti", "check", "first check")) > 0, ties
 
 
 def test_two_streams_on_one_schedule_merge_in_catalog_order():
@@ -348,7 +243,7 @@ def test_two_streams_on_one_schedule_merge_in_catalog_order():
             "traffic": {"catalog": [dict(row, name=name) for name, row in
                                     (("z", CATALOG[0]), ("y", CATALOG[0]))]}}
     result = Simulation(scenario_from_dict(data)).run()
-    assert [r.stream for r in result.records] == ["z", "y"] * 11
+    assert [r.stream for r in engine_rows(result.records)] == ["z", "y"] * 11
 
 
 def test_no_traffic_leaves_no_traffic_count():
@@ -437,7 +332,7 @@ def _engine_channel_run(seed, streams, watchdog_ns, link_args, rearms, horizon):
     safety event count, and the instants of its checks."""
     engine = Engine(seed=seed)
     trips, records = [], []
-    channel = _EngineChannel(engine, _channel_link(seed, *link_args), streams,
+    channel = EngineChannel(engine, _channel_link(seed, *link_args), streams,
                              watchdog_ns, engine.stream("link.safety"), records,
                              lambda now, missed: trips.append((now, missed)))
     channel.start(horizon)
