@@ -2,7 +2,8 @@
 profiles, and list the built-in profiles and traffic catalog.
 
 Exit codes: 0 success (and, for `check`, at least one assessed verdict and
-no Fail); 1 a checked dimension failed; 2 bad input (a config or
+no Fail); 1 a checked dimension failed, or an event's action ended the `run`
+in an error (one `run error:` line, no artifacts); 2 bad input (a config or
 `--seed`/`--horizon` value the scenario schema rejects, an unknown profile,
 a malformed metrics file, a metrics file in which `check` assesses nothing,
 or I/O).
@@ -27,6 +28,7 @@ from .scenario import (
     schema_from_dict,
     schema_to_dict,
 )
+from .sim_core import HandlerError
 from .simulation import Simulation
 from .traffic import StreamClass
 
@@ -104,7 +106,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except (ConfigInvalid, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    result = Simulation(scenario).run()
+    try:
+        result = Simulation(scenario).run()
+    except HandlerError as exc:
+        print(f"run error: {exc}", file=sys.stderr)
+        return 1
     try:
         artifacts = write_artifacts(result, args.out)
     except OSError as exc:

@@ -138,11 +138,11 @@ def _largest_gap(created: Iterable[SimTime]) -> SimTime | None:
 
 def _metrics(stream: str, stream_class: StreamClass, sampled: list[tuple[int, int]],
              lost_count: int, latencies: list[Sequence[SimTime]],
-             max_gap: SimTime | None, hit: bytearray,
+             max_gap: SimTime | None, hits: int,
              horizon_ns: SimTime) -> StreamMetrics:
     """Metrics of the records created within the horizon, given as (count, PDU
     size) per stream that holds any, from the sorted latency columns of their
-    deliveries within it and the whole windows those deliveries hit."""
+    deliveries within it and the number of whole windows those deliveries hit."""
     sample_count = sum(k for k, _ in sampled)
     delivered = sum(map(len, latencies))
     latency = LatencyStats(
@@ -167,7 +167,7 @@ def _metrics(stream: str, stream_class: StreamClass, sampled: list[tuple[int, in
         latency=latency,
         jitter_ns=None if latency is None else latency.p99_ns - latency.min_ns,
         max_transfer_interval_ns=max_gap,
-        availability=hit.count(1) / windows if windows else None,
+        availability=hits / windows if windows else None,
         survival_time_ns=SURVIVAL_TIME_NS,
         availability_windows=windows,
     )
@@ -216,7 +216,7 @@ def collect_stream_metrics(
         runs.append(array("q", latencies))
     metrics = _metrics(stream.name, stream.stream_class,
                        [(n, stream.payload_bytes)] if n else [], lost, runs,
-                       _largest_gap(islice(created, n)), hit, horizon_ns)
+                       _largest_gap(islice(created, n)), hit.count(1), horizon_ns)
     return StreamFold(metrics, runs, hit)
 
 
@@ -264,7 +264,7 @@ def aggregate_metrics(
         sum(m.lost_count for m in metrics),
         [run for f in folds for run in f.latencies],
         _largest_gap(created),
-        bytearray(hit.to_bytes(horizon_ns // SURVIVAL_TIME_NS, "little")), horizon_ns)
+        hit.bit_count(), horizon_ns)
 
 
 # -- evaluation ----------------------------------------------------------------

@@ -6,8 +6,11 @@ multiples of its duration from t = 0. BLER-vs-SNR behaviour is anchored at
 measured points per (waveform, channel) pair and interpolated log-linearly
 (linear in log10 BLER over dB). Throughput uses monotone piecewise-linear
 interpolation over SNR anchors. `RadioSection`, the config's `radio` section,
-is the one operating point; a run's one `LinkRuntime` sends every wireless
-packet at it, composing TTI alignment, air time and processing delay.
+is the one operating point: `RadioSection.link_model` resolves it once, the
+shipped curves with its overrides in place, into the `LinkModel` of that
+point, and is the one place a bad section fails. A run's one `LinkRuntime`
+sends every wireless packet through that model, composing TTI alignment, air
+time and processing delay.
 """
 
 from __future__ import annotations
@@ -46,14 +49,6 @@ SUPPORTED_TTI_US = (125, 250, 500, 1000)
 def next_tx_opportunity(now: SimTime, tti_ns: int) -> SimTime:
     """Smallest TTI boundary t >= now. Idempotent on its own output."""
     return ((now + tti_ns - 1) // tti_ns) * tti_ns
-
-
-class UnknownCurve(KeyError):
-    """No anchors configured for the requested (waveform, channel) pair."""
-
-
-class RateUnavailable(ValueError):
-    """Throughput at the configured SNR is zero; no transmission possible."""
 
 
 @dataclass(frozen=True)
@@ -113,7 +108,11 @@ class BlerCurve:
             return self._clamp(self.anchors[i][1])  # exact anchor pass-through
         if i == 0:
             s0, b0 = self.anchors[0]
-            value = b0 * 10.0 ** (self._edge_slope(last=False) * (s0 - snr_db))
+            exponent = self._edge_slope(last=False) * (s0 - snr_db)
+            try:
+                value = b0 * 10.0 ** exponent
+            except OverflowError:  # beyond any float: 1.0 once b0 * 10**exponent >= 1
+                value = 10.0 ** min(0.0, math.log10(b0) + exponent)
             return self._clamp(value)
         if i == len(snrs):
             s1, b1 = self.anchors[-1]
@@ -190,7 +189,7 @@ class BlerSpec:
 class RadioSection:
     """The radio link's operating point. It is also the schema of the config's
     `radio` section: its fields, in this order, with their defaults and
-    bounds. `LinkModel` and `LinkRuntime` read it as it is."""
+    bounds. `link_model` resolves it into the link at that point."""
 
     waveform: Waveform = Waveform.P_OFDM
     channel: str = EVA70
@@ -204,18 +203,31 @@ class RadioSection:
     throughput_anchors: dict[Waveform, list[tuple[float, float]]] | None = None
 
     def link_model(self) -> LinkModel:
-        """The shipped curves with this section's overrides in place. A bad
-        override raises ValueError, its message led by the override's key."""
-        model = default_link_model()  # a fresh copy, so overrides go in place
+        """The link at this operating point: the shipped curves with this
+        section's overrides in place, read at its waveform, channel and SNR.
+        A bad section raises ValueError, its message led by the key at fault
+        (an override's, `channel`, `waveform` or `snr_db`)."""
+        bler_curves = dict(DEFAULT_BLER_CURVES)
         for wf, channels in (self.bler_anchors or {}).items():
             for channel, spec in channels.items():
-                model.bler_curves[wf, channel] = _curve(
+                bler_curves[wf, channel] = _curve(
                     f"bler_anchors.{wf.value}.{channel}", BlerCurve,
                     tuple(spec.anchors), spec.floor, spec.tail_slope)
+        throughput_curves = dict(DEFAULT_THROUGHPUT_CURVES)
         for wf, anchors in (self.throughput_anchors or {}).items():
-            model.throughput_curves[wf] = _curve(
+            throughput_curves[wf] = _curve(
                 f"throughput_anchors.{wf.value}", ThroughputCurve,
                 tuple((s, m * 1e6) for s, m in anchors))
+        wf = self.waveform.value
+        if (self.waveform, self.channel) not in bler_curves:
+            raise ValueError(f"channel: no BLER anchors for {self.channel!r} "
+                             f"with radio.waveform {wf!r}")
+        if self.waveform not in throughput_curves:
+            raise ValueError(f"waveform: no throughput anchors for {wf!r}")
+        model = LinkModel(self, bler_curves[self.waveform, self.channel],
+                          throughput_curves[self.waveform])
+        if model.rate_bps <= 0:
+            raise ValueError(f"snr_db: throughput is zero at {self.snr_db:g} dB")
         return model
 
 
@@ -227,51 +239,22 @@ def _curve(key: str, make, *args):
 
 
 class LinkModel:
-    """Holds the configured BLER and throughput anchor tables and evaluates
-    link operations at a radio section's operating point."""
+    """The link at `radio`'s operating point: the BLER and rate its curves
+    read at its SNR, and its TTI. A plain class, since perfbench's tracer
+    wraps `air_time_ns` on the instance."""
 
-    def __init__(
-        self,
-        bler_curves: dict[tuple[Waveform, str], BlerCurve],
-        throughput_curves: dict[Waveform, ThroughputCurve],
-    ):
-        self.bler_curves = dict(bler_curves)
-        self.throughput_curves = dict(throughput_curves)
+    def __init__(self, radio: RadioSection, bler_curve: BlerCurve,
+                 throughput_curve: ThroughputCurve):
+        self.radio = radio
+        self.tti_ns = radio.tti_us * NS_PER_US
+        self.bler = bler_curve.bler(radio.snr_db)
+        self.rate_bps = throughput_curve.rate_bps(radio.snr_db)  # bit/s
 
-    def bler_curve(self, waveform: Waveform, channel: str) -> BlerCurve:
-        try:
-            return self.bler_curves[(waveform, channel)]
-        except KeyError:
-            raise UnknownCurve(
-                f"no BLER anchors for ({waveform.value}, {channel})"
-            ) from None
-
-    def bler(self, radio: RadioSection) -> float:
-        return self.bler_curve(radio.waveform, radio.channel).bler(radio.snr_db)
-
-    def throughput(self, radio: RadioSection) -> float:
-        """Sustained rate in bit/s at the configured SNR."""
-        try:
-            curve = self.throughput_curves[radio.waveform]
-        except KeyError:
-            raise UnknownCurve(
-                f"no throughput anchors for {radio.waveform.value}"
-            ) from None
-        return curve.rate_bps(radio.snr_db)
-
-    def air_time_ns(self, radio: RadioSection, payload_bytes: int) -> int:
-        """Transmission time: whole TTI-sized slots at the current rate."""
-        if payload_bytes <= 0:
-            raise ValueError("payload_bytes must be > 0")
-        rate = self.throughput(radio)
-        if rate <= 0.0:
-            raise RateUnavailable(
-                f"throughput is zero at {radio.snr_db} dB SNR"
-            )
-        tti_ns = radio.tti_us * NS_PER_US
-        bits_per_slot = Fraction(rate) * Fraction(tti_ns, NS_PER_S)
+    def air_time_ns(self, payload_bytes: int) -> int:
+        """Transmission time: whole TTI-sized slots at the rate."""
+        bits_per_slot = Fraction(self.rate_bps) * Fraction(self.tti_ns, NS_PER_S)
         slots = math.ceil(Fraction(payload_bytes * 8) / bits_per_slot)
-        return slots * tti_ns
+        return slots * self.tti_ns
 
 
 Sender = Callable[[SimTime], tuple[SimTime, SimTime | None]]
@@ -279,30 +262,30 @@ Sender = Callable[[SimTime], tuple[SimTime, SimTime | None]]
 
 class LinkRuntime:
     """The link a run sends every wireless packet through, traffic and safety
-    PDUs alike, at `radio`'s operating point. Its timeline is the script's
-    link actions, `(at, up)` sorted by time (script order within an instant):
-    `up_at(t)` is the state the last one at or before `t` left, up before the
-    first. Each stream sends through its own `sender`, and draws jitter from
-    `jitter.<stream>`."""
+    PDUs alike, at `model`'s operating point, with its section's processing
+    delay and jitter. Its timeline is the script's link actions, `(at, up)`
+    sorted by time (script order within an instant): `up_at(t)` is the state
+    the last one at or before `t` left, up before the first. Each stream sends
+    through its own `sender`, and draws jitter from `jitter.<stream>`."""
 
     def __init__(
         self,
         model: LinkModel,
-        radio: RadioSection,
         streams: Callable[[str], RngStream],
         timeline: Iterable[tuple[SimTime, bool]] = (),
     ):
+        radio = model.radio
         self.model = model
-        self.tti_ns = radio.tti_us * NS_PER_US
+        self.tti_ns = model.tti_ns
         self.jitter_ns = round(radio.jitter_us * NS_PER_US)
-        self.bler = model.bler(radio)
+        self.bler = model.bler
         # sorted is stable, so script order holds within an instant
         self.timeline = sorted(timeline, key=itemgetter(0))
         self._streams = streams
         processing_ns = round(radio.processing_delay_us * NS_PER_US)
         # air time plus processing per payload size, on its first delivery
         self._air_proc_ns = functools.cache(
-            lambda size: model.air_time_ns(radio, size) + processing_ns)
+            lambda size: model.air_time_ns(size) + processing_ns)
 
     def up_at(self, t: SimTime) -> bool:
         i = bisect.bisect_right(self.timeline, t, key=itemgetter(0))
@@ -353,22 +336,14 @@ _P_OFDM_V2V = ((14.0, 1.0), (19.0, 1e-5))
 _P_OFDM_THROUGHPUT = ((5.0, 0.0), (8.0, 5e6), (11.0, 10e6), (14.0, 12e6))
 
 
-def default_link_model() -> LinkModel:
-    return LinkModel(
-        bler_curves={
-            (Waveform.P_OFDM, EVA70): BlerCurve(_P_OFDM_EVA70),
-            (Waveform.P_OFDM, V2V_URBAN_NLOS): BlerCurve(_P_OFDM_V2V),
-            (Waveform.CP_OFDM, EVA70): BlerCurve(
-                _shift(_P_OFDM_EVA70, WAVEFORM_GAP_DB)
-            ),
-            (Waveform.CP_OFDM, V2V_URBAN_NLOS): BlerCurve(
-                _shift(_P_OFDM_V2V, WAVEFORM_GAP_DB)
-            ),
-        },
-        throughput_curves={
-            Waveform.P_OFDM: ThroughputCurve(_P_OFDM_THROUGHPUT),
-            Waveform.CP_OFDM: ThroughputCurve(
-                _shift(_P_OFDM_THROUGHPUT, WAVEFORM_GAP_DB)
-            ),
-        },
-    )
+DEFAULT_BLER_CURVES = {
+    (Waveform.P_OFDM, EVA70): BlerCurve(_P_OFDM_EVA70),
+    (Waveform.P_OFDM, V2V_URBAN_NLOS): BlerCurve(_P_OFDM_V2V),
+    (Waveform.CP_OFDM, EVA70): BlerCurve(_shift(_P_OFDM_EVA70, WAVEFORM_GAP_DB)),
+    (Waveform.CP_OFDM, V2V_URBAN_NLOS):
+        BlerCurve(_shift(_P_OFDM_V2V, WAVEFORM_GAP_DB)),
+}
+DEFAULT_THROUGHPUT_CURVES = {
+    Waveform.P_OFDM: ThroughputCurve(_P_OFDM_THROUGHPUT),
+    Waveform.CP_OFDM: ThroughputCurve(_shift(_P_OFDM_THROUGHPUT, WAVEFORM_GAP_DB)),
+}

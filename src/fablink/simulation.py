@@ -600,8 +600,7 @@ class Simulation:
         self.wired_latency_ns = round(scenario.radio.wired_latency_us * NS_PER_US)
         timeline = [(round(a.at_s * NS_PER_S), a.action == "link_up")
                     for a in scenario.script if a.action in ("link_down", "link_up")]
-        self.link = LinkRuntime(self.link_model, scenario.radio, self.engine.stream,
-                                timeline)
+        self.link = LinkRuntime(self.link_model, self.engine.stream, timeline)
         self.product_log: list[ProductEvent] = []
         # the run's streams: the safety channel's pair, when it runs, leads
         # the catalog's other rows in catalog order, the merge's source order

@@ -52,9 +52,9 @@ class EngineStream:
             lost = not self.link_up[0] or (
                 link.bler > 0.0 and self.rng.random() < link.bler)
             if not lost:
-                record.delivered_at = record.sent_at + link.model.air_time_ns(
-                    radio, p.payload_bytes) + round(
-                    radio.processing_delay_us * NS_PER_US)
+                record.delivered_at = (
+                    record.sent_at + link.model.air_time_ns(p.payload_bytes)
+                    + round(radio.processing_delay_us * NS_PER_US))
                 if link.jitter_ns > 0:
                     jitter = sim.engine.stream(f"jitter.{p.name}")
                     record.delivered_at += round(jitter.uniform(0, link.jitter_ns))

@@ -13,6 +13,8 @@ import pytest
 from fablink.compliance import ComplianceVerdict
 from fablink.artifacts import write_artifacts
 from fablink.radio_link import (
+    DEFAULT_BLER_CURVES,
+    DEFAULT_THROUGHPUT_CURVES,
     EVA70,
     V2V_URBAN_NLOS,
     BlerCurve,
@@ -23,7 +25,6 @@ from fablink.radio_link import (
     WAVEFORM_GAP_DB,
     Waveform,
     availability,
-    default_link_model,
     next_tx_opportunity,
 )
 from fablink.safety import (
@@ -93,29 +94,26 @@ def test_criterion_1_traffic_reproduction(default_run):
 
 @criterion(2, "link anchor pass-through, waveform gap, throughput anchor")
 def test_criterion_2_link_anchors():
-    model = default_link_model()
-    assert model.bler(RadioSection(snr_db=15.0)) == 1e-5
-    assert model.bler(RadioSection(channel=V2V_URBAN_NLOS, snr_db=19.0)) == 1e-5
+    assert RadioSection(snr_db=15.0).link_model().bler == 1e-5
+    assert RadioSection(channel=V2V_URBAN_NLOS, snr_db=19.0).link_model().bler == 1e-5
     # the waveform gap: CP-OFDM needs 1.7 dB more SNR than P-OFDM for 1e-5,
     # and for every BLER of the sweep
     assert WAVEFORM_GAP_DB == 1.7
     for channel, s_1e5 in ((EVA70, 15.0), (V2V_URBAN_NLOS, 19.0)):
-        p = model.bler_curve(Waveform.P_OFDM, channel)
-        cp = model.bler_curve(Waveform.CP_OFDM, channel)
+        p = DEFAULT_BLER_CURVES[Waveform.P_OFDM, channel]
+        cp = DEFAULT_BLER_CURVES[Waveform.CP_OFDM, channel]
         assert cp.bler(s_1e5 + WAVEFORM_GAP_DB) == 1e-5, channel
         for s in (s_1e5 + x / 2 for x in range(-12, 9)):
             assert cp.bler(s + 1.7) == pytest.approx(p.bler(s)), (channel, s)
-    assert model.throughput(RadioSection(snr_db=11.0)) == 10e6
+    assert RadioSection(snr_db=11.0).link_model().rate_bps == 10e6
 
 
 @criterion(3, "sampling fidelity and survival-time availability formula")
 def test_criterion_3_sampling_and_availability():
-    model = LinkModel(
-        {(Waveform.P_OFDM, EVA70): BlerCurve.constant(0.5)},
-        {Waveform.P_OFDM: ThroughputCurve(((0.0, 10e6),))},
-    )
+    model = LinkModel(RadioSection(), BlerCurve.constant(0.5),
+                      ThroughputCurve(((0.0, 10e6),)))
     rng = RngStream(42, "acceptance.sampling")
-    link = LinkRuntime(model, RadioSection(), Engine().stream)
+    link = LinkRuntime(model, Engine().stream)
     send = link.sender("sampling", 60, rng)
     delivered = sum(send(0)[1] is not None for _ in range(1_000_000))
     assert abs(delivered / 1_000_000 - 0.5) <= 0.002
@@ -129,8 +127,8 @@ def test_criterion_3_sampling_and_availability():
 @criterion(4, "slot timing, alignment idempotence, sub-ms round trip")
 def test_criterion_4_timing_math():
     # the slot durations a run schedules at
-    links = {us: LinkRuntime(default_link_model(), RadioSection(
-        snr_db=11.0, tti_us=us, processing_delay_us=0.0), Engine().stream)
+    links = {us: LinkRuntime(RadioSection(
+        snr_db=11.0, tti_us=us, processing_delay_us=0.0).link_model(), Engine().stream)
         for us in (1000, 500, 250, 125)}
     assert [link.tti_ns for link in links.values()] == [
         NS_PER_MS, NS_PER_MS // 2, NS_PER_MS // 4, NS_PER_MS // 8]
@@ -162,10 +160,10 @@ def _random_outage_trips(seed, outages, watchdog_ns, horizon):
     """The measured pair's channel over a lossless link whose timeline the
     outage windows take down, the timeline the script's link_down / link_up
     make: its records as rows, and its watchdog's trip instants."""
-    model = default_link_model()
     radio = RadioSection(snr_db=15.0, tti_us=125)
-    model.bler_curves[radio.waveform, radio.channel] = BlerCurve.constant(0.0)
-    link = LinkRuntime(model, radio, lambda name: RngStream(seed, name),
+    model = LinkModel(radio, BlerCurve.constant(0.0),
+                      DEFAULT_THROUGHPUT_CURVES[radio.waveform])
+    link = LinkRuntime(model, lambda name: RngStream(seed, name),
                        _outage_timeline(outages))
     pair = SafetySection().channel_streams([])
     up, down, delivered, missed, _ = resolve_channel(

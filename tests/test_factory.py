@@ -27,7 +27,7 @@ from fablink.factory import (
     plan_route,
     readiness,
 )
-from fablink.radio_link import LinkRuntime, RadioSection, default_link_model
+from fablink.radio_link import LinkRuntime, RadioSection
 from fablink.safety import LoopState, SafetyLoop, SafetyManager
 from fablink.scenario import scenario_from_dict
 from fablink.sim_core import Engine, RngStream
@@ -348,7 +348,7 @@ def _transit_robot(product) -> Robot:
 def _link() -> LinkRuntime:
     """10 Mbit/s at a 125 us TTI with no processing delay."""
     radio = RadioSection(snr_db=11.0, tti_us=125, processing_delay_us=0.0)
-    return LinkRuntime(default_link_model(), radio, Engine().stream)
+    return LinkRuntime(radio.link_model(), Engine().stream)
 
 
 def test_inspection_defect_probability_extremes():

@@ -6,21 +6,22 @@ import random
 import pytest
 
 from fablink.radio_link import (
+    DEFAULT_BLER_CURVES,
+    DEFAULT_THROUGHPUT_CURVES,
     EVA70,
     V2V_URBAN_NLOS,
     BlerCurve,
+    BlerSpec,
     LinkModel,
     LinkRuntime,
     RadioSection,
-    RateUnavailable,
     ThroughputCurve,
-    UnknownCurve,
     WAVEFORM_GAP_DB,
     Waveform,
     availability,
-    default_link_model,
     next_tx_opportunity,
 )
+from fablink.scenario import scenario_from_dict
 from fablink.sim_core import NS_PER_US, Engine, RngStream
 
 
@@ -28,23 +29,21 @@ from fablink.sim_core import NS_PER_US, Engine, RngStream
 
 
 def test_bler_anchor_pass_through_is_exact():
-    model = default_link_model()
-    assert model.bler(RadioSection(snr_db=15.0)) == 1e-5
-    assert model.bler(RadioSection(channel=V2V_URBAN_NLOS, snr_db=19.0)) == 1e-5
+    assert RadioSection(snr_db=15.0).link_model().bler == 1e-5
+    assert RadioSection(channel=V2V_URBAN_NLOS, snr_db=19.0).link_model().bler == 1e-5
 
 
 def test_cp_ofdm_anchor_shifted_by_waveform_gap():
-    model = default_link_model()
-    assert model.bler(RadioSection(waveform=Waveform.CP_OFDM, snr_db=16.7)) == 1e-5
+    radio = RadioSection(waveform=Waveform.CP_OFDM, snr_db=16.7)
+    assert radio.link_model().bler == 1e-5
 
 
 def test_waveform_gap_holds_along_both_curves():
     # CP-OFDM reads P-OFDM's BLER WAVEFORM_GAP_DB later: in the waterfall,
     # in both tails and on both channels
-    model = default_link_model()
     for channel in (EVA70, V2V_URBAN_NLOS):
-        p = model.bler_curve(Waveform.P_OFDM, channel)
-        c = model.bler_curve(Waveform.CP_OFDM, channel)
+        p = DEFAULT_BLER_CURVES[Waveform.P_OFDM, channel]
+        c = DEFAULT_BLER_CURVES[Waveform.CP_OFDM, channel]
         for snr in (x / 4 for x in range(20, 100)):
             assert c.bler(snr + WAVEFORM_GAP_DB) == pytest.approx(p.bler(snr),
                                                                   rel=1e-9)
@@ -60,15 +59,12 @@ def test_log_linear_interpolation_matches_hand_computation():
 
 
 def test_bler_monotone_nonincreasing_in_snr():
-    model = default_link_model()
     rng = random.Random(99)
-    for waveform in (Waveform.P_OFDM, Waveform.CP_OFDM):
-        for channel in (EVA70, V2V_URBAN_NLOS):
-            curve = model.bler_curve(waveform, channel)
-            for _ in range(500):
-                s1 = rng.uniform(-5.0, 40.0)
-                s2 = s1 + rng.uniform(0.0, 10.0)
-                assert curve.bler(s1) >= curve.bler(s2)
+    for curve in DEFAULT_BLER_CURVES.values():
+        for _ in range(500):
+            s1 = rng.uniform(-5.0, 40.0)
+            s2 = s1 + rng.uniform(0.0, 10.0)
+            assert curve.bler(s1) >= curve.bler(s2)
 
 
 def test_bler_clamps_to_one_below_waterfall():
@@ -94,6 +90,47 @@ def test_configurable_tail_slope():
     assert math.isclose(gentle.bler(17.0), 1e-6, rel_tol=1e-9)
 
 
+def test_bler_below_the_first_anchor_never_overflows():
+    # far below the first anchor, b0 * 10**exponent passes the largest float;
+    # the curve then reads the value in log10, and everywhere else that
+    # expression as it stands
+    rng = random.Random(31)
+    overflows = 0
+    for _ in range(3000):
+        n = rng.randrange(1, 4)
+        scale = 10.0 ** rng.uniform(-3, 12)
+        snrs = sorted({rng.uniform(-scale, scale) for _ in range(n)})
+        blers = sorted({10.0 ** -rng.uniform(0, 320) for _ in snrs}, reverse=True)
+        floor = rng.choice([0.0, 10.0 ** -rng.uniform(0, 12)])
+        slope = rng.choice([None, 10.0 ** rng.uniform(-3, 12)])
+        curve = BlerCurve(tuple(zip(snrs, blers)), floor, slope)
+        s0, b0 = curve.anchors[0]
+        for _ in range(20):
+            snr = rng.choice([-1, 1]) * 10.0 ** rng.uniform(-3, 12)
+            value = curve.bler(snr)
+            assert floor <= value <= 1.0, (curve, snr)
+            if snr < s0:
+                exponent = curve._edge_slope(last=False) * (s0 - snr)
+                try:
+                    old = b0 * 10.0 ** exponent
+                except OverflowError:
+                    overflows += 1
+                    if math.log10(b0) + exponent >= 0:
+                        assert value == 1.0, (curve, snr)
+                    continue
+                assert value == min(1.0, max(floor, old)), (curve, snr)
+    assert overflows > 1000
+
+
+@pytest.mark.parametrize("radio", [
+    {"snr_db": -1000.0, "throughput_anchors": {"P-OFDM": [[-2000.0, 10.0]]}},
+    {"snr_db": 9.0, "bler_anchors": {"P-OFDM": {"EVA70": {
+        "anchors": [[10.0, 1.0], [15.0, 1.0e-5]], "tail_slope": 400.0}}}},
+])
+def test_a_section_far_below_its_waterfall_loads_at_bler_one(radio):
+    assert scenario_from_dict({"radio": radio}).radio.link_model().bler == 1.0
+
+
 def test_constant_curve_for_forced_loss_rates():
     assert BlerCurve.constant(0.0).bler(12.0) == 0.0
     assert BlerCurve.constant(1.0).bler(12.0) == 1.0
@@ -109,25 +146,25 @@ def test_anchor_validation():
         BlerCurve(((15.0, 1.0), (10.0, 1e-5)))  # unsorted SNR
 
 
-def test_unknown_curve_raises():
-    model = default_link_model()
-    with pytest.raises(UnknownCurve):
-        model.bler(RadioSection(waveform=Waveform.W_OFDM))
-    with pytest.raises(UnknownCurve):
-        model.bler(RadioSection(channel="IndoorHall"))
-    with pytest.raises(UnknownCurve):
-        model.throughput(RadioSection(waveform=Waveform.W_OFDM))
+def test_a_section_without_curves_fails_led_by_its_key():
+    with pytest.raises(ValueError, match="^channel: no BLER anchors for 'EVA70' "
+                                         "with radio.waveform 'W-OFDM'$"):
+        RadioSection(waveform=Waveform.W_OFDM).link_model()
+    with pytest.raises(ValueError, match="^channel: no BLER anchors for 'IndoorHall' "):
+        RadioSection(channel="IndoorHall").link_model()
+    w_ofdm_bler = {Waveform.W_OFDM: {EVA70: BlerSpec([(10.0, 1.0), (15.0, 1e-5)])}}
+    with pytest.raises(ValueError,
+                       match="^waveform: no throughput anchors for 'W-OFDM'$"):
+        RadioSection(waveform=Waveform.W_OFDM, bler_anchors=w_ofdm_bler).link_model()
 
 
 # -- sampling through the link runtime --------------------------------------
 
 
 def _link_with_constant_bler(p: float, timeline=()) -> LinkRuntime:
-    model = LinkModel(
-        {(Waveform.P_OFDM, EVA70): BlerCurve.constant(p)},
-        {Waveform.P_OFDM: ThroughputCurve(((0.0, 10e6),))},
-    )
-    return LinkRuntime(model, RadioSection(), Engine(seed=1).stream, timeline)
+    model = LinkModel(RadioSection(), BlerCurve.constant(p),
+                      ThroughputCurve(((0.0, 10e6),)))
+    return LinkRuntime(model, Engine(seed=1).stream, timeline)
 
 
 def _delivered(link: LinkRuntime, rng: RngStream) -> bool:
@@ -214,23 +251,22 @@ def test_availability_validates_arguments():
 
 
 def test_throughput_anchor_exact():
-    model = default_link_model()
-    assert model.throughput(RadioSection(snr_db=11.0)) == 10e6
+    assert RadioSection(snr_db=11.0).link_model().rate_bps == 10e6
 
 
 def test_throughput_clamps_below_lowest_anchor():
-    model = default_link_model()
-    assert model.throughput(RadioSection(snr_db=-20.0)) == 0.0
-    assert model.throughput(RadioSection(snr_db=40.0)) == 12e6
+    curve = DEFAULT_THROUGHPUT_CURVES[Waveform.P_OFDM]
+    assert curve.rate_bps(-20.0) == 0.0
+    assert curve.rate_bps(40.0) == 12e6
+    assert RadioSection(snr_db=40.0).link_model().rate_bps == 12e6
 
 
 def test_throughput_linear_blend_between_anchors():
-    model = default_link_model()
     # oracle: hand blend of the (8 dB, 5 Mbit/s) .. (11 dB, 10 Mbit/s) pair
     snr = 9.2
     t = (snr - 8.0) / (11.0 - 8.0)
     expected = 5e6 + t * (10e6 - 5e6)
-    assert math.isclose(model.throughput(RadioSection(snr_db=snr)), expected,
+    assert math.isclose(RadioSection(snr_db=snr).link_model().rate_bps, expected,
                         rel_tol=1e-12)
 
 
@@ -267,7 +303,7 @@ def latency(now: int, payload_bytes: int, **radio) -> int:
     """`LinkRuntime.latency` at 11 dB (10 Mbit/s), with no processing delay
     unless `radio` sets one."""
     section = RadioSection(**{"snr_db": 11.0, "processing_delay_us": 0.0, **radio})
-    return LinkRuntime(default_link_model(), section, Engine().stream).latency(
+    return LinkRuntime(section.link_model(), Engine().stream).latency(
         now, payload_bytes)
 
 
@@ -305,6 +341,6 @@ def test_latency_nonincreasing_as_tti_shrinks():
         assert latencies == sorted(latencies, reverse=True)
 
 
-def test_rate_unavailable_when_throughput_zero():
-    with pytest.raises(RateUnavailable):
-        latency(0, 100, snr_db=5.0)
+def test_a_section_at_zero_throughput_fails_led_by_snr_db():
+    with pytest.raises(ValueError, match="^snr_db: throughput is zero at 5 dB$"):
+        RadioSection(snr_db=5.0).link_model()

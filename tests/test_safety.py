@@ -7,7 +7,8 @@ import tracemalloc
 import pytest
 
 from fablink.radio_link import (
-    BlerCurve, LinkRuntime, RadioSection, availability, default_link_model,
+    DEFAULT_THROUGHPUT_CURVES, BlerCurve, LinkModel, LinkRuntime, RadioSection,
+    availability,
 )
 from fablink.safety import (
     LocalSafetyState,
@@ -189,6 +190,12 @@ def test_estop_confinement_randomized_schedules():
 MEASURED_PAIR = SafetySection().channel_streams([])
 
 
+def constant_bler_model(radio: RadioSection, bler: float) -> LinkModel:
+    """`radio`'s link with its BLER forced to `bler` at any SNR."""
+    return LinkModel(radio, BlerCurve.constant(bler),
+                     DEFAULT_THROUGHPUT_CURVES[radio.waveform])
+
+
 def outage_timeline(outages: list[tuple[int, int]]) -> list[tuple[int, bool]]:
     """The link timeline of outage windows: at each window edge, up iff no
     window is open after every edge at that instant."""
@@ -213,11 +220,9 @@ def resolve(
     window, as the script's link_down / link_up do; overlapping windows keep
     it down until the last one ends. Returns its records as rows, its sorted
     deliveries and its missed cycle starts."""
-    model = default_link_model()
-    radio = RadioSection(snr_db=15.0, tti_us=125, processing_delay_us=100.0)
-    model.bler_curves[radio.waveform, radio.channel] = BlerCurve.constant(0.0)
-    link = LinkRuntime(model, radio, lambda name: RngStream(seed, name),
-                       outage_timeline(outages or []))
+    link = LinkRuntime(constant_bler_model(RadioSection(
+        snr_db=15.0, tti_us=125, processing_delay_us=100.0), 0.0),
+        lambda name: RngStream(seed, name), outage_timeline(outages or []))
     up, down, delivered, missed, _ = resolve_channel(
         link, MEASURED_PAIR, RngStream(seed, "link.safety"), horizon)
     return channel_rows(MEASURED_PAIR, up, down), delivered, missed
@@ -316,10 +321,8 @@ def test_the_delivery_column_is_every_delivery_within_the_horizon_sorted():
     # of cycle order, and the last cycle starts 1 ns before the horizon, so
     # some of its deliveries fall past it
     horizon = round(400 * NS_PER_S / CYCLE_HZ) + 1
-    model = default_link_model()
-    radio = RadioSection(tti_us=125, jitter_us=3000.0)
-    model.bler_curves[radio.waveform, radio.channel] = BlerCurve.constant(0.5)
-    link = LinkRuntime(model, radio, lambda name: RngStream(4, name), outage_timeline(
+    model = constant_bler_model(RadioSection(tti_us=125, jitter_us=3000.0), 0.5)
+    link = LinkRuntime(model, lambda name: RngStream(4, name), outage_timeline(
         [(300 * NS_PER_MS, 350 * NS_PER_MS), (900 * NS_PER_MS, 903 * NS_PER_MS)]))
     up, down, delivered, _, _ = resolve_channel(
         link, MEASURED_PAIR, RngStream(4, "link.safety"), horizon)
@@ -376,10 +379,8 @@ def test_constant_bler_channel_matches_the_analytic_oracle(p, tti_us):
     missed_mean = p * p * len(starts)
     missed_sigma = math.sqrt(missed_mean * (1 - p * p))
     for seed in range(3):
-        model = default_link_model()
-        radio = RadioSection(tti_us=tti_us)
-        model.bler_curves[radio.waveform, radio.channel] = BlerCurve.constant(p)
-        link = LinkRuntime(model, radio, lambda name: RngStream(seed, name))
+        link = LinkRuntime(constant_bler_model(RadioSection(tti_us=tti_us), p),
+                           lambda name: RngStream(seed, name))
         up, down, _, missed, _ = resolve_channel(
             link, MEASURED_PAIR, RngStream(seed, "link.safety"), horizon)
         for records in (up, down):

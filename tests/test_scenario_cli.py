@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -157,19 +158,42 @@ def _run_cli(*argv) -> int:
     return main(list(argv))
 
 
+def _cli_child(*argv, **run_args) -> subprocess.CompletedProcess:
+    """`fablink *argv` in a child process, its output captured as text."""
+    src = str(Path(fablink.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from fablink.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True, text=True, env=env, timeout=60, **run_args)
+
+
 def test_config_dump_reads_a_config_from_a_pipe():
     # fablink config dump --config x.yaml | fablink config dump --config /dev/stdin
     config = Path(__file__).parent / "outage_scenario.yaml"
     dump = dump_scenario(load_scenario(str(config)))
-    src = str(Path(fablink.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    piped = subprocess.run(
-        [sys.executable, "-c", "import sys; from fablink.cli import main; "
-         "sys.exit(main(sys.argv[1:]))", "config", "dump", "--config", "/dev/stdin"],
-        input=dump, capture_output=True, text=True, env=env, timeout=60)
+    piped = _cli_child("config", "dump", "--config", "/dev/stdin", input=dump)
     assert (piped.returncode, piped.stderr) == (0, "")
     assert piped.stdout == dump
+
+
+def test_a_stream_free_run_holds_no_map_of_its_windows(tmp_path):
+    # 1e9 s hold about 8.3e10 survival-time windows: the aggregate counts the
+    # ones its streams hit, so with no stream the run allocates nothing per
+    # window. A map of them all (some 83 GB) fails at once under the child's
+    # 2 GB address space, and the host never sees the allocation
+    config = tmp_path / "scenario.yaml"
+    config.write_text("{horizon_s: 1000000000.0, traffic: {catalog: []}, "
+                      "safety: {enabled: false}, factory: {enabled: false}}\n",
+                      encoding="utf-8")
+    limit = 2 << 30
+    run = _cli_child("run", "--config", str(config), "--out", str(tmp_path / "out"),
+                     preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                           (limit, limit)))
+    assert (run.returncode, run.stderr) == (0, "")
+    assert json.loads((tmp_path / "out" / "metrics.json").read_text())[
+        "aggregate"]["availability"] == 0.0
 
 
 def test_cli_run_and_check_flow(tmp_path, capsys):
@@ -226,6 +250,23 @@ def test_cli_run_unknown_channel_exits_2_without_traceback(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "MARS9" in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_cli_run_ended_by_an_action_error_exits_1_with_one_line(tmp_path, capsys):
+    # a 1e20-byte payload's delivery instant overflows the packet columns'
+    # 64-bit integers in the emission's handler
+    config = tmp_path / "scenario.yaml"
+    config.write_text("{horizon_s: 1.0, safety: {enabled: false}, factory: {enabled: "
+                      "false}, traffic: {catalog: [{name: big, payload_bytes: "
+                      "100000000000000000000, rate_hz: 1.0}]}}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert _run_cli("run", "--config", str(config), "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "run error: at 0 ns, traffic stream big: OverflowError: ")
+    assert len(captured.err.splitlines()) == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "config dump"])

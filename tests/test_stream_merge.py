@@ -18,7 +18,8 @@ from itertools import islice
 import pytest
 
 from fablink.radio_link import (
-    BlerCurve, LinkRuntime, RadioSection, default_link_model, next_tx_opportunity,
+    DEFAULT_THROUGHPUT_CURVES, BlerCurve, LinkModel, LinkRuntime, RadioSection,
+    next_tx_opportunity,
 )
 from fablink.safety import SafetyManager, resolve_channel, watchdog_trips
 from fablink.scenario import ConfigInvalid, SafetySection, scenario_from_dict
@@ -319,11 +320,11 @@ MEASURED_PAIR = SafetySection().channel_streams([])
 def _channel_link(seed, bler, timeline, processing_delay_us):
     """A link of constant `bler` over the given timeline, drawing jitter from
     the seed's named streams, as `Engine(seed).stream` does."""
-    model = default_link_model()
     radio = RadioSection(snr_db=15.0, tti_us=125,
                          processing_delay_us=processing_delay_us)
-    model.bler_curves[radio.waveform, radio.channel] = BlerCurve.constant(bler)
-    return LinkRuntime(model, radio, lambda name: RngStream(seed, name), timeline)
+    model = LinkModel(radio, BlerCurve.constant(bler),
+                      DEFAULT_THROUGHPUT_CURVES[radio.waveform])
+    return LinkRuntime(model, lambda name: RngStream(seed, name), timeline)
 
 
 def _engine_channel_run(seed, streams, watchdog_ns, link_args, rearms, horizon):
