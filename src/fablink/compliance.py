@@ -85,34 +85,35 @@ SORT_RUN = 4096
 
 @dataclass
 class LatencyStats:
-    min_ns: SimTime = field(metadata={"key": "min"})
-    p50_ns: SimTime = field(metadata={"key": "p50"})
-    p99_ns: SimTime = field(metadata={"key": "p99"})
-    p999_ns: SimTime = field(metadata={"key": "p999"})
-    max_ns: SimTime = field(metadata={"key": "max"})
+    min_ns: SimTime = field(metadata={"key": "min", "ge": 0})
+    p50_ns: SimTime = field(metadata={"key": "p50", "ge": 0})
+    p99_ns: SimTime = field(metadata={"key": "p99", "ge": 0})
+    p999_ns: SimTime = field(metadata={"key": "p999", "ge": 0})
+    max_ns: SimTime = field(metadata={"key": "max", "ge": 0})
 
 
 @dataclass
 class StreamMetrics:
     """One stream's scoring metrics, and the schema of its `metrics.json`
     entry: the scenario walker reads and writes it under the metadata keys,
-    with a None written as null."""
+    with a None written as null. An availability is a share and every count,
+    size, latency, interval and rate is at or above 0."""
 
     stream: str
     stream_class: StreamClass = field(metadata={"key": "class"})
-    sample_count: int
-    delivered_count: int
-    lost_count: int
-    in_flight_count: int
-    observed_rate_bps: float
-    size_min: int | None
-    size_max: int | None
+    sample_count: int = field(metadata={"ge": 0})
+    delivered_count: int = field(metadata={"ge": 0})
+    lost_count: int = field(metadata={"ge": 0})
+    in_flight_count: int = field(metadata={"ge": 0})
+    observed_rate_bps: float = field(metadata={"ge": 0})
+    size_min: int | None = field(metadata={"ge": 0})
+    size_max: int | None = field(metadata={"ge": 0})
     latency: LatencyStats | None = field(metadata={"key": "latency_ns"})
-    jitter_ns: SimTime | None
-    max_transfer_interval_ns: SimTime | None
-    availability: float | None
-    survival_time_ns: SimTime
-    availability_windows: int = 0
+    jitter_ns: SimTime | None = field(metadata={"ge": 0})
+    max_transfer_interval_ns: SimTime | None = field(metadata={"ge": 0})
+    availability: float | None = field(metadata={"ge": 0, "le": 1})
+    survival_time_ns: SimTime = field(metadata={"ge": 0})
+    availability_windows: int = field(default=0, metadata={"ge": 0})
 
 
 def percentile(columns: Sequence[Sequence[int]], pct: float) -> int:

@@ -22,8 +22,6 @@ from functools import cache
 from types import UnionType
 from typing import Any, get_args, get_origin, get_type_hints
 
-import yaml
-
 from .radio_link import RadioSection
 from .safety import SensorKind
 from .sim_core import NS_PER_MS, NS_PER_S
@@ -398,6 +396,8 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def dump_scenario(scn: Scenario) -> str:
+    import yaml  # only the YAML paths pay for importing PyYAML
+
     return yaml.safe_dump(schema_to_dict(scn), sort_keys=False)
 
 
@@ -405,6 +405,8 @@ def _check_unique_keys(node, path: str, checked: set[int]) -> None:
     """Reject a mapping that repeats a key, which YAML loading would
     otherwise resolve silently to the last value. A node that aliases make
     reachable by many paths, or by a cycle, is checked once, under the first."""
+    import yaml
+
     if id(node) in checked:
         return
     checked.add(id(node))
@@ -424,6 +426,8 @@ def _check_unique_keys(node, path: str, checked: set[int]) -> None:
 def load_scenario(path: str) -> Scenario:
     """Load a config file, read once, so that a pipe such as `/dev/stdin`
     works too."""
+    import yaml
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()

@@ -93,9 +93,13 @@ class PlantRuntime:
     """Event-driven production flow around a periodic controller tick.
 
     Each tick the controller re-takes the readiness snapshot, routes waiting
-    products through grants that read it (skipping those already queued for
-    the robot that no local module can take), and dispatches the transport
-    robot.
+    products through grants that read it, and dispatches the transport
+    robot. A waiting product whose plan cannot change is parked instead of
+    planned, on the one thing it waits for, and the tick skips it until that
+    wakes it: its island's reset (`sync`), a module of the (island,
+    capability) its queued robot job waits on freeing up (`_convey`,
+    `clear_module`), or, when rework is due, its unload. Every direct
+    `_advance` unparks it; a product at the manual station is never parked.
     Work in progress is held in pausable timers, each on one gate (an
     island, or the robot), so safe stops and local safety events suspend it
     without losing progress.
@@ -137,6 +141,8 @@ class PlantRuntime:
         self.manual_busy = False
         self.unfinished: list[Product] = []  # release order, pruned each tick
         self.jobs: deque[Product] = deque()  # robot jobs: products with a destination
+        # parked products per wake key: an island id, or (island id, capability)
+        self._parked: dict[str | tuple[str, str], list[Product]] = {}
         # running and paused timers per gate, in start order; the robot's
         # gate comes last, so a change resumes island work before motion
         self._timers: dict[str | None, dict[PausableTimer, None]] = {
@@ -189,7 +195,7 @@ class PlantRuntime:
         done, waiting = ProductState.DONE, ProductState.WAITING
         self.unfinished = [p for p in self.unfinished if p.state is not done]
         for product in self.unfinished:
-            if product.state is waiting:
+            if product.state is waiting and not product.parked:
                 self._advance(product)
         self._dispatch_robot()
         self._serve_manual()
@@ -200,7 +206,8 @@ class PlantRuntime:
     # -- product advancement ---------------------------------------------------
 
     def _advance(self, product: Product) -> None:
-        """Plan a waiting product's next move."""
+        """Plan a waiting product's next move, or park it until it can have one."""
+        product.parked = False
         nxt = product.next_step()
         rework = product.needs_rework
         if nxt is None and not rework:
@@ -212,22 +219,20 @@ class PlantRuntime:
         if island is not None:
             loop = self.sim.safety_mgr.loops[island.safety_loop_id]
             if loop.state is LoopState.SAFE_STOP:
-                return  # island halted; wait for reset
+                self._park(product, island.id)  # island halted; wait for reset
+                return
             # Its robot job is queued and any plan would need the robot again
             # (a rework is due, or no module on its island is free for the
-            # next step): skip re-planning. Without a manual station a failed
-            # plan logs `no_route`, so it still plans every tick.
-            if (
-                product.destination is not None
-                and self.cfg.manual_station
-                and (
-                    rework
-                    or not any(
-                        m.free for m in self.capable.get((island.id, nxt[1]), ())
-                    )
-                )
-            ):
-                return
+            # next step): park it. Without a manual station a failed plan
+            # logs `no_route`, so it still plans every tick.
+            if product.destination is not None and self.cfg.manual_station:
+                if rework:
+                    product.parked = True  # until its unload advances it
+                    return
+                group = (island.id, nxt[1])
+                if not any(m.free for m in self.capable.get(group, ())):
+                    self._park(product, group)
+                    return
         try:
             plan = plan_route(
                 product,
@@ -270,6 +275,8 @@ class PlantRuntime:
         origin = self.modules.get(product.location)
         if origin is not None:
             origin.carrier = None
+            if origin.free:
+                self._wake((origin.island_id, origin.capability))
         product.state = ProductState.BUSY
         self._log(product, "transfer_start", f"{product.location}->{target}")
 
@@ -278,6 +285,22 @@ class PlantRuntime:
             arrived()
 
         self._timer(island_id, round(self.cfg.conveyor_s * NS_PER_S), done)
+
+    def _park(self, product: Product, key: str | tuple[str, str]) -> None:
+        """Skip `product` in the tick until `key` wakes it or an `_advance`."""
+        product.parked = True
+        self._parked.setdefault(key, []).append(product)
+
+    def _wake(self, key: str | tuple[str, str] | None) -> None:
+        for product in self._parked.pop(key, ()):
+            product.parked = False
+
+    def clear_module(self, module_id: str) -> None:
+        """A scripted `module_clear`: the module idles again."""
+        module = self.modules[module_id]
+        module.state = ModuleState.IDLE
+        if module.free:
+            self._wake((module.island_id, module.capability))
 
     def _begin_service(self, product: Product, module: StationModule) -> None:
         module.state = ModuleState.BUSY
@@ -575,8 +598,9 @@ class PlantRuntime:
             timer.pause()
 
     def sync(self) -> None:
-        """Pause every timer whose gate is stopped and resume the rest; the
-        safety manager's change callback."""
+        """Pause every timer whose gate is stopped, resume the rest and wake
+        the products parked on a running island; the safety manager's change
+        callback."""
         for gate, timers in self._timers.items():
             if self._stopped(gate):
                 for timer in timers:
@@ -584,6 +608,7 @@ class PlantRuntime:
             else:
                 for timer in timers:
                     timer.resume()
+                self._wake(gate)
 
 
 # -- simulation assembly ---------------------------------------------------------
@@ -652,7 +677,7 @@ class Simulation:
         elif action.action == "module_fault":
             self.plant.modules[action.endpoint].state = ModuleState.FAULT
         elif action.action == "module_clear":
-            self.plant.modules[action.endpoint].state = ModuleState.IDLE
+            self.plant.clear_module(action.endpoint)
 
     # -- run --------------------------------------------------------------------------
 

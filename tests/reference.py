@@ -1,8 +1,13 @@
-"""The engine-driven reference run: a whole scenario with every traffic
-emission, safety cycle, retry, delivery and watchdog check queued on the
-engine, which is how fablink ran them before they were resolved off the
-event queue. `Simulation.run` is held to it; it is the suite's one slow
-reference run.
+"""The reference runs `Simulation.run` is held to.
+
+`engine_reference`: a whole scenario with every traffic emission, safety
+cycle, retry, delivery and watchdog check queued on the engine, which is how
+fablink ran them before they were resolved off the event queue; it is the
+suite's one slow reference run.
+
+`polling_simulation`: a simulation whose controller tick plans every waiting
+product on every tick, which is how the plant ran before waiting products
+were parked until woken.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from typing import NamedTuple
 from fablink.radio_link import next_tx_opportunity
 from fablink.scenario import scenario_from_dict
 from fablink.sim_core import LANE_NORMAL, LANE_SAFETY, NS_PER_US
-from fablink.simulation import Simulation
+from fablink.simulation import PlantRuntime, Simulation
 from fablink.traffic import emission_times
 from record_rows import PacketRecord
 
@@ -198,3 +203,22 @@ def engine_reference(data: dict) -> ReferenceRun:
     summary = sim.engine.run_until(sim.horizon_ns)
     return ReferenceRun(records, summary.events_processed, sim.safety_mgr.log,
                         sim.product_log, channel.checks if channel else [])
+
+
+class PollingPlant(PlantRuntime):
+    """The plant runtime with a tick that unparks every product before its
+    pass, so the pass plans each waiting product, as if all were woken."""
+
+    def _tick(self) -> None:
+        for product in self.unfinished:
+            product.parked = False
+        super()._tick()
+
+
+def polling_simulation(data: dict) -> Simulation:
+    """A simulation of `data` whose plant polls: its `PlantRuntime` becomes a
+    `PollingPlant`, which adds no state, before the run starts it."""
+    sim = Simulation(scenario_from_dict(data))
+    if sim.plant:
+        sim.plant.__class__ = PollingPlant
+    return sim

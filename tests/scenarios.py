@@ -36,10 +36,12 @@ def random_scenario(
     *,
     horizon_s: tuple[float, float] = (2.0, 10.0),
     traffic: bool = True,
+    safety: bool = True,
 ) -> dict:
     """One scenario mapping, its horizon drawn within `horizon_s`;
-    `traffic=False` draws an empty catalog. The plant is enabled in nine
-    draws of ten."""
+    `traffic=False` draws an empty catalog and `safety=False` disables the
+    safety channel without changing any draw, and neither section is then
+    left out. The plant is enabled in nine draws of ten."""
     horizon = round(rng.uniform(*horizon_s), 3)
     ids = [f"island{k + 1}" for k in range(rng.randint(1, 4))]
     enabled = rng.random() < 0.9
@@ -50,15 +52,17 @@ def random_scenario(
         "radio": _radio(rng),
         "traffic": _traffic(rng) if traffic else {"catalog": []},
         "factory": plant,
-        "safety": {"enabled": rng.random() < 0.6,
+        "safety": {"enabled": rng.random() < 0.6 and safety,
                    "watchdog_ms": rng.choice([12.0, 20.0, 50.0])},
         "compliance": {"service_area_m": [rng.choice([10.0, 20.0])] * 2,
                        "availability_sample_floor": rng.choice([None, 10, 1000])},
         "script": _script(rng, ids if enabled else [], plant, horizon),
     }
-    # a section left out loads its defaults
+    # a section left out loads its defaults; one a knob turned off is kept
+    off = {"traffic": not traffic, "safety": not safety}
     return {k: v for k, v in scenario.items()
-            if k in ("horizon_s", "factory", "script") or rng.random() < 0.9}
+            if k in ("horizon_s", "factory", "script") or rng.random() < 0.9
+            or off.get(k, False)}
 
 
 def _radio(rng: random.Random) -> dict:

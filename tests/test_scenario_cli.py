@@ -359,6 +359,64 @@ def test_cli_check_malformed_metrics_exits_2(tmp_path, capsys, doc, profile, key
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.fixture(scope="module")
+def run_metrics(tmp_path_factory) -> dict:
+    """The `metrics.json` of a 2 s default run."""
+    out = tmp_path_factory.mktemp("bounds") / "out"
+    assert main(["run", "--horizon", "2", "--out", str(out)]) == 0
+    return json.loads((out / "metrics.json").read_text(encoding="utf-8"))
+
+
+PNIO = ("pnio_coupler_to_plc", "pnio_plc_to_coupler")
+
+
+@pytest.mark.parametrize(
+    "changes, key, problem",
+    [
+        # a share above 1, a count in the millions and a negative loss on
+        # both PNIO rows once scored as 170 % and passed
+        ({"availability": 1.7, "sample_count": 100_000_000, "lost_count": -5},
+         "lost_count", "must be >= 0, got -5"),
+        ({"availability": 1.7}, "availability", "must be <= 1, got 1.7"),
+        ({"availability": -0.25}, "availability", "must be >= 0, got -0.25"),
+        *(({field: -1}, field, "must be >= 0, got -1") for field in (
+            "sample_count", "delivered_count", "lost_count", "in_flight_count",
+            "size_min", "size_max", "jitter_ns", "max_transfer_interval_ns",
+            "survival_time_ns", "availability_windows")),
+        ({"observed_rate_bps": -1.5}, "observed_rate_bps", "must be >= 0, got -1.5"),
+        *(({"latency_ns": {stat: -1}}, f"latency_ns.{stat}", "must be >= 0, got -1")
+          for stat in ("min", "p50", "p99", "p999", "max")),
+    ],
+)
+def test_cli_check_rejects_impossible_metrics(tmp_path, capsys, run_metrics, changes,
+                                              key, problem):
+    doc = json.loads(json.dumps(run_metrics))
+    for name in PNIO:
+        for field, value in changes.items():
+            entry = doc["streams"][name]
+            if isinstance(value, dict):
+                entry[field].update(value)
+            else:
+                entry[field] = value
+    metrics = tmp_path / "metrics.json"
+    metrics.write_text(json.dumps(doc), encoding="utf-8")
+    assert _run_cli("check", str(metrics), "--profile", "aspect1") == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == (
+        f"invalid metrics {metrics}: streams.{PNIO[0]}.{key}: {problem}\n")
+
+
+def test_loading_and_running_a_scenario_does_not_import_pyyaml():
+    # only `load_scenario`, `dump_scenario` and the duplicate-key check read
+    # YAML; the CLI tests above cover those paths
+    src = str(Path(fablink.__file__).resolve().parent.parent)
+    code = ("import sys, fablink.simulation, fablink.artifacts, fablink.scenario; "
+            "sys.exit('yaml' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src)).returncode == 0
+
+
 def test_cli_check_with_nothing_to_assess_exits_2(tmp_path, capsys):
     # a check that assesses no stream says nothing about compliance
     empty = tmp_path / "empty.json"
