@@ -98,10 +98,10 @@ class ProductMemory:
 class ProductState(Enum):
     """A product's place in the flow, as `simulation.PlantRuntime` moves it.
 
-    WAITING: the controller tick plans it (`_advance`), unless it is parked
-    until what it waits for wakes it. Set at release, when a module or the
-    operator finishes its step, and when the robot unloads it at an island;
-    each of those plans it at once.
+    WAITING: the controller tick plans it (`_advance`) while it is due: from
+    each plan until one parks it, and again once what it waits for wakes it.
+    Set at release, when a module or the operator finishes its step, and when
+    the robot unloads it at an island; each of those plans it at once.
     BUSY: on a conveyor, in service, on the robot or at the manual station;
     the robot loads it once it waits. Set when a conveyor transfer starts
     (`_convey`), when the robot starts loading it (`_load`), and when it
@@ -126,7 +126,7 @@ class Product:
     state: ProductState = ProductState.WAITING
     destination: str | None = None  # its robot job's target, None without a job
     unroutable: bool = False  # `no_route` logged since its last plan
-    parked: bool = False  # the controller tick skips it until it is woken
+    rank: int = 0  # its place in release order, the order the controller tick plans in
 
     def next_step(self) -> tuple[int, str] | None:
         index = len(self.memory.completed_steps)

@@ -24,7 +24,7 @@ from typing import Any, get_args, get_origin, get_type_hints
 
 from .radio_link import RadioSection
 from .safety import SensorKind
-from .sim_core import NS_PER_MS, NS_PER_S
+from .sim_core import NS_PER_MS, NS_PER_S, NS_PER_US
 from .traffic import (
     DEFAULT_CAMERA_PACKET_BYTES, DEFAULT_CAMERA_SHARES, MEASURED_ROWS,
     MEASURED_TOTAL_RATE_BPS, SAFETY_STREAMS, Pattern, StreamClass, TrafficProfile,
@@ -304,16 +304,27 @@ _SCRIPT_FIELD_READERS = {"endpoint": ("estop", "module_fault", "module_clear"),
 
 
 def _validate(scn: Scenario) -> None:
-    t, s, f = scn.traffic, scn.safety, scn.factory
+    t, s, f, r = scn.traffic, scn.safety, scn.factory, scn.radio
     if scn.horizon_ns == 0:
         _fail("horizon_s", f"must round to at least 1 ns, got {scn.horizon_s:g} s")
     try:
-        scn.radio.link_model()
+        model = r.link_model()
     except ValueError as exc:  # led by its key within radio
         raise ConfigInvalid(f"radio.{exc}") from None
     if t.catalog == "measured" and abs(sum(t.camera_shares.values()) - 1.0) > 1e-9:
         _fail("traffic.camera_shares", "shares must sum to 1")
     profiles = _built("traffic.total_rate_mbps", t.profiles)
+    # the last instant a stream can write must fit the packet columns' int64 ns
+    wired_ns, *radio_ns = (round(us * NS_PER_US) for us in (
+        r.wired_latency_us, r.tti_us, r.processing_delay_us, r.jitter_us))
+    for i, p in enumerate(profiles):
+        end = scn.horizon_ns + (sum(radio_ns) if p.wireless else wired_ns)
+        payload = ("traffic.camera_packet_bytes" if t.catalog == "measured"
+                   else f"traffic.catalog[{i}].payload_bytes")
+        air = p.wireless * model.air_time_ns(p.payload_bytes)
+        for path, at in (("horizon_s", end), (payload, end + air)):
+            if at >= 2**63:
+                _fail(path, f"stream {p.name} would write {at} ns, past int64")
     # no channel runs without safety, so nothing bounds the watchdog then
     up = s.enabled and _built("traffic.catalog", s.channel_streams, profiles)[0]
     if up and s.watchdog_ns < NS_PER_S / up.rate_hz:

@@ -92,14 +92,14 @@ _ROBOT = None  # the robot's timer gate; every other gate is an island id
 class PlantRuntime:
     """Event-driven production flow around a periodic controller tick.
 
-    Each tick the controller re-takes the readiness snapshot, routes waiting
-    products through grants that read it, and dispatches the transport
-    robot. A waiting product whose plan cannot change is parked instead of
-    planned, on the one thing it waits for, and the tick skips it until that
-    wakes it: its island's reset (`sync`), a module of the (island,
-    capability) its queued robot job waits on freeing up (`_convey`,
-    `clear_module`), or, when rework is due, its unload. Every direct
-    `_advance` unparks it; a product at the manual station is never parked.
+    Each tick the controller re-takes the readiness snapshot, routes its due
+    products in release order through grants that read it, and dispatches
+    the transport robot. A product is due from each `_advance` until one
+    parks it on the one thing it waits for, and again once that wakes it: its
+    island's reset (`sync`), a module of the (island, capability) its queued
+    robot job waits on freeing up (`_convey`, `clear_module`), or, when
+    rework is due, its unload. A product woken during a pass is due at the
+    next tick; a product at the manual station is never parked.
     Work in progress is held in pausable timers, each on one gate (an
     island, or the robot), so safe stops and local safety events suspend it
     without losing progress.
@@ -139,7 +139,7 @@ class PlantRuntime:
         self.robot = Robot(home_island=self.cfg.robot_home)
         self.manual_queue: deque[Product] = deque()
         self.manual_busy = False
-        self.unfinished: list[Product] = []  # release order, pruned each tick
+        self._due: dict[int, Product] = {}  # what the next tick plans, by release rank
         self.jobs: deque[Product] = deque()  # robot jobs: products with a destination
         # parked products per wake key: an island id, or (island id, capability)
         self._parked: dict[str | tuple[str, str], list[Product]] = {}
@@ -176,8 +176,8 @@ class PlantRuntime:
 
     def _release(self, product_id: str, island: str) -> None:
         product = Product(id=product_id, order_config=list(self.cfg.recipe),
-                          island=island, location=f"{island}:staging")
-        self.unfinished.append(product)
+                          island=island, location=f"{island}:staging",
+                          rank=self.stats["released"])
         self.stats["released"] += 1
         self._log(product, "released", island)
         self._advance(product)
@@ -191,11 +191,10 @@ class PlantRuntime:
 
     def _tick(self) -> None:
         self.ready = readiness(self.islands.values(), self.robot)
-        # bound once: an Enum member lookup costs more than the loop's body
-        done, waiting = ProductState.DONE, ProductState.WAITING
-        self.unfinished = [p for p in self.unfinished if p.state is not done]
-        for product in self.unfinished:
-            if product.state is waiting and not product.parked:
+        due, self._due = self._due, {}
+        for _, product in sorted(due.items()):
+            # it may have moved on since it was marked, or its wake be stale
+            if product.state is ProductState.WAITING:
                 self._advance(product)
         self._dispatch_robot()
         self._serve_manual()
@@ -207,7 +206,7 @@ class PlantRuntime:
 
     def _advance(self, product: Product) -> None:
         """Plan a waiting product's next move, or park it until it can have one."""
-        product.parked = False
+        self._due[product.rank] = product
         nxt = product.next_step()
         rework = product.needs_rework
         if nxt is None and not rework:
@@ -227,7 +226,7 @@ class PlantRuntime:
             # logs `no_route`, so it still plans every tick.
             if product.destination is not None and self.cfg.manual_station:
                 if rework:
-                    product.parked = True  # until its unload advances it
+                    del self._due[product.rank]  # until its unload advances it
                     return
                 group = (island.id, nxt[1])
                 if not any(m.free for m in self.capable.get(group, ())):
@@ -288,12 +287,12 @@ class PlantRuntime:
 
     def _park(self, product: Product, key: str | tuple[str, str]) -> None:
         """Skip `product` in the tick until `key` wakes it or an `_advance`."""
-        product.parked = True
+        del self._due[product.rank]
         self._parked.setdefault(key, []).append(product)
 
     def _wake(self, key: str | tuple[str, str] | None) -> None:
         for product in self._parked.pop(key, ()):
-            product.parked = False
+            self._due[product.rank] = product
 
     def clear_module(self, module_id: str) -> None:
         """A scripted `module_clear`: the module idles again."""
@@ -383,11 +382,8 @@ class PlantRuntime:
         if not self.jobs:
             # Reposition to the home dock only once the line has drained, so
             # the robot stays with an in-progress product's island otherwise.
-            if (
-                self.robot.carrier is None
-                and self.stats["released"]
-                and all(p.state is ProductState.DONE for p in self.unfinished)
-            ):
+            drained = 0 < self.stats["completed"] == self.stats["released"]
+            if self.robot.carrier is None and drained:
                 home = self.robot.home_island
                 if self.robot.pose == Hovering(home):
                     self._try_dock(home)

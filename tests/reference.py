@@ -7,7 +7,8 @@ suite's one slow reference run.
 
 `polling_simulation`: a simulation whose controller tick plans every waiting
 product on every tick, which is how the plant ran before waiting products
-were parked until woken.
+were parked until woken. It finds them in its own record of every released
+product, not in the plant's due map.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from fablink.factory import Product, ProductState
 from fablink.radio_link import next_tx_opportunity
 from fablink.scenario import scenario_from_dict
 from fablink.sim_core import LANE_NORMAL, LANE_SAFETY, NS_PER_US
@@ -206,19 +208,29 @@ def engine_reference(data: dict) -> ReferenceRun:
 
 
 class PollingPlant(PlantRuntime):
-    """The plant runtime with a tick that unparks every product before its
-    pass, so the pass plans each waiting product, as if all were woken."""
+    """The plant runtime with a tick that marks every waiting product due
+    before its pass, so the pass plans each one, as if all were woken.
+    `released` holds every product it has released, by release rank, as
+    its first `_advance` (its release's) sees it."""
+
+    released: dict[int, Product]
+
+    def _advance(self, product: Product) -> None:
+        self.released.setdefault(product.rank, product)
+        super()._advance(product)
 
     def _tick(self) -> None:
-        for product in self.unfinished:
-            product.parked = False
+        for product in self.released.values():
+            if product.state is ProductState.WAITING:
+                self._due[product.rank] = product
         super()._tick()
 
 
 def polling_simulation(data: dict) -> Simulation:
     """A simulation of `data` whose plant polls: its `PlantRuntime` becomes a
-    `PollingPlant`, which adds no state, before the run starts it."""
+    `PollingPlant`, with no product released yet, before the run starts it."""
     sim = Simulation(scenario_from_dict(data))
     if sim.plant:
         sim.plant.__class__ = PollingPlant
+        sim.plant.released = {}
     return sim

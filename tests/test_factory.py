@@ -307,8 +307,8 @@ def test_a_products_job_place_and_state_agree_at_every_tick(case):
     # is the robot, and a product is done exactly when its completion is logged
     sim = Simulation(scenario_from_dict(CASES[case]))
     plant = sim.plant
-    tick = plant._tick
-    products: dict[str, Product] = {}
+    tick, advance = plant._tick, plant._advance
+    products: dict[str, Product] = {}  # every product released so far
     completed: Counter[str] = Counter()
     logged = 0
     states: set[ProductState] = set()
@@ -316,7 +316,6 @@ def test_a_products_job_place_and_state_agree_at_every_tick(case):
     def checked_tick() -> None:
         nonlocal logged
         tick()
-        products.update((p.id, p) for p in plant.unfinished)
         completed.update(e.product for e in sim.product_log[logged:]
                          if e.event == "completed")
         logged = len(sim.product_log)
@@ -332,7 +331,11 @@ def test_a_products_job_place_and_state_agree_at_every_tick(case):
             on_robot = product.location == "robot"
             assert (plant.robot.carrier is product) == on_robot, product.id
 
-    plant._tick = checked_tick
+    def recording_advance(product: Product) -> None:
+        products.setdefault(product.id, product)  # its release's advance first
+        advance(product)
+
+    plant._tick, plant._advance = checked_tick, recording_advance
     sim.run()
     assert products and {ProductState.WAITING, ProductState.BUSY} <= states
     assert (ProductState.DONE in states) == (plant.stats["completed"] > 0)

@@ -1,7 +1,7 @@
-"""Parked products: the controller tick skips a waiting product whose plan
-cannot change until the one thing it waits for wakes it, and the plant runs
-exactly as one whose tick plans every waiting product
-(`reference.polling_simulation`).
+"""Due products: the controller tick plans only the products that are due, so
+a waiting product whose plan cannot change is parked until the one thing it
+waits for wakes it, and the plant runs exactly as one whose tick plans every
+waiting product (`reference.polling_simulation`).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from fablink import simulation
+from fablink.factory import ProductState
 from fablink.scenario import ConfigInvalid, scenario_from_dict
 from fablink.simulation import PlantRuntime, Simulation
 from reference import polling_simulation
@@ -125,9 +126,12 @@ def test_a_woken_product_acts_in_the_tick_polling_acts_in(case):
     wake = plant._wake
 
     def recording_wake(wake_key) -> None:
-        wakes.extend((sim.engine.now, wake_key, p.id)
-                     for p in plant._parked.get(wake_key, ()) if p.parked)
+        # the waiting products this wake makes due, in release order
+        before = set(plant._due)
         wake(wake_key)
+        wakes.extend((sim.engine.now, wake_key, p.id)
+                     for rank, p in sorted(plant._due.items())
+                     if rank not in before and p.state is ProductState.WAITING)
 
     plant._wake = recording_wake
     woken = sim.run()
@@ -151,10 +155,14 @@ def _perfbench_plant(horizon_s: float) -> dict:
     return workloads.scenario_dict("plant", workloads.DEFAULT_SEED, horizon_s)
 
 
-def test_the_plant_workload_plans_every_route_and_advances_parked_products_rarely(
+def test_the_plant_workload_runs_as_the_polling_plant_without_mid_pass_plans(
         monkeypatch):
-    # at the benchmark's 120 s smoke horizon the polling tick made 47,498
-    # `_advance` calls for 3,524 route plans; parking keeps every plan
+    # at the benchmark's 120 s smoke horizon the polling tick makes 47,498
+    # `_advance` calls. Planning only due products makes 3,283 route plans; a
+    # walk over every unfinished product made 3,524, as it also planned, in
+    # the same pass, a product woken by one planned before it. The pass's
+    # readiness snapshot still held the freed module busy, so that plan could
+    # not act
     calls = _counting_advance(monkeypatch)
     plans = [0]
     plan_route = simulation.plan_route
@@ -164,6 +172,10 @@ def test_the_plant_workload_plans_every_route_and_advances_parked_products_rarel
         return plan_route(*args, **kwargs)
 
     monkeypatch.setattr(simulation, "plan_route", counted_plan)
-    Simulation(scenario_from_dict(_perfbench_plant(120.0))).run()
-    assert plans[0] == 3_524
+    config = _perfbench_plant(120.0)
+    woken = Simulation(scenario_from_dict(config)).run()
+    assert plans[0] == 3_283
     assert calls[0] < 5_000
+    calls[0] = 0
+    assert _observed(woken) == _observed(polling_simulation(config).run())
+    assert calls[0] == 47_498

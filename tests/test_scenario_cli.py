@@ -16,6 +16,7 @@ import yaml
 
 import fablink
 from fablink.cli import main
+from fablink.radio_link import LinkRuntime
 from fablink.scenario import (
     ConfigInvalid,
     default_scenario,
@@ -252,13 +253,21 @@ def test_cli_run_unknown_channel_exits_2_without_traceback(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_cli_run_ended_by_an_action_error_exits_1_with_one_line(tmp_path, capsys):
-    # a 1e20-byte payload's delivery instant overflows the packet columns'
-    # 64-bit integers in the emission's handler
+def test_cli_run_ended_by_an_action_error_exits_1_with_one_line(
+        tmp_path, capsys, monkeypatch):
+    # no config that loads makes a send fail, so the link's sender is made to
+    # fail; the error ends the stream's loop at its first emission
+    def failing_sender(self, stream, payload_bytes, rng):
+        def send(now):
+            raise OverflowError("int too big to convert")
+
+        return send
+
+    monkeypatch.setattr(LinkRuntime, "sender", failing_sender)
     config = tmp_path / "scenario.yaml"
     config.write_text("{horizon_s: 1.0, safety: {enabled: false}, factory: {enabled: "
-                      "false}, traffic: {catalog: [{name: big, payload_bytes: "
-                      "100000000000000000000, rate_hz: 1.0}]}}\n", encoding="utf-8")
+                      "false}, traffic: {catalog: [{name: big, rate_hz: 1.0}]}}\n",
+                      encoding="utf-8")
     out = tmp_path / "out"
     assert _run_cli("run", "--config", str(config), "--out", str(out)) == 1
     captured = capsys.readouterr()
@@ -267,6 +276,54 @@ def test_cli_run_ended_by_an_action_error_exits_1_with_one_line(tmp_path, capsys
         "run error: at 0 ns, traffic stream big: OverflowError: ")
     assert len(captured.err.splitlines()) == 1
     assert not out.exists()
+
+
+_STREAM_ONLY = "{horizon_s: %s, safety: {enabled: false}, factory: {enabled: false}, "
+
+
+@pytest.mark.parametrize("text, key", [
+    # a 1e20-byte payload's delivery is about 6.7e13 s after its emission
+    (_STREAM_ONLY % "1.0" + "traffic: {catalog: [{name: big, payload_bytes: "
+     "100000000000000000000, rate_hz: 1.0}]}}", "traffic.catalog[0].payload_bytes"),
+    (_STREAM_ONLY % "1.0" + "traffic: {camera_packet_bytes: 100000000000000000000}}",
+     "traffic.camera_packet_bytes"),
+    # a period of 1e9 s puts its last emission at 1e19 ns, the horizon
+    (_STREAM_ONLY % "1.0e+10" + "traffic: {catalog: [{name: slow, payload_bytes: "
+     "100, rate_hz: 1.0e-09}]}}", "horizon_s"),
+], ids=["payload", "camera_packet", "horizon"])
+def test_cli_run_whose_instants_pass_int64_exits_2_naming_the_field(
+        tmp_path, capsys, text, key):
+    config = tmp_path / "scenario.yaml"
+    config.write_text(text + "\n", encoding="utf-8")
+    with pytest.raises(ConfigInvalid, match=rf"^{re.escape(key)}: .* past int64"):
+        load_scenario(str(config))
+    assert _run_cli("run", "--config", str(config), "--out",
+                    str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: ") and len(err.splitlines()) == 1
+
+
+def test_the_int64_bound_holds_exactly_at_the_last_instant():
+    # a wired stream with no latency writes the horizon itself: 2**63 - 1024
+    # ns (the float just below 2**63 ns) loads, 2**63 ns does not
+    def data(horizon_ns: int, wireless: bool) -> dict:
+        return {"horizon_s": horizon_ns / 1e9, "safety": {"enabled": False},
+                "factory": {"enabled": False},
+                "radio": {"wired_latency_us": 0.0},
+                "traffic": {"catalog": [{"name": "s", "rate_hz": 1e-9,
+                                         "wireless": wireless}]}}
+
+    assert scenario_from_dict(data(2**63 - 1024, False)).horizon_ns == 2**63 - 1024
+    with pytest.raises(ConfigInvalid,
+                       match=f"^horizon_s: stream s would write {2**63} ns"):
+        scenario_from_dict(data(2**63, False))
+    # on the radio the stream also needs a TTI, air time and processing more
+    with pytest.raises(ConfigInvalid, match="^horizon_s: "):
+        scenario_from_dict(data(2**63 - 1024, True))
+    # a wired stream writes no air time, so its payload is not bounded by it
+    wired = data(10**9, False)
+    wired["traffic"]["catalog"][0]["payload_bytes"] = 10**20
+    scenario_from_dict(wired)
 
 
 @pytest.mark.parametrize("command", ["run", "config dump"])
