@@ -23,7 +23,6 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from itertools import chain, count
 from pathlib import Path
 from typing import Iterator
 
@@ -105,13 +104,14 @@ def _packet_rows(records: Records) -> Iterator[str]:
     """`packets.csv` data rows in engine order, merged as they are written,
     each as `csv.writer` writes it: each stream's name, class and size are
     formatted once, and the integers of each row directly."""
-    heads = [(f"{_csv_field(p.name)},", f",{_csv_field(p.stream_class.value)},"
-              f"{p.payload_bytes},") for p in records.streams]
-    rows = [zip(count(), c.created, c.sent, c.delivered) for c in records.columns]
-    for k in chain.from_iterable(merge_records(records.columns)):
-        (stream, cls_size), (seq, created, sent, delivered) = heads[k], next(rows[k])
-        yield (f"{stream}{seq}{cls_size}{created},{sent},"
-               f"{'LOST' if delivered == LOST else delivered}\r\n")
+    streams = [(f"{_csv_field(p.name)},", f",{_csv_field(p.stream_class.value)},"
+                f"{p.payload_bytes},", c.created, c.sent, c.delivered)
+               for p, c in zip(records.streams, records.columns)]
+    for k, seq in merge_records(records.columns):
+        stream, cls_size, created, sent, delivered = streams[k]
+        d = delivered[seq]
+        yield (f"{stream}{seq}{cls_size}{created[seq]},{sent[seq]},"
+               f"{'LOST' if d == LOST else d}\r\n")
 
 
 def write_artifacts(result: RunResult, out_dir: str | Path) -> RunArtifacts:

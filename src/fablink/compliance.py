@@ -16,13 +16,13 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, islice, tee
+from itertools import chain, tee
 from operator import sub
 from typing import Iterable, Iterator, Sequence
 
 from .scenario import ConfigInvalid
 from .sim_core import NS_PER_MS, SimTime
-from .traffic import LOST, Records, StreamClass, StreamRecords, TrafficProfile
+from .traffic import LOST, StreamClass, StreamRecords, TrafficProfile
 
 
 @dataclass(frozen=True)
@@ -137,90 +137,6 @@ def _largest_gap(created: Iterable[SimTime]) -> SimTime | None:
     return max(map(sub, later, earlier), default=None)
 
 
-def _metrics(stream: str, stream_class: StreamClass, sampled: list[tuple[int, int]],
-             lost_count: int, latencies: list[Sequence[SimTime]],
-             max_gap: SimTime | None, hits: int,
-             horizon_ns: SimTime) -> StreamMetrics:
-    """Metrics of the records created within the horizon, given as (count, PDU
-    size) per stream that holds any, from the sorted latency columns of their
-    deliveries within it and the number of whole windows those deliveries hit."""
-    sample_count = sum(k for k, _ in sampled)
-    delivered = sum(map(len, latencies))
-    latency = LatencyStats(
-        min_ns=percentile(latencies, 0.0),
-        p50_ns=percentile(latencies, 50.0),
-        p99_ns=percentile(latencies, 99.0),
-        p999_ns=percentile(latencies, 99.9),
-        max_ns=percentile(latencies, 100.0),
-    ) if delivered else None
-    windows = horizon_ns // SURVIVAL_TIME_NS
-    bits = sum(k * size * 8 for k, size in sampled)
-    return StreamMetrics(
-        stream=stream,
-        stream_class=stream_class,
-        sample_count=sample_count,
-        delivered_count=delivered,
-        lost_count=lost_count,
-        in_flight_count=sample_count - delivered - lost_count,
-        observed_rate_bps=bits * 1e9 / horizon_ns if horizon_ns > 0 else 0.0,
-        size_min=min((size for _, size in sampled), default=None),
-        size_max=max((size for _, size in sampled), default=None),
-        latency=latency,
-        jitter_ns=None if latency is None else latency.p99_ns - latency.min_ns,
-        max_transfer_interval_ns=max_gap,
-        availability=hits / windows if windows else None,
-        survival_time_ns=SURVIVAL_TIME_NS,
-        availability_windows=windows,
-    )
-
-
-@dataclass(slots=True)
-class StreamFold:
-    """One stream's records reduced in one pass: its metrics, and what
-    `aggregate_metrics` merges instead of re-reading the records."""
-
-    metrics: StreamMetrics
-    latencies: list[array]  # of deliveries within the horizon, in sorted runs
-    hit: bytearray  # 1 per whole survival-time window holding a delivery
-
-
-def collect_stream_metrics(
-    stream: TrafficProfile, records: StreamRecords, horizon_ns: SimTime,
-) -> StreamFold:
-    """Fold one stream's record columns into its metrics and its latencies,
-    each `SORT_RUN` records' sorted into an array. The name, class and PDU
-    size are the stream's, so they hold with no record too. Only records
-    created within the horizon count.
-
-    A packet whose delivery falls beyond the horizon counts as in flight:
-    neither delivered nor lost at the deadline. The transfer interval is the
-    sender-side gap between consecutive creations.
-    """
-    # creation instants never decrease, so those within the horizon lead
-    created, delivered = records.created, records.delivered
-    n = bisect_right(created, horizon_ns)
-    runs: list[array] = []
-    lost = 0
-    hit = bytearray(horizon_ns // SURVIVAL_TIME_NS)
-    # deliveries in the last, partial window count for no window
-    windows_end = len(hit) * SURVIVAL_TIME_NS
-    for i in range(0, n, SORT_RUN):
-        latencies: list[SimTime] = []
-        for c, d in zip(created[i:min(n, i + SORT_RUN)], delivered[i:i + SORT_RUN]):
-            if d == LOST:
-                lost += 1
-            elif d <= horizon_ns:
-                latencies.append(d - c)
-                if d < windows_end:
-                    hit[d // SURVIVAL_TIME_NS] = 1
-        latencies.sort()
-        runs.append(array("q", latencies))
-    metrics = _metrics(stream.name, stream.stream_class,
-                       [(n, stream.payload_bytes)] if n else [], lost, runs,
-                       _largest_gap(islice(created, n)), hit.count(1), horizon_ns)
-    return StreamFold(metrics, runs, hit)
-
-
 def _sorted_windows(columns: Sequence[Sequence[SimTime]],
                     counts: Sequence[int]) -> Iterator[list[SimTime]]:
     """The first `counts[k]` instants of each sorted `columns[k]`, merged in
@@ -242,30 +158,107 @@ def _sorted_windows(columns: Sequence[Sequence[SimTime]],
         starts = ends
 
 
-def aggregate_metrics(
-    folds: Sequence[StreamFold], records: Records, horizon_ns: SimTime
-) -> StreamMetrics:
-    """All streams merged into one pseudo-stream for aggregate assessments,
-    from the folds of `records.columns`, in that order: counts summed,
-    latency runs taken together and window hits OR-ed. The transfer
-    interval is the largest gap between consecutive creations across all
-    streams, read from the sorted union of their creation instants within
-    the horizon: the instants along engine order, whose merge key starts
-    with the creation instant."""
-    metrics = [f.metrics for f in folds]
+@dataclass(slots=True)
+class StreamFold:
+    """The records created within the horizon, of one stream or of several,
+    reduced to what their metrics are scored from; the folds of several
+    streams join part by part."""
+
+    sampled: list[tuple[int, int]]  # (record count, PDU size) per stream holding any
+    lost: int
+    latencies: list[array]  # of deliveries within the horizon, in sorted runs
+    hits: int  # bit 8w set when whole survival-time window w holds a delivery
+    created: list[tuple[Sequence[SimTime], int]]  # (creation column, count within)
+
+
+def _score(stream: str, stream_class: StreamClass, fold: StreamFold,
+           horizon_ns: SimTime) -> StreamMetrics:
+    """The metrics of `fold`, scored as `stream`. The transfer interval is
+    the largest gap between consecutive creations, read from the sorted
+    union of the fold's creation instants."""
+    sample_count = sum(k for k, _ in fold.sampled)
+    latencies = fold.latencies
+    delivered = sum(map(len, latencies))
+    latency = LatencyStats(
+        min_ns=percentile(latencies, 0.0),
+        p50_ns=percentile(latencies, 50.0),
+        p99_ns=percentile(latencies, 99.0),
+        p999_ns=percentile(latencies, 99.9),
+        max_ns=percentile(latencies, 100.0),
+    ) if delivered else None
+    windows = horizon_ns // SURVIVAL_TIME_NS
+    bits = sum(k * size * 8 for k, size in fold.sampled)
     created = chain.from_iterable(_sorted_windows(
-        [c.created for c in records.columns], [m.sample_count for m in metrics]))
-    hit = 0  # the streams' 0/1 window bytes, OR-ed as one integer
+        [c for c, _ in fold.created], [n for _, n in fold.created]))
+    return StreamMetrics(
+        stream=stream,
+        stream_class=stream_class,
+        sample_count=sample_count,
+        delivered_count=delivered,
+        lost_count=fold.lost,
+        in_flight_count=sample_count - delivered - fold.lost,
+        observed_rate_bps=bits * 1e9 / horizon_ns if horizon_ns > 0 else 0.0,
+        size_min=min((size for _, size in fold.sampled), default=None),
+        size_max=max((size for _, size in fold.sampled), default=None),
+        latency=latency,
+        jitter_ns=None if latency is None else latency.p99_ns - latency.min_ns,
+        max_transfer_interval_ns=_largest_gap(created),
+        availability=fold.hits.bit_count() / windows if windows else None,
+        survival_time_ns=SURVIVAL_TIME_NS,
+        availability_windows=windows,
+    )
+
+
+def collect_stream_metrics(
+    stream: TrafficProfile, records: StreamRecords, horizon_ns: SimTime,
+) -> tuple[StreamMetrics, StreamFold]:
+    """Fold one stream's record columns in one pass, each `SORT_RUN`
+    records' latencies sorted into an array, and score the fold. The name,
+    class and PDU size are the stream's, so they hold with no record too.
+    Only records created within the horizon count.
+
+    A packet whose delivery falls beyond the horizon counts as in flight:
+    neither delivered nor lost at the deadline. The transfer interval is the
+    sender-side gap between consecutive creations.
+    """
+    # creation instants never decrease, so those within the horizon lead
+    created, delivered = records.created, records.delivered
+    n = bisect_right(created, horizon_ns)
+    runs: list[array] = []
+    lost = 0
+    hit = bytearray(horizon_ns // SURVIVAL_TIME_NS)  # 1 per window hit
+    # deliveries in the last, partial window count for no window
+    windows_end = len(hit) * SURVIVAL_TIME_NS
+    latencies: list[SimTime] = []  # one run's, emptied once it is an array
+    for i in range(0, n, SORT_RUN):
+        for c, d in zip(created[i:min(n, i + SORT_RUN)], delivered[i:i + SORT_RUN]):
+            if d == LOST:
+                lost += 1
+            elif d <= horizon_ns:
+                latencies.append(d - c)
+                if d < windows_end:
+                    hit[d // SURVIVAL_TIME_NS] = 1
+        latencies.sort()
+        runs.append(array("q", latencies))
+        latencies.clear()
+    fold = StreamFold([(n, stream.payload_bytes)] if n else [], lost, runs,
+                      int.from_bytes(hit, "little"), [(created, n)])
+    return _score(stream.name, stream.stream_class, fold, horizon_ns), fold
+
+
+def aggregate_metrics(folds: Sequence[StreamFold], horizon_ns: SimTime) -> StreamMetrics:
+    """All streams merged into one pseudo-stream for aggregate assessments:
+    their folds joined part by part (counts and sizes taken together, lost
+    counts summed, latency runs and creation columns concatenated, window
+    hits OR-ed) and scored as one."""
+    joined = StreamFold([], 0, [], 0, [])
     for f in folds:
-        hit |= int.from_bytes(f.hit, "little")
-    return _metrics(
-        "aggregate", StreamClass.NON_SAFETY_RELEVANT,
-        [(m.sample_count, p.payload_bytes)
-         for m, p in zip(metrics, records.streams) if m.sample_count],
-        sum(m.lost_count for m in metrics),
-        [run for f in folds for run in f.latencies],
-        _largest_gap(created),
-        hit.bit_count(), horizon_ns)
+        joined.sampled += f.sampled
+        joined.lost += f.lost
+        joined.latencies += f.latencies
+        joined.hits |= f.hits
+        joined.created += f.created
+    return _score("aggregate", StreamClass.NON_SAFETY_RELEVANT, joined, horizon_ns)
 
 
 # -- evaluation ----------------------------------------------------------------

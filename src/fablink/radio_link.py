@@ -59,7 +59,7 @@ class BlerCurve:
     decreasing BLER in (0, 1]. Between anchors the curve is log-linear in
     BLER; beyond the anchor range it continues at the edge segment's slope
     (or `tail_slope_decades_per_db` when set), clamped to [floor_bler, 1].
-    An anchor-free curve is constant at `floor_bler` (see `constant`).
+    An anchor-free curve is constant at `floor_bler`.
     """
 
     anchors: tuple[tuple[float, float], ...] = ()
@@ -79,11 +79,6 @@ class BlerCurve:
         for b0, b1 in zip(blers, blers[1:]):
             if b1 >= b0:
                 raise ValueError("anchor BLER must strictly decrease with SNR")
-
-    @classmethod
-    def constant(cls, bler: float) -> "BlerCurve":
-        """Flat curve, mainly for forcing loss behaviour in tests/scripts."""
-        return cls(anchors=(), floor_bler=bler)
 
     def _clamp(self, value: float) -> float:
         return min(1.0, max(self.floor_bler, value))

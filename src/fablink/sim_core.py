@@ -79,7 +79,6 @@ class RngStream:
 
 @dataclass
 class SimSummary:
-    end_time: SimTime
     events_processed: dict[str, int] = field(default_factory=dict)
 
 
@@ -163,7 +162,7 @@ class Engine:
             ) from exc
         if deadline > self.now:
             self.now = deadline
-        return SimSummary(end_time=self.now, events_processed=dict(counts))
+        return SimSummary(events_processed=dict(counts))
 
 
 class PausableTimer:

@@ -731,11 +731,11 @@ class Simulation:
         """Fold the run; `sources` holds each stream's records, in the order
         of `self.streams`."""
         comp = self.scenario.compliance
-        records = Records(self.streams, sources)
-        folds = [compliance_mod.collect_stream_metrics(p, recs, self.horizon_ns)
-                 for p, recs in zip(self.streams, sources)]
-        aggregate = compliance_mod.aggregate_metrics(folds, records, self.horizon_ns)
-        stream_metrics = {f.metrics.stream: f.metrics for f in folds}
+        scored = [compliance_mod.collect_stream_metrics(p, recs, self.horizon_ns)
+                  for p, recs in zip(self.streams, sources)]
+        aggregate = compliance_mod.aggregate_metrics([f for _, f in scored],
+                                                     self.horizon_ns)
+        stream_metrics = {m.stream: m for m, _ in scored}
         report = ComplianceReport(service_area_m=comp.service_area_m)
         for profile in compliance_mod.PROFILES.values():
             report.score(stream_metrics, aggregate, profile, profile.streams,
@@ -750,7 +750,7 @@ class Simulation:
         return RunResult(
             scenario=self.scenario,
             summary=summary,
-            records=records,
+            records=Records(self.streams, sources),
             safety_log=self.safety_mgr.log,
             product_log=self.product_log,
             stream_metrics=stream_metrics,

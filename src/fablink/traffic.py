@@ -15,6 +15,7 @@ import heapq
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import count
 from typing import Iterator
 
 from .radio_link import LinkRuntime
@@ -172,7 +173,6 @@ def emission_times(
 # -- records, off the event queue -----------------------------------------------
 
 LOST = -1  # the delivered instant of a lost packet
-MERGE_CHUNK = 4096  # records per chunk of engine order that `merge_records` yields
 
 
 class StreamRecords:
@@ -222,28 +222,24 @@ def stream_records(profile: TrafficProfile, rng: RngStream, link: LinkRuntime,
     return records
 
 
-def merge_records(sources: list[StreamRecords]) -> Iterator[array]:
-    """Engine order, as the index into `sources` of each record in turn, in
-    `array('I')` chunks of `MERGE_CHUNK`, as if each emission had been an
-    event: by creation instant, then by the merge position of the source's
-    previous emission (at a tie, the source whose previous emission came
-    first), the order the engine would have queued them in. Sources start
-    in run order: the safety channel's up and down records, then the
+def merge_records(sources: list[StreamRecords]) -> Iterator[tuple[int, int]]:
+    """Engine order, one record at a time: the index into `sources` and the
+    seq of each record in turn, as if each emission had been an event: by
+    creation instant, then by the merge position of the source's previous
+    emission (at a tie, the source whose previous emission came first), the
+    order the engine would have queued them in. Sources start in run order,
+    before any position: the safety channel's up and down records, then the
     streams in catalog order."""
     created = [recs.created for recs in sources]
-    # (created_at, merge position of the previous emission, source, index)
+    # (created_at, merge position of the previous emission, source, seq)
     heap = [(c[0], k - len(created), k, 0) for k, c in enumerate(created) if c]
     heapq.heapify(heap)
-    order, merged = array("I"), 0  # this chunk, and the records before it
-    while heap:
+    for position in count():
+        if not heap:
+            return
         _, _, k, i = heap[0]
-        order.append(k)
-        n = len(order)
         if i + 1 < len(created[k]):
-            heapq.heapreplace(heap, (created[k][i + 1], merged + n, k, i + 1))
+            heapq.heapreplace(heap, (created[k][i + 1], position, k, i + 1))
         else:
             heapq.heappop(heap)
-        if n == MERGE_CHUNK:
-            yield order
-            order, merged = array("I"), merged + n
-    yield order
+        yield k, i

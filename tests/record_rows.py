@@ -5,7 +5,6 @@ conversions between a stream's record columns and its rows."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, count, repeat
 from typing import Iterator
 
 from fablink.sim_core import SimTime
@@ -26,11 +25,11 @@ class PacketRecord:
 
 def engine_rows(records: Records) -> Iterator[PacketRecord]:
     """`records` as rows, one at a time, in the engine order of `merge_records`."""
-    rows = [zip(repeat(p.name), count(), c.created, repeat(p.payload_bytes),
-                c.sent, c.delivered) for p, c in zip(records.streams, records.columns)]
-    for k in chain.from_iterable(merge_records(records.columns)):
-        *row, delivered = next(rows[k])
-        yield PacketRecord(*row, None if delivered == LOST else delivered)
+    for k, seq in merge_records(records.columns):
+        p, c = records.streams[k], records.columns[k]
+        delivered = c.delivered[seq]
+        yield PacketRecord(p.name, seq, c.created[seq], p.payload_bytes, c.sent[seq],
+                           None if delivered == LOST else delivered)
 
 
 def columns(rows) -> StreamRecords:

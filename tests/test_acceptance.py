@@ -110,7 +110,7 @@ def test_criterion_2_link_anchors():
 
 @criterion(3, "sampling fidelity and survival-time availability formula")
 def test_criterion_3_sampling_and_availability():
-    model = LinkModel(RadioSection(), BlerCurve.constant(0.5),
+    model = LinkModel(RadioSection(), BlerCurve(floor_bler=0.5),
                       ThroughputCurve(((0.0, 10e6),)))
     rng = RngStream(42, "acceptance.sampling")
     link = LinkRuntime(model, Engine().stream)
@@ -161,7 +161,7 @@ def _random_outage_trips(seed, outages, watchdog_ns, horizon):
     outage windows take down, the timeline the script's link_down / link_up
     make: its records as rows, and its watchdog's trip instants."""
     radio = RadioSection(snr_db=15.0, tti_us=125)
-    model = LinkModel(radio, BlerCurve.constant(0.0),
+    model = LinkModel(radio, BlerCurve(floor_bler=0.0),
                       DEFAULT_THROUGHPUT_CURVES[radio.waveform])
     link = LinkRuntime(model, lambda name: RngStream(seed, name),
                        _outage_timeline(outages))

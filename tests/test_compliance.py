@@ -3,7 +3,7 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import chain, pairwise
 
@@ -28,7 +28,7 @@ from fablink.compliance import (
 )
 from fablink.scenario import ConfigInvalid, schema_to_dict
 from fablink.sim_core import NS_PER_MS
-from fablink.traffic import LOST, Records, StreamClass, TrafficProfile
+from fablink.traffic import LOST, StreamClass, TrafficProfile
 from record_rows import PacketRecord, columns, packet_rows
 
 
@@ -260,7 +260,7 @@ def test_collect_stream_metrics_basics():
             (99 * NS_PER_MS, 101 * NS_PER_MS),  # delivers past the horizon
         ]
     )
-    m = collect_stream_metrics(stream, records, horizon).metrics
+    m, _ = collect_stream_metrics(stream, records, horizon)
     assert m.sample_count == 5
     assert m.delivered_count == 3
     assert m.lost_count == 1
@@ -279,9 +279,8 @@ def test_aggregate_metrics_fold_all_streams():
     streams = [_stream([row], size, name)
                for name, row, size in (("a", (0, NS_PER_MS), 60),
                                        ("b", (NS_PER_MS, 2 * NS_PER_MS), 1400))]
-    folds = [collect_stream_metrics(p, recs, horizon) for p, recs in streams]
-    records = Records([p for p, _ in streams], [recs for _, recs in streams])
-    m = aggregate_metrics(folds, records, horizon)
+    folds = [collect_stream_metrics(p, recs, horizon)[1] for p, recs in streams]
+    m = aggregate_metrics(folds, horizon)
     assert m.stream == "aggregate"
     assert m.sample_count == 2
     assert m.size_min == 60 and m.size_max == 1400
@@ -307,19 +306,19 @@ def test_latencies_sorted_in_runs_give_the_stats_of_one_full_sort(n):
     b = _stream([(k * NS_PER_MS, None if rng.random() < 0.1
                   else k * NS_PER_MS + rng.randrange(1, 50 * NS_PER_MS))
                  for k in range(n)], name="b")
-    folds = [collect_stream_metrics(p, recs, horizon) for p, recs in (a, b)]
+    scored = [collect_stream_metrics(p, recs, horizon) for p, recs in (a, b)]
+    folds = [fold for _, fold in scored]
     delivered = [[d - c for c, d in zip(recs.created, recs.delivered)
                   if d != LOST and d <= horizon] for _, recs in (a, b)]
     assert [len(run) for run in folds[0].latencies] == (
         [n] if n <= SORT_RUN else [SORT_RUN, SORT_RUN, 1])
-    for fold, latencies in zip(folds, delivered):
+    for (metrics, fold), latencies in zip(scored, delivered):
         assert all(run.typecode == "q" and list(run) == sorted(run)
                    for run in fold.latencies)
-        assert fold.metrics.delivered_count == len(latencies)
-        assert fold.metrics.latency == _full_sort_stats(latencies)
+        assert metrics.delivered_count == len(latencies)
+        assert metrics.latency == _full_sort_stats(latencies)
     assert len(delivered[1]) < n and len(folds[1].latencies) == len(folds[0].latencies)
-    view = Records([p for p, _ in (a, b)], [recs for _, recs in (a, b)])
-    assert aggregate_metrics(folds, view, horizon).latency == _full_sort_stats(
+    assert aggregate_metrics(folds, horizon).latency == _full_sort_stats(
         delivered[0] + delivered[1])
 
 
@@ -460,12 +459,10 @@ def _columns(records):
     return columns((r.created_at, r.sent_at, r.delivered_at) for r in records)
 
 
-def _folds_and_view(records, streams, horizon_ns):
-    """Each stream's fold, and a `Records` view of its columns."""
-    cols = {name: _columns(recs) for name, recs in _by_stream(records).items()}
-    folds = {name: collect_stream_metrics(streams[name], c, horizon_ns)
-             for name, c in cols.items()}
-    return folds, Records([streams[name] for name in cols], list(cols.values()))
+def _scored(records, streams, horizon_ns):
+    """Each stream's metrics and fold, by name."""
+    return {name: collect_stream_metrics(streams[name], _columns(recs), horizon_ns)
+            for name, recs in _by_stream(records).items()}
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -479,50 +476,58 @@ def test_one_pass_fold_equals_multi_pass_reference(seed):
         0, 5 * NS_PER_MS, last // 2, last, last + 7 * NS_PER_MS,
         rng.randrange(last + 1),
     ])
-    folds, view = _folds_and_view(records, streams, horizon_ns)
+    scored = _scored(records, streams, horizon_ns)
     for name, recs in _by_stream(records).items():
-        _assert_same_metrics(folds[name].metrics, _reference_stream_metrics(
+        metrics, fold = scored[name]
+        _assert_same_metrics(metrics, _reference_stream_metrics(
             name, streams[name].stream_class, recs, horizon_ns))
-    _assert_same_metrics(aggregate_metrics(list(folds.values()), view, horizon_ns),
+        # one stream's fold, scored as the aggregate, is that stream's metrics
+        _assert_same_metrics(aggregate_metrics([fold], horizon_ns), replace(
+            metrics, stream="aggregate", stream_class=StreamClass.NON_SAFETY_RELEVANT))
+    _assert_same_metrics(aggregate_metrics([f for _, f in scored.values()], horizon_ns),
                          _reference_aggregate(records, horizon_ns))
 
 
 def test_fold_of_no_records_and_of_one():
     horizon = 100 * NS_PER_MS
     safety = StreamClass.SAFETY_RELEVANT
-    _assert_same_metrics(collect_stream_metrics(*_stream([]), horizon).metrics,
+    _assert_same_metrics(collect_stream_metrics(*_stream([]), horizon)[0],
                          _reference_stream_metrics("s", safety, [], horizon))
-    _assert_same_metrics(aggregate_metrics([], Records([], []), horizon),
+    _assert_same_metrics(aggregate_metrics([], horizon),
                          _reference_aggregate([], horizon))
     for delivered in (None, 2 * NS_PER_MS, 200 * NS_PER_MS):
         stream, records = _stream([(NS_PER_MS, delivered)])
         one = packet_rows(stream, records)
-        fold = collect_stream_metrics(stream, records, horizon)
-        _assert_same_metrics(fold.metrics,
+        metrics, fold = collect_stream_metrics(stream, records, horizon)
+        _assert_same_metrics(metrics,
                              _reference_stream_metrics("s", safety, one, horizon))
-        view = Records([stream], [records])
-        _assert_same_metrics(aggregate_metrics([fold], view, horizon),
+        _assert_same_metrics(aggregate_metrics([fold], horizon),
                              _reference_aggregate(one, horizon))
 
 
 @pytest.mark.parametrize("sort_run", [1, 2, 9])
 def test_the_aggregate_reads_its_creation_gap_window_by_window(monkeypatch, sort_run):
     # windows of a few instants, so a run of a few hundred records spans many;
-    # a run sorts its latencies in runs of the same size
+    # a run sorts its latencies in runs of the same size, and each stream
+    # reads its own creation gap through windows of its own
     monkeypatch.setattr(compliance, "SORT_RUN", sort_run)
     for seed in range(20):
         rng = random.Random(seed)
         records, streams = _random_run(rng, rng.choice([2, 50, 400]), rng.randint(1, 5))
         last = records[-1].created_at
         horizon_ns = rng.choice([last // 2, last, last + 7 * NS_PER_MS])
-        folds, view = _folds_and_view(records, streams, horizon_ns)
-        _assert_same_metrics(aggregate_metrics(list(folds.values()), view, horizon_ns),
+        scored = _scored(records, streams, horizon_ns)
+        for name, recs in _by_stream(records).items():
+            _assert_same_metrics(scored[name][0], _reference_stream_metrics(
+                name, streams[name].stream_class, recs, horizon_ns))
+        folds = [f for _, f in scored.values()]
+        _assert_same_metrics(aggregate_metrics(folds, horizon_ns),
                              _reference_aggregate(records, horizon_ns))
-        counts = [f.metrics.sample_count for f in folds.values()]
+        created = [pair for f in folds for pair in f.created]
         windows = list(compliance._sorted_windows(
-            [c.created for c in view.columns], counts))
+            [c for c, _ in created], [n for _, n in created]))
         assert list(chain.from_iterable(windows)) == sorted(
             r.created_at for r in records if r.created_at <= horizon_ns)
         # a window holds `step` + 1 distinct instants of each column at most
-        step = sort_run // len(counts)
-        assert all(len(set(w)) <= len(counts) * (step + 1) for w in windows)
+        step = sort_run // len(created)
+        assert all(len(set(w)) <= len(created) * (step + 1) for w in windows)

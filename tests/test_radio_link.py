@@ -132,9 +132,9 @@ def test_a_section_far_below_its_waterfall_loads_at_bler_one(radio):
 
 
 def test_constant_curve_for_forced_loss_rates():
-    assert BlerCurve.constant(0.0).bler(12.0) == 0.0
-    assert BlerCurve.constant(1.0).bler(12.0) == 1.0
-    assert BlerCurve.constant(0.5).bler(-3.0) == 0.5
+    assert BlerCurve(floor_bler=0.0).bler(12.0) == 0.0
+    assert BlerCurve(floor_bler=1.0).bler(12.0) == 1.0
+    assert BlerCurve(floor_bler=0.5).bler(-3.0) == 0.5
 
 
 def test_anchor_validation():
@@ -162,7 +162,7 @@ def test_a_section_without_curves_fails_led_by_its_key():
 
 
 def _link_with_constant_bler(p: float, timeline=()) -> LinkRuntime:
-    model = LinkModel(RadioSection(), BlerCurve.constant(p),
+    model = LinkModel(RadioSection(), BlerCurve(floor_bler=p),
                       ThroughputCurve(((0.0, 10e6),)))
     return LinkRuntime(model, Engine(seed=1).stream, timeline)
 

@@ -192,7 +192,7 @@ MEASURED_PAIR = SafetySection().channel_streams([])
 
 def constant_bler_model(radio: RadioSection, bler: float) -> LinkModel:
     """`radio`'s link with its BLER forced to `bler` at any SNR."""
-    return LinkModel(radio, BlerCurve.constant(bler),
+    return LinkModel(radio, BlerCurve(floor_bler=bler),
                      DEFAULT_THROUGHPUT_CURVES[radio.waveform])
 
 

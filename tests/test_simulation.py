@@ -327,9 +327,10 @@ def test_a_finished_run_holds_its_records_as_integer_columns():
     # merges the streams as it is written; the folds' sorted latencies die
     # with the run, and one object per record would take hundreds of bytes
     assert retained / n <= 32, f"{retained / n:.1f} B/record retained"
-    # a stream's latencies, and the aggregate's creation instants, are sorted
-    # a few thousand records at a time; one list of a stream's latencies, or
-    # a sorted list of every record's creation instant, exceeds this
+    # a stream's latencies, and the creation instants of each stream and of
+    # the aggregate, are sorted a few thousand records at a time; one list of
+    # a stream's latencies, or a sorted list of every record's creation
+    # instant, exceeds this
     assert peak / n <= 60, f"{peak / n:.1f} B/record at the peak"
 
 

@@ -322,7 +322,7 @@ def _channel_link(seed, bler, timeline, processing_delay_us):
     the seed's named streams, as `Engine(seed).stream` does."""
     radio = RadioSection(snr_db=15.0, tti_us=125,
                          processing_delay_us=processing_delay_us)
-    model = LinkModel(radio, BlerCurve.constant(bler),
+    model = LinkModel(radio, BlerCurve(floor_bler=bler),
                       DEFAULT_THROUGHPUT_CURVES[radio.waveform])
     return LinkRuntime(model, lambda name: RngStream(seed, name), timeline)
 

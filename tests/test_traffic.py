@@ -10,9 +10,11 @@ from fablink.traffic import (
     MEASURED_TOTAL_RATE_BPS,
     Pattern,
     StreamClass,
+    StreamRecords,
     TrafficProfile,
     emission_times,
     measured_catalog,
+    merge_records,
 )
 
 # (source, destination, protocol, bytes, Hz, class) as measured on the plant
@@ -98,6 +100,20 @@ def _profile(rate_hz: float) -> TrafficProfile:
         payload_bytes=60,
         rate_hz=rate_hz,
     )
+
+
+def test_merge_breaks_a_tie_by_the_previous_emission_s_position():
+    # at instant 5 the first emissions of sources 1 and 2, queued at the run's
+    # start, go before source 0's second, queued when its first fired; source
+    # 0 repeats instant 5, and its third, queued after source 1's second, goes
+    # after it, as does its last at 9
+    sources = []
+    for created in ([0, 5, 5, 9], [5, 5, 9], [5]):
+        sources.append(StreamRecords())
+        sources[-1].created.extend(created)
+    assert list(merge_records(sources)) == [
+        (0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2), (1, 2), (0, 3)]
+    assert list(merge_records([StreamRecords(), StreamRecords()])) == []
 
 
 def test_periodic_count_246_19_hz_over_one_second():
