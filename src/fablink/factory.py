@@ -230,8 +230,10 @@ def readiness(islands: Collection[Island], robot: Robot) -> dict[str, bool]:
     """The plant state that transfer grants read until the next controller
     tick: each module is free, and each dock has the robot docked there with
     an empty carrier tray."""
+    pose = robot.pose
+    docked = pose.island_id if type(pose) is AtDock and robot.carrier is None else None
     return {m.id: m.free for i in islands for m in i.modules} | {
-        i.dock_id: robot.pose == AtDock(i.id) and robot.carrier is None for i in islands
+        i.dock_id: i.id == docked for i in islands
     }
 
 
@@ -254,50 +256,46 @@ def plan_route(
 ) -> RoutePlan:
     """Choose the product's next destination.
 
-    Targets the nearest island (per the transit-time matrix) holding an idle
-    module capable of the next step. A pending Fail quality flag, or no idle
-    capable module anywhere, diverts to the manual workstation.
+    A pending Fail quality flag diverts to the manual workstation. Otherwise
+    the target is the cheapest island's module for the next step. An island
+    offers its one module of that capability only while it is idle and empty
+    (`StationModule.free`); the product's own island costs 0, any other its
+    `transit_s[current_island]` time, and equal costs go to the lower island
+    id. With no offer, the manual workstation substitutes for the module.
     """
+    rework = product.needs_rework
     nxt = product.next_step()
-    if nxt is None and not product.needs_rework:
-        raise ValueError(f"product {product.id} has no uncompleted step")
-
-    to_manual = RoutePlan(
-        MANUAL_STATION, MANUAL_STATION, current_island != MANUAL_STATION
-    )
-    if product.needs_rework:
+    if rework:
         if not manual_available:
             raise NoRouteAvailable(
                 f"product {product.id} needs rework but no manual station exists"
             )
-        return to_manual
-
-    assert nxt is not None
-    _, step = nxt
-    candidates: list[tuple[float, str, str]] = []
-    for island in islands:
-        module = next(
-            (m for m in island.modules if m.capability == step and m.free), None
-        )
-        if module is None:
-            continue
-        if island.id == current_island:
-            cost = 0.0
-        else:
-            cost = transit_s[current_island][island.id]
-        candidates.append((cost, island.id, module.id))
-
-    if candidates:
-        cost, island_id, module_id = min(candidates)
-        return RoutePlan(module_id, island_id, island_id != current_island)
-
-    # No idle capable module anywhere: divert to the manual workstation,
-    # which can substitute for any module.
-    if manual_available:
-        return to_manual
-    raise NoRouteAvailable(
-        f"no module can perform {step!r} and no manual station is configured"
-    )
+    elif nxt is None:
+        raise ValueError(f"product {product.id} has no uncompleted step")
+    else:
+        step = nxt[1]
+        target = None  # the cheapest offer so far: its module, island id and cost
+        for island in islands:
+            for module in island.modules:
+                if module.capability == step and module.free:
+                    break
+            else:
+                continue
+            if island.id == current_island:
+                cost = 0.0
+            else:
+                cost = transit_s[current_island][island.id]
+            if target is None or cost < least or (
+                cost == least and island.id < target_island
+            ):
+                target, target_island, least = module, island.id, cost
+        if target is not None:
+            return RoutePlan(target.id, target_island, target_island != current_island)
+        if not manual_available:
+            raise NoRouteAvailable(
+                f"no module can perform {step!r} and no manual station is configured"
+            )
+    return RoutePlan(MANUAL_STATION, MANUAL_STATION, current_island != MANUAL_STATION)
 
 
 # -- in-transit inspection -------------------------------------------------------

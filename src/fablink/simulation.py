@@ -136,6 +136,7 @@ class PlantRuntime:
                 )
             )
         self.loops = loops
+        self.island_list = list(self.islands.values())  # routing and readiness read it
         self.robot = Robot(home_island=self.cfg.robot_home)
         self.manual_queue: deque[Product] = deque()
         self.manual_busy = False
@@ -171,7 +172,7 @@ class PlantRuntime:
                 at, lambda k=k: self._release(f"product{k + 1}", rel.island),
                 module="factory",
             )
-        self.ready = readiness(self.islands.values(), self.robot)
+        self.ready = readiness(self.island_list, self.robot)
         self.engine.schedule_at(self.tick_ns, self._tick, module="factory")
 
     def _release(self, product_id: str, island: str) -> None:
@@ -190,7 +191,7 @@ class PlantRuntime:
     # -- controller tick -----------------------------------------------------
 
     def _tick(self) -> None:
-        self.ready = readiness(self.islands.values(), self.robot)
+        self.ready = readiness(self.island_list, self.robot)
         due, self._due = self._due, {}
         for _, product in sorted(due.items()):
             # it may have moved on since it was marked, or its wake be stale
@@ -235,7 +236,7 @@ class PlantRuntime:
         try:
             plan = plan_route(
                 product,
-                list(self.islands.values()),
+                self.island_list,
                 self.cfg.transit_s,
                 product.island,
                 manual_available=self.cfg.manual_station,

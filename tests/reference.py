@@ -9,6 +9,11 @@ suite's one slow reference run.
 product on every tick, which is how the plant ran before waiting products
 were parked until woken. It finds them in its own record of every released
 product, not in the plant's due map.
+
+`reference_plan_route` and `reference_readiness`: routing and the tick's
+readiness snapshot as they were written before they stopped allocating per
+module and per island: a candidate list and its `min`, and an `AtDock` built
+and compared for every island.
 """
 
 from __future__ import annotations
@@ -16,7 +21,14 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from fablink.factory import Product, ProductState
+from fablink.factory import (
+    MANUAL_STATION,
+    AtDock,
+    NoRouteAvailable,
+    Product,
+    ProductState,
+    RoutePlan,
+)
 from fablink.radio_link import next_tx_opportunity
 from fablink.scenario import scenario_from_dict
 from fablink.sim_core import LANE_NORMAL, LANE_SAFETY, NS_PER_US
@@ -234,3 +246,55 @@ def polling_simulation(data: dict) -> Simulation:
         sim.plant.__class__ = PollingPlant
         sim.plant.released = {}
     return sim
+
+
+def reference_plan_route(product, islands, transit_s, current_island,
+                         manual_available=True) -> RoutePlan:
+    """`factory.plan_route` with every candidate island in a list."""
+    nxt = product.next_step()
+    if nxt is None and not product.needs_rework:
+        raise ValueError(f"product {product.id} has no uncompleted step")
+
+    to_manual = RoutePlan(
+        MANUAL_STATION, MANUAL_STATION, current_island != MANUAL_STATION
+    )
+    if product.needs_rework:
+        if not manual_available:
+            raise NoRouteAvailable(
+                f"product {product.id} needs rework but no manual station exists"
+            )
+        return to_manual
+
+    assert nxt is not None
+    _, step = nxt
+    candidates: list[tuple[float, str, str]] = []
+    for island in islands:
+        module = next(
+            (m for m in island.modules if m.capability == step and m.free), None
+        )
+        if module is None:
+            continue
+        if island.id == current_island:
+            cost = 0.0
+        else:
+            cost = transit_s[current_island][island.id]
+        candidates.append((cost, island.id, module.id))
+
+    if candidates:
+        cost, island_id, module_id = min(candidates)
+        return RoutePlan(module_id, island_id, island_id != current_island)
+
+    # No idle capable module anywhere: divert to the manual workstation,
+    # which can substitute for any module.
+    if manual_available:
+        return to_manual
+    raise NoRouteAvailable(
+        f"no module can perform {step!r} and no manual station is configured"
+    )
+
+
+def reference_readiness(islands, robot) -> dict[str, bool]:
+    """`factory.readiness` with an `AtDock` compared per island."""
+    return {m.id: m.free for i in islands for m in i.modules} | {
+        i.dock_id: robot.pose == AtDock(i.id) and robot.carrier is None for i in islands
+    }

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import pytest
@@ -32,6 +33,7 @@ from fablink.safety import LoopState, SafetyLoop, SafetyManager
 from fablink.scenario import scenario_from_dict
 from fablink.sim_core import Engine, RngStream
 from fablink.simulation import Simulation
+from reference import reference_plan_route, reference_readiness
 from test_golden import CASES
 
 RECIPE = ["engrave", "insert_spring", "mount_cover", "weigh", "optical_inspect"]
@@ -135,6 +137,44 @@ def test_handshake_dock_needs_docked_robot_with_free_tray():
     assert snapshot(islands, robot)["island1.dock"] is False
 
 
+def random_islands(rng: random.Random, caps: list[str]) -> list[Island]:
+    """1-4 islands, listed out of id order, each with a random subset of `caps`
+    and each module idle, busy or faulted, with or without a carrier."""
+    ids = [f"island{k}" for k in range(1, rng.randint(1, 4) + 1)]
+    rng.shuffle(ids)
+    return [
+        Island(island_id, [
+            StationModule(f"{island_id}.{cap}", island_id, cap,
+                          state=rng.choices(list(ModuleState), weights=(5, 1, 1))[0],
+                          carrier=rng.choice((None, None, None, "p9")))
+            for cap in rng.sample(caps, rng.randint(0, len(caps)))
+        ], f"{island_id}.loop")
+        for island_id in ids
+    ]
+
+
+def test_readiness_equals_an_atdock_compared_per_island():
+    # oracle: the snapshot as it was written, an `AtDock` built and compared
+    # for every island; same keys in the same order, same values
+    rng = random.Random(28)
+    ready_docks = 0
+    for _ in range(300):
+        islands = random_islands(rng, RECIPE)
+        ids = [i.id for i in islands]
+        poses = [AtDock(i) for i in ids + ["island9"]] + [Hovering(i) for i in ids] + [
+            InTransit(rng.choice(ids), rng.choice(ids + [MANUAL_STATION])),
+            InTransit("depot", "depot"), AtManualStation(),
+        ]
+        for pose in poses:
+            for carrier in (None, make_product()):
+                robot = Robot(pose=pose, carrier=carrier)
+                got = readiness(islands, robot)
+                assert list(got.items()) == list(
+                    reference_readiness(islands, robot).items()), (pose, carrier)
+                ready_docks += sum(got[f"{i}.dock"] for i in ids)
+    assert ready_docks
+
+
 def test_handshake_waits_for_the_tick_after_a_module_is_freed():
     # island1.engrave faults at 0 s, so the 0.1 s tick snapshots it busy; it
     # clears at 0.15 s and product1 arrives at 0.16 s. The routing plan reads
@@ -229,6 +269,53 @@ def test_route_to_manual_requires_manual_station():
     with pytest.raises(NoRouteAvailable):
         plan_route(product, islands, TRANSIT, "island2",
                    manual_available=False)
+
+
+def _route_outcome(route, *args):
+    try:
+        return route(*args)
+    except (ValueError, NoRouteAvailable) as exc:
+        return type(exc), str(exc)
+
+
+def test_plan_route_equals_the_candidate_list_reference():
+    # oracle: routing as it was written, with every candidate island in a list
+    # and its `min`; states cover 1-4 islands listed out of id order, idle,
+    # busy and faulted modules with and without a carrier, transit matrices
+    # with tied costs, products at an island or at the manual station with 0
+    # to all steps done and a latest flag of Pass, Fail or none, and
+    # `manual_available` both ways
+    rng = random.Random(2028)
+    caps = RECIPE[:2]  # few capabilities, so islands often offer the same step
+    kinds: Counter[str] = Counter()
+    for _ in range(4000):
+        islands = random_islands(rng, caps)
+        nodes = [i.id for i in islands] + [MANUAL_STATION]
+        costs = (0.0, 2.0, 2.0, 2.0, 6.0)
+        transit = {a: {b: rng.choice(costs) for b in nodes if b != a} for a in nodes}
+        product = Product(id="p1", order_config=rng.choices(caps, k=rng.randint(1, 4)))
+        for k in range(rng.randint(0, len(product.order_config))):
+            product.memory.record_completion(k, product.order_config[k], "m", k)
+        for verdict in rng.sample((Verdict.PASS, Verdict.FAIL), rng.randint(0, 2)):
+            product.memory.record_quality(QualityFlag(None, None, verdict, 0))
+        current = rng.choice(nodes)
+        manual = rng.random() < 0.5
+        args = (product, islands, transit, current, manual)
+        got = _route_outcome(plan_route, *args)
+        assert got == _route_outcome(reference_plan_route, *args), args
+        nxt = product.next_step()
+        offers = [0.0 if i.id == current else transit[current][i.id]
+                  for i in islands if nxt and not product.needs_rework
+                  and any(m.capability == nxt[1] and m.free for m in i.modules)]
+        if isinstance(got, tuple):
+            kinds[got[0].__name__] += 1
+        else:
+            kinds["manual" if got.target == MANUAL_STATION else
+                  "robot" if got.needs_robot else "local"] += 1
+        kinds["tie"] += len(offers) > 1 and offers.count(min(offers)) > 1
+    assert min(kinds.values()) >= 50, kinds
+    assert set(kinds) == {"ValueError", "NoRouteAvailable", "manual", "robot",
+                          "local", "tie"}
 
 
 # -- docking -----------------------------------------------------------------------
