@@ -1,20 +1,20 @@
 """Production-flow domain model.
 
-Islands of single-task modules on conveyors, each with a docking station,
-the transport robot, the product digital twin carried on its RFID tag, the
-readiness snapshot the central controller takes each tick and grants
-transfers from, dynamic routing with manual-workstation diversion, and
-in-transit quality inspection with a cloud round trip over the radio link.
+Islands of single-task modules on conveyors, one module per capability,
+each island with a docking station; the transport robot; the product digital
+twin carried on its RFID tag; the readiness snapshot of free modules that the
+central controller takes each tick and grants transfers from; dynamic routing
+with manual-workstation diversion; and in-transit quality inspection with a
+cloud round trip over the radio link.
 
 The robot's pose is the one record of where it is: docked at an island,
 hovering at one (arrived, not docked), in transit, or at the manual
-workstation. A dock is ready exactly when the robot is docked there with an
-empty tray. Its safety-loop membership and its local guard belong to
+workstation. Its safety-loop membership and its local guard belong to
 `safety.SafetyManager`.
 
 The product is the one record of a product: its recipe and memory, where it
-is, its `ProductState`, and the destination of its robot job. A robot job is
-a product with a destination.
+is (the robot included), its `ProductState`, and the destination of its robot
+job. A robot job is a product with a destination.
 
 The event-driven plant runtime lives in `simulation`; this module holds the
 state types and the decision functions they operate on.
@@ -168,7 +168,7 @@ class StationModule:
 @dataclass
 class Island:
     id: str
-    modules: list[StationModule]
+    modules: dict[str, StationModule]  # by capability, one module each
     safety_loop_id: str
 
     @property
@@ -208,7 +208,6 @@ RobotPose = AtDock | Hovering | InTransit | AtManualStation
 @dataclass
 class Robot:
     pose: RobotPose = InTransit("depot", "depot")
-    carrier: Product | None = None
     home_island: str = ""
 
 
@@ -226,15 +225,10 @@ def dock(robot: Robot, island: Island, safety_mgr) -> None:
 # -- readiness snapshot -----------------------------------------------------------
 
 
-def readiness(islands: Collection[Island], robot: Robot) -> dict[str, bool]:
+def readiness(islands: Collection[Island]) -> set[str]:
     """The plant state that transfer grants read until the next controller
-    tick: each module is free, and each dock has the robot docked there with
-    an empty carrier tray."""
-    pose = robot.pose
-    docked = pose.island_id if type(pose) is AtDock and robot.carrier is None else None
-    return {m.id: m.free for i in islands for m in i.modules} | {
-        i.dock_id: i.id == docked for i in islands
-    }
+    tick: the ids of the modules that are free."""
+    return {m.id for i in islands for m in i.modules.values() if m.free}
 
 
 # -- routing -------------------------------------------------------------------
@@ -249,12 +243,15 @@ class RoutePlan:
 
 def plan_route(
     product: Product,
+    step: str | None,
+    rework: bool,
     islands: list[Island],
     transit_s: dict[str, dict[str, float]],
     current_island: str,
     manual_available: bool = True,
 ) -> RoutePlan:
-    """Choose the product's next destination.
+    """Choose the product's next destination, given its next `step` (None
+    when its recipe is complete) and whether a `rework` is due.
 
     A pending Fail quality flag diverts to the manual workstation. Otherwise
     the target is the cheapest island's module for the next step. An island
@@ -263,23 +260,18 @@ def plan_route(
     `transit_s[current_island]` time, and equal costs go to the lower island
     id. With no offer, the manual workstation substitutes for the module.
     """
-    rework = product.needs_rework
-    nxt = product.next_step()
     if rework:
         if not manual_available:
             raise NoRouteAvailable(
                 f"product {product.id} needs rework but no manual station exists"
             )
-    elif nxt is None:
+    elif step is None:
         raise ValueError(f"product {product.id} has no uncompleted step")
     else:
-        step = nxt[1]
         target = None  # the cheapest offer so far: its module, island id and cost
         for island in islands:
-            for module in island.modules:
-                if module.capability == step and module.free:
-                    break
-            else:
+            module = island.modules.get(step)
+            if module is None or not module.free:
                 continue
             if island.id == current_island:
                 cost = 0.0
@@ -329,7 +321,7 @@ def inspect_in_transit(
     default, flagged as timed out. The
     defect draw is consumed either way so draw sequences stay stable.
     """
-    if not isinstance(robot.pose, InTransit) or robot.carrier is not product:
+    if not isinstance(robot.pose, InTransit) or product.location != "robot":
         raise ValueError("inspection runs only in transit with the product aboard")
     upload = link.latency(now, image_bytes)
     verdict_return = link.latency(now + upload + inference_ns, verdict_bytes)

@@ -350,6 +350,15 @@ def _validate(scn: Scenario) -> None:
     if "manual" in ids:
         _fail(f"factory.islands[{ids.index('manual')}].id",
               "'manual' is reserved for the manual workstation")
+    places: dict[str, str] = {}  # each module and dock id -> what makes it
+    for i, island in enumerate(f.islands):
+        for path, kind, name in [(f"factory.islands[{i}].id", "dock", "dock")] + [
+                (f"factory.islands[{i}].capabilities[{k}]", "module", c)
+                for k, c in enumerate(island.capabilities)]:
+            place = f"{island.id}.{name}"
+            if place in places:
+                _fail(path, f"its {kind} id {place!r} is also {places[place]}")
+            places[place] = f"the {kind} id of {path}"
     for path, island_id in (("factory.robot_home", f.robot_home),
                             ("factory.releases.island", f.releases.island)):
         if island_id not in ids:

@@ -92,17 +92,18 @@ _ROBOT = None  # the robot's timer gate; every other gate is an island id
 class PlantRuntime:
     """Event-driven production flow around a periodic controller tick.
 
-    Each tick the controller re-takes the readiness snapshot, routes its due
-    products in release order through grants that read it, and dispatches
-    the transport robot. A product is due from each `_advance` until one
-    parks it on the one thing it waits for, and again once that wakes it: its
-    island's reset (`sync`), a module of the (island, capability) its queued
-    robot job waits on freeing up (`_convey`, `clear_module`), or, when
-    rework is due, its unload. A product woken during a pass is due at the
-    next tick; a product at the manual station is never parked.
-    Work in progress is held in pausable timers, each on one gate (an
-    island, or the robot), so safe stops and local safety events suspend it
-    without losing progress.
+    Each tick the controller re-takes the readiness snapshot (the modules
+    free at the tick), routes its due products in release order through
+    grants that read it, and dispatches the transport robot, which loads a
+    product only where its pose is docked with nothing aboard. A product is
+    due from each `_advance` until one parks it on the one thing it waits
+    for, and again once that wakes it: its island's reset (`sync`), a module
+    of the (island, capability) its queued robot job waits on freeing up
+    (`_convey`, `clear_module`), or, when rework is due, its unload. A
+    product woken during a pass is due at the next tick; a product at the
+    manual station is never parked. Work in progress is held in pausable
+    timers, each on one gate (an island, or the robot), so safe stops and
+    local safety events suspend it without losing progress.
     """
 
     def __init__(self, sim: "Simulation"):
@@ -110,31 +111,18 @@ class PlantRuntime:
         self.engine = sim.engine
         self.cfg = sim.scenario.factory
         self.tick_ns = round(self.cfg.tick_ms * NS_PER_MS)
-        self.ready: dict[str, bool] = {}  # module/dock id -> readiness at last tick
+        self.free: set[str] = set()  # ids of the modules free at the last tick
         self.islands: dict[str, Island] = {}
         self.modules: dict[str, StationModule] = {}
-        self.capable: dict[tuple[str, str], list[StationModule]] = {}
         loops = []
         for spec in self.cfg.islands:
             loop_id = f"{spec.id}.loop"
-            modules = [
-                StationModule(
-                    id=f"{spec.id}.{cap}", island_id=spec.id, capability=cap
-                )
-                for cap in spec.capabilities
-            ]
-            self.islands[spec.id] = Island(
-                id=spec.id, modules=modules, safety_loop_id=loop_id
-            )
-            for m in modules:
-                self.modules[m.id] = m
-                self.capable.setdefault((spec.id, m.capability), []).append(m)
-            loops.append(
-                SafetyLoop(
-                    id=loop_id,
-                    members={m.id for m in modules} | {"safety_plc"},
-                )
-            )
+            modules = {cap: StationModule(f"{spec.id}.{cap}", spec.id, cap)
+                       for cap in spec.capabilities}
+            self.islands[spec.id] = Island(spec.id, modules, loop_id)
+            by_id = {m.id: m for m in modules.values()}
+            self.modules |= by_id
+            loops.append(SafetyLoop(loop_id, set(by_id) | {"safety_plc"}))
         self.loops = loops
         self.island_list = list(self.islands.values())  # routing and readiness read it
         self.robot = Robot(home_island=self.cfg.robot_home)
@@ -172,7 +160,7 @@ class PlantRuntime:
                 at, lambda k=k: self._release(f"product{k + 1}", rel.island),
                 module="factory",
             )
-        self.ready = readiness(self.island_list, self.robot)
+        self.free = readiness(self.island_list)
         self.engine.schedule_at(self.tick_ns, self._tick, module="factory")
 
     def _release(self, product_id: str, island: str) -> None:
@@ -191,7 +179,7 @@ class PlantRuntime:
     # -- controller tick -----------------------------------------------------
 
     def _tick(self) -> None:
-        self.ready = readiness(self.island_list, self.robot)
+        self.free = readiness(self.island_list)
         due, self._due = self._due, {}
         for _, product in sorted(due.items()):
             # it may have moved on since it was marked, or its wake be stale
@@ -209,8 +197,9 @@ class PlantRuntime:
         """Plan a waiting product's next move, or park it until it can have one."""
         self._due[product.rank] = product
         nxt = product.next_step()
+        step = None if nxt is None else nxt[1]
         rework = product.needs_rework
-        if nxt is None and not rework:
+        if step is None and not rework:
             product.state = ProductState.DONE
             self.stats["completed"] += 1
             self._log(product, "completed", product.island)
@@ -229,13 +218,15 @@ class PlantRuntime:
                 if rework:
                     del self._due[product.rank]  # until its unload advances it
                     return
-                group = (island.id, nxt[1])
-                if not any(m.free for m in self.capable.get(group, ())):
-                    self._park(product, group)
+                module = island.modules.get(step)
+                if module is None or not module.free:
+                    self._park(product, (island.id, step))
                     return
         try:
             plan = plan_route(
                 product,
+                step,
+                rework,
                 self.island_list,
                 self.cfg.transit_s,
                 product.island,
@@ -259,7 +250,7 @@ class PlantRuntime:
             self.manual_queue.append(product)
             self._serve_manual()
             return
-        if not self.ready[plan.target]:
+        if plan.target not in self.free:
             return  # retry next tick
         module = self.modules[plan.target]
         assert module.carrier is None, "single-occupancy violated"
@@ -330,45 +321,37 @@ class PlantRuntime:
     def _serve_manual(self) -> None:
         if self.manual_busy or not self.manual_queue:
             return
+        # a product queues here only with a rework or a step due
         product = self.manual_queue.popleft()
         self.manual_busy = True
         if product.needs_rework:
             flag = product.memory.latest_flag()
+            delay_s = self.cfg.manual_rework_s
 
-            def reworked() -> None:
+            def work() -> None:
                 product.memory.record_quality(
                     QualityFlag(
                         flag.step_index, flag.step, Verdict.PASS, self.engine.now
                     )
                 )
                 self._log(product, "rework_done", flag.step or "")
-                self._operator_done(product)
+        else:
+            step_index, step = product.next_step()
+            delay_s = self.cfg.manual_service_s
 
-            self.engine.schedule_after(
-                round(self.cfg.manual_rework_s * NS_PER_S), reworked, "factory"
-            )
-            return
-        nxt = product.next_step()
-        if nxt is None:
-            self._operator_done(product)
-            return
-        step_index, step = nxt
+            def work() -> None:
+                product.memory.record_completion(
+                    step_index, step, MANUAL_STATION, self.engine.now
+                )
+                self._log(product, "step_done", f"{step}@{MANUAL_STATION}")
 
-        def served() -> None:
-            product.memory.record_completion(
-                step_index, step, MANUAL_STATION, self.engine.now
-            )
-            self._log(product, "step_done", f"{step}@{MANUAL_STATION}")
-            self._operator_done(product)
+        def operator_done() -> None:
+            work()
+            self.manual_busy = False
+            product.state = ProductState.WAITING
+            self._advance(product)
 
-        self.engine.schedule_after(
-            round(self.cfg.manual_service_s * NS_PER_S), served, "factory"
-        )
-
-    def _operator_done(self, product: Product) -> None:
-        self.manual_busy = False
-        product.state = ProductState.WAITING
-        self._advance(product)
+        self.engine.schedule_after(round(delay_s * NS_PER_S), operator_done, "factory")
 
     # -- robot -------------------------------------------------------------------
 
@@ -383,8 +366,7 @@ class PlantRuntime:
         if not self.jobs:
             # Reposition to the home dock only once the line has drained, so
             # the robot stays with an in-progress product's island otherwise.
-            drained = 0 < self.stats["completed"] == self.stats["released"]
-            if self.robot.carrier is None and drained:
+            if 0 < self.stats["completed"] == self.stats["released"]:
                 home = self.robot.home_island
                 if self.robot.pose == Hovering(home):
                     self._try_dock(home)
@@ -392,7 +374,7 @@ class PlantRuntime:
                     self._goto(home)
             return
         product = self.jobs[0]
-        if self.robot.carrier is not None:
+        if product.location == "robot":
             # docking at the destination was refused earlier
             if self.robot.pose == Hovering(product.destination):
                 self._try_dock(product.destination, then=lambda: self._unload(product))
@@ -407,7 +389,10 @@ class PlantRuntime:
         elif src == MANUAL_STATION:
             self._load(product)
         else:
-            self._load_from_island(product)
+            # the robot waits on no timer while the product rides to the dock;
+            # dispatch then finds the product busy and leaves it alone
+            dock_id = self.islands[src].dock_id
+            self._convey(product, dock_id, src, lambda: self._load(product))
 
     def _leg(self, dest: str, start) -> None:
         """Drive the robot from where it is to `dest`, undocking first when
@@ -448,7 +433,7 @@ class PlantRuntime:
         self._leg(dest, lambda origin, duration: arrived)
 
     def _carry(self, product: Product) -> None:
-        """A leg with the carrier aboard to its destination. A leg to an
+        """A leg with the product aboard to its destination. A leg to an
         island inspects the product at departure; a Fail verdict known on
         arrival diverts it to the manual station instead of unloading."""
         dest = product.destination
@@ -528,19 +513,10 @@ class PlantRuntime:
 
         self._timer(_ROBOT, round(self.cfg.dock_s * NS_PER_S), attempt)
 
-    def _load_from_island(self, product: Product) -> None:
-        dock_id = self.islands[product.island].dock_id
-        if not self.ready[dock_id]:
-            return  # retry next tick
-        # the robot waits on no timer while the product rides to the dock;
-        # dispatch then finds the product busy and leaves it alone
-        self._convey(product, dock_id, product.island, lambda: self._load(product))
-
     def _load(self, product: Product) -> None:
         product.state = ProductState.BUSY
 
         def loaded() -> None:
-            self.robot.carrier = product
             product.location = "robot"
             self._carry(product)
 
@@ -549,7 +525,6 @@ class PlantRuntime:
     def _unload(self, product: Product) -> None:
         def unloaded() -> None:
             dest = product.destination
-            self.robot.carrier = None
             product.island = dest
             product.destination = None
             self.jobs.popleft()

@@ -10,10 +10,8 @@ product on every tick, which is how the plant ran before waiting products
 were parked until woken. It finds them in its own record of every released
 product, not in the plant's due map.
 
-`reference_plan_route` and `reference_readiness`: routing and the tick's
-readiness snapshot as they were written before they stopped allocating per
-module and per island: a candidate list and its `min`, and an `AtDock` built
-and compared for every island.
+`reference_plan_route`: routing as it was written before it stopped
+allocating per island: a candidate list and its `min`.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from typing import NamedTuple
 
 from fablink.factory import (
     MANUAL_STATION,
-    AtDock,
     NoRouteAvailable,
     Product,
     ProductState,
@@ -270,7 +267,7 @@ def reference_plan_route(product, islands, transit_s, current_island,
     candidates: list[tuple[float, str, str]] = []
     for island in islands:
         module = next(
-            (m for m in island.modules if m.capability == step and m.free), None
+            (m for m in island.modules.values() if m.capability == step and m.free), None
         )
         if module is None:
             continue
@@ -291,10 +288,3 @@ def reference_plan_route(product, islands, transit_s, current_island,
     raise NoRouteAvailable(
         f"no module can perform {step!r} and no manual station is configured"
     )
-
-
-def reference_readiness(islands, robot) -> dict[str, bool]:
-    """`factory.readiness` with an `AtDock` compared per island."""
-    return {m.id: m.free for i in islands for m in i.modules} | {
-        i.dock_id: robot.pose == AtDock(i.id) and robot.carrier is None for i in islands
-    }

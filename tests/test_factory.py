@@ -21,6 +21,7 @@ from fablink.factory import (
     ProductState,
     QualityFlag,
     Robot,
+    RoutePlan,
     StationModule,
     Verdict,
     dock,
@@ -33,7 +34,7 @@ from fablink.safety import LoopState, SafetyLoop, SafetyManager
 from fablink.scenario import scenario_from_dict
 from fablink.sim_core import Engine, RngStream
 from fablink.simulation import Simulation
-from reference import reference_plan_route, reference_readiness
+from reference import reference_plan_route
 from test_golden import CASES
 
 RECIPE = ["engrave", "insert_spring", "mount_cover", "weigh", "optical_inspect"]
@@ -54,11 +55,15 @@ def make_islands() -> list[Island]:
         "island3": ["optical_inspect"],
     }
     for island_id, caps in layout.items():
-        modules = [
-            StationModule(f"{island_id}.{c}", island_id, c) for c in caps
-        ]
+        modules = {c: StationModule(f"{island_id}.{c}", island_id, c) for c in caps}
         islands.append(Island(island_id, modules, f"{island_id}.loop"))
     return islands
+
+
+def route(product: Product, *args, **kwargs) -> RoutePlan:
+    """`plan_route` given the step and rework flag read off `product`."""
+    nxt = product.next_step()
+    return plan_route(product, nxt and nxt[1], product.needs_rework, *args, **kwargs)
 
 
 def make_product(completed: int = 0) -> Product:
@@ -98,43 +103,25 @@ def test_fail_flag_sets_rework():
 
 
 # -- handshake ---------------------------------------------------------------------
-# Grants read the readiness snapshot: a module must be free, a dock must have
-# the robot docked there with an empty tray.
-
-
-def snapshot(islands, robot=None) -> dict[str, bool]:
-    return readiness(islands, robot or Robot())
+# Grants read the readiness snapshot: the ids of the modules that are free.
 
 
 def test_handshake_grants_idle_capable_module():
-    assert snapshot(make_islands())["island1.engrave"] is True
+    assert "island1.engrave" in readiness(make_islands())
 
 
 def test_handshake_denies_busy_module():
     islands = make_islands()
-    islands[0].modules[0].state = ModuleState.BUSY
-    assert snapshot(islands)["island1.engrave"] is False
-    islands[0].modules[0].state = ModuleState.FAULT
-    assert snapshot(islands)["island1.engrave"] is False
+    islands[0].modules["engrave"].state = ModuleState.BUSY
+    assert "island1.engrave" not in readiness(islands)
+    islands[0].modules["engrave"].state = ModuleState.FAULT
+    assert "island1.engrave" not in readiness(islands)
 
 
 def test_handshake_denies_occupied_module():
     islands = make_islands()
-    islands[0].modules[0].carrier = "p9"
-    assert snapshot(islands)["island1.engrave"] is False
-
-
-def test_handshake_dock_needs_docked_robot_with_free_tray():
-    islands = make_islands()
-    robot = Robot()
-    assert snapshot(islands, robot)["island1.dock"] is False  # no robot docked
-    robot.pose = Hovering("island1")
-    assert snapshot(islands, robot)["island1.dock"] is False  # arrived, not docked
-    robot.pose = AtDock("island1")
-    ready = snapshot(islands, robot)
-    assert ready["island1.dock"] is True and ready["island2.dock"] is False
-    robot.carrier = make_product()
-    assert snapshot(islands, robot)["island1.dock"] is False
+    islands[0].modules["engrave"].carrier = "p9"
+    assert "island1.engrave" not in readiness(islands)
 
 
 def random_islands(rng: random.Random, caps: list[str]) -> list[Island]:
@@ -143,36 +130,14 @@ def random_islands(rng: random.Random, caps: list[str]) -> list[Island]:
     ids = [f"island{k}" for k in range(1, rng.randint(1, 4) + 1)]
     rng.shuffle(ids)
     return [
-        Island(island_id, [
-            StationModule(f"{island_id}.{cap}", island_id, cap,
-                          state=rng.choices(list(ModuleState), weights=(5, 1, 1))[0],
-                          carrier=rng.choice((None, None, None, "p9")))
+        Island(island_id, {
+            cap: StationModule(f"{island_id}.{cap}", island_id, cap,
+                               state=rng.choices(list(ModuleState), weights=(5, 1, 1))[0],
+                               carrier=rng.choice((None, None, None, "p9")))
             for cap in rng.sample(caps, rng.randint(0, len(caps)))
-        ], f"{island_id}.loop")
+        }, f"{island_id}.loop")
         for island_id in ids
     ]
-
-
-def test_readiness_equals_an_atdock_compared_per_island():
-    # oracle: the snapshot as it was written, an `AtDock` built and compared
-    # for every island; same keys in the same order, same values
-    rng = random.Random(28)
-    ready_docks = 0
-    for _ in range(300):
-        islands = random_islands(rng, RECIPE)
-        ids = [i.id for i in islands]
-        poses = [AtDock(i) for i in ids + ["island9"]] + [Hovering(i) for i in ids] + [
-            InTransit(rng.choice(ids), rng.choice(ids + [MANUAL_STATION])),
-            InTransit("depot", "depot"), AtManualStation(),
-        ]
-        for pose in poses:
-            for carrier in (None, make_product()):
-                robot = Robot(pose=pose, carrier=carrier)
-                got = readiness(islands, robot)
-                assert list(got.items()) == list(
-                    reference_readiness(islands, robot).items()), (pose, carrier)
-                ready_docks += sum(got[f"{i}.dock"] for i in ids)
-    assert ready_docks
 
 
 def test_handshake_waits_for_the_tick_after_a_module_is_freed():
@@ -200,7 +165,7 @@ def test_handshake_waits_for_the_tick_after_a_module_is_freed():
 
 def test_route_on_current_island_has_no_robot_legs():
     islands = make_islands()
-    plan = plan_route(make_product(), islands, TRANSIT, "island1")
+    plan = route(make_product(), islands, TRANSIT, "island1")
     assert plan.target == "island1.engrave"
     assert plan.target_island == "island1"
     assert not plan.needs_robot
@@ -209,7 +174,7 @@ def test_route_on_current_island_has_no_robot_legs():
 def test_route_to_other_island_uses_dock_transit_dock():
     islands = make_islands()
     product = make_product(completed=4)  # next: optical_inspect on island3
-    plan = plan_route(product, islands, TRANSIT, "island1")
+    plan = route(product, islands, TRANSIT, "island1")
     assert plan.needs_robot
     assert plan.target == "island3.optical_inspect"
     assert plan.target_island == "island3"
@@ -220,16 +185,16 @@ def test_route_picks_nearest_capable_island_exhaustively():
     # the transit-time minimum; compare against plan_route's choice
     islands = make_islands()
     extra = StationModule("island3.mount_cover", "island3", "mount_cover")
-    islands[2].modules.append(extra)
+    islands[2].modules["mount_cover"] = extra
     product = make_product(completed=2)  # next: mount_cover (islands 2 and 3)
     for start in ("island1", "island2", "island3"):
-        plan = plan_route(product, islands, TRANSIT, start)
+        plan = route(product, islands, TRANSIT, start)
         candidates = {
             island.id: (0.0 if island.id == start else TRANSIT[start][island.id])
             for island in islands
             if any(
                 m.capability == "mount_cover" and m.state is ModuleState.IDLE
-                for m in island.modules
+                for m in island.modules.values()
             )
         }
         best = min(candidates.items(), key=lambda kv: (kv[1], kv[0]))[0]
@@ -240,7 +205,7 @@ def test_route_diverts_to_manual_on_fail_flag():
     islands = make_islands()
     product = make_product(completed=2)
     product.memory.record_quality(QualityFlag(1, "insert_spring", Verdict.FAIL, 5))
-    plan = plan_route(product, islands, TRANSIT, "island2")
+    plan = route(product, islands, TRANSIT, "island2")
     assert plan.target == MANUAL_STATION
     assert plan.needs_robot
 
@@ -248,9 +213,9 @@ def test_route_diverts_to_manual_on_fail_flag():
 def test_route_diverts_to_manual_when_everything_busy():
     islands = make_islands()
     for island in islands:
-        for module in island.modules:
+        for module in island.modules.values():
             module.state = ModuleState.BUSY
-    plan = plan_route(make_product(), islands, TRANSIT, "island1")
+    plan = route(make_product(), islands, TRANSIT, "island1")
     assert plan.target == MANUAL_STATION
 
 
@@ -258,8 +223,8 @@ def test_route_raises_without_capability_or_manual():
     islands = make_islands()
     product = Product(id="p", order_config=["polish"])
     with pytest.raises(NoRouteAvailable):
-        plan_route(product, islands, TRANSIT, "island1",
-                   manual_available=False)
+        route(product, islands, TRANSIT, "island1",
+              manual_available=False)
 
 
 def test_route_to_manual_requires_manual_station():
@@ -267,8 +232,8 @@ def test_route_to_manual_requires_manual_station():
     product = make_product(completed=2)
     product.memory.record_quality(QualityFlag(1, "insert_spring", Verdict.FAIL, 5))
     with pytest.raises(NoRouteAvailable):
-        plan_route(product, islands, TRANSIT, "island2",
-                   manual_available=False)
+        route(product, islands, TRANSIT, "island2",
+              manual_available=False)
 
 
 def _route_outcome(route, *args):
@@ -301,12 +266,12 @@ def test_plan_route_equals_the_candidate_list_reference():
         current = rng.choice(nodes)
         manual = rng.random() < 0.5
         args = (product, islands, transit, current, manual)
-        got = _route_outcome(plan_route, *args)
+        got = _route_outcome(route, *args)
         assert got == _route_outcome(reference_plan_route, *args), args
         nxt = product.next_step()
         offers = [0.0 if i.id == current else transit[current][i.id]
                   for i in islands if nxt and not product.needs_rework
-                  and any(m.capability == nxt[1] and m.free for m in i.modules)]
+                  and any(m.capability == nxt[1] and m.free for m in i.modules.values())]
         if isinstance(got, tuple):
             kinds[got[0].__name__] += 1
         else:
@@ -323,7 +288,7 @@ def test_plan_route_equals_the_candidate_list_reference():
 
 def make_safety(islands) -> SafetyManager:
     loops = [
-        SafetyLoop(island.safety_loop_id, {m.id for m in island.modules})
+        SafetyLoop(island.safety_loop_id, {m.id for m in island.modules.values()})
         for island in islands
     ]
     return SafetyManager(loops)
@@ -336,12 +301,9 @@ def test_dock_joins_loop_and_leave_isolates_the_robot():
     dock(robot, islands[1], mgr)
     assert robot.pose == AtDock("island2")
     assert mgr.robot_membership == "island2.loop"
-    assert snapshot(islands, robot)["island2.dock"] is True
 
     mgr.leave()
     assert mgr.robot_membership is None
-    robot.pose = InTransit("island2", "island3")  # departure follows undocking
-    assert snapshot(islands, robot)["island2.dock"] is False
     # membership is the manager's record; no loop lists the robot
     assert all("robot" not in loop.members for loop in mgr.loops.values())
 
@@ -358,31 +320,59 @@ def test_dock_refused_when_island_safe_stopped():
     assert mgr.robot_membership is None
 
 
-@pytest.mark.parametrize("case", ["plant", "fault_script", "short_transit"])
-def test_membership_and_dock_readiness_follow_the_pose_at_every_tick(case):
+# product1 waits at island1 for a robot that is docked at island2; island1 is
+# safe-stopped before the robot arrives, so it hovers there, refused, until
+# the reset at 20 s
+REFUSED_PICKUP = {
+    "horizon_s": 60.0,
+    "traffic": {"catalog": []},
+    "safety": {"enabled": False},
+    "factory": {"recipe": ["weigh"], "robot_home": "island2",
+                "releases": {"count": 2, "interval_s": 5.0}},
+    "script": [{"at_s": 1.0, "action": "estop", "endpoint": "island1.engrave"},
+               {"at_s": 20.0, "action": "reset", "loop": "island1.loop"}],
+}
+
+
+@pytest.mark.parametrize("case", ["plant", "fault_script", "short_transit",
+                                  "refused_pickup"])
+def test_membership_follows_the_pose_and_a_dock_transfer_starts_docked_and_empty(case):
     # the pose is the record of where the robot is: the safety manager's
-    # membership and the tick's dock readiness must agree with it
-    sim = Simulation(scenario_from_dict(CASES[case]))
+    # membership must agree with it at every tick, and a product rides its
+    # island's conveyor to the dock only while the robot is docked there with
+    # no product aboard
+    sim = Simulation(scenario_from_dict(CASES.get(case, REFUSED_PICKUP)))
     plant, mgr = sim.plant, sim.safety_mgr
-    tick = plant._tick
+    tick, advance, convey = plant._tick, plant._advance, plant._convey
+    products: dict[str, Product] = {}  # every product released so far
     poses: set[type] = set()
-    ready_docks = 0
+    dock_transfers = 0
 
     def checked_tick() -> None:
-        nonlocal ready_docks
         tick()
         pose = plant.robot.pose
         poses.add(type(pose))
         for island_id in plant.islands:
             docked = pose == AtDock(island_id)
             assert (mgr.robot_membership == f"{island_id}.loop") == docked, pose
-            if plant.ready[f"{island_id}.dock"]:
-                assert docked, (sim.engine.now, pose)
-                ready_docks += 1
 
-    plant._tick = checked_tick
+    def recording_advance(product: Product) -> None:
+        products.setdefault(product.id, product)
+        advance(product)
+
+    def checked_convey(product: Product, target: str, island_id: str, arrived) -> None:
+        nonlocal dock_transfers
+        if target == plant.islands[island_id].dock_id:
+            now, pose = sim.engine.now, plant.robot.pose
+            assert pose == AtDock(island_id), (now, product.id, pose)
+            assert all(p.location != "robot" for p in products.values()), now
+            dock_transfers += 1
+        convey(product, target, island_id, arrived)
+
+    plant._tick, plant._advance, plant._convey = (
+        checked_tick, recording_advance, checked_convey)
     sim.run()
-    assert ready_docks
+    assert dock_transfers
     assert poses == {AtDock, Hovering, InTransit, AtManualStation}
 
 
@@ -390,8 +380,8 @@ def test_membership_and_dock_readiness_follow_the_pose_at_every_tick(case):
                                   "all_defective"])
 def test_a_products_job_place_and_state_agree_at_every_tick(case):
     # the product is the one record of a product: a robot job is a product
-    # with a destination, the robot carries exactly the product whose place
-    # is the robot, and a product is done exactly when its completion is logged
+    # with a destination, a product whose place is the robot is the front
+    # job, and a product is done exactly when its completion is logged
     sim = Simulation(scenario_from_dict(CASES[case]))
     plant = sim.plant
     tick, advance = plant._tick, plant._advance
@@ -415,8 +405,8 @@ def test_a_products_job_place_and_state_agree_at_every_tick(case):
             if done:
                 continue
             assert (id(product) in queued) == (product.destination is not None)
-            on_robot = product.location == "robot"
-            assert (plant.robot.carrier is product) == on_robot, product.id
+            if product.location == "robot":
+                assert plant.jobs[0] is product, (sim.engine.now, product.id)
 
     def recording_advance(product: Product) -> None:
         products.setdefault(product.id, product)  # its release's advance first
@@ -432,7 +422,8 @@ def test_a_products_job_place_and_state_agree_at_every_tick(case):
 
 
 def _transit_robot(product) -> Robot:
-    return Robot(pose=InTransit("island1", "island2"), carrier=product)
+    product.location = "robot"
+    return Robot(pose=InTransit("island1", "island2"))
 
 
 def _link() -> LinkRuntime:
@@ -479,11 +470,17 @@ def test_inspection_timeout_passes_by_default_with_flag():
     assert outcome.cloud_rtt_ns > 1_000_000_000
 
 
-def test_inspection_requires_transit_with_carrier():
+def test_inspection_requires_transit_with_the_product_aboard():
     product = make_product()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError):  # in transit, the product not aboard
         inspect_in_transit(
-            Robot(pose=AtDock("island1"), carrier=product), product, _link(),
+            Robot(pose=InTransit("island1", "island2")), product, _link(),
+            RngStream(1, "i"), 0, 10**9, 100, 0, 0.0,
+        )
+    product.location = "robot"
+    with pytest.raises(ValueError):  # aboard, the robot docked
+        inspect_in_transit(
+            Robot(pose=AtDock("island1")), product, _link(),
             RngStream(1, "i"), 0, 10**9, 100, 0, 0.0,
         )
 

@@ -108,6 +108,24 @@ NEW_DEFECTS = {
     "service_s_overflows": ({"factory": {"service_s": 1e300}}, "factory.service_s"),
 }
 
+# Configs that ran with exit 0 while two places of the plant shared one id.
+CLASHING_IDS = {
+    # two islands make the module `a.b.c`, and two products occupied it at once
+    "module_id_clash": (
+        {"factory": {"recipe": ["b.c", "c"],
+                     "islands": [{"id": "a.b", "capabilities": ["c"]},
+                                 {"id": "a", "capabilities": ["b.c"]}],
+                     "robot_home": "a", "releases": {"island": "a"}}},
+        "factory.islands[1].capabilities[0]",
+    ),
+    # a module whose id is its island's dock id, `island2.dock`
+    "module_named_dock": (
+        {"factory": {"islands": [{"id": "island1", "capabilities": ["engrave"]},
+                                 {"id": "island2", "capabilities": ["weigh", "dock"]}]}},
+        "factory.islands[1].capabilities[1]",
+    ),
+}
+
 # The catalog's PNIO rows, which the safety channel runs when both exist
 PNIO_ROWS = [
     {"name": "pnio_coupler_to_plc", "payload_bytes": 60, "rate_hz": 246.19},
@@ -320,6 +338,7 @@ DEFECTS = {
                        "factory.service_overrides key"),
     **NEW_DEFECTS,
     **IGNORED_FIELDS,
+    **CLASHING_IDS,
 }
 
 
@@ -388,7 +407,7 @@ def test_cli_overrides_go_through_the_schema(tmp_path, capsys, flag, value):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("case", sorted(NEW_DEFECTS | IGNORED_FIELDS))
+@pytest.mark.parametrize("case", sorted(NEW_DEFECTS | IGNORED_FIELDS | CLASHING_IDS))
 def test_cli_run_defect_exits_2_with_one_line(tmp_path, capsys, case):
     data, path = DEFECTS[case]
     config = tmp_path / "scenario.yaml"
