@@ -143,26 +143,21 @@ class Product:
 # -- plant layout -------------------------------------------------------------
 
 
-class ModuleState(Enum):
-    IDLE = "idle"
-    BUSY = "busy"
-    FAULT = "fault"
-
-
 @dataclass
 class StationModule:
-    """Single-task assembly module on an island conveyor."""
+    """Single-task assembly module on an island conveyor. It is busy while it
+    holds a product, from the transfer onto it until the product leaves."""
 
     id: str
     island_id: str
     capability: str
-    state: ModuleState = ModuleState.IDLE
+    faulted: bool = False  # a scripted `module_fault` not yet cleared
     carrier: str | None = None  # product id physically on the module
 
     @property
     def free(self) -> bool:
-        """Idle and empty: routing may send a product here."""
-        return self.state is ModuleState.IDLE and self.carrier is None
+        """Not faulted and empty: routing may send a product here."""
+        return not self.faulted and self.carrier is None
 
 
 @dataclass
@@ -255,8 +250,8 @@ def plan_route(
 
     A pending Fail quality flag diverts to the manual workstation. Otherwise
     the target is the cheapest island's module for the next step. An island
-    offers its one module of that capability only while it is idle and empty
-    (`StationModule.free`); the product's own island costs 0, any other its
+    offers its one module of that capability only while it is not faulted and
+    empty (`StationModule.free`); the product's own island costs 0, any other its
     `transit_s[current_island]` time, and equal costs go to the lower island
     id. With no offer, the manual workstation substitutes for the module.
     """

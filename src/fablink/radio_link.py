@@ -5,12 +5,13 @@ configured TTI is the scheduling granularity, and its boundaries are whole
 multiples of its duration from t = 0. BLER-vs-SNR behaviour is anchored at
 measured points per (waveform, channel) pair and interpolated log-linearly
 (linear in log10 BLER over dB). Throughput uses monotone piecewise-linear
-interpolation over SNR anchors. `RadioSection`, the config's `radio` section,
-is the one operating point: `RadioSection.link_model` resolves it once, the
-shipped curves with its overrides in place, into the `LinkModel` of that
-point, and is the one place a bad section fails. A run's one `LinkRuntime`
-sends every wireless packet through that model, composing TTI alignment, air
-time and processing delay.
+interpolation over SNR anchors. A BLER override is a `BlerCurve`, checked
+when it is made. `RadioSection`, the config's `radio` section, is the one
+operating point: `RadioSection.link_model` resolves it once, the shipped
+curves with its overrides in place, into the `LinkModel` of that point (its
+BLER, rate and TTI), and is where the rest of a bad section fails. A run's
+one `LinkRuntime` sends every wireless packet through that model, composing
+TTI alignment, air time and processing delay.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ V2V_URBAN_NLOS = "V2V-Urban-NLOS"
 # BLER, applied to the shipped default anchors on both channels.
 WAVEFORM_GAP_DB = 1.7
 
-DEFAULT_TAIL_SLOPE_DECADES_PER_DB = 1.0
-
 SUPPORTED_TTI_US = (125, 250, 500, 1000)
 
 
@@ -53,22 +52,21 @@ def next_tx_opportunity(now: SimTime, tti_ns: int) -> SimTime:
 
 @dataclass(frozen=True)
 class BlerCurve:
-    """Anchored SNR -> BLER mapping.
+    """Anchored SNR -> BLER mapping. It is also the schema of a
+    `radio.bler_anchors` entry: its fields, in this order, with their bounds.
 
     Anchors are (snr_db, bler) with strictly increasing SNR and strictly
     decreasing BLER in (0, 1]. Between anchors the curve is log-linear in
     BLER; beyond the anchor range it continues at the edge segment's slope
-    (or `tail_slope_decades_per_db` when set), clamped to [floor_bler, 1].
-    An anchor-free curve is constant at `floor_bler`.
+    (or `tail_slope` decades per dB when set), clamped to [floor, 1].
     """
 
-    anchors: tuple[tuple[float, float], ...] = ()
-    floor_bler: float = 0.0
-    tail_slope_decades_per_db: float | None = None
+    # [[snr_db, bler], ...]
+    anchors: list[tuple[float, float]] = field(metadata={"min_len": 2})
+    floor: float = field(default=0.0, metadata={"ge": 0, "le": 1})
+    tail_slope: float | None = field(default=None, metadata={"gt": 0})
 
     def __post_init__(self):
-        if not 0.0 <= self.floor_bler <= 1.0:
-            raise ValueError("floor_bler must be within [0, 1]")
         snrs = [a[0] for a in self.anchors]
         blers = [a[1] for a in self.anchors]
         if snrs != sorted(snrs) or len(set(snrs)) != len(snrs):
@@ -81,22 +79,16 @@ class BlerCurve:
                 raise ValueError("anchor BLER must strictly decrease with SNR")
 
     def _clamp(self, value: float) -> float:
-        return min(1.0, max(self.floor_bler, value))
+        return min(1.0, max(self.floor, value))
 
     def _edge_slope(self, last: bool) -> float:
         """Waterfall steepness in decades per dB at the curve edge (positive)."""
-        if self.tail_slope_decades_per_db is not None:
-            return self.tail_slope_decades_per_db
-        if len(self.anchors) < 2:
-            return DEFAULT_TAIL_SLOPE_DECADES_PER_DB
-        (s0, b0), (s1, b1) = (
-            self.anchors[-2:] if last else self.anchors[:2]
-        )
+        if self.tail_slope is not None:
+            return self.tail_slope
+        (s0, b0), (s1, b1) = self.anchors[-2:] if last else self.anchors[:2]
         return (math.log10(b0) - math.log10(b1)) / (s1 - s0)
 
     def bler(self, snr_db: float) -> float:
-        if not self.anchors:
-            return self._clamp(self.floor_bler)
         snrs = [a[0] for a in self.anchors]
         i = bisect.bisect_left(snrs, snr_db)
         if i < len(snrs) and snrs[i] == snr_db:
@@ -172,19 +164,11 @@ def availability(bler: float, opportunities_in_survival_time: int) -> float:
 
 
 @dataclass
-class BlerSpec:
-    # [[snr_db, bler], ...]
-    anchors: list[tuple[float, float]] = field(metadata={"min_len": 2})
-    floor: float = field(default=0.0, metadata={"ge": 0, "le": 1})
-    # decades per dB beyond the anchors, falling as SNR rises
-    tail_slope: float | None = field(default=None, metadata={"gt": 0})
-
-
-@dataclass
 class RadioSection:
     """The radio link's operating point. It is also the schema of the config's
     `radio` section: its fields, in this order, with their defaults and
-    bounds. `link_model` resolves it into the link at that point."""
+    bounds, each BLER override a `BlerCurve`. `link_model` resolves it into
+    the link at that point."""
 
     waveform: Waveform = Waveform.P_OFDM
     channel: str = EVA70
@@ -193,34 +177,31 @@ class RadioSection:
     processing_delay_us: float = field(default=100.0, metadata={"ge": 0})  # one way
     wired_latency_us: float = field(default=200.0, metadata={"ge": 0})
     jitter_us: float = field(default=0.0, metadata={"ge": 0})
-    # overrides by waveform (and channel): a BLER spec, or [[snr_db, Mbit/s], ...]
-    bler_anchors: dict[Waveform, dict[str, BlerSpec]] | None = None
+    # overrides by waveform (and channel): a BLER curve, or [[snr_db, Mbit/s], ...]
+    bler_anchors: dict[Waveform, dict[str, BlerCurve]] | None = None
     throughput_anchors: dict[Waveform, list[tuple[float, float]]] | None = None
 
     def link_model(self) -> LinkModel:
         """The link at this operating point: the shipped curves with this
         section's overrides in place, read at its waveform, channel and SNR.
         A bad section raises ValueError, its message led by the key at fault
-        (an override's, `channel`, `waveform` or `snr_db`)."""
-        bler_curves = dict(DEFAULT_BLER_CURVES)
-        for wf, channels in (self.bler_anchors or {}).items():
-            for channel, spec in channels.items():
-                bler_curves[wf, channel] = _curve(
-                    f"bler_anchors.{wf.value}.{channel}", BlerCurve,
-                    tuple(spec.anchors), spec.floor, spec.tail_slope)
+        (a throughput override's, `channel`, `waveform` or `snr_db`); a BLER
+        override is checked when it is made."""
         throughput_curves = dict(DEFAULT_THROUGHPUT_CURVES)
         for wf, anchors in (self.throughput_anchors or {}).items():
             throughput_curves[wf] = _curve(
                 f"throughput_anchors.{wf.value}", ThroughputCurve,
                 tuple((s, m * 1e6) for s, m in anchors))
         wf = self.waveform.value
-        if (self.waveform, self.channel) not in bler_curves:
+        bler_curve = (self.bler_anchors or {}).get(self.waveform, {}).get(
+            self.channel, DEFAULT_BLER_CURVES.get((self.waveform, self.channel)))
+        if bler_curve is None:
             raise ValueError(f"channel: no BLER anchors for {self.channel!r} "
                              f"with radio.waveform {wf!r}")
         if self.waveform not in throughput_curves:
             raise ValueError(f"waveform: no throughput anchors for {wf!r}")
-        model = LinkModel(self, bler_curves[self.waveform, self.channel],
-                          throughput_curves[self.waveform])
+        model = LinkModel(self, bler_curve.bler(self.snr_db),
+                          throughput_curves[self.waveform].rate_bps(self.snr_db))
         if model.rate_bps <= 0:
             raise ValueError(f"snr_db: throughput is zero at {self.snr_db:g} dB")
         return model
@@ -234,16 +215,15 @@ def _curve(key: str, make, *args):
 
 
 class LinkModel:
-    """The link at `radio`'s operating point: the BLER and rate its curves
-    read at its SNR, and its TTI. A plain class, since perfbench's tracer
-    wraps `air_time_ns` on the instance."""
+    """The link at `radio`'s operating point: its BLER, its rate in bit/s and
+    its TTI. A plain class, since perfbench's tracer wraps `air_time_ns` on
+    the instance."""
 
-    def __init__(self, radio: RadioSection, bler_curve: BlerCurve,
-                 throughput_curve: ThroughputCurve):
+    def __init__(self, radio: RadioSection, bler: float, rate_bps: float):
         self.radio = radio
         self.tti_ns = radio.tti_us * NS_PER_US
-        self.bler = bler_curve.bler(radio.snr_db)
-        self.rate_bps = throughput_curve.rate_bps(radio.snr_db)  # bit/s
+        self.bler = bler
+        self.rate_bps = rate_bps
 
     def air_time_ns(self, payload_bytes: int) -> int:
         """Transmission time: whole TTI-sized slots at the rate."""
@@ -278,7 +258,7 @@ class LinkRuntime:
         self.timeline = sorted(timeline, key=itemgetter(0))
         self._streams = streams
         processing_ns = round(radio.processing_delay_us * NS_PER_US)
-        # air time plus processing per payload size, on its first delivery
+        # air time plus processing per payload size, resolved once per size
         self._air_proc_ns = functools.cache(
             lambda size: model.air_time_ns(size) + processing_ns)
 
@@ -301,15 +281,12 @@ class LinkRuntime:
         tti, bler, draw = self.tti_ns, self.bler, rng.random
         up_at, jitter_ns = self.up_at if self.timeline else None, self.jitter_ns
         jitter = self._streams(f"jitter.{stream}").uniform if jitter_ns > 0 else None
-        air_proc = None
+        air_proc = self._air_proc_ns(size)
 
         def send(now: SimTime) -> tuple[SimTime, SimTime | None]:
-            nonlocal air_proc
             sent_at = next_tx_opportunity(now, tti)
             if (up_at and not up_at(now)) or (bler > 0.0 and draw() < bler):
                 return sent_at, None
-            if air_proc is None:
-                air_proc = self._air_proc_ns(size)
             delivered = sent_at + air_proc
             if jitter:
                 delivered += round(jitter(0, jitter_ns))

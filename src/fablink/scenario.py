@@ -191,10 +191,10 @@ def _fail(path: str, problem: str):
     raise ConfigInvalid(f"{path}: {problem}")
 
 
-def _built(path: str, make, *args):
-    """`make(*args)`, with a ValueError turned into ConfigInvalid at `path`."""
+def _built(path: str, make, *args, **kwargs):
+    """`make(...)`, with a ValueError turned into ConfigInvalid at `path`."""
     try:
-        return make(*args)
+        return make(*args, **kwargs)
     except ValueError as exc:
         _fail(path, str(exc))
 
@@ -279,7 +279,7 @@ def schema_from_dict(cls, value, path: str = ""):
             kwargs[f.name] = _parse(tp, value[key], sub, f.metadata)
         elif f.default is MISSING and f.default_factory is MISSING:
             _fail(sub, "required key is missing")
-    return cls(**kwargs)
+    return _built(path or "scenario", cls, **kwargs)
 
 
 def schema_to_dict(value) -> Any:

@@ -27,7 +27,6 @@ from .factory import (
     InTransit,
     Island,
     MANUAL_STATION,
-    ModuleState,
     Product,
     ProductState,
     QualityFlag,
@@ -287,14 +286,13 @@ class PlantRuntime:
             self._due[product.rank] = product
 
     def clear_module(self, module_id: str) -> None:
-        """A scripted `module_clear`: the module idles again."""
+        """A scripted `module_clear`: the module is no longer faulted."""
         module = self.modules[module_id]
-        module.state = ModuleState.IDLE
+        module.faulted = False
         if module.free:
             self._wake((module.island_id, module.capability))
 
     def _begin_service(self, product: Product, module: StationModule) -> None:
-        module.state = ModuleState.BUSY
         nxt = product.next_step()
         assert nxt is not None
         step_index, step = nxt
@@ -303,8 +301,6 @@ class PlantRuntime:
             product.memory.record_completion(
                 step_index, step, module.id, self.engine.now
             )
-            if module.state is ModuleState.BUSY:  # a fault outlasts the service
-                module.state = ModuleState.IDLE
             product.state = ProductState.WAITING
             self._log(product, "step_done", f"{step}@{module.id}")
             self._advance(product)
@@ -647,7 +643,7 @@ class Simulation:
             self.safety_mgr.reset_local(now)
         # link_down / link_up already act through the link's timeline
         elif action.action == "module_fault":
-            self.plant.modules[action.endpoint].state = ModuleState.FAULT
+            self.plant.modules[action.endpoint].faulted = True
         elif action.action == "module_clear":
             self.plant.clear_module(action.endpoint)
 

@@ -14,14 +14,11 @@ from fablink.compliance import ComplianceVerdict
 from fablink.artifacts import write_artifacts
 from fablink.radio_link import (
     DEFAULT_BLER_CURVES,
-    DEFAULT_THROUGHPUT_CURVES,
     EVA70,
     V2V_URBAN_NLOS,
-    BlerCurve,
     LinkModel,
     LinkRuntime,
     RadioSection,
-    ThroughputCurve,
     WAVEFORM_GAP_DB,
     Waveform,
     availability,
@@ -110,8 +107,7 @@ def test_criterion_2_link_anchors():
 
 @criterion(3, "sampling fidelity and survival-time availability formula")
 def test_criterion_3_sampling_and_availability():
-    model = LinkModel(RadioSection(), BlerCurve(floor_bler=0.5),
-                      ThroughputCurve(((0.0, 10e6),)))
+    model = LinkModel(RadioSection(), 0.5, 10e6)
     rng = RngStream(42, "acceptance.sampling")
     link = LinkRuntime(model, Engine().stream)
     send = link.sender("sampling", 60, rng)
@@ -161,8 +157,7 @@ def _random_outage_trips(seed, outages, watchdog_ns, horizon):
     outage windows take down, the timeline the script's link_down / link_up
     make: its records as rows, and its watchdog's trip instants."""
     radio = RadioSection(snr_db=15.0, tti_us=125)
-    model = LinkModel(radio, BlerCurve(floor_bler=0.0),
-                      DEFAULT_THROUGHPUT_CURVES[radio.waveform])
+    model = LinkModel(radio, 0.0, radio.link_model().rate_bps)
     link = LinkRuntime(model, lambda name: RngStream(seed, name),
                        _outage_timeline(outages))
     pair = SafetySection().channel_streams([])

@@ -13,7 +13,6 @@ from fablink.factory import (
     InTransit,
     Island,
     MANUAL_STATION,
-    ModuleState,
     NoRouteAvailable,
     PrefixOrderViolation,
     Product,
@@ -111,11 +110,15 @@ def test_handshake_grants_idle_capable_module():
 
 
 def test_handshake_denies_busy_module():
+    # busy is holding a product, or faulted until the fault clears
     islands = make_islands()
-    islands[0].modules["engrave"].state = ModuleState.BUSY
+    module = islands[0].modules["engrave"]
+    module.carrier = "p9"
     assert "island1.engrave" not in readiness(islands)
-    islands[0].modules["engrave"].state = ModuleState.FAULT
+    module.carrier, module.faulted = None, True
     assert "island1.engrave" not in readiness(islands)
+    module.faulted = False
+    assert "island1.engrave" in readiness(islands)
 
 
 def test_handshake_denies_occupied_module():
@@ -126,13 +129,13 @@ def test_handshake_denies_occupied_module():
 
 def random_islands(rng: random.Random, caps: list[str]) -> list[Island]:
     """1-4 islands, listed out of id order, each with a random subset of `caps`
-    and each module idle, busy or faulted, with or without a carrier."""
+    and each module faulted or not, with or without a carrier."""
     ids = [f"island{k}" for k in range(1, rng.randint(1, 4) + 1)]
     rng.shuffle(ids)
     return [
         Island(island_id, {
             cap: StationModule(f"{island_id}.{cap}", island_id, cap,
-                               state=rng.choices(list(ModuleState), weights=(5, 1, 1))[0],
+                               faulted=rng.choice((False, False, False, True)),
                                carrier=rng.choice((None, None, None, "p9")))
             for cap in rng.sample(caps, rng.randint(0, len(caps)))
         }, f"{island_id}.loop")
@@ -181,7 +184,7 @@ def test_route_to_other_island_uses_dock_transit_dock():
 
 
 def test_route_picks_nearest_capable_island_exhaustively():
-    # oracle: enumerate all islands holding an idle capable module and take
+    # oracle: enumerate all islands holding a free capable module and take
     # the transit-time minimum; compare against plan_route's choice
     islands = make_islands()
     extra = StationModule("island3.mount_cover", "island3", "mount_cover")
@@ -193,7 +196,7 @@ def test_route_picks_nearest_capable_island_exhaustively():
             island.id: (0.0 if island.id == start else TRANSIT[start][island.id])
             for island in islands
             if any(
-                m.capability == "mount_cover" and m.state is ModuleState.IDLE
+                m.capability == "mount_cover" and m.free
                 for m in island.modules.values()
             )
         }
@@ -214,7 +217,7 @@ def test_route_diverts_to_manual_when_everything_busy():
     islands = make_islands()
     for island in islands:
         for module in island.modules.values():
-            module.state = ModuleState.BUSY
+            module.carrier = "p9"
     plan = route(make_product(), islands, TRANSIT, "island1")
     assert plan.target == MANUAL_STATION
 
@@ -245,8 +248,8 @@ def _route_outcome(route, *args):
 
 def test_plan_route_equals_the_candidate_list_reference():
     # oracle: routing as it was written, with every candidate island in a list
-    # and its `min`; states cover 1-4 islands listed out of id order, idle,
-    # busy and faulted modules with and without a carrier, transit matrices
+    # and its `min`; states cover 1-4 islands listed out of id order,
+    # faulted and unfaulted modules with and without a carrier, transit matrices
     # with tied costs, products at an island or at the manual station with 0
     # to all steps done and a latest flag of Pass, Fail or none, and
     # `manual_available` both ways

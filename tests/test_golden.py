@@ -27,17 +27,27 @@ and the factory routing paths:
 * `short_transit`: 1 s robot legs, shorter than the cloud round trip, so
   verdicts time out, and a drained line sends the robot home.
 
+Each case's five small artifacts are stored verbatim under
+`tests/golden/<case>/` and compared byte for byte, a mismatch shown as a
+unified diff. `packets.csv` is kept as its SHA-256 in `golden/digests.json`,
+with its row count and a SHA-256 per stream over that stream's rows in `seq`
+order, so a mismatch names the streams whose rows changed, or else says that
+only the engine order moved.
+
 Each case's `metrics.json` entries also round-trip through the schema
 walker, and `fablink check` re-scores them to the run's own verdict rows.
 
-A digest may change only in a commit that says which bytes changed and why.
-To print the current digests after such a change:
+An artifact may change only in a commit that says which bytes changed and
+why. To print the current `packets.csv` digests, or to rewrite the stored
+artifacts and digests, after such a change:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [--update]
 """
 
 from __future__ import annotations
 
+import csv
+import difflib
 import hashlib
 import json
 import sys
@@ -52,7 +62,11 @@ from fablink.compliance import StreamMetrics
 from fablink.scenario import scenario_from_dict, schema_from_dict, schema_to_dict
 from fablink.simulation import Simulation
 
-GOLDEN = Path(__file__).parent / "golden" / "digests.json"
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN = GOLDEN_DIR / "digests.json"
+# the artifacts stored verbatim; packets.csv is kept as its digests
+STORED = ["compliance.json", "compliance.txt", "metrics.json", "products.csv",
+          "safety_log.csv"]
 
 _FACTORY_ONLY = {"traffic": {"catalog": []}, "safety": {"enabled": False}}
 _NODES = ["island1", "island2", "island3", "manual"]
@@ -168,6 +182,21 @@ def artifact_digests(artifacts: RunArtifacts) -> dict[str, str]:
     }
 
 
+def packets_digests(path: Path) -> dict:
+    """`packets.csv`'s SHA-256, its row count, and the SHA-256 of each
+    stream's rows in `seq` order."""
+    data = path.read_bytes()
+    rows = data.split(b"\r\n")[1:-1]  # the header first, and a CRLF last
+    by_stream: dict[str, list[tuple[int, bytes]]] = {}
+    for row in rows:
+        stream, seq = next(csv.reader([row.decode("utf-8")]))[:2]
+        by_stream.setdefault(stream, []).append((int(seq), row + b"\r\n"))
+    return {"sha256": hashlib.sha256(data).hexdigest(), "rows": len(rows),
+            "streams": {stream: hashlib.sha256(b"".join(
+                            row for _, row in sorted(stream_rows))).hexdigest()
+                        for stream, stream_rows in sorted(by_stream.items())}}
+
+
 @pytest.fixture(scope="module")
 def case_artifacts(tmp_path_factory):
     """The artifacts of each case, run once for every test of this module."""
@@ -182,8 +211,25 @@ def case_artifacts(tmp_path_factory):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_artifacts_match_golden_digests(case, case_artifacts):
-    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))[case]
-    assert artifact_digests(case_artifacts(case)) == expected
+    artifacts = case_artifacts(case)
+    failures = []
+    for name in STORED:
+        got = (artifacts.out_dir / name).read_bytes()
+        want = (GOLDEN_DIR / case / name).read_bytes()
+        if got != want:
+            failures.append("".join(difflib.unified_diff(
+                want.decode("utf-8").splitlines(keepends=True),
+                got.decode("utf-8").splitlines(keepends=True),
+                f"golden/{case}/{name}", f"run/{name}")) or f"{name}: bytes differ")
+    got = packets_digests(artifacts.packets_csv)
+    want = json.loads(GOLDEN.read_text(encoding="utf-8"))[case]["packets.csv"]
+    if got != want:
+        changed = sorted(stream for stream in got["streams"].keys() | want["streams"]
+                         if got["streams"].get(stream) != want["streams"].get(stream))
+        failures.append(f"packets.csv: {want['rows']} -> {got['rows']} rows; " + (
+            f"the rows of {changed} changed" if changed
+            else "every stream's rows are unchanged: only the engine order moved"))
+    assert not failures, "\n".join(failures)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -211,11 +257,25 @@ def test_metrics_round_trip_and_check_rescores_the_run(case, case_artifacts, cap
 
 def test_golden_file_covers_every_case():
     assert sorted(json.loads(GOLDEN.read_text(encoding="utf-8"))) == sorted(CASES)
+    assert sorted(p.name for p in GOLDEN_DIR.iterdir() if p.is_dir()) == sorted(CASES)
+    for case in CASES:
+        assert sorted(p.name for p in (GOLDEN_DIR / case).iterdir()) == STORED, case
 
 
 if __name__ == "__main__":
+    update = sys.argv[1:] == ["--update"]
+    digests = {}
     with tempfile.TemporaryDirectory() as tmp:
-        digests = {case: artifact_digests(run_case(case, Path(tmp) / case))
-                   for case in CASES}
-    json.dump(digests, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+        for case in CASES:
+            artifacts = run_case(case, Path(tmp) / case)
+            digests[case] = {"packets.csv": packets_digests(artifacts.packets_csv)}
+            if update:
+                (GOLDEN_DIR / case).mkdir(exist_ok=True)
+                for name in STORED:
+                    (GOLDEN_DIR / case / name).write_bytes(
+                        (artifacts.out_dir / name).read_bytes())
+    text = json.dumps(digests, indent=2, sort_keys=True) + "\n"
+    if update:
+        GOLDEN.write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)

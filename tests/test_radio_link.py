@@ -11,7 +11,6 @@ from fablink.radio_link import (
     EVA70,
     V2V_URBAN_NLOS,
     BlerCurve,
-    BlerSpec,
     LinkModel,
     LinkRuntime,
     RadioSection,
@@ -81,12 +80,12 @@ def test_bler_extends_at_edge_slope_beyond_last_anchor():
 
 
 def test_bler_floor_is_respected():
-    curve = BlerCurve(((10.0, 1.0), (15.0, 1e-5)), floor_bler=1e-6)
+    curve = BlerCurve(((10.0, 1.0), (15.0, 1e-5)), floor=1e-6)
     assert curve.bler(30.0) == 1e-6
 
 
 def test_configurable_tail_slope():
-    gentle = BlerCurve(((10.0, 1.0), (15.0, 1e-5)), tail_slope_decades_per_db=0.5)
+    gentle = BlerCurve(((10.0, 1.0), (15.0, 1e-5)), tail_slope=0.5)
     assert math.isclose(gentle.bler(17.0), 1e-6, rel_tol=1e-9)
 
 
@@ -97,7 +96,7 @@ def test_bler_below_the_first_anchor_never_overflows():
     rng = random.Random(31)
     overflows = 0
     for _ in range(3000):
-        n = rng.randrange(1, 4)
+        n = rng.randrange(2, 5)
         scale = 10.0 ** rng.uniform(-3, 12)
         snrs = sorted({rng.uniform(-scale, scale) for _ in range(n)})
         blers = sorted({10.0 ** -rng.uniform(0, 320) for _ in snrs}, reverse=True)
@@ -131,12 +130,6 @@ def test_a_section_far_below_its_waterfall_loads_at_bler_one(radio):
     assert scenario_from_dict({"radio": radio}).radio.link_model().bler == 1.0
 
 
-def test_constant_curve_for_forced_loss_rates():
-    assert BlerCurve(floor_bler=0.0).bler(12.0) == 0.0
-    assert BlerCurve(floor_bler=1.0).bler(12.0) == 1.0
-    assert BlerCurve(floor_bler=0.5).bler(-3.0) == 0.5
-
-
 def test_anchor_validation():
     with pytest.raises(ValueError):
         BlerCurve(((10.0, 0.5), (15.0, 0.9)))  # increasing BLER
@@ -152,7 +145,7 @@ def test_a_section_without_curves_fails_led_by_its_key():
         RadioSection(waveform=Waveform.W_OFDM).link_model()
     with pytest.raises(ValueError, match="^channel: no BLER anchors for 'IndoorHall' "):
         RadioSection(channel="IndoorHall").link_model()
-    w_ofdm_bler = {Waveform.W_OFDM: {EVA70: BlerSpec([(10.0, 1.0), (15.0, 1e-5)])}}
+    w_ofdm_bler = {Waveform.W_OFDM: {EVA70: BlerCurve([(10.0, 1.0), (15.0, 1e-5)])}}
     with pytest.raises(ValueError,
                        match="^waveform: no throughput anchors for 'W-OFDM'$"):
         RadioSection(waveform=Waveform.W_OFDM, bler_anchors=w_ofdm_bler).link_model()
@@ -162,8 +155,7 @@ def test_a_section_without_curves_fails_led_by_its_key():
 
 
 def _link_with_constant_bler(p: float, timeline=()) -> LinkRuntime:
-    model = LinkModel(RadioSection(), BlerCurve(floor_bler=p),
-                      ThroughputCurve(((0.0, 10e6),)))
+    model = LinkModel(RadioSection(), p, 10e6)
     return LinkRuntime(model, Engine(seed=1).stream, timeline)
 
 

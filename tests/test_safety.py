@@ -7,8 +7,7 @@ import tracemalloc
 import pytest
 
 from fablink.radio_link import (
-    DEFAULT_THROUGHPUT_CURVES, BlerCurve, LinkModel, LinkRuntime, RadioSection,
-    availability,
+    LinkModel, LinkRuntime, RadioSection, availability,
 )
 from fablink.safety import (
     LocalSafetyState,
@@ -192,8 +191,7 @@ MEASURED_PAIR = SafetySection().channel_streams([])
 
 def constant_bler_model(radio: RadioSection, bler: float) -> LinkModel:
     """`radio`'s link with its BLER forced to `bler` at any SNR."""
-    return LinkModel(radio, BlerCurve(floor_bler=bler),
-                     DEFAULT_THROUGHPUT_CURVES[radio.waveform])
+    return LinkModel(radio, bler, radio.link_model().rate_bps)
 
 
 def outage_timeline(outages: list[tuple[int, int]]) -> list[tuple[int, bool]]:

@@ -291,6 +291,16 @@ DEFECTS = {
         {"radio": {"throughput_anchors": {"P-OFDM": [[5, 4], [10, 2]]}}},
         "radio.throughput_anchors.P-OFDM",
     ),
+    # an override is checked whether or not the operating point reads it
+    "unused_rising_bler_anchors": (
+        {"radio": {"bler_anchors": {"CP-OFDM": {"V2V-Urban-NLOS": {
+            "anchors": [[16, 1.0e-4], [22, 0.5]]}}}}},
+        "radio.bler_anchors.CP-OFDM.V2V-Urban-NLOS",
+    ),
+    "unused_falling_throughput_anchors": (
+        {"radio": {"throughput_anchors": {"CP-OFDM": [[5, 4], [10, 2]]}}},
+        "radio.throughput_anchors.CP-OFDM",
+    ),
     "unsupported_tti": ({"radio": {"tti_us": 200}}, "radio.tti_us"),
     "negative_processing_delay": (
         {"radio": {"processing_delay_us": -1}}, "radio.processing_delay_us",

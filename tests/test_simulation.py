@@ -4,6 +4,8 @@ import gc
 import tracemalloc
 from collections import Counter
 
+import pytest
+
 from fablink import compliance
 from fablink.artifacts import build_metrics_document
 from fablink.scenario import default_scenario, scenario_from_dict
@@ -397,21 +399,30 @@ def test_watchdog_trip_on_a_stopped_docked_loop_is_logged():
     assert result.factory_stats["safety_trips"] == 2
 
 
-def test_module_fault_during_service_outlasts_the_service():
-    # island1.engrave serves product1 from 0.5 s to 2.5 s; the fault at 1.0 s
-    # is never cleared, so product2's engrave step goes elsewhere
+@pytest.mark.parametrize("clear, product2", [
+    (None, ("engrave@manual", 51.0)),
+    (2.0, ("engrave@island1.engrave", 22.5)),
+])
+def test_module_fault_during_service_outlasts_the_service(clear, product2):
+    # island1.engrave serves product1 from 0.5 s to 2.5 s and faults at 1.0 s.
+    # Never cleared, the fault outlasts the service, so product2's engrave
+    # step goes to the manual station; cleared at 2.0 s, during the service,
+    # the module takes product2 once product1 has left it
+    script = [{"at_s": 1.0, "action": "module_fault", "endpoint": "island1.engrave"}]
+    if clear is not None:
+        script.append({"at_s": clear, "action": "module_clear",
+                       "endpoint": "island1.engrave"})
     result = run_scenario({
         "horizon_s": 60.0,
         "traffic": {"catalog": []},
-        "script": [{"at_s": 1.0, "action": "module_fault",
-                    "endpoint": "island1.engrave"}],
+        "script": script,
     })
     engraved = {
-        e.product: e.detail for e in result.product_log
+        e.product: (e.detail, e.at / NS_PER_S) for e in result.product_log
         if e.event == "step_done" and e.detail.startswith("engrave@")
     }
-    assert engraved["product1"] == "engrave@island1.engrave"
-    assert engraved["product2"] != "engrave@island1.engrave"
+    assert engraved["product1"] == ("engrave@island1.engrave", 2.5)
+    assert engraved["product2"] == product2
 
 
 def test_a_product_completed_at_the_manual_station_drops_its_robot_job():

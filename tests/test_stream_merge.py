@@ -18,8 +18,7 @@ from itertools import islice
 import pytest
 
 from fablink.radio_link import (
-    DEFAULT_THROUGHPUT_CURVES, BlerCurve, LinkModel, LinkRuntime, RadioSection,
-    next_tx_opportunity,
+    LinkModel, LinkRuntime, RadioSection, next_tx_opportunity,
 )
 from fablink.safety import SafetyManager, resolve_channel, watchdog_trips
 from fablink.scenario import ConfigInvalid, SafetySection, scenario_from_dict
@@ -322,8 +321,7 @@ def _channel_link(seed, bler, timeline, processing_delay_us):
     the seed's named streams, as `Engine(seed).stream` does."""
     radio = RadioSection(snr_db=15.0, tti_us=125,
                          processing_delay_us=processing_delay_us)
-    model = LinkModel(radio, BlerCurve(floor_bler=bler),
-                      DEFAULT_THROUGHPUT_CURVES[radio.waveform])
+    model = LinkModel(radio, bler, radio.link_model().rate_bps)
     return LinkRuntime(model, lambda name: RngStream(seed, name), timeline)
 
 
