@@ -69,7 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="streams to assess (default: the profile's own)",
     )
 
-    sub.add_parser("profiles", help="list the built-in requirement profiles")
+    sub.add_parser("profiles", help="list the bounds `check` applies for each "
+                   "built-in requirement profile")
 
     catalog = sub.add_parser("catalog", help="list the built-in traffic catalog")
     catalog.add_argument(
@@ -176,28 +177,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_profiles() -> int:
     for p in PROFILES.values():
-        fields = [
-            f"availability {p.availability_min:.4%}..{p.availability_max:.6%}",
-        ]
-        if p.latency_target_ns is not None:
-            fields.append(f"latency < {p.latency_target_ns / 1e6:g} ms")
-        if p.jitter_max_ns is not None:
-            fields.append(f"jitter < {p.jitter_max_ns / 1e6:g} ms")
-        if p.service_data_rate_min_bps is not None:
-            fields.append(f"rate > {p.service_data_rate_min_bps / 1e6:g} Mbit/s")
-        if p.message_size_range is not None:
-            fields.append(
-                f"size {p.message_size_range[0]}..{p.message_size_range[1]} B"
-            )
-        if p.transfer_interval_max_ns is not None:
-            fields.append(f"interval <= {p.transfer_interval_max_ns / 1e6:g} ms")
-        if p.survival_time_ns is not None:
-            fields.append(f"survival {p.survival_time_ns / 1e6:g} ms")
-        if p.service_area_m is not None:
-            fields.append(
-                f"area <= {p.service_area_m[0]:g} m x {p.service_area_m[1]:g} m"
-            )
-        print(f"{p.name}: " + "; ".join(fields))
+        print(f"{p.name} ({p.streams}): " + "; ".join(
+            f"{dimension} {required}" for dimension, required in p.requirements()))
     return 0
 
 

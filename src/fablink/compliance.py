@@ -5,7 +5,10 @@ Jitter is scored as (p99 - min) latency; latency uses p99.9 so one outlier
 cannot dominate the verdict. Availability is the fraction of survival-time
 windows (aspect 1's 12 ms) containing at least one delivery, and is reported
 NotAssessed unless the sample count can statistically support the claimed
-scale (at least 10 / (1 - availability_min) packets).
+scale (at least 10 / (1 - availability_min) packets), or when the horizon
+holds no whole window. Every other bounded dimension is one row of the
+`DIMENSIONS` table; `RequirementProfile.requirements` words a profile's
+bounds from it, for both `evaluate` and `fablink profiles`.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, tee
-from operator import sub
-from typing import Iterable, Iterator, Sequence
+from operator import gt, le, lt, sub
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .scenario import ConfigInvalid
 from .sim_core import NS_PER_MS, SimTime
@@ -45,6 +48,13 @@ class RequirementProfile:
     def __post_init__(self):
         if self.availability_min > self.availability_max:
             raise ValueError("availability_min must be <= availability_max")
+
+    def requirements(self) -> list[tuple[str, str]]:
+        """(dimension, requirement text) of availability and of each
+        `DIMENSIONS` entry this profile bounds: the rows `evaluate` scores."""
+        return [("availability", f">= {self.availability_min:.6%}"), *(
+            (d.name, d.required(b)) for d in DIMENSIONS.values()
+            if (b := getattr(self, d.profile_field)) is not None)]
 
 
 ASPECT1 = RequirementProfile(
@@ -284,26 +294,57 @@ def availability_sample_floor(profile: RequirementProfile) -> int:
     return math.ceil(10.0 / (1.0 - profile.availability_min))
 
 
-def _ms(ns: SimTime | None) -> str:
-    return "n/a" if ns is None else f"{ns / NS_PER_MS:.3f} ms"
+def _ms(ns: SimTime) -> str:
+    return f"{ns / NS_PER_MS:.3f} ms"
 
 
-def _row(
-    dimension: str,
-    required: str,
-    observed: str | None,
-    ok: bool,
-    missing_note: str,
-) -> VerdictRow:
-    """Pass or Fail by `ok`, or NotAssessed with `missing_note` when nothing
-    was observed (`observed` is None, and `ok` is then ignored)."""
-    if observed is None:
-        return VerdictRow(
-            dimension, required, "n/a", ComplianceVerdict.NOT_ASSESSED,
-            note=missing_note,
-        )
-    verdict = ComplianceVerdict.PASS if ok else ComplianceVerdict.FAIL
-    return VerdictRow(dimension, required, observed, verdict)
+def _area(area: tuple[float, float]) -> str:
+    return f"{area[0]:.0f} m x {area[1]:.0f} m"
+
+
+def _sizes(sizes: tuple[int, int]) -> str:
+    return f"[{sizes[0]}, {sizes[1]}] B"
+
+
+@dataclass(frozen=True)
+class Dimension:
+    """One bounded requirement dimension: the profile field holding its
+    bound (None there leaves it unbounded), the requirement text of a bound,
+    the observed value read from a stream's metrics or the report's service
+    area (None when nothing was observed) and its text, the pass test of a
+    value against the bound, and the note of a row with nothing observed."""
+
+    name: str
+    profile_field: str
+    required: Callable[[Any], str]
+    observe: Callable[[StreamMetrics, tuple[float, float] | None], Any]
+    shown: Callable[[Any], str]
+    passes: Callable[[Any, Any], bool]
+    missing_note: str
+
+
+# The bounded dimensions, in row order; availability, with its sample floor,
+# leads every profile's rows outside this table.
+DIMENSIONS = {d.name: d for d in (
+    Dimension("latency", "latency_target_ns", lambda b: f"p99.9 < {_ms(b)}",
+              lambda m, _: None if m.latency is None else m.latency.p999_ns,
+              _ms, lt, "no delivered samples"),
+    Dimension("jitter", "jitter_max_ns", lambda b: f"< {_ms(b)}",
+              lambda m, _: m.jitter_ns, _ms, lt, "no delivered samples"),
+    Dimension("service_data_rate", "service_data_rate_min_bps",
+              lambda b: f"> {b / 1e6:.2f} Mbit/s",
+              lambda m, _: m.observed_rate_bps if m.sample_count else None,
+              lambda r: f"{r / 1e6:.3f} Mbit/s", gt, "no samples"),
+    Dimension("message_size", "message_size_range", _sizes,
+              lambda m, _: None if m.size_min is None else (m.size_min, m.size_max),
+              _sizes, lambda s, r: r[0] <= s[0] and s[1] <= r[1], "no samples"),
+    Dimension("transfer_interval", "transfer_interval_max_ns", lambda b: f"<= {_ms(b)}",
+              lambda m, _: m.max_transfer_interval_ns, _ms, le,
+              "fewer than two samples"),
+    Dimension("service_area", "service_area_m", lambda b: f"max {_area(b)}",
+              lambda _, area: area, _area,
+              lambda a, b: a[0] <= b[0] and a[1] <= b[1], "no area configured"),
+)}
 
 
 def evaluate(
@@ -312,109 +353,37 @@ def evaluate(
     service_area_m: tuple[float, float] | None = None,
     sample_floor: int | None = None,
 ) -> list[VerdictRow]:
-    """Score one stream against one profile, one row per present dimension."""
-    floor = sample_floor if sample_floor is not None else availability_sample_floor(
-        profile
-    )
-
+    """Score one stream against one profile: the availability row, then one
+    row per dimension the profile bounds, in `requirements()` order."""
+    floor = availability_sample_floor(profile) if sample_floor is None else sample_floor
+    (_, required), *bounded = profile.requirements()
     availability = metrics.availability
-    required = f">= {profile.availability_min:.6%}"
-    if availability is None or metrics.sample_count < floor:
-        # too few samples to support the claim, even when a value was measured
-        rows = [
-            VerdictRow(
-                "availability",
-                required,
-                "n/a" if availability is None else f"{availability:.6%}",
-                ComplianceVerdict.NOT_ASSESSED,
-                note=(
-                    f"sample count {metrics.sample_count} below the "
-                    f"{floor} needed to support a claim at this scale"
-                ),
-            )
-        ]
+    if availability is None:
+        rows = [VerdictRow("availability", required, "n/a",
+                           ComplianceVerdict.NOT_ASSESSED,
+                           "no whole survival-time window fits in the horizon")]
+    elif metrics.sample_count < floor:  # too few samples to support the claim
+        rows = [VerdictRow("availability", required, f"{availability:.6%}",
+                           ComplianceVerdict.NOT_ASSESSED,
+                           f"sample count {metrics.sample_count} below the {floor} "
+                           "needed to support a claim at this scale")]
     else:
-        ok = availability >= profile.availability_min
-        rows = [_row("availability", required, f"{availability:.6%}", ok, "")]
-
-    if profile.latency_target_ns is not None:
-        target = profile.latency_target_ns
-        latency = metrics.latency
-        rows.append(
-            _row(
-                "latency",
-                f"p99.9 < {_ms(target)}",
-                None if latency is None else _ms(latency.p999_ns),
-                latency is not None and latency.p999_ns < target,
-                "no delivered samples",
-            )
-        )
-
-    if profile.jitter_max_ns is not None:
-        jitter = metrics.jitter_ns
-        rows.append(
-            _row(
-                "jitter",
-                f"< {_ms(profile.jitter_max_ns)}",
-                None if jitter is None else _ms(jitter),
-                jitter is not None and jitter < profile.jitter_max_ns,
-                "no delivered samples",
-            )
-        )
-
-    if profile.service_data_rate_min_bps is not None:
-        rate = metrics.observed_rate_bps
-        sampled = metrics.sample_count > 0
-        rows.append(
-            _row(
-                "service_data_rate",
-                f"> {profile.service_data_rate_min_bps / 1e6:.2f} Mbit/s",
-                f"{rate / 1e6:.3f} Mbit/s" if sampled else None,
-                rate > profile.service_data_rate_min_bps,
-                "no samples",
-            )
-        )
-
-    if profile.message_size_range is not None:
-        lo, hi = profile.message_size_range
-        size_min, size_max = metrics.size_min, metrics.size_max
-        sampled = size_min is not None
-        rows.append(
-            _row(
-                "message_size",
-                f"[{lo}, {hi}] B",
-                f"[{size_min}, {size_max}] B" if sampled else None,
-                sampled and size_min >= lo and size_max <= hi,
-                "no samples",
-            )
-        )
-
-    if profile.transfer_interval_max_ns is not None:
-        interval = metrics.max_transfer_interval_ns
-        rows.append(
-            _row(
-                "transfer_interval",
-                f"<= {_ms(profile.transfer_interval_max_ns)}",
-                None if interval is None else _ms(interval),
-                interval is not None and interval <= profile.transfer_interval_max_ns,
-                "fewer than two samples",
-            )
-        )
-
-    if profile.service_area_m is not None:
-        w_max, d_max = profile.service_area_m
-        area = service_area_m
-        rows.append(
-            _row(
-                "service_area",
-                f"max {w_max:.0f} m x {d_max:.0f} m",
-                None if area is None else f"{area[0]:.0f} m x {area[1]:.0f} m",
-                area is not None and area[0] <= w_max and area[1] <= d_max,
-                "no area configured",
-            )
-        )
-
+        rows = [VerdictRow("availability", required, f"{availability:.6%}",
+                           _verdict(availability >= profile.availability_min))]
+    for name, required in bounded:
+        dim = DIMENSIONS[name]
+        value = dim.observe(metrics, service_area_m)
+        if value is None:
+            rows.append(VerdictRow(name, required, "n/a",
+                                   ComplianceVerdict.NOT_ASSESSED, dim.missing_note))
+        else:
+            ok = dim.passes(value, getattr(profile, dim.profile_field))
+            rows.append(VerdictRow(name, required, dim.shown(value), _verdict(ok)))
     return rows
+
+
+def _verdict(ok: bool) -> ComplianceVerdict:
+    return ComplianceVerdict.PASS if ok else ComplianceVerdict.FAIL
 
 
 @dataclass
@@ -465,14 +434,10 @@ class ComplianceReport:
         return {v.name.lower(): counts[v] for v in ComplianceVerdict}
 
     def render_table(self) -> str:
+        area = self.service_area_m
         lines = [
             f"jitter definition: {self.jitter_definition}",
-            f"service area: "
-            + (
-                f"{self.service_area_m[0]:.0f} m x {self.service_area_m[1]:.0f} m"
-                if self.service_area_m
-                else "n/a"
-            ),
+            f"service area: {_area(area) if area else 'n/a'}",
             "",
         ]
         header = f"{'stream':28} {'profile':8} {'dimension':18} {'required':26} {'observed':22} verdict"

@@ -61,12 +61,22 @@ class BlerCurve:
     (or `tail_slope` decades per dB when set), clamped to [floor, 1].
     """
 
-    # [[snr_db, bler], ...]
+    # [[snr_db, bler], ...] in a config; held as a tuple of pairs, so that a
+    # parsed curve hashes and equals a shipped one with the same anchors
     anchors: list[tuple[float, float]] = field(metadata={"min_len": 2})
     floor: float = field(default=0.0, metadata={"ge": 0, "le": 1})
     tail_slope: float | None = field(default=None, metadata={"gt": 0})
 
     def __post_init__(self):
+        # the schema checks a config's count and bounds first, in its words;
+        # these hold a curve built in code to the same
+        object.__setattr__(self, "anchors", tuple(map(tuple, self.anchors)))
+        if len(self.anchors) < 2:
+            raise ValueError("needs at least 2 anchors")
+        if not 0.0 <= self.floor <= 1.0:
+            raise ValueError(f"floor {self.floor} outside [0, 1]")
+        if self.tail_slope is not None and not self.tail_slope > 0:
+            raise ValueError(f"tail_slope must be > 0, got {self.tail_slope}")
         snrs = [a[0] for a in self.anchors]
         blers = [a[1] for a in self.anchors]
         if snrs != sorted(snrs) or len(set(snrs)) != len(snrs):

@@ -141,6 +141,17 @@ def test_availability_not_assessed_below_sample_floor():
     assert "sample count" in row.note
 
 
+def test_availability_with_no_whole_window_says_so_whatever_the_floor():
+    # a horizon under one survival time holds no window to score, so the
+    # note names the horizon, not the sample count, even at a floor of 1
+    for floor in (1, None):
+        rows = evaluate(_metrics(availability=None, availability_windows=0),
+                        ASPECT1, (20.0, 20.0), sample_floor=floor)
+        assert (rows[0].dimension, rows[0].observed, rows[0].verdict, rows[0].note) == (
+            "availability", "n/a", ComplianceVerdict.NOT_ASSESSED,
+            "no whole survival-time window fits in the horizon")
+
+
 def test_availability_assessed_with_enough_samples():
     m = _metrics(sample_count=20_000_000, availability=0.99999)
     rows = evaluate(m, ASPECT1, (20.0, 20.0))

@@ -20,7 +20,7 @@ from fablink.radio_link import (
     availability,
     next_tx_opportunity,
 )
-from fablink.scenario import scenario_from_dict
+from fablink.scenario import ConfigInvalid, scenario_from_dict
 from fablink.sim_core import NS_PER_US, Engine, RngStream
 
 
@@ -137,6 +137,44 @@ def test_anchor_validation():
         BlerCurve(((10.0, 1.5), (15.0, 1e-5)))  # BLER above 1
     with pytest.raises(ValueError):
         BlerCurve(((15.0, 1.0), (10.0, 1e-5)))  # unsorted SNR
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    (([(10.0, 0.5)],), {}, "needs at least 2 anchors"),
+    (((),), {}, "needs at least 2 anchors"),
+    ((((10.0, 1.0), (15.0, 1e-5)),), {"floor": 2.0}, r"floor 2.0 outside \[0, 1\]"),
+    ((((10.0, 1.0), (15.0, 1e-5)),), {"floor": -0.1}, r"floor -0.1 outside \[0, 1\]"),
+    ((((10.0, 1.0), (15.0, 1e-5)),), {"tail_slope": 0.0}, "tail_slope must be > 0"),
+    ((((10.0, 1.0), (15.0, 1e-5)),), {"tail_slope": -1.0}, "tail_slope must be > 0"),
+])
+def test_a_curve_built_in_code_holds_the_schema_bounds(args, kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        BlerCurve(*args, **kwargs)
+
+
+@pytest.mark.parametrize("spec, path, problem", [
+    ({"anchors": [[10, 0.5]]}, "anchors", "needs at least 2 entries"),
+    ({"anchors": [[10, 1.0], [15, 1e-5]], "floor": 2.0}, "floor",
+     "must be <= 1, got 2.0"),
+    ({"anchors": [[10, 1.0], [15, 1e-5]], "tail_slope": 0}, "tail_slope",
+     "must be > 0, got 0.0"),
+])
+def test_a_config_curve_fails_in_the_schema_words_first(spec, path, problem):
+    radio = {"bler_anchors": {"P-OFDM": {"EVA70": spec}}}
+    with pytest.raises(ConfigInvalid) as exc:
+        scenario_from_dict({"radio": radio})
+    assert str(exc.value) == f"radio.bler_anchors.P-OFDM.EVA70.{path}: {problem}"
+
+
+def test_a_parsed_curve_hashes_and_equals_a_shipped_style_one():
+    radio = {"bler_anchors": {"P-OFDM": {"EVA70": {
+        "anchors": [[10.0, 1.0], [15.0, 1e-5]]}}}}
+    parsed = scenario_from_dict({"radio": radio}).radio.bler_anchors[
+        Waveform.P_OFDM][EVA70]
+    shipped = DEFAULT_BLER_CURVES[Waveform.P_OFDM, EVA70]
+    assert parsed.anchors == ((10.0, 1.0), (15.0, 1e-5))
+    assert parsed == shipped and hash(parsed) == hash(shipped)
+    assert BlerCurve([[10.0, 1.0], [15.0, 1e-5]]) == shipped
 
 
 def test_a_section_without_curves_fails_led_by_its_key():

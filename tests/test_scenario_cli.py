@@ -15,7 +15,9 @@ import pytest
 import yaml
 
 import fablink
+from fablink.artifacts import MetricsDocument
 from fablink.cli import main
+from fablink.compliance import PROFILES, evaluate
 from fablink.radio_link import LinkRuntime
 from fablink.scenario import (
     ConfigInvalid,
@@ -23,6 +25,7 @@ from fablink.scenario import (
     dump_scenario,
     load_scenario,
     scenario_from_dict,
+    schema_from_dict,
     schema_to_dict,
 )
 
@@ -493,6 +496,23 @@ def test_cli_check_with_nothing_to_assess_exits_2(tmp_path, capsys):
         assert len(err.strip().splitlines()) == 1
 
 
+def test_cli_check_of_a_null_availability_names_the_horizon(tmp_path, capsys,
+                                                            run_metrics):
+    doc = json.loads(json.dumps(run_metrics))
+    doc["availability_sample_floor"] = 1
+    for name in PNIO:
+        doc["streams"][name].update(availability=None, availability_windows=0)
+    metrics = tmp_path / "metrics.json"
+    metrics.write_text(json.dumps(doc), encoding="utf-8")
+    assert _run_cli("check", str(metrics), "--profile", "aspect1") == 0
+    rows = [line for line in capsys.readouterr().out.splitlines()
+            if " availability " in line]
+    assert len(rows) == len(PNIO)
+    assert all(row.endswith(
+        "n/a                    NotAssessed  "
+        "(no whole survival-time window fits in the horizon)") for row in rows)
+
+
 def test_cli_check_unknown_profile(tmp_path, capsys):
     metrics = tmp_path / "metrics.json"
     metrics.write_text("{}", encoding="utf-8")
@@ -513,9 +533,31 @@ def test_cli_check_fails_on_failed_dimension(tmp_path, capsys):
 
 def test_cli_profiles_lists_both_aspects(capsys):
     assert _run_cli("profiles") == 0
-    out = capsys.readouterr().out
-    assert "aspect1" in out and "aspect2" in out
-    assert "rate > 5 Mbit/s" in out
+    assert capsys.readouterr().out.splitlines() == [
+        "aspect1 (safety): availability >= 99.999900%; latency p99.9 < 12.000 ms; "
+        "jitter < 6.000 ms; message_size [40, 250] B; transfer_interval <= 12.000 ms; "
+        "service_area max 200 m x 300 m",
+        "aspect2 (aggregate): availability >= 99.999900%; latency p99.9 < 30.000 ms; "
+        "jitter < 15.000 ms; service_data_rate > 5.00 Mbit/s",
+    ]
+
+
+def test_cli_profiles_lists_the_bounds_check_applies(capsys, run_metrics):
+    # each profile's line names exactly the (dimension, required) pairs of
+    # the rows `evaluate` scores, on a real run's streams with and without
+    # a service area
+    assert _run_cli("profiles") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(PROFILES)
+    doc = schema_from_dict(MetricsDocument, run_metrics)
+    for line, profile in zip(lines, PROFILES.values()):
+        head, _, listed = line.partition(": ")
+        assert head == f"{profile.name} ({profile.streams})"
+        for metrics in (*doc.streams.values(), doc.aggregate):
+            for area in (doc.service_area_m, None):
+                rows = evaluate(metrics, profile, area)
+                assert listed == "; ".join(
+                    f"{row.dimension} {row.required}" for row in rows)
 
 
 def test_cli_catalog_class_filter(capsys):
