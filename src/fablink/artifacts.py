@@ -6,7 +6,9 @@ wall-clock data enters any artifact.
 
 Frozen formats:
   packets.csv     stream,seq,class,size_bytes,created_ns,sent_ns,delivered_ns
-                  (delivered_ns column holds LOST for undelivered packets)
+                  (delivered_ns column holds LOST for undelivered packets;
+                  a traffic row's sent_ns is its first TTI boundary at or
+                  after created_ns, or created_ns on the wire)
   safety_log.csv  time_ns,loop,transition,cause,consecutive_missed
   products.csv    product,event,time_ns,detail
   metrics.json    `MetricsDocument`: per-stream and aggregate StreamMetrics
@@ -27,6 +29,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .compliance import JITTER_DEFINITION, StreamMetrics
+from .radio_link import next_tx_opportunity
 from .scenario import schema_to_dict
 from .simulation import RunResult
 from .traffic import LOST, Records, merge_records
@@ -102,16 +105,17 @@ def _csv_field(value: str) -> str:
 
 def _packet_rows(records: Records) -> Iterator[str]:
     """`packets.csv` data rows in engine order, merged as they are written,
-    each as `csv.writer` writes it: each stream's name, class and size are
-    formatted once, and the integers of each row directly."""
+    each as `csv.writer` writes it: each stream's name, class and size
+    formatted once, each row's integers directly, its send instant as
+    `StreamRecords.sent_at` reads it, inlined to save a call per row."""
     streams = [(f"{_csv_field(p.name)},", f",{_csv_field(p.stream_class.value)},"
-                f"{p.payload_bytes},", c.created, c.sent, c.delivered)
+                f"{p.payload_bytes},", c.created, c.sent, c.grid_ns, c.delivered)
                for p, c in zip(records.streams, records.columns)]
     for k, seq in merge_records(records.columns):
-        stream, cls_size, created, sent, delivered = streams[k]
-        d = delivered[seq]
-        yield (f"{stream}{seq}{cls_size}{created[seq]},{sent[seq]},"
-               f"{'LOST' if d == LOST else d}\r\n")
+        stream, cls_size, created, sent, grid, delivered = streams[k]
+        c, d = created[seq], delivered[seq]
+        s = next_tx_opportunity(c, grid) if sent is None else sent[seq]
+        yield f"{stream}{seq}{cls_size}{c},{s},{'LOST' if d == LOST else d}\r\n"
 
 
 def write_artifacts(result: RunResult, out_dir: str | Path) -> RunArtifacts:

@@ -89,7 +89,8 @@ PROFILES = {p.name: p for p in (ASPECT1, ASPECT2)}
 # counted in windows of aspect 1's survival time.
 JITTER_DEFINITION = "p99_minus_min"
 SURVIVAL_TIME_NS = ASPECT1.survival_time_ns
-# a stream's latencies are sorted in runs of this many records, one array each
+# a stream's latencies are sorted in runs of this many records, one array
+# each, of 32-bit items where the run's largest latency fits, else 64-bit
 SORT_RUN = 4096
 
 
@@ -171,8 +172,8 @@ def _sorted_windows(columns: Sequence[Sequence[SimTime]],
 @dataclass(slots=True)
 class StreamFold:
     """The records created within the horizon, of one stream or of several,
-    reduced to what their metrics are scored from; the folds of several
-    streams join part by part."""
+    reduced to what their metrics are scored from (32- or 64-bit latency
+    runs); the folds of several streams join part by part."""
 
     sampled: list[tuple[int, int]]  # (record count, PDU size) per stream holding any
     lost: int
@@ -249,7 +250,8 @@ def collect_stream_metrics(
                 if d < windows_end:
                     hit[d // SURVIVAL_TIME_NS] = 1
         latencies.sort()
-        runs.append(array("q", latencies))
+        runs.append(array("q" if latencies and latencies[-1] >= 2**31 else "i",
+                          latencies))
         latencies.clear()
     fold = StreamFold([(n, stream.payload_bytes)] if n else [], lost, runs,
                       int.from_bytes(hit, "little"), [(created, n)])

@@ -219,19 +219,21 @@ def resolve_channel(
     `emission_times` of the cycle rate; a lost PDU is retried at following
     TTI boundaries, up before down, until the next cycle's PDU supersedes it.
 
-    Returns the `up` and `down` columns, where a retry rewrites its cycle's
-    slot; the deliveries within the horizon, one `array('q')` kept sorted as
-    it grows (a retry lands near its cycle, so nearly every delivery appends);
-    `missed`, the cycle starts where both first attempts were lost, but not
-    one at which a retried PDU of the previous cycle is delivered (that
-    delivery comes after the cycle began); and the count of cycles, retries
-    and deliveries, as if each were queued.
+    Returns the `up` and `down` columns, which share one `created` column of
+    the cycle starts and keep a `sent` column each, where a retry rewrites
+    its cycle's slot; the deliveries within the horizon, one `array('q')`
+    kept sorted as it grows (a retry lands near its cycle, so nearly every
+    delivery appends); `missed`, the cycle starts where both first attempts
+    were lost, but not one at which a retried PDU of the previous cycle is
+    delivered (that delivery comes after the cycle began); and the count of
+    cycles, retries and deliveries, as if each were queued.
     """
-    up, down = StreamRecords(), StreamRecords()
+    tti = link.tti_ns
+    up, down = StreamRecords(tti, array("q")), StreamRecords(tti, array("q"))
+    down.created = created = up.created
     # (stream, its sender, its records) per direction, up first
     directions = [(p.name, link.sender(p.name, p.payload_bytes, rng), records)
                   for p, records in zip(streams, (up, down))]
-    tti = link.tti_ns
     delivered, missed = array("q"), []  # deliveries kept sorted as they come
     at, stream, retried_to, retries, seq = 0, "", None, 0, -1
     try:
@@ -239,9 +241,9 @@ def resolve_channel(
         bounds = pairwise(chain(emission_times(streams[0].rate_hz, horizon), [horizon + 1]))
         for seq, (at, end) in enumerate(bounds):
             pending = []
+            created.append(at)
             for stream, send, records in directions:
                 sent, d = send(at)
-                records.created.append(at)
                 records.sent.append(sent)
                 records.delivered.append(LOST if d is None else d)
                 if d is None:

@@ -18,7 +18,7 @@ from enum import Enum
 from itertools import count
 from typing import Iterator
 
-from .radio_link import LinkRuntime
+from .radio_link import LinkRuntime, next_tx_opportunity
 from .sim_core import NS_PER_S, NS_PER_US, HandlerError, RngStream, SimTime
 
 
@@ -177,17 +177,25 @@ LOST = -1  # the delivered instant of a lost packet
 
 class StreamRecords:
     """One stream's packet records as integer columns, in emission order: the
-    created, sent and delivered instants, delivered `LOST` for a lost packet.
-    A record's seq is its index; its stream and size are the stream's."""
+    created and delivered instants, delivered `LOST` for a lost packet; seq is
+    the index, stream and size the stream's. `sent_at(seq)` is the creation's
+    first boundary of the send grid `grid_ns` (the link's TTI, 1 ns on the
+    wire), or the kept `sent` column: the safety channel's retries move it."""
 
-    def __init__(self):
-        self.created, self.sent, self.delivered = array("q"), array("q"), array("q")
+    def __init__(self, grid_ns: int = 1, sent: array | None = None):
+        self.created, self.delivered = array("q"), array("q")
+        self.grid_ns, self.sent = grid_ns, sent
+
+    def sent_at(self, seq: int) -> SimTime:
+        if self.sent is None:
+            return next_tx_opportunity(self.created[seq], self.grid_ns)
+        return self.sent[seq]
 
 
 class Records:
-    """A run's packet records, read-only: `columns[k]` holds the records of
-    `streams[k]`, and `len()` counts them all. Only `packets.csv` puts them
-    in engine order, through `merge_records`."""
+    """A run's packet records, read-only: `columns[k]` holds `streams[k]`'s
+    (the safety channel's two share one `created`), and `len()` counts them
+    all. Only `packets.csv` puts them in engine order, via `merge_records`."""
 
     def __init__(self, streams: list[TrafficProfile], columns: list[StreamRecords]):
         self.streams, self.columns = streams, columns
@@ -206,15 +214,13 @@ def stream_records(profile: TrafficProfile, rng: RngStream, link: LinkRuntime,
                            round(profile.phase_us * NS_PER_US), rng)
     send = link.sender(profile.name, profile.payload_bytes, rng) if profile.wireless \
         else (lambda now: (now, now + wired_latency_ns))
-    records = StreamRecords()
-    created, sent, delivered = (records.created.append, records.sent.append,
-                                records.delivered.append)
+    records = StreamRecords(link.tti_ns if profile.wireless else 1)
+    created, delivered = records.created.append, records.delivered.append
     t = 0
     try:
         for t in times:
-            s, d = send(t)
+            _, d = send(t)  # sent at `records.sent_at(seq)`
             created(t)
-            sent(s)
             delivered(LOST if d is None else d)
     except Exception as exc:
         raise HandlerError(f"at {t} ns, traffic stream {profile.name}: "

@@ -4,6 +4,7 @@ conversions between a stream's record columns and its rows."""
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -28,13 +29,13 @@ def engine_rows(records: Records) -> Iterator[PacketRecord]:
     for k, seq in merge_records(records.columns):
         p, c = records.streams[k], records.columns[k]
         delivered = c.delivered[seq]
-        yield PacketRecord(p.name, seq, c.created[seq], p.payload_bytes, c.sent[seq],
+        yield PacketRecord(p.name, seq, c.created[seq], p.payload_bytes, c.sent_at(seq),
                            None if delivered == LOST else delivered)
 
 
 def columns(rows) -> StreamRecords:
-    """Record columns from (created, sent, delivered or None) rows."""
-    records = StreamRecords()
+    """Record columns, `sent` kept, from (created, sent, delivered or None) rows."""
+    records = StreamRecords(sent=array("q"))
     for created, sent, delivered in rows:
         records.created.append(created)
         records.sent.append(sent)

@@ -235,11 +235,14 @@ def test_percentile_nearest_rank():
 @pytest.mark.parametrize("seed", range(30))
 def test_percentile_over_sorted_columns_is_nearest_rank_on_their_union(seed):
     rng = random.Random(seed)
-    # narrow value ranges repeat values within and across columns
-    columns = [sorted(rng.choices(range(-3, rng.choice([-2, 4, 1000, 10**9])),
+    # narrow value ranges repeat values within and across columns; the widest
+    # passes 32 bits, so a column is a list or a run of 64-bit items, or of
+    # 32-bit ones where its values fit, as a stream's latency runs are
+    columns = [sorted(rng.choices(range(-3, rng.choice([-2, 4, 1000, 10**9, 3 * 10**9])),
                                   k=rng.choice([0, 0, 1, 2, 7, 300])))
                for _ in range(rng.randint(1, 6))]
-    columns = [array("q", c) if rng.random() < 0.5 else c for c in columns]
+    columns = [rng.choice([c, array("q", c), array(
+        "i" if max(c, default=0) < 2**31 else "q", c)]) for c in columns]
     union = sorted(chain.from_iterable(columns))
     if not union:
         with pytest.raises(ValueError):
@@ -324,7 +327,8 @@ def test_latencies_sorted_in_runs_give_the_stats_of_one_full_sort(n):
     assert [len(run) for run in folds[0].latencies] == (
         [n] if n <= SORT_RUN else [SORT_RUN, SORT_RUN, 1])
     for (metrics, fold), latencies in zip(scored, delivered):
-        assert all(run.typecode == "q" and list(run) == sorted(run)
+        # every latency here is below 2^31 ns, so each run holds 32-bit items
+        assert all(run.typecode == "i" and list(run) == sorted(run)
                    for run in fold.latencies)
         assert metrics.delivered_count == len(latencies)
         assert metrics.latency == _full_sort_stats(latencies)

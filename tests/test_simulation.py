@@ -325,15 +325,64 @@ def test_a_finished_run_holds_its_records_as_integer_columns():
         tracemalloc.stop()
     n = len(result.records)
     assert n > 10_000
-    # three 8-byte instants per record, and no engine order: `packets.csv`
-    # merges the streams as it is written; the folds' sorted latencies die
-    # with the run, and one object per record would take hundreds of bytes
-    assert retained / n <= 32, f"{retained / n:.1f} B/record retained"
+    # two 8-byte instants per record, its send instant derived, and no engine
+    # order: `packets.csv` merges the streams as it is written; the folds'
+    # sorted latencies die with the run, and one object per record would take
+    # hundreds of bytes
+    assert retained / n <= 24, f"{retained / n:.1f} B/record retained"
     # a stream's latencies, and the creation instants of each stream and of
     # the aggregate, are sorted a few thousand records at a time; one list of
     # a stream's latencies, or a sorted list of every record's creation
     # instant, exceeds this
     assert peak / n <= 60, f"{peak / n:.1f} B/record at the peak"
+
+
+def _traced_run(horizon_s: float):
+    """The default scenario's run at `horizon_s`, and the peak of the memory
+    it traced above what the built simulation held."""
+    sim = Simulation(scenario_from_dict({"horizon_s": horizon_s}))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = sim.run()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_a_run_grows_by_what_its_records_cannot_rederive():
+    # a traffic record keeps its creation and delivery instants, 16 B, and
+    # its latency run 4 B more below 2^31 ns; the safety channel's two
+    # directions share one creation column. A stored send instant, or 8-byte
+    # latencies, would pass the bound
+    (short, short_peak), (long, long_peak) = _traced_run(20.0), _traced_run(60.0)
+    per_record = (long_peak - short_peak) / (len(long.records) - len(short.records))
+    assert per_record <= 26, f"{per_record:.1f} B per added record"
+    up, down = long.records.columns[:2]
+    assert up.created is down.created and up.sent is not down.sent
+
+
+def test_latency_runs_past_32_bits_keep_64_bit_items():
+    # a wired stream's latency is its wire latency, here 3e9 ns, above 2^31 - 1
+    result = run_scenario({
+        "horizon_s": 10.0, "safety": {"enabled": False}, "factory": {"enabled": False},
+        "radio": {"wired_latency_us": 3.0e6},
+        "traffic": {"catalog": [{"name": "wire", "rate_hz": 100.0, "wireless": False}]}})
+    (stream,), (records,) = result.records.streams, result.records.columns
+    latencies = sorted(d - c for c, d in zip(records.created, records.delivered)
+                       if d <= result.scenario.horizon_ns)
+    assert latencies and latencies[0] == 3 * NS_PER_S
+    _, fold = compliance.collect_stream_metrics(stream, records,
+                                                result.scenario.horizon_ns)
+    assert {run.typecode for run in fold.latencies} == {"q"}
+    latency = result.stream_metrics["wire"].latency
+    assert (latency.min_ns, latency.p50_ns, latency.p99_ns, latency.p999_ns,
+            latency.max_ns) == tuple(
+        latencies[max(1, -(-permille * len(latencies) // 1000)) - 1]
+        for permille in (0, 500, 990, 999, 1000))
 
 
 def test_a_run_scores_through_the_compliance_module_names(monkeypatch):
