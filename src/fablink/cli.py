@@ -149,7 +149,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     try:
         with open(args.metrics, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: not JSON or UTF-8, or an integer longer than Python
+        # converts; RecursionError: nesting past the decoder's depth
         print(f"cannot read metrics: {exc}", file=sys.stderr)
         return 2
 

@@ -1,14 +1,13 @@
 """Compliance scoring of per-stream metrics against Rel-16 factory use-case
 requirement profiles (aspects 1 and 2 of the mobile-control-panel use case).
 
-Jitter is scored as (p99 - min) latency; latency uses p99.9 so one outlier
-cannot dominate the verdict. Availability is the fraction of survival-time
-windows (aspect 1's 12 ms) containing at least one delivery, and is reported
-NotAssessed unless the sample count can statistically support the claimed
-scale (at least 10 / (1 - availability_min) packets), or when the horizon
-holds no whole window. Every other bounded dimension is one row of the
-`DIMENSIONS` table; `RequirementProfile.requirements` words a profile's
-bounds from it, for both `evaluate` and `fablink profiles`.
+A profile is its bound per dimension of the `DIMENSIONS` table, which words
+each bound for both `evaluate` and `fablink profiles`. Jitter is scored as
+(p99 - min) latency; latency uses p99.9 so one outlier cannot dominate the
+verdict. Availability is the fraction of survival-time windows (aspect 1's
+12 ms) containing at least one delivery, and is reported NotAssessed when
+the horizon holds no whole window or the sample count cannot statistically
+support the claimed scale (fewer than 10 / (1 - bound) packets).
 """
 
 from __future__ import annotations
@@ -20,8 +19,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, tee
-from operator import gt, le, lt, sub
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from operator import ge, gt, le, lt, sub
+from types import MappingProxyType
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .scenario import ConfigInvalid
 from .sim_core import NS_PER_MS, SimTime
@@ -30,55 +30,39 @@ from .traffic import LOST, StreamClass, StreamRecords, TrafficProfile
 
 @dataclass(frozen=True)
 class RequirementProfile:
-    """One use-case aspect; absent fields are skipped during evaluation.
-    `streams` is the selection it scores: "safety", "aggregate" or "all"."""
+    """One use-case aspect: the selection it scores ("safety", "aggregate" or
+    "all") and its bound per `DIMENSIONS` name, read-only; a dimension it
+    does not bound is not scored."""
 
     name: str
     streams: str
-    availability_min: float
-    availability_max: float
-    latency_target_ns: SimTime | None = None
-    jitter_max_ns: SimTime | None = None
-    service_data_rate_min_bps: float | None = None
-    message_size_range: tuple[int, int] | None = None
-    transfer_interval_max_ns: SimTime | None = None
-    survival_time_ns: SimTime | None = None
-    service_area_m: tuple[float, float] | None = None
+    bounds: Mapping[str, Any]
 
     def __post_init__(self):
-        if self.availability_min > self.availability_max:
-            raise ValueError("availability_min must be <= availability_max")
+        object.__setattr__(self, "bounds", MappingProxyType(dict(self.bounds)))
 
     def requirements(self) -> list[tuple[str, str]]:
-        """(dimension, requirement text) of availability and of each
-        `DIMENSIONS` entry this profile bounds: the rows `evaluate` scores."""
-        return [("availability", f">= {self.availability_min:.6%}"), *(
-            (d.name, d.required(b)) for d in DIMENSIONS.values()
-            if (b := getattr(self, d.profile_field)) is not None)]
+        """(dimension, requirement text) of each `DIMENSIONS` entry this
+        profile bounds, in table order: the rows `evaluate` scores."""
+        return [(d.name, d.required(self.bounds[d.name]))
+                for d in DIMENSIONS.values() if d.name in self.bounds]
 
 
-ASPECT1 = RequirementProfile(
-    name="aspect1",
-    streams="safety",
-    availability_min=0.999999,
-    availability_max=0.99999999,
-    latency_target_ns=12 * NS_PER_MS,
-    jitter_max_ns=6 * NS_PER_MS,
-    message_size_range=(40, 250),
-    transfer_interval_max_ns=12 * NS_PER_MS,
-    survival_time_ns=12 * NS_PER_MS,
-    service_area_m=(200.0, 300.0),
-)
+ASPECT1 = RequirementProfile("aspect1", "safety", {
+    "availability": 0.999999,
+    "latency": 12 * NS_PER_MS,
+    "jitter": 6 * NS_PER_MS,
+    "message_size": (40, 250),
+    "transfer_interval": 12 * NS_PER_MS,
+    "service_area": (200.0, 300.0),
+})
 
-ASPECT2 = RequirementProfile(
-    name="aspect2",
-    streams="aggregate",
-    availability_min=0.999999,
-    availability_max=0.99999999,
-    latency_target_ns=30 * NS_PER_MS,
-    jitter_max_ns=15 * NS_PER_MS,
-    service_data_rate_min_bps=5e6,
-)
+ASPECT2 = RequirementProfile("aspect2", "aggregate", {
+    "availability": 0.999999,
+    "latency": 30 * NS_PER_MS,
+    "jitter": 15 * NS_PER_MS,
+    "service_data_rate": 5e6,
+})
 
 PROFILES = {p.name: p for p in (ASPECT1, ASPECT2)}
 
@@ -88,7 +72,7 @@ PROFILES = {p.name: p for p in (ASPECT1, ASPECT2)}
 # Scoring conventions: jitter is p99 minus min latency, and availability is
 # counted in windows of aspect 1's survival time.
 JITTER_DEFINITION = "p99_minus_min"
-SURVIVAL_TIME_NS = ASPECT1.survival_time_ns
+SURVIVAL_TIME_NS = 12 * NS_PER_MS
 # a stream's latencies are sorted in runs of this many records, one array
 # each, of 32-bit items where the run's largest latency fits, else 64-bit
 SORT_RUN = 4096
@@ -293,7 +277,7 @@ class VerdictRow:
 
 def availability_sample_floor(profile: RequirementProfile) -> int:
     """Minimum sample count able to support the profile's availability claim."""
-    return math.ceil(10.0 / (1.0 - profile.availability_min))
+    return math.ceil(10.0 / (1.0 - profile.bounds["availability"]))
 
 
 def _ms(ns: SimTime) -> str:
@@ -310,14 +294,12 @@ def _sizes(sizes: tuple[int, int]) -> str:
 
 @dataclass(frozen=True)
 class Dimension:
-    """One bounded requirement dimension: the profile field holding its
-    bound (None there leaves it unbounded), the requirement text of a bound,
+    """One bounded requirement dimension: the requirement text of a bound,
     the observed value read from a stream's metrics or the report's service
     area (None when nothing was observed) and its text, the pass test of a
     value against the bound, and the note of a row with nothing observed."""
 
     name: str
-    profile_field: str
     required: Callable[[Any], str]
     observe: Callable[[StreamMetrics, tuple[float, float] | None], Any]
     shown: Callable[[Any], str]
@@ -325,25 +307,26 @@ class Dimension:
     missing_note: str
 
 
-# The bounded dimensions, in row order; availability, with its sample floor,
-# leads every profile's rows outside this table.
+# The bounded dimensions, in row order.
 DIMENSIONS = {d.name: d for d in (
-    Dimension("latency", "latency_target_ns", lambda b: f"p99.9 < {_ms(b)}",
+    Dimension("availability", lambda b: f">= {b:.6%}", lambda m, _: m.availability,
+              lambda a: f"{a:.6%}", ge,
+              "no whole survival-time window fits in the horizon"),
+    Dimension("latency", lambda b: f"p99.9 < {_ms(b)}",
               lambda m, _: None if m.latency is None else m.latency.p999_ns,
               _ms, lt, "no delivered samples"),
-    Dimension("jitter", "jitter_max_ns", lambda b: f"< {_ms(b)}",
+    Dimension("jitter", lambda b: f"< {_ms(b)}",
               lambda m, _: m.jitter_ns, _ms, lt, "no delivered samples"),
-    Dimension("service_data_rate", "service_data_rate_min_bps",
-              lambda b: f"> {b / 1e6:.2f} Mbit/s",
+    Dimension("service_data_rate", lambda b: f"> {b / 1e6:.2f} Mbit/s",
               lambda m, _: m.observed_rate_bps if m.sample_count else None,
               lambda r: f"{r / 1e6:.3f} Mbit/s", gt, "no samples"),
-    Dimension("message_size", "message_size_range", _sizes,
+    Dimension("message_size", _sizes,
               lambda m, _: None if m.size_min is None else (m.size_min, m.size_max),
               _sizes, lambda s, r: r[0] <= s[0] and s[1] <= r[1], "no samples"),
-    Dimension("transfer_interval", "transfer_interval_max_ns", lambda b: f"<= {_ms(b)}",
+    Dimension("transfer_interval", lambda b: f"<= {_ms(b)}",
               lambda m, _: m.max_transfer_interval_ns, _ms, le,
               "fewer than two samples"),
-    Dimension("service_area", "service_area_m", lambda b: f"max {_area(b)}",
+    Dimension("service_area", lambda b: f"max {_area(b)}",
               lambda _, area: area, _area,
               lambda a, b: a[0] <= b[0] and a[1] <= b[1], "no area configured"),
 )}
@@ -355,31 +338,25 @@ def evaluate(
     service_area_m: tuple[float, float] | None = None,
     sample_floor: int | None = None,
 ) -> list[VerdictRow]:
-    """Score one stream against one profile: the availability row, then one
-    row per dimension the profile bounds, in `requirements()` order."""
-    floor = availability_sample_floor(profile) if sample_floor is None else sample_floor
-    (_, required), *bounded = profile.requirements()
-    availability = metrics.availability
-    if availability is None:
-        rows = [VerdictRow("availability", required, "n/a",
-                           ComplianceVerdict.NOT_ASSESSED,
-                           "no whole survival-time window fits in the horizon")]
-    elif metrics.sample_count < floor:  # too few samples to support the claim
-        rows = [VerdictRow("availability", required, f"{availability:.6%}",
-                           ComplianceVerdict.NOT_ASSESSED,
-                           f"sample count {metrics.sample_count} below the {floor} "
-                           "needed to support a claim at this scale")]
-    else:
-        rows = [VerdictRow("availability", required, f"{availability:.6%}",
-                           _verdict(availability >= profile.availability_min))]
-    for name, required in bounded:
+    """Score one stream against one profile: one row per dimension the
+    profile bounds, in `requirements()` order. An availability observed on
+    fewer samples than the floor cannot support the claim: NotAssessed."""
+    rows = []
+    for name, required in profile.requirements():
         dim = DIMENSIONS[name]
         value = dim.observe(metrics, service_area_m)
         if value is None:
             rows.append(VerdictRow(name, required, "n/a",
                                    ComplianceVerdict.NOT_ASSESSED, dim.missing_note))
+        elif name == "availability" and metrics.sample_count < (floor := (
+                availability_sample_floor(profile) if sample_floor is None
+                else sample_floor)):
+            rows.append(VerdictRow(name, required, dim.shown(value),
+                                   ComplianceVerdict.NOT_ASSESSED,
+                                   f"sample count {metrics.sample_count} below the {floor} "
+                                   "needed to support a claim at this scale"))
         else:
-            ok = dim.passes(value, getattr(profile, dim.profile_field))
+            ok = dim.passes(value, profile.bounds[name])
             rows.append(VerdictRow(name, required, dim.shown(value), _verdict(ok)))
     return rows
 

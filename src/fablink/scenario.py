@@ -453,6 +453,10 @@ def load_scenario(path: str) -> Scenario:
             text = fh.read()
         _check_unique_keys(yaml.compose(text, Loader=yaml.SafeLoader), "", set())
         data = yaml.safe_load(text)
-    except (UnicodeDecodeError, yaml.YAMLError) as exc:
+    except ConfigInvalid:  # a duplicate key, already named by its path
+        raise
+    except (ValueError, RecursionError, yaml.YAMLError) as exc:
+        # a bad encoding, nesting past the parser's recursion, or an integer
+        # longer than Python converts
         raise ConfigInvalid(f"{path}: {exc}") from None
     return default_scenario() if data is None else scenario_from_dict(data)

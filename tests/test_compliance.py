@@ -3,7 +3,7 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 from itertools import chain, pairwise
 
@@ -15,7 +15,9 @@ from fablink.compliance import (
     ASPECT2,
     ComplianceReport,
     ComplianceVerdict,
+    DIMENSIONS,
     LatencyStats,
+    RequirementProfile,
     SURVIVAL_TIME_NS,
     StreamMetrics,
     aggregate_metrics,
@@ -38,28 +40,49 @@ def test_profiles_are_the_two_aspects_each_with_its_streams():
 
 
 def test_aspect1_values():
-    p = ASPECT1
-    assert p.availability_min == 0.999999
-    assert p.availability_max == 0.99999999
-    assert p.latency_target_ns == 12 * NS_PER_MS
-    assert p.jitter_max_ns == 6 * NS_PER_MS
-    assert p.service_data_rate_min_bps is None  # blank cell
-    assert p.message_size_range == (40, 250)
-    assert p.transfer_interval_max_ns == 12 * NS_PER_MS
-    assert p.survival_time_ns == 12 * NS_PER_MS
-    assert p.service_area_m == (200.0, 300.0)
+    # each bound is keyed by its dimension; service_data_rate is a blank cell
+    assert ASPECT1.bounds == {
+        "availability": 0.999999,
+        "latency": 12 * NS_PER_MS,
+        "jitter": 6 * NS_PER_MS,
+        "message_size": (40, 250),
+        "transfer_interval": 12 * NS_PER_MS,
+        "service_area": (200.0, 300.0),
+    }
 
 
 def test_aspect2_values_and_blank_cells():
-    p = ASPECT2
-    assert p.latency_target_ns == 30 * NS_PER_MS
-    assert p.jitter_max_ns == 15 * NS_PER_MS
-    assert p.service_data_rate_min_bps == 5e6
     # blank cells stay absent rather than inheriting aspect 1 values
-    assert p.message_size_range is None
-    assert p.transfer_interval_max_ns is None
-    assert p.survival_time_ns is None
-    assert p.service_area_m is None
+    assert ASPECT2.bounds == {
+        "availability": 0.999999,
+        "latency": 30 * NS_PER_MS,
+        "jitter": 15 * NS_PER_MS,
+        "service_data_rate": 5e6,
+    }
+    assert all(set(p.bounds) <= set(DIMENSIONS) for p in PROFILES.values())
+
+
+def test_profile_bounds_are_read_only():
+    with pytest.raises(TypeError):
+        ASPECT1.bounds["latency"] = 30 * NS_PER_MS
+    with pytest.raises(TypeError):
+        del ASPECT2.bounds["service_data_rate"]
+    with pytest.raises(FrozenInstanceError):
+        ASPECT1.bounds = {}
+    # the profile keeps a copy, so the mapping it was built from stays apart
+    given = {"latency": NS_PER_MS}
+    profile = RequirementProfile("latency_only", "all", given)
+    given["jitter"] = NS_PER_MS
+    assert profile.bounds == {"latency": NS_PER_MS}
+
+
+def test_a_profile_scores_only_the_dimensions_it_bounds():
+    # without an availability bound there is no availability row, and no
+    # sample floor to derive
+    profile = RequirementProfile("latency_only", "all", {"latency": NS_PER_MS})
+    rows = evaluate(_metrics(), profile, (20.0, 20.0))
+    assert [(r.dimension, r.required, r.observed, r.verdict) for r in rows] == [
+        ("latency", "p99.9 < 1.000 ms", "0.350 ms", ComplianceVerdict.PASS)]
 
 
 def _metrics(**overrides) -> StreamMetrics:

@@ -396,6 +396,52 @@ def test_cli_recursive_and_repeated_aliases_exit_2_at_once(tmp_path, capsys, com
     assert not (tmp_path / "out").exists()
 
 
+# Python's limit on the digits of an integer parsed from text, where it has one
+LONG_INTEGER = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                  reason="this Python converts integers of any length")
+# nesting far past the interpreter's recursion limit, wherever the stack stands
+DEPTH = 100_000
+
+
+@pytest.mark.parametrize("command", ["run", "config dump"])
+@pytest.mark.parametrize(
+    "text, error",
+    [("script: " + "[" * DEPTH + "]" * DEPTH + "\n", "maximum recursion depth exceeded"),
+     pytest.param("seed: " + "9" * 5000 + "\n", "Exceeds the limit", marks=LONG_INTEGER)],
+    ids=["deep_nesting", "long_integer"],
+)
+def test_cli_config_past_the_parser_limits_exits_2(tmp_path, capsys, command, text,
+                                                   error):
+    # the YAML parser recurses once per nesting level, and an integer
+    # longer than Python converts raises while the document is constructed
+    config = tmp_path / "scenario.yaml"
+    config.write_text(text, encoding="utf-8")
+    out = ["--out", str(tmp_path / "out")] if command == "run" else []
+    assert _run_cli(*command.split(), "--config", str(config), *out) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {config}: {error}")
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+    assert not captured.out and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b"{not json", None, b"[" * DEPTH + b"]" * DEPTH,
+     pytest.param(b"9" * 5000, marks=LONG_INTEGER), b"\xff\xfe{}"],
+    ids=["not_json", "missing_file", "deep_array", "long_number", "not_utf8"],
+)
+def test_cli_check_unreadable_metrics_exits_2(tmp_path, capsys, raw):
+    # exit 1 means a checked dimension failed; a file that cannot be read
+    # as JSON is bad input, named in one line
+    metrics = tmp_path / "metrics.json"
+    if raw is not None:
+        metrics.write_bytes(raw)
+    assert _run_cli("check", str(metrics), "--profile", "aspect1") == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("cannot read metrics: ") and not captured.out
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize(
     "doc, profile, key",
     [
