@@ -1,8 +1,11 @@
 """Run artifact export.
 
-All files are UTF-8 and byte-identical for identical (config, seed): JSON is
-dumped with sorted keys, CSV rows follow deterministic event order, and no
-wall-clock data enters any artifact.
+All files are UTF-8 with untranslated newlines and byte-identical for
+identical (config, seed): JSON is dumped with sorted keys, CSV rows follow
+deterministic event order, and no wall-clock data enters any artifact. A run
+writes the whole set or none: each file is moved into place from `<name>.tmp`,
+`metrics.json` last, and a failed or interrupted write removes every temporary
+file and artifact, so a `metrics.json` sits beside a whole set from one run.
 
 Frozen formats:
   packets.csv     stream,seq,class,size_bytes,created_ns,sent_ns,delivered_ns
@@ -24,9 +27,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterable, Iterator, TextIO
 
 from .compliance import JITTER_DEFINITION, StreamMetrics
 from .radio_link import next_tx_opportunity
@@ -44,22 +48,9 @@ PRODUCT_COLUMNS = ["product", "event", "time_ns", "detail"]
 @dataclass
 class RunArtifacts:
     out_dir: Path
-    metrics_json: Path
-    packets_csv: Path
-    safety_log_csv: Path
-    products_csv: Path
-    compliance_json: Path
-    compliance_txt: Path
 
     def paths(self) -> list[Path]:
-        return [
-            self.metrics_json,
-            self.packets_csv,
-            self.safety_log_csv,
-            self.products_csv,
-            self.compliance_json,
-            self.compliance_txt,
-        ]
+        return [self.out_dir / name for name in ARTIFACT_NAMES]
 
 
 @dataclass
@@ -118,46 +109,45 @@ def _packet_rows(records: Records) -> Iterator[str]:
         yield f"{stream}{seq}{cls_size}{c},{s},{'LOST' if d == LOST else d}\r\n"
 
 
+def _write_csv(fh: TextIO, header: list[str], rows: Iterable = (), lines=()) -> None:
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    writer.writerows(rows)
+    fh.writelines(lines)
+
+
+def _json(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+_WRITERS: dict[str, Callable] = {  # in the order the files are moved into place
+    "packets.csv": lambda r, fh: _write_csv(fh, PACKET_COLUMNS, lines=_packet_rows(r.records)),
+    "safety_log.csv": lambda r, fh: _write_csv(fh, SAFETY_COLUMNS, (
+        [t.at, t.loop, t.transition, t.cause, t.consecutive_missed] for t in r.safety_log)),
+    "products.csv": lambda r, fh: _write_csv(fh, PRODUCT_COLUMNS, (
+        [e.product, e.event, e.at, e.detail] for e in r.product_log)),
+    "compliance.json": lambda r, fh: fh.write(_json(
+        {**schema_to_dict(r.compliance), "verdict_counts": r.compliance.verdict_counts()})),
+    "compliance.txt": lambda r, fh: fh.write(r.compliance.render_table()),
+    "metrics.json": lambda r, fh: fh.write(_json(build_metrics_document(r))),
+}
+ARTIFACT_NAMES = tuple(_WRITERS)
+
+
 def write_artifacts(result: RunResult, out_dir: str | Path) -> RunArtifacts:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    artifacts = RunArtifacts(
-        out_dir=out,
-        metrics_json=out / "metrics.json",
-        packets_csv=out / "packets.csv",
-        safety_log_csv=out / "safety_log.csv",
-        products_csv=out / "products.csv",
-        compliance_json=out / "compliance.json",
-        compliance_txt=out / "compliance.txt",
-    )
-
-    with artifacts.metrics_json.open("w", encoding="utf-8", newline="\n") as fh:
-        json.dump(build_metrics_document(result), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    with artifacts.packets_csv.open("w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerow(PACKET_COLUMNS)
-        fh.writelines(_packet_rows(result.records))
-
-    with artifacts.safety_log_csv.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SAFETY_COLUMNS)
-        for t in result.safety_log:
-            writer.writerow([t.at, t.loop, t.transition, t.cause, t.consecutive_missed])
-
-    with artifacts.products_csv.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PRODUCT_COLUMNS)
-        for e in result.product_log:
-            writer.writerow([e.product, e.event, e.at, e.detail])
-
-    with artifacts.compliance_json.open("w", encoding="utf-8", newline="\n") as fh:
-        report = result.compliance
-        json.dump({**schema_to_dict(report), "verdict_counts": report.verdict_counts()},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    artifacts.compliance_txt.write_text(
-        result.compliance.render_table(), encoding="utf-8"
-    )
+    artifacts = RunArtifacts(Path(out_dir))
+    artifacts.out_dir.mkdir(parents=True, exist_ok=True)
+    paths = artifacts.paths()
+    tmp = [path.with_name(f"{path.name}.tmp") for path in paths]
+    try:
+        for path in reversed(paths):  # `metrics.json` first
+            path.unlink(missing_ok=True)
+        for path, tmp_path, write in zip(paths, tmp, _WRITERS.values()):
+            with tmp_path.open("w", encoding="utf-8", newline="") as fh:
+                write(result, fh)
+            os.replace(tmp_path, path)
+    except BaseException:
+        for path in reversed(paths + tmp):
+            path.unlink(missing_ok=True)
+        raise
     return artifacts

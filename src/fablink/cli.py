@@ -6,7 +6,8 @@ no Fail); 1 a checked dimension failed, or an event's action ended the `run`
 in an error (one `run error:` line, no artifacts); 2 bad input (a config or
 `--seed`/`--horizon` value the scenario schema rejects, an unknown profile,
 a malformed metrics file, a metrics file in which `check` assesses nothing,
-or I/O).
+or I/O; a failed write leaves none of the six artifacts); 130 interrupted
+(Ctrl-C: one `interrupted` line; an interrupted write also leaves none).
 """
 
 from __future__ import annotations
@@ -209,16 +210,20 @@ def _cmd_config_dump(config_path: str | None) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "check":
-        return _cmd_check(args)
-    if args.command == "profiles":
-        return _cmd_profiles()
-    if args.command == "catalog":
-        return _cmd_catalog(args.stream_class)
-    if args.command == "config":
-        return _cmd_config_dump(args.config)
+    try:
+        if args.command == "run":
+            return _cmd_run(args)
+        if args.command == "check":
+            return _cmd_check(args)
+        if args.command == "profiles":
+            return _cmd_profiles()
+        if args.command == "catalog":
+            return _cmd_catalog(args.stream_class)
+        if args.command == "config":
+            return _cmd_config_dump(args.config)
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     raise AssertionError(f"unhandled command {args.command}")
 
 

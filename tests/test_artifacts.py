@@ -44,7 +44,7 @@ def test_packets_csv_bytes_equal_csv_writer_rows(tmp_path):
                    {"at_s": 0.2, "action": "link_up"}],
     })
     result = Simulation(scenario).run()
-    packets = write_artifacts(result, tmp_path).packets_csv.read_bytes()
+    packets = (write_artifacts(result, tmp_path).out_dir / "packets.csv").read_bytes()
     assert packets == _writerow_bytes(list(engine_rows(result.records)), {
         name: m.stream_class.value for name, m in result.stream_metrics.items()})
     assert b'\r\n"cam,""a""\nb",0,non-safety,100,0,0,' in packets
@@ -67,7 +67,7 @@ def test_packets_csv_bytes_equal_csv_writer_rows(tmp_path):
 ], ids=["lossy_outage", "no_records"])
 def test_packets_csv_holds_every_record_once_in_creation_order(tmp_path, config):
     result = Simulation(scenario_from_dict(config)).run()
-    path = write_artifacts(result, tmp_path).packets_csv
+    path = write_artifacts(result, tmp_path).out_dir / "packets.csv"
     with path.open(encoding="utf-8", newline="") as fh:
         header, *rows = csv.reader(fh)
     assert header == PACKET_COLUMNS

@@ -221,7 +221,7 @@ def test_artifacts_match_golden_digests(case, case_artifacts):
                 want.decode("utf-8").splitlines(keepends=True),
                 got.decode("utf-8").splitlines(keepends=True),
                 f"golden/{case}/{name}", f"run/{name}")) or f"{name}: bytes differ")
-    got = packets_digests(artifacts.packets_csv)
+    got = packets_digests(artifacts.out_dir / "packets.csv")
     want = json.loads(GOLDEN.read_text(encoding="utf-8"))[case]["packets.csv"]
     if got != want:
         changed = sorted(stream for stream in got["streams"].keys() | want["streams"]
@@ -235,16 +235,16 @@ def test_artifacts_match_golden_digests(case, case_artifacts):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_metrics_round_trip_and_check_rescores_the_run(case, case_artifacts, capsys):
     artifacts = case_artifacts(case)
-    doc = json.loads(artifacts.metrics_json.read_text(encoding="utf-8"))
+    doc = json.loads((artifacts.out_dir / "metrics.json").read_text(encoding="utf-8"))
     entries = {f"streams.{name}": entry for name, entry in doc["streams"].items()}
     entries["aggregate"] = doc["aggregate"]
     for path, entry in entries.items():
         assert schema_to_dict(schema_from_dict(StreamMetrics, entry, path)) == entry
-    run_table = artifacts.compliance_txt.read_text(encoding="utf-8").splitlines()
+    run_table = (artifacts.out_dir / "compliance.txt").read_text(encoding="utf-8").splitlines()
     for profile in ("aspect1", "aspect2"):
         rows = [line for line in run_table if line.split()[1:2] == [profile]]
         capsys.readouterr()
-        code = main(["check", str(artifacts.metrics_json), "--profile", profile])
+        code = main(["check", str(artifacts.out_dir / "metrics.json"), "--profile", profile])
         out, err = capsys.readouterr()
         if code == 2:  # nothing assessed, as in the run
             assert err.startswith("nothing assessed: ")
@@ -268,7 +268,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for case in CASES:
             artifacts = run_case(case, Path(tmp) / case)
-            digests[case] = {"packets.csv": packets_digests(artifacts.packets_csv)}
+            digests[case] = {"packets.csv": packets_digests(artifacts.out_dir / "packets.csv")}
             if update:
                 (GOLDEN_DIR / case).mkdir(exist_ok=True)
                 for name in STORED:

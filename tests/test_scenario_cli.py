@@ -15,7 +15,7 @@ import pytest
 import yaml
 
 import fablink
-from fablink.artifacts import MetricsDocument
+from fablink.artifacts import ARTIFACT_NAMES, MetricsDocument
 from fablink.cli import main
 from fablink.compliance import PROFILES, evaluate
 from fablink.radio_link import LinkRuntime
@@ -279,6 +279,49 @@ def test_cli_run_ended_by_an_action_error_exits_1_with_one_line(
         "run error: at 0 ns, traffic stream big: OverflowError: ")
     assert len(captured.err.splitlines()) == 1
     assert not out.exists()
+
+
+def test_cli_run_interrupted_in_its_write_exits_130_leaving_no_artifact(
+        tmp_path, capsys, monkeypatch):
+    # a whole earlier set is in place; Ctrl-C lands after the first packet row
+    out = tmp_path / "out"
+    assert _run_cli("run", "--horizon", "0.5", "--out", str(out)) == 0
+    assert sorted(os.listdir(out)) == sorted(ARTIFACT_NAMES)
+
+    def interrupted_rows(records):
+        yield "row\r\n"
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("fablink.artifacts._packet_rows", interrupted_rows)
+    capsys.readouterr()
+    assert _run_cli("run", "--horizon", "0.5", "--out", str(out)) == 130
+    err = capsys.readouterr().err
+    assert err == "interrupted\n"
+    assert os.listdir(out) == []
+
+
+def test_cli_run_whose_write_fails_leaves_no_set_and_reruns_to_the_same_bytes(
+        tmp_path):
+    # a 3 s run's packets.csv passes the child's 50 KB file-size limit, so its
+    # write fails over a whole 2 s set: none of either run's files may stay
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    run = _cli_child("run", "--horizon", "2", "--out", str(out))
+    assert run.returncode == 0, run.stderr
+    limit = 50 * 1024
+    run = _cli_child("run", "--horizon", "3", "--out", str(out),
+                     preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE,
+                                                           (limit, limit)))
+    assert run.returncode == 2
+    assert run.stderr.startswith("i/o error: ")
+    assert len(run.stderr.splitlines()) == 1
+    assert os.listdir(out) == []
+
+    for directory in (out, fresh):
+        run = _cli_child("run", "--horizon", "3", "--out", str(directory))
+        assert run.returncode == 0, run.stderr
+        assert sorted(os.listdir(directory)) == sorted(ARTIFACT_NAMES)
+    for name in ARTIFACT_NAMES:
+        assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 _STREAM_ONLY = "{horizon_s: %s, safety: {enabled: false}, factory: {enabled: false}, "
